@@ -112,13 +112,6 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("unknown scenario %q (registered: %v)", *scenarioName, ccba.ScenarioNames())
 		}
 		cfg = sc.Config
-		cfg.Parallel = *parallel
-		if set["sparse"] {
-			cfg.Sparse = *sparse
-		}
-		if set["sparse-workers"] {
-			cfg.SparseWorkers = *sparseWorkers
-		}
 		if !set["adversary"] {
 			advName = sc.Adversary
 			if advName == "" {
@@ -127,19 +120,22 @@ func run(args []string, out io.Writer) error {
 		}
 		// Explicitly passed flags override the scenario's fields.
 		override := map[string]func(){
-			"protocol":      func() { cfg.Protocol = ccba.Protocol(*protocol) },
-			"n":             func() { cfg.N = *n },
-			"f":             func() { cfg.F = *f },
-			"lambda":        func() { cfg.Lambda = *lambda },
-			"epochs":        func() { cfg.Epochs = *epochs },
-			"crypto":        func() { cfg.Crypto = ccba.CryptoMode(*crypto) },
-			"erasure":       func() { cfg.Erasure = *erasure },
-			"net":           func() { cfg.Net = ccba.NetName(*net) },
-			"delta":         func() { cfg.Delta = *delta },
-			"omission-rate": func() { cfg.OmissionRate = *omissionRate },
-			"sched":         func() { cfg.Sched = ccba.SchedName(*sched) },
-			"adv-delay":     func() { cfg.AdvDelay = *advDelay },
-			"crashes":       func() { cfg.Crashes = *crashes },
+			"protocol":       func() { cfg.Protocol = ccba.Protocol(*protocol) },
+			"n":              func() { cfg.N = *n },
+			"f":              func() { cfg.F = *f },
+			"lambda":         func() { cfg.Lambda = *lambda },
+			"epochs":         func() { cfg.Epochs = *epochs },
+			"crypto":         func() { cfg.Crypto = ccba.CryptoMode(*crypto) },
+			"erasure":        func() { cfg.Erasure = *erasure },
+			"net":            func() { cfg.Net = ccba.NetName(*net) },
+			"delta":          func() { cfg.Delta = *delta },
+			"omission-rate":  func() { cfg.OmissionRate = *omissionRate },
+			"sched":          func() { cfg.Sched = ccba.SchedName(*sched) },
+			"adv-delay":      func() { cfg.AdvDelay = *advDelay },
+			"crashes":        func() { cfg.Crashes = *crashes },
+			"parallel":       func() { cfg.Parallel = *parallel },
+			"sparse":         func() { cfg.Sparse = *sparse },
+			"sparse-workers": func() { cfg.SparseWorkers = *sparseWorkers },
 		}
 		for name, apply := range override {
 			if set[name] {

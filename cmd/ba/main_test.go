@@ -6,6 +6,8 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"ccba"
 )
 
 func TestRunDefaults(t *testing.T) {
@@ -187,5 +189,28 @@ func TestListScenarios(t *testing.T) {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("scenario listing missing %q:\n%s", want, buf.String())
 		}
+	}
+}
+
+// A scenario's Parallel survives unless -parallel is passed, like every other
+// field. The engine's results are identical either way, so the test observes
+// the flag through validation: Sparse rejects Parallel.
+func TestRunScenarioKeepsParallel(t *testing.T) {
+	if err := ccba.RegisterScenario(ccba.Scenario{
+		Name:   "test-parallel-n40",
+		Config: ccba.Config{Protocol: ccba.Core, N: 40, F: 10, Lambda: 16, Parallel: true},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := run([]string{"-scenario", "test-parallel-n40"}, &buf); err != nil {
+		t.Fatalf("parallel scenario: %v", err)
+	}
+	err := run([]string{"-scenario", "test-parallel-n40", "-sparse"}, &buf)
+	if err == nil || !strings.Contains(err.Error(), "Parallel") {
+		t.Fatalf("-sparse on a Parallel scenario: got %v, want the Sparse/Parallel rejection (the flag default overwrote the scenario's Parallel)", err)
+	}
+	if err := run([]string{"-scenario", "test-parallel-n40", "-sparse", "-parallel=false"}, &buf); err != nil {
+		t.Fatalf("explicit -parallel=false must override the scenario: %v", err)
 	}
 }

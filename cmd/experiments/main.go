@@ -1,5 +1,5 @@
 // Command experiments regenerates the paper's evaluation: one measured
-// table per theorem/lemma-level claim (E1–E13 in DESIGN.md §3), with trials
+// table per theorem/lemma-level claim (E1–E15 in DESIGN.md §3), with trials
 // fanned out across harness workers.
 //
 // Examples:

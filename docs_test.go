@@ -5,8 +5,10 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
+	"unicode"
 
 	"ccba/internal/analysis"
 )
@@ -17,7 +19,10 @@ import (
 //   - every `DESIGN.md §N` citation in Go sources and markdown resolves to
 //     a `## §N` section of DESIGN.md;
 //   - markdown files carry no `[[...]]`-style placeholder references;
-//   - relative links in markdown files point at files that exist.
+//   - relative links in markdown files point at files that exist;
+//   - DESIGN.md's table of contents lists every `## §N` section under an
+//     anchor that resolves, and its §3 table has a row per experiment
+//     generator.
 
 // docsFiles walks the repository (skipping .git and testdata) and returns
 // the files with one of the given extensions.
@@ -129,6 +134,108 @@ func TestMarkdownRelativeLinks(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// headingAnchor is the fragment a markdown renderer derives from a heading:
+// lower-cased, every character that is not a letter, digit, '_', '-' or
+// space dropped, spaces turned into hyphens.
+func headingAnchor(heading string) string {
+	var b strings.Builder
+	for _, r := range strings.ToLower(heading) {
+		switch {
+		case r == ' ':
+			b.WriteByte('-')
+		case r == '-' || r == '_' || unicode.IsLetter(r) || unicode.IsDigit(r):
+			b.WriteRune(r)
+		}
+	}
+	return b.String()
+}
+
+// TestDesignTableOfContents keeps DESIGN.md's table of contents equal to its
+// body: every `## §N` heading has exactly one entry carrying the heading's
+// text and the anchor the heading renders to, and no entry points at a
+// heading that is gone.
+func TestDesignTableOfContents(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var headings []string
+	for _, m := range regexp.MustCompile(`(?m)^## (§\d+ .*)$`).FindAllStringSubmatch(string(design), -1) {
+		headings = append(headings, m[1])
+	}
+	var entries [][]string // [_, text, anchor]
+	for _, m := range regexp.MustCompile(`(?m)^- \[(§\d+ [^\]]*)\]\(#([^)]*)\)$`).FindAllStringSubmatch(string(design), -1) {
+		entries = append(entries, m)
+	}
+	if len(headings) == 0 {
+		t.Fatal("DESIGN.md has no '## §N' sections")
+	}
+	for i, h := range headings {
+		if i >= len(entries) {
+			t.Errorf("DESIGN.md table of contents has no entry for %q", h)
+			continue
+		}
+		if text, anchor := entries[i][1], entries[i][2]; text != h || anchor != headingAnchor(h) {
+			t.Errorf("DESIGN.md table of contents entry %d is [%s](#%s), want [%s](#%s)", i+1, text, anchor, h, headingAnchor(h))
+		}
+	}
+	for _, e := range entries[min(len(entries), len(headings)):] {
+		t.Errorf("DESIGN.md table of contents entry [%s] has no '## %s' section", e[1], e[1])
+	}
+}
+
+// TestDesignSectionThreeCoversExperiments pins DESIGN.md §3's table to the
+// generators internal/experiments exports (func E<k><Name>(o Opts, …)): an
+// experiment without a row, or a heading whose E1–E<k> range stops short of
+// the last one, fails.
+func TestDesignSectionThreeCoversExperiments(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, found := strings.Cut(string(design), "\n## §3")
+	if !found {
+		t.Fatal("DESIGN.md has no '## §3' section")
+	}
+	if next := strings.Index(section, "\n## §"); next >= 0 {
+		section = section[:next]
+	}
+	title, _, _ := strings.Cut(section, "\n")
+
+	files, err := filepath.Glob("internal/experiments/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	generator := regexp.MustCompile(`(?m)^func E(\d+)[A-Za-z]+\(o Opts`)
+	ids, last := map[string]bool{}, 0
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range generator.FindAllStringSubmatch(string(data), -1) {
+			ids[m[1]] = true
+			if k, _ := strconv.Atoi(m[1]); k > last {
+				last = k
+			}
+		}
+	}
+	if len(ids) < 15 {
+		t.Fatalf("only %d experiment generators discovered in internal/experiments — pattern broken?", len(ids))
+	}
+	for id := range ids {
+		if !strings.Contains(section, "\n| E"+id+" |") {
+			t.Errorf("DESIGN.md §3 has no table row for experiment E%s", id)
+		}
+	}
+	if want := "E1–E" + strconv.Itoa(last); !strings.Contains(title, want) {
+		t.Errorf("DESIGN.md §3 heading %q does not name the range %s", strings.TrimSpace(title), want)
 	}
 }
 

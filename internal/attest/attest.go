@@ -123,10 +123,11 @@ func (s *Set) view() []Attestation {
 }
 
 // Reset empties the set while keeping its backing array, so long-lived
-// nodes (the compact large-N representations) can recycle one set per
-// epoch or iteration instead of allocating a fresh one. Attestation slices
-// previously returned by Attestations are unaffected — owned-mode sets
-// return copies, interned-mode sets return immutable shared state.
+// nodes (phase-king's per-epoch ACK tallies, core's two-slot window) can
+// recycle one set per epoch or iteration instead of allocating a fresh one.
+// Attestation slices previously returned by Attestations are unaffected —
+// owned-mode sets return copies, interned-mode sets return immutable shared
+// state.
 func (s *Set) Reset() {
 	if s.in != nil {
 		s.resetInterned()

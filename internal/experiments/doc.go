@@ -1,7 +1,6 @@
 // Package experiments regenerates every table-equivalent in the paper's
-// evaluation — one generator per experiment in DESIGN.md §3 (E1–E13, plus
-// the E15 async-track extension), each mapping a theorem, lemma, or remark
-// to a measured table. The generators
+// evaluation — one generator per experiment in DESIGN.md §3 (E1–E15), each
+// mapping a theorem, lemma, or remark to a measured table. The generators
 // return structured results for programmatic assertions plus a rendered
 // text table; cmd/experiments prints them and bench_test.go wraps them as
 // benchmarks.
@@ -11,5 +10,5 @@
 // network model × inputs) and run them on the harness worker pool, so a new
 // setting is one declaration, not a hand-wired construction.
 //
-// Architecture: DESIGN.md §3 — E1–E13 table generators.
+// Architecture: DESIGN.md §3 — E1–E15 table generators.
 package experiments

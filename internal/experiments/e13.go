@@ -68,12 +68,12 @@ const e13SerialN = 50_000
 
 // E13ScalingLaw runs the experiment. Core points are swept up to maxN
 // (10⁵ by default in cmd/experiments; 10⁶ is the stretch setting), each on
-// the sparse engine path with the lean F_mine table and compact node
-// state, so the largest points fit in ordinary memory.
+// the sparse engine path (traffic-sized delivery, two-slot node state,
+// interned attestations), so the largest points fit in ordinary memory.
 //
 // crypto selects the core sweep's instantiation: Ideal runs the
 // F_mine-hybrid world; Real runs the Appendix D compiler — Ed25519 VRF
-// mining with the lean bounded verify cache — so the k≈1 fit is
+// mining with the iteration-windowed verify cache — so the k≈1 fit is
 // demonstrated for the protocol as deployed, not just the hybrid. The
 // quadratic baseline always uses real signatures (it has no F_mine), so
 // only the core rows change.

@@ -15,10 +15,12 @@
 //   - Ideal: F_mine exactly as Figure 1. Coins are derived lazily from a
 //     hidden PRF key (equivalent to memoised fresh coins), Verify answers
 //     only for attempts that were actually mined, and tickets are secret
-//     until mined.
+//     until mined. One table, storing successful attempts only — a failed
+//     attempt verifies false whether or not it is remembered.
 //   - Real: the VRF compiler. Mining evaluates the node's VRF on the tag and
 //     succeeds iff the output clears the difficulty; the proof is publicly
-//     verifiable against the PKI.
+//     verifiable against the PKI. Verifications are memoised in one cache,
+//     bounded by an iteration window (DESIGN.md §9).
 //
 // Architecture: DESIGN.md §4 — F_mine ideal functionality and the VRF compiler.
 package fmine

@@ -120,7 +120,17 @@ const IdealProofSize = prf.OutputSize
 
 // Ideal is the F_mine ideal functionality. It is safe for concurrent use.
 //
-// The coin table is keyed by the comparable (tag, id) pair rather than an
+// The table stores only *successful* attempts, as the ticket bytes handed
+// out for them. That is Figure 1 exactly, not an approximation of it: the
+// coin for (tag, id) is derived deterministically from the hidden PRF key,
+// so Mine answers a repeated attempt identically with or without a memo,
+// and verify(tag, id, proof) is (mined ∧ coin-below-difficulty ∧
+// proof-matches) — for a failed attempt the difficulty conjunct is false
+// whether or not the attempt is remembered. Every node attempts to mine
+// every round, so remembering failures would grow the table as
+// O(n · rounds); successes number O(committee) per round.
+//
+// The table is keyed by the comparable (tag, id) pair rather than an
 // encoded byte string: a simulation verifies every delivered ticket once per
 // simulated receiver, so the verify path must be a single allocation-free
 // map lookup. The PRF evaluator and encoding scratch are reused across
@@ -128,13 +138,17 @@ const IdealProofSize = prf.OutputSize
 // HMAC construction and tag encoding).
 type Ideal struct {
 	prob ProbFunc
-	lean bool // store only successful coins (see NewIdealLean)
 
-	mu    sync.RWMutex
-	coins map[coinKey]coinEntry
+	mu sync.RWMutex
+	// tickets holds Coin[m, i] for every mined(m, i) that succeeded. Mine
+	// returns the stored slice itself on every repeat: committee members
+	// re-attempt their round tags, and a fresh copy per attempt would cost
+	// one allocation per member per round. Tickets are immutable by
+	// contract (they are message payloads).
+	tickets map[coinKey][]byte
 
 	// evalMu guards the PRF state and scratch buffer separately from the
-	// coin table, so a cache miss's HMAC evaluation never runs inside the
+	// ticket table, so a miss's HMAC evaluation never runs inside the
 	// table's write lock: parallel mining only serialises on the short
 	// evaluation itself, and distinct nodes mine distinct keys anyway.
 	evalMu  sync.Mutex
@@ -148,48 +162,13 @@ type coinKey struct {
 	id  types.NodeID
 }
 
-// coinEntry is a memoised coin with the mined(m, i) flag of Figure 1.
-// In the lean table a successful entry also interns its ticket bytes
-// (proof), so repeated attempts on the same (tag, id) key return the one
-// stored slice instead of allocating a fresh copy per call — in a large
-// simulation every committee member re-attempts its round tags, and those
-// repeats used to dominate the mine path's allocation profile. Tickets
-// are immutable by contract (they are message payloads); the full table
-// keeps Figure 1's fresh-copy behaviour, which the dense allocation
-// benchmarks pin.
-type coinEntry struct {
-	out   prf.Output
-	proof []byte
-	mined bool
-}
-
 // NewIdeal constructs the functionality with a seeded coin source.
 func NewIdeal(seed [32]byte, prob ProbFunc) *Ideal {
 	return &Ideal{
-		prob:   prob,
-		hidden: prf.NewState(prf.DeriveKey(prf.Key(seed), "fmine/ideal")),
-		coins:  make(map[coinKey]coinEntry),
+		prob:    prob,
+		hidden:  prf.NewState(prf.DeriveKey(prf.Key(seed), "fmine/ideal")),
+		tickets: make(map[coinKey][]byte),
 	}
-}
-
-// NewIdealLean is NewIdeal with the memory-lean coin table of the large-N
-// engine path (DESIGN.md §6): only *successful* mining attempts are
-// stored. In a large simulation every node attempts to mine every round,
-// so the full table of Figure 1 grows as O(n · rounds) — at n = 100,000
-// that is the dominant heap term — while successes number only
-// O(committee) per round.
-//
-// Dropping failed attempts is unobservable. The coin for (tag, id) is
-// derived deterministically from the hidden PRF key, so Mine returns the
-// identical answer with or without the memo; and verify(tag, id, proof) is
-// (mined ∧ coin-below-difficulty ∧ proof-matches) — for a failed attempt
-// the difficulty conjunct is false whether or not an entry records the
-// attempt, so both tables answer false. The equivalence is pinned by
-// TestIdealLeanEquivalence.
-func NewIdealLean(seed [32]byte, prob ProbFunc) *Ideal {
-	f := NewIdeal(seed, prob)
-	f.lean = true
-	return f
 }
 
 // evalCoin computes the Bernoulli coin for (tag, id). Deriving it from a
@@ -207,70 +186,39 @@ func (f *Ideal) evalCoin(tag Tag, id types.NodeID) prf.Output {
 	return out
 }
 
-// mine records and returns the coin for (tag, id).
+// mine returns node id's ticket for tag, recording it on first success.
 func (f *Ideal) mine(tag Tag, id types.NodeID) ([]byte, bool) {
 	key := coinKey{tag: tag.key(), id: id}
 
 	f.mu.RLock()
-	e, hit := f.coins[key]
+	ticket, hit := f.tickets[key]
 	f.mu.RUnlock()
-	if !hit {
-		// Concurrent misses on the same key would both evaluate, but the
-		// PRF is deterministic, so the duplicate store is identical.
-		e.out = f.evalCoin(tag, id)
-		if f.lean && !e.out.Below(f.prob(tag)) {
-			// Lean table: a failed attempt is not remembered — verify
-			// answers false for it with or without the entry, and the
-			// coin re-derives identically on a repeat attempt.
-			return nil, false
-		}
+	if hit {
+		return ticket, true
 	}
-	win := e.out.Below(f.prob(tag))
-	if f.lean && win && e.proof == nil {
-		// Lean table: intern the ticket bytes in the entry, so repeat
-		// attempts return the stored slice allocation-free.
-		e.proof = make([]byte, IdealProofSize)
-		copy(e.proof, e.out[:])
-		e.mined = true
-		f.mu.Lock()
-		f.coins[key] = e
-		f.mu.Unlock()
-	} else if !e.mined {
-		e.mined = true // Figure 1: coins are stored, attempts are remembered
-		f.mu.Lock()
-		f.coins[key] = e
-		f.mu.Unlock()
-	}
-
-	if !win {
+	out := f.evalCoin(tag, id)
+	if !out.Below(f.prob(tag)) {
 		return nil, false
 	}
-	if f.lean {
-		return e.proof, true
-	}
-	proof := make([]byte, IdealProofSize)
-	copy(proof, e.out[:])
-	return proof, true
+	// Concurrent misses on the same key would both evaluate, but the PRF
+	// is deterministic, so the duplicate store holds identical bytes.
+	ticket = make([]byte, IdealProofSize)
+	copy(ticket, out[:])
+	f.mu.Lock()
+	f.tickets[key] = ticket
+	f.mu.Unlock()
+	return ticket, true
 }
 
 // verify implements Figure 1's verify(m, i): it answers only if mine(m) has
-// been called by node i, preserving ticket secrecy for honest nodes.
+// been called by node i, preserving ticket secrecy for honest nodes. The
+// hybrid-world ticket is the coin value itself, so a successful node
+// presented with the wrong ticket bytes is a forgery and rejected.
 func (f *Ideal) verify(tag Tag, id types.NodeID, proof []byte) bool {
 	f.mu.RLock()
-	e, hit := f.coins[coinKey{tag: tag.key(), id: id}]
+	ticket, hit := f.tickets[coinKey{tag: tag.key(), id: id}]
 	f.mu.RUnlock()
-	if !hit || !e.mined {
-		return false
-	}
-	if !e.out.Below(f.prob(tag)) {
-		return false
-	}
-	// The hybrid-world ticket is the coin value itself; reject forgeries
-	// that present a successful node with the wrong ticket bytes.
-	if len(proof) != IdealProofSize || string(proof) != string(e.out[:]) {
-		return false
-	}
-	return true
+	return hit && string(proof) == string(ticket)
 }
 
 type idealMiner struct {

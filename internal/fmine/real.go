@@ -40,33 +40,31 @@ type Real struct {
 	cache map[verifyKey]verifyEntry
 	bad   map[badProofKey]struct{}
 
-	// Lean mode (NewRealLean) bounds the cache for sparse large-N runs: the
-	// full memo grows one entry — a 64-byte proof copy plus map overhead —
-	// per (tag, id) ever verified, which over a long real-crypto run at
-	// n = 10⁵–10⁶ re-creates the per-node memory wall the sparse engine
-	// exists to avoid. Lean eviction exploits the protocols' verification
-	// locality: traffic for iteration i is verified within a few iterations
-	// of i (the compact window keeps two), so entries whose tag iteration
-	// has fallen more than leanWindow behind the highest iteration seen are
-	// dropped. Iteration-0 tags (Terminate, and any other iteration-free
-	// domain) recur for the whole execution and are never evicted.
+	// The positive cache is bounded by an iteration window: a full memo grows
+	// one entry — a 64-byte proof copy plus map overhead — per (tag, id) ever
+	// verified, which over a long real-crypto run at n = 10⁵–10⁶ re-creates
+	// the per-node memory wall the sparse engine exists to avoid. Eviction
+	// exploits the protocols' verification locality: traffic for iteration i
+	// is verified within a few iterations of i (core's two-slot window keeps
+	// two), so entries whose tag iteration has fallen more than leanWindow
+	// behind the highest iteration seen are dropped. Iteration-0 tags
+	// (Terminate, and any other iteration-free domain) recur for the whole
+	// execution and are never evicted.
 	//
 	// Eviction is bookkeeping, not semantics: the cache memoises a
 	// deterministic verification, so an evicted entry merely re-verifies on
-	// next sight. Results are bit-identical with eviction on or off and at
-	// every worker count; TestSparseMatchesDenseAcrossProtocols pins the
-	// lean sparse path against the full-cache dense run.
-	lean    bool
+	// next sight, and answers are those of vrf.Verify at every worker count
+	// (TestRealVerifyAfterEviction).
 	maxIter uint32
 	byIter  map[uint32][]verifyKey // insertion log per iteration, iter ≠ 0
 	live    []uint32               // iterations with a byIter bucket (no map ranging)
 }
 
 // leanWindow is how many iterations behind the newest observed iteration a
-// lean cache entry survives. The compact protocol window keeps two
-// iterations of attestation state; doubling that covers stragglers
-// (certificates re-verified one epoch late) with room to spare, while still
-// bounding the cache at O(window · traffic-per-iteration).
+// cache entry survives. Core's two-slot window keeps two iterations of
+// attestation state; doubling that covers stragglers (certificates
+// re-verified one epoch late) with room to spare, while still bounding the
+// cache at O(window · traffic-per-iteration).
 const leanWindow = 4
 
 // badProofKey identifies a proof that failed verification for a (tag, id)
@@ -95,37 +93,25 @@ func NewReal(pub *pki.Public, secrets []pki.Secret, prob ProbFunc) *Real {
 		sks[i] = s.VrfSK
 	}
 	return &Real{
-		pub:   pub,
-		sks:   sks,
-		prob:  prob,
-		cache: make(map[verifyKey]verifyEntry),
-		bad:   make(map[badProofKey]struct{}),
+		pub:    pub,
+		sks:    sks,
+		prob:   prob,
+		cache:  make(map[verifyKey]verifyEntry),
+		bad:    make(map[badProofKey]struct{}),
+		byIter: make(map[uint32][]verifyKey),
 	}
 }
 
-// NewRealLean is NewReal with the bounded verify cache of the sparse
-// large-N engine path (DESIGN.md §9): entries whose tag iteration has
-// fallen more than leanWindow behind the newest iteration seen are evicted
-// deterministically, keeping the memo at O(window · per-iteration traffic)
-// instead of O(total traffic). Verify answers are identical to NewReal's —
-// eviction only trades a map hit for a re-verification.
-func NewRealLean(pub *pki.Public, secrets []pki.Secret, prob ProbFunc) *Real {
-	r := NewReal(pub, secrets, prob)
-	r.lean = true
-	r.byIter = make(map[uint32][]verifyKey)
-	return r
-}
-
 // CacheLen reports the current number of positive verify-cache entries;
-// telemetry for the budget tests that pin lean-mode boundedness.
+// telemetry for the tests that pin the cache's boundedness.
 func (r *Real) CacheLen() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return len(r.cache)
 }
 
-// noteInsertLocked logs a lean-mode cache insertion and evicts buckets that
-// have fallen outside the iteration window. Caller holds r.mu.
+// noteInsertLocked logs a cache insertion and evicts buckets that have fallen
+// outside the iteration window. Caller holds r.mu.
 func (r *Real) noteInsertLocked(key verifyKey) {
 	iter := key.tag.iter
 	if iter == 0 {
@@ -224,9 +210,7 @@ func (v realVerifier) Verify(tag Tag, id types.NodeID, proof []byte) bool {
 	v.r.mu.Lock()
 	if cur, exists := v.r.cache[key]; !exists || !cur.valid {
 		v.r.cache[key] = verifyEntry{proof: bytes.Clone(proof), valid: valid}
-		if v.r.lean {
-			v.r.noteInsertLocked(key)
-		}
+		v.r.noteInsertLocked(key)
 	}
 	v.r.mu.Unlock()
 	return valid
@@ -328,9 +312,7 @@ func (r *Real) VerifyBatch(tag Tag, ids []types.NodeID, proofs [][]byte) []bool 
 		}
 		if cur, exists := r.cache[key]; !exists || !cur.valid {
 			r.cache[key] = verifyEntry{proof: bytes.Clone(missProofs[j]), valid: true}
-			if r.lean {
-				r.noteInsertLocked(key)
-			}
+			r.noteInsertLocked(key)
 		}
 	}
 	r.mu.Unlock()

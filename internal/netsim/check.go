@@ -15,12 +15,28 @@ var (
 	ErrTermination = errors.New("termination violation")
 )
 
+// EachForeverHonest calls fn for every forever-honest node in id order,
+// stopping early when fn returns false. It is the allocation-free
+// counterpart of ForeverHonest(), and what the checkers below range over:
+// materialising the index would cost an n-sized slice per property — three
+// 8 MB slices per trial at n = 10⁶ — for data each check scans once.
+func (r *Result) EachForeverHonest(fn func(id types.NodeID) bool) {
+	for i, c := range r.Corrupt {
+		if c {
+			continue
+		}
+		if !fn(types.NodeID(i)) {
+			return
+		}
+	}
+}
+
 // CheckConsistency verifies the agreement property of Appendix A.2: every
 // forever-honest node that decided output the same bit.
 func CheckConsistency(res *Result) error {
 	decided := types.NoBit
 	var first types.NodeID
-	for _, id := range res.ForeverHonest() {
+	for id := range res.EachForeverHonest {
 		if !res.Decided[id] {
 			continue
 		}
@@ -41,17 +57,15 @@ func CheckConsistency(res *Result) error {
 // if every forever-honest node received the same input bit, every
 // forever-honest node output that bit. inputs holds all n input bits.
 func CheckAgreementValidity(res *Result, inputs []types.Bit) error {
-	honest := res.ForeverHonest()
-	if len(honest) == 0 {
-		return nil
-	}
-	common := inputs[honest[0]]
-	for _, id := range honest {
-		if inputs[id] != common {
+	common, seen := types.NoBit, false
+	for id := range res.EachForeverHonest {
+		if !seen {
+			common, seen = inputs[id], true
+		} else if inputs[id] != common {
 			return nil // inputs disagree: validity is vacuous
 		}
 	}
-	for _, id := range honest {
+	for id := range res.EachForeverHonest {
 		if !res.Decided[id] {
 			return fmt.Errorf("%w: node %d never decided despite unanimous input %s",
 				ErrValidity, id, common)
@@ -71,7 +85,7 @@ func CheckBroadcastValidity(res *Result, sender types.NodeID, input types.Bit) e
 	if res.Corrupt[sender] {
 		return nil // corrupt sender: validity is vacuous
 	}
-	for _, id := range res.ForeverHonest() {
+	for id := range res.EachForeverHonest {
 		if !res.Decided[id] {
 			return fmt.Errorf("%w: node %d never decided despite honest sender input %s",
 				ErrValidity, id, input)
@@ -87,131 +101,11 @@ func CheckBroadcastValidity(res *Result, sender types.NodeID, input types.Bit) e
 // CheckTermination verifies T_end-termination: every forever-honest node
 // decided (the Runtime already bounds rounds by MaxRounds).
 func CheckTermination(res *Result) error {
-	for _, id := range res.ForeverHonest() {
+	for id := range res.EachForeverHonest {
 		if !res.Decided[id] {
 			return fmt.Errorf("%w: node %d undecided after %d rounds",
 				ErrTermination, id, res.Rounds)
 		}
 	}
 	return nil
-}
-
-// ---------------------------------------------------------------------------
-// Streaming checkers — the large-N path's variants (DESIGN.md §6).
-//
-// The checkers above each materialise the forever-honest index via
-// ForeverHonest(), an n-sized allocation per property; at n = 10⁶ that is
-// three 8 MB slices per trial for data the checks only ever scan once. The
-// Streaming variants below verify the identical properties through
-// EachForeverHonest without materialising anything. They are separate
-// functions rather than replacements because the dense path's allocation
-// profile is pinned by the tracked benchmarks (BENCH_PR*.json): changing
-// what CheckConsistency allocates would shift CoreIdealN1000's allocs/op.
-
-// EachForeverHonest calls fn for every forever-honest node in id order,
-// stopping early when fn returns false. It is the allocation-free
-// counterpart of ForeverHonest().
-func (r *Result) EachForeverHonest(fn func(id types.NodeID) bool) {
-	for i, c := range r.Corrupt {
-		if c {
-			continue
-		}
-		if !fn(types.NodeID(i)) {
-			return
-		}
-	}
-}
-
-// CheckConsistencyStreaming is CheckConsistency without the forever-honest
-// index allocation.
-func CheckConsistencyStreaming(res *Result) (err error) {
-	decided := types.NoBit
-	var first types.NodeID
-	res.EachForeverHonest(func(id types.NodeID) bool {
-		if !res.Decided[id] {
-			return true
-		}
-		out := res.Outputs[id]
-		if decided == types.NoBit {
-			decided, first = out, id
-			return true
-		}
-		if out != decided {
-			err = fmt.Errorf("%w: node %d output %s but node %d output %s",
-				ErrConsistency, first, decided, id, out)
-			return false
-		}
-		return true
-	})
-	return err
-}
-
-// CheckAgreementValidityStreaming is CheckAgreementValidity without the
-// forever-honest index allocation.
-func CheckAgreementValidityStreaming(res *Result, inputs []types.Bit) (err error) {
-	common, unanimous, any := types.NoBit, true, false
-	res.EachForeverHonest(func(id types.NodeID) bool {
-		if !any {
-			common, any = inputs[id], true
-			return true
-		}
-		if inputs[id] != common {
-			unanimous = false
-			return false
-		}
-		return true
-	})
-	if !any || !unanimous {
-		return nil // no honest nodes, or inputs disagree: validity is vacuous
-	}
-	res.EachForeverHonest(func(id types.NodeID) bool {
-		if !res.Decided[id] {
-			err = fmt.Errorf("%w: node %d never decided despite unanimous input %s",
-				ErrValidity, id, common)
-			return false
-		}
-		if res.Outputs[id] != common {
-			err = fmt.Errorf("%w: unanimous input %s but node %d output %s",
-				ErrValidity, common, id, res.Outputs[id])
-			return false
-		}
-		return true
-	})
-	return err
-}
-
-// CheckBroadcastValidityStreaming is CheckBroadcastValidity without the
-// forever-honest index allocation.
-func CheckBroadcastValidityStreaming(res *Result, sender types.NodeID, input types.Bit) (err error) {
-	if res.Corrupt[sender] {
-		return nil // corrupt sender: validity is vacuous
-	}
-	res.EachForeverHonest(func(id types.NodeID) bool {
-		if !res.Decided[id] {
-			err = fmt.Errorf("%w: node %d never decided despite honest sender input %s",
-				ErrValidity, id, input)
-			return false
-		}
-		if res.Outputs[id] != input {
-			err = fmt.Errorf("%w: honest sender input %s but node %d output %s",
-				ErrValidity, input, id, res.Outputs[id])
-			return false
-		}
-		return true
-	})
-	return err
-}
-
-// CheckTerminationStreaming is CheckTermination without the forever-honest
-// index allocation.
-func CheckTerminationStreaming(res *Result) (err error) {
-	res.EachForeverHonest(func(id types.NodeID) bool {
-		if !res.Decided[id] {
-			err = fmt.Errorf("%w: node %d undecided after %d rounds",
-				ErrTermination, id, res.Rounds)
-			return false
-		}
-		return true
-	})
-	return err
 }

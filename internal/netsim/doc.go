@@ -40,5 +40,10 @@
 // with a passive adversary and observationally equivalent to the dense
 // engine there (DESIGN.md §6).
 //
+// Either engine's Result is judged by the one set of property checkers
+// (CheckConsistency, CheckAgreementValidity, CheckBroadcastValidity,
+// CheckTermination): they range over Result.EachForeverHonest and allocate
+// nothing on a passing execution, so there is no separate large-N variant.
+//
 // Architecture: DESIGN.md §2 — synchronous round runtime and network models.
 package netsim

@@ -473,4 +473,62 @@ func TestCheckers(t *testing.T) {
 	if err := CheckBroadcastValidity(res, 1, types.Zero); err != nil {
 		t.Fatalf("corrupt sender must make validity vacuous: %v", err)
 	}
+
+	// The checkers range over the forever-honest set without materialising
+	// it, so the edges are theirs to get right: a corrupt node 0 (the common
+	// input comes from the first *honest* node), undecided nodes, and an
+	// execution with no honest node left.
+	for _, tc := range []struct {
+		name                      string
+		res                       Result
+		inputs                    []types.Bit
+		consistency, validity, tm error
+	}{
+		{name: "corrupt first node, unanimous honest inputs, wrong output",
+			res: Result{Outputs: []types.Bit{types.One, types.Zero, types.Zero}, Decided: []bool{true, true, true},
+				Corrupt: []bool{true, false, false}},
+			inputs: []types.Bit{types.Zero, types.One, types.One}, validity: ErrValidity},
+		{name: "corrupt first node, honest inputs disagree",
+			res: Result{Outputs: []types.Bit{types.One, types.Zero, types.Zero}, Decided: []bool{true, true, true},
+				Corrupt: []bool{true, false, false}},
+			inputs: []types.Bit{types.One, types.One, types.Zero}},
+		{name: "undecided honest node",
+			res: Result{Outputs: []types.Bit{types.One, types.NoBit, types.One}, Decided: []bool{true, false, true},
+				Corrupt: []bool{false, false, false}},
+			inputs: []types.Bit{types.One, types.One, types.One}, validity: ErrValidity, tm: ErrTermination},
+		{name: "undecided node between disagreeing outputs",
+			res: Result{Outputs: []types.Bit{types.One, types.NoBit, types.Zero}, Decided: []bool{true, false, true},
+				Corrupt: []bool{false, false, false}},
+			inputs: []types.Bit{types.One, types.Zero, types.One}, consistency: ErrConsistency, tm: ErrTermination},
+		{name: "no honest node",
+			res: Result{Outputs: []types.Bit{types.One, types.Zero}, Decided: []bool{true, false},
+				Corrupt: []bool{true, true}},
+			inputs: []types.Bit{types.One, types.One}},
+	} {
+		if err := CheckConsistency(&tc.res); !errors.Is(err, tc.consistency) {
+			t.Errorf("%s: consistency = %v, want %v", tc.name, err, tc.consistency)
+		}
+		if err := CheckAgreementValidity(&tc.res, tc.inputs); !errors.Is(err, tc.validity) {
+			t.Errorf("%s: validity = %v, want %v", tc.name, err, tc.validity)
+		}
+		if err := CheckTermination(&tc.res); !errors.Is(err, tc.tm) {
+			t.Errorf("%s: termination = %v, want %v", tc.name, err, tc.tm)
+		}
+	}
+
+	// A passing execution is judged without a single allocation, at any n.
+	const n = 4096
+	ok := &Result{Outputs: make([]types.Bit, n), Decided: make([]bool, n), Corrupt: make([]bool, n)}
+	okInputs := make([]types.Bit, n)
+	for i := range ok.Decided {
+		ok.Decided[i] = true
+	}
+	if avg := testing.AllocsPerRun(10, func() {
+		if CheckConsistency(ok) != nil || CheckTermination(ok) != nil ||
+			CheckAgreementValidity(ok, okInputs) != nil || CheckBroadcastValidity(ok, 0, types.Zero) != nil {
+			t.Error("checker rejected an all-zero unanimous execution")
+		}
+	}); avg != 0 {
+		t.Errorf("checkers allocate %.0f times on a passing result, want 0", avg)
+	}
 }

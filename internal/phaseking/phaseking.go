@@ -51,11 +51,6 @@ type Config struct {
 	Suite fmine.Suite
 	// CoinSeed seeds the per-node private leader coins.
 	CoinSeed [32]byte
-	// Compact selects the memory-lean node representation of the large-N
-	// engine path (DESIGN.md §6): the per-epoch ACK sets are recycled by
-	// truncation instead of reallocated every epoch, so a node's footprint
-	// stays bounded by the committee size across all R epochs.
-	Compact bool
 	// Intern, when non-nil, binds every node's ACK sets to a per-run
 	// intern table so nodes with identical receive-histories share one
 	// copy-on-divergence backing array (DESIGN.md §6). Behaviour is
@@ -252,15 +247,12 @@ func (n *Node) ack(epoch uint32) []netsim.Send {
 			bStar = types.One
 		}
 	}
-	// Reset the ACK tallies for this epoch before votes arrive. Compact
-	// nodes recycle the backing arrays; the sets are never exported, so
+	// Reset the ACK tallies for this epoch before votes arrive, recycling
+	// the backing arrays so a node's footprint stays bounded by the
+	// committee size across all R epochs; the sets are never exported, so
 	// truncation is as good as a fresh pair.
-	if n.cfg.Compact || n.cfg.Intern != nil {
-		n.acks[0].Reset()
-		n.acks[1].Reset()
-	} else {
-		n.acks = [2]attest.Set{}
-	}
+	n.acks[0].Reset()
+	n.acks[1].Reset()
 
 	if n.cfg.Sampled {
 		tag := fmine.Tag{Domain: Domain, Type: TagAck, Iter: epoch, Bit: bStar}

@@ -85,51 +85,31 @@ func coreSuite(cfg Config) (fmine.Suite, func(types.NodeID) any, error) {
 	var suite fmine.Suite
 	switch cfg.Crypto {
 	case Ideal:
-		suite = newIdeal(cfg, probs)
+		suite = fmine.NewIdeal(cfg.Seed, probs)
 	case Real:
 		pub, secrets := pki.Setup(cfg.N, cfg.Seed)
-		suite = newReal(cfg, pub, secrets, probs)
+		suite = fmine.NewReal(pub, secrets, probs)
 	default:
 		return nil, nil, fmt.Errorf("scenario: unknown crypto mode %q", cfg.Crypto)
 	}
 	return suite, func(id types.NodeID) any { return suite.Miner(id) }, nil
 }
 
-// newInterner builds the per-run attestation intern table when the config
-// asks for one (Config.Intern; defaulted on under Sparse). One table per
-// execution: sharing is an execution-scoped property, never cross-trial.
-// RunCtx pre-creates the table (cfg.interner) so it can surface the sharing
-// statistics in the Report after the run.
+// newInterner builds the per-run attestation intern table of a Sparse
+// execution (DESIGN.md §6): at large N per-node attestation copies are the
+// dominant memory term, and sharing honest-identical histories is what makes
+// the 10⁶ budget hold. One table per execution: sharing is an
+// execution-scoped property, never cross-trial. RunCtx pre-creates the table
+// (cfg.interner) so it can surface the sharing statistics in the Report
+// after the run.
 func newInterner(cfg Config) *attest.Interner {
-	if !cfg.Intern {
+	if !cfg.Sparse {
 		return nil
 	}
 	if cfg.interner != nil {
 		return cfg.interner
 	}
 	return attest.NewInterner()
-}
-
-// newIdeal builds the F_mine ideal functionality for a config: the lean
-// coin table (successful attempts only) on the sparse large-N path, the
-// full table of Figure 1 — whose allocation profile the tracked dense
-// benchmarks pin — otherwise. The two answer mine/verify identically.
-func newIdeal(cfg Config, probs fmine.ProbFunc) *fmine.Ideal {
-	if cfg.Sparse {
-		return fmine.NewIdealLean(cfg.Seed, probs)
-	}
-	return fmine.NewIdeal(cfg.Seed, probs)
-}
-
-// newReal is newIdeal's real-crypto twin: the bounded verify cache on the
-// sparse large-N path, the full memo — exact-semantics cache behaviour the
-// adversarial suites lean on — otherwise. The two answer verify
-// identically; lean eviction only trades memory for re-verification.
-func newReal(cfg Config, pub *pki.Public, secrets []pki.Secret, probs fmine.ProbFunc) *fmine.Real {
-	if cfg.Sparse {
-		return fmine.NewRealLean(pub, secrets, probs)
-	}
-	return fmine.NewReal(pub, secrets, probs)
 }
 
 func init() {
@@ -165,20 +145,20 @@ func init() {
 	})
 
 	RegisterProtocol(PhaseKingPlain, func(cfg Config) ([]netsim.Node, func(types.NodeID) any, int, error) {
-		pcfg := phaseking.Config{N: cfg.N, Epochs: cfg.Epochs, CoinSeed: cfg.Seed, Compact: cfg.Sparse, Intern: newInterner(cfg)}
+		pcfg := phaseking.Config{N: cfg.N, Epochs: cfg.Epochs, CoinSeed: cfg.Seed, Intern: newInterner(cfg)}
 		nodes, err := phaseking.NewNodes(pcfg, cfg.Inputs)
 		return nodes, nil, pcfg.Rounds() + 1, err
 	})
 
 	RegisterProtocol(PhaseKingSampled, func(cfg Config) ([]netsim.Node, func(types.NodeID) any, int, error) {
-		suite := fmine.Suite(newIdeal(cfg, phaseking.Probabilities(cfg.N, cfg.Lambda)))
+		suite := fmine.Suite(fmine.NewIdeal(cfg.Seed, phaseking.Probabilities(cfg.N, cfg.Lambda)))
 		if cfg.Crypto == Real {
 			pub, secrets := pki.Setup(cfg.N, cfg.Seed)
-			suite = newReal(cfg, pub, secrets, phaseking.Probabilities(cfg.N, cfg.Lambda))
+			suite = fmine.NewReal(pub, secrets, phaseking.Probabilities(cfg.N, cfg.Lambda))
 		}
 		pcfg := phaseking.Config{
 			N: cfg.N, Epochs: cfg.Epochs, Sampled: true, Lambda: cfg.Lambda,
-			Suite: suite, CoinSeed: cfg.Seed, Compact: cfg.Sparse, Intern: newInterner(cfg),
+			Suite: suite, CoinSeed: cfg.Seed, Intern: newInterner(cfg),
 		}
 		nodes, err := phaseking.NewNodes(pcfg, cfg.Inputs)
 		return nodes, func(id types.NodeID) any { return suite.Miner(id) }, pcfg.Rounds() + 1, err
@@ -188,7 +168,7 @@ func init() {
 		pub, secrets := pki.Setup(cfg.N, cfg.Seed)
 		suite := fmine.Suite(fmine.NewIdeal(cfg.Seed, chenmicali.Probabilities(cfg.N, cfg.Lambda)))
 		if cfg.Crypto == Real {
-			suite = newReal(cfg, pub, secrets, chenmicali.Probabilities(cfg.N, cfg.Lambda))
+			suite = fmine.NewReal(pub, secrets, chenmicali.Probabilities(cfg.N, cfg.Lambda))
 		}
 		mcfg := chenmicali.Config{
 			N: cfg.N, Epochs: cfg.Epochs, Lambda: cfg.Lambda, Erasure: cfg.Erasure,

@@ -160,10 +160,10 @@ type Config struct {
 	// Parallel steps nodes on multiple goroutines.
 	Parallel bool
 	// Sparse selects the memory-lean large-N engine path (DESIGN.md §6):
-	// traffic-sized per-round delivery state in netsim, the lean F_mine
-	// coin table, and the compact node representations of the
-	// committee-sampled protocols, so executions with N in the 10⁵–10⁶
-	// range fit comfortably in memory. Observationally equivalent to the
+	// traffic-sized per-round delivery state in netsim and core's two-slot
+	// attestation window, with the nodes' attestation sets interned in one
+	// per-run table, so executions with N in the 10⁵–10⁶ range fit
+	// comfortably in memory. Observationally equivalent to the
 	// dense engine on the configurations it accepts; restricted to the
 	// delta-one lockstep model with a passive adversary (validate rejects
 	// anything else). Node stepping within a sparse round is sharded
@@ -176,12 +176,6 @@ type Config struct {
 	// worker count. 0 defaults to GOMAXPROCS; 1 steps serially. Only valid
 	// with Sparse.
 	SparseWorkers int
-	// Intern enables copy-on-divergence interning of attestation state
-	// (DESIGN.md §6): all nodes of a run bind their attestation sets to
-	// one per-run intern table, so honest-identical histories share
-	// O(committee) storage instead of O(N·committee). Bit-identical to
-	// owned storage; defaults on under Sparse, opt-in otherwise.
-	Intern bool
 	// Tracer receives the round-lifecycle event stream (DESIGN.md §10),
 	// threaded straight through to netsim.Config.Tracer. Trace content is a
 	// pure function of the rest of the config plus Seed; nil disables
@@ -395,13 +389,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.Net == NetPartition && c.PartitionRounds == 0 {
 		c.PartitionRounds = 2 * c.Delta
-	}
-	if c.Sparse {
-		// The sparse path exists for large N, where per-node attestation
-		// copies are the dominant memory term; interning is what makes the
-		// 10⁶ budget hold, so it is the sparse default rather than a knob
-		// to forget.
-		c.Intern = true
 	}
 }
 

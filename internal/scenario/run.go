@@ -20,9 +20,9 @@ type Report struct {
 	Validity    error
 	Termination error
 	// Intern carries the attestation intern table's sharing statistics when
-	// the execution interned (Config.Intern; defaulted on under Sparse),
-	// nil otherwise. Deterministic per (config, seed): the table's
-	// double-checked insert makes the counters schedule-independent.
+	// the execution interned (Sparse runs do — DESIGN.md §6), nil otherwise.
+	// Deterministic per (config, seed): the table's double-checked insert
+	// makes the counters schedule-independent.
 	Intern *attest.InternStats
 	// Async carries the event-runtime observables (decision rounds, ACS set
 	// size) when the protocol ran on the asynchronous track, nil otherwise.
@@ -53,7 +53,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Report, error) {
 	if cfg.Protocol.Async() {
 		return runAsync(ctx, cfg)
 	}
-	if cfg.Intern && cfg.interner == nil {
+	if cfg.Sparse && cfg.interner == nil {
 		cfg.interner = attest.NewInterner()
 	}
 	nodes, seize, steps, err := build(cfg)
@@ -98,19 +98,6 @@ func RunCtx(ctx context.Context, cfg Config) (*Report, error) {
 // the identical standard.
 func Evaluate(cfg Config, res *netsim.Result) *Report {
 	rep := &Report{Result: res, Inputs: cfg.Inputs}
-	if cfg.Sparse {
-		// The large-N path judges by the same properties through the
-		// streaming checkers, which never materialise the n-sized
-		// forever-honest index (three 8 MB slices per trial at n = 10⁶).
-		rep.Consistency = netsim.CheckConsistencyStreaming(res)
-		rep.Termination = netsim.CheckTerminationStreaming(res)
-		if cfg.Protocol.Broadcast() {
-			rep.Validity = netsim.CheckBroadcastValidityStreaming(res, cfg.Sender, cfg.SenderInput)
-		} else {
-			rep.Validity = netsim.CheckAgreementValidityStreaming(res, cfg.Inputs)
-		}
-		return rep
-	}
 	rep.Consistency = netsim.CheckConsistency(res)
 	rep.Termination = netsim.CheckTermination(res)
 	if cfg.Protocol.Broadcast() {
