@@ -184,24 +184,24 @@ func TestRunTrialsAdversaryIsolation(t *testing.T) {
 		t.Fatal("shared adversary instance accepted across trials")
 	}
 
-	var made []*countingAdversary
+	// The factory runs on the trial workers, concurrently: one slot each.
+	made := make([]*countingAdversary, 4)
 	var corrupted []int
 	_, err := RunTrialsOpts(cfg, TrialOpts{
-		Trials: 4,
-		NewAdversary: func(int) Adversary {
-			a := &countingAdversary{}
-			made = append(made, a)
-			return a
+		Trials: len(made),
+		NewAdversary: func(trial int) Adversary {
+			made[trial] = &countingAdversary{}
+			return made[trial]
 		},
 		OnReport: func(_ int, rep *Report) { corrupted = append(corrupted, rep.NumCorrupt()) },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(made) != 4 {
-		t.Fatalf("factory built %d adversaries for 4 trials", len(made))
-	}
 	for i, a := range made {
+		if a == nil {
+			t.Fatalf("factory was not asked for trial %d's adversary", i)
+		}
 		if a.setups != 1 {
 			t.Fatalf("adversary %d saw %d Setup calls; state leaked across trials", i, a.setups)
 		}

@@ -71,7 +71,7 @@ func run(args []string, out io.Writer) error {
 		workers       = fs.Int("workers", 0, "trial worker-pool size (0 = GOMAXPROCS); aggregates are identical for every value")
 		parallel      = fs.Bool("parallel", false, "step nodes on multiple goroutines")
 		sparse        = fs.Bool("sparse", false, "memory-lean large-N engine path (delta-one, passive adversary); use for n ≥ ~10⁵")
-		sparseWorkers = fs.Int("sparse-workers", 0, "sparse shard-stepping worker count (0 = GOMAXPROCS, 1 = serial); results are byte-identical for every value")
+		sparseWorkers = fs.Int("sparse-workers", 0, "sparse shard-stepping worker count (0 = GOMAXPROCS, the default and normally the fastest; 1 = serial); results are byte-identical for every value")
 		asJSON        = fs.Bool("json", false, "emit the outcome as JSON")
 		traceFile     = fs.String("trace", "", "write the canonical round-event trace (JSONL, DESIGN.md §10) to this file; single runs only")
 	)

@@ -74,14 +74,14 @@ func VerifyAll(atts []Attestation, threshold int, verify VerifyFunc) bool {
 //
 // A set operates in one of two modes. In owned mode (the zero value) it
 // holds its own backing slice, exactly as before. Bind switches it to
-// interned mode, where its state is a refcounted handle into a per-run
+// interned mode, where its state is a handle into a per-run
 // Interner and every node with the same add-history shares one backing
 // array (see intern.go). The observable Add/Contains/Count/Reset behaviour
 // is identical in both modes; only storage and the aliasing contract of
 // Attestations differ.
 type Set struct {
 	atts []Attestation
-	in   *Interner
+	in   *hitBlock
 	h    *sharedAtts
 }
 

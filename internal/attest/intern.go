@@ -12,7 +12,7 @@ import (
 // (DESIGN.md §6). Under the passive lockstep schedule every forever-honest
 // node receives the identical multicast traffic, so every node's vote and
 // commit sets walk the identical sequence of states; storing that sequence
-// once and handing each node a refcounted handle drops the protocol-state
+// once and handing each node a handle drops the protocol-state
 // term from O(n·committee) to O(committee) per iteration. A node that
 // would mutate a state other nodes still share never mutates in place:
 // each Add is a transition to an immutable successor state, recorded in
@@ -26,41 +26,76 @@ import (
 // them alias the shared backing array instead of copying per node.
 //
 // The table is safe for concurrent use: the sharded parallel sparse
-// stepping path advances handles from several worker goroutines at once.
+// stepping path advances handles from several worker goroutines at once,
+// once per delivered attestation, so the path every such Add takes — the
+// transition is already recorded — writes nothing another shard reads.
+// States are immutable once published, and almost every state has exactly
+// one successor, so that successor hangs off the state as an atomic pointer
+// and a hit is one atomic load and a proof compare. Only recording a new
+// transition takes the lock, and only a state's second and later
+// successors (forks) live in the locked map. The hit counter is not on the
+// table either: see hitBlock.
+//
 // State identity under concurrency is best-effort (two workers racing the
-// same first-ever transition may briefly both take the write path), but
-// state *content* is a pure function of the add sequence, so execution
-// results are bit-identical for every worker count.
+// same first-ever transition both take the write path; the second finds
+// the first's state), but state *content* is a pure function of the add
+// sequence, so execution results are bit-identical for every worker count.
 type Interner struct {
 	mu   sync.RWMutex
 	root *sharedAtts
 
-	// Stats counters; hits is atomic because it is bumped on the
-	// read-locked fast path.
+	// Stats counters, guarded by mu.
 	states int
 	clones int
 	forks  int
-	hits   atomic.Int64
+
+	// cur is the hitBlock Bind is handing out, the head of the list of all
+	// of them; replaced under mu.
+	cur atomic.Pointer[hitBlock]
+}
+
+// setsPerHitBlock is how many consecutively bound Sets count their hits on
+// one hitBlock. A core node binds ten sets, so a block spans ~50 nodes:
+// small enough that engine shards (contiguous id ranges, nodes built in id
+// order) own their blocks outright except for the one straddling a shard
+// boundary, large enough that the blocks cost a few bytes per node.
+const setsPerHitBlock = 512
+
+// hitBlock is what a bound Set holds in place of the *Interner: the table,
+// plus the hit counter of its block of Sets on a cache line of its own, so
+// counting a hit does not pull a line every shard writes. Stats sums the
+// blocks.
+type hitBlock struct {
+	table *Interner
+	hits  atomic.Int64
+	bound atomic.Int32 // Sets bound to this block; may overshoot once full
+	prev  *hitBlock    // the block handed out before this one
+	_     [128 - 32]byte
 }
 
 // sharedAtts is one immutable interned state: an attestation sequence plus
-// the transitions out of it. refs counts the Sets currently holding this
-// state as their handle; it exists for telemetry and test assertions — an
-// unreferenced state stays in the table, because its memory is bounded by
-// the distinct add-sequences of the run (O(committee²) per iteration under
-// honest-identical traffic) and a later follower may still want the
-// recorded transition.
+// the transitions out of it. A state no Set holds any more stays in the
+// table, because its memory is bounded by the distinct add-sequences of the
+// run (O(committee²) per iteration under honest-identical traffic) and a
+// later follower may still want the recorded transition.
 type sharedAtts struct {
 	atts []Attestation
-	refs atomic.Int64
-	// succ holds this state's recorded transitions, keyed by the added
+	// first is the first transition recorded out of this state, read
+	// without the lock; it is stored once, under Interner.mu, after the
+	// successor is complete.
+	first atomic.Pointer[sharedAtts]
+	// forks holds the transitions recorded after first, keyed by the added
 	// node id; the (rare) case of two distinct proofs for one id — which a
 	// shared table spanning several tags can produce — is a short list
 	// disambiguated by proof bytes. Guarded by Interner.mu.
-	succ map[types.NodeID][]*sharedAtts
-	// succs counts recorded transitions; the transition that takes it from
-	// one to two is a divergence fork.
-	succs int
+	forks map[types.NodeID][]*sharedAtts
+}
+
+// adds reports whether st is the state reached by adding (id, proof) to its
+// predecessor.
+func (st *sharedAtts) adds(id types.NodeID, proof []byte) bool {
+	last := &st.atts[len(st.atts)-1]
+	return last.ID == id && bytes.Equal(last.Proof, proof)
 }
 
 // NewInterner constructs an empty per-run intern table.
@@ -92,62 +127,80 @@ type InternStats struct {
 func (in *Interner) Stats() InternStats {
 	in.mu.RLock()
 	defer in.mu.RUnlock()
-	return InternStats{States: in.states, Clones: in.clones, Hits: in.hits.Load(), Forks: in.forks}
+	st := InternStats{States: in.states, Clones: in.clones, Forks: in.forks}
+	for b := in.cur.Load(); b != nil; b = b.prev {
+		st.Hits += b.hits.Load()
+	}
+	return st
 }
 
 // advance resolves the transition state --Add(id, proof)--> successor,
-// recording and cloning on first use.
-func (in *Interner) advance(h *sharedAtts, id types.NodeID, proof []byte) *sharedAtts {
-	in.mu.RLock()
-	next := findSucc(h.succ[id], proof)
-	in.mu.RUnlock()
-	if next != nil {
-		in.hits.Add(1)
-		return next
+// recording and cloning on first use. hit reports that the transition was
+// already recorded.
+func (in *Interner) advance(h *sharedAtts, id types.NodeID, proof []byte) (next *sharedAtts, hit bool) {
+	if first := h.first.Load(); first != nil {
+		if first.adds(id, proof) {
+			return first, true
+		}
+		in.mu.RLock()
+		next = findFork(h.forks[id], id, proof)
+		in.mu.RUnlock()
+		if next != nil {
+			return next, true
+		}
 	}
 
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	// Re-check: another worker may have recorded the transition between
-	// the two lock acquisitions.
-	if next := findSucc(h.succ[id], proof); next != nil {
-		in.hits.Add(1)
-		return next
+	// Re-check: another worker may have recorded the transition since the
+	// unlocked look.
+	first := h.first.Load()
+	if first != nil {
+		if first.adds(id, proof) {
+			return first, true
+		}
+		if next := findFork(h.forks[id], id, proof); next != nil {
+			return next, true
+		}
 	}
-	// Copy-on-divergence: the successor is a fresh immutable state; h is
-	// never touched, so every Set still holding h is unaffected.
+	// Copy-on-divergence: the successor is a fresh immutable state; h's
+	// attestations are never touched, so every Set still holding h is
+	// unaffected.
 	atts := make([]Attestation, len(h.atts)+1)
 	copy(atts, h.atts)
 	atts[len(h.atts)] = Attestation{ID: id, Proof: proof}
 	next = &sharedAtts{atts: atts}
-	if h.succ == nil {
-		h.succ = make(map[types.NodeID][]*sharedAtts, 1)
-	}
-	h.succ[id] = append(h.succ[id], next)
-	h.succs++
-	if h.succs == 2 {
-		in.forks++
+	if first == nil {
+		h.first.Store(next)
+	} else {
+		if h.forks == nil {
+			// The transition that gives a state its second successor is
+			// a divergence fork.
+			in.forks++
+			h.forks = make(map[types.NodeID][]*sharedAtts, 1)
+		}
+		h.forks[id] = append(h.forks[id], next)
 	}
 	in.states++
 	in.clones++
-	return next
+	return next, false
 }
 
-// findSucc scans a (nearly always length-one) successor list for the state
-// whose last attestation carries exactly proof.
-func findSucc(list []*sharedAtts, proof []byte) *sharedAtts {
+// findFork scans a (nearly always length-one) successor list for the state
+// that adds exactly (id, proof).
+func findFork(list []*sharedAtts, id types.NodeID, proof []byte) *sharedAtts {
 	for _, st := range list {
-		if last := st.atts[len(st.atts)-1]; bytes.Equal(last.Proof, proof) {
+		if st.adds(id, proof) {
 			return st
 		}
 	}
 	return nil
 }
 
-// Bind switches an empty Set to interned mode: its state becomes a
-// refcounted handle into in's transition graph, starting at the shared
-// empty root. Binding a non-empty or already-bound set panics — interning
-// is a construction-time decision, not a migration.
+// Bind switches an empty Set to interned mode: its state becomes a handle
+// into in's transition graph, starting at the shared empty root. Binding a
+// non-empty or already-bound set panics — interning is a construction-time
+// decision, not a migration.
 func (s *Set) Bind(in *Interner) {
 	if in == nil {
 		return
@@ -155,9 +208,25 @@ func (s *Set) Bind(in *Interner) {
 	if s.in != nil || len(s.atts) != 0 {
 		panic("attest: Bind on a non-empty or already-interned Set")
 	}
-	s.in = in
-	s.h = in.root
-	in.root.refs.Add(1)
+	b := in.cur.Load()
+	if b == nil || b.bound.Add(1) > setsPerHitBlock {
+		b = in.nextBlock()
+	}
+	s.in, s.h = b, in.root
+}
+
+// nextBlock takes a place for one Set on a fresh hit block — the one
+// another binder just opened, if it got here first.
+func (in *Interner) nextBlock() *hitBlock {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	b := in.cur.Load()
+	if b == nil || b.bound.Add(1) > setsPerHitBlock {
+		b = &hitBlock{table: in, prev: b}
+		b.bound.Store(1)
+		in.cur.Store(b)
+	}
+	return b
 }
 
 // Interned reports whether the set holds interned shared state.
@@ -170,15 +239,6 @@ func (s *Set) SharesStorageWith(o *Set) bool {
 	return s.h != nil && s.h == o.h
 }
 
-// HandleRefs returns the number of Sets currently sharing this set's
-// handle (0 for owned-mode sets). Test instrumentation.
-func (s *Set) HandleRefs() int {
-	if s.h == nil {
-		return 0
-	}
-	return int(s.h.refs.Load())
-}
-
 // addInterned is Add in interned mode: a transition to the successor
 // state, shared with every other set that performed the same sequence.
 func (s *Set) addInterned(id types.NodeID, proof []byte) bool {
@@ -187,20 +247,14 @@ func (s *Set) addInterned(id types.NodeID, proof []byte) bool {
 			return false
 		}
 	}
-	next := s.in.advance(s.h, id, proof)
-	next.refs.Add(1)
-	s.h.refs.Add(-1)
+	next, hit := s.in.table.advance(s.h, id, proof)
+	if hit {
+		s.in.hits.Add(1)
+	}
 	s.h = next
 	return true
 }
 
-// resetInterned releases the current handle and rebinds the empty root,
-// recycling the set for the next iteration window.
-func (s *Set) resetInterned() {
-	if s.h == s.in.root {
-		return
-	}
-	s.h.refs.Add(-1)
-	s.in.root.refs.Add(1)
-	s.h = s.in.root
-}
+// resetInterned rebinds the empty root, recycling the set for the next
+// iteration window.
+func (s *Set) resetInterned() { s.h = s.in.table.root }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"ccba/internal/types"
 )
@@ -56,10 +57,21 @@ func TestInternedMatchesOwned(t *testing.T) {
 	}
 }
 
+// sharers counts the sets (ref included) holding ref's state handle.
+func sharers(sets []Set, ref *Set) int {
+	n := 0
+	for i := range sets {
+		if ref.SharesStorageWith(&sets[i]) {
+			n++
+		}
+	}
+	return n
+}
+
 // TestInternSharingAndForks is the copy-on-divergence contract: sets that
 // perform identical add sequences share one handle, and the first
 // divergent mutation — and exactly that mutation — forks them, with clone
-// and refcount telemetry matching.
+// telemetry and sharer counts matching.
 func TestInternSharingAndForks(t *testing.T) {
 	in := NewInterner()
 	const nodes = 64
@@ -93,8 +105,8 @@ func TestInternSharingAndForks(t *testing.T) {
 	if st.Hits != wantHits {
 		t.Fatalf("hits=%d, want %d", st.Hits, wantHits)
 	}
-	if got := sets[0].HandleRefs(); got != nodes {
-		t.Fatalf("shared handle refcount=%d, want %d", got, nodes)
+	if got := sharers(sets, &sets[0]); got != nodes {
+		t.Fatalf("shared handle held by %d sets, want %d", got, nodes)
 	}
 	// Certificates cut from interned sets alias one backing array.
 	if &sets[0].Attestations()[0] != &sets[1].Attestations()[0] {
@@ -114,11 +126,11 @@ func TestInternSharingAndForks(t *testing.T) {
 	if st.States != 11 {
 		t.Fatalf("divergence interned %d states, want 11", st.States)
 	}
-	if got := sets[0].HandleRefs(); got != nodes-1 {
-		t.Fatalf("majority handle refcount=%d after fork, want %d", got, nodes-1)
+	if got := sharers(sets, &sets[0]); got != nodes-1 {
+		t.Fatalf("majority handle held by %d sets after fork, want %d", got, nodes-1)
 	}
-	if got := sets[7].HandleRefs(); got != 1 {
-		t.Fatalf("divergent handle refcount=%d, want 1", got)
+	if got := sharers(sets, &sets[7]); got != 1 {
+		t.Fatalf("divergent handle held by %d sets, want 1", got)
 	}
 
 	// The fork counter trips when the shared predecessor gains its second
@@ -205,6 +217,11 @@ func TestInternConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	// The counters are schedule-independent: each state is created once,
+	// every other Add is a hit, whichever worker got there first.
+	if st, want := in.Stats(), (InternStats{States: adds, Clones: adds, Hits: (workers - 1) * adds}); st != want {
+		t.Fatalf("stats after %d workers x %d adds = %+v, want %+v", workers, adds, st, want)
+	}
 	for w := 1; w < workers; w++ {
 		if len(results[w]) != adds {
 			t.Fatalf("worker %d has %d attestations, want %d", w, len(results[w]), adds)
@@ -214,5 +231,86 @@ func TestInternConcurrent(t *testing.T) {
 				t.Fatalf("worker %d attestation %d differs", w, i)
 			}
 		}
+	}
+}
+
+// TestInternConcurrentForks races the locked half of advance: workers split
+// into two histories at the root, so first successors, fork records and hits
+// through the fork map all happen concurrently. Content and counters must
+// come out as a serial execution's would.
+func TestInternConcurrentForks(t *testing.T) {
+	in := NewInterner()
+	const workers, adds = 8, 50
+	sets := make([]Set, workers)
+	for i := range sets {
+		sets[i].Bind(in)
+	}
+	var wg sync.WaitGroup
+	for w := range sets {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			sets[w].Add(types.NodeID(1000+w%2), proofFor(types.NodeID(w%2)))
+			for i := 0; i < adds; i++ {
+				sets[w].Add(types.NodeID(i), proofFor(types.NodeID(i)))
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w := range sets {
+		if got := sharers(sets, &sets[w]); got != workers/2 {
+			t.Fatalf("set %d shares its handle with %d sets, want its half (%d)", w, got, workers/2)
+		}
+		if atts := sets[w].Attestations(); len(atts) != adds+1 || atts[0].ID != types.NodeID(1000+w%2) {
+			t.Fatalf("set %d holds the wrong history", w)
+		}
+	}
+	states := 2 * (adds + 1)
+	if st, want := in.Stats(), (InternStats{States: states, Clones: states, Hits: int64(workers*(adds+1) - states), Forks: 1}); st != want {
+		t.Fatalf("stats = %+v, want %+v", st, want)
+	}
+}
+
+// TestInternHitsSumAcrossBlocks binds more sets than one hit block holds,
+// from several goroutines at once: every block but the newest must fill
+// exactly, Stats must report every hit, and the handle a Set carries must
+// not have grown it (ten Sets per core node, n nodes).
+func TestInternHitsSumAcrossBlocks(t *testing.T) {
+	if got := unsafe.Sizeof(Set{}); got != 40 {
+		t.Errorf("attest.Set is %d bytes, want 40", got)
+	}
+	in := NewInterner()
+	const workers, adds = 4, 4
+	sets := make([]Set, 3*setsPerHitBlock+7)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < len(sets); i += workers {
+				sets[i].Bind(in)
+				for a := types.NodeID(0); a < adds; a++ {
+					sets[i].Add(a, proofFor(a))
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	perBlock := map[*hitBlock]int{}
+	for i := range sets {
+		perBlock[sets[i].in]++
+	}
+	blocks := 0
+	for b := in.cur.Load(); b != nil; b = b.prev {
+		blocks++
+		if want := setsPerHitBlock; b != in.cur.Load() && perBlock[b] != want {
+			t.Errorf("a closed hit block holds %d sets, want %d", perBlock[b], want)
+		}
+	}
+	if blocks != 4 || len(perBlock) != 4 {
+		t.Errorf("%d sets were bound to %d hit blocks (%d in use), want 4", len(sets), blocks, len(perBlock))
+	}
+	if st, want := in.Stats(), (InternStats{States: adds, Clones: adds, Hits: int64(len(sets)*adds - adds)}); st != want {
+		t.Fatalf("stats = %+v, want %+v", st, want)
 	}
 }

@@ -12,7 +12,7 @@ import (
 // TestInternHonestRunSharesHandles runs a dense interned execution under a
 // passive adversary and asserts the sharing claim interning rests on:
 // every honest node's per-iteration vote and commit sets walk identical
-// histories, so all n nodes end the run holding the *same* refcounted
+// histories, so all n nodes end the run holding the *same*
 // handle — O(committee) attestation storage for the whole run instead of
 // O(n·committee).
 func TestInternHonestRunSharesHandles(t *testing.T) {
@@ -46,17 +46,18 @@ func TestInternHonestRunSharesHandles(t *testing.T) {
 			continue
 		}
 		for b := 0; b < 2; b++ {
-			refs := ref[b].HandleRefs()
-			for i := 1; i < n; i++ {
+			sharers := 0
+			for i := 0; i < n; i++ {
 				set := cores[i].votes[iter]
 				if set == nil || !ref[b].SharesStorageWith(&set[b]) {
 					t.Fatalf("node %d iter %d bit %d: honest vote set does not share storage", i, iter, b)
 				}
+				sharers++
 			}
 			if ref[b].Count() > 0 {
 				shared++
-				if refs < n {
-					t.Fatalf("iter %d bit %d: shared vote handle refcount %d < n=%d", iter, b, refs, n)
+				if sharers < n {
+					t.Fatalf("iter %d bit %d: vote handle shared by %d sets < n=%d", iter, b, sharers, n)
 				}
 			}
 		}
@@ -148,7 +149,7 @@ func isTarget(targets []types.NodeID, id types.NodeID) bool {
 // TestInternAdversarialDivergenceForksHandles pins the copy-on-divergence
 // contract at the protocol level: after a divergent unicast injection the
 // targeted nodes' handles fork away from the rest of the network at
-// exactly the injected mutation, refcounts split by group size, and the
+// exactly the injected mutation, sharers split by group size, and the
 // non-targets keep sharing — while safety holds throughout.
 func TestInternAdversarialDivergenceForksHandles(t *testing.T) {
 	const n, f, lambda = 120, 36, 40
@@ -236,10 +237,16 @@ func TestInternAdversarialDivergenceForksHandles(t *testing.T) {
 			t.Fatalf("non-targets %d and %d stopped sharing", nonTargets[0], id)
 		}
 	}
-	// Refcounts split exactly by group size: the forked handle is held by
-	// the targets alone.
-	if got := tset.HandleRefs(); got != len(targets) {
-		t.Fatalf("forked handle refcount=%d, want %d targets", got, len(targets))
+	// Sharers split exactly by group size: of all n nodes, corrupted ones
+	// included, the forked handle is held by the targets alone.
+	sharers := 0
+	for _, c := range cores {
+		if pair := c.votes[1]; pair != nil && tset.SharesStorageWith(&pair[flip]) {
+			sharers++
+		}
+	}
+	if sharers != len(targets) {
+		t.Fatalf("forked handle shared by %d sets, want %d targets", sharers, len(targets))
 	}
 
 	// The clone accounting balances and the table recorded the divergence.

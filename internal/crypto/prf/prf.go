@@ -52,9 +52,12 @@ func Eval(k Key, msg []byte) Output {
 // hashes the key into both pads; profiles of large simulations show that
 // setup dominating Eval, so hot paths keep one State per key and Reset it
 // between evaluations. Not safe for concurrent use — callers serialise
-// access (the fmine functionality already holds a lock on its hot path).
+// access (fmine.Ideal keeps a stripe of States, each behind its own lock).
 type State struct {
 	mac hash.Hash
+	// sum receives the digest: hash.Hash.Sum is an interface call, so a
+	// local destination escapes and costs one heap allocation per Eval.
+	sum Output
 }
 
 // NewState returns a reusable evaluator for k.
@@ -67,9 +70,8 @@ func NewState(k Key) *State {
 func (s *State) Eval(msg []byte) Output {
 	s.mac.Reset()
 	s.mac.Write(msg)
-	var out Output
-	s.mac.Sum(out[:0])
-	return out
+	s.mac.Sum(s.sum[:0])
+	return s.sum
 }
 
 // Uint64 interprets the first eight bytes of the output as a big-endian

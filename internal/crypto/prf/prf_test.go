@@ -119,3 +119,27 @@ func TestFractionRange(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestStateEvalMatchesEvalWithoutAllocating pins the reusable evaluator:
+// the same bytes as the one-shot Eval on every message, including after
+// other messages went through the same State, and no heap allocation per
+// call (mining evaluates once per node per round).
+func TestStateEvalMatchesEvalWithoutAllocating(t *testing.T) {
+	k := testKey(t)
+	s := NewState(k)
+	msgs := [][]byte{nil, []byte("m"), []byte("a longer message that spans more than one SHA-256 block, to be sure"), []byte("m")}
+	for _, msg := range msgs {
+		if got, want := s.Eval(msg), Eval(k, msg); got != want {
+			t.Fatalf("State.Eval(%q) = %x, Eval says %x", msg, got, want)
+		}
+	}
+	first := s.Eval(msgs[1])
+	s.Eval(msgs[2])
+	if first != Eval(k, msgs[1]) {
+		t.Fatal("a later Eval overwrote an Output already returned")
+	}
+	msg := []byte("hot-path message")
+	if avg := testing.AllocsPerRun(100, func() { s.Eval(msg) }); avg != 0 {
+		t.Errorf("State.Eval allocates %.1f times per call, want 0", avg)
+	}
+}

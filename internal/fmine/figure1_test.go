@@ -130,7 +130,7 @@ func TestIdealMatchesFigure1(t *testing.T) {
 	}
 
 	// Only successes are stored: a failed attempt costs no table entry.
-	if got := len(f.tickets); got != len(successes) {
+	if got := f.entries(); got != len(successes) {
 		t.Errorf("table has %d entries, want one per successful attempt (%d)", got, len(successes))
 	}
 }

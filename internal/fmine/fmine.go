@@ -1,8 +1,10 @@
 package fmine
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"ccba/internal/crypto/prf"
 	"ccba/internal/types"
@@ -118,7 +120,10 @@ type Suite interface {
 // value ρ. (The real world replaces it with a 64-byte VRF proof.)
 const IdealProofSize = prf.OutputSize
 
-// Ideal is the F_mine ideal functionality. It is safe for concurrent use.
+// Ideal is the F_mine ideal functionality. It is safe for concurrent use,
+// and neither mine nor verify writes to memory another goroutine reads on
+// its hit path: a simulation verifies every delivered ticket once per
+// simulated receiver, from every engine shard at once.
 //
 // The table stores only *successful* attempts, as the ticket bytes handed
 // out for them. That is Figure 1 exactly, not an approximation of it: the
@@ -130,45 +135,105 @@ const IdealProofSize = prf.OutputSize
 // every round, so remembering failures would grow the table as
 // O(n · rounds); successes number O(committee) per round.
 //
-// The table is keyed by the comparable (tag, id) pair rather than an
-// encoded byte string: a simulation verifies every delivered ticket once per
-// simulated receiver, so the verify path must be a single allocation-free
-// map lookup. The PRF evaluator and encoding scratch are reused across
-// evaluations (heap profiles of large runs were dominated by per-call
-// HMAC construction and tag encoding).
+// The table is indexed by eight bytes of the ticket itself (ticketIndex),
+// not by a hash of (tag, id): a ticket is a PRF output, so those bytes are
+// already uniform, and verify is handed the ticket. The index only finds
+// candidates — every entry records the (tag, id) it was mined for and all
+// 32 ticket bytes, and verify compares all three, so a presented proof is
+// accepted exactly when that node mined exactly those bytes for exactly
+// that tag. Entries are write-once and never removed, so readers need no
+// lock: a lookup is atomic loads only (see ticketTable).
 type Ideal struct {
 	prob ProbFunc
 
-	mu sync.RWMutex
-	// tickets holds Coin[m, i] for every mined(m, i) that succeeded. Mine
-	// returns the stored slice itself on every repeat: committee members
-	// re-attempt their round tags, and a fresh copy per attempt would cost
-	// one allocation per member per round. Tickets are immutable by
-	// contract (they are message payloads).
-	tickets map[coinKey][]byte
+	// tickets is the current table of every Coin[m, i] that succeeded.
+	// Mine returns the stored entry's bytes on every repeat: committee
+	// members re-attempt their round tags, and a fresh copy per attempt
+	// would cost one allocation per member per round. Tickets are
+	// immutable by contract (they are message payloads).
+	tickets atomic.Pointer[ticketTable]
+	// storeMu serialises the writers: first successes, O(committee) a round.
+	storeMu sync.Mutex
 
-	// evalMu guards the PRF state and scratch buffer separately from the
-	// ticket table, so a miss's HMAC evaluation never runs inside the
-	// table's write lock: parallel mining only serialises on the short
-	// evaluation itself, and distinct nodes mine distinct keys anyway.
-	evalMu  sync.Mutex
+	// evals are the coin evaluators, striped by id block so that the n
+	// evaluations of a round run in parallel across engine shards. The
+	// hidden key never leaves them.
+	evals [evalStripes]coinEval
+}
+
+// ticketEntry is one successful Coin[m, i] cell of Figure 1: the attempt it
+// belongs to and the ticket handed out for it, in one object so a success
+// costs one allocation. Immutable.
+type ticketEntry struct {
+	tag    Tag
+	id     types.NodeID
+	ticket prf.Output
+}
+
+// ticketTable is an insert-only open-addressed hash table: an entry sits in
+// the first free slot at or after its index (linear probing, power-of-two
+// size, at most half full). A slot goes from nil to its entry once and
+// never changes again, so a reader probing with atomic loads sees each
+// entry either fully or not yet. Growing builds a larger table and swaps
+// Ideal.tickets; a reader still probing the old one sees everything stored
+// before the swap, which is all a concurrent lookup may rely on.
+type ticketTable struct {
+	slots []atomic.Pointer[ticketEntry]
+	used  int // guarded by Ideal.storeMu
+}
+
+// ticketIndex is the table index of a full-length ticket: bytes 8..16.
+// Bytes 0..8 are the ones the difficulty test constrains (every stored
+// ticket has them below the threshold), so they are not uniform over the
+// table's contents; the rest of a PRF output is.
+func ticketIndex(ticket []byte) uint64 {
+	return binary.LittleEndian.Uint64(ticket[8:16])
+}
+
+// minTicketSlots is the initial table size; a power of two.
+const minTicketSlots = 64
+
+// insert places e in the first free slot of its probe sequence.
+func (t *ticketTable) insert(e *ticketEntry) {
+	mask := uint64(len(t.slots) - 1)
+	i := ticketIndex(e.ticket[:]) & mask
+	for t.slots[i].Load() != nil {
+		i = (i + 1) & mask
+	}
+	t.slots[i].Store(e)
+	t.used++
+}
+
+// coinEval is one stripe's coin evaluator: the keyed PRF state and the
+// coin-input encoding buffer, both reused across evaluations (heap profiles
+// of large runs were dominated by per-call HMAC construction and tag
+// encoding), behind a lock of its own. Node id evaluates on stripe
+// id/evalBlock mod evalStripes: an engine shard is a contiguous id range
+// stepped in order, so it stays on one stripe for evalBlock nodes and meets
+// another shard there only when the two are a multiple of
+// evalBlock·evalStripes ids apart — and then only for the ~200 ns of an
+// evaluation. The padding keeps any two stripes off one cache line.
+type coinEval struct {
+	mu      sync.Mutex
 	hidden  *prf.State // trusted party's coin source; never exposed
-	scratch []byte     // coin-input encoding buffer
+	scratch []byte
+	_       [128 - 40]byte
 }
 
-// coinKey identifies one Coin[m, i] cell of Figure 1.
-type coinKey struct {
-	tag tagKey
-	id  types.NodeID
-}
+const (
+	evalStripes = 16
+	evalBlock   = 64
+)
 
 // NewIdeal constructs the functionality with a seeded coin source.
 func NewIdeal(seed [32]byte, prob ProbFunc) *Ideal {
-	return &Ideal{
-		prob:    prob,
-		hidden:  prf.NewState(prf.DeriveKey(prf.Key(seed), "fmine/ideal")),
-		tickets: make(map[coinKey][]byte),
+	key := prf.DeriveKey(prf.Key(seed), "fmine/ideal")
+	f := &Ideal{prob: prob}
+	f.tickets.Store(&ticketTable{slots: make([]atomic.Pointer[ticketEntry], minTicketSlots)})
+	for i := range f.evals {
+		f.evals[i].hidden = prf.NewState(key)
 	}
+	return f
 }
 
 // evalCoin computes the Bernoulli coin for (tag, id). Deriving it from a
@@ -177,37 +242,69 @@ func NewIdeal(seed [32]byte, prob ProbFunc) *Ideal {
 // NodeID ‖ tag encoding, so coin values are bit-identical to earlier
 // revisions for the same seed.
 func (f *Ideal) evalCoin(tag Tag, id types.NodeID) prf.Output {
-	f.evalMu.Lock()
-	w := wire.Writer{Buf: f.scratch[:0]}
+	ev := &f.evals[uint32(id)/evalBlock%evalStripes]
+	ev.mu.Lock()
+	w := wire.Writer{Buf: ev.scratch[:0]}
 	w.NodeID(id)
-	f.scratch = tag.AppendEncode(w.Buf)
-	out := f.hidden.Eval(f.scratch)
-	f.evalMu.Unlock()
+	ev.scratch = tag.AppendEncode(w.Buf)
+	out := ev.hidden.Eval(ev.scratch)
+	ev.mu.Unlock()
 	return out
 }
 
-// mine returns node id's ticket for tag, recording it on first success.
-func (f *Ideal) mine(tag Tag, id types.NodeID) ([]byte, bool) {
-	key := coinKey{tag: tag.key(), id: id}
-
-	f.mu.RLock()
-	ticket, hit := f.tickets[key]
-	f.mu.RUnlock()
-	if hit {
-		return ticket, true
+// lookup returns the stored entry for (tag, id, ticket), if that attempt
+// succeeded with exactly those bytes. ticket must be full-length.
+func (f *Ideal) lookup(tag Tag, id types.NodeID, ticket []byte) *ticketEntry {
+	t := f.tickets.Load()
+	mask := uint64(len(t.slots) - 1)
+	for i := ticketIndex(ticket) & mask; ; i = (i + 1) & mask {
+		e := t.slots[i].Load()
+		if e == nil {
+			return nil
+		}
+		if string(e.ticket[:]) == string(ticket) && e.id == id && e.tag == tag {
+			return e
+		}
 	}
+}
+
+// store publishes e and returns the entry that now records its attempt: e
+// itself, or the one a concurrent mine of the same (tag, id) published
+// first (the PRF is deterministic, so both hold identical bytes).
+func (f *Ideal) store(e *ticketEntry) *ticketEntry {
+	f.storeMu.Lock()
+	defer f.storeMu.Unlock()
+	if prior := f.lookup(e.tag, e.id, e.ticket[:]); prior != nil {
+		return prior
+	}
+	t := f.tickets.Load()
+	if 2*(t.used+1) > len(t.slots) {
+		grown := &ticketTable{slots: make([]atomic.Pointer[ticketEntry], 2*len(t.slots))}
+		for i := range t.slots {
+			if old := t.slots[i].Load(); old != nil {
+				grown.insert(old)
+			}
+		}
+		f.tickets.Store(grown)
+		t = grown
+	}
+	t.insert(e)
+	return e
+}
+
+// mine returns node id's ticket for tag, recording it on first success.
+// The coin is evaluated first and its output looked up, so a repeat
+// success returns the stored bytes and a failure touches no table at all.
+func (f *Ideal) mine(tag Tag, id types.NodeID) ([]byte, bool) {
 	out := f.evalCoin(tag, id)
 	if !out.Below(f.prob(tag)) {
 		return nil, false
 	}
-	// Concurrent misses on the same key would both evaluate, but the PRF
-	// is deterministic, so the duplicate store holds identical bytes.
-	ticket = make([]byte, IdealProofSize)
-	copy(ticket, out[:])
-	f.mu.Lock()
-	f.tickets[key] = ticket
-	f.mu.Unlock()
-	return ticket, true
+	e := f.lookup(tag, id, out[:])
+	if e == nil {
+		e = f.store(&ticketEntry{tag: tag, id: id, ticket: out})
+	}
+	return e.ticket[:], true
 }
 
 // verify implements Figure 1's verify(m, i): it answers only if mine(m) has
@@ -215,10 +312,7 @@ func (f *Ideal) mine(tag Tag, id types.NodeID) ([]byte, bool) {
 // hybrid-world ticket is the coin value itself, so a successful node
 // presented with the wrong ticket bytes is a forgery and rejected.
 func (f *Ideal) verify(tag Tag, id types.NodeID, proof []byte) bool {
-	f.mu.RLock()
-	ticket, hit := f.tickets[coinKey{tag: tag.key(), id: id}]
-	f.mu.RUnlock()
-	return hit && string(proof) == string(ticket)
+	return len(proof) == IdealProofSize && f.lookup(tag, id, proof) != nil
 }
 
 type idealMiner struct {

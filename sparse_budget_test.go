@@ -6,14 +6,16 @@ import (
 )
 
 // Memory-regression pins for the sparse large-N path at N = 10,000
-// (DESIGN.md §6). The budgets are ~2× the measured values at the time they
-// were last tightened — post-interning sparse core-ideal at n=10k measures
-// ≈141k allocs, ≈11 MB cumulative allocation, ≈9 MB post-run heap (down
-// from ≈411k allocs / ≈145 MB before attestation interning; dense: ≈501k
-// allocs, ≈175 MB), and core-real ≈521k allocs / ≈39 MB cumulative with
-// the lean bounded verify cache — so they fail on a reintroduced
-// O(n)-per-round buffer, per-node attestation copies, or an unbounded
-// crypto memo, not on runtime noise.
+// (DESIGN.md §6). Sparse core-ideal at n=10k measures 41.3k allocs and
+// 8.5 MB cumulative allocation, the same to within a few allocations at
+// GOMAXPROCS 1, 2 and 4 (128k / 11 MB while every mining attempt allocated
+// its PRF output and every interned state a successor map; ≈411k / ≈145 MB
+// before attestation interning; dense: ≈501k allocs, ≈175 MB); its budgets
+// sit ~15 % above that, so a reintroduced allocation per mining attempt
+// (82k of them) or per delivery fails them. Core-real measures ≈521k
+// allocs / ≈39 MB cumulative with the lean bounded verify cache, budgeted
+// at ~2×: those fail on a reintroduced O(n)-per-round buffer, per-node
+// attestation copies, or an unbounded crypto memo, not on runtime noise.
 
 func sparse10kConfig() Config {
 	cfg := Config{Protocol: Core, N: 10_000, F: 3_000, Lambda: 40, Sparse: true}
@@ -44,7 +46,7 @@ func TestSparseAllocBudgetN10k(t *testing.T) {
 	}
 	cfg := sparse10kConfig()
 	allocs := testing.AllocsPerRun(1, func() { runBudgetCase(t, cfg) })
-	const allocBudget = 300_000
+	const allocBudget = 47_000
 	if allocs > allocBudget {
 		t.Errorf("sparse core-ideal n=10k: %.0f allocs/run, budget %d", allocs, allocBudget)
 	}
@@ -61,7 +63,7 @@ func TestSparseHeapBudgetN10k(t *testing.T) {
 	// Read immediately, before collecting the run's garbage: HeapAlloc here
 	// approximates the execution's high-water mark.
 	runtime.ReadMemStats(&after)
-	const totalBudget = 24 << 20 // cumulative allocation over the run
+	const totalBudget = 10 << 20 // cumulative allocation over the run
 	const heapBudget = 20 << 20  // post-run heap (uncollected)
 	if total := after.TotalAlloc - before.TotalAlloc; total > totalBudget {
 		t.Errorf("sparse core-ideal n=10k allocated %d MB cumulative, budget %d MB", total>>20, totalBudget>>20)

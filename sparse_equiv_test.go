@@ -14,12 +14,14 @@ import (
 //     every sharded-stepping worker count (sparse runs default interning
 //     on, so this also pins interned ≡ owned attestation storage);
 //   - a sweep across every protocol (both crypto modes where relevant)
-//     compares sparse runs at workers ∈ {1, 4} against a dense run of the
-//     same config.
+//     compares sparse runs at workers ∈ {1, 2, 4, 8} against a dense run
+//     of the same config.
 
 // sparseEquivWorkers are the worker counts the equivalence suite sweeps:
-// serial and a sharded split.
-var sparseEquivWorkers = []int{1, 4}
+// serial, one shard per core of a small host, and splits past it. The
+// shards share the F_mine table and the attestation intern table without
+// locking their hit paths, so every count is a distinct interleaving.
+var sparseEquivWorkers = []int{1, 2, 4, 8}
 
 func TestSparseMatchesGoldens(t *testing.T) {
 	for _, tc := range goldenCases {
@@ -109,6 +111,39 @@ func TestSparseMatchesDenseAcrossProtocols(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestInternStatsAcrossWorkers pins the intern table's telemetry to the
+// execution, not to the schedule: hits are counted per block of sets rather
+// than on the table (DESIGN.md §6), and Report.Intern must not show it. In a
+// passive lockstep run all n nodes receive the same multicasts and so
+// perform the same add sequence: every state is created by whichever node
+// gets there first and hit by the other n−1, and the only state with two
+// successors is the empty root every tag's set starts from.
+func TestInternStatsAcrossWorkers(t *testing.T) {
+	const n = 2000
+	var serial InternStats
+	for _, workers := range []int{1, 2, 3, 8} {
+		cfg := Config{Protocol: Core, N: n, F: 600, Lambda: 40, Sparse: true, SparseWorkers: workers}
+		cfg.Seed[0] = 7
+		rep, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Ok() || rep.Intern == nil {
+			t.Fatalf("w%d: ok=%v intern=%v", workers, rep.Ok(), rep.Intern)
+		}
+		st := *rep.Intern
+		if workers == 1 {
+			serial = st
+			adds := int64(n) * int64(st.States)
+			if st.States == 0 || st.Clones != st.States || st.Forks != 1 || st.Hits != adds-int64(st.States) {
+				t.Fatalf("serial intern stats %+v: want clones = states > 0, one fork, hits = adds (%d) - states", st, adds)
+			}
+		} else if st != serial {
+			t.Errorf("w%d: intern stats %+v, serial run says %+v", workers, st, serial)
+		}
 	}
 }
 
