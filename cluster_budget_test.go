@@ -1,0 +1,36 @@
+package ccba
+
+import (
+	"runtime"
+	"testing"
+)
+
+// Memory-regression pin for the live cluster at the benchmark's size: core
+// ideal, n=200 f=60 λ=40 over the chan transport, network construction
+// included. Measured 20.3–20.6k allocs / 11.9–13.3 MB at GOMAXPROCS 1, 2
+// and 4 (mailbox growth follows the schedule) with the O(n) round barrier
+// and one decode per multicast; the ceilings sit above that spread and far
+// below what either mechanism's absence costs — n² sync markers through
+// the mailboxes and a decode per delivery ran at 100.9k allocs / 48.8 MB —
+// so tier-1 holds the gain and not only the benchmark driver.
+func TestClusterChanBudgetN200(t *testing.T) {
+	cfg := Config{Protocol: Core, N: 200, F: 60, Lambda: 40}
+	cfg.Seed[0] = 7
+	const maxAllocs, maxAllocMB = 28_000, 17
+
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rep := runClusterChan(t, cfg)
+	runtime.ReadMemStats(&after)
+	if !rep.Ok() {
+		t.Fatalf("violation: %v %v %v", rep.Consistency, rep.Validity, rep.Termination)
+	}
+	allocs, total := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+	if allocs > maxAllocs {
+		t.Errorf("%d allocs/run, ceiling %d", allocs, maxAllocs)
+	}
+	if total > maxAllocMB<<20 {
+		t.Errorf("%.1f MB allocated, ceiling %d MB", float64(total)/(1<<20), maxAllocMB)
+	}
+}

@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"ccba/internal/netsim"
@@ -52,14 +54,18 @@ type runner struct {
 	metrics netsim.Metrics // this node's own sends (Definitions 6 and 7)
 
 	pending map[uint32][]transport.Envelope // round-tagged data awaiting delivery
-	syncs   map[uint32]int                  // sync markers received per round
-	halts   map[uint32]int                  // halted flags among those markers
+	syncs   map[uint32]int                  // sync-marker weight received per round
+	halts   map[uint32]int                  // halted nodes among those markers
 	results []transport.Envelope            // early result records (see below)
+	// envs is the delivery batch and free the emptied pending lists, both
+	// kept across rounds so a round's buffers are the previous round's.
+	envs []transport.Envelope
+	free [][]transport.Envelope
 
 	// acked is the watermark of consecutive fully-acknowledged rounds:
-	// every round < acked holds all n sync markers. Deadline-based advance
-	// is capped at Δ rounds past it, and the all-halted scan below only
-	// inspects rounds whose marker sets are complete.
+	// every round < acked holds sync markers for all n nodes. Deadline-based
+	// advance is capped at Δ rounds past it, and the all-halted scan below
+	// only inspects rounds whose marker sets are complete.
 	acked int
 	// obs emits this node's slice of the round-lifecycle trace; trDecided
 	// pins EvDecide to the transition round, as the simulator does.
@@ -118,6 +124,8 @@ func (r *runner) runRounds(ctx context.Context) (int, error) {
 			r.opts.Telemetry.CountSend(len(payload))
 			r.obs.Send(round, r.self, seq, s.To, len(payload))
 			if s.To == types.Broadcast {
+				// In-process recipients share one decode of the payload.
+				env.Cell = new(transport.DecodeCell)
 				if err := r.tr.Multicast(env); err != nil {
 					return 0, fmt.Errorf("round %d: multicast: %w", round, err)
 				}
@@ -143,10 +151,12 @@ func (r *runner) runRounds(ctx context.Context) (int, error) {
 		}
 
 		// 3. Barrier: announce end-of-round (with our halted flag), then
-		// collect everyone's announcements. Per-link FIFO guarantees all
-		// round-r data precedes a peer's round-r sync, so once n markers
-		// are in, the round's traffic is complete — Δ-bounded delivery
-		// realised by acknowledgement instead of a clock.
+		// collect everyone's announcements — n per-link markers, or the one
+		// aggregated marker the chan network pushes once all n nodes have
+		// announced. Either way a peer's round-r data precedes the marker
+		// that accounts for its round-r sync in this node's mailbox, so once
+		// the markers weigh n the round's traffic is complete — Δ-bounded
+		// delivery realised by acknowledgement instead of a clock.
 		sync := transport.Envelope{
 			Kind: transport.EnvSync, From: r.self,
 			Round: uint32(round), Halted: halted,
@@ -194,13 +204,16 @@ func (r *runner) runRounds(ctx context.Context) (int, error) {
 		// up to Δ rounds late join the batch of the round they land in — the
 		// model's rule that the adversary picks any delivery round within
 		// the bound.
-		var envs []transport.Envelope
+		envs := r.envs[:0]
 		for rd, list := range r.pending {
 			if rd <= uint32(round) {
 				envs = append(envs, list...)
 				delete(r.pending, rd)
+				clear(list) // release payload references
+				r.free = append(r.free, list[:0])
 			}
 		}
+		r.envs = envs
 		r.opts.Telemetry.AddInFlight(-len(envs))
 		if halted {
 			// This node never steps again; it only keeps the barrier alive
@@ -209,18 +222,10 @@ func (r *runner) runRounds(ctx context.Context) (int, error) {
 			delivered = delivered[:0]
 			continue
 		}
-		sort.SliceStable(envs, func(i, j int) bool {
-			if envs[i].Round != envs[j].Round {
-				return envs[i].Round < envs[j].Round
-			}
-			if envs[i].From != envs[j].From {
-				return envs[i].From < envs[j].From
-			}
-			return envs[i].Seq < envs[j].Seq
-		})
+		slices.SortStableFunc(envs, deliveryOrder)
 		delivered = delivered[:0]
 		for _, env := range envs {
-			msg, err := r.decode(env.Payload)
+			msg, err := transport.Decode(env, r.decode)
 			if err != nil {
 				return 0, fmt.Errorf("round %d: message %d/%d from node %d: %w",
 					round, env.Round, env.Seq, env.From, err)
@@ -231,10 +236,23 @@ func (r *runner) runRounds(ctx context.Context) (int, error) {
 	return r.maxRounds, nil
 }
 
+// deliveryOrder is the lockstep engine's envelope order: round, then sender,
+// then the sender's send sequence.
+func deliveryOrder(a, b transport.Envelope) int {
+	if c := cmp.Compare(a.Round, b.Round); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.From, b.From); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Seq, b.Seq)
+}
+
 // collectBarrier consumes incoming envelopes until the node may advance:
-// all n round-r sync markers are in (the all-ack fast path, and the only
-// path when no RoundInterval is configured), or the soft per-round deadline
-// has expired and the Δ skew cap permits running ahead of the stragglers.
+// the round-r sync markers of all n nodes are in (the all-ack fast path, and
+// the only path when no RoundInterval is configured), or the soft per-round
+// deadline has expired and the Δ skew cap permits running ahead of the
+// stragglers.
 // Data for any round is buffered as it goes.
 func (r *runner) collectBarrier(ctx context.Context, round uint32) error {
 	hardCtx, cancel := r.barrierCtx(ctx)
@@ -268,13 +286,36 @@ func (r *runner) collectBarrier(ctx context.Context, round uint32) error {
 				armSoft()
 				continue
 			}
-			return fmt.Errorf("round %d barrier (%d/%d peers): %w", round, r.syncs[round], n, err)
+			return fmt.Errorf("round %d barrier (%s): %w", round, r.barrierStall(round), err)
 		}
 		if err := r.ingest(env, round); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// barrierStall says who a stuck round barrier is waiting for: the node ids
+// when the transport can tell (the chan network's tally knows who has not
+// arrived), else how many per-link markers are in.
+func (r *runner) barrierStall(round uint32) string {
+	if t, ok := r.tr.(interface {
+		BarrierMissing(round uint32) []types.NodeID
+	}); ok {
+		if missing := t.BarrierMissing(round); len(missing) > 0 {
+			const show = 8
+			var b strings.Builder
+			fmt.Fprintf(&b, "waiting for %d of %d:", len(missing), r.cfg.N)
+			for _, id := range missing[:min(show, len(missing))] {
+				fmt.Fprintf(&b, " node %d", id)
+			}
+			if len(missing) > show {
+				b.WriteString(" …")
+			}
+			return b.String()
+		}
+	}
+	return fmt.Sprintf("%d/%d peers", r.syncs[round], r.cfg.N)
 }
 
 // ingest files one received envelope: data by its round tag, sync markers
@@ -287,13 +328,21 @@ func (r *runner) ingest(env transport.Envelope, round uint32) error {
 	}
 	switch env.Kind {
 	case transport.EnvData:
-		r.pending[env.Round] = append(r.pending[env.Round], env)
-		r.opts.Telemetry.AddInFlight(1)
-	case transport.EnvSync:
-		r.syncs[env.Round]++
-		if env.Halted {
-			r.halts[env.Round]++
+		list, ok := r.pending[env.Round]
+		if !ok && len(r.free) > 0 {
+			list, r.free = r.free[len(r.free)-1], r.free[:len(r.free)-1]
 		}
+		r.pending[env.Round] = append(list, env)
+		r.opts.Telemetry.AddInFlight(1)
+	case transport.EnvSync, transport.EnvBarrier:
+		// A per-link marker weighs one node; the chan network's aggregated
+		// marker weighs all n and carries their halted count.
+		weight, halted := 1, int(b2u(env.Halted))
+		if env.Kind == transport.EnvBarrier {
+			weight, halted = n, int(env.Seq)
+		}
+		r.syncs[env.Round] += weight
+		r.halts[env.Round] += halted
 		for r.syncs[uint32(r.acked)] == n {
 			r.acked++
 		}
@@ -385,6 +434,7 @@ func (r *runner) exchangeResults(ctx context.Context, rounds int) (*Report, erro
 	env := transport.Envelope{
 		Kind: transport.EnvResult, From: r.self,
 		Round: uint32(rounds), Payload: encodeResult(rec),
+		Cell: new(transport.DecodeCell),
 	}
 	if err := r.tr.Multicast(env); err != nil {
 		return nil, fmt.Errorf("result exchange: %w", err)
@@ -417,7 +467,7 @@ func (r *runner) exchangeResults(ctx context.Context, rounds int) (*Report, erro
 		if env.Kind != transport.EnvResult || int(env.From) < 0 || int(env.From) >= n || seen[env.From] {
 			continue // stragglers from the final barrier are harmless
 		}
-		rec, err := decodeResult(env.Payload)
+		rec, err := transport.Decode(env, decodeResult)
 		if err != nil {
 			return nil, fmt.Errorf("result from node %d: %w", env.From, err)
 		}

@@ -14,7 +14,11 @@
 //     mailbox per node, per-sender FIFO, no sockets. It is the reference
 //     transport the cluster runtime is cross-validated on — a chan-transport
 //     run must agree bit-for-bit with the lockstep engine on every
-//     protocol-visible fact.
+//     protocol-visible fact. It carries the round barrier in O(n) envelopes:
+//     a multicast EnvSync arrives at a tally the endpoints share, and the
+//     n-th arrival of a round pushes one EnvBarrier ("all n synced, Seq of
+//     them halted") into each mailbox instead of every node pushing n
+//     markers.
 //   - the TCP transport (ListenTCP/NewTCPNetwork): length-prefixed framing
 //     of the same envelope encoding over a dial-mesh of localhost or
 //     cross-host connections, with a hello handshake identifying the sender
@@ -22,8 +26,17 @@
 //
 // Both preserve the only ordering property the cluster round synchronizer
 // needs: envelopes from one sender arrive at one recipient in send order
-// (per-link FIFO). Cross-sender interleaving is arbitrary; the synchronizer
-// re-sorts each round's traffic into the deterministic lockstep order.
+// (per-link FIFO), so a sender's round-r data precedes the marker that
+// accounts for its round-r sync — its own per-link EnvSync, or the chan
+// network's EnvBarrier, which is pushed only after every sender has pushed
+// its round-r data and arrived. Cross-sender interleaving is arbitrary; the
+// synchronizer re-sorts each round's traffic into the deterministic
+// lockstep order.
+//
+// A multicast's in-process recipients share the envelope's payload bytes
+// and, when the sender attached one, its DecodeCell: Decode parses the
+// payload once between them. Nothing but bytes crosses a socket, so a TCP
+// recipient decodes for itself.
 //
 // The paper assumes authenticated point-to-point channels throughout; like
 // the simulator, the transports implement that assumption rather than
@@ -35,7 +48,10 @@
 // (WrapChaos/NewChaosNetwork) injects a seed-deterministic fault schedule
 // — drops on faulty senders' links, delay/reorder within the Δ window,
 // timed partitions, crash windows — below the protocol surface, under the
-// same power boundary the simulator enforces (DESIGN.md §7).
+// same power boundary the simulator enforces (DESIGN.md §7). Its Multicast
+// is n per-link Sends, so chaos runs keep per-link sync markers on both
+// transports; since those bypass the chan network's tally, one
+// ChanNetwork's endpoints are wrapped all (NewChaosNetwork) or none.
 //
 // Architecture: DESIGN.md §2 — live envelope transports under the cluster runtime.
 package transport

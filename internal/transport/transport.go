@@ -16,7 +16,7 @@ type EnvKind uint8
 const (
 	// EnvData carries one wire-encoded protocol message.
 	EnvData EnvKind = 1
-	// EnvSync is the round barrier marker: the sender has finished
+	// EnvSync is the per-link round barrier marker: the sender has finished
 	// transmitting its round-Round traffic. Halted reports whether the
 	// sender's state machine has terminated.
 	EnvSync EnvKind = 2
@@ -26,6 +26,12 @@ const (
 	// EnvHello opens a TCP connection: it identifies the dialing node. It
 	// never reaches the cluster runtime.
 	EnvHello EnvKind = 4
+	// EnvBarrier is the chan network's aggregated barrier marker: all n
+	// nodes have issued their round-Round EnvSync, Seq of them halted. It
+	// stands for those n markers in one envelope and exists only in
+	// process — DecodeEnvelope rejects the kind, so no TCP peer can inject
+	// one.
+	EnvBarrier EnvKind = 5
 )
 
 // Envelope is the unit a Transport carries: one protocol message (or
@@ -41,7 +47,8 @@ type Envelope struct {
 	// Round is the protocol round the envelope belongs to.
 	Round uint32
 	// Seq numbers the sender's data envelopes within the round, in the order
-	// the state machine produced the sends.
+	// the state machine produced the sends. On an EnvBarrier it is the number
+	// of halted nodes among the n the marker stands for.
 	Seq uint32
 	// Halted is meaningful on EnvSync envelopes: whether the sender's state
 	// machine has terminated as of this round.
@@ -51,6 +58,34 @@ type Envelope struct {
 	// marker kinds. Receivers must treat it as read-only: a multicast shares
 	// one payload slice across all in-process recipients.
 	Payload []byte
+	// Cell, when the sender attached one, lets the in-process recipients of
+	// one multicast share a single decode of Payload (see Decode). It never
+	// crosses a socket: an envelope received over TCP has none.
+	Cell *DecodeCell
+}
+
+// DecodeCell is the once-cell the recipients of one multicast share: the
+// first to call Decode parses Payload, the rest reuse its value or its
+// error. The zero value is ready to use.
+type DecodeCell struct {
+	once sync.Once
+	val  any
+	err  error
+}
+
+// Decode returns decode(e.Payload), computed once per Cell. Without a Cell
+// every call decodes — the TCP path, and every unicast. The value is always
+// the product of decoding the canonical payload bytes, never the sender's
+// in-memory message, and recipients sharing a Cell must treat it as
+// read-only. All sharers must pass the same decoder.
+func Decode[T any](e Envelope, decode func([]byte) (T, error)) (T, error) {
+	c := e.Cell
+	if c == nil {
+		return decode(e.Payload)
+	}
+	c.once.Do(func() { c.val, c.err = decode(e.Payload) })
+	v, _ := c.val.(T) // the zero T when the shared decode failed
+	return v, c.err
 }
 
 // Transport is one node's endpoint into the cluster: Send and Recv of
@@ -65,7 +100,9 @@ type Transport interface {
 	Send(to types.NodeID, env Envelope) error
 	// Multicast delivers env to every node, the sender included —
 	// equivalent to n Sends, but lets the transport pay per-envelope costs
-	// (TCP frame encoding) once instead of once per recipient.
+	// once instead of once per recipient: TCP encodes the frame once, and
+	// the chan network answers n multicast EnvSyncs of a round with one
+	// EnvBarrier per node instead of delivering n² markers.
 	Multicast(env Envelope) error
 	// Recv blocks until an envelope arrives, the context is cancelled, or
 	// the endpoint is closed.

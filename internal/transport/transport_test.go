@@ -5,8 +5,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"net"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -278,5 +281,189 @@ func TestTCPDialRetryTimesOut(t *testing.T) {
 	err = ep.Connect(context.Background(), []string{ep.Addr(), "127.0.0.1:1"})
 	if err == nil {
 		t.Fatal("Connect to a dead peer succeeded")
+	}
+}
+
+// TestChanBarrierOrder drives the aggregated barrier the way n free-running
+// nodes would: every sender multicasts a random number of round-r data
+// envelopes, then its round-r sync, for 50 rounds, with no receive-side
+// pacing. In every mailbox each sender's round-r data must precede the
+// round-r marker, each round must arrive as exactly one EnvBarrier with the
+// right halted count, and nothing else marker-shaped may arrive — n markers
+// per round on the mesh, not n².
+func TestChanBarrierOrder(t *testing.T) {
+	const n, rounds = 16, 50
+	netw, err := NewChanNetwork(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer netw.Close()
+	eps := netw.Endpoints()
+
+	// The schedule: data[i][r] envelopes from sender i in round r, and the
+	// round from which sender i reports halted.
+	rng := rand.New(rand.NewPCG(18, 0))
+	var data [n][rounds]int
+	var haltFrom [n]int
+	var wantHalted [rounds]uint32
+	perBox := 0
+	for i := 0; i < n; i++ {
+		haltFrom[i] = rng.IntN(rounds + 10)
+		for r := 0; r < rounds; r++ {
+			data[i][r] = rng.IntN(4)
+			perBox += data[i][r]
+			if r >= haltFrom[i] {
+				wantHalted[r]++
+			}
+		}
+	}
+
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			from := types.NodeID(i)
+			for r := 0; r < rounds; r++ {
+				for s := 0; s < data[i][r]; s++ {
+					if err := eps[i].Multicast(Envelope{Kind: EnvData, From: from, Round: uint32(r), Seq: uint32(s)}); err != nil {
+						t.Errorf("sender %d: data: %v", i, err)
+						return
+					}
+				}
+				if err := eps[i].Multicast(Envelope{Kind: EnvSync, From: from, Round: uint32(r), Halted: r >= haltFrom[i]}); err != nil {
+					t.Errorf("sender %d: sync: %v", i, err)
+					return
+				}
+			}
+		}(i)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for j := 0; j < n; j++ {
+		wg.Add(1)
+		go func(j int) {
+			defer wg.Done()
+			var marked [rounds]bool
+			var got [n][rounds]int
+			for k := 0; k < perBox+rounds; k++ {
+				env, err := eps[j].Recv(ctx)
+				if err != nil {
+					t.Errorf("mailbox %d: after %d envelopes: %v", j, k, err)
+					return
+				}
+				switch env.Kind {
+				case EnvData:
+					if marked[env.Round] {
+						t.Errorf("mailbox %d: round-%d data from node %d after the round-%d marker", j, env.Round, env.From, env.Round)
+						return
+					}
+					got[env.From][env.Round]++
+				case EnvBarrier:
+					if marked[env.Round] {
+						t.Errorf("mailbox %d: second round-%d marker", j, env.Round)
+						return
+					}
+					marked[env.Round] = true
+					if env.Seq != wantHalted[env.Round] {
+						t.Errorf("mailbox %d: round-%d marker counts %d halted, want %d", j, env.Round, env.Seq, wantHalted[env.Round])
+					}
+					for i := 0; i < n; i++ {
+						if got[i][env.Round] != data[i][env.Round] {
+							t.Errorf("mailbox %d: round-%d marker after %d of sender %d's %d envelopes", j, env.Round, got[i][env.Round], i, data[i][env.Round])
+						}
+					}
+				default:
+					t.Errorf("mailbox %d: %d-kind envelope; a multicast sync must not be fanned out", j, env.Kind)
+					return
+				}
+			}
+			if slices.Contains(marked[:], false) {
+				t.Errorf("mailbox %d: rounds marked: %v", j, marked)
+			}
+		}(j)
+	}
+	wg.Wait()
+}
+
+// A unicast EnvSync is a per-link marker — the path a chaos-wrapped endpoint
+// takes, one decision per link — and must land as itself, not at the tally.
+func TestChanUnicastSyncStaysPerLink(t *testing.T) {
+	netw, err := NewChanNetwork(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer netw.Close()
+	eps := netw.Endpoints()
+	for i, ep := range eps {
+		if err := ep.Send(0, Envelope{Kind: EnvSync, From: types.NodeID(i), Round: 4, Halted: i == 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range eps {
+		env, err := eps[0].Recv(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if env.Kind != EnvSync || env.From != types.NodeID(i) || env.Round != 4 || env.Halted != (i == 2) {
+			t.Fatalf("marker %d arrived as %+v", i, env)
+		}
+	}
+	// Three unicasts to one node complete no round: the tally never saw them.
+	if missing := eps[0].(*chanEndpoint).BarrierMissing(4); missing != nil {
+		t.Fatalf("unicast syncs reached the tally: round 4 open, missing %v", missing)
+	}
+}
+
+// The aggregated marker exists only in process: the wire decoder rejects
+// its kind, so a TCP peer cannot forge "all n nodes have synced".
+func TestDecodeEnvelopeRejectsBarrierKind(t *testing.T) {
+	buf := AppendEnvelope(nil, Envelope{Kind: EnvBarrier, From: 1, Round: 2, Seq: 3})
+	if _, err := DecodeEnvelope(buf); err == nil {
+		t.Fatal("DecodeEnvelope accepted an EnvBarrier frame")
+	}
+}
+
+// TestDecodeCellSharesOneDecode: concurrent recipients of one cell get one
+// decode of the payload between them — value or error alike — while an
+// envelope without a cell decodes on every call.
+func TestDecodeCellSharesOneDecode(t *testing.T) {
+	var calls atomic.Int64
+	decode := func(buf []byte) (string, error) {
+		calls.Add(1)
+		if len(buf) == 0 {
+			return "", errors.New("empty payload")
+		}
+		return string(buf), nil
+	}
+	for _, tc := range []struct {
+		payload []byte
+		want    string
+		fails   bool
+	}{{payload: []byte("abc"), want: "abc"}, {payload: nil, fails: true}} {
+		calls.Store(0)
+		env := Envelope{Kind: EnvData, Payload: tc.payload, Cell: new(DecodeCell)}
+		var wg sync.WaitGroup
+		for i := 0; i < 8; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got, err := Decode(env, decode)
+				if got != tc.want || (err != nil) != tc.fails {
+					t.Errorf("shared decode of %q: %q, %v", tc.payload, got, err)
+				}
+			}()
+		}
+		wg.Wait()
+		if calls.Load() != 1 {
+			t.Errorf("payload %q: %d decodes across 8 sharers, want 1", tc.payload, calls.Load())
+		}
+		env.Cell = nil
+		for i := 0; i < 3; i++ {
+			Decode(env, decode) //nolint:errcheck // counting calls only
+		}
+		if calls.Load() != 4 {
+			t.Errorf("payload %q: %d decodes after 3 cell-less calls, want 4", tc.payload, calls.Load())
+		}
 	}
 }
