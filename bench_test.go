@@ -197,7 +197,7 @@ func BenchmarkCoreIdealN1000Sparse(b *testing.B) {
 	benchProtocol(b, Config{Protocol: Core, N: 1000, F: 300, Lambda: 40, Sparse: true})
 }
 
-// The large-N scaling point of the sparse engine path (E13's middle
+// The large-N scaling point of Sparse runs (E13's middle
 // sweep entry); ~0.5 s per op, so use -benchtime=3x locally.
 func BenchmarkCoreIdealN10kSparse(b *testing.B) {
 	benchProtocol(b, Config{Protocol: Core, N: 10_000, F: 3_000, Lambda: 40, Sparse: true})

@@ -39,6 +39,8 @@ package ccba
 
 import (
 	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"ccba/internal/attest"
@@ -226,6 +228,22 @@ var (
 	// Adversaries lists the registered adversary names.
 	Adversaries = scenario.Adversaries
 )
+
+// ErrNegativeSeed is SeedFromInt's rejection of a seed below zero.
+var ErrNegativeSeed = errors.New("ccba: -seed cannot be negative")
+
+// SeedFromInt widens the commands' integer -seed flag into a Config.Seed:
+// all eight bytes, little-endian, into Seed[0:8], so distinct flag values
+// are distinct executions. A negative seed is an error rather than a
+// wrap-around onto some large positive one.
+func SeedFromInt(seed int64) ([32]byte, error) {
+	var out [32]byte
+	if seed < 0 {
+		return out, fmt.Errorf("%w: got %d", ErrNegativeSeed, seed)
+	}
+	binary.LittleEndian.PutUint64(out[:8], uint64(seed))
+	return out, nil
+}
 
 // TrialStats aggregates repeated runs of one configuration with derived
 // seeds: per-metric summaries across trials plus the violation rate with its

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ccba/internal/netsim"
+	"ccba/internal/testenv"
 )
 
 func TestRunAllProtocolsDefaults(t *testing.T) {
@@ -55,18 +56,20 @@ func TestRunDeterministic(t *testing.T) {
 
 func TestRunParallelMatchesSequential(t *testing.T) {
 	base := Config{Protocol: Core, N: 80, F: 20, Lambda: 24, Seed: [32]byte{9}}
+	testenv.SetGOMAXPROCS(t, 1)
 	seq, err := Run(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par := base
-	par.Parallel = true
-	got, err := Run(par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Rounds != got.Rounds || seq.Result.Metrics != got.Result.Metrics {
-		t.Fatal("parallel execution diverged from sequential")
+	for _, procs := range testenv.Procs[1:] {
+		testenv.SetGOMAXPROCS(t, procs)
+		got, err := Run(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seq.Rounds != got.Rounds || seq.Result.Metrics != got.Result.Metrics {
+			t.Fatalf("execution at GOMAXPROCS=%d diverged from sequential", procs)
+		}
 	}
 }
 

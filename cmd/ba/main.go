@@ -17,7 +17,7 @@
 //	ba -protocol core -n 200 -f 60 -trials 100 -workers 8 -json
 //	ba -net delta -delta 3 -trials 8 -workers 4 -json
 //	ba -net omission -omission-rate 0.25 -n 100 -f 30
-//	ba -sparse -n 100000 -f 30000 -lambda 40       # large-N engine path
+//	ba -sparse -n 100000 -f 30000 -lambda 40       # large-N node representation
 //	ba -scenario core-sparse-n100k
 //	ba -scenario core-delta3-n200
 //	ba -protocol aba -n 16 -f 5 -sched adversarial-delay   # async track
@@ -69,9 +69,7 @@ func run(args []string, out io.Writer) error {
 		listScenarios = fs.Bool("scenarios", false, "list the registered scenarios and exit")
 		trials        = fs.Int("trials", 1, "number of runs (aggregated when > 1)")
 		workers       = fs.Int("workers", 0, "trial worker-pool size (0 = GOMAXPROCS); aggregates are identical for every value")
-		parallel      = fs.Bool("parallel", false, "step nodes on multiple goroutines")
-		sparse        = fs.Bool("sparse", false, "memory-lean large-N engine path (delta-one, passive adversary); use for n ≥ ~10⁵")
-		sparseWorkers = fs.Int("sparse-workers", 0, "sparse shard-stepping worker count (0 = GOMAXPROCS, the default and normally the fastest; 1 = serial); results are byte-identical for every value")
+		sparse        = fs.Bool("sparse", false, "memory-lean large-N node representation (delta-one, passive adversary); use for n ≥ ~10⁵")
 		asJSON        = fs.Bool("json", false, "emit the outcome as JSON")
 		traceFile     = fs.String("trace", "", "write the canonical round-event trace (JSONL, DESIGN.md §10) to this file; single runs only")
 	)
@@ -93,17 +91,15 @@ func run(args []string, out io.Writer) error {
 	cfg := ccba.Config{
 		Protocol: ccba.Protocol(*protocol),
 		N:        *n, F: *f, Lambda: *lambda, Epochs: *epochs,
-		Crypto:        ccba.CryptoMode(*crypto),
-		Erasure:       *erasure,
-		Parallel:      *parallel,
-		Sparse:        *sparse,
-		SparseWorkers: *sparseWorkers,
-		Net:           ccba.NetName(*net),
-		Delta:         *delta,
-		OmissionRate:  *omissionRate,
-		Sched:         ccba.SchedName(*sched),
-		AdvDelay:      *advDelay,
-		Crashes:       *crashes,
+		Crypto:       ccba.CryptoMode(*crypto),
+		Erasure:      *erasure,
+		Sparse:       *sparse,
+		Net:          ccba.NetName(*net),
+		Delta:        *delta,
+		OmissionRate: *omissionRate,
+		Sched:        ccba.SchedName(*sched),
+		AdvDelay:     *advDelay,
+		Crashes:      *crashes,
 	}
 	advName := *adversary
 	if *scenarioName != "" {
@@ -120,22 +116,20 @@ func run(args []string, out io.Writer) error {
 		}
 		// Explicitly passed flags override the scenario's fields.
 		override := map[string]func(){
-			"protocol":       func() { cfg.Protocol = ccba.Protocol(*protocol) },
-			"n":              func() { cfg.N = *n },
-			"f":              func() { cfg.F = *f },
-			"lambda":         func() { cfg.Lambda = *lambda },
-			"epochs":         func() { cfg.Epochs = *epochs },
-			"crypto":         func() { cfg.Crypto = ccba.CryptoMode(*crypto) },
-			"erasure":        func() { cfg.Erasure = *erasure },
-			"net":            func() { cfg.Net = ccba.NetName(*net) },
-			"delta":          func() { cfg.Delta = *delta },
-			"omission-rate":  func() { cfg.OmissionRate = *omissionRate },
-			"sched":          func() { cfg.Sched = ccba.SchedName(*sched) },
-			"adv-delay":      func() { cfg.AdvDelay = *advDelay },
-			"crashes":        func() { cfg.Crashes = *crashes },
-			"parallel":       func() { cfg.Parallel = *parallel },
-			"sparse":         func() { cfg.Sparse = *sparse },
-			"sparse-workers": func() { cfg.SparseWorkers = *sparseWorkers },
+			"protocol":      func() { cfg.Protocol = ccba.Protocol(*protocol) },
+			"n":             func() { cfg.N = *n },
+			"f":             func() { cfg.F = *f },
+			"lambda":        func() { cfg.Lambda = *lambda },
+			"epochs":        func() { cfg.Epochs = *epochs },
+			"crypto":        func() { cfg.Crypto = ccba.CryptoMode(*crypto) },
+			"erasure":       func() { cfg.Erasure = *erasure },
+			"net":           func() { cfg.Net = ccba.NetName(*net) },
+			"delta":         func() { cfg.Delta = *delta },
+			"omission-rate": func() { cfg.OmissionRate = *omissionRate },
+			"sched":         func() { cfg.Sched = ccba.SchedName(*sched) },
+			"adv-delay":     func() { cfg.AdvDelay = *advDelay },
+			"crashes":       func() { cfg.Crashes = *crashes },
+			"sparse":        func() { cfg.Sparse = *sparse },
 		}
 		for name, apply := range override {
 			if set[name] {
@@ -146,10 +140,10 @@ func run(args []string, out io.Writer) error {
 	if *faulty > 0 {
 		cfg.OmissionFaulty = *faulty
 	}
-	cfg.Seed = [32]byte{}
-	cfg.Seed[0] = byte(*seed)
-	cfg.Seed[1] = byte(*seed >> 8)
-	cfg.Seed[2] = byte(*seed >> 16)
+	var err error
+	if cfg.Seed, err = ccba.SeedFromInt(*seed); err != nil {
+		return err
+	}
 	if set["sender-input"] || *scenarioName == "" {
 		// An explicitly passed -sender-input overrides a scenario's value in
 		// either direction, 1 or 0 (the non-scenario default is 0 anyway).
@@ -314,7 +308,7 @@ func netLabel(cfg ccba.Config) string {
 // singleRunJSON is the -json document for a single execution. The intern
 // field appears only on interning runs (Sparse defaults it on); its counters
 // are deterministic per (config, seed), so sparse documents stay
-// byte-diffable across -sparse-workers values.
+// byte-diffable across GOMAXPROCS values.
 type singleRunJSON struct {
 	Protocol   string            `json:"protocol"`
 	N          int               `json:"n"`

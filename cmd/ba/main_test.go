@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"strings"
 	"testing"
@@ -192,25 +193,79 @@ func TestListScenarios(t *testing.T) {
 	}
 }
 
-// A scenario's Parallel survives unless -parallel is passed, like every other
-// field. The engine's results are identical either way, so the test observes
-// the flag through validation: Sparse rejects Parallel.
-func TestRunScenarioKeepsParallel(t *testing.T) {
+// A scenario's Sparse survives unless -sparse is passed, like every other
+// field. Observed twice: through the intern block only Sparse runs print,
+// and through validation — Sparse rejects a delayed network model.
+func TestRunScenarioKeepsSparse(t *testing.T) {
 	if err := ccba.RegisterScenario(ccba.Scenario{
-		Name:   "test-parallel-n40",
-		Config: ccba.Config{Protocol: ccba.Core, N: 40, F: 10, Lambda: 16, Parallel: true},
+		Name:   "test-sparse-n40",
+		Config: ccba.Config{Protocol: ccba.Core, N: 40, F: 10, Lambda: 16, Sparse: true},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := run([]string{"-scenario", "test-parallel-n40"}, &buf); err != nil {
-		t.Fatalf("parallel scenario: %v", err)
+	var kept, dropped bytes.Buffer
+	if err := run([]string{"-scenario", "test-sparse-n40", "-json"}, &kept); err != nil {
+		t.Fatalf("sparse scenario: %v", err)
 	}
-	err := run([]string{"-scenario", "test-parallel-n40", "-sparse"}, &buf)
-	if err == nil || !strings.Contains(err.Error(), "Parallel") {
-		t.Fatalf("-sparse on a Parallel scenario: got %v, want the Sparse/Parallel rejection (the flag default overwrote the scenario's Parallel)", err)
+	if !strings.Contains(kept.String(), `"intern"`) {
+		t.Fatalf("the flag default overwrote the scenario's Sparse:\n%s", kept.String())
 	}
-	if err := run([]string{"-scenario", "test-parallel-n40", "-sparse", "-parallel=false"}, &buf); err != nil {
-		t.Fatalf("explicit -parallel=false must override the scenario: %v", err)
+	err := run([]string{"-scenario", "test-sparse-n40", "-net", "delta", "-delta", "2"}, &kept)
+	if err == nil || !strings.Contains(err.Error(), "Sparse") {
+		t.Fatalf("-net delta on a Sparse scenario: got %v, want the Sparse/net rejection", err)
+	}
+	if err := run([]string{"-scenario", "test-sparse-n40", "-sparse=false", "-json"}, &dropped); err != nil {
+		t.Fatalf("explicit -sparse=false must override the scenario: %v", err)
+	}
+	if strings.Contains(dropped.String(), `"intern"`) {
+		t.Fatalf("-sparse=false did not override the scenario:\n%s", dropped.String())
+	}
+}
+
+// seed5Doc is what `-n 60 -f 15 -lambda 16 -seed 5 -json` printed before
+// -seed was widened from its low 24 bits to all 64: seeds below 2²⁴ keep
+// their Config.Seed bytes, so every recorded document stays reproducible.
+const seed5Doc = `{
+  "protocol": "core",
+  "n": 60,
+  "f": 15,
+  "crypto": "ideal",
+  "net": "delta-one",
+  "delta": 1,
+  "seed": 5,
+  "rounds": 15,
+  "corrupted": 0,
+  "metrics": {
+    "HonestMulticasts": 133,
+    "HonestMulticastBytes": 29156,
+    "HonestMessages": 7980,
+    "HonestMessageBytes": 1749360
+  },
+  "ok": true,
+  "violations": {}
+}
+`
+
+// Every bit of -seed reaches the execution: seeds 2²⁴ apart used to be the
+// same run with a different label.
+func TestSeedUsesAllBits(t *testing.T) {
+	docAt := func(seed string) string {
+		var buf bytes.Buffer
+		if err := run([]string{"-n", "60", "-f", "15", "-lambda", "16", "-seed", seed, "-json"}, &buf); err != nil {
+			t.Fatalf("-seed %s: %v", seed, err)
+		}
+		return buf.String()
+	}
+	low := docAt("5")
+	if low != seed5Doc {
+		t.Errorf("-seed 5 document moved:\n%s", low)
+	}
+	high := docAt("16777221") // 5 + 2²⁴
+	if strings.Replace(high, `"seed": 16777221`, `"seed": 5`, 1) == low {
+		t.Errorf("-seed 5 and -seed 5+2^24 are the same execution:\n%s", high)
+	}
+	err := run([]string{"-seed", "-1"}, io.Discard)
+	if !errors.Is(err, ccba.ErrNegativeSeed) || !strings.Contains(err.Error(), "-seed") {
+		t.Errorf("-seed -1: got %v, want an error naming the flag", err)
 	}
 }

@@ -47,18 +47,16 @@ type benchCase struct {
 // DeltaOne must keep the PR1 zero-allocation fast path (allocs/op on par
 // with CoreIdealN1000), while delta=3 worst-case runs the general
 // per-link scheduler at full fan-out to iteration exhaustion.
-// The three CoreIdeal*Sparse cases track the large-N engine path:
-// N1000Sparse sits next to CoreIdealN1000 so the sparse path's overhead at
-// ordinary sizes stays visible, N10k/N100k are the scaling points the E13
-// experiment sweeps — the dense engine has no tracked cases there because
-// the sparse path is the supported way to run them.
+// The CoreIdeal*Sparse cases track the large-N node representation:
+// N1000Sparse sits next to CoreIdealN1000 so its overhead at ordinary
+// sizes stays visible, N10k/N100k are the scaling points the E13
+// experiment sweeps — map-backed runs have no tracked cases there because
+// Sparse is the supported way to run them.
 var cases = []benchCase{
 	{Name: "CoreIdealN200", Cfg: ccba.Config{Protocol: ccba.Core, N: 200, F: 60, Lambda: 40}},
 	{Name: "CoreIdealN1000", Cfg: ccba.Config{Protocol: ccba.Core, N: 1000, F: 300, Lambda: 40}},
 	{Name: "CoreIdealN1000Sparse", Cfg: ccba.Config{Protocol: ccba.Core, N: 1000, F: 300, Lambda: 40, Sparse: true}},
 	{Name: "CoreIdealN10kSparse", Cfg: ccba.Config{Protocol: ccba.Core, N: 10_000, F: 3_000, Lambda: 40, Sparse: true}},
-	{Name: "CoreIdealN10kSparseW1", Cfg: ccba.Config{Protocol: ccba.Core, N: 10_000, F: 3_000, Lambda: 40, Sparse: true, SparseWorkers: 1}},
-	{Name: "CoreIdealN10kSparseW4", Cfg: ccba.Config{Protocol: ccba.Core, N: 10_000, F: 3_000, Lambda: 40, Sparse: true, SparseWorkers: 4}},
 	{Name: "CoreRealN10kSparse", Cfg: ccba.Config{Protocol: ccba.Core, N: 10_000, F: 3_000, Lambda: 40, Crypto: ccba.Real, Sparse: true}},
 	{Name: "CoreIdealN100kSparse", Cfg: ccba.Config{Protocol: ccba.Core, N: 100_000, F: 30_000, Lambda: 40, Sparse: true}},
 	// The E13 stretch point; run explicitly with -only N1MSparse. One
@@ -133,10 +131,10 @@ type Result struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
-	// GOMAXPROCS and Workers pin the parallelism the case ran with:
-	// Workers is the resolved execution worker count (sparse shard
-	// stepping or trial pool; 0 for purely serial cases), so speedup
-	// comparisons across hosts and PRs need no side-channel.
+	// GOMAXPROCS and Workers pin the parallelism the case ran with: the
+	// round engine steps nodes on min(GOMAXPROCS, n) workers, and Workers
+	// is the resolved trial-pool size of a sweep case (0 elsewhere), so
+	// speedup comparisons across hosts and PRs need no side-channel.
 	GOMAXPROCS int `json:"gomaxprocs"`
 	Workers    int `json:"workers,omitempty"`
 	// PeakHeapBytes is the maximum live heap (runtime.ReadMemStats
@@ -196,22 +194,6 @@ func run(args []string) error {
 		rep.Notes = strings.Split(*notes, ";")
 	}
 
-	// sparseWorkers resolves the shard-stepping worker count a sparse case
-	// executes with, mirroring the engine's 0 = GOMAXPROCS default.
-	sparseWorkers := func(cfg ccba.Config) int {
-		if !cfg.Sparse {
-			return 0
-		}
-		w := cfg.SparseWorkers
-		if w <= 0 {
-			w = maxprocs
-		}
-		if w > cfg.N {
-			w = cfg.N
-		}
-		return w
-	}
-
 	for _, c := range cases {
 		if *only == "" && c.Heavy {
 			continue // stretch points run only when named explicitly
@@ -232,7 +214,6 @@ func run(args []string) error {
 			BytesPerOp:    r.AllocedBytesPerOp(),
 			AllocsPerOp:   r.AllocsPerOp(),
 			GOMAXPROCS:    maxprocs,
-			Workers:       sparseWorkers(c.Cfg),
 			PeakHeapBytes: peak,
 			Intern:        intern,
 		})

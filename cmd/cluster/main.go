@@ -141,10 +141,10 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			}
 		}
 	}
-	cfg.Seed = [32]byte{}
-	cfg.Seed[0] = byte(*seed)
-	cfg.Seed[1] = byte(*seed >> 8)
-	cfg.Seed[2] = byte(*seed >> 16)
+	var err error
+	if cfg.Seed, err = ccba.SeedFromInt(*seed); err != nil {
+		return err
+	}
 	if set["sender-input"] || *scenarioName == "" {
 		cfg.SenderInput = ccba.Zero
 		if *senderInput == 1 {
@@ -214,7 +214,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 
 	var rep *cluster.Report
-	var err error
 	switch {
 	case *transportName == "chan":
 		if *node >= 0 {

@@ -136,10 +136,30 @@ func TestRejections(t *testing.T) {
 		{"-transport", "tcp", "-node", "0"},                  // -node without -peers
 		{"-transport", "carrier-pigeon"},                     // unknown transport
 		{"-transport", "tcp", "-node", "0", "-peers", "a,b"}, // peer count mismatch (n=200)
+		{"-seed", "-1"},                                      // negative seed
 	}
 	for _, args := range cases {
 		if err := run(context.Background(), args, io.Discard); err == nil {
 			t.Errorf("%v succeeded", args)
 		}
+	}
+}
+
+// cmd/cluster widens -seed exactly as cmd/ba does (ccba.SeedFromInt), so
+// seeds 2²⁴ apart are different executions here too.
+func TestSeedUsesAllBits(t *testing.T) {
+	metricsAt := func(seed string) any {
+		var buf bytes.Buffer
+		if err := run(context.Background(), []string{"-n", "60", "-f", "15", "-lambda", "16", "-seed", seed, "-json"}, &buf); err != nil {
+			t.Fatalf("-seed %s: %v", seed, err)
+		}
+		var doc map[string]any
+		if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(doc["rounds"], doc["metrics"])
+	}
+	if low, high := metricsAt("5"), metricsAt("16777221"); low == high {
+		t.Errorf("-seed 5 and -seed 5+2^24 are the same execution: %v", low)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"testing"
+
+	"ccba/internal/testenv"
 )
 
 // The golden values below were captured from the pre-refactor round engine
@@ -76,17 +78,21 @@ func outputsDigest(rep *Report) string {
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
+// goldenProcs are the GOMAXPROCS settings the goldens are rerun at — the
+// round engine steps nodes on min(GOMAXPROCS, n) workers, so "serial" is
+// one worker and the rest are sharded stepping.
+var goldenProcs = []struct {
+	name  string
+	procs int
+}{{"serial", 1}, {"parallel", 2}, {"parallel-3", 3}, {"parallel-7", 7}}
+
 func TestFixedSeedGoldens(t *testing.T) {
 	for _, tc := range goldenCases {
-		for _, parallel := range []bool{false, true} {
-			name := tc.name + "/serial"
-			if parallel {
-				name = tc.name + "/parallel"
-			}
-			t.Run(name, func(t *testing.T) {
+		for _, v := range goldenProcs {
+			t.Run(tc.name+"/"+v.name, func(t *testing.T) {
+				testenv.SetGOMAXPROCS(t, v.procs)
 				cfg := tc.cfg
 				cfg.Seed[0] = 7
-				cfg.Parallel = parallel
 				rep, err := Run(cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -137,33 +143,36 @@ func TestDeltaOneExplicitMatchesGoldens(t *testing.T) {
 	}
 }
 
-// Two executions of the same configuration must agree exactly — including
-// across serial and parallel stepping — beyond the spot-checked goldens:
-// every output, decision flag, and halt flag.
+// Two executions of the same configuration must agree exactly — at every
+// GOMAXPROCS, i.e. every stepping worker count — beyond the spot-checked
+// goldens: every output, decision flag, and halt flag.
 func TestSerialParallelIdentical(t *testing.T) {
 	for _, tc := range goldenCases {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(parallel bool) *Report {
+			run := func(procs int) *Report {
+				testenv.SetGOMAXPROCS(t, procs)
 				cfg := tc.cfg
 				cfg.Seed[0] = 7
-				cfg.Parallel = parallel
 				rep, err := Run(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				return rep
 			}
-			a, b := run(false), run(true)
-			for i := range a.Outputs {
-				if a.Outputs[i] != b.Outputs[i] || a.Decided[i] != b.Decided[i] || a.Halted[i] != b.Halted[i] {
-					t.Fatalf("node %d: serial (%v,%v,%v) vs parallel (%v,%v,%v)",
-						i, a.Outputs[i], a.Decided[i], a.Halted[i],
-						b.Outputs[i], b.Decided[i], b.Halted[i])
+			a := run(1)
+			for _, procs := range testenv.Procs[1:] {
+				b := run(procs)
+				for i := range a.Outputs {
+					if a.Outputs[i] != b.Outputs[i] || a.Decided[i] != b.Decided[i] || a.Halted[i] != b.Halted[i] {
+						t.Fatalf("node %d: serial (%v,%v,%v) vs GOMAXPROCS=%d (%v,%v,%v)",
+							i, a.Outputs[i], a.Decided[i], a.Halted[i],
+							procs, b.Outputs[i], b.Decided[i], b.Halted[i])
+					}
 				}
-			}
-			if a.Rounds != b.Rounds || a.Result.Metrics != b.Result.Metrics {
-				t.Fatalf("rounds/metrics differ: %d %+v vs %d %+v",
-					a.Rounds, a.Result.Metrics, b.Rounds, b.Result.Metrics)
+				if a.Rounds != b.Rounds || a.Result.Metrics != b.Result.Metrics {
+					t.Fatalf("GOMAXPROCS=%d: rounds/metrics differ: %d %+v vs %d %+v",
+						procs, a.Rounds, a.Result.Metrics, b.Rounds, b.Result.Metrics)
+				}
 			}
 		})
 	}

@@ -293,3 +293,27 @@ func TestDesignSectionEightCoversAnalyzers(t *testing.T) {
 		}
 	}
 }
+
+// TestDocsDoNotNameDeletedKnobs keeps README and DESIGN from describing
+// options that no longer exist: the stepping worker count is
+// min(GOMAXPROCS, n) and nothing selects it. The one exemption is a table
+// row marked as a dated record ("PR <n> record"), which may say what flag a
+// historical measurement was taken with.
+func TestDocsDoNotNameDeletedKnobs(t *testing.T) {
+	deleted := regexp.MustCompile("(^|[\\s`])-parallel\\b|-sparse-workers|SparseWorkers|Config\\.Parallel|`Parallel: true`")
+	record := regexp.MustCompile(`PR \d+ record`)
+	for _, path := range []string{"README.md", "DESIGN.md"} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(data), "\n") {
+			if strings.HasPrefix(line, "|") && record.MatchString(line) {
+				continue
+			}
+			if m := deleted.FindString(line); m != "" {
+				t.Errorf("%s:%d names %q, which no longer exists", path, i+1, m)
+			}
+		}
+	}
+}

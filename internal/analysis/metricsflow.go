@@ -9,8 +9,8 @@ import (
 // Metricsflow guards the paper's communication-complexity accounting
 // (Definitions 6–7): the fields of netsim.Metrics may only be written
 // inside methods declared on the type itself — CountSend, Add, and the
-// wire codec — so the lockstep engine, the sparse path, and the live
-// cluster runtime can never drift apart on what a send costs. Reading the
+// wire codec — so the lockstep engine and the live cluster runtime can
+// never drift apart on what a send costs. Reading the
 // fields is free; writing them anywhere else re-implements the accounting
 // rule and is exactly the drift the analyzer exists to stop (DESIGN.md §8).
 var Metricsflow = &Analyzer{

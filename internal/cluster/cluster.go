@@ -198,9 +198,8 @@ func prepare(cfg scenario.Config, opts Options) (*plan, error) {
 		return nil, fmt.Errorf("cluster: net model %q is simulated message scheduling; live faults are injected at the transport instead (RunChaos), with the synchronizer's Options.Delta bounding delivery (or run this config through ccba.Run)", cfg.Net)
 	}
 	if cfg.Sparse {
-		return nil, fmt.Errorf("cluster: Sparse is the simulator's large-N delivery path; a live cluster already holds only per-node state per process (run this config through ccba.Run instead)")
+		return nil, fmt.Errorf("cluster: Sparse is the simulator's large-N node representation; a live cluster already holds only per-node state per process (run this config through ccba.Run instead)")
 	}
-	cfg.Parallel = false // node-level parallelism is the cluster itself
 	normalized, err := cfg.Normalized()
 	if err != nil {
 		return nil, err

@@ -78,12 +78,12 @@ type Config struct {
 	MaxIters int
 	// Suite provides eligibility election (F_mine or the VRF compiler).
 	Suite fmine.Suite
-	// Compact selects the memory-lean node representation of the large-N
-	// engine path (DESIGN.md §6): the per-iteration vote/commit attestation
+	// Compact selects the memory-lean node representation of Sparse runs
+	// (DESIGN.md §6): the per-iteration vote/commit attestation
 	// maps are replaced by a two-slot sliding window whose sets are recycled
 	// across iterations, so a node's footprint is bounded by the committee
 	// size instead of growing with every iteration executed. Valid only
-	// under the sparse path's delivery regime (lockstep Δ = 1, passive
+	// under the Sparse delivery regime (lockstep Δ = 1, passive
 	// adversary), where protocol traffic only ever touches the current and
 	// previous iteration; traffic beyond the window is ignored.
 	Compact bool

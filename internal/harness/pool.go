@@ -3,11 +3,10 @@ package harness
 import "sync"
 
 // Pool is a persistent pool of worker goroutines fed integer task indices.
-// It exists because the repo's parallel loops — dense node stepping, sparse
-// shard stepping, trial fan-out — all have the same shape: a fixed worker
-// count, thousands of cheap tasks per round, and a hard requirement that
-// task results land in caller-owned, index-addressed storage so parallel
-// execution stays bit-identical to serial. Spawning a goroutine per task
+// It exists for the round engine's shard stepping: a fixed worker count, one
+// batch of tasks per round, and a hard requirement that task results land
+// in caller-owned, index-addressed storage so parallel execution stays
+// bit-identical to serial. Spawning a goroutine per task
 // dominated parallel runs before the pooled design; the pool starts its
 // workers once per execution and feeds them indices.
 //

@@ -66,7 +66,8 @@ func (c *Ctx) Inbox(id types.NodeID) ([]Delivered, error) {
 	if c.rt.status[id] != types.Corrupt {
 		return nil, fmt.Errorf("%w: inbox of honest node %d", ErrNotCorrupt, id)
 	}
-	return c.rt.inboxes[id], nil
+	var scratch []Delivered
+	return c.rt.inbox(c.round, id, &scratch), nil
 }
 
 // Corrupt adaptively corrupts node id, handing over its state machine and
@@ -96,7 +97,6 @@ func (c *Ctx) Corrupt(id types.NodeID) (Seized, error) {
 			ErrBudget, c.rt.cfg.F, c.rt.honestFaultyCount())
 	}
 	c.rt.status[id] = types.Corrupt
-	c.rt.corruptAt[id] = c.round
 	seized := Seized{ID: id, Node: c.rt.nodes[id]}
 	if c.rt.cfg.Seize != nil {
 		seized.Keys = c.rt.cfg.Seize(id)

@@ -11,8 +11,8 @@
 //
 // Message timing is the NetModel's job: each (sender, recipient) link of a
 // round-r send is assigned a delivery round in [r+1, r+∆]. The default
-// DeltaOne model is the lockstep ∆ = 1 engine, bit-identical to the
-// pre-model runtime and allocation-free in steady state; the other models —
+// DeltaOne model is lockstep ∆ = 1, bit-identical to the pre-model
+// runtime and allocation-free in steady state; the other models —
 // worst-case ∆-delay, seeded jitter, per-link omission faults, temporary
 // partitions — exercise the adversary's classic synchronous power of
 // delaying honest messages up to the bound. The Runtime enforces the
@@ -34,16 +34,21 @@
 //     machine and secret keys to the adversary and stops the Runtime from
 //     stepping it.
 //
-// For executions with hundreds of thousands of nodes, Config.Sparse selects
-// the memory-lean large-N delivery path: per-round state sized by actual
-// traffic instead of O(n) per-node buffers, restricted to lockstep ∆ = 1
-// with a passive adversary and observationally equivalent to the dense
-// engine there (DESIGN.md §6).
+// There is one round engine (Runtime): nodes step in min(GOMAXPROCS, n)
+// contiguous id shards, a serial shard-order merge builds the envelope list,
+// and per-round state is sized by actual traffic. It holds n-sized state
+// only when the configuration asks for it — corruption status under a
+// non-Passive adversary, the delivery ring under a non-DeltaOne model, the
+// decide bitmap under a Tracer — so executions with hundreds of thousands of
+// nodes need no separate path. Config.Sparse selects nothing; it asserts the
+// passive lockstep regime and makes NewRuntime fail closed outside it
+// (DESIGN.md §6).
 //
-// Either engine's Result is judged by the one set of property checkers
+// A Result is judged by the one set of property checkers
 // (CheckConsistency, CheckAgreementValidity, CheckBroadcastValidity,
 // CheckTermination): they range over Result.EachForeverHonest and allocate
-// nothing on a passing execution, so there is no separate large-N variant.
+// nothing on a passing execution, so there is no separate large-N variant
+// of them either.
 //
 // Architecture: DESIGN.md §2 — synchronous round runtime and network models.
 package netsim

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"ccba/internal/testenv"
 	"ccba/internal/types"
 	"ccba/internal/wire"
 )
@@ -86,24 +87,33 @@ func TestRunPassive(t *testing.T) {
 	}
 }
 
+// NewRuntime steps nodes on min(GOMAXPROCS, n) workers; outputs and metrics
+// must not depend on how many that is.
 func TestParallelMatchesSequential(t *testing.T) {
 	input := func(i int) types.Bit { return types.BitFromBool(i%3 == 0) }
-	run := func(parallel bool) *Result {
+	run := func(procs int) *Result {
+		testenv.SetGOMAXPROCS(t, procs)
 		nodes := echoNodes(9, 3, input)
-		rt, err := NewRuntime(Config{N: 9, F: 0, MaxRounds: 20, Parallel: parallel}, nodes, nil)
+		rt, err := NewRuntime(Config{N: 9, F: 0, MaxRounds: 20}, nodes, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if len(rt.shards) != procs {
+			t.Fatalf("GOMAXPROCS=%d: %d shards", procs, len(rt.shards))
+		}
 		return rt.Run()
 	}
-	seq, par := run(false), run(true)
-	for i := range seq.Outputs {
-		if seq.Outputs[i] != par.Outputs[i] {
-			t.Fatalf("node %d: sequential %v vs parallel %v", i, seq.Outputs[i], par.Outputs[i])
+	seq := run(1)
+	for _, procs := range testenv.Procs[1:] {
+		par := run(procs)
+		for i := range seq.Outputs {
+			if seq.Outputs[i] != par.Outputs[i] {
+				t.Fatalf("node %d: sequential %v vs GOMAXPROCS=%d %v", i, seq.Outputs[i], procs, par.Outputs[i])
+			}
 		}
-	}
-	if seq.Metrics != par.Metrics {
-		t.Fatalf("metrics differ: %+v vs %+v", seq.Metrics, par.Metrics)
+		if seq.Metrics != par.Metrics {
+			t.Fatalf("GOMAXPROCS=%d: metrics differ: %+v vs %+v", procs, seq.Metrics, par.Metrics)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 
@@ -26,91 +27,100 @@ type Config struct {
 	// Net is the message-scheduling model (nil = DeltaOne lockstep). See
 	// NetModel for the delivery-bound and power-enforcement contract.
 	Net NetModel
-	// Parallel steps honest nodes on a persistent worker pool within each
-	// round. Protocol state machines are independent, so this is safe; it
-	// trades determinism of memory-allocation patterns, not of results.
-	Parallel bool
-	// Sparse selects the memory-lean large-N engine path (DESIGN.md §6):
-	// per-round state is sized by actual traffic — the shared multicast
-	// list plus the few unicast extras — instead of O(n) per-node buffers,
-	// so executions with hundreds of thousands of nodes fit comfortably in
-	// memory. Restricted to the delta-one lockstep model with a passive
-	// adversary; NewRuntime rejects anything else. On the configurations
-	// it accepts the path is observationally equivalent to the dense
-	// engine (same deliveries, metrics, rounds, outputs).
+	// Sparse asserts that the execution is in the regime where the engine
+	// holds no n-sized state (DESIGN.md §6): the delta-one lockstep model
+	// (no per-node delay ring) and a passive adversary (no status arrays).
+	// It selects nothing — the one engine is traffic-sized wherever the
+	// model and the adversary allow — but NewRuntime fails closed with
+	// ErrSparseNet or ErrSparseAdversary instead of building that state for
+	// a caller who sized the run on its absence.
 	Sparse bool
-	// SparseWorkers shards sparse-path node stepping across a bounded
-	// worker pool: node IDs are split into contiguous shards, stepped
-	// concurrently, and the per-shard send lists merged back into
-	// canonical envelope order, so results are byte-identical for every
-	// worker count. 0 defaults to GOMAXPROCS; 1 steps serially. Only valid
-	// with Sparse (the dense engine has Parallel).
-	SparseWorkers int
 	// Tracer receives the round-lifecycle event stream (DESIGN.md §10):
 	// round starts, deliveries and sends with their Definitions 6–7 sizes,
 	// decide/halt transitions, watermark marks, and injected link faults.
-	// Trace content is a pure function of (config, seed) — identical for
-	// serial, Parallel, and every SparseWorkers count. Nil disables
-	// tracing; the engines then allocate no trace state and the hot paths
-	// pay one predictable branch per round section. Implementations must
-	// accept concurrent Emit calls (the sparse shards emit in parallel).
+	// Trace content is a pure function of (config, seed) — identical at
+	// every GOMAXPROCS. Nil disables tracing; the engine then allocates no
+	// trace state and the hot paths pay one predictable branch per round
+	// section. Implementations must accept concurrent Emit calls (the
+	// shards emit in parallel).
 	Tracer obs.Tracer
 }
 
+// Construction errors of the Config.Sparse assertion.
+var (
+	ErrSparseNet       = errors.New("netsim: Sparse requires the delta-one lockstep model (any other keeps n delivery lists per future round)")
+	ErrSparseAdversary = errors.New("netsim: Sparse requires a passive adversary (any other needs per-node corruption state)")
+)
+
 // Runtime executes one protocol instance under one adversary.
 //
-// The round engine is allocation-free in steady state: envelopes live in a
-// round-scoped slab, the multicast fan-out is a single per-round list shared
-// by every recipient's inbox, and all per-round buffers are reused across
-// rounds. Consequently envelopes and inbox slices are only valid during the
-// round they belong to — adversaries and nodes must not retain them across
-// rounds (no strategy in this repository does).
+// There is one round engine. Node ids are carved into min(GOMAXPROCS, n)
+// contiguous shards; each round every shard steps its live nodes in id
+// order into a private envelope slab, a serial merge concatenates the slabs
+// in shard order — exactly (node id, send) order — into the adversary's
+// window, and what survives the window is delivered. Results are therefore
+// byte-identical at every worker count.
+//
+// State is sized by the round's traffic unless the configuration asks for
+// more: the status array exists only under a non-passive adversary, the
+// ∆+1 delivery ring only under a non-delta-one model, the decide bitmap
+// only under a tracer. The engine is allocation-free in steady state: slabs,
+// the envelope list and the shared multicast list every inbox aliases are
+// reused across rounds. Consequently envelopes and inbox slices are only
+// valid during the round they belong to — adversaries and nodes must not
+// retain them across rounds (no strategy in this repository does).
 type Runtime struct {
-	cfg       Config
-	nodes     []Node
-	status    []types.Status
-	corruptAt []int // round at which the node was corrupted, -1 if honest
-	adv       Adversary
-	metrics   Metrics
+	cfg     Config
+	nodes   []Node
+	adv     Adversary
+	metrics Metrics
+
+	// status is nil under the Passive adversary: nobody can corrupt, so
+	// every node is forever honest and no window is opened.
+	status []types.Status
 
 	net      NetModel
-	lockstep bool   // net is the DeltaOne model: take the zero-alloc fast path
+	lockstep bool   // net is the DeltaOne model: deliver through shared/extras
 	faulty   []bool // omission-faulty senders declared by the model, nil if none
 
-	inboxes [][]Delivered // per-node view of the current round's deliveries
+	shards []shard
+	pool   *harness.Pool // steps the shards; nil when there is one
 
-	// Round-scoped buffers, reused across rounds.
-	sends   [][]Send      // per-node sends produced this round
-	envSlab []Envelope    // backing storage for this round's envelopes
-	envs    []*Envelope   // the adversary-visible envelope list
-	shared  []Delivered   // multicast deliveries common to every inbox
-	extras  []extraList   // per-recipient deliveries interleaved into shared
-	merged  [][]Delivered // per-node merge buffers, only for nodes with extras
+	// envs is the adversary-visible envelope list of the current round:
+	// pointers into the shard slabs, plus heap envelopes for injections.
+	envs []*Envelope
+
+	// Lockstep delivery state: the multicasts every node's inbox aliases,
+	// and, keyed by the few recipients that have any, the deliveries meant
+	// for them alone. Written by lockstepDeliveries in round r, read-only
+	// while the shards step round r+1.
+	shared []Delivered
+	extras map[types.NodeID]extraList
 
 	// Scheduled-delivery state (non-lockstep models): a ring of ∆+1 future
 	// rounds, each holding per-node delivery lists reused across laps.
 	buckets [][][]Delivered
 
-	// sparse is the traffic-sized delivery engine of the large-N path
-	// (non-nil when Config.Sparse); when set, none of the per-node buffer
-	// arrays above are allocated.
-	sparse *sparseState
-
-	// Trace state, allocated only when Config.Tracer is set, so the
-	// traced-off engine keeps its exact allocation profile. trStepped
-	// records which nodes the current round stepped (the post-step
-	// emission loop runs after Halted may have flipped); trDecided
+	// Trace state, allocated only when Config.Tracer is set. trDecided
 	// deduplicates EvDecide to the transition round; faultSeq counts
 	// injected faults per sender within the current round (general path
 	// only). faultKind is the network model's optional drop classifier.
 	tr        obs.Sink
-	trStepped []bool
 	trDecided []bool
 	faultSeq  map[types.NodeID]uint32
 	faultKind faultKinder
 
-	pool     *harness.Pool
 	curRound int // round currently being stepped, read by pool workers
+}
+
+// shard is one worker's slice of a round: the nodes [lo, hi) it steps and
+// the private buffers their sends accumulate into, reused across rounds.
+type shard struct {
+	lo, hi  int
+	slab    []Envelope  // this round's sends, in (node id, send) order
+	merge   []Delivered // inbox scratch for a node that has extras
+	metrics Metrics     // Definitions 6–7 counts of the slab
+	done    bool        // every node of the shard is halted or corrupt
 }
 
 // faultKinder is an optional NetModel extension: a model that can drop for
@@ -131,8 +141,15 @@ type extraEntry struct {
 
 type extraList []extraEntry
 
-// NewRuntime builds a runtime over n constructed nodes.
+// NewRuntime builds a runtime over n constructed nodes. Nodes are stepped
+// by min(GOMAXPROCS, n) workers.
 func NewRuntime(cfg Config, nodes []Node, adv Adversary) (*Runtime, error) {
+	return newRuntime(cfg, nodes, adv, runtime.GOMAXPROCS(0))
+}
+
+// newRuntime is NewRuntime with the worker count as a parameter, so tests
+// can sweep it without touching the process-wide GOMAXPROCS.
+func newRuntime(cfg Config, nodes []Node, adv Adversary, workers int) (*Runtime, error) {
 	if cfg.N != len(nodes) {
 		return nil, fmt.Errorf("netsim: config N=%d but %d nodes supplied", cfg.N, len(nodes))
 	}
@@ -156,6 +173,13 @@ func NewRuntime(cfg Config, nodes []Node, adv Adversary) (*Runtime, error) {
 		return nil, err
 	}
 	_, lockstep := cfg.Net.(deltaOne)
+	_, passive := adv.(Passive)
+	if cfg.Sparse && !lockstep {
+		return nil, ErrSparseNet
+	}
+	if cfg.Sparse && !passive {
+		return nil, ErrSparseAdversary
+	}
 	rt := &Runtime{
 		cfg:      cfg,
 		nodes:    nodes,
@@ -163,46 +187,19 @@ func NewRuntime(cfg Config, nodes []Node, adv Adversary) (*Runtime, error) {
 		net:      cfg.Net,
 		lockstep: lockstep,
 		faulty:   faulty,
+		shards:   carveShards(cfg.N, workers),
 		tr:       obs.NewSink(cfg.Tracer),
 	}
-	if cfg.SparseWorkers < 0 {
-		return nil, fmt.Errorf("netsim: SparseWorkers=%d cannot be negative", cfg.SparseWorkers)
+	if lockstep {
+		rt.extras = make(map[types.NodeID]extraList)
 	}
-	if cfg.Sparse {
-		if !lockstep {
-			return nil, ErrSparseNet
+	if !passive {
+		rt.status = make([]types.Status, cfg.N)
+		for i := range rt.status {
+			rt.status[i] = types.Honest
 		}
-		if _, passive := adv.(Passive); !passive {
-			return nil, ErrSparseAdversary
-		}
-		if cfg.Parallel {
-			return nil, ErrSparseParallel
-		}
-		// No per-node buffers, no status/corruption bookkeeping: the
-		// passive-only contract means every node is forever honest. The
-		// decide-transition bitmap is tracing's one O(n) exception, paid
-		// only when a tracer is attached.
-		rt.sparse = newSparseState(cfg.N, cfg.SparseWorkers)
-		if cfg.Tracer != nil {
-			rt.trDecided = make([]bool, cfg.N)
-		}
-		return rt, nil
-	}
-	if cfg.SparseWorkers != 0 {
-		return nil, ErrSparseWorkers
-	}
-	rt.status = make([]types.Status, cfg.N)
-	rt.corruptAt = make([]int, cfg.N)
-	rt.inboxes = make([][]Delivered, cfg.N)
-	rt.sends = make([][]Send, cfg.N)
-	rt.extras = make([]extraList, cfg.N)
-	rt.merged = make([][]Delivered, cfg.N)
-	for i := range rt.status {
-		rt.status[i] = types.Honest
-		rt.corruptAt[i] = -1
 	}
 	if cfg.Tracer != nil {
-		rt.trStepped = make([]bool, cfg.N)
 		rt.trDecided = make([]bool, cfg.N)
 		if !lockstep {
 			rt.faultSeq = make(map[types.NodeID]uint32)
@@ -210,6 +207,17 @@ func NewRuntime(cfg Config, nodes []Node, adv Adversary) (*Runtime, error) {
 		}
 	}
 	return rt, nil
+}
+
+// carveShards partitions the ids [0, n) into min(workers, n) contiguous
+// ranges (at least one) whose sizes differ by at most one.
+func carveShards(n, workers int) []shard {
+	workers = max(1, min(workers, n))
+	shards := make([]shard, workers)
+	for k := range shards {
+		shards[k] = shard{lo: k * n / workers, hi: (k + 1) * n / workers}
+	}
+	return shards
 }
 
 // Result summarises an execution.
@@ -230,9 +238,6 @@ type Result struct {
 	// Rounds is the number of rounds executed.
 	Rounds  int
 	Metrics Metrics
-	// Sparse carries the large-N path's online telemetry; nil on the dense
-	// engine, so dense results are byte-for-byte what they always were.
-	Sparse *SparseStats
 }
 
 // ForeverHonest returns the IDs of nodes that were never corrupted.
@@ -269,19 +274,11 @@ func (rt *Runtime) Run() *Result {
 // granularity keeps the hot path untouched — a round is the natural
 // preemption point of a lockstep engine.
 func (rt *Runtime) RunCtx(ctx context.Context) (*Result, error) {
-	if rt.sparse == nil {
-		// The sparse path skips the setup window: its adversary is
-		// validated passive, and a Ctx needs the status bookkeeping the
-		// sparse runtime never allocates.
-		setupCtx := rt.newCtx(-1, nil)
-		rt.adv.Setup(setupCtx)
+	if rt.status != nil {
+		rt.adv.Setup(rt.newCtx(-1, nil))
 	}
-
-	if rt.cfg.Parallel {
-		rt.pool = harness.NewPool(runtime.GOMAXPROCS(0), rt.stepOne)
-		defer rt.pool.Close()
-	} else if rt.sparse != nil && rt.sparse.workers > 1 {
-		rt.pool = harness.NewPool(rt.sparse.workers, rt.stepSparseShard)
+	if len(rt.shards) > 1 {
+		rt.pool = harness.NewPool(len(rt.shards), rt.stepShard)
 		defer rt.pool.Close()
 	}
 
@@ -298,132 +295,61 @@ func (rt *Runtime) RunCtx(ctx context.Context) (*Result, error) {
 	return rt.collect(round), nil
 }
 
-// stepOne advances node i in the current round; it is the worker-pool task
-// body.
-func (rt *Runtime) stepOne(i int) {
-	rt.sends[i] = rt.nodes[i].Step(rt.curRound, rt.inboxes[i])
+// isCorrupt reports whether node id has been corrupted; never, under the
+// Passive adversary.
+func (rt *Runtime) isCorrupt(id types.NodeID) bool {
+	return rt.status != nil && rt.status[id] == types.Corrupt
 }
 
 // stepRound executes one round; it returns true when all so-far-honest
 // nodes have halted.
 func (rt *Runtime) stepRound(round int) (done bool) {
-	if rt.sparse != nil {
-		return rt.sparseStepRound(round)
-	}
 	n := rt.cfg.N
-
-	// Trace: round starts and inbox reads for every node about to step,
-	// emitted serially before the (possibly parallel) stepping so the
-	// stream never depends on pool scheduling. trStepped snapshots the
-	// stepped set for the post-step loop below, which runs after Halted
-	// may have flipped.
-	if rt.tr.Enabled() {
-		if rt.faultSeq != nil {
-			clear(rt.faultSeq)
-		}
-		for i := 0; i < n; i++ {
-			if rt.status[i] != types.Honest || rt.nodes[i].Halted() {
-				continue
-			}
-			rt.trStepped[i] = true
-			rt.tr.RoundStart(round, types.NodeID(i))
-			for di, d := range rt.inboxes[i] {
-				rt.tr.Deliver(round, types.NodeID(i), di, d.From, wire.Size(d.Msg))
-			}
-		}
+	if rt.faultSeq != nil {
+		clear(rt.faultSeq)
 	}
 
-	// 1. So-far-honest, non-halted nodes produce their sends for this round.
-	clear(rt.sends)
+	// 1. So-far-honest, non-halted nodes produce their sends for this round,
+	// shard by shard.
 	rt.curRound = round
 	if rt.pool != nil {
-		for i := 0; i < n; i++ {
-			if rt.status[i] != types.Honest || rt.nodes[i].Halted() {
-				continue
-			}
-			rt.pool.Do(i)
+		for k := range rt.shards {
+			rt.pool.Do(k)
 		}
 		rt.pool.Wait()
 	} else {
-		for i := 0; i < n; i++ {
-			if rt.status[i] != types.Honest || rt.nodes[i].Halted() {
-				continue
-			}
-			rt.stepOne(i)
-		}
+		rt.stepShard(0)
 	}
 
-	// Trace: sends and decide/halt transitions of the stepped nodes. A
-	// node stepped this round was live at its top, so a Halted report now
-	// is the transition round — emitted exactly once.
-	if rt.tr.Enabled() {
-		for i := 0; i < n; i++ {
-			if !rt.trStepped[i] {
-				continue
-			}
-			rt.trStepped[i] = false
-			for si, s := range rt.sends[i] {
-				rt.tr.Send(round, types.NodeID(i), si, s.To, wire.Size(s.Msg))
-			}
-			if !rt.trDecided[i] {
-				if bit, ok := rt.nodes[i].Output(); ok {
-					rt.tr.Decide(round, types.NodeID(i), bit)
-					rt.trDecided[i] = true
-				}
-			}
-			if rt.nodes[i].Halted() {
-				rt.tr.Halt(round, types.NodeID(i))
-			}
-		}
-	}
-
-	// 2. Wrap sends into envelopes the adversary can observe. Envelopes are
-	// allocated from a slab sized to this round's sends; individual heap
-	// envelopes exist only for adversarial injections.
-	total := 0
-	for i := 0; i < n; i++ {
-		total += len(rt.sends[i])
-	}
-	slab := rt.envSlab[:0]
-	if cap(slab) < total {
-		slab = make([]Envelope, 0, total+total/2)
-	}
-	for i := 0; i < n; i++ {
-		for _, s := range rt.sends[i] {
-			slab = append(slab, Envelope{
-				From:       types.NodeID(i),
-				To:         s.To,
-				Msg:        s.Msg,
-				size:       wire.Size(s.Msg),
-				honestSend: true,
-			})
-		}
-	}
-	rt.envSlab = slab
+	// 2. Serial merge: the slabs, concatenated in shard order, are the
+	// envelope list in (node id, send) order. It only moves pointers and
+	// adds counters; the expensive work happened inside the shards.
 	envs := rt.envs[:0]
-	for i := range slab {
-		envs = append(envs, &slab[i])
+	done = true
+	for k := range rt.shards {
+		sh := &rt.shards[k]
+		for i := range sh.slab {
+			envs = append(envs, &sh.slab[i])
+		}
+		rt.metrics.Add(sh.metrics)
+		done = done && sh.done
 	}
 
 	// 3. Adversary window: observe, corrupt, remove (power permitting),
-	// inject. Inboxes of already-corrupt nodes are visible to it.
-	ctx := rt.newCtx(round, envs)
-	rt.adv.Round(ctx)
-	envs = ctx.envelopes()
+	// inject. Inboxes of already-corrupt nodes are visible to it. Corrupting
+	// a node that has not halted can complete the round's done condition,
+	// hence the rescan.
+	if rt.status != nil {
+		ctx := rt.newCtx(round, envs)
+		rt.adv.Round(ctx)
+		envs = ctx.envelopes()
+		if !done {
+			done = rt.honestAllHalted()
+		}
+	}
 	rt.envs = envs
 
-	// 4. Account communication complexity for messages sent by nodes that
-	// were so-far-honest at send time (Definitions 6 and 7). A message
-	// erased by after-the-fact removal was still *sent* by an honest node
-	// and is counted.
-	for _, e := range envs {
-		if !e.honestSend {
-			continue
-		}
-		rt.metrics.CountSend(e.To, n, e.size)
-	}
-
-	// 5. Deliver: multicasts reach every node (including the sender, so
+	// 4. Deliver: multicasts reach every node (including the sender, so
 	// quorum counting treats one's own vote uniformly); unicasts reach their
 	// destination. Removed envelopes vanish.
 	//
@@ -444,32 +370,125 @@ func (rt *Runtime) stepRound(round int) (done bool) {
 			rt.tr.Mark(round, types.NodeID(i), round+1)
 		}
 	}
-
-	// 6. Done when every so-far-honest node has halted.
-	done = true
-	for i := 0; i < n; i++ {
-		if rt.status[i] == types.Honest && !rt.nodes[i].Halted() {
-			done = false
-			break
-		}
-	}
 	return done
 }
 
-// lockstepDeliveries is the ∆ = 1 fast path: everything sent this round is
+// stepShard advances every live node of shard k through the current round
+// and wraps its sends into the shard's envelope slab. It is the pool's task
+// body: it writes only shard-k state and per-node state of the shard's own
+// nodes, reads only what the previous round's delivery left behind, and
+// steps nodes in id order — the invariants the deterministic merge rests
+// on.
+//
+// Communication complexity is accounted here, at send time, for messages
+// sent by so-far-honest nodes (Definitions 6 and 7). That is the same rule
+// as counting after the adversary's window: a slab envelope is never taken
+// out of the list, only flagged, so a message erased by after-the-fact
+// removal was still *sent* by an honest node and stays counted, and
+// injected envelopes never enter a slab.
+//
+// Trace events are emitted here too; the recorder accepts concurrent Emit
+// and canonicalises order at export, so the stream does not depend on the
+// worker count.
+func (rt *Runtime) stepShard(k int) {
+	sh := &rt.shards[k]
+	sh.slab = sh.slab[:0]
+	sh.metrics = Metrics{}
+	sh.done = true
+	n, round := rt.cfg.N, rt.curRound
+	traced := rt.tr.Enabled()
+	for i := sh.lo; i < sh.hi; i++ {
+		id := types.NodeID(i)
+		if rt.isCorrupt(id) || rt.nodes[i].Halted() {
+			continue
+		}
+		inbox := rt.inbox(round, id, &sh.merge)
+		if traced {
+			rt.tr.RoundStart(round, id)
+			for di, d := range inbox {
+				rt.tr.Deliver(round, id, di, d.From, wire.Size(d.Msg))
+			}
+		}
+		for si, s := range rt.nodes[i].Step(round, inbox) {
+			size := wire.Size(s.Msg)
+			if traced {
+				rt.tr.Send(round, id, si, s.To, size)
+			}
+			sh.metrics.CountSend(s.To, n, size)
+			sh.slab = append(sh.slab, Envelope{From: id, To: s.To, Msg: s.Msg, size: size, honestSend: true})
+		}
+		halted := rt.nodes[i].Halted()
+		if traced {
+			// trDecided[i] is only ever touched by the shard owning i.
+			if !rt.trDecided[i] {
+				if bit, ok := rt.nodes[i].Output(); ok {
+					rt.tr.Decide(round, id, bit)
+					rt.trDecided[i] = true
+				}
+			}
+			if halted {
+				rt.tr.Halt(round, id)
+			}
+		}
+		if !halted {
+			sh.done = false
+		}
+	}
+}
+
+// honestAllHalted reports whether every so-far-honest node has halted.
+func (rt *Runtime) honestAllHalted() bool {
+	for i, nd := range rt.nodes {
+		if !rt.isCorrupt(types.NodeID(i)) && !nd.Halted() {
+			return false
+		}
+	}
+	return true
+}
+
+// inbox returns what node id receives at the beginning of round: under the
+// lockstep model the shared multicast list, with the node's extras merged in
+// at their recorded positions when it has any (into *scratch, so the slice
+// is valid only until the scratch is reused); otherwise the node's bucket of
+// the delivery ring.
+func (rt *Runtime) inbox(round int, id types.NodeID, scratch *[]Delivered) []Delivered {
+	if !rt.lockstep {
+		if rt.buckets == nil {
+			return nil
+		}
+		return rt.buckets[round%len(rt.buckets)][id]
+	}
+	ex := rt.extras[id]
+	if len(ex) == 0 {
+		return rt.shared
+	}
+	buf := (*scratch)[:0]
+	si := 0
+	for _, en := range ex {
+		buf = append(buf, rt.shared[si:en.at]...)
+		si = en.at
+		buf = append(buf, en.d)
+	}
+	buf = append(buf, rt.shared[si:]...)
+	*scratch = buf
+	return buf
+}
+
+// lockstepDeliveries is the ∆ = 1 path: everything sent this round is
 // delivered at the beginning of the next.
 //
 // A multicast with no per-recipient removals is appended once to the shared
 // list every inbox aliases, instead of copied into each of the n inboxes.
 // Unicasts — and the rare multicast a strongly adaptive adversary erased for
 // specific recipients — become per-recipient extras, tagged with their
-// position so the merge below reproduces the exact delivery order of the
+// position so the merge in inbox reproduces the exact delivery order of the
 // envelope list.
 func (rt *Runtime) lockstepDeliveries(envs []*Envelope) {
 	n := rt.cfg.N
 	shared := rt.shared[:0]
-	for i := range rt.extras {
-		rt.extras[i] = rt.extras[i][:0]
+	clear(rt.extras)
+	extra := func(to types.NodeID, d Delivered) {
+		rt.extras[to] = append(rt.extras[to], extraEntry{at: len(shared), d: d})
 	}
 	for _, e := range envs {
 		if e.removed {
@@ -483,40 +502,26 @@ func (rt *Runtime) lockstepDeliveries(envs []*Envelope) {
 			}
 			for j := 0; j < n; j++ {
 				if !e.RemovedFor(types.NodeID(j)) {
-					rt.extras[j] = append(rt.extras[j], extraEntry{at: len(shared), d: d})
+					extra(types.NodeID(j), d)
 				}
 			}
 		} else if int(e.To) >= 0 && int(e.To) < n {
 			if !e.RemovedFor(e.To) {
-				rt.extras[e.To] = append(rt.extras[e.To], extraEntry{at: len(shared), d: d})
+				extra(e.To, d)
 			}
 		}
 	}
 	rt.shared = shared
-	for j := 0; j < n; j++ {
-		ex := rt.extras[j]
-		if len(ex) == 0 {
-			rt.inboxes[j] = shared
-			continue
-		}
-		buf := rt.merged[j][:0]
-		si := 0
-		for _, en := range ex {
-			buf = append(buf, shared[si:en.at]...)
-			si = en.at
-			buf = append(buf, en.d)
-		}
-		buf = append(buf, shared[si:]...)
-		rt.merged[j] = buf
-		rt.inboxes[j] = buf
-	}
 }
 
 // scheduleDeliveries is the general path: each surviving (envelope,
 // recipient) link is put to the network model, power-checked, and appended
 // to the delivery bucket of its assigned round. Buckets form a ring of ∆+1
 // future rounds whose per-node lists are reused across laps, so the path is
-// allocation-free in steady state like the lockstep one.
+// allocation-free in steady state like the lockstep one. The next round's
+// inbox is whatever has accumulated in its slot: sends from this round
+// scheduled at +1 together with earlier sends the model held back, in
+// chronological send order (ties broken by envelope order).
 func (rt *Runtime) scheduleDeliveries(round int, envs []*Envelope) {
 	n := rt.cfg.N
 	ring := rt.net.Delta() + 1
@@ -550,13 +555,6 @@ func (rt *Runtime) scheduleDeliveries(round int, envs []*Envelope) {
 			}
 		}
 	}
-	// The next round's inbox is whatever has accumulated for it: sends from
-	// this round scheduled at +1 together with earlier sends the model held
-	// back, in chronological send order (ties broken by envelope order).
-	next := rt.buckets[(round+1)%ring]
-	for i := 0; i < n; i++ {
-		rt.inboxes[i] = next[i]
-	}
 }
 
 // scheduleLink schedules one (envelope, recipient) link, enforcing the
@@ -570,7 +568,7 @@ func (rt *Runtime) scheduleLink(round int, e *Envelope, to types.NodeID, d Deliv
 			From:        e.From,
 			To:          to,
 			HonestSend:  e.honestSend,
-			FromCorrupt: rt.status[e.From] == types.Corrupt,
+			FromCorrupt: rt.isCorrupt(e.From),
 		})
 		if delay == Drop {
 			if rt.mayDrop(e) {
@@ -615,7 +613,7 @@ func (rt *Runtime) traceFault(round int, from, to types.NodeID) {
 func (rt *Runtime) honestFaultyCount() int {
 	n := 0
 	for id, faulty := range rt.faulty {
-		if faulty && rt.status[id] != types.Corrupt {
+		if faulty && !rt.isCorrupt(types.NodeID(id)) {
 			n++
 		}
 	}
@@ -633,7 +631,7 @@ func (rt *Runtime) mayDrop(e *Envelope) bool {
 	if !e.honestSend {
 		return true
 	}
-	return rt.status[e.From] == types.Corrupt && rt.adv.Power() == PowerStronglyAdaptive
+	return rt.isCorrupt(e.From) && rt.adv.Power() == PowerStronglyAdaptive
 }
 
 func (rt *Runtime) collect(rounds int) *Result {
@@ -657,15 +655,7 @@ func (rt *Runtime) collect(rounds int) *Result {
 		res.Outputs[i] = bit
 		res.Decided[i] = ok
 		res.Halted[i] = rt.nodes[i].Halted()
-		// The sparse path allocates no status array: its adversary is
-		// validated passive, so every node is forever honest.
-		res.Corrupt[i] = rt.status != nil && rt.status[i] == types.Corrupt
-	}
-	if rt.sparse != nil {
-		res.Sparse = &SparseStats{
-			SendsPerRound: rt.sparse.traffic.Summary(),
-			Workers:       rt.sparse.workers,
-		}
+		res.Corrupt[i] = rt.isCorrupt(types.NodeID(i))
 	}
 	return res
 }

@@ -110,8 +110,8 @@ type Event struct {
 // less orders events canonically: (Round, Node, Kind, Seq, A, B). Within
 // one (round, node) the kind order is the lifecycle order (see EventKind),
 // so a canonical sort makes the trace independent of emission interleaving
-// — sparse shards and cluster node goroutines emit concurrently, yet the
-// exported JSONL is byte-identical to a serial run's.
+// — the simulator's shards and cluster node goroutines emit concurrently,
+// yet the exported JSONL is byte-identical to a serial run's.
 func less(a, b Event) bool {
 	if a.Round != b.Round {
 		return a.Round < b.Round
@@ -132,7 +132,7 @@ func less(a, b Event) bool {
 }
 
 // Tracer receives the event stream. Implementations must be safe for
-// concurrent Emit calls: the sparse engine's shards and the cluster's node
+// concurrent Emit calls: the round engine's shards and the cluster's node
 // goroutines all emit into one tracer.
 type Tracer interface {
 	Emit(Event)

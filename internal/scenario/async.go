@@ -56,8 +56,8 @@ func (c *Config) validateAsync() error {
 	if c.Net != "" || c.Delta != 0 || c.OmissionRate != 0 || c.OmissionFaulty != 0 || c.PartitionRounds != 0 || c.MaxRounds != 0 {
 		return fmt.Errorf("scenario: protocol %q runs on the event-driven runtime; the Net/Delta/MaxRounds family does not apply (use Sched/AdvDelay/MaxDeliveries)", c.Protocol)
 	}
-	if c.Sparse || c.SparseWorkers != 0 || c.Parallel {
-		return fmt.Errorf("scenario: the event runtime is single-threaded and dense; drop Sparse/SparseWorkers/Parallel for protocol %q", c.Protocol)
+	if c.Sparse {
+		return fmt.Errorf("scenario: the event runtime has no large-N node representation; drop Sparse for protocol %q", c.Protocol)
 	}
 	if c.Adversary != nil {
 		return fmt.Errorf("scenario: async protocol %q takes faults via Crashes and Sched, not a synchronous adversary", c.Protocol)

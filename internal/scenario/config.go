@@ -157,25 +157,17 @@ type Config struct {
 	Erasure bool
 	// Adversary is the corruption strategy (nil = passive).
 	Adversary netsim.Adversary
-	// Parallel steps nodes on multiple goroutines.
-	Parallel bool
-	// Sparse selects the memory-lean large-N engine path (DESIGN.md §6):
-	// traffic-sized per-round delivery state in netsim and core's two-slot
-	// attestation window, with the nodes' attestation sets interned in one
-	// per-run table, so executions with N in the 10⁵–10⁶ range fit
-	// comfortably in memory. Observationally equivalent to the
-	// dense engine on the configurations it accepts; restricted to the
-	// delta-one lockstep model with a passive adversary (validate rejects
-	// anything else). Node stepping within a sparse round is sharded
-	// across SparseWorkers goroutines with deterministic reassembly.
+	// Sparse selects the memory-lean large-N node representation
+	// (DESIGN.md §6): core's two-slot attestation window, with the nodes'
+	// attestation sets interned in one per-run table, so executions with N
+	// in the 10⁵–10⁶ range fit comfortably in memory. The two-slot window
+	// is correct only where no traffic older than two iterations can
+	// arrive, so it is restricted to the delta-one lockstep model with a
+	// passive adversary (validate rejects anything else) — the regime in
+	// which the round engine holds no n-sized state either, which
+	// netsim.Config.Sparse asserts. Observationally equivalent to the
+	// map-backed nodes there.
 	Sparse bool
-	// SparseWorkers is the worker count for sharded sparse stepping
-	// (DESIGN.md §6): node IDs are partitioned into contiguous shards,
-	// stepped concurrently, and the per-shard send lists merged back into
-	// canonical envelope order, so results are byte-identical for every
-	// worker count. 0 defaults to GOMAXPROCS; 1 steps serially. Only valid
-	// with Sparse.
-	SparseWorkers int
 	// Tracer receives the round-lifecycle event stream (DESIGN.md §10),
 	// threaded straight through to netsim.Config.Tracer. Trace content is a
 	// pure function of the rest of the config plus Seed; nil disables
@@ -262,20 +254,11 @@ func (c *Config) validate() error {
 	}
 	if c.Sparse {
 		if c.Net != "" && c.Net != NetDeltaOne {
-			return fmt.Errorf("scenario: Sparse requires the %q lockstep model, got net %q (the Δ-scheduling ring is per-node state the sparse path exists to avoid)", NetDeltaOne, c.Net)
+			return fmt.Errorf("scenario: Sparse requires the %q lockstep model, got net %q (a delayed message can be older than the two-slot window keeps, and the Δ-scheduling ring is n-sized state)", NetDeltaOne, c.Net)
 		}
 		if c.Adversary != nil {
-			return fmt.Errorf("scenario: Sparse requires a passive adversary (the envelope window would materialise per-round state)")
+			return fmt.Errorf("scenario: Sparse requires a passive adversary (injected traffic can be older than the two-slot window keeps)")
 		}
-		if c.Parallel {
-			return fmt.Errorf("scenario: Sparse steps nodes serially; drop Parallel (sharded sparse stepping is configured via SparseWorkers)")
-		}
-	}
-	if c.SparseWorkers < 0 {
-		return fmt.Errorf("scenario: SparseWorkers=%d cannot be negative", c.SparseWorkers)
-	}
-	if c.SparseWorkers != 0 && !c.Sparse {
-		return fmt.Errorf("scenario: SparseWorkers=%d without Sparse; sharded stepping is a sparse-engine feature", c.SparseWorkers)
 	}
 	if err := c.validateAsync(); err != nil {
 		return err

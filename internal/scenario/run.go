@@ -70,12 +70,10 @@ func RunCtx(ctx context.Context, cfg Config) (*Report, error) {
 	}
 	rt, err := netsim.NewRuntime(netsim.Config{
 		N: cfg.N, F: cfg.F, MaxRounds: maxRounds,
-		Seize:         seize,
-		Net:           net,
-		Parallel:      cfg.Parallel,
-		Sparse:        cfg.Sparse,
-		SparseWorkers: cfg.SparseWorkers,
-		Tracer:        cfg.Tracer,
+		Seize:  seize,
+		Net:    net,
+		Sparse: cfg.Sparse,
+		Tracer: cfg.Tracer,
 	}, nodes, cfg.Adversary)
 	if err != nil {
 		return nil, err

@@ -7,10 +7,8 @@ import (
 
 // Stream is an online accumulator for mean/std/min/max over a sample that
 // is never materialised — Welford's algorithm, one Add per observation in
-// O(1) space. The large-N engine path uses it wherever the batch Summarize
-// would force a trial to keep per-round or per-envelope history alive: a
-// million-node sweep records its per-round traffic through a Stream and
-// retains twenty-four bytes, not a slice.
+// O(1) space, for wherever the batch Summarize would force a caller to keep
+// per-round or per-envelope history alive.
 //
 // A Stream cannot produce a median (that genuinely requires the sample);
 // callers that need one keep using Summarize on materialised data.

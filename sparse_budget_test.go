@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// Memory-regression pins for the sparse large-N path at N = 10,000
+// Memory-regression pins for Sparse runs at N = 10,000
 // (DESIGN.md §6). Sparse core-ideal at n=10k measures 41.3k allocs and
 // 8.5 MB cumulative allocation, the same to within a few allocations at
 // GOMAXPROCS 1, 2 and 4 (128k / 11 MB while every mining attempt allocated
@@ -73,7 +73,7 @@ func TestSparseHeapBudgetN10k(t *testing.T) {
 	}
 }
 
-// The real-crypto sparse path must stay within the same order of memory as
+// A real-crypto Sparse run must stay within the same order of memory as
 // the ideal one: Ed25519 costs CPU, and the lean bounded verify cache plus
 // proof-sized tickets may cost a few× the coin table, but nothing may
 // reintroduce an O(n·rounds) or unbounded-memo term. This is the budget
@@ -101,7 +101,7 @@ func TestSparseRealBudgetN10k(t *testing.T) {
 	}
 }
 
-// The sparse path must allocate strictly less than the dense engine on the
+// A Sparse run must allocate strictly less than the map-backed one on the
 // same configuration — the point of its existence. Asserted at n = 2,000
 // to keep the double run cheap.
 func TestSparseAllocatesLessThanDense(t *testing.T) {

@@ -3,34 +3,39 @@ package ccba
 import (
 	"fmt"
 	"testing"
+
+	"ccba/internal/testenv"
 )
 
-// The sparse large-N engine path (Config.Sparse, DESIGN.md §6) must be
-// observationally equivalent to the dense engine wherever it applies. Two
-// layers of pinning:
+// The large-N node representation (Config.Sparse, DESIGN.md §6: core's
+// two-slot window over interned attestation sets) must be observationally
+// equivalent to the map-backed nodes wherever it applies. There is one
+// round engine under both, so what differs is node state only. Two layers
+// of pinning:
 //
 //   - the PR1 fixed-seed goldens reproduce bit-for-bit under Sparse —
 //     same outputs digest, rounds, and all four metrics counters — at
-//     every sharded-stepping worker count (sparse runs default interning
-//     on, so this also pins interned ≡ owned attestation storage);
+//     every stepping worker count (sparse runs intern, so this also pins
+//     interned ≡ owned attestation storage);
 //   - a sweep across every protocol (both crypto modes where relevant)
-//     compares sparse runs at workers ∈ {1, 2, 4, 8} against a dense run
-//     of the same config.
+//     compares sparse runs at GOMAXPROCS ∈ {1, 2, 4, 8} against a
+//     map-backed run of the same config.
 
-// sparseEquivWorkers are the worker counts the equivalence suite sweeps:
-// serial, one shard per core of a small host, and splits past it. The
-// shards share the F_mine table and the attestation intern table without
-// locking their hit paths, so every count is a distinct interleaving.
+// sparseEquivWorkers are the GOMAXPROCS settings — hence stepping worker
+// counts — the equivalence suite sweeps: serial, one shard per core of a
+// small host, and splits past it. The shards share the F_mine table and the
+// attestation intern table without locking their hit paths, so every count
+// is a distinct interleaving.
 var sparseEquivWorkers = []int{1, 2, 4, 8}
 
 func TestSparseMatchesGoldens(t *testing.T) {
 	for _, tc := range goldenCases {
 		for _, workers := range sparseEquivWorkers {
 			t.Run(fmt.Sprintf("%s/sparse-w%d", tc.name, workers), func(t *testing.T) {
+				testenv.SetGOMAXPROCS(t, workers)
 				cfg := tc.cfg
 				cfg.Seed[0] = 7
 				cfg.Sparse = true
-				cfg.SparseWorkers = workers
 				rep, err := Run(cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -48,10 +53,8 @@ func TestSparseMatchesGoldens(t *testing.T) {
 				if rep.Result.Metrics != tc.metrics {
 					t.Errorf("metrics = %+v, want %+v", rep.Result.Metrics, tc.metrics)
 				}
-				if rep.Result.Sparse == nil {
-					t.Errorf("sparse run missing telemetry")
-				} else if rep.Result.Sparse.Workers != workers {
-					t.Errorf("telemetry workers = %d, want %d", rep.Result.Sparse.Workers, workers)
+				if rep.Intern == nil {
+					t.Errorf("sparse run did not intern")
 				}
 			})
 		}
@@ -76,17 +79,17 @@ func TestSparseMatchesDenseAcrossProtocols(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func(sparse bool, workers int) *Report {
+				testenv.SetGOMAXPROCS(t, workers)
 				cfg := tc.cfg
 				cfg.Seed[0] = 11
 				cfg.Sparse = sparse
-				cfg.SparseWorkers = workers
 				rep, err := Run(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				return rep
 			}
-			d := run(false, 0)
+			d := run(false, 1)
 			for _, workers := range sparseEquivWorkers {
 				s := run(true, workers)
 				if d.Rounds != s.Rounds || d.Result.Metrics != s.Result.Metrics {
@@ -100,8 +103,7 @@ func TestSparseMatchesDenseAcrossProtocols(t *testing.T) {
 							s.Outputs[i], s.Decided[i], s.Halted[i])
 					}
 				}
-				// The checker verdicts — streaming on the sparse path — must
-				// agree too.
+				// The checker verdicts must agree too.
 				if (d.Consistency == nil) != (s.Consistency == nil) ||
 					(d.Validity == nil) != (s.Validity == nil) ||
 					(d.Termination == nil) != (s.Termination == nil) {
@@ -125,7 +127,8 @@ func TestInternStatsAcrossWorkers(t *testing.T) {
 	const n = 2000
 	var serial InternStats
 	for _, workers := range []int{1, 2, 3, 8} {
-		cfg := Config{Protocol: Core, N: n, F: 600, Lambda: 40, Sparse: true, SparseWorkers: workers}
+		testenv.SetGOMAXPROCS(t, workers)
+		cfg := Config{Protocol: Core, N: n, F: 600, Lambda: 40, Sparse: true}
 		cfg.Seed[0] = 7
 		rep, err := Run(cfg)
 		if err != nil {
@@ -157,9 +160,6 @@ func TestSparseConfigRejections(t *testing.T) {
 	}{
 		{"worst-case-net", func(c *Config) { c.Net = NetWorstCase; c.Delta = 2 }},
 		{"jitter-net", func(c *Config) { c.Net = NetJitter; c.Delta = 2 }},
-		{"parallel", func(c *Config) { c.Parallel = true }},
-		{"workers-without-sparse", func(c *Config) { c.Sparse = false; c.SparseWorkers = 4 }},
-		{"negative-workers", func(c *Config) { c.SparseWorkers = -1 }},
 		{"adversary", func(c *Config) {
 			adv, err := NewAdversary("silent", *c, 0)
 			if err != nil {

@@ -9,16 +9,16 @@ import (
 
 	"ccba/internal/cluster"
 	"ccba/internal/obs"
+	"ccba/internal/testenv"
 	"ccba/internal/transport"
 )
 
 // The trace goldens extend the fixed-seed goldens one level down: not just
 // the end state, but the canonical JSONL of every round-lifecycle event
 // (DESIGN.md §10). The digest below pins the core-ideal-n80 trace; every
-// execution regime — serial, parallel dense stepping, sharded sparse
-// stepping at either worker count, and the live chan cluster at Δ=1 — must
-// reproduce it byte for byte, which is what makes cmd/tracediff's
-// line-by-line alignment sound.
+// execution regime — one stepping worker or several, map-backed or Sparse
+// node state, and the live chan cluster at Δ=1 — must reproduce it byte for
+// byte, which is what makes cmd/tracediff's line-by-line alignment sound.
 const traceGoldenDigest = "7dbfcf95599988a9"
 
 // traceJSONL runs cfg in the simulator with a fresh recorder attached and
@@ -53,22 +53,28 @@ func traceDigest(b []byte) string {
 func TestTraceGoldenAcrossEngines(t *testing.T) {
 	base := goldenCases[0].cfg // core-ideal-n80
 	base.Seed[0] = 7
+	testenv.SetGOMAXPROCS(t, 1)
 	serial := traceJSONL(t, base)
 	if got := traceDigest(serial); got != traceGoldenDigest {
 		t.Errorf("serial trace digest = %s, want golden %s", got, traceGoldenDigest)
 	}
+	// The shards emit concurrently; the recorder canonicalises order.
 	variants := []struct {
-		name string
-		mut  func(*Config)
+		name   string
+		procs  int
+		sparse bool
 	}{
-		{"parallel", func(c *Config) { c.Parallel = true }},
-		{"sparse-w1", func(c *Config) { c.Sparse = true; c.SparseWorkers = 1 }},
-		{"sparse-w4", func(c *Config) { c.Sparse = true; c.SparseWorkers = 4 }},
+		{"parallel", 2, false},
+		{"parallel-3", 3, false},
+		{"parallel-7", 7, false},
+		{"sparse-w1", 1, true},
+		{"sparse-w4", 4, true},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
+			testenv.SetGOMAXPROCS(t, v.procs)
 			cfg := base
-			v.mut(&cfg)
+			cfg.Sparse = v.sparse
 			got := traceJSONL(t, cfg)
 			if !bytes.Equal(got, serial) {
 				t.Errorf("%s trace differs from serial (%d vs %d bytes); debug with cmd/tracediff",
