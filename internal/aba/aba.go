@@ -27,20 +27,29 @@ type Config struct {
 	Slot int
 }
 
-// roundState is one node's bookkeeping for one ABA round.
+// Per-sender receipt flags of one round: which of a sender's messages have
+// been tallied, so a repeat is ignored. BVAL(b) is gotBVal<<b.
+const (
+	gotBVal  uint8 = 1 << 0 // and 1<<1 for BVAL(1)
+	gotAux   uint8 = 1 << 2
+	gotShare uint8 = 1 << 3
+)
+
+// roundState is one node's bookkeeping for one ABA round. Every quorum is a
+// counter moved by the delivery that changes it, deduplicated through one
+// flag byte per sender, so no transition rescans the senders.
 type roundState struct {
+	got []uint8 // per-sender receipt flags
+
 	bvalSent  [2]bool
-	bvalRecv  [][2]bool
 	bvalCount [2]int
 	bin       [2]bool
 	binFirst  types.Bit // first value that entered bin_values
 
-	auxSent bool
-	auxRecv []bool
-	auxVal  []types.Bit
+	auxSent  bool
+	auxCount [2]int // senders whose (first) AUX carried each concrete value
 
 	shareSent  bool
-	shareRecv  []bool
 	shareCount int
 	coinKnown  bool
 }
@@ -56,8 +65,11 @@ type roundState struct {
 //
 // The instance is a pure state machine: SetInput and Handle return the
 // sends they trigger; the embedding runtime moves them onto the wire.
-// Every quorum is tracked in per-sender slices — no map iteration, so
-// executions are bit-reproducible.
+// Every quorum is a counter over per-sender flags — no map iteration, so
+// executions are bit-reproducible — and the order of the sends one call
+// returns is part of the contract: the event runtime schedules a link by
+// the position its send was admitted at, so reordering two sends of one
+// call reorders the whole execution after it.
 type Instance struct {
 	cfg  Config
 	n, f int
@@ -129,7 +141,9 @@ func (in *Instance) SetInput(b types.Bit) []netsim.Send {
 		rs.bvalSent[b] = true
 		in.send(BValMsg{Round: 1, B: b})
 	}
-	in.progress()
+	// Traffic tallied before the input never ran its echo step: every round
+	// seen so far is due.
+	in.progress(1, uint32(len(in.rounds)))
 	return in.flush()
 }
 
@@ -138,23 +152,27 @@ func (in *Instance) SetInput(b types.Bit) []netsim.Send {
 // only flow once started.
 func (in *Instance) Handle(from types.NodeID, msg wire.Message) []netsim.Send {
 	in.out = in.out[:0]
+	echoLo, echoHi := uint32(1), uint32(0) // rounds whose BVAL tally moved: none
 	switch m := msg.(type) {
 	case BValMsg:
 		rs := in.rs(m.Round)
-		if !rs.bvalRecv[from][m.B] {
-			rs.bvalRecv[from][m.B] = true
+		if flag := gotBVal << m.B; rs.got[from]&flag == 0 {
+			rs.got[from] |= flag
 			rs.bvalCount[m.B]++
+			echoLo, echoHi = m.Round, m.Round
 		}
 	case AuxMsg:
 		rs := in.rs(m.Round)
-		if !rs.auxRecv[from] {
-			rs.auxRecv[from] = true
-			rs.auxVal[from] = m.B
+		if rs.got[from]&gotAux == 0 {
+			rs.got[from] |= gotAux
+			if m.B.Valid() {
+				rs.auxCount[m.B]++
+			}
 		}
 	case CoinMsg:
 		rs := in.rs(m.Round)
-		if !rs.shareRecv[from] && in.verify.Verify(coinTag(in.cfg.Domain, m.Round), from, m.Proof) {
-			rs.shareRecv[from] = true
+		if rs.got[from]&gotShare == 0 && in.verify.Verify(coinTag(in.cfg.Domain, m.Round), from, m.Proof) {
+			rs.got[from] |= gotShare
 			rs.shareCount++
 		}
 	case DoneMsg:
@@ -166,19 +184,24 @@ func (in *Instance) Handle(from types.NodeID, msg wire.Message) []netsim.Send {
 		return nil
 	}
 	if in.started && !in.halted {
-		in.progress()
+		in.progress(echoLo, echoHi)
 	}
 	return in.flush()
 }
 
-// progress drains every enabled transition to a fixpoint.
-func (in *Instance) progress() {
-	for changed := true; changed && !in.halted; {
+// progress drains every enabled transition to a fixpoint. echoLo..echoHi
+// are the rounds whose BVAL tallies moved since their echo step last ran
+// (an empty range when none did): the echo step reads nothing else that
+// changes, so it is due once, for those rounds, between the first pass's
+// DONE and round steps — where a scan of every round on every pass would
+// have found it.
+func (in *Instance) progress(echoLo, echoHi uint32) {
+	for changed := true; changed && !in.halted; echoLo, echoHi = 1, 0 {
 		changed = in.stepDone()
 		if in.halted {
 			return
 		}
-		for r := uint32(1); r <= uint32(len(in.rounds)); r++ {
+		for r := echoLo; r <= echoHi; r++ {
 			changed = in.stepEchoes(r) || changed
 		}
 		changed = in.stepRound() || changed
@@ -253,9 +276,9 @@ func (in *Instance) stepRound() bool {
 // binary values some honest node estimated.
 func (in *Instance) auxSupport(rs *roundState) int {
 	cnt := 0
-	for i := range rs.auxRecv {
-		if rs.auxRecv[i] && rs.auxVal[i].Valid() && rs.bin[rs.auxVal[i]] {
-			cnt++
+	for b, admitted := range rs.bin {
+		if admitted {
+			cnt += rs.auxCount[b]
 		}
 	}
 	return cnt
@@ -269,10 +292,8 @@ func (in *Instance) resolve(rs *roundState) {
 	in.cfg.Sink.Coin(int(in.round), in.cfg.Me, in.cfg.Slot, coin)
 
 	var vals [2]bool
-	for i := range rs.auxRecv {
-		if rs.auxRecv[i] && rs.auxVal[i].Valid() && rs.bin[rs.auxVal[i]] {
-			vals[rs.auxVal[i]] = true
-		}
+	for b, admitted := range rs.bin {
+		vals[b] = admitted && rs.auxCount[b] > 0
 	}
 	switch {
 	case vals[0] != vals[1]: // exactly one value supported
@@ -312,13 +333,7 @@ func (in *Instance) decide(b types.Bit) bool {
 // rs returns round r's state, growing the window as needed (r is 1-based).
 func (in *Instance) rs(r uint32) *roundState {
 	for uint32(len(in.rounds)) < r {
-		in.rounds = append(in.rounds, &roundState{
-			bvalRecv:  make([][2]bool, in.n),
-			auxRecv:   make([]bool, in.n),
-			auxVal:    make([]types.Bit, in.n),
-			shareRecv: make([]bool, in.n),
-			binFirst:  types.NoBit,
-		})
+		in.rounds = append(in.rounds, &roundState{got: make([]uint8, in.n), binFirst: types.NoBit})
 	}
 	return in.rounds[r-1]
 }

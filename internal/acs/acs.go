@@ -46,12 +46,22 @@ type Node struct {
 	payloads [][]byte
 	started  []bool // ABA j has received its input
 
+	// Tallies over the slots' ABAs, moved by observe when the one slot a
+	// call touched changes state, so no rule rescans the n slots.
+	seenDecided []bool // slot's decision is counted below
+	seenHalted  []bool // slot's halt is counted below
+	decided     int    // ABAs that decided
+	ones        int    // ABAs that decided 1
+	awaited     int    // ABAs that decided 1 whose BRB has not delivered yet
+	halted      int    // ABAs whose termination gadget completed
+
 	filledZeros bool
 	outputDone  bool
 	outSet      []types.NodeID
 	outBit      types.Bit
 
-	out []netsim.Send // per-call send accumulator
+	out   []netsim.Send // per-call send accumulator
+	wraps []WrapMsg     // unused tail of the current wrapper slab
 }
 
 // NewNode builds participant cfg.Me.
@@ -66,6 +76,9 @@ func NewNode(cfg Config) *Node {
 		brbDone:  make([]bool, cfg.N),
 		payloads: make([][]byte, cfg.N),
 		started:  make([]bool, cfg.N),
+
+		seenDecided: make([]bool, cfg.N),
+		seenHalted:  make([]bool, cfg.N),
 	}
 	for j := 0; j < cfg.N; j++ {
 		nd.brbs[j] = brb.NewInstance(cfg.N, cfg.F, types.NodeID(j), cfg.Me)
@@ -83,14 +96,13 @@ func NewNode(cfg Config) *Node {
 func (nd *Node) Start() []netsim.Send {
 	nd.out = nd.out[:0]
 	nd.wrap(uint32(nd.me), PartBRB, nd.brbs[nd.me].Start(nd.cfg.Input))
-	nd.progress()
 	return nd.out
 }
 
 // Deliver implements netsim.AsyncNode: route the wrapped message to its
 // slot's sub-instance, then drain the composition rules.
 func (nd *Node) Deliver(d netsim.Delivered) []netsim.Send {
-	m, ok := d.Msg.(WrapMsg)
+	m, ok := d.Msg.(*WrapMsg)
 	if !ok || int(m.Slot) >= nd.n {
 		return nil
 	}
@@ -103,67 +115,73 @@ func (nd *Node) Deliver(d netsim.Delivered) []netsim.Send {
 			payload, _ := nd.brbs[m.Slot].Delivered()
 			nd.brbDone[m.Slot] = true
 			nd.payloads[m.Slot] = payload
+			if b, ok := nd.abas[m.Slot].Decided(); ok && b == types.One {
+				nd.awaited--
+			}
 		}
 	case PartABA:
 		nd.wrap(m.Slot, PartABA, nd.abas[m.Slot].Handle(d.From, m.Inner))
+		nd.observe(int(m.Slot))
 	}
-	nd.progress()
+	nd.progress(int(m.Slot))
 	return nd.out
 }
 
-// progress drains the BKR composition rules to a fixpoint: BRB deliveries
-// start their slot's ABA with 1; n−f one-decisions start every idle ABA
-// with 0; all ABAs decided (with every included payload delivered) fixes
-// the output.
-func (nd *Node) progress() {
-	for changed := true; changed; {
-		changed = false
-		for j := 0; j < nd.n; j++ {
-			if nd.brbDone[j] && !nd.started[j] && !nd.filledZeros {
-				nd.started[j] = true
-				nd.wrap(uint32(j), PartABA, nd.abas[j].SetInput(types.One))
-				changed = true
-			}
-		}
-		if !nd.filledZeros && nd.onesDecided() >= nd.n-nd.f {
-			nd.filledZeros = true
-			for j := 0; j < nd.n; j++ {
-				if !nd.started[j] {
-					nd.started[j] = true
-					nd.wrap(uint32(j), PartABA, nd.abas[j].SetInput(types.Zero))
+// observe folds slot j's ABA decide and halt transitions into the tallies.
+// It runs after every call into abas[j]; each transition happens once, so
+// each is counted once.
+func (nd *Node) observe(j int) {
+	if !nd.seenDecided[j] {
+		if b, ok := nd.abas[j].Decided(); ok {
+			nd.seenDecided[j] = true
+			nd.decided++
+			if b == types.One {
+				nd.ones++
+				if !nd.brbDone[j] {
+					nd.awaited++
 				}
 			}
-			changed = true
+		}
+	}
+	if !nd.seenHalted[j] && nd.abas[j].Halted() {
+		nd.seenHalted[j] = true
+		nd.halted++
+	}
+}
+
+// progress applies the BKR composition rules after a delivery to slot: a
+// BRB delivery starts its slot's ABA with 1; n−f one-decisions start every
+// idle ABA with 0, in slot order; all ABAs decided (with every included
+// payload delivered) fixes the output. Only slot's BRB can have delivered
+// since the last call, so it is the only slot the first rule can newly
+// enable; the second rule reads a tally and fires once.
+func (nd *Node) progress(slot int) {
+	if nd.brbDone[slot] && !nd.started[slot] && !nd.filledZeros {
+		nd.setInput(slot, types.One)
+	}
+	if !nd.filledZeros && nd.ones >= nd.n-nd.f {
+		nd.filledZeros = true
+		for j := 0; j < nd.n; j++ {
+			if !nd.started[j] {
+				nd.setInput(j, types.Zero)
+			}
 		}
 	}
 	nd.tryOutput()
 }
 
-// onesDecided counts ABA instances that decided 1.
-func (nd *Node) onesDecided() int {
-	cnt := 0
-	for j := 0; j < nd.n; j++ {
-		if b, ok := nd.abas[j].Decided(); ok && b == types.One {
-			cnt++
-		}
-	}
-	return cnt
+// setInput starts slot j's ABA with estimate b.
+func (nd *Node) setInput(j int, b types.Bit) {
+	nd.started[j] = true
+	nd.wrap(uint32(j), PartABA, nd.abas[j].SetInput(b))
+	nd.observe(j)
 }
 
 // tryOutput fixes the output set once every ABA has decided and every
-// included slot's payload has been delivered.
+// included slot's payload has been delivered (totality will deliver it).
 func (nd *Node) tryOutput() {
-	if nd.outputDone {
+	if nd.outputDone || nd.decided < nd.n || nd.awaited > 0 {
 		return
-	}
-	for j := 0; j < nd.n; j++ {
-		b, ok := nd.abas[j].Decided()
-		if !ok {
-			return
-		}
-		if b == types.One && !nd.brbDone[j] {
-			return // totality will deliver it; wait
-		}
 	}
 	nd.outSet = nd.outSet[:0]
 	h := sha256.New()
@@ -190,17 +208,7 @@ func (nd *Node) Output() (types.Bit, bool) { return nd.outBit, nd.outputDone }
 
 // Halted implements netsim.AsyncNode: the output is fixed and every ABA's
 // termination gadget has completed.
-func (nd *Node) Halted() bool {
-	if !nd.outputDone {
-		return false
-	}
-	for j := 0; j < nd.n; j++ {
-		if !nd.abas[j].Halted() {
-			return false
-		}
-	}
-	return true
-}
+func (nd *Node) Halted() bool { return nd.outputDone && nd.halted == nd.n }
 
 // OutputSet returns the decided slot set and whether the output is fixed.
 func (nd *Node) OutputSet() ([]types.NodeID, bool) { return nd.outSet, nd.outputDone }
@@ -223,10 +231,21 @@ func (nd *Node) DecidedRound() int {
 	return max
 }
 
-// wrap appends slot-tagged copies of a sub-instance's sends.
+// wrapSlab is how many wrappers one slab allocation serves.
+const wrapSlab = 32
+
+// wrap appends slot-tagged copies of a sub-instance's sends. Wrappers are
+// carved from a slab, one allocation per wrapSlab sends in place of one
+// each; a slab is garbage once its last message has been delivered.
 func (nd *Node) wrap(slot uint32, part uint8, sends []netsim.Send) {
 	for _, s := range sends {
-		nd.out = append(nd.out, netsim.Send{To: s.To, Msg: WrapMsg{Slot: slot, Part: part, Inner: s.Msg}})
+		if len(nd.wraps) == 0 {
+			nd.wraps = make([]WrapMsg, wrapSlab)
+		}
+		m := &nd.wraps[0]
+		nd.wraps = nd.wraps[1:]
+		*m = WrapMsg{Slot: slot, Part: part, Inner: s.Msg}
+		nd.out = append(nd.out, netsim.Send{To: s.To, Msg: m})
 	}
 }
 

@@ -141,3 +141,98 @@ func TestACSFaultFreeIncludesAll(t *testing.T) {
 		t.Fatalf("fault-free FIFO run agreed on %d slots, want all %d", len(set), n)
 	}
 }
+
+// audited runs a Node and, after every Start and Deliver, recomputes by
+// scanning the n slots each tally the node keeps incrementally — the scans
+// progress, tryOutput and Halted used to run on every delivery.
+type audited struct {
+	*Node
+	t *testing.T
+}
+
+func (a audited) Start() []netsim.Send {
+	out := a.Node.Start()
+	a.audit()
+	return out
+}
+
+func (a audited) Deliver(d netsim.Delivered) []netsim.Send {
+	out := a.Node.Deliver(d)
+	a.audit()
+	return out
+}
+
+func (a audited) audit() {
+	a.t.Helper()
+	nd := a.Node
+	decided, ones, awaited, halted := 0, 0, 0, 0
+	for j := 0; j < nd.n; j++ {
+		if b, ok := nd.abas[j].Decided(); ok {
+			decided++
+			if b == types.One {
+				ones++
+				if !nd.brbDone[j] {
+					awaited++
+				}
+			}
+		}
+		if nd.abas[j].Halted() {
+			halted++
+		}
+		if nd.abas[j].Started() != nd.started[j] {
+			a.t.Fatalf("node %d slot %d: started flag %v, ABA says %v", nd.me, j, nd.started[j], nd.abas[j].Started())
+		}
+		// Every enabled start has been taken by the time a call returns.
+		if nd.brbDone[j] && !nd.started[j] && !nd.filledZeros {
+			a.t.Fatalf("node %d slot %d: BRB delivered but its ABA was left idle", nd.me, j)
+		}
+	}
+	if nd.decided != decided || nd.ones != ones || nd.awaited != awaited || nd.halted != halted {
+		a.t.Fatalf("node %d tallies decided=%d ones=%d awaited=%d halted=%d, scans say %d %d %d %d",
+			nd.me, nd.decided, nd.ones, nd.awaited, nd.halted, decided, ones, awaited, halted)
+	}
+	if want := ones >= nd.n-nd.f; nd.filledZeros != want {
+		a.t.Fatalf("node %d: filledZeros=%v with %d one-decisions of n-f=%d", nd.me, nd.filledZeros, ones, nd.n-nd.f)
+	}
+	if want := decided == nd.n && awaited == 0; nd.outputDone != want {
+		a.t.Fatalf("node %d: outputDone=%v with %d/%d decided, %d payloads awaited", nd.me, nd.outputDone, decided, nd.n, awaited)
+	}
+	if want := nd.outputDone && halted == nd.n; nd.Halted() != want {
+		a.t.Fatalf("node %d: Halted()=%v with output=%v and %d/%d ABAs halted", nd.me, nd.Halted(), nd.outputDone, halted, nd.n)
+	}
+}
+
+// TestTalliesMatchScans audits whole executions — every scheduler, with and
+// without a crash set — so the tallies are checked against their scans on
+// pre-input ABA traffic, late BRB deliveries and the zero-fill alike. The
+// send order the composition rules must keep is pinned one level up, by the
+// ACS cases of the async determinism goldens.
+func TestTalliesMatchScans(t *testing.T) {
+	for _, mode := range []netsim.SchedMode{netsim.SchedFIFO, netsim.SchedRandom, netsim.SchedAdvDelay} {
+		for _, crashes := range []int{0, 3} {
+			for s := byte(0); s < 4; s++ {
+				n, f := 10, 3
+				nodes, typed := buildNodes(n, f, seedByte(s))
+				for i := range nodes {
+					nodes[i] = audited{typed[i], t}
+				}
+				var crashed []bool
+				if crashes > 0 {
+					crashed = make([]bool, n)
+					for _, id := range []int{2, 5, 9}[:crashes] {
+						crashed[id] = true
+					}
+				}
+				rt, err := netsim.NewEventRuntime(netsim.EventConfig{N: n, F: f, Seed: seedByte(s), Sched: mode, Crashed: crashed}, nodes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res := rt.Run()
+				if err := netsim.CheckTermination(res); err != nil {
+					t.Fatalf("mode %s crashes=%d seed=%d: %v", mode, crashes, s, err)
+				}
+				checkACS(t, res, typed, n, f)
+			}
+		}
+	}
+}

@@ -22,7 +22,7 @@ const (
 
 // WrapMsg routes one BRB or ABA message to its ACS slot. The inner message
 // is embedded with its own kind tag, so the sub-protocol decoders parse it
-// unchanged.
+// unchanged. Nodes send, decode and receive it as *WrapMsg.
 type WrapMsg struct {
 	Slot  uint32
 	Part  uint8
@@ -56,7 +56,7 @@ func Decode(buf []byte) (wire.Message, error) {
 	if wire.Kind(buf[0]) != KindWrap {
 		return nil, fmt.Errorf("acs: %w: kind %d", wire.ErrMalformed, buf[0])
 	}
-	m := WrapMsg{
+	m := &WrapMsg{
 		Slot: binary.BigEndian.Uint32(buf[1:5]),
 		Part: buf[5],
 	}

@@ -30,6 +30,10 @@ type Instance struct {
 	// entry in every honest execution; a linear scan keeps the bookkeeping
 	// deterministic without sorted-map machinery.
 	tallies []*tally
+
+	// out backs the slice Start and Handle return: an event triggers at
+	// most one send, and callers consume it before the next call.
+	out [1]netsim.Send
 }
 
 // tally counts distinct-sender echoes and readies for one payload value.
@@ -53,7 +57,13 @@ func (in *Instance) Start(payload []byte) []netsim.Send {
 	if in.me != in.broadcaster {
 		return nil
 	}
-	return []netsim.Send{netsim.Multicast(SendMsg{Payload: payload})}
+	return in.emit(SendMsg{Payload: payload})
+}
+
+// emit returns the one multicast of m an event triggered.
+func (in *Instance) emit(m wire.Message) []netsim.Send {
+	in.out[0] = netsim.Multicast(m)
+	return in.out[:]
 }
 
 // Delivered returns the delivered payload and whether delivery happened.
@@ -68,7 +78,7 @@ func (in *Instance) Handle(from types.NodeID, msg wire.Message) (out []netsim.Se
 			return nil, false
 		}
 		in.echoSent = true
-		out = append(out, netsim.Multicast(EchoMsg{Payload: m.Payload}))
+		out = in.emit(EchoMsg{Payload: m.Payload})
 	case EchoMsg:
 		t := in.tally(m.Payload)
 		if t.echo[from] {
@@ -76,7 +86,7 @@ func (in *Instance) Handle(from types.NodeID, msg wire.Message) (out []netsim.Se
 		}
 		t.echo[from] = true
 		t.echoN++
-		out = in.advance(t, out)
+		out = in.advance(t)
 	case ReadyMsg:
 		t := in.tally(m.Payload)
 		if t.ready[from] {
@@ -84,7 +94,7 @@ func (in *Instance) Handle(from types.NodeID, msg wire.Message) (out []netsim.Se
 		}
 		t.ready[from] = true
 		t.readyN++
-		out = in.advance(t, out)
+		out = in.advance(t)
 		if !in.delivered && t.readyN >= 2*in.f+1 {
 			in.delivered = true
 			in.payload = t.payload
@@ -96,15 +106,12 @@ func (in *Instance) Handle(from types.NodeID, msg wire.Message) (out []netsim.Se
 
 // advance sends READY once the payload's echo quorum or ready
 // amplification threshold is met.
-func (in *Instance) advance(t *tally, out []netsim.Send) []netsim.Send {
-	if in.readySent {
-		return out
-	}
-	if t.echoN >= (in.n+in.f)/2+1 || t.readyN >= in.f+1 {
+func (in *Instance) advance(t *tally) []netsim.Send {
+	if !in.readySent && (t.echoN >= (in.n+in.f)/2+1 || t.readyN >= in.f+1) {
 		in.readySent = true
-		out = append(out, netsim.Multicast(ReadyMsg{Payload: t.payload}))
+		return in.emit(ReadyMsg{Payload: t.payload})
 	}
-	return out
+	return nil
 }
 
 // tally returns the counter entry for payload, allocating on first sight.

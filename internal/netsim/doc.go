@@ -44,11 +44,26 @@
 // passive lockstep regime and makes NewRuntime fail closed outside it
 // (DESIGN.md §6).
 //
+// The asynchronous track has its own driver, EventRuntime (event.go): no
+// rounds, a loop that pops the (prio, seq)-least in-flight link, hands it to
+// an AsyncNode and admits the sends that delivery triggers. Its scheduler
+// state (linkqueue.go) is a typed 4-ary heap of pointer-free
+// (prio, seq, send index) entries over a table that stores each admitted
+// Send once — a multicast's recipient is recovered from seq − first seq
+// through the ascending list of live nodes — with records
+// recycled when their last link pops, so the state is sized by traffic in
+// flight and the steady-state loop allocates nothing. The three SchedModes
+// differ only in how prio is derived from seq and share the one queue; the
+// order is total, so an execution is a pure function of (config, seed).
+// EventRuntime.Stop says which exit ended a run — every live node halted,
+// the queue drained (deadlock), or the MaxDeliveries cap (DESIGN.md §11).
+//
 // A Result is judged by the one set of property checkers
 // (CheckConsistency, CheckAgreementValidity, CheckBroadcastValidity,
 // CheckTermination): they range over Result.EachForeverHonest and allocate
 // nothing on a passing execution, so there is no separate large-N variant
 // of them either.
 //
-// Architecture: DESIGN.md §2 — synchronous round runtime and network models.
+// Architecture: DESIGN.md §2 — synchronous round runtime and network models;
+// DESIGN.md §11 — the event runtime.
 package netsim

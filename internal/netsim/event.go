@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 
@@ -96,30 +95,46 @@ type EventConfig struct {
 	Tracer obs.Tracer
 }
 
-// pendingLink is one undelivered (sender, recipient) message copy. The
-// scheduler orders links by (prio, seq); seq is the global link admission
-// counter, so ties resolve in send order and the heap's order is total.
-type pendingLink struct {
-	prio uint64
-	seq  uint64
-	from types.NodeID
-	to   types.NodeID
-	msg  wire.Message
+// StopReason says which of Run's three exit conditions ended an event run.
+type StopReason uint8
+
+// The stop reasons.
+const (
+	// StopHalted: every live node halted — the run completed.
+	StopHalted StopReason = iota + 1
+	// StopDrained: the queue emptied with live nodes unhalted. Nothing is
+	// in flight and nobody will speak again: a deadlock.
+	StopDrained
+	// StopCapped: MaxDeliveries was reached with links still pending — a
+	// livelock, or a run that needs a larger cap.
+	StopCapped
+)
+
+// EventStop describes how an event run ended, for failure reports: the
+// termination checker can say a node is undecided, only the runtime knows
+// whether anything was still in flight.
+type EventStop struct {
+	Reason     StopReason
+	Deliveries int            // deliveries executed
+	Pending    int            // links still queued
+	Unhalted   []types.NodeID // live nodes that had not halted, ascending
 }
 
-// linkHeap is a min-heap of pending links ordered by (prio, seq).
-type linkHeap []pendingLink
-
-func (h linkHeap) Len() int { return len(h) }
-func (h linkHeap) Less(i, j int) bool {
-	if h[i].prio != h[j].prio {
-		return h[i].prio < h[j].prio
+// String renders the stop for an error message.
+func (s EventStop) String() string {
+	switch s.Reason {
+	case StopHalted:
+		return fmt.Sprintf("every live node halted after %d deliveries", s.Deliveries)
+	case StopDrained:
+		return fmt.Sprintf("queue drained after %d deliveries with nothing in flight (deadlock): live nodes %v unhalted",
+			s.Deliveries, s.Unhalted)
+	case StopCapped:
+		return fmt.Sprintf("MaxDeliveries cap hit at %d deliveries with %d links still pending (livelock, or too slow for the cap): live nodes %v unhalted",
+			s.Deliveries, s.Pending, s.Unhalted)
+	default:
+		return "not run"
 	}
-	return h[i].seq < h[j].seq
 }
-func (h linkHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *linkHeap) Push(x any)   { *h = append(*h, x.(pendingLink)) }
-func (h *linkHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
 
 // EventRuntime executes one asynchronous protocol instance under a seeded
 // message scheduler. It is the event-driven sibling of Runtime: instead of
@@ -133,12 +148,10 @@ type EventRuntime struct {
 	cfg   EventConfig
 	nodes []AsyncNode
 
-	pending   linkHeap
-	seq       uint64 // link admission counter
-	key       uint64 // folded scheduler key
-	delivered int    // deliveries executed (the step counter)
-	haltCount int    // live nodes that have halted
-	liveCount int    // non-crashed nodes
+	pending   *linkQueue
+	delivered int // deliveries executed (the step counter)
+	haltCount int // live nodes that have halted
+	liveCount int // non-crashed nodes
 
 	metrics Metrics
 
@@ -192,7 +205,7 @@ func NewEventRuntime(cfg EventConfig, nodes []AsyncNode) (*EventRuntime, error) 
 	rt := &EventRuntime{
 		cfg:       cfg,
 		nodes:     nodes,
-		key:       Mix64(FoldSeed(cfg.Seed) ^ uint64(cfg.Sched)),
+		pending:   newLinkQueue(cfg.N, cfg.Crashed, cfg.Sched, cfg.AdvDelay, Mix64(FoldSeed(cfg.Seed)^uint64(cfg.Sched))),
 		liveCount: cfg.N - crashes,
 		tr:        obs.NewSink(cfg.Tracer),
 	}
@@ -211,6 +224,40 @@ func (rt *EventRuntime) Run() *Result {
 
 // RunCtx is Run with cancellation, checked every 1024 deliveries.
 func (rt *EventRuntime) RunCtx(ctx context.Context) (*Result, error) {
+	rt.start()
+	for rt.running() {
+		if rt.delivered&1023 == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		rt.step()
+	}
+	return rt.collect(), nil
+}
+
+// Stop reports why the run ended; call it after Run. A drained queue is
+// named before the cap: with nothing in flight no cap would have helped.
+func (rt *EventRuntime) Stop() EventStop {
+	stop := EventStop{Deliveries: rt.delivered, Pending: rt.pending.len()}
+	switch {
+	case rt.haltCount >= rt.liveCount:
+		stop.Reason = StopHalted
+	case stop.Pending == 0:
+		stop.Reason = StopDrained
+	default:
+		stop.Reason = StopCapped
+	}
+	for i, node := range rt.nodes {
+		if !rt.crashed(types.NodeID(i)) && !node.Halted() {
+			stop.Unhalted = append(stop.Unhalted, types.NodeID(i))
+		}
+	}
+	return stop
+}
+
+// start collects every live node's initial sends.
+func (rt *EventRuntime) start() {
 	for i, node := range rt.nodes {
 		if rt.crashed(types.NodeID(i)) {
 			continue
@@ -218,25 +265,29 @@ func (rt *EventRuntime) RunCtx(ctx context.Context) (*Result, error) {
 		rt.enqueue(types.NodeID(i), node.Start())
 		rt.transitions(types.NodeID(i))
 	}
-	for len(rt.pending) > 0 && rt.haltCount < rt.liveCount && rt.delivered < rt.cfg.MaxDeliveries {
-		if rt.delivered&1023 == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		l := heap.Pop(&rt.pending).(pendingLink)
-		node := rt.nodes[l.to]
-		if node.Halted() {
-			continue
-		}
-		if rt.tr.Enabled() {
-			rt.tr.AsyncDeliver(rt.delivered, l.to, l.from, wire.Size(l.msg))
-		}
-		rt.enqueue(l.to, node.Deliver(Delivered{From: l.from, Msg: l.msg}))
-		rt.transitions(l.to)
-		rt.delivered++
+}
+
+// running reports whether another step is due: links are in flight, some
+// live node has not halted, and the delivery cap has room.
+func (rt *EventRuntime) running() bool {
+	return rt.pending.len() > 0 && rt.haltCount < rt.liveCount && rt.delivered < rt.cfg.MaxDeliveries
+}
+
+// step pops the next link and, unless its recipient has halted, delivers it
+// and admits the sends the delivery triggers. The runtime itself allocates
+// nothing here once the queue has grown to the traffic in flight.
+func (rt *EventRuntime) step() {
+	from, to, msg := rt.pending.pop()
+	node := rt.nodes[to]
+	if node.Halted() {
+		return
 	}
-	return rt.collect(), nil
+	if rt.tr.Enabled() {
+		rt.tr.AsyncDeliver(rt.delivered, to, from, wire.Size(msg))
+	}
+	rt.enqueue(to, node.Deliver(Delivered{From: from, Msg: msg}))
+	rt.transitions(to)
+	rt.delivered++
 }
 
 // crashed reports whether node id is in the crash set.
@@ -245,48 +296,15 @@ func (rt *EventRuntime) crashed(id types.NodeID) bool {
 }
 
 // enqueue admits from's sends into the pending queue, accounting each send
-// once through the Definitions 6–7 rule and expanding multicasts into one
-// link per node. Links to crashed nodes are not admitted: a crashed node
-// receives nothing, and skipping the enqueue keeps the queue traffic-sized.
+// once through the Definitions 6–7 rule.
 func (rt *EventRuntime) enqueue(from types.NodeID, sends []Send) {
-	n := rt.cfg.N
 	for si, s := range sends {
-		rt.metrics.CountSend(s.To, n, wire.Size(s.Msg))
+		rt.metrics.CountSend(s.To, rt.cfg.N, wire.Size(s.Msg))
 		if rt.tr.Enabled() {
 			rt.tr.Send(rt.delivered, from, si, s.To, wire.Size(s.Msg))
 		}
-		if s.To == types.Broadcast {
-			for j := 0; j < n; j++ {
-				rt.push(from, types.NodeID(j), s.Msg)
-			}
-		} else if int(s.To) >= 0 && int(s.To) < n {
-			rt.push(from, s.To, s.Msg)
-		}
+		rt.pending.admit(from, s)
 	}
-}
-
-// push schedules one link with the mode's priority. FIFO priorities are the
-// admission order itself; random priorities are a seeded hash of the
-// admission counter; the adversarial mode holds a seeded three-in-four
-// fraction of links back by AdvDelay positions. Every priority is finite
-// and the (prio, seq) order is total, so delivery is eventually guaranteed
-// and the schedule is a pure function of the run seed.
-func (rt *EventRuntime) push(from, to types.NodeID, msg wire.Message) {
-	if rt.crashed(to) {
-		return
-	}
-	seq := rt.seq
-	rt.seq++
-	prio := seq
-	switch rt.cfg.Sched {
-	case SchedRandom:
-		prio = Mix64(rt.key ^ seq)
-	case SchedAdvDelay:
-		if Mix64(rt.key^seq)&3 != 0 {
-			prio = seq + uint64(rt.cfg.AdvDelay)
-		}
-	}
-	heap.Push(&rt.pending, pendingLink{prio: prio, seq: seq, from: from, to: to, msg: msg})
 }
 
 // transitions traces node id's decide/halt edges and maintains the halt

@@ -184,7 +184,9 @@ func runAsync(ctx context.Context, cfg Config) (*Report, error) {
 	}
 	rep := &Report{Result: res, Inputs: cfg.Inputs}
 	rep.Consistency = netsim.CheckConsistency(res)
-	rep.Termination = netsim.CheckTermination(res)
+	if err := netsim.CheckTermination(res); err != nil {
+		rep.Termination = fmt.Errorf("%w: %s", err, rt.Stop())
+	}
 	switch {
 	case ab.check != nil:
 		rep.Validity = ab.check(res)

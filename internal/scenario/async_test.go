@@ -1,9 +1,11 @@
 package scenario
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
+	"ccba/internal/netsim"
 	"ccba/internal/types"
 )
 
@@ -164,5 +166,47 @@ func TestAsyncUnanimousValidity(t *testing.T) {
 				t.Fatalf("%s: node %d decided %v", pat, id, rep.Outputs[id])
 			}
 		}
+	}
+}
+
+// TestAsyncTerminationSaysWhy: a failed async run names which exit ended it.
+// The cap case is an ABA cut short with traffic in flight; the drained case
+// is a real deadlock — a BRB whose broadcaster is in the crash set, so
+// nobody ever speaks.
+func TestAsyncTerminationSaysWhy(t *testing.T) {
+	rep, err := Run(Config{Protocol: ABA, N: 16, F: 5, Sched: SchedRandom, MaxDeliveries: 100, Seed: testSeed(6)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(rep.Termination, netsim.ErrTermination) {
+		t.Fatalf("capped run: termination = %v", rep.Termination)
+	}
+	for _, want := range []string{"MaxDeliveries cap", "100 deliveries", "links still pending", "live nodes [0 1 2"} {
+		if !strings.Contains(rep.Termination.Error(), want) {
+			t.Errorf("capped run: %q lacks %q", rep.Termination, want)
+		}
+	}
+
+	for s := byte(0); ; s++ {
+		cfg := Config{Protocol: BRB, N: 4, F: 1, Crashes: 1, Seed: testSeed(s)}
+		rep, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Async.Crashed) != 1 || rep.Async.Crashed[0] != cfg.Sender {
+			if s == 255 {
+				t.Fatal("no seed crashes the broadcaster")
+			}
+			continue
+		}
+		if !errors.Is(rep.Termination, netsim.ErrTermination) {
+			t.Fatalf("crashed broadcaster: termination = %v", rep.Termination)
+		}
+		for _, want := range []string{"queue drained", "0 deliveries", "deadlock", "unhalted"} {
+			if !strings.Contains(rep.Termination.Error(), want) {
+				t.Errorf("drained run: %q lacks %q", rep.Termination, want)
+			}
+		}
+		return
 	}
 }
