@@ -17,9 +17,9 @@ import (
 // Options tunes a live run.
 type Options struct {
 	// RoundTimeout bounds how long a node waits at one round barrier (and
-	// the result exchange) before failing the run. Zero means no timeout —
-	// correct for the in-process transport, where the barrier can only
-	// stall if a node goroutine died, which cancels the run anyway. TCP
+	// at RunNode's result exchange) before failing the run. Zero means no
+	// timeout — correct for the in-process transport, where the barrier can
+	// only stall if a node goroutine died, which cancels the run anyway. TCP
 	// meshes should set it: a dead peer then yields an error instead of a
 	// hang.
 	RoundTimeout time.Duration
@@ -77,8 +77,9 @@ type Report struct {
 
 // Run executes cfg live over a full transport network (one endpoint per
 // node, e.g. transport.NewChanNetwork or transport.NewTCPNetwork), driving
-// every node in its own goroutine. All nodes assemble identical reports;
-// the returned one is node 0's.
+// every node in its own goroutine. Each goroutine hands its node's record
+// straight back, so Run assembles and evaluates the one Report itself, with
+// node 0's round count; no result record crosses the transport.
 func Run(ctx context.Context, cfg scenario.Config, net transport.Network, opts Options) (*Report, error) {
 	plan, err := prepare(cfg, opts)
 	if err != nil {
@@ -94,14 +95,15 @@ func Run(ctx context.Context, cfg scenario.Config, net transport.Network, opts O
 	// that will never come.
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	reports := make([]*Report, plan.cfg.N)
+	recs := make([]resultRecord, plan.cfg.N)
+	rounds := make([]int, plan.cfg.N)
 	errs := make([]error, plan.cfg.N)
 	var wg sync.WaitGroup
 	for i := 0; i < plan.cfg.N; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			reports[i], errs[i] = plan.runNode(runCtx, types.NodeID(i), eps[i], opts)
+			recs[i], rounds[i], errs[i] = plan.newRunner(types.NodeID(i), eps[i], opts).run(runCtx)
 			if errs[i] != nil {
 				cancel()
 			}
@@ -126,15 +128,16 @@ func Run(ctx context.Context, cfg scenario.Config, net transport.Network, opts O
 	if induced != nil {
 		return nil, induced
 	}
-	return reports[0], nil
+	return assemble(plan.cfg, rounds[0], recs), nil
 }
 
 // RunNode executes one node of a multi-process cluster over its endpoint
 // (e.g. transport.DialTCP). Every process runs the same cfg — node sets are
 // deterministic in the seed, so each process rebuilds the full PKI and
-// committee structure and animates only tr.Self(). The result exchange at
-// the end hands every process the complete outcome, so the returned Report
-// equals the one a single-process run would produce.
+// committee structure and animates only tr.Self(). Its peers' records live
+// in other processes, so the run ends with a result exchange that hands
+// every process the complete outcome; the returned Report equals the one a
+// single-process run would produce (with this node's round count).
 func RunNode(ctx context.Context, cfg scenario.Config, tr transport.Transport, opts Options) (*Report, error) {
 	if err := checkMultiProcess(cfg); err != nil {
 		return nil, err
@@ -146,11 +149,16 @@ func RunNode(ctx context.Context, cfg scenario.Config, tr transport.Transport, o
 	if tr.N() != plan.cfg.N {
 		return nil, fmt.Errorf("cluster: config N=%d but the transport is a %d-node mesh", plan.cfg.N, tr.N())
 	}
-	rep, err := plan.runNode(ctx, tr.Self(), tr, opts)
+	r := plan.newRunner(tr.Self(), tr, opts)
+	rec, rounds, err := r.run(ctx)
+	var recs []resultRecord
+	if err == nil {
+		recs, err = r.exchangeResults(ctx, rec, rounds)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("cluster: node %d: %w", tr.Self(), err)
 	}
-	return rep, nil
+	return assemble(plan.cfg, rounds, recs), nil
 }
 
 // checkMultiProcess rejects configs that only execute correctly when every

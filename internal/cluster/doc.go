@@ -44,10 +44,14 @@
 //     message as read-only; an envelope that crossed a socket is decoded
 //     by its one receiver.
 //   - When every node's halted flag is up (or the round budget is
-//     exhausted), nodes exchange result records, so every participant —
-//     including a single TCP process in a multi-machine mesh — assembles
-//     the complete Result and evaluates the paper's three security
-//     properties locally.
+//     exhausted), each node's result record — decision, halted flag, its
+//     own metrics — becomes one row of the Result, assembled by one
+//     function on both routes. Run holds all n nodes in one process, so
+//     its goroutines hand their records straight back and it evaluates the
+//     paper's three security properties once. RunNode's peers live in other
+//     processes, so there the nodes exchange records over the transport
+//     and every participant — a single TCP process in a multi-machine mesh
+//     included — assembles the complete Result locally.
 //
 // The runtime executes honest protocols only: the simulator's adversary
 // interface is an omniscient round-scoped window over all in-flight

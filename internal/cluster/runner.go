@@ -16,10 +16,9 @@ import (
 	"ccba/internal/wire"
 )
 
-// runNode animates one node of the plan over its transport endpoint: the
-// round-synchronized execution loop followed by the result exchange.
-func (p *plan) runNode(ctx context.Context, self types.NodeID, tr transport.Transport, opts Options) (*Report, error) {
-	r := &runner{
+// newRunner binds one node of the plan to its transport endpoint.
+func (p *plan) newRunner(self types.NodeID, tr transport.Transport, opts Options) *runner {
+	return &runner{
 		plan: p,
 		self: self,
 		node: p.nodes[self],
@@ -36,11 +35,20 @@ func (p *plan) runNode(ctx context.Context, self types.NodeID, tr transport.Tran
 		exitRound: -1,
 		obs:       obs.NewSink(opts.Tracer),
 	}
+}
+
+// run executes the node's round loop and returns its result record and its
+// round count.
+func (r *runner) run(ctx context.Context) (resultRecord, int, error) {
 	rounds, err := r.runRounds(ctx)
 	if err != nil {
-		return nil, err
+		return resultRecord{}, 0, err
 	}
-	return r.exchangeResults(ctx, rounds)
+	out, decided := r.node.Output()
+	if !decided {
+		out = types.NoBit
+	}
+	return resultRecord{output: out, decided: decided, halted: r.node.Halted(), metrics: r.metrics}, rounds, nil
 }
 
 // runner is the per-node execution state.
@@ -376,16 +384,39 @@ func (r *runner) barrierCtx(ctx context.Context) (context.Context, context.Cance
 }
 
 // ---------------------------------------------------------------------------
-// Result exchange.
+// Result assembly and exchange.
 
-// resultRecord is one node's contribution to the final Result, multicast
-// once the round loop has ended. Every node assembles all n records into
-// the same Result a lockstep run would produce.
+// resultRecord is one node's contribution to the final Result: its decision,
+// halted flag and own communication metrics.
 type resultRecord struct {
 	output  types.Bit
 	decided bool
 	halted  bool
 	metrics netsim.Metrics
+}
+
+// assemble builds the Report from all n records, indexed by node, and
+// evaluates the paper's three properties on it. Both routes go through it:
+// Run with the records its node goroutines return, RunNode with the records
+// the exchange collected.
+func assemble(cfg scenario.Config, rounds int, recs []resultRecord) *Report {
+	n := len(recs)
+	res := &netsim.Result{
+		Outputs: make([]types.Bit, n),
+		Decided: make([]bool, n),
+		Halted:  make([]bool, n),
+		Corrupt: make([]bool, n), // live runs are adversary-free
+		Rounds:  rounds,
+	}
+	perNode := make([]netsim.Metrics, n)
+	for i, rec := range recs {
+		res.Outputs[i] = rec.output
+		res.Decided[i] = rec.decided
+		res.Halted[i] = rec.halted
+		perNode[i] = rec.metrics
+		res.Metrics.Add(rec.metrics)
+	}
+	return &Report{Report: scenario.Evaluate(cfg, res), PerNode: perNode}
 }
 
 func encodeResult(rec resultRecord) []byte {
@@ -397,18 +428,22 @@ func encodeResult(rec resultRecord) []byte {
 	return w.Buf
 }
 
+// decodeResult parses a peer's record and fails closed: a flag byte other
+// than 0 or 1, or a counter this platform's int cannot hold, is malformed.
 func decodeResult(buf []byte) (resultRecord, error) {
 	r := wire.NewReader(buf)
-	rec := resultRecord{}
-	bit := r.Bit()
-	rec.decided = r.U8() != 0
-	rec.halted = r.U8() != 0
+	rec := resultRecord{output: r.Bit(), decided: readFlag(r, "decided"), halted: readFlag(r, "halted")}
 	rec.metrics.DecodeFrom(r)
 	if err := r.Finish(); err != nil {
 		return resultRecord{}, err
 	}
-	rec.output = bit
 	return rec, nil
+}
+
+func readFlag(r *wire.Reader, what string) bool {
+	b := r.U8()
+	r.Expect(b <= 1, what+" flag is neither 0 nor 1")
+	return b == 1
 }
 
 func b2u(b bool) uint8 {
@@ -418,19 +453,15 @@ func b2u(b bool) uint8 {
 	return 0
 }
 
-// exchangeResults multicasts this node's record, collects everyone's, and
-// assembles the full Report. Under the all-ack barrier rounds is identical
-// on every node — a deterministic function of the halted flags all nodes
-// collected through the same barriers. Under deadline advance nodes may
-// observe the all-halted round at slightly different points; each reports
-// its own count and the returned Report carries node 0's.
-func (r *runner) exchangeResults(ctx context.Context, rounds int) (*Report, error) {
+// exchangeResults multicasts this node's record and collects everyone's —
+// the one step a node whose peers live in other processes needs to learn
+// the full outcome. Under the all-ack barrier every node's round count is
+// identical, a deterministic function of the halted flags all nodes
+// collected through the same barriers; under deadline advance nodes may
+// observe the all-halted round at slightly different points, which is why
+// the caller reports its own.
+func (r *runner) exchangeResults(ctx context.Context, rec resultRecord, rounds int) ([]resultRecord, error) {
 	n := r.cfg.N
-	out, decided := r.node.Output()
-	if !decided {
-		out = types.NoBit
-	}
-	rec := resultRecord{output: out, decided: decided, halted: r.node.Halted(), metrics: r.metrics}
 	env := transport.Envelope{
 		Kind: transport.EnvResult, From: r.self,
 		Round: uint32(rounds), Payload: encodeResult(rec),
@@ -442,14 +473,7 @@ func (r *runner) exchangeResults(ctx context.Context, rounds int) (*Report, erro
 
 	collectCtx, cancel := r.barrierCtx(ctx)
 	defer cancel()
-	res := &netsim.Result{
-		Outputs: make([]types.Bit, n),
-		Decided: make([]bool, n),
-		Halted:  make([]bool, n),
-		Corrupt: make([]bool, n), // live runs are adversary-free
-		Rounds:  rounds,
-	}
-	perNode := make([]netsim.Metrics, n)
+	recs := make([]resultRecord, n)
 	seen := make([]bool, n)
 	for got := 0; got < n; {
 		var env transport.Envelope
@@ -473,11 +497,7 @@ func (r *runner) exchangeResults(ctx context.Context, rounds int) (*Report, erro
 		}
 		seen[env.From] = true
 		got++
-		res.Outputs[env.From] = rec.output
-		res.Decided[env.From] = rec.decided
-		res.Halted[env.From] = rec.halted
-		perNode[env.From] = rec.metrics
-		res.Metrics.Add(rec.metrics)
+		recs[env.From] = rec
 	}
-	return &Report{Report: scenario.Evaluate(r.cfg, res), PerNode: perNode}, nil
+	return recs, nil
 }

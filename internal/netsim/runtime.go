@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 
 	"ccba/internal/harness"
@@ -710,10 +711,17 @@ func (m *Metrics) EncodeTo(w *wire.Writer) {
 }
 
 // DecodeFrom reads the counters written by EncodeTo; decoding errors
-// surface through r's sticky error.
+// surface through r's sticky error. A counter above this platform's largest
+// int fails the reader instead of wrapping into a wrong total.
 func (m *Metrics) DecodeFrom(r *wire.Reader) {
-	m.HonestMulticasts = int(r.U64())
-	m.HonestMulticastBytes = int(r.U64())
-	m.HonestMessages = int(r.U64())
-	m.HonestMessageBytes = int(r.U64())
+	m.HonestMulticasts = readCount(r)
+	m.HonestMulticastBytes = readCount(r)
+	m.HonestMessages = readCount(r)
+	m.HonestMessageBytes = readCount(r)
+}
+
+func readCount(r *wire.Reader) int {
+	v := r.U64()
+	r.Expect(v <= math.MaxInt, "metrics counter exceeds the platform int")
+	return int(v)
 }

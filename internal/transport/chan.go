@@ -20,8 +20,8 @@ import (
 // n envelopes per round where per-link markers would be n². The tally only
 // sees multicasts, so the endpoints of one ChanNetwork are chaos-wrapped
 // all (NewChaosNetwork, whose per-link Sends bypass it and keep per-link
-// markers) or none; a lone WrapChaos-ed endpoint would never arrive and the
-// others' barrier would never complete.
+// markers) or none. WrapChaos refuses a lone chan endpoint, which would
+// never arrive and would leave the others' barrier incomplete forever.
 type ChanNetwork struct {
 	eps []Transport
 }

@@ -130,7 +130,7 @@ func NewChaosNetwork(inner Network, spec ChaosSpec) (Network, error) {
 	n := inner.N()
 	eps := make([]Transport, n)
 	for i, ep := range inner.Endpoints() {
-		wrapped, err := WrapChaos(ep, spec)
+		wrapped, err := wrapChaos(ep, spec)
 		if err != nil {
 			return nil, err
 		}
@@ -149,8 +149,18 @@ func (c *chaosNetwork) Endpoints() []Transport { return c.eps }
 func (c *chaosNetwork) Close() error           { return c.inner.Close() }
 
 // WrapChaos wraps a single endpoint (the multi-process path: one node, one
-// process, one transport) in the fault-injection layer.
+// process, one transport) in the fault-injection layer. It refuses a
+// ChanNetwork endpoint, whose per-link markers would bypass the barrier
+// tally its peers wait on (see ChanNetwork); wrap the whole network with
+// NewChaosNetwork instead.
 func WrapChaos(tr Transport, spec ChaosSpec) (Transport, error) {
+	if _, ok := tr.(*chanEndpoint); ok {
+		return nil, fmt.Errorf("transport: chaos-wrapping chan endpoint %d alone would stall its network's shared barrier; wrap all endpoints with NewChaosNetwork", tr.Self())
+	}
+	return wrapChaos(tr, spec)
+}
+
+func wrapChaos(tr Transport, spec ChaosSpec) (Transport, error) {
 	n := tr.N()
 	isF := make([]bool, n)
 	for _, id := range spec.Faulty {

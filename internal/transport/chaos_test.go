@@ -282,6 +282,47 @@ func TestChaosOverTCP(t *testing.T) {
 	}
 }
 
+// A lone chan endpoint cannot be chaos-wrapped: its per-link markers would
+// bypass the barrier tally the network's endpoints share. Wrapping the whole
+// network is the supported shape, and its per-link markers complete a round.
+func TestWrapChaosRefusesLoneChanEndpoint(t *testing.T) {
+	inner, err := NewChanNetwork(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inner.Close()
+	spec := ChaosSpec{Key: 1, Delta: 1}
+	if _, err := WrapChaos(inner.Endpoints()[1], spec); err == nil || !strings.Contains(err.Error(), "NewChaosNetwork") {
+		t.Fatalf("WrapChaos on a chan endpoint: %v, want a construction error", err)
+	}
+
+	netw, err := NewChaosNetwork(inner, spec)
+	if err != nil {
+		t.Fatalf("NewChaosNetwork on a chan network: %v", err)
+	}
+	for i, ep := range netw.Endpoints() {
+		if _, ok := ep.(*chaosEndpoint); !ok {
+			t.Fatalf("endpoint %d is %T, want it chaos-wrapped", i, ep)
+		}
+		if err := ep.Multicast(Envelope{Kind: EnvSync, From: types.NodeID(i), Round: 0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for i, ep := range netw.Endpoints() {
+		for seen := 0; seen < 3; seen++ {
+			env, err := ep.Recv(ctx)
+			if err != nil {
+				t.Fatalf("node %d after %d markers: %v", i, seen, err)
+			}
+			if env.Kind != EnvSync {
+				t.Fatalf("node %d got a %d-kind envelope, want per-link EnvSync markers", i, env.Kind)
+			}
+		}
+	}
+}
+
 // ---------------------------------------------------------------------------
 // TCP startup robustness and hello hardening.
 

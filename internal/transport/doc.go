@@ -51,7 +51,8 @@
 // same power boundary the simulator enforces (DESIGN.md §7). Its Multicast
 // is n per-link Sends, so chaos runs keep per-link sync markers on both
 // transports; since those bypass the chan network's tally, one
-// ChanNetwork's endpoints are wrapped all (NewChaosNetwork) or none.
+// ChanNetwork's endpoints are wrapped all (NewChaosNetwork) or none —
+// WrapChaos rejects a lone chan endpoint.
 //
 // Architecture: DESIGN.md §2 — live envelope transports under the cluster runtime.
 package transport

@@ -21,7 +21,7 @@ const (
 	// sender's state machine has terminated.
 	EnvSync EnvKind = 2
 	// EnvResult carries the sender's final per-node result record once the
-	// run has ended.
+	// run has ended — the exchange between nodes in separate processes.
 	EnvResult EnvKind = 3
 	// EnvHello opens a TCP connection: it identifies the dialing node. It
 	// never reaches the cluster runtime.
