@@ -17,6 +17,7 @@ import (
 // slices or a wrapper allocated per send each cost ~10k allocations, so
 // tier-1 holds the gain and not only the benchmark driver.
 func TestAsyncACSBudgetN32(t *testing.T) {
+	skipUnderRace(t)
 	cfg := Config{Protocol: ACS, N: 32, F: 10, Sched: SchedRandom}
 	cfg.Seed[0] = 7
 	const maxAllocs, maxAllocMB = 34_700, 6.9

@@ -73,8 +73,8 @@ func VerifyAll(atts []Attestation, threshold int, verify VerifyFunc) bool {
 // allocation-lighter than a map at these sizes.
 //
 // A set operates in one of two modes. In owned mode (the zero value) it
-// holds its own backing slice, exactly as before. Bind switches it to
-// interned mode, where its state is a handle into a per-run
+// holds its own backing slice, exactly as before. Bind or BindAlongside
+// switches it to interned mode, where its state is a handle into a per-run
 // Interner and every node with the same add-history shares one backing
 // array (see intern.go). The observable Add/Contains/Count/Reset behaviour
 // is identical in both modes; only storage and the aliasing contract of

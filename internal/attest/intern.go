@@ -25,8 +25,8 @@ import (
 // Interned states are immutable once published, so certificates cut from
 // them alias the shared backing array instead of copying per node.
 //
-// The table is safe for concurrent use: the sharded parallel sparse
-// stepping path advances handles from several worker goroutines at once,
+// The table is safe for concurrent use: the round engine's shards advance
+// handles from several worker goroutines at once,
 // once per delivered attestation, so the path every such Add takes — the
 // transition is already recorded — writes nothing another shard reads.
 // States are immutable once published, and almost every state has exactly
@@ -54,12 +54,14 @@ type Interner struct {
 	cur atomic.Pointer[hitBlock]
 }
 
-// setsPerHitBlock is how many consecutively bound Sets count their hits on
-// one hitBlock. A core node binds ten sets, so a block spans ~50 nodes:
-// small enough that engine shards (contiguous id ranges, nodes built in id
-// order) own their blocks outright except for the one straddling a shard
-// boundary, large enough that the blocks cost a few bytes per node.
-const setsPerHitBlock = 512
+// bindsPerHitBlock is how many consecutive Bind calls count their hits on
+// one hitBlock; BindAlongside takes no place. A node binds one set with Bind
+// at construction and every other set — then or later — alongside it, so a
+// block spans 64 nodes: small enough that engine shards (contiguous id
+// ranges, nodes built in id order) own their blocks outright except for the
+// one straddling a shard boundary, large enough that the blocks cost two
+// bytes per node.
+const bindsPerHitBlock = 64
 
 // hitBlock is what a bound Set holds in place of the *Interner: the table,
 // plus the hit counter of its block of Sets on a cache line of its own, so
@@ -68,7 +70,7 @@ const setsPerHitBlock = 512
 type hitBlock struct {
 	table *Interner
 	hits  atomic.Int64
-	bound atomic.Int32 // Sets bound to this block; may overshoot once full
+	bound atomic.Int32 // Bind calls on this block; may overshoot once full
 	prev  *hitBlock    // the block handed out before this one
 	_     [128 - 32]byte
 }
@@ -198,21 +200,41 @@ func findFork(list []*sharedAtts, id types.NodeID, proof []byte) *sharedAtts {
 }
 
 // Bind switches an empty Set to interned mode: its state becomes a handle
-// into in's transition graph, starting at the shared empty root. Binding a
+// into in's transition graph, starting at the shared empty root, and its
+// hits count on the hit block Bind is currently handing out. Binding a
 // non-empty or already-bound set panics — interning is a construction-time
 // decision, not a migration.
 func (s *Set) Bind(in *Interner) {
 	if in == nil {
 		return
 	}
-	if s.in != nil || len(s.atts) != 0 {
-		panic("attest: Bind on a non-empty or already-interned Set")
-	}
+	s.mustBeFresh()
 	b := in.cur.Load()
-	if b == nil || b.bound.Add(1) > setsPerHitBlock {
+	if b == nil || b.bound.Add(1) > bindsPerHitBlock {
 		b = in.nextBlock()
 	}
 	s.in, s.h = b, in.root
+}
+
+// BindAlongside switches an empty Set to interned mode on o's table and hit
+// block, taking no place on the block; if o is in owned mode, s stays owned
+// too. A node binds one set at construction and every other set alongside
+// it, including sets it creates while stepping: those are bound from
+// whichever shard steps the node, so drawing them from the table's current
+// block would have several shards counting hits on one cache line. Binding
+// a non-empty or already-bound set panics, as in Bind.
+func (s *Set) BindAlongside(o *Set) {
+	if o.in == nil {
+		return
+	}
+	s.mustBeFresh()
+	s.in, s.h = o.in, o.in.table.root
+}
+
+func (s *Set) mustBeFresh() {
+	if s.in != nil || len(s.atts) != 0 {
+		panic("attest: Bind on a non-empty or already-interned Set")
+	}
 }
 
 // nextBlock takes a place for one Set on a fresh hit block — the one
@@ -221,7 +243,7 @@ func (in *Interner) nextBlock() *hitBlock {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	b := in.cur.Load()
-	if b == nil || b.bound.Add(1) > setsPerHitBlock {
+	if b == nil || b.bound.Add(1) > bindsPerHitBlock {
 		b = &hitBlock{table: in, prev: b}
 		b.bound.Store(1)
 		in.cur.Store(b)
@@ -237,6 +259,12 @@ func (s *Set) Interned() bool { return s.in != nil }
 // assert forks exactly at the first divergent mutation.
 func (s *Set) SharesStorageWith(o *Set) bool {
 	return s.h != nil && s.h == o.h
+}
+
+// CountsWith reports whether two interned sets count their hits on the same
+// hit block — the property BindAlongside exists for.
+func (s *Set) CountsWith(o *Set) bool {
+	return s.in != nil && s.in == o.in
 }
 
 // addInterned is Add in interned mode: a transition to the successor

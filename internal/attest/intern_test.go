@@ -274,14 +274,15 @@ func TestInternConcurrentForks(t *testing.T) {
 // TestInternHitsSumAcrossBlocks binds more sets than one hit block holds,
 // from several goroutines at once: every block but the newest must fill
 // exactly, Stats must report every hit, and the handle a Set carries must
-// not have grown it (ten Sets per core node, n nodes).
+// not have grown it past five words (a slice and two pointers; a core node
+// holds ten or more Sets, n nodes).
 func TestInternHitsSumAcrossBlocks(t *testing.T) {
-	if got := unsafe.Sizeof(Set{}); got != 40 {
-		t.Errorf("attest.Set is %d bytes, want 40", got)
+	if got, want := unsafe.Sizeof(Set{}), 5*unsafe.Sizeof(uintptr(0)); got != want {
+		t.Errorf("attest.Set is %d bytes, want five words (%d)", got, want)
 	}
 	in := NewInterner()
 	const workers, adds = 4, 4
-	sets := make([]Set, 3*setsPerHitBlock+7)
+	sets := make([]Set, 3*bindsPerHitBlock+7)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -303,7 +304,7 @@ func TestInternHitsSumAcrossBlocks(t *testing.T) {
 	blocks := 0
 	for b := in.cur.Load(); b != nil; b = b.prev {
 		blocks++
-		if want := setsPerHitBlock; b != in.cur.Load() && perBlock[b] != want {
+		if want := bindsPerHitBlock; b != in.cur.Load() && perBlock[b] != want {
 			t.Errorf("a closed hit block holds %d sets, want %d", perBlock[b], want)
 		}
 	}
@@ -312,5 +313,54 @@ func TestInternHitsSumAcrossBlocks(t *testing.T) {
 	}
 	if st, want := in.Stats(), (InternStats{States: adds, Clones: adds, Hits: int64(len(sets)*adds - adds)}); st != want {
 		t.Fatalf("stats = %+v, want %+v", st, want)
+	}
+}
+
+// TestBindAlongsideSharesTheHitBlock is the per-node contract: sets bound
+// alongside an anchor after every Bind is done — the way a map-backed core
+// node binds its per-iteration sets from Step — count every hit on the
+// anchor's block and take no place on it, and a set bound alongside an
+// owned one stays owned.
+func TestBindAlongsideSharesTheHitBlock(t *testing.T) {
+	in := NewInterner()
+	const nodes, perNode, adds = 3 * bindsPerHitBlock / 2, 4, 3
+	anchors := make([]Set, nodes)
+	for i := range anchors {
+		anchors[i].Bind(in)
+	}
+	blocks := 0
+	for b := in.cur.Load(); b != nil; b = b.prev {
+		blocks++
+	}
+	if blocks != 2 {
+		t.Fatalf("%d anchors opened %d hit blocks, want 2", nodes, blocks)
+	}
+	sets := make([][perNode]Set, nodes)
+	for i := range sets {
+		for k := range sets[i] {
+			s := &sets[i][k]
+			s.BindAlongside(&anchors[i])
+			if !s.CountsWith(&anchors[i]) || !s.Interned() {
+				t.Fatalf("node %d set %d does not count on its anchor's block", i, k)
+			}
+			for a := types.NodeID(0); a < adds; a++ {
+				s.Add(a, proofFor(a))
+			}
+		}
+	}
+	if got := in.cur.Load().bound.Load(); got != nodes-bindsPerHitBlock {
+		t.Errorf("newest block holds %d places after BindAlongside, want %d (Bind calls only)", got, nodes-bindsPerHitBlock)
+	}
+	if anchors[0].CountsWith(&anchors[nodes-1]) {
+		t.Errorf("first and last anchor share a block across %d Bind calls", nodes)
+	}
+	if st, want := in.Stats(), (InternStats{States: adds, Clones: adds, Hits: int64(nodes*perNode*adds - adds)}); st != want {
+		t.Errorf("stats = %+v, want %+v", st, want)
+	}
+
+	var owned, s Set
+	s.BindAlongside(&owned)
+	if s.Interned() || s.CountsWith(&owned) {
+		t.Errorf("a set bound alongside an owned set is interned")
 	}
 }

@@ -91,8 +91,10 @@ type Config struct {
 	// of the execution: all attestation sets bind to it, so nodes with
 	// identical add-histories (every forever-honest node under the passive
 	// lockstep schedule) share one copy-on-divergence backing array instead
-	// of holding per-node state (DESIGN.md §6). Behaviour is bit-identical
-	// with or without it; only storage changes.
+	// of holding per-node state (DESIGN.md §6). Every scenario build sets
+	// it, with or without Compact; nil (owned sets) is the reference the
+	// tests compare against. Behaviour is bit-identical either way, at any
+	// worker count and under any adversary; only storage changes.
 	Intern *attest.Interner
 }
 
@@ -168,6 +170,12 @@ type Node struct {
 	votes    map[uint32]*[2]attest.Set
 	commits  map[uint32]*[2]attest.Set
 
+	// anchor is bound to Config.Intern at construction and never added to;
+	// every other set binds alongside it, the map-backed ones lazily from
+	// Step, so all of the node's hits count on one hit block whichever
+	// shard steps it (DESIGN.md §6).
+	anchor attest.Set
+
 	// Compact-mode replacements for the maps above (Config.Compact): a
 	// two-slot iteration window per collection, plus a scratch pair that
 	// absorbs — and discards — traffic for iterations older than the
@@ -205,24 +213,26 @@ func New(cfg Config, id types.NodeID, input types.Bit) (*Node, error) {
 		miner: cfg.Suite.Miner(id),
 		verif: cfg.Suite.Verifier(),
 	}
+	n.anchor.Bind(cfg.Intern)
 	if !cfg.Compact {
 		n.votes = make(map[uint32]*[2]attest.Set)
 		n.commits = make(map[uint32]*[2]attest.Set)
-	} else if cfg.Intern != nil {
+	} else {
 		for w := 0; w < 2; w++ {
-			bindPair(&n.voteWin[w].sets, cfg.Intern)
-			bindPair(&n.commitWin[w].sets, cfg.Intern)
+			n.bindPair(&n.voteWin[w].sets)
+			n.bindPair(&n.commitWin[w].sets)
 		}
-		bindPair(&n.staleSets, cfg.Intern)
+		n.bindPair(&n.staleSets)
 	}
 	return n, nil
 }
 
-// bindPair binds both bit-slots of a per-iteration set pair to the run's
-// intern table.
-func bindPair(sets *[2]attest.Set, in *attest.Interner) {
-	sets[0].Bind(in)
-	sets[1].Bind(in)
+// bindPair binds both bit-slots of a per-iteration set pair alongside the
+// node's anchor: to the run's intern table and the node's hit block, or not
+// at all when the node runs on owned sets.
+func (n *Node) bindPair(sets *[2]attest.Set) {
+	sets[0].BindAlongside(&n.anchor)
+	sets[1].BindAlongside(&n.anchor)
 }
 
 // NewNodes constructs all n state machines for one execution.
@@ -333,9 +343,7 @@ func (n *Node) voteSet(iter uint32) *[2]attest.Set {
 	s := n.votes[iter]
 	if s == nil {
 		s = &[2]attest.Set{}
-		if n.cfg.Intern != nil {
-			bindPair(s, n.cfg.Intern)
-		}
+		n.bindPair(s)
 		n.votes[iter] = s
 	}
 	return s
@@ -348,9 +356,7 @@ func (n *Node) commitSet(iter uint32) *[2]attest.Set {
 	s := n.commits[iter]
 	if s == nil {
 		s = &[2]attest.Set{}
-		if n.cfg.Intern != nil {
-			bindPair(s, n.cfg.Intern)
-		}
+		n.bindPair(s)
 		n.commits[iter] = s
 	}
 	return s

@@ -222,9 +222,11 @@ func TestEventStateIsTrafficSized(t *testing.T) {
 // TestEventStepAllocatesNothing: once the queue has grown to the traffic in
 // flight, pop → Deliver → admit allocates nothing in the runtime.
 func TestEventStepAllocatesNothing(t *testing.T) {
-	const n = 32
+	// gens outlasts the ~71 generations measured here, and n*(gens+1) — the
+	// stub's halting count — still fits a 32-bit int.
+	const n, gens = 32, 1 << 20
 	for _, mode := range []SchedMode{SchedFIFO, SchedRandom, SchedAdvDelay} {
-		rt := stubRuntime(t, n, 1<<30, mode)
+		rt := stubRuntime(t, n, gens, mode)
 		rt.start()
 		for i := 0; i < 50*n*n; i++ {
 			rt.step()

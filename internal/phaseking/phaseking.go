@@ -130,10 +130,8 @@ func New(cfg Config, id types.NodeID, input types.Bit) (*Node, error) {
 		n.miner = cfg.Suite.Miner(id)
 		n.verif = cfg.Suite.Verifier()
 	}
-	if cfg.Intern != nil {
-		n.acks[0].Bind(cfg.Intern)
-		n.acks[1].Bind(cfg.Intern)
-	}
+	n.acks[0].Bind(cfg.Intern)
+	n.acks[1].BindAlongside(&n.acks[0])
 	return n, nil
 }
 

@@ -95,17 +95,16 @@ func coreSuite(cfg Config) (fmine.Suite, func(types.NodeID) any, error) {
 	return suite, func(id types.NodeID) any { return suite.Miner(id) }, nil
 }
 
-// newInterner builds the per-run attestation intern table of a Sparse
-// execution (DESIGN.md §6): at large N per-node attestation copies are the
-// dominant memory term, and sharing honest-identical histories is what makes
-// the 10⁶ budget hold. One table per execution: sharing is an
-// execution-scoped property, never cross-trial. RunCtx pre-creates the table
-// (cfg.interner) so it can surface the sharing statistics in the Report
-// after the run.
+// newInterner builds the per-run attestation intern table every
+// interning-capable protocol (core, core-broadcast, both phase kings) binds
+// its nodes to, Sparse or not (DESIGN.md §6): honest nodes that see the same
+// multicasts build the same sets, so n private copies of them are the
+// dominant memory term at every n, and sharing them is answer-equivalent
+// under every network model and adversary. One table per execution: sharing
+// is an execution-scoped property, never cross-trial. RunCtx pre-creates the
+// table (cfg.interner) for Sparse runs so it can surface the sharing
+// statistics in the Report after the run.
 func newInterner(cfg Config) *attest.Interner {
-	if !cfg.Sparse {
-		return nil
-	}
 	if cfg.interner != nil {
 		return cfg.interner
 	}

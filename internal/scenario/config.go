@@ -158,15 +158,17 @@ type Config struct {
 	// Adversary is the corruption strategy (nil = passive).
 	Adversary netsim.Adversary
 	// Sparse selects the memory-lean large-N node representation
-	// (DESIGN.md §6): core's two-slot attestation window, with the nodes'
-	// attestation sets interned in one per-run table, so executions with N
-	// in the 10⁵–10⁶ range fit comfortably in memory. The two-slot window
-	// is correct only where no traffic older than two iterations can
-	// arrive, so it is restricted to the delta-one lockstep model with a
-	// passive adversary (validate rejects anything else) — the regime in
-	// which the round engine holds no n-sized state either, which
-	// netsim.Config.Sparse asserts. Observationally equivalent to the
-	// map-backed nodes there.
+	// (DESIGN.md §6): core's two-slot attestation window in place of
+	// per-iteration maps, so a node's footprint stops growing with the
+	// iterations it executes. Attestation interning does not depend on it —
+	// every core and phase-king run interns — so what Sparse still selects
+	// is the window, netsim.Config.Sparse's assertion and the Report.Intern
+	// statistics. The two-slot window is correct only where no traffic
+	// older than two iterations can arrive, so it is restricted to the
+	// delta-one lockstep model with a passive adversary (validate rejects
+	// anything else) — the regime in which the round engine holds no
+	// n-sized state either. Observationally equivalent to the map-backed
+	// nodes there.
 	Sparse bool
 	// Tracer receives the round-lifecycle event stream (DESIGN.md §10),
 	// threaded straight through to netsim.Config.Tracer. Trace content is a

@@ -19,10 +19,12 @@ type Report struct {
 	Consistency error
 	Validity    error
 	Termination error
-	// Intern carries the attestation intern table's sharing statistics when
-	// the execution interned (Sparse runs do — DESIGN.md §6), nil otherwise.
-	// Deterministic per (config, seed): the table's double-checked insert
-	// makes the counters schedule-independent.
+	// Intern carries the attestation intern table's sharing statistics on
+	// Sparse runs, nil otherwise. Every core and phase-king run interns
+	// (DESIGN.md §6); only Sparse ones report it, so a report's shape does
+	// not change with the storage underneath. Deterministic per (config,
+	// seed): the table's double-checked insert makes the counters
+	// schedule-independent.
 	Intern *attest.InternStats
 	// Async carries the event-runtime observables (decision rounds, ACS set
 	// size) when the protocol ran on the asynchronous track, nil otherwise.

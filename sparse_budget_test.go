@@ -3,6 +3,8 @@ package ccba
 import (
 	"runtime"
 	"testing"
+
+	"ccba/internal/testenv"
 )
 
 // Memory-regression pins for Sparse runs at N = 10,000
@@ -10,11 +12,11 @@ import (
 // 8.5 MB cumulative allocation, the same to within a few allocations at
 // GOMAXPROCS 1, 2 and 4 (128k / 11 MB while every mining attempt allocated
 // its PRF output and every interned state a successor map; ≈411k / ≈145 MB
-// before attestation interning; dense: ≈501k allocs, ≈175 MB); its budgets
-// sit ~15 % above that, so a reintroduced allocation per mining attempt
-// (82k of them) or per delivery fails them. Core-real measures ≈521k
-// allocs / ≈39 MB cumulative with the lean bounded verify cache, budgeted
-// at ~2×: those fail on a reintroduced O(n)-per-round buffer, per-node
+// before attestation interning; map-backed, which interns too: 131k allocs,
+// 16 MB); its budgets sit ~15 % above that, so a reintroduced allocation
+// per mining attempt (82k of them) or per delivery fails them. Core-real
+// measures ≈521k allocs / ≈39 MB cumulative with the lean bounded verify
+// cache, budgeted at ~2×: those fail on a reintroduced O(n)-per-round buffer, per-node
 // attestation copies, or an unbounded crypto memo, not on runtime noise.
 
 func sparse10kConfig() Config {
@@ -29,6 +31,16 @@ func sparseReal10kConfig() Config {
 	return cfg
 }
 
+// skipUnderRace skips a memory ceiling when the binary runs under the race
+// detector, whose instrumentation allocates on its own: the ceilings are
+// measured on a plain build, and the gomaxprocs CI job enforces them there.
+func skipUnderRace(t *testing.T) {
+	t.Helper()
+	if testenv.Race {
+		t.Skip("memory ceilings are measured without -race; the race detector's instrumentation allocates on its own")
+	}
+}
+
 func runBudgetCase(t *testing.T, cfg Config) {
 	t.Helper()
 	rep, err := Run(cfg)
@@ -41,6 +53,7 @@ func runBudgetCase(t *testing.T, cfg Config) {
 }
 
 func TestSparseAllocBudgetN10k(t *testing.T) {
+	skipUnderRace(t)
 	if testing.Short() {
 		t.Skip("10k-node run; skipped in -short")
 	}
@@ -53,6 +66,7 @@ func TestSparseAllocBudgetN10k(t *testing.T) {
 }
 
 func TestSparseHeapBudgetN10k(t *testing.T) {
+	skipUnderRace(t)
 	if testing.Short() {
 		t.Skip("10k-node run; skipped in -short")
 	}
@@ -79,6 +93,7 @@ func TestSparseHeapBudgetN10k(t *testing.T) {
 // reintroduce an O(n·rounds) or unbounded-memo term. This is the budget
 // that guards the E13 real-crypto sweep's feasibility at n ≥ 10⁵.
 func TestSparseRealBudgetN10k(t *testing.T) {
+	skipUnderRace(t)
 	if testing.Short() {
 		t.Skip("10k-node real-crypto run; skipped in -short")
 	}
@@ -102,7 +117,10 @@ func TestSparseRealBudgetN10k(t *testing.T) {
 }
 
 // A Sparse run must allocate strictly less than the map-backed one on the
-// same configuration — the point of its existence. Asserted at n = 2,000
+// same configuration — the point of its existence. Both intern their
+// attestation sets, so the gap is the two-slot window alone: per-node
+// iteration maps and a set pair per iteration and kind (n = 2,000: 27.2k
+// allocs / 3.3 MB map-backed, 9.2k / 1.8 MB Sparse). Asserted at n = 2,000
 // to keep the double run cheap.
 func TestSparseAllocatesLessThanDense(t *testing.T) {
 	measure := func(sparse bool) (allocs, bytes uint64) {
