@@ -119,7 +119,7 @@ func TestScheduledDeliveryPreservesEncoding(t *testing.T) {
 		}
 		rt, err := netsim.NewRuntime(netsim.Config{
 			N: n, F: 0, MaxRounds: delta + 3,
-			Net: netsim.Jitter(delta, seed),
+			Net: netsim.Faults{Delta: delta, Spread: netsim.SpreadJitter, Key: netsim.FoldSeed(seed)},
 		}, nodes, nil)
 		if err != nil {
 			t.Fatal(err)

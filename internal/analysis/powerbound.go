@@ -7,36 +7,28 @@ import (
 )
 
 // Powerbound polices the adversary's power boundary in the chaos layer.
-// The simulator only ever drops traffic through the seeded coin
-// netsim.LinkDrop after the power checks admit the omission (≤F faulty
-// senders, honest links delivered within Δ). Live fault injection must
-// flip exactly the same coin — that is what makes a Δ=1 chaos run
-// bit-identical to the simulated schedule — so:
+// Both runtimes decide the network's faults through one schedule,
+// netsim.Faults.Decide, whose seeded coins netsim.LinkDrop and
+// netsim.LinkDelay the simulator power-checks (≤F faulty senders, honest
+// links delivered within Δ). Live fault injection calls the same Decide —
+// that is what makes a Δ=1 chaos run bit-identical to the simulated
+// schedule — so:
 //
-//   - netsim.LinkDrop may only be called from the netsim model layer and
-//     the chaos transport wrapper; a protocol or runtime package flipping
-//     the drop coin would grant itself adversary powers;
+//   - netsim.LinkDrop and netsim.LinkDelay may only be called from netsim
+//     itself; any other package flipping the coins directly would grant
+//     itself adversary powers outside the schedule;
 //   - chaos code (files named *chaos*.go in transport/cluster) may not
 //     reach for raw fault mechanisms: no channel sends or closes, no
 //     direct net connections, no wall-clock reads or math/rand — every
 //     drop, delay, and reorder decision must derive from the spec's
-//     seeded coins and flow through the wrapped Transport (DESIGN.md §7–§8).
+//     schedule and seed and flow through the wrapped Transport
+//     (DESIGN.md §7–§8).
 var Powerbound = &Analyzer{
 	Name:      "powerbound",
 	Directive: "power-ok",
-	Doc: "faults may only be injected via the blessed netsim.LinkDrop/power-check " +
-		"entry points, never raw channel or connection manipulation",
+	Doc: "faults may only be injected via the netsim.Faults schedule, whose " +
+		"LinkDrop/LinkDelay coins only netsim calls, never raw channel or connection manipulation",
 	Run: runPowerbound,
-}
-
-// linkDropAllowed reports whether a call to netsim.LinkDrop is legal at
-// path/filename: inside the model layer itself, or in the chaos transport
-// wrapper.
-func linkDropAllowed(path, filename string) bool {
-	if path == netsimPath {
-		return true
-	}
-	return path == "ccba/internal/transport" && strings.Contains(filepath.Base(filename), "chaos")
 }
 
 // chaosFile reports whether the file hosts live fault-injection code.
@@ -58,7 +50,7 @@ func runPowerbound(p *Pass) {
 				case "net":
 					p.Reportf(imp.Pos(), "chaos code imports net: faults are injected by wrapping the Transport, never by touching connections")
 				case "math/rand", "math/rand/v2":
-					p.Reportf(imp.Pos(), "chaos code imports %s: fault decisions must come from the spec's seeded coins (netsim.LinkDrop, netsim.Mix64)", importPath(imp))
+					p.Reportf(imp.Pos(), "chaos code imports %s: fault decisions must come from the spec's schedule (netsim.Faults.Decide) and seed (netsim.Mix64)", importPath(imp))
 				}
 			}
 		}
@@ -66,8 +58,8 @@ func runPowerbound(p *Pass) {
 			switch n := n.(type) {
 			case *ast.CallExpr:
 				fn := calleeFunc(p.Info, n)
-				if isPkgFunc(fn, netsimPath, "LinkDrop") && !linkDropAllowed(path, filename) {
-					p.Reportf(n.Pos(), "call to netsim.LinkDrop outside the model layer and the chaos transport wrapper: the drop coin is the adversary's, not the protocol's")
+				if path != netsimPath && (isPkgFunc(fn, netsimPath, "LinkDrop") || isPkgFunc(fn, netsimPath, "LinkDelay")) {
+					p.Reportf(n.Pos(), "call to netsim.%s outside netsim: the schedule's coins are the adversary's, reached only through netsim.Faults.Decide", fn.Name())
 				}
 				if !inChaos {
 					return true

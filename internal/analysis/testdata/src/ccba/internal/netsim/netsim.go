@@ -1,6 +1,6 @@
 // Package netsim is a fixture stand-in for ccba/internal/netsim: the
-// accounting struct with its blessed mutation methods, and the seeded
-// drop coin. It doubles as the metricsflow fixture for the rule that even
+// accounting struct with its blessed mutation methods, and the schedule's
+// seeded coins. It doubles as the metricsflow fixture for the rule that even
 // inside netsim only Metrics methods may write the fields (badwrite.go).
 package netsim
 
@@ -33,5 +33,7 @@ func (m *Metrics) Add(other Metrics) {
 }
 
 func LinkDrop(key uint64, round int, from, to types.NodeID, rate float64) bool { return false }
+
+func LinkDelay(key uint64, round int, from, to types.NodeID, delta int) int { return 1 }
 
 func Mix64(x uint64) uint64 { return x }

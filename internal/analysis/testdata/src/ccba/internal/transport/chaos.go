@@ -14,10 +14,10 @@ type chaosEndpoint struct {
 	raw   chan Envelope
 }
 
-// Send mixes one legal decision (the LinkDrop coin) with every forbidden
-// fault mechanism.
+// Send flips the drop coin itself, bypassing the schedule, and reaches for
+// every forbidden fault mechanism.
 func (c *chaosEndpoint) Send(to types.NodeID, env Envelope) error {
-	if netsim.LinkDrop(c.key, int(env.Round), types.NodeID(0), to, 0.5) {
+	if netsim.LinkDrop(c.key, int(env.Round), types.NodeID(0), to, 0.5) { // want `call to netsim\.LinkDrop outside netsim`
 		return nil
 	}
 	deadline := time.Now() // want `chaos code reads the wall clock via time\.Now`

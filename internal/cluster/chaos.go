@@ -11,10 +11,10 @@ import (
 
 // resolveChaos normalizes cfg, lowers the chaos declaration to a transport
 // spec against the normalized parameters, and fills in the synchronizer
-// options the spec implies: Options.Delta defaults to the chaos Δ, and any
-// time-based injection (delays, reorders, partition holds scale with
-// opts.RoundInterval) demands a soft round deadline so held-back sync
-// markers cannot stall the all-ack barrier forever.
+// options the spec implies: Options.Delta defaults to the chaos Δ, and
+// reordering demands a soft round deadline so frames held past their sync
+// marker cannot stall the all-ack barrier forever. (Schedule delays need no
+// check: they are held (d−1)·RoundInterval, nothing without an interval.)
 func resolveChaos(cfg scenario.Config, chaos scenario.ChaosConfig, opts Options) (scenario.Config, transport.ChaosSpec, Options, error) {
 	normalized, err := cfg.Normalized()
 	if err != nil {
@@ -32,9 +32,9 @@ func resolveChaos(cfg scenario.Config, chaos scenario.ChaosConfig, opts Options)
 			"cluster: chaos schedule assumes Δ=%d but the synchronizer is budgeted for Δ=%d",
 			chaos.EffectiveDelta(), opts.Delta)
 	}
-	if (spec.MaxDelay > 0 || spec.ReorderRate > 0 || spec.PartitionHold > 0) && opts.RoundInterval <= 0 {
+	if spec.ReorderRate > 0 && opts.RoundInterval <= 0 {
 		return scenario.Config{}, transport.ChaosSpec{}, opts, fmt.Errorf(
-			"cluster: chaos schedule delays sync markers, which stalls the pure all-ack barrier; set Options.RoundInterval to arm the soft round deadline")
+			"cluster: chaos reordering holds data frames past their sync markers, which stalls the pure all-ack barrier; set Options.RoundInterval to arm the soft round deadline")
 	}
 	return normalized, spec, opts, nil
 }
@@ -52,14 +52,10 @@ func RunChaos(ctx context.Context, cfg scenario.Config, net transport.Network, c
 	}
 	// The injection layer reports its accepted drops through the same
 	// observability channels as the runners, so chaos traces carry the
-	// fault events the simulator's chaos model emits.
+	// fault events the simulator emits for the same schedule.
 	spec.Obs = obs.NewSink(opts.Tracer)
 	spec.Telemetry = opts.Telemetry
-	chaosNet, err := transport.NewChaosNetwork(net, spec)
-	if err != nil {
-		return nil, err
-	}
-	return Run(ctx, normalized, chaosNet, opts)
+	return Run(ctx, normalized, transport.NewChaosNetwork(net, spec), opts)
 }
 
 // RunNodeChaos is RunChaos for one node of a multi-process cluster: the

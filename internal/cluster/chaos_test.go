@@ -31,9 +31,9 @@ func runChaosChan(t *testing.T, cfg scenario.Config, chaos scenario.ChaosConfig,
 
 // TestChaosLiveMatchesSimDropOnly is the headline cross-validation claim:
 // a Δ=1 delay-free chaos run — drops on seed-chosen faulty senders, decided
-// per (round, from, to) by the shared netsim.LinkDrop — executes the exact
-// schedule the simulator's composite chaos model produces, so every
-// protocol-visible fact matches bit for bit, seed by seed.
+// per (round, from, to) by the shared netsim.Faults.Decide — executes the
+// exact schedule the simulator runs, so every protocol-visible fact matches
+// bit for bit, seed by seed.
 func TestChaosLiveMatchesSimDropOnly(t *testing.T) {
 	cfg := scenario.Config{Protocol: scenario.Core, N: 24, F: 7, Lambda: 8, MaxIters: 12}
 	chaos := scenario.ChaosConfig{DropRate: 0.25}
@@ -74,7 +74,7 @@ func TestChaosLiveMatchesSimCrash(t *testing.T) {
 // TestChaosLiveMatchesOmissionScenario checks the seed-derivation bridge
 // from the other side: a drop-only chaos run must reproduce the simulator's
 // *standalone* NetOmission model — same derived seed, same faulty set, same
-// per-link decisions — not just the composite chaos model.
+// per-link decisions — not just the chaos lowering of the schedule.
 func TestChaosLiveMatchesOmissionScenario(t *testing.T) {
 	cfg := scenario.Config{Protocol: scenario.Core, N: 24, F: 7, Lambda: 8, MaxIters: 12}
 	cfg.Seed[0] = 42

@@ -38,9 +38,9 @@ func (c *sendCounter) Step(round int, delivered []netsim.Delivered) []netsim.Sen
 // every node's own sends.
 func TestInternedMatchesOwnedInEveryRegime(t *testing.T) {
 	const n, f, lambda = 120, 36, 40
-	var omissionFaulty []types.NodeID
-	for id := types.NodeID(0); id < n; id += 10 {
-		omissionFaulty = append(omissionFaulty, id)
+	omissionFaulty := make([]bool, n)
+	for id := 0; id < n; id += 10 {
+		omissionFaulty[id] = true
 	}
 	var netSeed [32]byte
 	netSeed[0] = 9
@@ -57,12 +57,12 @@ func TestInternedMatchesOwnedInEveryRegime(t *testing.T) {
 		{name: "passive delta-one", seed: 3, inputs: mixedInputs(n)},
 		{
 			name: "vote flip over delta-two omission", seed: 3, inputs: mixedInputs(n),
-			net:       netsim.Omission(2, 0.25, omissionFaulty, netSeed),
+			net:       netsim.Faults{Delta: 2, Key: netsim.FoldSeed(netSeed), Faulty: omissionFaulty, Rate: 0.25},
 			adv:       func() netsim.Adversary { return &VoteFlipAttack{} },
 			exercised: func(a netsim.Adversary) bool { return a.(*VoteFlipAttack).Injected > 0 },
 		},
-		{name: "worst-case delta-two", seed: 3, inputs: mixedInputs(n), net: netsim.WorstCase(2)},
-		{name: "partition", seed: 3, inputs: mixedInputs(n), net: netsim.Partition(2, n/2, 8)},
+		{name: "worst-case delta-two", seed: 3, inputs: mixedInputs(n), net: netsim.Faults{Delta: 2, Spread: netsim.SpreadHold}},
+		{name: "partition", seed: 3, inputs: mixedInputs(n), net: netsim.Faults{Delta: 2, Cut: n / 2, CutUntil: 8}},
 		{
 			name: "divergent unicast injection", seed: 2, inputs: constInputs(n, types.One),
 			adv:       func() netsim.Adversary { return &unicastFlipInjector{targets: []types.NodeID{100, 101, 102, 103, 104}} },
@@ -95,7 +95,7 @@ func TestInternedMatchesOwnedInEveryRegime(t *testing.T) {
 				}
 				delta := 1
 				if rg.net != nil {
-					delta = rg.net.Delta()
+					delta, _, _ = rg.net.Validate(n, f)
 				}
 				rt, err := netsim.NewRuntime(netsim.Config{
 					N: n, F: f, MaxRounds: cfg.Rounds() * delta, Net: rg.net,

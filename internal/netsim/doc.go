@@ -12,10 +12,12 @@
 // Message timing is the NetModel's job: each (sender, recipient) link of a
 // round-r send is assigned a delivery round in [r+1, r+∆]. The default
 // DeltaOne model is lockstep ∆ = 1, bit-identical to the pre-model
-// runtime and allocation-free in steady state; the other models —
-// worst-case ∆-delay, seeded jitter, per-link omission faults, temporary
-// partitions — exercise the adversary's classic synchronous power of
-// delaying honest messages up to the bound. The Runtime enforces the
+// runtime and allocation-free in steady state. Every other schedule is one
+// Faults value — worst-case ∆-delay, seeded jitter, per-link omission
+// faults, a temporary partition, a crash window, or any mix — exercising
+// the adversary's classic synchronous power of delaying honest messages up
+// to the bound. The live chaos transport calls the same Faults.Decide, so
+// both runtimes draw one fault schedule. The Runtime enforces the
 // model's answers against the bound and the adversary's declared Power:
 // honest-to-honest messages always arrive by ∆, and only links from
 // omission-faulty or corrupt senders may be dropped (see NetModel).

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"ccba/internal/obs"
 	"ccba/internal/types"
 )
 
@@ -22,58 +23,44 @@ import (
 //     honest link. The only exceptions are the adversary's own after-the-fact
 //     removal (a Ctx.Remove by a strongly adaptive adversary, which happens
 //     before scheduling) and the model's declared omission faults below.
-//   - Delays are clamped into [1, Delta()]. Nothing arrives in the round it
-//     was sent (the adversary is rushing, the honest nodes are not), and
-//     nothing arrives after the bound.
-//   - A model may declare a set of omission-faulty senders via Faulty().
-//     Links from those nodes may be dropped — the classic omission/crash
-//     fault class, distinct from Byzantine corruption: faulty nodes keep
-//     executing the protocol honestly, but the network loses (some of) their
-//     outbound messages. Omission faults spend the same budget as
-//     corruptions: NewRuntime rejects models whose fault set exceeds F, and
-//     Ctx.Corrupt charges adaptive corruptions against the remainder, so
-//     faulty-plus-corrupt senders never exceed F in total.
+//   - Delays are clamped into [1, ∆]. Nothing arrives in the round it was
+//     sent (the adversary is rushing, the honest nodes are not), and nothing
+//     arrives after the bound.
+//   - A model may declare a set of omission-faulty senders. Links from those
+//     nodes may be dropped — the classic omission/crash fault class, distinct
+//     from Byzantine corruption: faulty nodes keep executing the protocol
+//     honestly, but the network loses (some of) their outbound messages.
+//     Omission faults spend the same budget as corruptions: Validate rejects
+//     fault sets that exceed F, and Ctx.Corrupt charges adaptive corruptions
+//     against the remainder, so faulty-plus-corrupt senders never exceed F
+//     in total.
 //   - Links from corrupt senders (injected traffic, or sends erasable under
 //     strongly adaptive power) may be dropped freely — the adversary already
 //     controls that traffic.
 //   - A node's message to itself never touches the network: self-links are
 //     delivered next round and cannot be dropped or delayed further.
 //
-// Models must be deterministic given their construction parameters; seeded
-// models derive every decision from (seed, round, from, to) so executions
-// remain reproducible and independent of scheduling order.
+// Models must be deterministic given their construction parameters: every
+// decision is a function of (round, from, to), so executions remain
+// reproducible and independent of scheduling order.
 type NetModel interface {
-	// Delta returns the model's delivery bound ∆ ≥ 1.
-	Delta() int
-	// Faulty returns the omission-faulty sender set (nil for pure
-	// scheduling models). The Runtime validates it against N and F.
-	Faulty() []types.NodeID
-	// Schedule returns the delivery delay in rounds for one link, in
-	// [1, Delta()], or Drop to omit delivery on that link. The Runtime
-	// clamps and power-checks the answer as described above.
-	Schedule(l Link) int
+	// Validate checks the model against an execution of n nodes with
+	// corruption budget f and returns what the Runtime enforces it by: the
+	// delivery bound ∆ ≥ 1 and the omission-faulty senders as an n-long
+	// mask (nil when the model declares none).
+	Validate(n, f int) (delta int, faulty []bool, err error)
+	// Decide returns the delivery delay in rounds for the link
+	// (round, from, to), in [1, ∆], or Drop to omit delivery on it, with
+	// kind classifying the drop for the trace. The Runtime clamps and
+	// power-checks the answer as described above.
+	Decide(round int, from, to types.NodeID) (delay int, kind obs.FaultKind)
 }
 
-// Drop is the Schedule return value requesting that a link's message be
+// Drop is the Decide return value requesting that a link's message be
 // omitted entirely. The Runtime honors it only on links the adversary's
 // power permits (faulty or corrupt senders); on honest links it degrades to
-// the maximal delay Delta().
+// the maximal delay ∆.
 const Drop = -1
-
-// Link is one (sender, recipient) delivery decision put to a NetModel. A
-// multicast fans out into one Link per recipient, so models can make
-// per-link choices (drop the copy to one node, delay another).
-type Link struct {
-	// Round is the round the message was sent.
-	Round int
-	// From and To identify the link. To is always a concrete recipient.
-	From, To types.NodeID
-	// HonestSend reports whether the sender was so-far-honest when it sent.
-	HonestSend bool
-	// FromCorrupt reports whether the sender is corrupt by scheduling time
-	// (an injected message, or a sender corrupted after speaking).
-	FromCorrupt bool
-}
 
 // ---------------------------------------------------------------------------
 // DeltaOne — the default lockstep model.
@@ -86,134 +73,120 @@ type deltaOne struct{}
 // recognises it and skips per-link scheduling entirely).
 func DeltaOne() NetModel { return deltaOne{} }
 
-func (deltaOne) Delta() int             { return 1 }
-func (deltaOne) Faulty() []types.NodeID { return nil }
-func (deltaOne) Schedule(Link) int      { return 1 }
-func (deltaOne) String() string         { return "delta-one" }
+func (deltaOne) Validate(int, int) (int, []bool, error)                      { return 1, nil, nil }
+func (deltaOne) Decide(int, types.NodeID, types.NodeID) (int, obs.FaultKind) { return 1, obs.FaultDrop }
+func (deltaOne) String() string                                              { return "delta-one" }
 
 // ---------------------------------------------------------------------------
-// WorstCase — adversarial ∆-delay.
+// Faults — the one seeded fault schedule.
 
-type worstCase struct{ delta int }
+// Spread is how Faults delays a link it neither drops nor holds across a
+// partition cut.
+type Spread uint8
 
-// WorstCase returns the adversary's classic synchronous schedule: every
-// link is held to the delivery bound ∆. Against lockstep protocols this is
-// the worst legal timing an adversary can impose without dropping anything.
-func WorstCase(delta int) NetModel { return worstCase{delta: delta} }
+// The base spreads.
+const (
+	// SpreadNext delivers every link next round.
+	SpreadNext Spread = iota
+	// SpreadJitter delays each link by the seeded LinkDelay draw, uniform
+	// in [1, ∆].
+	SpreadJitter
+	// SpreadHold holds every link to the bound ∆ — the adversary's classic
+	// worst-case synchronous schedule.
+	SpreadHold
+)
 
-func (w worstCase) Delta() int           { return w.delta }
-func (worstCase) Faulty() []types.NodeID { return nil }
-func (w worstCase) Schedule(Link) int    { return w.delta }
-func (w worstCase) String() string       { return fmt.Sprintf("worst-case(Δ=%d)", w.delta) }
-
-// ---------------------------------------------------------------------------
-// Jitter — seeded per-link random delay.
-
-type jitter struct {
-	delta int
-	key   uint64
+// Faults is the network adversary's whole power in one value: drop traffic
+// from its ≤ F faulty senders, delay any other link by up to ∆. The
+// simulator runs it as a NetModel and the live chaos transport calls the
+// same Decide for every frame, so both runtimes draw one schedule.
+//
+// Each classic model is one literal: worst-case ∆-delay is SpreadHold,
+// seeded jitter is SpreadJitter, omission is SpreadNext plus Faulty and
+// Rate, a partition is SpreadNext plus the cut, and the chaos composite is
+// SpreadJitter plus all of them.
+type Faults struct {
+	// Delta is the delivery bound ∆ ≥ 1.
+	Delta int
+	// Spread is the delay of a link no fault below applies to.
+	Spread Spread
+	// Key is the FoldSeed of the schedule's seed; every seeded decision
+	// (the rate drop, the jitter draw) mixes from it.
+	Key uint64
+	// Faulty marks the omission-faulty senders, indexed by node id (nil for
+	// none). Their links drop with probability Rate, and they spend the
+	// corruption budget.
+	Faulty []bool
+	// Rate is the per-(round, from, to) drop probability on links from
+	// Faulty senders, drawn by LinkDrop.
+	Rate float64
+	// Cut, CutFrom and CutUntil hold links crossing the [0, Cut) / [Cut, n)
+	// split to ∆ for rounds CutFrom..CutUntil−1. A synchronous adversary
+	// partitions by ∆-delay, never by disconnection.
+	Cut               types.NodeID
+	CutFrom, CutUntil int
+	// Crash, CrashFrom and CrashUntil drop every outbound link of node
+	// Crash for rounds CrashFrom..CrashUntil−1 — a crash/restart realized as
+	// an omission window, so Crash must be Faulty.
+	Crash                 types.NodeID
+	CrashFrom, CrashUntil int
 }
 
-// Jitter returns a model that delays every link by an independent,
-// seed-deterministic amount uniform in [1, delta]. The same seed yields the
-// same schedule on every run; per-link decisions are derived by hashing
-// (seed, round, from, to), so they do not depend on scheduling order.
-func Jitter(delta int, seed [32]byte) NetModel {
-	return jitter{delta: delta, key: FoldSeed(seed)}
-}
-
-func (j jitter) Delta() int           { return j.delta }
-func (jitter) Faulty() []types.NodeID { return nil }
-
-func (j jitter) Schedule(l Link) int {
-	return LinkDelay(j.key, l.Round, l.From, l.To, j.delta)
-}
-
-func (j jitter) String() string { return fmt.Sprintf("jitter(Δ=%d)", j.delta) }
-
-// ---------------------------------------------------------------------------
-// Omission — per-link drops on a declared faulty-sender set.
-
-type omission struct {
-	delta  int
-	rate   float64
-	key    uint64
-	faulty []types.NodeID
-	isF    map[types.NodeID]bool
-}
-
-// Omission returns a model with omission-faulty senders: each link from a
-// node in faulty independently loses its message with the given probability
-// (seed-deterministic per (round, from, to)); all other links are delivered
-// next round. delta still bounds any delay a composed runtime applies and
-// must be ≥ 1. Faulty nodes keep running the protocol — only the network
-// misbehaves — and the fault set spends the corruption budget F.
-func Omission(delta int, rate float64, faulty []types.NodeID, seed [32]byte) NetModel {
-	m := omission{
-		delta:  delta,
-		rate:   rate,
-		key:    FoldSeed(seed),
-		faulty: append([]types.NodeID(nil), faulty...),
-		isF:    make(map[types.NodeID]bool, len(faulty)),
+// Validate checks the schedule against an execution of n nodes with
+// corruption budget f: ∆ ≥ 1, Rate in [0, 1], the faulty set within the
+// budget, a declared crash window non-empty with a Faulty victim, and an
+// open cut that splits the nodes. It returns ∆ and the n-long faulty mask.
+func (fs Faults) Validate(n, f int) (int, []bool, error) {
+	if fs.Delta < 1 {
+		return 0, nil, fmt.Errorf("netsim: net model delta=%d, need Δ ≥ 1", fs.Delta)
 	}
-	for _, id := range m.faulty {
-		m.isF[id] = true
+	if fs.Rate < 0 || fs.Rate > 1 {
+		return 0, nil, fmt.Errorf("netsim: drop rate %v outside [0, 1]", fs.Rate)
 	}
-	return m
+	mask, err := checkFaultBudget(fs.Faulty, n, f)
+	if err != nil {
+		return 0, nil, err
+	}
+	if fs.CrashFrom != 0 || fs.CrashUntil != 0 {
+		if fs.CrashUntil <= fs.CrashFrom {
+			return 0, nil, fmt.Errorf("netsim: crash window [%d, %d) is empty", fs.CrashFrom, fs.CrashUntil)
+		}
+		if int(fs.Crash) < 0 || int(fs.Crash) >= len(mask) || !mask[fs.Crash] {
+			return 0, nil, fmt.Errorf("netsim: crash node %d must be in the faulty set (a crash is an omission fault and spends the budget)", fs.Crash)
+		}
+	}
+	if fs.CutUntil > fs.CutFrom && (int(fs.Cut) <= 0 || int(fs.Cut) >= n) {
+		return 0, nil, fmt.Errorf("netsim: partition cut %d does not split %d nodes", fs.Cut, n)
+	}
+	return fs.Delta, mask, nil
 }
 
-func (o omission) Delta() int             { return o.delta }
-func (o omission) Faulty() []types.NodeID { return o.faulty }
-
-func (o omission) Schedule(l Link) int {
-	if o.isF[l.From] && LinkDrop(o.key, l.Round, l.From, l.To, o.rate) {
-		return Drop
+// Decide applies the faults in a fixed precedence — the crash window, then
+// the rate drop, then the partition hold, then the base spread.
+func (fs Faults) Decide(round int, from, to types.NodeID) (int, obs.FaultKind) {
+	if from == fs.Crash && round >= fs.CrashFrom && round < fs.CrashUntil {
+		return Drop, obs.FaultCrash
 	}
-	return 1
-}
-
-func (o omission) String() string {
-	return fmt.Sprintf("omission(rate=%.2f, faulty=%d)", o.rate, len(o.faulty))
+	if int(from) < len(fs.Faulty) && fs.Faulty[from] && LinkDrop(fs.Key, round, from, to, fs.Rate) {
+		return Drop, obs.FaultDrop
+	}
+	if round >= fs.CutFrom && round < fs.CutUntil && (from < fs.Cut) != (to < fs.Cut) {
+		return fs.Delta, obs.FaultDrop
+	}
+	switch fs.Spread {
+	case SpreadJitter:
+		return LinkDelay(fs.Key, round, from, to, fs.Delta), obs.FaultDrop
+	case SpreadHold:
+		return fs.Delta, obs.FaultDrop
+	}
+	return 1, obs.FaultDrop
 }
 
 // ---------------------------------------------------------------------------
-// Partition — a temporary split held to the delivery bound.
+// Seeded link hashing behind the Faults coins.
 
-type partition struct {
-	delta int
-	cut   types.NodeID
-	until int
-}
-
-// Partition returns a model that splits the network into [0, cut) and
-// [cut, n) for rounds 0..until−1: cross-partition links are held to the
-// delivery bound ∆ while the partition lasts, then the network heals back
-// to lockstep. A synchronous adversary cannot silently disconnect honest
-// nodes — ∆-delay is the strongest partition it can impose — so this model
-// drops nothing.
-func Partition(delta int, cut types.NodeID, until int) NetModel {
-	return partition{delta: delta, cut: cut, until: until}
-}
-
-func (p partition) Delta() int           { return p.delta }
-func (partition) Faulty() []types.NodeID { return nil }
-
-func (p partition) Schedule(l Link) int {
-	if l.Round < p.until && (l.From < p.cut) != (l.To < p.cut) {
-		return p.delta
-	}
-	return 1
-}
-
-func (p partition) String() string {
-	return fmt.Sprintf("partition(Δ=%d, cut=%d, until=%d)", p.delta, p.cut, p.until)
-}
-
-// ---------------------------------------------------------------------------
-// Seeded link hashing shared by the randomized models.
-
-// FoldSeed collapses a 32-byte seed into the 64-bit key the seeded models
-// (and the scenario layer's fault sampling) mix per-decision hashes from.
+// FoldSeed collapses a 32-byte seed into the 64-bit key a Faults schedule
+// (and the scenario layer's fault sampling) mixes per-decision hashes from.
 func FoldSeed(seed [32]byte) uint64 {
 	k := uint64(0x9e3779b97f4a7c15)
 	for i := 0; i < 32; i += 8 {
@@ -244,9 +217,8 @@ func Mix64(z uint64) uint64 {
 // LinkDrop is the shared omission decision: whether the message on link
 // (round, from, to) is lost under drop probability rate and folded seed key.
 // One decision covers the whole link-round — every message a sender puts on
-// that link in that round shares the same fate, matching the Omission model.
-// The simulator's Omission model and the live chaos transport both call this,
-// so a Δ=1 drop-only chaos run reproduces the simulator's schedule exactly.
+// that link in that round shares the same fate. Faults.Decide is its one
+// caller, for the simulator and the live chaos transport alike.
 func LinkDrop(key uint64, round int, from, to types.NodeID, rate float64) bool {
 	if rate <= 0 {
 		return false
@@ -256,8 +228,8 @@ func LinkDrop(key uint64, round int, from, to types.NodeID, rate float64) bool {
 }
 
 // LinkDelay is the shared jitter decision: a seed-deterministic delivery
-// delay for link (round, from, to), uniform in [1, delta]. Both the Jitter
-// model and the composite Chaos model derive their schedules from it.
+// delay for link (round, from, to), uniform in [1, delta] — the
+// SpreadJitter draw.
 func LinkDelay(key uint64, round int, from, to types.NodeID, delta int) int {
 	if delta <= 1 {
 		return 1
@@ -265,40 +237,28 @@ func LinkDelay(key uint64, round int, from, to types.NodeID, delta int) int {
 	return 1 + int(linkHash(key, round, from, to)%uint64(delta))
 }
 
-// CheckFaultBudget validates an omission-faulty sender set against the
-// execution parameters: ids in [0, n), distinct count within the corruption
-// budget f. It returns the per-node membership mask (nil for an empty set).
-// The simulator's model validation and the chaos-spec validation of the live
-// cluster share this check, so both enforce the same power boundary.
-func CheckFaultBudget(faulty []types.NodeID, n, f int) ([]bool, error) {
-	if len(faulty) == 0 {
-		return nil, nil
-	}
-	mask := make([]bool, n)
-	distinct := 0
-	for _, id := range faulty {
-		if int(id) < 0 || int(id) >= n {
+// checkFaultBudget validates an omission-faulty sender mask against the
+// execution parameters: marked ids in [0, n), at most f of them. It returns
+// an n-long copy (nil for an empty set).
+func checkFaultBudget(faulty []bool, n, f int) ([]bool, error) {
+	count := 0
+	for id, on := range faulty {
+		if !on {
+			continue
+		}
+		if id >= n {
 			return nil, fmt.Errorf("%w: omission-faulty node %d (n=%d)", ErrUnknownNode, id, n)
 		}
-		if !mask[id] {
-			mask[id] = true
-			distinct++
-		}
+		count++
 	}
-	if distinct > f {
+	if count == 0 {
+		return nil, nil
+	}
+	if count > f {
 		return nil, fmt.Errorf("%w: %d omission-faulty senders exceed the corruption budget f=%d (omission faults spend the same budget)",
-			ErrBudget, distinct, f)
+			ErrBudget, count, f)
 	}
+	mask := make([]bool, n)
+	copy(mask, faulty)
 	return mask, nil
-}
-
-// validateNetModel checks a model against the execution parameters: Δ ≥ 1,
-// fault ids in range, and the omission budget within F. (Ctx.Corrupt then
-// charges adaptive corruptions against the budget the fault set already
-// spent, so faults plus corruptions never exceed F in total.)
-func validateNetModel(m NetModel, n, f int) ([]bool, error) {
-	if d := m.Delta(); d < 1 {
-		return nil, fmt.Errorf("netsim: net model delta=%d, need Δ ≥ 1", d)
-	}
-	return CheckFaultBudget(m.Faulty(), n, f)
 }

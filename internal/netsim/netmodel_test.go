@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"ccba/internal/obs"
 	"ccba/internal/types"
 )
 
@@ -53,7 +54,11 @@ func runTrace(t *testing.T, n int, scripts map[int][]Send, net NetModel, adv Adv
 	t.Helper()
 	rounds := 2
 	if net != nil {
-		rounds = net.Delta() + 1
+		delta, _, err := net.Validate(n, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rounds = delta + 1
 	}
 	nodes := make([]Node, n)
 	tn := make([]*traceNode, n)
@@ -75,7 +80,7 @@ func TestWorstCaseDelaysToBound(t *testing.T) {
 	const delta = 3
 	tn := runTrace(t, 3, map[int][]Send{
 		1: {Multicast(markMsg{Tag: 7})},
-	}, WorstCase(delta), nil, 1)
+	}, Faults{Delta: delta, Spread: SpreadHold}, nil, 1)
 	for i, node := range tn {
 		if len(node.got) != 1 {
 			t.Fatalf("node %d received %d messages, want 1", i, len(node.got))
@@ -94,13 +99,12 @@ func TestWorstCaseDelaysToBound(t *testing.T) {
 // drops wherever the runtime lets it.
 type hostileModel struct{ delta int }
 
-func (h hostileModel) Delta() int           { return h.delta }
-func (hostileModel) Faulty() []types.NodeID { return nil }
-func (h hostileModel) Schedule(l Link) int {
-	if l.From%2 == 0 {
-		return Drop
+func (h hostileModel) Validate(int, int) (int, []bool, error) { return h.delta, nil, nil }
+func (h hostileModel) Decide(_ int, from, _ types.NodeID) (int, obs.FaultKind) {
+	if from%2 == 0 {
+		return Drop, obs.FaultDrop
 	}
-	return 1 << 20
+	return 1 << 20, obs.FaultDrop
 }
 
 // Honest-to-honest messages must arrive by Δ no matter what the model
@@ -137,7 +141,7 @@ func TestJitterDeterministicPerSeed(t *testing.T) {
 		scripts[i] = []Send{Multicast(markMsg{Tag: uint32(100 + i)})}
 	}
 	trace := func(seed [32]byte) []arrival {
-		tn := runTrace(t, n, scripts, Jitter(delta, seed), nil, 1)
+		tn := runTrace(t, n, scripts, Faults{Delta: delta, Spread: SpreadJitter, Key: FoldSeed(seed)}, nil, 1)
 		var all []arrival
 		for _, node := range tn {
 			all = append(all, node.got...)
@@ -180,7 +184,7 @@ func TestJitterDeterministicPerSeed(t *testing.T) {
 func TestOmissionOnlyPermittedLinks(t *testing.T) {
 	var seed [32]byte
 	seed[3] = 9
-	net := Omission(1, 1.0, []types.NodeID{1}, seed)
+	net := Faults{Delta: 1, Key: FoldSeed(seed), Faulty: faultyMask(3, 1), Rate: 1}
 	tn := runTrace(t, 3, map[int][]Send{
 		0: {Multicast(markMsg{Tag: 20})},
 		1: {Multicast(markMsg{Tag: 21})},
@@ -215,15 +219,15 @@ func TestOmissionBudgetEnforced(t *testing.T) {
 		return nodes
 	}
 	var seed [32]byte
-	_, err := NewRuntime(Config{N: 4, F: 1, Net: Omission(1, 0.5, []types.NodeID{0, 2}, seed)}, mk(4), nil)
+	_, err := NewRuntime(Config{N: 4, F: 1, Net: Faults{Delta: 1, Key: FoldSeed(seed), Faulty: faultyMask(4, 0, 2), Rate: 0.5}}, mk(4), nil)
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("2 faults on budget f=1 gave %v, want ErrBudget", err)
 	}
-	_, err = NewRuntime(Config{N: 4, F: 3, Net: Omission(1, 0.5, []types.NodeID{7}, seed)}, mk(4), nil)
+	_, err = NewRuntime(Config{N: 4, F: 3, Net: Faults{Delta: 1, Key: FoldSeed(seed), Faulty: faultyMask(8, 7), Rate: 0.5}}, mk(4), nil)
 	if !errors.Is(err, ErrUnknownNode) {
 		t.Fatalf("out-of-range fault gave %v, want ErrUnknownNode", err)
 	}
-	_, err = NewRuntime(Config{N: 4, F: 1, Net: WorstCase(0)}, mk(4), nil)
+	_, err = NewRuntime(Config{N: 4, F: 1, Net: Faults{Spread: SpreadHold}}, mk(4), nil)
 	if err == nil {
 		t.Fatal("Δ=0 model accepted")
 	}
@@ -271,7 +275,7 @@ func TestOmissionFaultsShareCorruptionBudget(t *testing.T) {
 		}
 		rt, err := NewRuntime(Config{
 			N: 6, F: 3, MaxRounds: 4,
-			Net: Omission(1, 0.5, []types.NodeID{4, 5}, seed),
+			Net: Faults{Delta: 1, Key: FoldSeed(seed), Faulty: faultyMask(6, 4, 5), Rate: 0.5},
 		}, nodes, adv)
 		if err != nil {
 			t.Fatal(err)
@@ -305,9 +309,10 @@ func TestOmissionFaultsShareCorruptionBudget(t *testing.T) {
 // like the lockstep model, so the two delivery engines can be compared.
 type schedDeltaOne struct{}
 
-func (schedDeltaOne) Delta() int             { return 1 }
-func (schedDeltaOne) Faulty() []types.NodeID { return nil }
-func (schedDeltaOne) Schedule(Link) int      { return 1 }
+func (schedDeltaOne) Validate(int, int) (int, []bool, error) { return 1, nil, nil }
+func (schedDeltaOne) Decide(int, types.NodeID, types.NodeID) (int, obs.FaultKind) {
+	return 1, obs.FaultDrop
+}
 
 // The scheduled path at Δ=1 must reproduce the lockstep fast path exactly:
 // same messages, same order, same rounds, same metrics — the guarantee
@@ -355,7 +360,7 @@ func TestScheduledPathMatchesLockstepAtDeltaOne(t *testing.T) {
 // same-side links are never touched.
 func TestPartitionSchedulesCrossCutLinks(t *testing.T) {
 	const delta = 3
-	net := Partition(delta, 2, 1) // groups {0,1} | {2,3}, partitioned during round 0 only
+	net := Faults{Delta: delta, Cut: 2, CutUntil: 1} // groups {0,1} | {2,3}, partitioned during round 0 only
 	// Round-0 sends: cross-cut ones land at Δ, same-side at 1.
 	tn := runTrace(t, 4, map[int][]Send{
 		0: {Multicast(markMsg{Tag: 30})},
@@ -376,9 +381,10 @@ func TestPartitionSchedulesCrossCutLinks(t *testing.T) {
 // after-the-fact-removal boundary, enforced against the network layer too.
 type dropAllModel struct{ delta int }
 
-func (d dropAllModel) Delta() int           { return d.delta }
-func (dropAllModel) Faulty() []types.NodeID { return nil }
-func (dropAllModel) Schedule(Link) int      { return Drop }
+func (d dropAllModel) Validate(int, int) (int, []bool, error) { return d.delta, nil, nil }
+func (dropAllModel) Decide(int, types.NodeID, types.NodeID) (int, obs.FaultKind) {
+	return Drop, obs.FaultDrop
+}
 
 type corruptingAdversary struct {
 	Passive

@@ -81,6 +81,7 @@ type Runtime struct {
 	status []types.Status
 
 	net      NetModel
+	delta    int    // the model's delivery bound ∆
 	lockstep bool   // net is the DeltaOne model: deliver through shared/extras
 	faulty   []bool // omission-faulty senders declared by the model, nil if none
 
@@ -105,11 +106,10 @@ type Runtime struct {
 	// Trace state, allocated only when Config.Tracer is set. trDecided
 	// deduplicates EvDecide to the transition round; faultSeq counts
 	// injected faults per sender within the current round (general path
-	// only). faultKind is the network model's optional drop classifier.
+	// only).
 	tr        obs.Sink
 	trDecided []bool
 	faultSeq  map[types.NodeID]uint32
-	faultKind faultKinder
 
 	curRound int // round currently being stepped, read by pool workers
 }
@@ -122,14 +122,6 @@ type shard struct {
 	merge   []Delivered // inbox scratch for a node that has extras
 	metrics Metrics     // Definitions 6–7 counts of the slab
 	done    bool        // every node of the shard is halted or corrupt
-}
-
-// faultKinder is an optional NetModel extension: a model that can drop for
-// more than one reason (seeded omission vs. crash window) classifies each
-// accepted drop for the trace. Models without it trace every drop as
-// obs.FaultDrop.
-type faultKinder interface {
-	DropKind(round int, from types.NodeID) obs.FaultKind
 }
 
 // extraEntry is a delivery that applies to a single recipient: a unicast, or
@@ -169,7 +161,7 @@ func newRuntime(cfg Config, nodes []Node, adv Adversary, workers int) (*Runtime,
 	if cfg.Net == nil {
 		cfg.Net = DeltaOne()
 	}
-	faulty, err := validateNetModel(cfg.Net, cfg.N, cfg.F)
+	delta, faulty, err := cfg.Net.Validate(cfg.N, cfg.F)
 	if err != nil {
 		return nil, err
 	}
@@ -186,6 +178,7 @@ func newRuntime(cfg Config, nodes []Node, adv Adversary, workers int) (*Runtime,
 		nodes:    nodes,
 		adv:      adv,
 		net:      cfg.Net,
+		delta:    delta,
 		lockstep: lockstep,
 		faulty:   faulty,
 		shards:   carveShards(cfg.N, workers),
@@ -204,7 +197,6 @@ func newRuntime(cfg Config, nodes []Node, adv Adversary, workers int) (*Runtime,
 		rt.trDecided = make([]bool, cfg.N)
 		if !lockstep {
 			rt.faultSeq = make(map[types.NodeID]uint32)
-			rt.faultKind, _ = cfg.Net.(faultKinder)
 		}
 	}
 	return rt, nil
@@ -525,7 +517,7 @@ func (rt *Runtime) lockstepDeliveries(envs []*Envelope) {
 // chronological send order (ties broken by envelope order).
 func (rt *Runtime) scheduleDeliveries(round int, envs []*Envelope) {
 	n := rt.cfg.N
-	ring := rt.net.Delta() + 1
+	ring := rt.delta + 1
 	if rt.buckets == nil {
 		rt.buckets = make([][][]Delivered, ring)
 		for i := range rt.buckets {
@@ -561,20 +553,15 @@ func (rt *Runtime) scheduleDeliveries(round int, envs []*Envelope) {
 // scheduleLink schedules one (envelope, recipient) link, enforcing the
 // delivery-bound and power contract documented on NetModel.
 func (rt *Runtime) scheduleLink(round int, e *Envelope, to types.NodeID, d Delivered) {
-	delta := rt.net.Delta()
+	delta := rt.delta
 	delay := 1
 	if e.From != to {
-		delay = rt.net.Schedule(Link{
-			Round:       round,
-			From:        e.From,
-			To:          to,
-			HonestSend:  e.honestSend,
-			FromCorrupt: rt.isCorrupt(e.From),
-		})
+		var kind obs.FaultKind
+		delay, kind = rt.net.Decide(round, e.From, to)
 		if delay == Drop {
 			if rt.mayDrop(e) {
 				if rt.tr.Enabled() {
-					rt.traceFault(round, e.From, to)
+					rt.traceFault(round, e.From, to, kind)
 				}
 				return
 			}
@@ -597,13 +584,9 @@ func (rt *Runtime) scheduleLink(round int, e *Envelope, to types.NodeID, d Deliv
 // sequence counter reproduces the live chaos endpoint's numbering: both
 // runtimes inject faults in (send seq, recipient) order, so the streams
 // align event for event at Δ=1.
-func (rt *Runtime) traceFault(round int, from, to types.NodeID) {
+func (rt *Runtime) traceFault(round int, from, to types.NodeID, kind obs.FaultKind) {
 	seq := rt.faultSeq[from]
 	rt.faultSeq[from] = seq + 1
-	kind := obs.FaultDrop
-	if rt.faultKind != nil {
-		kind = rt.faultKind.DropKind(round, from)
-	}
 	rt.tr.Fault(round, from, to, int(seq), kind)
 }
 

@@ -214,8 +214,8 @@ func (a *shardHopper) Round(ctx *Ctx) {
 // TestShardsMatchSerialInEveryRegime reruns chatNode traffic at every
 // worker count under the regimes sharded stepping never ran in before there
 // was one engine: the envelope window with corruption, Remove, RemoveFor
-// and Inject (lockstep and delayed), and the delivery ring under WorstCase
-// and Omission. Arrivals (with their rounds), the adversary's view, the
+// and Inject (lockstep and delayed), and the delivery ring under worst-case
+// delay and omission. Arrivals (with their rounds), the adversary's view, the
 // whole Result and the canonical order of the envelope list must equal the
 // serial run's.
 func TestShardsMatchSerialInEveryRegime(t *testing.T) {
@@ -228,10 +228,14 @@ func TestShardsMatchSerialInEveryRegime(t *testing.T) {
 		adv  func() Adversary
 	}{
 		{"adaptive-lockstep", nil, func() Adversary { return &shardHopper{victims: []types.NodeID{0, n - 1, n / 2}} }},
-		{"adaptive-worst-case-2", func() NetModel { return WorstCase(2) }, func() Adversary { return &shardHopper{victims: []types.NodeID{n - 1, 0, n / 2}} }},
-		{"passive-worst-case-2", func() NetModel { return WorstCase(2) }, nil},
-		{"passive-omission", func() NetModel { return Omission(2, 0.5, []types.NodeID{0, 5, n - 1}, seed) }, nil},
-		{"adaptive-omission", func() NetModel { return Omission(2, 0.5, []types.NodeID{1, n - 2}, seed) }, func() Adversary { return &shardHopper{victims: []types.NodeID{n - 2, 3}} }},
+		{"adaptive-worst-case-2", func() NetModel { return Faults{Delta: 2, Spread: SpreadHold} }, func() Adversary { return &shardHopper{victims: []types.NodeID{n - 1, 0, n / 2}} }},
+		{"passive-worst-case-2", func() NetModel { return Faults{Delta: 2, Spread: SpreadHold} }, nil},
+		{"passive-omission", func() NetModel {
+			return Faults{Delta: 2, Key: FoldSeed(seed), Faulty: faultyMask(n, 0, 5, n-1), Rate: 0.5}
+		}, nil},
+		{"adaptive-omission", func() NetModel {
+			return Faults{Delta: 2, Key: FoldSeed(seed), Faulty: faultyMask(n, 1, n-2), Rate: 0.5}
+		}, func() Adversary { return &shardHopper{victims: []types.NodeID{n - 2, 3}} }},
 	}
 	type outcome struct {
 		got [][]arrival
@@ -322,9 +326,9 @@ func (c *committeeNode) Halted() bool              { return c.halted }
 // does differ is the allocator rounding those four slices up to whole
 // pages).
 //
-// The same run under WorstCase(2) is allowed its O(n) delivery ring — three
-// slots of n slice headers, filled with one copy of every multicast per
-// recipient: that state is what the model asks for. It is checked at the
+// The same run under worst-case Δ=2 delay is allowed its O(n) delivery
+// ring — three slots of n slice headers, filled with one copy of every
+// multicast per recipient: that state is what the model asks for. It is checked at the
 // small n only, to show the bound above is about the regime and not about
 // the measurement missing allocations.
 func TestEngineStateIsTrafficSized(t *testing.T) {
@@ -356,9 +360,9 @@ func TestEngineStateIsTrafficSized(t *testing.T) {
 	if d := large - small; d > 64<<10 || d < -(64<<10) {
 		t.Errorf("engine allocated %d B at n=1000 and %d B at n=100000: something in it is O(n)", small, large)
 	}
-	ring := engineBytes(1_000, WorstCase(2))
+	ring := engineBytes(1_000, Faults{Delta: 2, Spread: SpreadHold})
 	t.Logf("passive worst-case(2): n=1000 %d B", ring)
 	if ring-small < 3*1_000*24 {
-		t.Errorf("WorstCase(2) at n=1000 allocated %d B, lockstep %d B: the ring's slice headers alone are %d B", ring, small, 3*1_000*24)
+		t.Errorf("Faults{Delta: 2, Spread: SpreadHold} at n=1000 allocated %d B, lockstep %d B: the ring's slice headers alone are %d B", ring, small, 3*1_000*24)
 	}
 }

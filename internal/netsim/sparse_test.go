@@ -107,7 +107,7 @@ func TestSparseRejections(t *testing.T) {
 		adv  Adversary
 		want error
 	}{
-		{"worst-case net", Config{N: 4, F: 1, Sparse: true, Net: WorstCase(2)}, nil, ErrSparseNet},
+		{"worst-case net", Config{N: 4, F: 1, Sparse: true, Net: Faults{Delta: 2, Spread: SpreadHold}}, nil, ErrSparseNet},
 		{"adversary", Config{N: 4, F: 1, Sparse: true}, &lateStatic{}, ErrSparseAdversary},
 	}
 	for _, tc := range cases {

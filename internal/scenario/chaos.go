@@ -13,11 +13,11 @@ import (
 
 // ChaosConfig declares a fault schedule for a live cluster run in the same
 // seed-deterministic vocabulary the simulated network models use. It is the
-// bridge between the two runtimes: TransportSpec lowers it to the
-// transport-level injection wrapper for a live run, and NetModel lowers the
-// *same* declaration — same derived seed, same faulty set, same windows —
-// to a composite netsim model, so one ChaosConfig can be executed on both
-// sides and cross-validated (DESIGN.md §7).
+// bridge between the two runtimes: it lowers once, to a netsim.Faults
+// schedule, which NetModel hands the simulator and TransportSpec hands the
+// live injection wrapper — same derived seed, same faulty set, same
+// windows, same per-link Decide — so one ChaosConfig can be executed on
+// both sides and cross-validated (DESIGN.md §7).
 //
 // The zero value is "no chaos at Δ=1". All fields respect the simulator's
 // power boundary: drops and crash windows only on the ≤F seed-chosen faulty
@@ -79,93 +79,66 @@ func (cc ChaosConfig) withDefaults(cfg Config) ChaosConfig {
 	return cc
 }
 
-// derive computes the seed material shared by both lowerings: the chaos
-// seed (the NetOmission derivation over cfg.Seed, so the faulty set matches
-// a Net: NetOmission simulation of the same config) and the drawn faulty
-// ids.
-func (cc ChaosConfig) derive(cfg Config) ([32]byte, []types.NodeID) {
+// faults lowers the declaration to the one fault schedule both runtimes
+// call, validated against cfg's (N, F). The seed is the NetOmission
+// derivation over cfg.Seed, so the faulty set matches a Net: NetOmission
+// simulation of the same config, and the crash victim is the first drawn
+// faulty node.
+func (cc ChaosConfig) faults(cfg Config) (netsim.Faults, error) {
+	c := cc.withDefaults(cfg)
 	seed := harness.SeedFrom(cfg.Seed, netSeedDomain, string(NetOmission), 0)
-	return seed, sampleIDs(seed, cfg.N, cc.Faulty)
+	faulty := sampleIDs(seed, cfg.N, c.Faulty)
+	fs := netsim.Faults{
+		Delta:  c.Delta,
+		Spread: netsim.SpreadJitter,
+		Key:    netsim.FoldSeed(seed),
+		Faulty: faultyMask(cfg.N, faulty),
+		Rate:   c.DropRate,
+	}
+	if c.PartitionRounds > 0 {
+		fs.Cut, fs.CutUntil = types.NodeID(cfg.N/2), c.PartitionRounds
+	}
+	if c.CrashRounds > 0 {
+		if len(faulty) == 0 {
+			return netsim.Faults{}, fmt.Errorf("scenario: chaos crash window needs a faulty node to crash, but the faulty set is empty (F=%d)", cfg.F)
+		}
+		fs.Crash, fs.CrashFrom, fs.CrashUntil = faulty[0], c.CrashFrom, c.CrashFrom+c.CrashRounds
+	}
+	if _, _, err := fs.Validate(cfg.N, cfg.F); err != nil {
+		return netsim.Faults{}, err
+	}
+	return fs, nil
 }
 
 // TransportSpec lowers the declaration to the live injection wrapper's
 // spec, validated against cfg's (N, F). interval is the synchronizer's
-// RoundInterval: at Δ > 1 it scales the real-time delays (jitter up to
-// (Δ−1) intervals, partition holds likewise) so injected latency stays
-// within what the Δ-budgeted synchronizer absorbs. A zero interval yields
-// drops/crash windows only — those are round-indexed, not time-based.
+// RoundInterval: a frame the schedule delays d rounds is held (d−1)
+// intervals, so injected latency stays within what the Δ-budgeted
+// synchronizer absorbs. A zero interval yields drops and crash windows only
+// — those are round-indexed, not time-based.
 func (cc ChaosConfig) TransportSpec(cfg Config, interval time.Duration) (transport.ChaosSpec, error) {
-	c := cc.withDefaults(cfg)
-	seed, faulty := c.derive(cfg)
-	spec := transport.ChaosSpec{
-		Key:         netsim.FoldSeed(seed),
-		Delta:       c.Delta,
-		Faulty:      faulty,
-		DropRate:    c.DropRate,
-		ReorderRate: c.Reorder,
+	fs, err := cc.faults(cfg)
+	if err != nil {
+		return transport.ChaosSpec{}, err
 	}
-	if c.Delta > 1 && interval > 0 {
-		spec.MaxDelay = time.Duration(c.Delta-1) * interval
-	}
-	if c.PartitionRounds > 0 {
-		spec.PartitionCut = types.NodeID(cfg.N / 2)
-		spec.PartitionUntil = c.PartitionRounds
-		if interval > 0 {
-			spec.PartitionHold = time.Duration(c.Delta-1) * interval
-		}
-	}
-	if c.CrashRounds > 0 {
-		if len(faulty) == 0 {
-			return transport.ChaosSpec{}, fmt.Errorf("scenario: chaos crash window needs a faulty node to crash, but the faulty set is empty (F=%d)", cfg.F)
-		}
-		spec.CrashNode = faulty[0]
-		spec.CrashFrom = c.CrashFrom
-		spec.CrashUntil = c.CrashFrom + c.CrashRounds
-	}
+	spec := transport.ChaosSpec{Faults: fs, Interval: interval, ReorderRate: cc.Reorder}
 	if err := spec.Validate(cfg.N, cfg.F); err != nil {
 		return transport.ChaosSpec{}, err
 	}
 	return spec, nil
 }
 
-// NetModel lowers the same declaration to the simulator's composite chaos
-// model. Reorder has no simulated counterpart and none is needed: a reorder
-// is a ≤Δ delivery delay, which the model's Δ-jitter already ranges over,
-// and the round-tagged delivery both runtimes sort by erases intra-round
-// order entirely.
+// NetModel lowers the same declaration to the simulator: the fault
+// schedule itself. Reorder has no simulated counterpart and none is needed:
+// a reorder is a ≤Δ delivery delay, which the schedule's Δ-jitter already
+// ranges over, and the round-tagged delivery both runtimes sort by erases
+// intra-round order entirely.
 func (cc ChaosConfig) NetModel(cfg Config) (netsim.NetModel, error) {
-	c := cc.withDefaults(cfg)
-	seed, faulty := c.derive(cfg)
-	var partitions []netsim.ChaosPartition
-	if c.PartitionRounds > 0 {
-		partitions = append(partitions, netsim.ChaosPartition{
-			Cut:   types.NodeID(cfg.N / 2),
-			Until: c.PartitionRounds,
-		})
-	}
-	var crashes []netsim.ChaosCrash
-	if c.CrashRounds > 0 {
-		if len(faulty) == 0 {
-			return nil, fmt.Errorf("scenario: chaos crash window needs a faulty node to crash, but the faulty set is empty (F=%d)", cfg.F)
-		}
-		crashes = append(crashes, netsim.ChaosCrash{
-			Node:  faulty[0],
-			From:  c.CrashFrom,
-			Until: c.CrashFrom + c.CrashRounds,
-		})
-	}
-	model, err := netsim.NewChaos(c.Delta, c.DropRate, faulty, partitions, crashes, seed)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := netsim.CheckFaultBudget(model.Faulty(), cfg.N, cfg.F); err != nil {
-		return nil, err
-	}
-	return model, nil
+	return cc.faults(cfg)
 }
 
 // SimRun executes cfg through the lockstep simulator under this chaos
-// declaration's composite model — the reference execution a live chaos run
+// declaration's fault schedule — the reference execution a live chaos run
 // is cross-validated against. The config's Delta is forced to the chaos Δ
 // so the round budget scales the same way the live synchronizer's does.
 func (cc ChaosConfig) SimRun(ctx context.Context, cfg Config) (*Report, error) {

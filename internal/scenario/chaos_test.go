@@ -2,17 +2,20 @@ package scenario
 
 import (
 	"context"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"ccba/internal/harness"
+	"ccba/internal/netsim"
 )
 
 // The chaos lowering must draw the same faulty set the NetOmission model
 // draws for the same config — that shared derivation is what lets one seed
-// cross-validate a live chaos run against the omission simulation.
+// cross-validate a live chaos run against the omission simulation — and
+// both runtimes must get the one schedule.
 func TestChaosFaultySetMatchesOmission(t *testing.T) {
 	cfg := Config{Protocol: Core, N: 24, F: 7, Lambda: 8}
 	cfg.Seed[0] = 11
@@ -21,22 +24,21 @@ func TestChaosFaultySetMatchesOmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	seed := harness.SeedFrom(cfg.Seed, netSeedDomain, string(NetOmission), 0)
-	want := sampleIDs(seed, cfg.N, cfg.F)
-	if !slices.Equal(spec.Faulty, want) {
-		t.Fatalf("chaos faulty set %v, omission derivation %v", spec.Faulty, want)
+	want := faultyMask(cfg.N, sampleIDs(seed, cfg.N, cfg.F))
+	if !slices.Equal(spec.Faults.Faulty, want) {
+		t.Fatalf("chaos faulty set %v, omission derivation %v", spec.Faults.Faulty, want)
 	}
 	model, err := ChaosConfig{DropRate: 0.3}.NetModel(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(model.Faulty(), want) {
-		t.Fatalf("sim-side chaos faulty set %v, omission derivation %v", model.Faulty(), want)
+	if !reflect.DeepEqual(model, spec.Faults) {
+		t.Fatalf("sim-side schedule %+v, transport-side %+v", model, spec.Faults)
 	}
 }
 
-// The crash victim is the first seed-chosen faulty node on both lowerings,
-// and a crash-only declaration still draws one faulty node to spend the
-// corruption budget.
+// The crash victim is the first seed-chosen faulty node, and a crash-only
+// declaration still draws one faulty node to spend the corruption budget.
 func TestChaosCrashVictimDeterministic(t *testing.T) {
 	cfg := Config{Protocol: Core, N: 16, F: 4, Lambda: 8}
 	cfg.Seed[0] = 5
@@ -45,42 +47,30 @@ func TestChaosCrashVictimDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(spec.Faulty) != 1 || spec.CrashNode != spec.Faulty[0] {
-		t.Fatalf("crash victim %d not the single drawn faulty node %v", spec.CrashNode, spec.Faulty)
+	fs := spec.Faults
+	seed := harness.SeedFrom(cfg.Seed, netSeedDomain, string(NetOmission), 0)
+	if want := sampleIDs(seed, cfg.N, 1); !slices.Equal(fs.Faulty, faultyMask(cfg.N, want)) || fs.Crash != want[0] {
+		t.Fatalf("crash victim %d, faulty %v; want the single drawn faulty node %v", fs.Crash, fs.Faulty, want)
 	}
-	if spec.CrashFrom != 1 || spec.CrashUntil != 4 {
-		t.Fatalf("crash window [%d, %d), want [1, 4)", spec.CrashFrom, spec.CrashUntil)
-	}
-	model, err := cc.NetModel(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := model.Faulty(); len(got) != 1 || got[0] != spec.CrashNode {
-		t.Fatalf("sim-side crash victim %v, transport-side %d", got, spec.CrashNode)
+	if fs.CrashFrom != 1 || fs.CrashUntil != 4 {
+		t.Fatalf("crash window [%d, %d), want [1, 4)", fs.CrashFrom, fs.CrashUntil)
 	}
 }
 
-// Time-based injection scales with the synchronizer's round interval and
-// stays within the Δ budget.
+// The transport spec carries the synchronizer's interval, which turns the
+// schedule's round delays into holds (the transport tests pin the holds),
+// the chaos Δ with its jitter spread, and the partition at N/2.
 func TestChaosDelaysScaleWithInterval(t *testing.T) {
 	cfg := Config{Protocol: Core, N: 16, F: 4, Lambda: 8}
 	spec, err := ChaosConfig{Delta: 3, PartitionRounds: 2}.TransportSpec(cfg, 10*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 20 * time.Millisecond; spec.MaxDelay != want || spec.PartitionHold != want {
-		t.Fatalf("delays (%v, %v), want both %v ((Δ−1) × interval)", spec.MaxDelay, spec.PartitionHold, want)
+	if spec.Interval != 10*time.Millisecond || spec.Faults.Delta != 3 || spec.Faults.Spread != netsim.SpreadJitter {
+		t.Fatalf("spec (interval %v, Δ %d, spread %d), want (10ms, 3, jitter)", spec.Interval, spec.Faults.Delta, spec.Faults.Spread)
 	}
-	if int(spec.PartitionCut) != cfg.N/2 || spec.PartitionUntil != 2 {
-		t.Fatalf("partition (%d, [%d, %d)), want cut 8 rounds [0, 2)", spec.PartitionCut, spec.PartitionFrom, spec.PartitionUntil)
-	}
-	// No interval: round-indexed faults only, no real-time holds.
-	spec, err = ChaosConfig{Delta: 3, PartitionRounds: 2}.TransportSpec(cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec.MaxDelay != 0 || spec.PartitionHold != 0 {
-		t.Fatalf("zero interval still yields delays (%v, %v)", spec.MaxDelay, spec.PartitionHold)
+	if fs := spec.Faults; int(fs.Cut) != cfg.N/2 || fs.CutFrom != 0 || fs.CutUntil != 2 {
+		t.Fatalf("partition (%d, [%d, %d)), want cut 8 rounds [0, 2)", fs.Cut, fs.CutFrom, fs.CutUntil)
 	}
 }
 
@@ -106,7 +96,7 @@ func TestChaosConfigRejections(t *testing.T) {
 	}
 }
 
-// SimRun executes the composite model through the standard simulator path:
+// SimRun executes the fault schedule through the standard simulator path:
 // the report must be deterministic in the seed and judged by the same
 // checkers as every other run.
 func TestChaosSimRunDeterministic(t *testing.T) {

@@ -215,8 +215,8 @@ type Config struct {
 
 	// chaosModel, when non-nil, overrides the Net-named model with a
 	// prebuilt one. Only ChaosConfig.SimRun sets it, so the cross-validation
-	// harness can execute the exact composite model a live chaos run was
-	// derived from (DESIGN.md §7). Unexported on purpose: the declarative
+	// harness can execute the exact fault schedule a live chaos run calls
+	// (DESIGN.md §7). Unexported on purpose: the declarative
 	// surface stays Net + ChaosConfig.
 	chaosModel netsim.NetModel
 
@@ -422,15 +422,20 @@ func (c *Config) netModel() (netsim.NetModel, error) {
 	case NetDeltaOne:
 		return netsim.DeltaOne(), nil
 	case NetWorstCase:
-		return netsim.WorstCase(c.Delta), nil
+		return netsim.Faults{Delta: c.Delta, Spread: netsim.SpreadHold}, nil
 	case NetJitter:
-		return netsim.Jitter(c.Delta, harness.SeedFrom(c.Seed, netSeedDomain, string(NetJitter), 0)), nil
+		seed := harness.SeedFrom(c.Seed, netSeedDomain, string(NetJitter), 0)
+		return netsim.Faults{Delta: c.Delta, Spread: netsim.SpreadJitter, Key: netsim.FoldSeed(seed)}, nil
 	case NetOmission:
 		seed := harness.SeedFrom(c.Seed, netSeedDomain, string(NetOmission), 0)
-		faulty := sampleIDs(seed, c.N, c.OmissionFaulty)
-		return netsim.Omission(c.Delta, c.OmissionRate, faulty, seed), nil
+		return netsim.Faults{
+			Delta:  c.Delta,
+			Key:    netsim.FoldSeed(seed),
+			Faulty: faultyMask(c.N, sampleIDs(seed, c.N, c.OmissionFaulty)),
+			Rate:   c.OmissionRate,
+		}, nil
 	case NetPartition:
-		return netsim.Partition(c.Delta, types.NodeID(c.N/2), c.PartitionRounds), nil
+		return netsim.Faults{Delta: c.Delta, Cut: types.NodeID(c.N / 2), CutUntil: c.PartitionRounds}, nil
 	default:
 		return nil, fmt.Errorf("scenario: unknown net model %q", c.Net)
 	}
@@ -460,4 +465,16 @@ func sampleIDs(seed [32]byte, n, k int) []types.NodeID {
 		perm[i], perm[j] = perm[j], perm[i]
 	}
 	return perm[:k]
+}
+
+// faultyMask marks ids in an n-long mask, nil when there are none.
+func faultyMask(n int, ids []types.NodeID) []bool {
+	if len(ids) == 0 {
+		return nil
+	}
+	mask := make([]bool, n)
+	for _, id := range ids {
+		mask[id] = true
+	}
+	return mask
 }

@@ -337,8 +337,8 @@ func TestNetModelResolution(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if m.Delta() != cfg.Delta {
-			t.Fatalf("%s: Delta %d, want %d", name, m.Delta(), cfg.Delta)
+		if delta, _, err := m.Validate(cfg.N, cfg.F); err != nil || delta != cfg.Delta {
+			t.Fatalf("%s: Validate (Δ %d, %v), want Δ %d", name, delta, err, cfg.Delta)
 		}
 		if _, err := netsim.NewRuntime(netsim.Config{N: cfg.N, F: cfg.F, Net: m}, makeIdle(cfg.N), nil); err != nil {
 			t.Fatalf("%s: runtime rejected model: %v", name, err)

@@ -10,7 +10,8 @@ import (
 // Histogram accumulates positive observations into geometrically spaced
 // buckets, the shape that answers quantile questions ("round-latency p99")
 // over many orders of magnitude with bounded relative error and O(buckets)
-// memory. Stream keeps the moments; Histogram keeps the distribution.
+// memory. Summarize keeps the moments of a materialised sample; Histogram
+// keeps the distribution without one.
 //
 // Observe is safe for concurrent use — the live cluster's node goroutines
 // all feed one round-latency histogram — and, the counters being

@@ -106,3 +106,38 @@ func Rate(successes, trials int) float64 {
 	}
 	return float64(successes) / float64(trials)
 }
+
+// PowerFit fits y ≈ coeff·x^exponent by least squares on (log x, log y) —
+// the scaling-law estimator E13 runs over its (n, total bits) sweep, where
+// the fitted exponent separates the core protocol's Õ(n·polylog) growth
+// (slope ≈ 1) from the quadratic baseline's Θ(n²) (slope ≈ 2). Points with
+// non-positive coordinates are skipped; fewer than two usable points yield
+// NaNs.
+func PowerFit(xs, ys []float64) (exponent, coeff float64) {
+	if len(xs) != len(ys) {
+		return math.NaN(), math.NaN()
+	}
+	var n float64
+	var sx, sy, sxx, sxy float64
+	for i := range xs {
+		if xs[i] <= 0 || ys[i] <= 0 {
+			continue
+		}
+		lx, ly := math.Log(xs[i]), math.Log(ys[i])
+		n++
+		sx += lx
+		sy += ly
+		sxx += lx * lx
+		sxy += lx * ly
+	}
+	if n < 2 {
+		return math.NaN(), math.NaN()
+	}
+	denom := n*sxx - sx*sx
+	if denom == 0 {
+		return math.NaN(), math.NaN()
+	}
+	exponent = (n*sxy - sx*sy) / denom
+	coeff = math.Exp((sy - exponent*sx) / n)
+	return exponent, coeff
+}

@@ -154,3 +154,47 @@ func TestEdgeCases(t *testing.T) {
 		}
 	})
 }
+
+func TestPowerFit(t *testing.T) {
+	tests := []struct {
+		name     string
+		exp, c   float64
+		xs       []float64
+		wantExp  float64
+		wantCoef float64
+	}{
+		{"linear", 1, 3, []float64{10, 100, 1000, 10000}, 1, 3},
+		{"quadratic", 2, 0.5, []float64{101, 251, 501, 1001}, 2, 0.5},
+		{"polylog-ish", 1.1, 7, []float64{1000, 10000, 100000}, 1.1, 7},
+	}
+	for _, tc := range tests {
+		ys := make([]float64, len(tc.xs))
+		for i, x := range tc.xs {
+			ys[i] = tc.c * math.Pow(x, tc.exp)
+		}
+		gotExp, gotCoef := PowerFit(tc.xs, ys)
+		if math.Abs(gotExp-tc.wantExp) > 1e-9 {
+			t.Errorf("%s: exponent = %v, want %v", tc.name, gotExp, tc.wantExp)
+		}
+		if math.Abs(gotCoef-tc.wantCoef)/tc.wantCoef > 1e-9 {
+			t.Errorf("%s: coeff = %v, want %v", tc.name, gotCoef, tc.wantCoef)
+		}
+	}
+}
+
+func TestPowerFitDegenerate(t *testing.T) {
+	if e, c := PowerFit([]float64{1, 2}, []float64{1}); !math.IsNaN(e) || !math.IsNaN(c) {
+		t.Errorf("mismatched lengths: got %v/%v, want NaNs", e, c)
+	}
+	if e, _ := PowerFit([]float64{5}, []float64{25}); !math.IsNaN(e) {
+		t.Errorf("single point: got exponent %v, want NaN", e)
+	}
+	if e, _ := PowerFit([]float64{-1, 0, 3}, []float64{1, 1, 9}); !math.IsNaN(e) {
+		// Only one usable point survives the positivity filter.
+		t.Errorf("filtered to one point: got exponent %v, want NaN", e)
+	}
+	// Identical x-coordinates cannot determine a slope.
+	if e, _ := PowerFit([]float64{4, 4}, []float64{2, 8}); !math.IsNaN(e) {
+		t.Errorf("vertical data: got exponent %v, want NaN", e)
+	}
+}

@@ -13,130 +13,78 @@ import (
 
 // ChaosSpec declares a deterministic fault-injection schedule for a live
 // cluster, applied below the protocol surface by wrapping each endpoint's
-// Send/Multicast path. Every decision is derived from Key and the frame's
-// (round, from, to, seq) coordinates, so the same spec and seed reproduce
-// the same faults on every run, on both the chan and TCP meshes.
+// Send/Multicast path. The schedule is the simulator's: every data frame
+// and sync marker is put to Faults.Decide on its (round, from, to) link, so
+// the same spec reproduces the same faults on every run, on both the chan
+// and TCP meshes, and the same link-for-link decisions a simulated run of
+// the same Faults makes.
 //
 // The spec enforces the simulator's power boundary: data frames are dropped
-// only on links whose sender is in the ≤F seed-chosen Faulty set (crash
-// windows are total outbound data omission for one such node); honest-sender
-// frames are only ever delayed or reordered, never lost; and the synchronizer
+// only on links whose sender is in the ≤F Faulty set (crash windows are
+// total outbound data omission for one such node); honest-sender frames
+// are only ever delayed or reordered, never lost; and the synchronizer
 // markers (EnvSync) and result records (EnvResult) that realize the round
 // structure are delayed at most, never dropped — the Δ-synchronous model's
 // round clock is an assumption the transport must keep honest.
 type ChaosSpec struct {
-	// Key is the folded 64-bit seed (netsim.FoldSeed) every decision mixes
-	// from. Using the seed derivation of the simulator's omission model makes
-	// a Δ=1 delay-free chaos run bit-identical to the simulated schedule.
-	Key uint64
-	// Delta is the delivery bound in rounds the injected faults respect.
-	// Delays and reorders require Delta ≥ 2; Delta 0 means 1.
-	Delta int
-	// Faulty lists the seed-chosen omission-faulty senders. Only their
-	// EnvData frames may be dropped. Validate checks |Faulty| ≤ F.
-	Faulty []types.NodeID
-	// DropRate is the per-(round, from, to) drop probability on faulty
-	// links, sharing netsim.LinkDrop with the simulator.
-	DropRate float64
-	// MaxDelay, when positive, holds each frame back by a deterministic
-	// per-frame duration in [0, MaxDelay). Callers derive it from the
-	// synchronizer's round interval so delays stay within the Δ bound.
-	MaxDelay time.Duration
+	// Faults is the fault schedule both runtimes call. A frame it delays d
+	// rounds is held back (d−1)·Interval.
+	Faults netsim.Faults
+	// Interval is the synchronizer's round interval, which turns the
+	// schedule's round delays into wall-clock holds. Zero holds nothing:
+	// drops and crash windows only.
+	Interval time.Duration
 	// ReorderRate selects data frames (per-frame, seed-deterministic) to be
 	// held back until after the sender's next sync marker on the same link,
-	// delivering them roughly one round late. Requires Delta ≥ 2.
+	// delivering them roughly one round late. Requires Δ ≥ 2. It is the one
+	// live-only coin: the simulator's round-tagged delivery has no intra-round
+	// order to disturb.
 	ReorderRate float64
-	// PartitionCut, PartitionFrom, PartitionUntil, PartitionHold impose a
-	// timed split: frames crossing the [0, Cut) / [Cut, n) boundary in
-	// rounds From..Until−1 are held back by PartitionHold. Requires Delta ≥ 2
-	// — a synchronous adversary partitions by Δ-delay, never by disconnection.
-	PartitionCut                  types.NodeID
-	PartitionFrom, PartitionUntil int
-	PartitionHold                 time.Duration
-	// CrashNode, CrashFrom, CrashUntil drop every outbound data frame of
-	// CrashNode for rounds From..Until−1 — a crash/restart realized as an
-	// omission window. CrashNode must be in Faulty (it spends the budget).
-	CrashNode             types.NodeID
-	CrashFrom, CrashUntil int
 	// Obs, when enabled, traces every accepted drop as an EvFault, numbered
-	// per (round, sender) in injection order — the numbering the simulator's
-	// chaos model reproduces, so drop-only Δ=1 traces align sim ≡ cluster.
+	// per (round, sender) in injection order — the numbering the simulator
+	// reproduces, so drop-only Δ=1 traces align sim ≡ cluster.
 	Obs obs.Sink
 	// Telemetry, when non-nil, counts each accepted drop on its (from, to)
 	// link for the live endpoint's /debug/vars snapshot.
 	Telemetry *obs.Telemetry
 }
 
-func (s ChaosSpec) delta() int {
-	if s.Delta <= 0 {
-		return 1
-	}
-	return s.Delta
-}
-
-func (s ChaosSpec) hasPartition() bool { return s.PartitionUntil > s.PartitionFrom }
-func (s ChaosSpec) hasCrash() bool     { return s.CrashUntil > s.CrashFrom }
-
-// Validate checks the spec against the cluster parameters, enforcing the
-// same power boundary the simulator's model validation applies: the faulty
-// set within the corruption budget F, crash windows only on faulty nodes,
-// and delay-class faults only at Δ ≥ 2.
+// Validate checks the spec against the cluster parameters: Faults.Validate,
+// the power boundary the simulator applies too, and the live-only rules —
+// a drop rate needs a faulty set to act on, and the delay-class faults a
+// live cluster realizes in wall-clock time (reorder, partition holds) need
+// Δ ≥ 2.
 func (s ChaosSpec) Validate(n, f int) error {
-	if s.Delta < 0 {
-		return fmt.Errorf("transport: chaos delta=%d, need Δ ≥ 1", s.Delta)
-	}
-	if s.DropRate < 0 || s.DropRate > 1 {
-		return fmt.Errorf("transport: chaos drop rate %v outside [0, 1]", s.DropRate)
+	delta, faulty, err := s.Faults.Validate(n, f)
+	if err != nil {
+		return err
 	}
 	if s.ReorderRate < 0 || s.ReorderRate > 1 {
 		return fmt.Errorf("transport: chaos reorder rate %v outside [0, 1]", s.ReorderRate)
 	}
-	if s.MaxDelay < 0 {
-		return fmt.Errorf("transport: chaos max delay %v is negative", s.MaxDelay)
+	if s.Interval < 0 {
+		return fmt.Errorf("transport: chaos round interval %v is negative", s.Interval)
 	}
-	mask, err := netsim.CheckFaultBudget(s.Faulty, n, f)
-	if err != nil {
-		return err
+	if s.Faults.Rate > 0 && faulty == nil {
+		return fmt.Errorf("transport: chaos drop rate %v with an empty faulty set drops nothing — name the ≤F faulty senders", s.Faults.Rate)
 	}
-	if s.DropRate > 0 && len(s.Faulty) == 0 {
-		return fmt.Errorf("transport: chaos drop rate %v with an empty faulty set drops nothing — name the ≤F faulty senders", s.DropRate)
+	if s.ReorderRate > 0 && delta < 2 {
+		return fmt.Errorf("transport: chaos reordering holds frames one round late and needs Δ ≥ 2, got Δ=%d", delta)
 	}
-	if s.ReorderRate > 0 && s.delta() < 2 {
-		return fmt.Errorf("transport: chaos reordering holds frames one round late and needs Δ ≥ 2, got Δ=%d", s.delta())
-	}
-	if s.hasPartition() {
-		if s.delta() < 2 {
-			return fmt.Errorf("transport: chaos partition is a Δ-delay and needs Δ ≥ 2, got Δ=%d", s.delta())
-		}
-		if int(s.PartitionCut) <= 0 || int(s.PartitionCut) >= n {
-			return fmt.Errorf("transport: chaos partition cut %d does not split a cluster of %d", s.PartitionCut, n)
-		}
-	}
-	if s.hasCrash() {
-		if int(s.CrashNode) < 0 || int(s.CrashNode) >= n {
-			return fmt.Errorf("transport: chaos crash node %d out of range (n=%d)", s.CrashNode, n)
-		}
-		if mask == nil || !mask[s.CrashNode] {
-			return fmt.Errorf("transport: chaos crash node %d must be in the faulty set (a crash is an omission fault and spends the budget)", s.CrashNode)
-		}
+	if s.Faults.CutUntil > s.Faults.CutFrom && delta < 2 {
+		return fmt.Errorf("transport: chaos partition is a Δ-delay and needs Δ ≥ 2, got Δ=%d", delta)
 	}
 	return nil
 }
 
 // NewChaosNetwork wraps every endpoint of inner in the fault-injection
-// layer. The caller validates the spec against (n, F) first — the wrapper
-// itself only needs the faulty ids to be in range.
-func NewChaosNetwork(inner Network, spec ChaosSpec) (Network, error) {
-	n := inner.N()
-	eps := make([]Transport, n)
+// layer. The caller validates the spec against (n, F) first.
+func NewChaosNetwork(inner Network, spec ChaosSpec) Network {
+	eps := make([]Transport, inner.N())
 	for i, ep := range inner.Endpoints() {
-		wrapped, err := wrapChaos(ep, spec)
-		if err != nil {
-			return nil, err
-		}
-		eps[i] = wrapped
+		eps[i] = wrapChaos(ep, spec)
 	}
-	return &chaosNetwork{inner: inner, eps: eps}, nil
+	return &chaosNetwork{inner: inner, eps: eps}
 }
 
 type chaosNetwork struct {
@@ -157,35 +105,22 @@ func WrapChaos(tr Transport, spec ChaosSpec) (Transport, error) {
 	if _, ok := tr.(*chanEndpoint); ok {
 		return nil, fmt.Errorf("transport: chaos-wrapping chan endpoint %d alone would stall its network's shared barrier; wrap all endpoints with NewChaosNetwork", tr.Self())
 	}
-	return wrapChaos(tr, spec)
+	return wrapChaos(tr, spec), nil
 }
 
-func wrapChaos(tr Transport, spec ChaosSpec) (Transport, error) {
-	n := tr.N()
-	isF := make([]bool, n)
-	for _, id := range spec.Faulty {
-		if int(id) < 0 || int(id) >= n {
-			return nil, fmt.Errorf("%w: chaos faulty node %d (n=%d)", ErrUnknownNode, id, n)
-		}
-		isF[id] = true
-	}
+func wrapChaos(tr Transport, spec ChaosSpec) *chaosEndpoint {
 	return &chaosEndpoint{
 		inner:      tr,
 		spec:       spec,
-		isF:        isF,
-		held:       make([][]Envelope, n),
+		held:       make([][]Envelope, tr.N()),
 		timers:     make(map[*time.Timer]struct{}),
 		faultRound: -1,
-	}, nil
+	}
 }
 
-// Hash domains separating the independent decision streams derived from one
-// key. The drop stream has no domain constant: it must reproduce
-// netsim.LinkDrop exactly for live/sim cross-validation.
-const (
-	chaosDomainDelay   = 0x64656c6179 // "delay"
-	chaosDomainReorder = 0x72656f7264 // "reord"
-)
+// chaosDomainReorder separates the reorder coin from the schedule's
+// LinkDrop/LinkDelay draws on the same key.
+const chaosDomainReorder = 0x72656f7264 // "reord"
 
 // chaosEndpoint injects the spec's faults on the send side of one node.
 // Injection below the protocol surface means the cluster runtime and the
@@ -194,7 +129,6 @@ const (
 type chaosEndpoint struct {
 	inner Transport
 	spec  ChaosSpec
-	isF   []bool
 
 	mu     sync.Mutex
 	held   [][]Envelope // per-peer reorder holdbacks, released after the next sync
@@ -223,22 +157,17 @@ func (c *chaosEndpoint) Send(to types.NodeID, env Envelope) error {
 	if err := checkAddr(to, c.N()); err != nil {
 		return err
 	}
-	self := c.Self()
-	if to == self || env.Kind == EnvHello {
+	if to == c.Self() || env.Kind == EnvHello {
 		return c.inner.Send(to, env)
 	}
 	switch env.Kind {
 	case EnvData:
-		round := int(env.Round)
-		if c.spec.hasCrash() && self == c.spec.CrashNode && round >= c.spec.CrashFrom && round < c.spec.CrashUntil {
-			c.noteFault(round, to, obs.FaultCrash)
+		hold, drop, kind := c.plan(env, to)
+		if drop {
+			c.noteFault(int(env.Round), to, kind)
 			return nil
 		}
-		if c.isF[self] && netsim.LinkDrop(c.spec.Key, round, self, to, c.spec.DropRate) {
-			c.noteFault(round, to, obs.FaultDrop)
-			return nil
-		}
-		if c.spec.ReorderRate > 0 && c.chance(chaosDomainReorder, env, to, c.spec.ReorderRate) {
+		if c.spec.ReorderRate > 0 && c.reorder(env, to) {
 			c.mu.Lock()
 			if !c.closed {
 				c.held[to] = append(c.held[to], env)
@@ -246,19 +175,31 @@ func (c *chaosEndpoint) Send(to types.NodeID, env Envelope) error {
 			c.mu.Unlock()
 			return nil
 		}
-		c.sendAfter(to, env, c.holdFor(env, to))
+		c.sendAfter(to, env, hold)
 		return nil
 	case EnvSync:
-		d := c.holdFor(env, to)
-		c.sendAfter(to, env, d)
+		hold, _, _ := c.plan(env, to)
+		c.sendAfter(to, env, hold)
 		// Held frames follow the sync marker with an extra beat, arriving
 		// (about) one round after they were sent — a legal Δ ≥ 2 reorder.
-		c.flushHeld(to, d+c.reorderLag())
+		c.flushHeld(to, hold+c.reorderLag())
 		return nil
 	default: // EnvResult
 		c.flushHeld(to, 0)
 		return c.inner.Send(to, env)
 	}
+}
+
+// plan puts one data frame or sync marker to the schedule: drop it, with
+// the drop's fault kind, or hold it (d−1)·Interval for a d-round delay. A
+// sync marker is never dropped: on a link the schedule drops, it goes out
+// unheld, after data frames that were all dropped.
+func (c *chaosEndpoint) plan(env Envelope, to types.NodeID) (hold time.Duration, drop bool, kind obs.FaultKind) {
+	delay, kind := c.spec.Faults.Decide(int(env.Round), c.Self(), to)
+	if delay == netsim.Drop {
+		return 0, env.Kind == EnvData, kind
+	}
+	return time.Duration(delay-1) * c.spec.Interval, false, kind
 }
 
 // Multicast fans out through Send so every link gets its own decision. The
@@ -310,26 +251,11 @@ func (c *chaosEndpoint) noteFault(round int, to types.NodeID, kind obs.FaultKind
 	c.spec.Obs.Fault(round, c.Self(), to, int(seq), kind)
 }
 
-// holdFor returns the deterministic hold-back duration for one frame:
-// the partition hold when the link crosses an open cut, plus the per-frame
-// delay draw when MaxDelay is set.
-func (c *chaosEndpoint) holdFor(env Envelope, to types.NodeID) time.Duration {
-	var d time.Duration
-	round := int(env.Round)
-	if c.spec.hasPartition() && round >= c.spec.PartitionFrom && round < c.spec.PartitionUntil &&
-		(c.Self() < c.spec.PartitionCut) != (to < c.spec.PartitionCut) {
-		d += c.spec.PartitionHold
-	}
-	if c.spec.MaxDelay > 0 {
-		d += time.Duration(c.hash(chaosDomainDelay, env, to) % uint64(c.spec.MaxDelay))
-	}
-	return d
-}
-
-// reorderLag spaces a released holdback behind its sync marker.
+// reorderLag spaces a released holdback behind its sync marker: the
+// schedule's longest hold, (Δ−1) intervals.
 func (c *chaosEndpoint) reorderLag() time.Duration {
-	if c.spec.MaxDelay > 0 {
-		return c.spec.MaxDelay
+	if d := time.Duration(c.spec.Faults.Delta-1) * c.spec.Interval; d > 0 {
+		return d
 	}
 	return time.Millisecond
 }
@@ -369,18 +295,13 @@ func (c *chaosEndpoint) flushHeld(to types.NodeID, lag time.Duration) {
 	}
 }
 
-// chance draws the seed-deterministic per-frame decision for one domain.
-func (c *chaosEndpoint) chance(domain uint64, env Envelope, to types.NodeID, rate float64) bool {
-	return float64(c.hash(domain, env, to)>>11)/(1<<53) < rate
-}
-
-// hash mixes one per-frame decision value from the key, domain, and the
-// frame's (round, from, to, seq) coordinates.
-func (c *chaosEndpoint) hash(domain uint64, env Envelope, to types.NodeID) uint64 {
-	h := netsim.Mix64(c.spec.Key ^ domain)
+// reorder flips the seed-deterministic per-frame reorder coin, mixed from
+// the key and the frame's (round, from, to, seq) coordinates.
+func (c *chaosEndpoint) reorder(env Envelope, to types.NodeID) bool {
+	h := netsim.Mix64(c.spec.Faults.Key ^ chaosDomainReorder)
 	h = netsim.Mix64(h ^ uint64(env.Round))
 	h = netsim.Mix64(h ^ uint64(uint32(c.Self())))
 	h = netsim.Mix64(h ^ uint64(uint32(to)))
 	h = netsim.Mix64(h ^ uint64(env.Seq))
-	return h
+	return float64(h>>11)/(1<<53) < c.spec.ReorderRate
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"ccba/internal/netsim"
+	"ccba/internal/obs"
 	"ccba/internal/types"
 )
 
@@ -19,71 +20,162 @@ func chaosPair(t *testing.T, n int, spec ChaosSpec) Network {
 	if err != nil {
 		t.Fatal(err)
 	}
-	netw, err := NewChaosNetwork(inner, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	netw := NewChaosNetwork(inner, spec)
 	t.Cleanup(func() { netw.Close() })
 	return netw
 }
 
-// Chaos drops must reproduce the simulator's omission decisions exactly:
-// same folded key, same (round, from, to) hash, one fate per link-round.
-func TestChaosDropMatchesSimulatorDecision(t *testing.T) {
-	seed := [32]byte{7, 7, 7}
-	key := netsim.FoldSeed(seed)
-	spec := ChaosSpec{Key: key, Delta: 1, Faulty: []types.NodeID{0}, DropRate: 0.5}
-	netw := chaosPair(t, 2, spec)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
+// mask marks ids in an n-long faulty mask.
+func mask(n int, ids ...types.NodeID) []bool {
+	m := make([]bool, n)
+	for _, id := range ids {
+		m[id] = true
+	}
+	return m
+}
 
-	sender := netw.Endpoints()[0]
-	receiver := netw.Endpoints()[1]
-	const rounds = 64
-	for r := 0; r < rounds; r++ {
-		env := Envelope{Kind: EnvData, From: 0, Round: uint32(r), Payload: []byte{byte(r)}}
-		if err := sender.Send(1, env); err != nil {
-			t.Fatal(err)
-		}
-		// The sync marker is never dropped, so it bounds the round.
-		if err := sender.Send(1, Envelope{Kind: EnvSync, From: 0, Round: uint32(r)}); err != nil {
-			t.Fatal(err)
-		}
+// sendLog is an inner transport that records, synchronously, every frame
+// the chaos wrapper passes down.
+type sendLog struct {
+	self types.NodeID
+	n    int
+	mu   sync.Mutex
+	sent []loggedSend
+}
+
+type loggedSend struct {
+	to  types.NodeID
+	env Envelope
+}
+
+func (l *sendLog) Self() types.NodeID { return l.self }
+func (l *sendLog) N() int             { return l.n }
+func (l *sendLog) Send(to types.NodeID, env Envelope) error {
+	l.mu.Lock()
+	l.sent = append(l.sent, loggedSend{to, env})
+	l.mu.Unlock()
+	return nil
+}
+func (l *sendLog) Multicast(env Envelope) error {
+	for j := 0; j < l.n; j++ {
+		l.Send(types.NodeID(j), env)
 	}
-	got := make(map[int]bool)
-	for r := 0; r < rounds; r++ {
-		for {
-			env, err := receiver.Recv(ctx)
-			if err != nil {
-				t.Fatal(err)
+	return nil
+}
+func (l *sendLog) Recv(ctx context.Context) (Envelope, error) {
+	<-ctx.Done()
+	return Envelope{}, ctx.Err()
+}
+func (l *sendLog) Close() error { return nil }
+
+// The live wrapper runs the simulator's schedule frame for frame: for every
+// data frame and sync marker its action is Faults.Decide's answer on the
+// frame's (round, from, to) link — the drop with its fault kind, or a hold
+// of (delay−1)·Interval — across rate drops, a crash window, a partition
+// hold and Δ = 3 jitter. Sync markers are never dropped. The plan is
+// checked directly, and executed: with an hour-long interval, exactly the
+// frames the schedule delivers next round reach the inner transport at
+// once, the held ones wait on a timer each, and the trace carries one
+// fault event per dropped data frame with Decide's kind.
+func TestChaosDropMatchesSimulatorDecision(t *testing.T) {
+	const n, rounds, interval = 5, 24, time.Hour
+	key := netsim.FoldSeed([32]byte{7, 7, 7})
+	schedules := []struct {
+		name string
+		fs   netsim.Faults
+	}{
+		{"drop-only-1", netsim.Faults{Delta: 1, Spread: netsim.SpreadJitter, Key: key, Faulty: mask(n, 0, 3), Rate: 0.5}},
+		{"crash-partition-3", netsim.Faults{Delta: 3, Spread: netsim.SpreadJitter, Key: key, Faulty: mask(n, 0, 3), Rate: 0.3,
+			Cut: 2, CutFrom: 3, CutUntil: 10, Crash: 3, CrashFrom: 5, CrashUntil: 12}},
+	}
+	for _, sc := range schedules {
+		if err := (ChaosSpec{Faults: sc.fs, Interval: interval}).Validate(n, 2); err != nil {
+			t.Fatalf("%s: %v", sc.name, err)
+		}
+		rec := obs.NewRecorder(0)
+		seen := map[string]int{}
+		var wantFaults int
+		for from := types.NodeID(0); from < n; from++ {
+			inner := &sendLog{self: from, n: n}
+			c := wrapChaos(inner, ChaosSpec{Faults: sc.fs, Interval: interval, Obs: obs.NewSink(rec)})
+			held := 0
+			for r := 0; r < rounds; r++ {
+				for to := types.NodeID(0); to < n; to++ {
+					if to == from {
+						continue
+					}
+					delay, kind := sc.fs.Decide(r, from, to)
+					for _, env := range []Envelope{
+						{Kind: EnvData, From: from, Round: uint32(r)},
+						{Kind: EnvSync, From: from, Round: uint32(r)},
+					} {
+						wantDrop := delay == netsim.Drop && env.Kind == EnvData
+						var wantHold time.Duration
+						if delay != netsim.Drop {
+							wantHold = time.Duration(delay-1) * interval
+						}
+						hold, drop, k := c.plan(env, to)
+						if drop != wantDrop || hold != wantHold || (drop && k != kind) {
+							t.Fatalf("%s: %d→%d round %d kind %d: plan (hold %v, drop %v, %s), Decide (%d, %s)",
+								sc.name, from, to, r, env.Kind, hold, drop, k, delay, kind)
+						}
+						before := len(inner.sent)
+						if err := c.Send(to, env); err != nil {
+							t.Fatal(err)
+						}
+						now := len(inner.sent) - before
+						switch {
+						case wantDrop:
+							wantFaults++
+							seen[kind.String()]++
+							if now != 0 {
+								t.Fatalf("%s: dropped frame %d→%d round %d reached the wire", sc.name, from, to, r)
+							}
+						case wantHold > 0:
+							held++
+							seen["hold"]++
+							if now != 0 {
+								t.Fatalf("%s: frame %d→%d round %d went out unheld, want a %v hold", sc.name, from, to, r, wantHold)
+							}
+						default:
+							if now != 1 {
+								t.Fatalf("%s: frame %d→%d round %d kind %d not sent at once", sc.name, from, to, r, env.Kind)
+							}
+						}
+					}
+				}
 			}
-			if env.Kind == EnvData {
-				got[int(env.Round)] = true
-				continue
+			c.mu.Lock()
+			timers := len(c.timers)
+			c.mu.Unlock()
+			if timers != held {
+				t.Fatalf("%s: node %d has %d pending holds, want %d", sc.name, from, timers, held)
 			}
-			break // the round's sync
+			c.Close()
 		}
-	}
-	dropped := 0
-	for r := 0; r < rounds; r++ {
-		wantDrop := netsim.LinkDrop(key, r, 0, 1, spec.DropRate)
-		if wantDrop {
-			dropped++
+		events := rec.Events()
+		if len(events) != wantFaults {
+			t.Fatalf("%s: %d fault events, want %d", sc.name, len(events), wantFaults)
 		}
-		if got[r] == wantDrop {
-			t.Fatalf("round %d: delivered=%v, simulator drop decision=%v", r, got[r], wantDrop)
+		for _, e := range events {
+			delay, kind := sc.fs.Decide(int(e.Round), types.NodeID(e.Node), types.NodeID(e.A))
+			if e.Kind != obs.EvFault || delay != netsim.Drop || obs.FaultKind(e.B) != kind {
+				t.Fatalf("%s: traced %+v, Decide (%d, %s)", sc.name, e, delay, kind)
+			}
 		}
-	}
-	if dropped == 0 || dropped == rounds {
-		t.Fatalf("degenerate drop pattern: %d/%d — seed choice broken", dropped, rounds)
+		if seen["drop"] == 0 {
+			t.Fatalf("%s: no rate drops — schedule is degenerate: %v", sc.name, seen)
+		}
+		if sc.fs.Delta > 1 && (seen["crash"] == 0 || seen["hold"] == 0) {
+			t.Fatalf("%s: crash window or holds never exercised: %v", sc.name, seen)
+		}
 	}
 }
 
 // Honest senders are outside the faulty set: nothing of theirs may be lost,
 // and sync markers survive even on faulty links.
 func TestChaosPowerBoundary(t *testing.T) {
-	seed := [32]byte{1}
-	spec := ChaosSpec{Key: netsim.FoldSeed(seed), Delta: 1, Faulty: []types.NodeID{0}, DropRate: 1}
+	spec := ChaosSpec{Faults: netsim.Faults{Delta: 1, Key: netsim.FoldSeed([32]byte{1}), Faulty: mask(3, 0), Rate: 1}}
 	netw := chaosPair(t, 3, spec)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -134,11 +226,7 @@ func TestChaosPowerBoundary(t *testing.T) {
 // A crash window is total outbound data omission for its rounds — before and
 // after, the node's frames flow.
 func TestChaosCrashWindow(t *testing.T) {
-	spec := ChaosSpec{
-		Key: 42, Delta: 1,
-		Faulty:    []types.NodeID{1},
-		CrashNode: 1, CrashFrom: 2, CrashUntil: 5,
-	}
+	spec := ChaosSpec{Faults: netsim.Faults{Delta: 1, Key: 42, Faulty: mask(2, 1), Crash: 1, CrashFrom: 2, CrashUntil: 5}}
 	netw := chaosPair(t, 2, spec)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -178,8 +266,8 @@ func TestChaosCrashWindow(t *testing.T) {
 // an honest sender emits is eventually delivered.
 func TestChaosDelayReorderLosesNothing(t *testing.T) {
 	spec := ChaosSpec{
-		Key: 9, Delta: 2,
-		MaxDelay:    2 * time.Millisecond,
+		Faults:      netsim.Faults{Delta: 2, Spread: netsim.SpreadJitter, Key: 9},
+		Interval:    2 * time.Millisecond,
 		ReorderRate: 0.5,
 	}
 	netw := chaosPair(t, 2, spec)
@@ -225,16 +313,21 @@ func TestChaosSpecValidate(t *testing.T) {
 		spec ChaosSpec
 		want string // substring of the error, "" for valid
 	}{
-		{"empty", ChaosSpec{}, ""},
-		{"drops", ChaosSpec{Delta: 1, Faulty: []types.NodeID{0, 1}, DropRate: 0.5}, ""},
-		{"budget", ChaosSpec{Faulty: []types.NodeID{0, 1, 2}, DropRate: 0.5}, "budget"},
-		{"rate", ChaosSpec{Faulty: []types.NodeID{0}, DropRate: 1.5}, "outside"},
-		{"drop-no-faulty", ChaosSpec{DropRate: 0.5}, "faulty"},
-		{"reorder-delta", ChaosSpec{Delta: 1, ReorderRate: 0.5}, "Δ ≥ 2"},
-		{"partition-delta", ChaosSpec{Delta: 1, PartitionCut: 2, PartitionUntil: 3}, "Δ ≥ 2"},
-		{"partition-cut", ChaosSpec{Delta: 2, PartitionCut: 9, PartitionUntil: 3}, "split"},
-		{"crash-not-faulty", ChaosSpec{Delta: 1, Faulty: []types.NodeID{0}, DropRate: 0.1, CrashNode: 3, CrashUntil: 2}, "faulty set"},
-		{"crash-ok", ChaosSpec{Delta: 1, Faulty: []types.NodeID{3}, CrashNode: 3, CrashUntil: 2}, ""},
+		{"lockstep", ChaosSpec{Faults: netsim.Faults{Delta: 1}}, ""},
+		{"no-delta", ChaosSpec{}, "Δ ≥ 1"},
+		{"drops", ChaosSpec{Faults: netsim.Faults{Delta: 1, Faulty: mask(4, 0, 1), Rate: 0.5}}, ""},
+		{"budget", ChaosSpec{Faults: netsim.Faults{Delta: 1, Faulty: mask(4, 0, 1, 2), Rate: 0.5}}, "budget"},
+		{"rate", ChaosSpec{Faults: netsim.Faults{Delta: 1, Faulty: mask(4, 0), Rate: 1.5}}, "outside"},
+		{"reorder-rate", ChaosSpec{Faults: netsim.Faults{Delta: 2}, ReorderRate: -0.1}, "outside"},
+		{"interval", ChaosSpec{Faults: netsim.Faults{Delta: 2}, Interval: -time.Millisecond}, "negative"},
+		{"drop-no-faulty", ChaosSpec{Faults: netsim.Faults{Delta: 1, Rate: 0.5}}, "faulty"},
+		{"reorder-delta", ChaosSpec{Faults: netsim.Faults{Delta: 1}, ReorderRate: 0.5}, "Δ ≥ 2"},
+		{"partition-delta", ChaosSpec{Faults: netsim.Faults{Delta: 1, Cut: 2, CutUntil: 3}}, "Δ ≥ 2"},
+		{"partition-cut", ChaosSpec{Faults: netsim.Faults{Delta: 2, Cut: 9, CutUntil: 3}}, "split"},
+		{"crash-not-faulty", ChaosSpec{Faults: netsim.Faults{Delta: 1, Faulty: mask(4, 0), Rate: 0.1, Crash: 3, CrashUntil: 2}}, "faulty set"},
+		{"crash-empty", ChaosSpec{Faults: netsim.Faults{Delta: 1, Faulty: mask(4, 3), Crash: 3, CrashFrom: 2, CrashUntil: 2}}, "empty"},
+		{"crash-ok", ChaosSpec{Faults: netsim.Faults{Delta: 1, Faulty: mask(4, 3), Crash: 3, CrashUntil: 2}}, ""},
+		{"partition-ok", ChaosSpec{Faults: netsim.Faults{Delta: 2, Spread: netsim.SpreadJitter, Cut: 2, CutUntil: 3}, Interval: time.Millisecond, ReorderRate: 0.2}, ""},
 	}
 	for _, tc := range cases {
 		err := tc.spec.Validate(4, 2)
@@ -259,11 +352,8 @@ func TestChaosOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := ChaosSpec{Key: 5, Delta: 1, Faulty: []types.NodeID{0}, DropRate: 1}
-	netw, err := NewChaosNetwork(inner, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := ChaosSpec{Faults: netsim.Faults{Delta: 1, Key: 5, Faulty: mask(2, 0), Rate: 1}}
+	netw := NewChaosNetwork(inner, spec)
 	defer netw.Close()
 
 	ep := netw.Endpoints()[0]
@@ -291,15 +381,12 @@ func TestWrapChaosRefusesLoneChanEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer inner.Close()
-	spec := ChaosSpec{Key: 1, Delta: 1}
+	spec := ChaosSpec{Faults: netsim.Faults{Delta: 1, Key: 1}}
 	if _, err := WrapChaos(inner.Endpoints()[1], spec); err == nil || !strings.Contains(err.Error(), "NewChaosNetwork") {
 		t.Fatalf("WrapChaos on a chan endpoint: %v, want a construction error", err)
 	}
 
-	netw, err := NewChaosNetwork(inner, spec)
-	if err != nil {
-		t.Fatalf("NewChaosNetwork on a chan network: %v", err)
-	}
+	netw := NewChaosNetwork(inner, spec)
 	for i, ep := range netw.Endpoints() {
 		if _, ok := ep.(*chaosEndpoint); !ok {
 			t.Fatalf("endpoint %d is %T, want it chaos-wrapped", i, ep)
@@ -509,7 +596,7 @@ func TestTCPHelloRejections(t *testing.T) {
 // Every decision is a pure function of (key, coordinates): two runs of the
 // same spec produce the same drops.
 func TestChaosDeterminism(t *testing.T) {
-	spec := ChaosSpec{Key: 77, Delta: 1, Faulty: []types.NodeID{0}, DropRate: 0.4}
+	spec := ChaosSpec{Faults: netsim.Faults{Delta: 1, Key: 77, Faulty: mask(2, 0), Rate: 0.4}}
 	pattern := func() string {
 		netw := chaosPair(t, 2, spec)
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

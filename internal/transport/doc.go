@@ -45,10 +45,13 @@
 // themselves.
 //
 // A third layer wraps either implementation: the chaos transport
-// (WrapChaos/NewChaosNetwork) injects a seed-deterministic fault schedule
-// — drops on faulty senders' links, delay/reorder within the Δ window,
-// timed partitions, crash windows — below the protocol surface, under the
-// same power boundary the simulator enforces (DESIGN.md §7). Its Multicast
+// (WrapChaos/NewChaosNetwork) injects the simulator's own fault schedule
+// below the protocol surface. Every data frame and sync marker is put to
+// netsim.Faults.Decide — drops on faulty senders' links, crash windows,
+// timed partitions and per-link delays, each delay held (d−1) round
+// intervals — so the decisions match a simulated run link for link; the
+// per-frame reorder coin and wall-clock timing are the only live-only
+// parts (DESIGN.md §7). Its Multicast
 // is n per-link Sends, so chaos runs keep per-link sync markers on both
 // transports; since those bypass the chan network's tally, one
 // ChanNetwork's endpoints are wrapped all (NewChaosNetwork) or none —
