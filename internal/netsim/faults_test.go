@@ -103,7 +103,7 @@ func TestChaosPartitionHold(t *testing.T) {
 }
 
 // Validate shares one power boundary between the simulator and the live
-// wrapper: Δ, the rate, the budget, ids in range and a cut that splits.
+// wrapper: Δ, the rate, the budget, ids in range and a cut in range.
 func TestFaultsValidate(t *testing.T) {
 	cases := []struct {
 		name string
@@ -115,7 +115,7 @@ func TestFaultsValidate(t *testing.T) {
 		{"rate", Faults{Delta: 1, Rate: 1.5}, "outside"},
 		{"budget", Faults{Delta: 1, Faulty: faultyMask(4, 0, 1, 2)}, "budget"},
 		{"unknown", Faults{Delta: 1, Faulty: faultyMask(8, 7)}, "node 7"},
-		{"cut", Faults{Delta: 2, Cut: 4, CutUntil: 3}, "split"},
+		{"cut", Faults{Delta: 2, Cut: 5, CutUntil: 3}, "range"},
 		{"cut-ok", Faults{Delta: 2, Cut: 2, CutUntil: 3}, ""},
 	}
 	for _, tc := range cases {

@@ -135,7 +135,7 @@ type Faults struct {
 // Validate checks the schedule against an execution of n nodes with
 // corruption budget f: ∆ ≥ 1, Rate in [0, 1], the faulty set within the
 // budget, a declared crash window non-empty with a Faulty victim, and an
-// open cut that splits the nodes. It returns ∆ and the n-long faulty mask.
+// open cut in [0, n]. It returns ∆ and the n-long faulty mask.
 func (fs Faults) Validate(n, f int) (int, []bool, error) {
 	if fs.Delta < 1 {
 		return 0, nil, fmt.Errorf("netsim: net model delta=%d, need Δ ≥ 1", fs.Delta)
@@ -155,8 +155,8 @@ func (fs Faults) Validate(n, f int) (int, []bool, error) {
 			return 0, nil, fmt.Errorf("netsim: crash node %d must be in the faulty set (a crash is an omission fault and spends the budget)", fs.Crash)
 		}
 	}
-	if fs.CutUntil > fs.CutFrom && (int(fs.Cut) <= 0 || int(fs.Cut) >= n) {
-		return 0, nil, fmt.Errorf("netsim: partition cut %d does not split %d nodes", fs.Cut, n)
+	if fs.CutUntil > fs.CutFrom && (int(fs.Cut) < 0 || int(fs.Cut) > n) {
+		return 0, nil, fmt.Errorf("netsim: partition cut %d out of range for %d nodes", fs.Cut, n)
 	}
 	return fs.Delta, mask, nil
 }

@@ -51,9 +51,9 @@ type ChaosSpec struct {
 
 // Validate checks the spec against the cluster parameters: Faults.Validate,
 // the power boundary the simulator applies too, and the live-only rules —
-// a drop rate needs a faulty set to act on, and the delay-class faults a
-// live cluster realizes in wall-clock time (reorder, partition holds) need
-// Δ ≥ 2.
+// a drop rate needs a faulty set to act on, the delay-class faults a live
+// cluster realizes in wall-clock time (reorder, partition holds) need
+// Δ ≥ 2, and a partition must split the cluster.
 func (s ChaosSpec) Validate(n, f int) error {
 	delta, faulty, err := s.Faults.Validate(n, f)
 	if err != nil {
@@ -71,8 +71,13 @@ func (s ChaosSpec) Validate(n, f int) error {
 	if s.ReorderRate > 0 && delta < 2 {
 		return fmt.Errorf("transport: chaos reordering holds frames one round late and needs Δ ≥ 2, got Δ=%d", delta)
 	}
-	if s.Faults.CutUntil > s.Faults.CutFrom && delta < 2 {
-		return fmt.Errorf("transport: chaos partition is a Δ-delay and needs Δ ≥ 2, got Δ=%d", delta)
+	if fs := s.Faults; fs.CutUntil > fs.CutFrom {
+		if delta < 2 {
+			return fmt.Errorf("transport: chaos partition is a Δ-delay and needs Δ ≥ 2, got Δ=%d", delta)
+		}
+		if int(fs.Cut) == 0 || int(fs.Cut) == n {
+			return fmt.Errorf("transport: chaos partition cut %d does not split a cluster of %d", fs.Cut, n)
+		}
 	}
 	return nil
 }

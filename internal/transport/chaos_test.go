@@ -323,7 +323,8 @@ func TestChaosSpecValidate(t *testing.T) {
 		{"drop-no-faulty", ChaosSpec{Faults: netsim.Faults{Delta: 1, Rate: 0.5}}, "faulty"},
 		{"reorder-delta", ChaosSpec{Faults: netsim.Faults{Delta: 1}, ReorderRate: 0.5}, "Δ ≥ 2"},
 		{"partition-delta", ChaosSpec{Faults: netsim.Faults{Delta: 1, Cut: 2, CutUntil: 3}}, "Δ ≥ 2"},
-		{"partition-cut", ChaosSpec{Faults: netsim.Faults{Delta: 2, Cut: 9, CutUntil: 3}}, "split"},
+		{"partition-cut", ChaosSpec{Faults: netsim.Faults{Delta: 2, Cut: 4, CutUntil: 3}}, "split"},
+		{"partition-range", ChaosSpec{Faults: netsim.Faults{Delta: 2, Cut: 9, CutUntil: 3}}, "range"},
 		{"crash-not-faulty", ChaosSpec{Faults: netsim.Faults{Delta: 1, Faulty: mask(4, 0), Rate: 0.1, Crash: 3, CrashUntil: 2}}, "faulty set"},
 		{"crash-empty", ChaosSpec{Faults: netsim.Faults{Delta: 1, Faulty: mask(4, 3), Crash: 3, CrashFrom: 2, CrashUntil: 2}}, "empty"},
 		{"crash-ok", ChaosSpec{Faults: netsim.Faults{Delta: 1, Faulty: mask(4, 3), Crash: 3, CrashUntil: 2}}, ""},
