@@ -11,14 +11,13 @@
 //
 // Message timing is the NetModel's job: each (sender, recipient) link of a
 // round-r send is assigned a delivery round in [r+1, r+∆]. The default
-// DeltaOne model is lockstep ∆ = 1, bit-identical to the pre-model
-// runtime and allocation-free in steady state. Every other schedule is one
-// Faults value — worst-case ∆-delay, seeded jitter, per-link omission
-// faults, a temporary partition, a crash window, or any mix — exercising
-// the adversary's classic synchronous power of delaying honest messages up
-// to the bound. The live chaos transport calls the same Faults.Decide, so
-// both runtimes draw one fault schedule. The Runtime enforces the
-// model's answers against the bound and the adversary's declared Power:
+// DeltaOne model is lockstep ∆ = 1, the fault-free Faults value. Every
+// schedule is one Faults value — worst-case ∆-delay, seeded jitter,
+// per-link omission faults, a temporary partition, a crash window, or any
+// mix — exercising the adversary's classic synchronous power of delaying
+// honest messages up to the bound. The live chaos transport calls the same
+// Faults.Decide, so both runtimes draw one fault schedule. The Runtime
+// enforces the model's answers against the bound and the adversary's Power:
 // honest-to-honest messages always arrive by ∆, and only links from
 // omission-faulty or corrupt senders may be dropped (see NetModel).
 //
@@ -38,13 +37,13 @@
 //
 // There is one round engine (Runtime): nodes step in min(GOMAXPROCS, n)
 // contiguous id shards, a serial shard-order merge builds the envelope list,
-// and per-round state is sized by actual traffic. It holds n-sized state
-// only when the configuration asks for it — corruption status under a
-// non-Passive adversary, the delivery ring under a non-DeltaOne model, the
-// decide bitmap under a Tracer — so executions with hundreds of thousands of
-// nodes need no separate path. Config.Sparse selects nothing; it asserts the
-// passive lockstep regime and makes NewRuntime fail closed outside it
-// (DESIGN.md §6).
+// and per-round state is sized by actual traffic under every net model: a
+// multicast is one delivery-ring entry, not n. It holds n-sized state only
+// when the configuration asks for it — corruption status under a
+// non-Passive adversary, the decide bitmap under a Tracer — so executions
+// with hundreds of thousands of nodes need no separate path. Config.Sparse
+// selects nothing; it asserts the passive regime and makes NewRuntime fail
+// closed outside it (DESIGN.md §6).
 //
 // The asynchronous track has its own driver, EventRuntime (event.go): no
 // rounds, a loop that pops the (prio, seq)-least in-flight link, hands it to

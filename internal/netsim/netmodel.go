@@ -14,8 +14,9 @@ import (
 // bound ∆: the adversary controls the network and may delay any message, but
 // a message sent by a so-far-honest node in round r must be delivered by
 // round r+∆. The Runtime asks its NetModel for a delivery delay on every
-// (sender, recipient) link and enforces the model's answers against that
-// bound and against the adversary's declared Power:
+// (sender, recipient) link — once per multicast when the model declares
+// the sender's links Uniform — and enforces the model's answers against
+// that bound and against the adversary's declared Power:
 //
 //   - Honest-sender links are never dropped. A model that returns Drop for
 //     one is overridden to the maximal legal delay ∆ — holding a message to
@@ -54,6 +55,12 @@ type NetModel interface {
 	// kind classifying the drop for the trace. The Runtime clamps and
 	// power-checks the answer as described above.
 	Decide(round int, from, to types.NodeID) (delay int, kind obs.FaultKind)
+	// Uniform reports ok when Decide(round, from, to) returns the same
+	// delay, never Drop, for every to ≠ from, and returns that delay. The
+	// Runtime then delivers a multicast from from as one entry instead of
+	// deciding its n links. Answering false is always safe; answering ok
+	// when some link would differ is a contract violation.
+	Uniform(round int, from types.NodeID) (delay int, ok bool)
 }
 
 // Drop is the Decide return value requesting that a link's message be
@@ -62,20 +69,10 @@ type NetModel interface {
 // the maximal delay ∆.
 const Drop = -1
 
-// ---------------------------------------------------------------------------
-// DeltaOne — the default lockstep model.
-
-type deltaOne struct{}
-
-// DeltaOne returns the lockstep model: every message is delivered exactly
-// one round after it is sent. It is the default, reproduces the pre-model
-// engine bit for bit, and keeps the zero-allocation fast path (the Runtime
-// recognises it and skips per-link scheduling entirely).
-func DeltaOne() NetModel { return deltaOne{} }
-
-func (deltaOne) Validate(int, int) (int, []bool, error)                      { return 1, nil, nil }
-func (deltaOne) Decide(int, types.NodeID, types.NodeID) (int, obs.FaultKind) { return 1, obs.FaultDrop }
-func (deltaOne) String() string                                              { return "delta-one" }
+// DeltaOne returns the lockstep model, the default: every message is
+// delivered exactly one round after it is sent. It is the fault-free
+// Faults{Delta: 1}, whose every sender is Uniform at delay 1.
+func DeltaOne() NetModel { return Faults{Delta: 1} }
 
 // ---------------------------------------------------------------------------
 // Faults — the one seeded fault schedule.
@@ -180,6 +177,19 @@ func (fs Faults) Decide(round int, from, to types.NodeID) (int, obs.FaultKind) {
 		return fs.Delta, obs.FaultDrop
 	}
 	return 1, obs.FaultDrop
+}
+
+// Uniform is ok unless from is Faulty (a crash victim is), a partition is
+// open, or the spread is jitter at ∆ > 1: the base spread decides the rest.
+func (fs Faults) Uniform(round int, from types.NodeID) (int, bool) {
+	if int(from) < len(fs.Faulty) && fs.Faulty[from] || round >= fs.CutFrom && round < fs.CutUntil ||
+		fs.Spread == SpreadJitter && fs.Delta > 1 {
+		return 0, false
+	}
+	if fs.Spread == SpreadHold {
+		return fs.Delta, true
+	}
+	return 1, true
 }
 
 // ---------------------------------------------------------------------------

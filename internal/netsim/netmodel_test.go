@@ -2,7 +2,7 @@ package netsim
 
 import (
 	"errors"
-	"fmt"
+	"reflect"
 	"testing"
 
 	"ccba/internal/obs"
@@ -12,8 +12,8 @@ import (
 // The tests in this file pin down the scheduled-delivery semantics of the
 // network-model layer: worst-case Δ-delay is deterministic per seed,
 // honest-to-honest delivery never exceeds Δ, omission applies only to links
-// the adversary's power permits, and the DeltaOne model is identical to the
-// lockstep fast path.
+// the adversary's power permits, and a model's Uniform answers change no
+// delivery.
 
 // traceNode records every delivery with its arrival round and sends a fixed
 // script in round 0; it stays alive for `rounds` rounds so delayed messages
@@ -100,6 +100,7 @@ func TestWorstCaseDelaysToBound(t *testing.T) {
 type hostileModel struct{ delta int }
 
 func (h hostileModel) Validate(int, int) (int, []bool, error) { return h.delta, nil, nil }
+func (hostileModel) Uniform(int, types.NodeID) (int, bool)    { return 0, false }
 func (h hostileModel) Decide(_ int, from, _ types.NodeID) (int, obs.FaultKind) {
 	if from%2 == 0 {
 		return Drop, obs.FaultDrop
@@ -305,54 +306,124 @@ func TestOmissionFaultsShareCorruptionBudget(t *testing.T) {
 	}
 }
 
-// schedDeltaOne forces the general scheduled path while behaving exactly
-// like the lockstep model, so the two delivery engines can be compared.
-type schedDeltaOne struct{}
+// perLink hides a model's Uniform answers, forcing the Runtime to decide
+// every link of every multicast.
+type perLink struct{ NetModel }
 
-func (schedDeltaOne) Validate(int, int) (int, []bool, error) { return 1, nil, nil }
-func (schedDeltaOne) Decide(int, types.NodeID, types.NodeID) (int, obs.FaultKind) {
-	return 1, obs.FaultDrop
-}
+func (perLink) Uniform(int, types.NodeID) (int, bool) { return 0, false }
 
-// The scheduled path at Δ=1 must reproduce the lockstep fast path exactly:
-// same messages, same order, same rounds, same metrics — the guarantee
-// behind DeltaOne's bit-identical goldens.
-func TestScheduledPathMatchesLockstepAtDeltaOne(t *testing.T) {
-	scripts := map[int][]Send{
-		0: {
-			Unicast(1, markMsg{Tag: 1}),
-			Multicast(markMsg{Tag: 2}),
-			Unicast(1, markMsg{Tag: 3}),
-		},
-		2: {Multicast(markMsg{Tag: 4}), Unicast(0, markMsg{Tag: 5})},
+// The per-link path must reproduce the uniform one exactly — arrivals with
+// their rounds, the adversary's view, the Result with its Metrics and the
+// trace, fault numbering included — under every model shape and under
+// adversaries that corrupt, Inject, Remove and RemoveFor, with chatNode's
+// self-links in every multicast. That equality is what lets the Runtime
+// skip n Decide calls for a sender the model declares Uniform.
+func TestPerLinkPathMatchesUniform(t *testing.T) {
+	const n, rounds = 11, 5
+	var seed [32]byte
+	seed[0] = 11
+	key := FoldSeed(seed)
+	models := []struct {
+		name string
+		net  NetModel
+	}{
+		{"delta-one", DeltaOne()},
+		{"hold-2", Faults{Delta: 2, Spread: SpreadHold}},
+		{"hold-3", Faults{Delta: 3, Spread: SpreadHold}},
+		{"omission-2", Faults{Delta: 2, Key: key, Faulty: faultyMask(n, 2, 7), Rate: 0.5}},
+		{"partition-3", Faults{Delta: 3, Cut: 5, CutFrom: 1, CutUntil: 3}},
+		{"chaos-3", Faults{Delta: 3, Spread: SpreadJitter, Key: key, Faulty: faultyMask(n, 2, 7), Rate: 0.4,
+			Cut: 5, CutFrom: 1, CutUntil: 3, Crash: 7, CrashFrom: 0, CrashUntil: 2}},
+		{"chaos-hold-2", Faults{Delta: 2, Spread: SpreadHold, Key: key, Faulty: faultyMask(n, 2, 7), Rate: 0.4,
+			Cut: 5, CutFrom: 2, CutUntil: 3, Crash: 7, CrashFrom: 1, CrashUntil: 3}},
 	}
-	run := func(net NetModel) ([][]arrival, Metrics) {
-		nodes := make([]Node, 3)
-		tn := make([]*traceNode, 3)
+	advs := []struct {
+		name string
+		mk   func() Adversary
+	}{
+		{"passive", func() Adversary { return nil }},
+		{"shard-hopper", func() Adversary { return &shardHopper{victims: []types.NodeID{0, n - 1, 3}} }},
+		{"injecting", func() Adversary { return &injectingAdversary{} }},
+		{"remove-for", func() Adversary { return &removeForMulticastAdversary{victim: 4} }},
+	}
+	type outcome struct {
+		got    [][]arrival
+		log    []string
+		res    *Result
+		events []obs.Event
+	}
+	run := func(t *testing.T, net NetModel, adv Adversary) outcome {
+		nodes := make([]Node, n)
+		cn := make([]*chatNode, n)
 		for i := range nodes {
-			tn[i] = &traceNode{script: scripts[i], rounds: 2}
-			nodes[i] = tn[i]
+			cn[i] = &chatNode{id: i, n: n, rounds: rounds}
+			nodes[i] = cn[i]
 		}
-		rt, err := NewRuntime(Config{N: 3, F: 1, MaxRounds: 5, Net: net}, nodes, nil)
+		rec := obs.NewRecorder(1 << 14)
+		rt, err := NewRuntime(Config{N: n, F: 5, MaxRounds: rounds + 4, Net: net, Tracer: rec}, nodes, adv)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := rt.Run()
-		out := make([][]arrival, 3)
-		for i, node := range tn {
-			out[i] = node.got
+		out := outcome{res: rt.Run(), events: rec.Events()}
+		for _, c := range cn {
+			out.got = append(out.got, c.got)
 		}
-		return out, res.Metrics
-	}
-	lockstep, lm := run(nil) // nil defaults to DeltaOne, the fast path
-	sched, sm := run(schedDeltaOne{})
-	if lm != sm {
-		t.Fatalf("metrics diverge: %+v vs %+v", lm, sm)
-	}
-	for i := range lockstep {
-		if fmt.Sprint(lockstep[i]) != fmt.Sprint(sched[i]) {
-			t.Fatalf("node %d inbox diverges:\nlockstep: %v\nscheduled: %v", i, lockstep[i], sched[i])
+		if h, ok := adv.(*shardHopper); ok {
+			out.log = h.log
 		}
+		return out
+	}
+	for _, m := range models {
+		for _, a := range advs {
+			t.Run(m.name+"/"+a.name, func(t *testing.T) {
+				uni, links := run(t, m.net, a.mk()), run(t, perLink{m.net}, a.mk())
+				if a.name != "passive" && uni.res.NumCorrupt() == 0 {
+					t.Fatalf("adversary corrupted nobody: %v", uni.log)
+				}
+				if !reflect.DeepEqual(uni.res, links.res) {
+					t.Errorf("result: uniform %+v, per-link %+v", uni.res, links.res)
+				}
+				if !reflect.DeepEqual(uni.log, links.log) {
+					t.Errorf("adversary saw\n%v\nunder the uniform path and\n%v\nper link", uni.log, links.log)
+				}
+				for i := range uni.got {
+					if !reflect.DeepEqual(uni.got[i], links.got[i]) {
+						t.Errorf("node %d: uniform arrivals %v, per-link %v", i, uni.got[i], links.got[i])
+					}
+				}
+				if !reflect.DeepEqual(uni.events, links.events) {
+					t.Errorf("traces diverge: %d uniform events, %d per-link", len(uni.events), len(links.events))
+				}
+			})
+		}
+	}
+}
+
+// Every Faults lowering TestScheduleGolden hashes keeps the Uniform
+// contract: wherever it answers ok, Decide gives that delay, and never
+// Drop, on every link out of the sender.
+func TestUniformAgreesWithDecide(t *testing.T) {
+	const n, rounds = 7, 40
+	for _, g := range scheduleGoldens {
+		oks := 0
+		for r := 0; r <= rounds; r++ {
+			for from := types.NodeID(0); from < n; from++ {
+				delay, ok := g.model.Uniform(r, from)
+				if !ok {
+					continue
+				}
+				oks++
+				for to := types.NodeID(0); to < n; to++ {
+					if to == from {
+						continue
+					}
+					if got, _ := g.model.Decide(r, from, to); got != delay {
+						t.Fatalf("%s: Uniform(%d, %d) = %d, but Decide(%d, %d, %d) = %d", g.name, r, from, delay, r, from, to, got)
+					}
+				}
+			}
+		}
+		t.Logf("%s: %d of %d (round, sender) pairs uniform", g.name, oks, (rounds+1)*n)
 	}
 }
 
@@ -382,6 +453,7 @@ func TestPartitionSchedulesCrossCutLinks(t *testing.T) {
 type dropAllModel struct{ delta int }
 
 func (d dropAllModel) Validate(int, int) (int, []bool, error) { return d.delta, nil, nil }
+func (dropAllModel) Uniform(int, types.NodeID) (int, bool)    { return 0, false }
 func (dropAllModel) Decide(int, types.NodeID, types.NodeID) (int, obs.FaultKind) {
 	return Drop, obs.FaultDrop
 }

@@ -29,12 +29,10 @@ type Config struct {
 	// NetModel for the delivery-bound and power-enforcement contract.
 	Net NetModel
 	// Sparse asserts that the execution is in the regime where the engine
-	// holds no n-sized state (DESIGN.md §6): the delta-one lockstep model
-	// (no per-node delay ring) and a passive adversary (no status arrays).
-	// It selects nothing — the one engine is traffic-sized wherever the
-	// model and the adversary allow — but NewRuntime fails closed with
-	// ErrSparseNet or ErrSparseAdversary instead of building that state for
-	// a caller who sized the run on its absence.
+	// holds no n-sized state (DESIGN.md §6): a passive adversary (no status
+	// arrays), under any net model. It selects nothing, but NewRuntime fails
+	// closed with ErrSparseAdversary instead of building that state for a
+	// caller who sized the run on its absence.
 	Sparse bool
 	// Tracer receives the round-lifecycle event stream (DESIGN.md §10):
 	// round starts, deliveries and sends with their Definitions 6–7 sizes,
@@ -47,11 +45,8 @@ type Config struct {
 	Tracer obs.Tracer
 }
 
-// Construction errors of the Config.Sparse assertion.
-var (
-	ErrSparseNet       = errors.New("netsim: Sparse requires the delta-one lockstep model (any other keeps n delivery lists per future round)")
-	ErrSparseAdversary = errors.New("netsim: Sparse requires a passive adversary (any other needs per-node corruption state)")
-)
+// ErrSparseAdversary is NewRuntime's refusal of Config.Sparse.
+var ErrSparseAdversary = errors.New("netsim: Sparse requires a passive adversary (any other needs per-node corruption state)")
 
 // Runtime executes one protocol instance under one adversary.
 //
@@ -64,12 +59,12 @@ var (
 //
 // State is sized by the round's traffic unless the configuration asks for
 // more: the status array exists only under a non-passive adversary, the
-// ∆+1 delivery ring only under a non-delta-one model, the decide bitmap
-// only under a tracer. The engine is allocation-free in steady state: slabs,
-// the envelope list and the shared multicast list every inbox aliases are
-// reused across rounds. Consequently envelopes and inbox slices are only
-// valid during the round they belong to — adversaries and nodes must not
-// retain them across rounds (no strategy in this repository does).
+// decide bitmap only under a tracer; the delivery ring holds a multicast as
+// one entry under every net model. The engine is allocation-free in steady
+// state: slabs, the envelope list and the ring's lists every inbox aliases
+// are reused across rounds. Consequently envelopes and inbox slices are
+// only valid during the round they belong to — adversaries and nodes must
+// not retain them across rounds (no strategy in this repository does).
 type Runtime struct {
 	cfg     Config
 	nodes   []Node
@@ -80,10 +75,9 @@ type Runtime struct {
 	// every node is forever honest and no window is opened.
 	status []types.Status
 
-	net      NetModel
-	delta    int    // the model's delivery bound ∆
-	lockstep bool   // net is the DeltaOne model: deliver through shared/extras
-	faulty   []bool // omission-faulty senders declared by the model, nil if none
+	net    NetModel
+	delta  int    // the model's delivery bound ∆
+	faulty []bool // omission-faulty senders declared by the model, nil if none
 
 	shards []shard
 	pool   *harness.Pool // steps the shards; nil when there is one
@@ -92,21 +86,15 @@ type Runtime struct {
 	// pointers into the shard slabs, plus heap envelopes for injections.
 	envs []*Envelope
 
-	// Lockstep delivery state: the multicasts every node's inbox aliases,
-	// and, keyed by the few recipients that have any, the deliveries meant
-	// for them alone. Written by lockstepDeliveries in round r, read-only
-	// while the shards step round r+1.
-	shared []Delivered
-	extras map[types.NodeID]extraList
-
-	// Scheduled-delivery state (non-lockstep models): a ring of ∆+1 future
-	// rounds, each holding per-node delivery lists reused across laps.
-	buckets [][][]Delivered
+	// ring holds what arrives in the next ∆ rounds: slot r mod ∆ is round
+	// r's. deliver reclaims round r's slot once it is consumed, for round
+	// r+∆, and fills the slots of rounds r+1..r+∆; the shards only read.
+	ring []slot
+	cur  int // ring index of curRound's slot
 
 	// Trace state, allocated only when Config.Tracer is set. trDecided
 	// deduplicates EvDecide to the transition round; faultSeq counts
-	// injected faults per sender within the current round (general path
-	// only).
+	// injected faults per sender within the current round.
 	tr        obs.Sink
 	trDecided []bool
 	faultSeq  map[types.NodeID]uint32
@@ -124,15 +112,39 @@ type shard struct {
 	done    bool        // every node of the shard is halted or corrupt
 }
 
+// slot is one round's inbox state in send order (send round, then envelope
+// order): the multicasts every inbox aliases, cuts withholding some of them
+// from some recipients, and the deliveries meant for one recipient alone.
+type slot struct {
+	shared []Delivered
+	cuts   []cut // ascending by at
+	extras map[types.NodeID][]extraEntry
+	arena  []uint64 // backs the cuts' bitsets, reused across laps
+	open   []uint64 // bitset of the multicast deliverLinks is scheduling
+}
+
+// cut withholds shared[at] from each recipient whose bit in bits is clear,
+// or, with bits nil, from skip alone: the sender of a held multicast.
+type cut struct {
+	at   int
+	skip types.NodeID
+	bits []uint64
+}
+
+func (c *cut) withholds(id types.NodeID) bool {
+	if c.bits == nil {
+		return id == c.skip
+	}
+	return c.bits[uint(id)/64]&(1<<(uint(id)%64)) == 0
+}
+
 // extraEntry is a delivery that applies to a single recipient: a unicast, or
-// a multicast erased for some recipients. at is the number of shared
+// a held multicast's copy to its sender. at is the number of shared
 // deliveries preceding it, so merging reproduces exact envelope order.
 type extraEntry struct {
 	at int
 	d  Delivered
 }
-
-type extraList []extraEntry
 
 // NewRuntime builds a runtime over n constructed nodes. Nodes are stepped
 // by min(GOMAXPROCS, n) workers.
@@ -165,27 +177,20 @@ func newRuntime(cfg Config, nodes []Node, adv Adversary, workers int) (*Runtime,
 	if err != nil {
 		return nil, err
 	}
-	_, lockstep := cfg.Net.(deltaOne)
 	_, passive := adv.(Passive)
-	if cfg.Sparse && !lockstep {
-		return nil, ErrSparseNet
-	}
 	if cfg.Sparse && !passive {
 		return nil, ErrSparseAdversary
 	}
 	rt := &Runtime{
-		cfg:      cfg,
-		nodes:    nodes,
-		adv:      adv,
-		net:      cfg.Net,
-		delta:    delta,
-		lockstep: lockstep,
-		faulty:   faulty,
-		shards:   carveShards(cfg.N, workers),
-		tr:       obs.NewSink(cfg.Tracer),
-	}
-	if lockstep {
-		rt.extras = make(map[types.NodeID]extraList)
+		cfg:    cfg,
+		nodes:  nodes,
+		adv:    adv,
+		net:    cfg.Net,
+		delta:  delta,
+		faulty: faulty,
+		shards: carveShards(cfg.N, workers),
+		ring:   make([]slot, delta),
+		tr:     obs.NewSink(cfg.Tracer),
 	}
 	if !passive {
 		rt.status = make([]types.Status, cfg.N)
@@ -195,9 +200,7 @@ func newRuntime(cfg Config, nodes []Node, adv Adversary, workers int) (*Runtime,
 	}
 	if cfg.Tracer != nil {
 		rt.trDecided = make([]bool, cfg.N)
-		if !lockstep {
-			rt.faultSeq = make(map[types.NodeID]uint32)
-		}
+		rt.faultSeq = make(map[types.NodeID]uint32)
 	}
 	return rt, nil
 }
@@ -304,7 +307,7 @@ func (rt *Runtime) stepRound(round int) (done bool) {
 
 	// 1. So-far-honest, non-halted nodes produce their sends for this round,
 	// shard by shard.
-	rt.curRound = round
+	rt.curRound, rt.cur = round, round%len(rt.ring)
 	if rt.pool != nil {
 		for k := range rt.shards {
 			rt.pool.Do(k)
@@ -344,15 +347,9 @@ func (rt *Runtime) stepRound(round int) (done bool) {
 
 	// 4. Deliver: multicasts reach every node (including the sender, so
 	// quorum counting treats one's own vote uniformly); unicasts reach their
-	// destination. Removed envelopes vanish.
-	//
-	// Under a non-lockstep network model, every surviving (envelope,
-	// recipient) link is scheduled into a future round instead.
-	if rt.lockstep {
-		rt.lockstepDeliveries(envs)
-	} else {
-		rt.scheduleDeliveries(round, envs)
-	}
+	// destination, each in the round the network model assigns. Removed
+	// envelopes vanish.
+	rt.deliver(round, envs)
 
 	// Trace: watermark advance. The simulator's round boundary is the
 	// deterministic counterpart of the live cluster's completed all-ack
@@ -395,7 +392,7 @@ func (rt *Runtime) stepShard(k int) {
 		if rt.isCorrupt(id) || rt.nodes[i].Halted() {
 			continue
 		}
-		inbox := rt.inbox(round, id, &sh.merge)
+		inbox := rt.inbox(id, &sh.merge)
 		if traced {
 			rt.tr.RoundStart(round, id)
 			for di, d := range inbox {
@@ -439,145 +436,138 @@ func (rt *Runtime) honestAllHalted() bool {
 	return true
 }
 
-// inbox returns what node id receives at the beginning of round: under the
-// lockstep model the shared multicast list, with the node's extras merged in
-// at their recorded positions when it has any (into *scratch, so the slice
-// is valid only until the scratch is reused); otherwise the node's bucket of
-// the delivery ring.
-func (rt *Runtime) inbox(round int, id types.NodeID, scratch *[]Delivered) []Delivered {
-	if !rt.lockstep {
-		if rt.buckets == nil {
-			return nil
-		}
-		return rt.buckets[round%len(rt.buckets)][id]
+// inbox returns what node id receives at the beginning of the current
+// round: the slot's shared list, aliased, unless the slot has an extra for
+// id or a cut that withholds an entry from it; then the merge of the two at
+// their recorded positions, into *scratch (so the slice is valid only until
+// the scratch is reused).
+func (rt *Runtime) inbox(id types.NodeID, scratch *[]Delivered) []Delivered {
+	s := rt.slotAt(0)
+	ex, ci := s.extras[id], 0
+	for ci < len(s.cuts) && !s.cuts[ci].withholds(id) {
+		ci++
 	}
-	ex := rt.extras[id]
-	if len(ex) == 0 {
-		return rt.shared
+	if len(ex) == 0 && ci == len(s.cuts) {
+		return s.shared
 	}
 	buf := (*scratch)[:0]
-	si := 0
+	for i, d := range s.shared {
+		for ; len(ex) > 0 && ex[0].at == i; ex = ex[1:] {
+			buf = append(buf, ex[0].d)
+		}
+		if ci < len(s.cuts) && s.cuts[ci].at == i {
+			if ci++; s.cuts[ci-1].withholds(id) {
+				continue
+			}
+		}
+		buf = append(buf, d)
+	}
 	for _, en := range ex {
-		buf = append(buf, rt.shared[si:en.at]...)
-		si = en.at
 		buf = append(buf, en.d)
 	}
-	buf = append(buf, rt.shared[si:]...)
 	*scratch = buf
 	return buf
 }
 
-// lockstepDeliveries is the ∆ = 1 path: everything sent this round is
-// delivered at the beginning of the next.
-//
-// A multicast with no per-recipient removals is appended once to the shared
-// list every inbox aliases, instead of copied into each of the n inboxes.
-// Unicasts — and the rare multicast a strongly adaptive adversary erased for
-// specific recipients — become per-recipient extras, tagged with their
-// position so the merge in inbox reproduces the exact delivery order of the
-// envelope list.
-func (rt *Runtime) lockstepDeliveries(envs []*Envelope) {
-	n := rt.cfg.N
-	shared := rt.shared[:0]
-	clear(rt.extras)
-	extra := func(to types.NodeID, d Delivered) {
-		rt.extras[to] = append(rt.extras[to], extraEntry{at: len(shared), d: d})
+// slotAt returns the slot of the round delay ∈ [0, ∆] after the current one.
+func (rt *Runtime) slotAt(delay int) *slot {
+	i := rt.cur + delay
+	if i >= len(rt.ring) {
+		i -= len(rt.ring)
 	}
+	return &rt.ring[i]
+}
+
+func (s *slot) extra(to types.NodeID, d Delivered) {
+	if s.extras == nil {
+		s.extras = make(map[types.NodeID][]extraEntry)
+	}
+	s.extras[to] = append(s.extras[to], extraEntry{at: len(s.shared), d: d})
+}
+
+// deliver reclaims the round's consumed slot for round+∆ and files the
+// surviving envelopes. A multicast from a Uniform sender, erased for nobody,
+// is one shared entry in the slot of its delay; past the next round, a cut
+// withholds it from its sender, whose own copy is an extra there. Any other
+// multicast is decided link by link: one shared entry per slot its links
+// land in, cut by a bitset of their recipients. A unicast is an extra.
+func (rt *Runtime) deliver(round int, envs []*Envelope) {
+	cur := rt.slotAt(0)
+	cur.shared, cur.cuts, cur.arena = cur.shared[:0], cur.cuts[:0], cur.arena[:0]
+	clear(cur.extras)
 	for _, e := range envs {
 		if e.removed {
 			continue
 		}
 		d := Delivered{From: e.From, Msg: e.Msg}
-		if e.To == types.Broadcast {
-			if len(e.removedFor) == 0 {
-				shared = append(shared, d)
-				continue
-			}
-			for j := 0; j < n; j++ {
-				if !e.RemovedFor(types.NodeID(j)) {
-					extra(types.NodeID(j), d)
+		if e.To != types.Broadcast {
+			if int(e.To) >= 0 && int(e.To) < rt.cfg.N && !e.RemovedFor(e.To) {
+				if delay := rt.linkDelay(round, e, e.To); delay > 0 {
+					rt.slotAt(delay).extra(e.To, d)
 				}
 			}
-		} else if int(e.To) >= 0 && int(e.To) < n {
-			if !e.RemovedFor(e.To) {
-				extra(e.To, d)
-			}
-		}
-	}
-	rt.shared = shared
-}
-
-// scheduleDeliveries is the general path: each surviving (envelope,
-// recipient) link is put to the network model, power-checked, and appended
-// to the delivery bucket of its assigned round. Buckets form a ring of ∆+1
-// future rounds whose per-node lists are reused across laps, so the path is
-// allocation-free in steady state like the lockstep one. The next round's
-// inbox is whatever has accumulated in its slot: sends from this round
-// scheduled at +1 together with earlier sends the model held back, in
-// chronological send order (ties broken by envelope order).
-func (rt *Runtime) scheduleDeliveries(round int, envs []*Envelope) {
-	n := rt.cfg.N
-	ring := rt.delta + 1
-	if rt.buckets == nil {
-		rt.buckets = make([][][]Delivered, ring)
-		for i := range rt.buckets {
-			rt.buckets[i] = make([][]Delivered, n)
-		}
-	}
-	// Reclaim this round's slot: its deliveries were consumed by the Step
-	// calls at the top of this round, and its ring position is about to be
-	// reused for round+∆.
-	cur := rt.buckets[round%ring]
-	for i := range cur {
-		cur[i] = cur[i][:0]
-	}
-	for _, e := range envs {
-		if e.removed {
 			continue
 		}
-		d := Delivered{From: e.From, Msg: e.Msg}
-		if e.To == types.Broadcast {
-			for j := 0; j < n; j++ {
-				if !e.RemovedFor(types.NodeID(j)) {
-					rt.scheduleLink(round, e, types.NodeID(j), d)
-				}
-			}
-		} else if int(e.To) >= 0 && int(e.To) < n {
-			if !e.RemovedFor(e.To) {
-				rt.scheduleLink(round, e, e.To, d)
-			}
+		delay, ok := rt.net.Uniform(round, e.From)
+		if !ok || len(e.removedFor) > 0 {
+			rt.deliverLinks(round, e, d)
+			continue
+		}
+		delay = min(max(delay, 1), rt.delta)
+		s := rt.slotAt(delay)
+		s.shared = append(s.shared, d)
+		if delay > 1 {
+			s.cuts = append(s.cuts, cut{at: len(s.shared) - 1, skip: e.From})
+			rt.slotAt(1).extra(e.From, d)
 		}
 	}
 }
 
-// scheduleLink schedules one (envelope, recipient) link, enforcing the
-// delivery-bound and power contract documented on NetModel.
-func (rt *Runtime) scheduleLink(round int, e *Envelope, to types.NodeID, d Delivered) {
-	delta := rt.delta
-	delay := 1
-	if e.From != to {
-		var kind obs.FaultKind
-		delay, kind = rt.net.Decide(round, e.From, to)
-		if delay == Drop {
-			if rt.mayDrop(e) {
-				if rt.tr.Enabled() {
-					rt.traceFault(round, e.From, to, kind)
-				}
-				return
-			}
-			// An illegal drop request degrades to the strongest legal move:
-			// holding the honest message to the bound.
-			delay = delta
-		}
-		if delay < 1 {
-			delay = 1
-		}
-		if delay > delta {
-			delay = delta
-		}
+// deliverLinks schedules a multicast link by link, in recipient order.
+func (rt *Runtime) deliverLinks(round int, e *Envelope, d Delivered) {
+	for i := range rt.ring {
+		rt.ring[i].open = nil
 	}
-	slot := rt.buckets[(round+delay)%(delta+1)]
-	slot[to] = append(slot[to], d)
+	n := rt.cfg.N
+	for j := 0; j < n; j++ {
+		if e.RemovedFor(types.NodeID(j)) {
+			continue
+		}
+		delay := rt.linkDelay(round, e, types.NodeID(j))
+		if delay == 0 {
+			continue
+		}
+		s := rt.slotAt(delay)
+		if s.open == nil {
+			s.arena = append(s.arena, make([]uint64, (n+63)/64)...)
+			s.open = s.arena[len(s.arena)-(n+63)/64:]
+			s.shared = append(s.shared, d)
+			s.cuts = append(s.cuts, cut{at: len(s.shared) - 1, bits: s.open})
+		}
+		s.open[j/64] |= 1 << (j % 64)
+	}
+}
+
+// linkDelay decides one (envelope, recipient) link, enforcing the
+// delivery-bound and power contract documented on NetModel. It returns 0
+// for an accepted drop.
+func (rt *Runtime) linkDelay(round int, e *Envelope, to types.NodeID) int {
+	if e.From == to {
+		return 1
+	}
+	delay, kind := rt.net.Decide(round, e.From, to)
+	if delay == Drop {
+		if rt.mayDrop(e) {
+			if rt.tr.Enabled() {
+				rt.traceFault(round, e.From, to, kind)
+			}
+			return 0
+		}
+		// An illegal drop request degrades to the strongest legal move:
+		// holding the honest message to the bound.
+		delay = rt.delta
+	}
+	return min(max(delay, 1), rt.delta)
 }
 
 // traceFault emits one accepted link drop. The per-(round, sender)

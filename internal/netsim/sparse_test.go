@@ -99,15 +99,17 @@ func TestSparseMatchesDenseMultiRound(t *testing.T) {
 
 // Sparse asserts the regime in which the engine holds no n-sized state;
 // everything else must be rejected at construction with the specific error.
+// A delaying net model is inside it: the delivery ring is traffic-sized
+// (TestEngineStateIsTrafficSized).
 func TestSparseRejections(t *testing.T) {
 	nodes := func() []Node { return echoNodes(4, 2, allZero) }
 	cases := []struct {
 		name string
 		cfg  Config
 		adv  Adversary
-		want error
+		want error // nil: the run constructs
 	}{
-		{"worst-case net", Config{N: 4, F: 1, Sparse: true, Net: Faults{Delta: 2, Spread: SpreadHold}}, nil, ErrSparseNet},
+		{"worst-case net", Config{N: 4, F: 1, Sparse: true, Net: Faults{Delta: 2, Spread: SpreadHold}}, nil, nil},
 		{"adversary", Config{N: 4, F: 1, Sparse: true}, &lateStatic{}, ErrSparseAdversary},
 	}
 	for _, tc := range cases {

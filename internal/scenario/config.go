@@ -166,9 +166,8 @@ type Config struct {
 	// statistics. The two-slot window is correct only where no traffic
 	// older than two iterations can arrive, so it is restricted to the
 	// delta-one lockstep model with a passive adversary (validate rejects
-	// anything else) — the regime in which the round engine holds no
-	// n-sized state either. Observationally equivalent to the map-backed
-	// nodes there.
+	// anything else). Observationally equivalent to the map-backed nodes
+	// there.
 	Sparse bool
 	// Tracer receives the round-lifecycle event stream (DESIGN.md §10),
 	// threaded straight through to netsim.Config.Tracer. Trace content is a
@@ -256,7 +255,7 @@ func (c *Config) validate() error {
 	}
 	if c.Sparse {
 		if c.Net != "" && c.Net != NetDeltaOne {
-			return fmt.Errorf("scenario: Sparse requires the %q lockstep model, got net %q (a delayed message can be older than the two-slot window keeps, and the Δ-scheduling ring is n-sized state)", NetDeltaOne, c.Net)
+			return fmt.Errorf("scenario: Sparse requires the %q lockstep model, got net %q (a delayed message can be older than the two-slot window keeps)", NetDeltaOne, c.Net)
 		}
 		if c.Adversary != nil {
 			return fmt.Errorf("scenario: Sparse requires a passive adversary (injected traffic can be older than the two-slot window keeps)")
