@@ -58,6 +58,19 @@ var asyncGoldenCases = []asyncGoldenCase{
 		scenario: "acs-crash-n16",
 		digest:   "900e056b22e58337", rounds: 18741, decide: 4, setSize: 11, trace: "b4ed51c72a99a3d8",
 	},
+	{
+		// The async_acs_n32 benchmark workload's shape, where a multicast
+		// fans out to 32 links: the event queue's width matters here and
+		// not at n = 16. Each traced run takes ~0.15 s.
+		name:   "acs-n32-random",
+		cfg:    Config{Protocol: ACS, N: 32, F: 10, Sched: SchedRandom},
+		digest: "a374910806592750", rounds: 252916, decide: 4, setSize: 25, trace: "29a2d8d6de1c88e9",
+	},
+	{
+		name:   "acs-n32-fifo",
+		cfg:    Config{Protocol: ACS, N: 32, F: 10, Sched: SchedFIFO},
+		digest: "7d87fc68f80962fa", rounds: 309536, decide: 4, setSize: 32, trace: "b6e36e4a39a51d81",
+	},
 }
 
 // asyncGoldenConfig resolves a case to a runnable config with the pinned

@@ -219,6 +219,30 @@ func BenchmarkPhaseKingSampledN400(b *testing.B) {
 	benchProtocol(b, Config{Protocol: PhaseKingSampled, N: 400, F: 80, Lambda: 30, Epochs: 12})
 }
 
+// ACS on the event runtime: the async_acs_n32 workload's shape under each
+// scheduler, then wider. A multicast's fan-out is the event queue's width,
+// and no bench/ workload runs above n = 32. n = 128 is ~17M deliveries, past
+// the default delivery cap, and takes seconds per op: use -benchtime=1x.
+func BenchmarkACSN32Random(b *testing.B) {
+	benchProtocol(b, Config{Protocol: ACS, N: 32, F: 10, Sched: SchedRandom})
+}
+
+func BenchmarkACSN32FIFO(b *testing.B) {
+	benchProtocol(b, Config{Protocol: ACS, N: 32, F: 10, Sched: SchedFIFO})
+}
+
+func BenchmarkACSN32AdvDelay(b *testing.B) {
+	benchProtocol(b, Config{Protocol: ACS, N: 32, F: 10, Sched: SchedAdvDelay})
+}
+
+func BenchmarkACSN64Random(b *testing.B) {
+	benchProtocol(b, Config{Protocol: ACS, N: 64, F: 21, Sched: SchedRandom})
+}
+
+func BenchmarkACSN128Random(b *testing.B) {
+	benchProtocol(b, Config{Protocol: ACS, N: 128, F: 42, Sched: SchedRandom, MaxDeliveries: 1 << 25})
+}
+
 // --- Substrate micro-benchmarks --------------------------------------------
 
 func BenchmarkVRFEval(b *testing.B) {

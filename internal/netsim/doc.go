@@ -48,14 +48,18 @@
 // The asynchronous track has its own driver, EventRuntime (event.go): no
 // rounds, a loop that pops the (prio, seq)-least in-flight link, hands it to
 // an AsyncNode and admits the sends that delivery triggers. Its scheduler
-// state (linkqueue.go) is a typed 4-ary heap of pointer-free
-// (prio, seq, send index) entries over a table that stores each admitted
-// Send once — a multicast's recipient is recovered from seq − first seq
-// through the ascending list of live nodes — with records
-// recycled when their last link pops, so the state is sized by traffic in
-// flight and the steady-state loop allocates nothing. The three SchedModes
-// differ only in how prio is derived from seq and share the one queue; the
-// order is total, so an execution is a pure function of (config, seed).
+// state (linkqueue.go) is a k-way merge over the sends in flight: a table
+// stores each admitted Send once, with its links' offsets sorted by
+// (prio, seq) at admission — a multicast's recipient is recovered from
+// seq − first seq through the ascending list of live nodes — and a typed
+// 4-ary heap holds one pointer-free (prio, seq, send index) entry per send,
+// its least undelivered link. A pop replaces that entry with the send's next
+// link, so the heap is as large as the sends in flight, not their fan-out.
+// Records are recycled when their last link pops, so the state is sized by
+// traffic in flight and the steady-state loop allocates nothing. The three
+// SchedModes differ only in how prio is derived from seq and share the one
+// queue; the order is total, so an execution is a pure function of
+// (config, seed).
 // EventRuntime.Stop says which exit ended a run — every live node halted,
 // the queue drained (deadlock), or the MaxDeliveries cap (DESIGN.md §11).
 //

@@ -77,67 +77,101 @@ func (r *refQueue) pop() refLink {
 	return head
 }
 
+// recycled counts the send records on q's free list.
+func (q *linkQueue) recycled() int {
+	k := 0
+	for i := q.free; i != noRec; i = q.sends[i].next {
+		k++
+	}
+	return k
+}
+
 // TestLinkQueueMatchesReferenceModel drives random interleavings of admits
 // and pops through linkQueue and the reference, for every scheduler mode
 // with and without a crash set, unicasts to crashed and out-of-range
 // recipients mixed in. The adversarial mode runs with a holdback small
 // enough that seq+AdvDelay keeps colliding with a later undelayed seq — the
-// ties only the seq tiebreak orders.
+// ties only the seq tiebreak orders. At n = 40 a send's order block spans
+// more than one cache line, and admits are rare enough that the queue drains
+// partially: sends with most of their links queued sit in the heap beside
+// nearly drained ones, which the case checks it reached.
 func TestLinkQueueMatchesReferenceModel(t *testing.T) {
-	const n, ops = 7, 4000
-	crashSet := []bool{false, true, false, false, true, false, false}
-	for _, mode := range []SchedMode{SchedFIFO, SchedRandom, SchedAdvDelay} {
-		for _, crashed := range [][]bool{nil, crashSet} {
-			advDelay := 0
-			if mode == SchedAdvDelay {
-				advDelay = 3
-			}
-			key := Mix64(uint64(mode) ^ 0x9e3779b97f4a7c15)
-			q := newLinkQueue(n, crashed, mode, advDelay, key)
-			ref := &refQueue{n: n, crashed: crashed, sched: mode, advDelay: uint64(advDelay), key: key}
-			rng := rand.New(rand.NewSource(int64(mode)*2 + int64(len(crashed))))
-
-			step := func(op int) {
-				t.Helper()
-				got := ref.pop()
-				from, to, msg := q.pop()
-				if from != got.from || to != got.to || msg != got.msg {
-					t.Fatalf("mode %s crashed=%v op %d: popped (%d→%d, %p), reference (%d→%d, %p) at seq %d",
-						mode, crashed != nil, op, from, to, msg, got.from, got.to, got.msg, got.seq)
+	wideCrashes := make([]bool, 40)
+	for id := 1; id < len(wideCrashes); id += 5 {
+		wideCrashes[id] = true
+	}
+	for _, tc := range []struct {
+		n, ops       int
+		crashSet     []bool
+		admit, outOf int // an op admits a send with probability admit/outOf
+	}{
+		{n: 7, ops: 4000, crashSet: []bool{false, true, false, false, true, false, false}, admit: 2, outOf: 5},
+		{n: 40, ops: 8000, crashSet: wideCrashes, admit: 1, outOf: 16},
+	} {
+		n := tc.n
+		for _, mode := range []SchedMode{SchedFIFO, SchedRandom, SchedAdvDelay} {
+			for _, crashed := range [][]bool{nil, tc.crashSet} {
+				advDelay := 0
+				if mode == SchedAdvDelay {
+					advDelay = 3
 				}
-			}
-			for op := 0; op < ops; op++ {
-				if len(ref.links) == 0 || rng.Intn(5) < 2 {
-					from := types.NodeID(rng.Intn(n))
-					// To ranges over [-3, n+2]: -1 is a multicast, the rest
-					// unicasts, some out of range and some to crashed nodes.
-					s := Send{To: types.NodeID(rng.Intn(n+6) - 3), Msg: &floodMsg{}}
-					if rng.Intn(2) == 0 {
-						s.To = types.Broadcast
+				key := Mix64(uint64(mode) ^ 0x9e3779b97f4a7c15)
+				q := newLinkQueue(n, crashed, mode, advDelay, key)
+				ref := &refQueue{n: n, crashed: crashed, sched: mode, advDelay: uint64(advDelay), key: key}
+				rng := rand.New(rand.NewSource(int64(mode)*2 + int64(len(crashed))))
+				mixed := false // a send with ≥ 3/4 of its links queued beside one with a single link left
+
+				step := func(op int) {
+					t.Helper()
+					got := ref.pop()
+					from, to, msg := q.pop()
+					if from != got.from || to != got.to || msg != got.msg {
+						t.Fatalf("n=%d mode %s crashed=%v op %d: popped (%d→%d, %p), reference (%d→%d, %p) at seq %d",
+							n, mode, crashed != nil, op, from, to, msg, got.from, got.to, got.msg, got.seq)
 					}
-					q.admit(from, s)
-					ref.admit(from, s)
-				} else {
+				}
+				for op := 0; op < tc.ops; op++ {
+					if len(ref.links) == 0 || rng.Intn(tc.outOf) < tc.admit {
+						from := types.NodeID(rng.Intn(n))
+						// To ranges over [-3, n+2]: -1 is a multicast, the rest
+						// unicasts, some out of range and some to crashed nodes.
+						s := Send{To: types.NodeID(rng.Intn(n+6) - 3), Msg: &floodMsg{}}
+						if rng.Intn(2) == 0 {
+							s.To = types.Broadcast
+						}
+						q.admit(from, s)
+						ref.admit(from, s)
+					} else {
+						step(op)
+					}
+					if q.len() != len(ref.links) {
+						t.Fatalf("n=%d mode %s op %d: %d links queued, reference holds %d", n, mode, op, q.len(), len(ref.links))
+					}
+					most, least := 0, len(q.live)
+					for _, e := range q.heap {
+						left := int(q.sends[e.send].left)
+						most, least = max(most, left), min(least, left)
+					}
+					mixed = mixed || (4*most >= 3*len(q.live) && least == 1)
+				}
+				for op := tc.ops; len(ref.links) > 0; op++ {
 					step(op)
 				}
-				if q.len() != len(ref.links) {
-					t.Fatalf("mode %s op %d: %d links queued, reference holds %d", mode, op, q.len(), len(ref.links))
+				if q.len() != 0 || len(q.heap) != 0 || q.recycled() != len(q.sends) {
+					t.Fatalf("n=%d mode %s: drained queue holds %d links in %d heap entries, %d of %d send records recycled",
+						n, mode, q.len(), len(q.heap), q.recycled(), len(q.sends))
 				}
-			}
-			for op := ops; len(ref.links) > 0; op++ {
-				step(op)
-			}
-			if q.len() != 0 || len(q.free) != len(q.sends) {
-				t.Fatalf("mode %s: drained queue holds %d links, %d of %d send records recycled",
-					mode, q.len(), len(q.free), len(q.sends))
-			}
-			for i, s := range q.sends {
-				if s.msg != nil {
-					t.Fatalf("mode %s: recycled send record %d still references its message", mode, i)
+				for i, s := range q.sends {
+					if s.msg != nil {
+						t.Fatalf("n=%d mode %s: recycled send record %d still references its message", n, mode, i)
+					}
 				}
-			}
-			if mode == SchedAdvDelay && ref.ties == 0 {
-				t.Fatal("adversarial-delay run never produced a prio tie; the seq tiebreak went untested")
+				if mode == SchedAdvDelay && ref.ties == 0 {
+					t.Fatalf("n=%d: adversarial-delay run never produced a prio tie; the seq tiebreak went untested", n)
+				}
+				if n == 40 && !mixed {
+					t.Errorf("mode %s crashed=%v: no heap held a mostly queued send beside a nearly drained one", mode, crashed != nil)
+				}
 			}
 		}
 	}
@@ -183,19 +217,33 @@ func stubRuntime(t *testing.T, n, gens int, mode SchedMode) *EventRuntime {
 	return rt
 }
 
-// TestEventStateIsTrafficSized: over a 200-generation run the send table
+// TestEventStateIsTrafficSized: over a 200-generation run the heap holds
+// exactly one entry per send in flight, whatever the fan-out; the send table
 // grows to the peak number of sends in flight — exactly, since a record is
-// reused the moment its last link pops — and the heap to the peak number of
-// links, neither to the run's totals.
+// reused the moment its last link pops — and the order blocks to that peak
+// times the width, rounded up to one chunk; none of it to the run's totals.
+// The link count len reports, which the runtime's loop and Stop read, is the
+// sum of the in-flight sends' undelivered links.
 func TestEventStateIsTrafficSized(t *testing.T) {
 	const n, gens = 32, 200
 	for _, mode := range []SchedMode{SchedFIFO, SchedRandom, SchedAdvDelay} {
 		rt := stubRuntime(t, n, gens, mode)
 		q := rt.pending
-		peakSends, peakLinks := 0, 0
+		peakSends := 0
 		observe := func() {
-			peakSends = max(peakSends, len(q.sends)-len(q.free))
-			peakLinks = max(peakLinks, q.len())
+			t.Helper()
+			inFlight := len(q.sends) - q.recycled()
+			peakSends = max(peakSends, inFlight)
+			if len(q.heap) != inFlight {
+				t.Fatalf("mode %s at %d deliveries: %d heap entries for %d sends in flight", mode, rt.delivered, len(q.heap), inFlight)
+			}
+			links := 0
+			for _, e := range q.heap {
+				links += int(q.sends[e.send].left)
+			}
+			if q.len() != links {
+				t.Fatalf("mode %s at %d deliveries: len() = %d, the sends in flight hold %d links", mode, rt.delivered, q.len(), links)
+			}
 		}
 		rt.start()
 		observe()
@@ -213,8 +261,16 @@ func TestEventStateIsTrafficSized(t *testing.T) {
 		if peakSends*20 > totalSends {
 			t.Errorf("mode %s: peak of %d sends in flight is not small against the run's %d; the stub no longer separates the two", mode, peakSends, totalSends)
 		}
-		if cap(q.heap) > 2*peakLinks+64 || cap(q.heap)*20 > totalLinks {
-			t.Errorf("mode %s: heap capacity %d for a peak of %d links in flight (%d in the whole run)", mode, cap(q.heap), peakLinks, totalLinks)
+		if cap(q.heap) > max(2*peakSends, chunkRecs) {
+			t.Errorf("mode %s: heap capacity %d for a peak of %d sends in flight", mode, cap(q.heap), peakSends)
+		}
+		slots := 0
+		for _, c := range q.order {
+			slots += len(c)
+		}
+		if want := (peakSends + chunkRecs - 1) / chunkRecs * chunkRecs * n; slots > want {
+			t.Errorf("mode %s: %d order slots for a peak of %d sends of width %d, want at most %d",
+				mode, slots, peakSends, n, want)
 		}
 	}
 }
