@@ -11,13 +11,16 @@ package ccba
 // runtime — are visible.
 
 import (
+	"context"
 	"testing"
 
+	"ccba/internal/cluster"
 	"ccba/internal/crypto/pki"
 	"ccba/internal/crypto/sig"
 	"ccba/internal/crypto/vrf"
 	"ccba/internal/experiments"
 	"ccba/internal/fmine"
+	"ccba/internal/transport"
 	"ccba/internal/types"
 )
 
@@ -241,6 +244,33 @@ func BenchmarkACSN64Random(b *testing.B) {
 
 func BenchmarkACSN128Random(b *testing.B) {
 	benchProtocol(b, Config{Protocol: ACS, N: 128, F: 42, Sched: SchedRandom, MaxDeliveries: 1 << 25})
+}
+
+// The cluster_chan_n200 workload's shape: cluster.Run over a fresh chan
+// network per op, so the live runtime's barrier, hand-off and delivery cost
+// can be profiled without the bench/ module, e.g.
+//
+//	go test -run '^$' -bench ClusterChan -cpuprofile cpu.prof .
+func BenchmarkClusterChanN200(b *testing.B) {
+	cfg := Config{Protocol: Core, N: 200, F: 60, Lambda: 40}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c := cfg
+		c.Seed[29] = byte(i)
+		c.Seed[28] = byte(i >> 8)
+		netw, err := transport.NewChanNetwork(c.N)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rep, err := cluster.Run(context.Background(), c, netw, cluster.Options{})
+		netw.Close()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !rep.Ok() {
+			b.Fatalf("violation: %v %v %v", rep.Consistency, rep.Validity, rep.Termination)
+		}
+	}
 }
 
 // --- Substrate micro-benchmarks --------------------------------------------

@@ -21,8 +21,9 @@
 //     shared tally and delivers a single aggregated marker accounting for
 //     all n (and their halted count) once the last node has arrived — n
 //     envelopes per round instead of n², with no coordinator across
-//     processes. In both cases a peer's round-r data precedes, in this
-//     node's inbox, the marker that accounts for that peer. A node enters
+//     processes, and carrying the round's multicasts as one log. In both
+//     cases a peer's round-r data is in this node's hands no later than
+//     the marker that accounts for that peer. A node enters
 //     round r+1 once its round-r markers account for all n nodes, or —
 //     when Options.RoundInterval arms the soft per-round deadline — as
 //     soon as advancing keeps it within Δ rounds of the all-acked
@@ -34,9 +35,10 @@
 //     (DESIGN.md §7). Over TCP, Options.RoundTimeout bounds the barrier
 //     wait so a dead peer fails the run instead of hanging it; on the chan
 //     network the timeout error names the nodes that never arrived.
-//   - Each round's traffic is re-sorted into (sender, sequence) order
-//     before delivery, reproducing the deterministic envelope order of the
-//     lockstep engine's delivery merge — this is what makes live runs
+//   - Each round's traffic is delivered in (sender, sequence) order — a
+//     chan barrier's log is walked as it comes, anything received envelope
+//     by envelope is sorted — reproducing the deterministic envelope order
+//     of the lockstep engine's delivery merge — this is what makes live runs
 //     bit-compatible with the simulator despite arbitrary goroutine and
 //     network interleaving. Delivery decodes each envelope from its
 //     canonical payload bytes (transport.Decode): the in-process recipients

@@ -28,9 +28,8 @@ func (p *plan) newRunner(self types.NodeID, tr transport.Transport, opts Options
 		// needs our round-r sync to finish round r); under deadline advance
 		// the skew cap bounds the lead at Δ rounds. Either way the maps
 		// buffer early traffic per round until its delivery point.
-		pending: map[uint32][]transport.Envelope{},
-		syncs:   map[uint32]int{},
-		halts:   map[uint32]int{},
+		pending: map[uint32]*roundTraffic{},
+		marks:   map[uint32]roundMarks{},
 		// No all-halted round observed yet.
 		exitRound: -1,
 		obs:       obs.NewSink(opts.Tracer),
@@ -61,14 +60,19 @@ type runner struct {
 
 	metrics netsim.Metrics // this node's own sends (Definitions 6 and 7)
 
-	pending map[uint32][]transport.Envelope // round-tagged data awaiting delivery
-	syncs   map[uint32]int                  // sync-marker weight received per round
-	halts   map[uint32]int                  // halted nodes among those markers
-	results []transport.Envelope            // early result records (see below)
-	// envs is the delivery batch and free the emptied pending lists, both
-	// kept across rounds so a round's buffers are the previous round's.
+	pending map[uint32]*roundTraffic // round-tagged data awaiting delivery
+	// marks tallies the sync markers received per round. Rounds below
+	// haltScan are complete and scanned, and their entries are deleted, so
+	// the map holds the rounds within the skew, not the whole run.
+	marks   map[uint32]roundMarks
+	results []transport.Envelope // early result records (see below)
+	// envs, logs and runs hold the delivery batch and free the emptied
+	// pending entries, all kept across rounds so a round's buffers are the
+	// previous round's.
 	envs []transport.Envelope
-	free [][]transport.Envelope
+	logs [][][]transport.Envelope
+	runs [][]transport.Envelope
+	free []*roundTraffic
 
 	// acked is the watermark of consecutive fully-acknowledged rounds:
 	// every round < acked holds sync markers for all n nodes. Deadline-based
@@ -91,6 +95,19 @@ type runner struct {
 	exitRound int
 }
 
+// roundTraffic is one round's data awaiting delivery: envelopes received
+// one at a time (unicasts; every data envelope over TCP and under chaos),
+// and the pieces of the chan network's round log as they were handed over,
+// shared read-only with every other recipient.
+type roundTraffic struct {
+	envs []transport.Envelope
+	logs [][][]transport.Envelope
+}
+
+// roundMarks is one round's sync-marker weight and the halted nodes among
+// it.
+type roundMarks struct{ syncs, halts int }
+
 // runRounds executes the synchronized round loop and returns the round
 // count — exactly the simulator's: the round after the one in which every
 // node reported halted, or the budget if that never happens.
@@ -101,8 +118,8 @@ func (r *runner) runRounds(ctx context.Context) (int, error) {
 		// 1. Step the state machine (halted nodes stay silent but keep the
 		// barrier alive for peers still running). A stepped node's round
 		// start and inbox reads trace exactly as the simulator's: same
-		// honest-and-live condition, same inbox order (re-sorted below into
-		// the lockstep engine's), same exact-encoding sizes.
+		// honest-and-live condition, same inbox order (put below into the
+		// lockstep engine's), same exact-encoding sizes.
 		stepped := !r.node.Halted()
 		var sends []netsim.Send
 		if stepped {
@@ -161,10 +178,11 @@ func (r *runner) runRounds(ctx context.Context) (int, error) {
 		// 3. Barrier: announce end-of-round (with our halted flag), then
 		// collect everyone's announcements — n per-link markers, or the one
 		// aggregated marker the chan network pushes once all n nodes have
-		// announced. Either way a peer's round-r data precedes the marker
-		// that accounts for its round-r sync in this node's mailbox, so once
-		// the markers weigh n the round's traffic is complete — Δ-bounded
-		// delivery realised by acknowledgement instead of a clock.
+		// announced, which carries the round's multicasts inside it. Either
+		// way a peer's round-r data is in hand by the time the marker that
+		// accounts for its round-r sync is, so once the markers weigh n the
+		// round's traffic is complete — Δ-bounded delivery realised by
+		// acknowledgement instead of a clock.
 		sync := transport.Envelope{
 			Kind: transport.EnvSync, From: r.self,
 			Round: uint32(round), Halted: halted,
@@ -205,40 +223,48 @@ func (r *runner) runRounds(ctx context.Context) (int, error) {
 		}
 
 		// 5. Deliver all arrived traffic tagged for this round or earlier,
-		// re-sorted into the (round, sender, sequence) order of the lockstep
-		// engine's envelope list, decoded from canonical bytes back into the
-		// values the state machines switch on. At Δ=1 under all-ack only
+		// in the (round, sender, sequence) order of the lockstep engine's
+		// envelope list, decoded from canonical bytes back into the values
+		// the state machines switch on. At Δ=1 under all-ack only
 		// round-tagged == round entries exist (per-link FIFO); at Δ>1 frames
 		// up to Δ rounds late join the batch of the round they land in — the
 		// model's rule that the adversary picks any delivery round within
 		// the bound.
-		envs := r.envs[:0]
-		for rd, list := range r.pending {
+		envs, logs := r.envs[:0], r.logs[:0]
+		for rd, t := range r.pending {
 			if rd <= uint32(round) {
-				envs = append(envs, list...)
+				envs = append(envs, t.envs...)
+				logs = append(logs, t.logs...)
+				clear(t.envs) // release payload references
+				clear(t.logs)
+				t.envs, t.logs = t.envs[:0], t.logs[:0]
 				delete(r.pending, rd)
-				clear(list) // release payload references
-				r.free = append(r.free, list[:0])
+				r.free = append(r.free, t)
 			}
 		}
-		r.envs = envs
-		r.opts.Telemetry.AddInFlight(-len(envs))
+		r.envs, r.logs = envs, logs
+		inFlight := len(envs)
+		for _, log := range logs {
+			inFlight += logLen(log)
+		}
+		r.opts.Telemetry.AddInFlight(-inFlight)
+		delivered = delivered[:0]
 		if halted {
 			// This node never steps again; it only keeps the barrier alive
-			// for peers still running. Decoding its inbox would be work the
-			// state machine will never see.
-			delivered = delivered[:0]
+			// for peers still running. Ordering and decoding its inbox would
+			// be work the state machine will never see.
 			continue
 		}
-		slices.SortStableFunc(envs, deliveryOrder)
-		delivered = delivered[:0]
-		for _, env := range envs {
-			msg, err := transport.Decode(env, r.decode)
-			if err != nil {
-				return 0, fmt.Errorf("round %d: message %d/%d from node %d: %w",
-					round, env.Round, env.Seq, env.From, err)
+		for _, run := range r.inbox(envs, logs) {
+			for i := range run {
+				env := &run[i]
+				msg, err := transport.Decode(*env, r.decode)
+				if err != nil {
+					return 0, fmt.Errorf("round %d: message %d/%d from node %d: %w",
+						round, env.Round, env.Seq, env.From, err)
+				}
+				delivered = append(delivered, netsim.Delivered{From: env.From, Msg: msg})
 			}
-			delivered = append(delivered, netsim.Delivered{From: env.From, Msg: msg})
 		}
 	}
 	return r.maxRounds, nil
@@ -254,6 +280,43 @@ func deliveryOrder(a, b transport.Envelope) int {
 		return c
 	}
 	return cmp.Compare(a.Seq, b.Seq)
+}
+
+// inbox orders a delivery batch — envelopes received one at a time and
+// round-log pieces — into runs whose concatenation is the lockstep engine's
+// (round, sender, sequence) order. A single barrier's log, which is every
+// all-ack round's batch on the chan network, is in that order already and
+// is walked as it is, shared; anything else is copied into r.runs and
+// sorted.
+func (r *runner) inbox(envs []transport.Envelope, logs [][][]transport.Envelope) [][]transport.Envelope {
+	if len(envs) == 0 && len(logs) == 1 && slices.IsSortedFunc(logs[0], runOrder) {
+		return logs[0]
+	}
+	runs := r.runs[:0]
+	for _, log := range logs {
+		runs = append(runs, log...)
+	}
+	if len(envs) > 0 {
+		// Envelopes received one at a time arrive in no set order: merge
+		// the runs in and sort.
+		for _, run := range runs {
+			envs = append(envs, run...)
+		}
+		slices.SortStableFunc(envs, deliveryOrder)
+		r.envs = envs
+		runs = append(runs[:0], envs)
+	} else {
+		// Each run is one (round, sender) in sequence order, so ordering
+		// the runs orders the inbox.
+		slices.SortFunc(runs, runOrder)
+	}
+	r.runs = runs
+	return runs
+}
+
+// runOrder is deliveryOrder over runs, each of one round and sender.
+func runOrder(a, b []transport.Envelope) int {
+	return cmp.Or(cmp.Compare(a[0].Round, b[0].Round), cmp.Compare(a[0].From, b[0].From))
 }
 
 // collectBarrier consumes incoming envelopes until the node may advance:
@@ -278,7 +341,7 @@ func (r *runner) collectBarrier(ctx context.Context, round uint32) error {
 	}
 	armSoft()
 	n := r.cfg.N
-	for r.exitRound < 0 && r.syncs[round] < n {
+	for r.exitRound < 0 && int(round) >= r.acked && r.marks[round].syncs < n {
 		env, err := r.tr.Recv(cur)
 		if err != nil {
 			if cur == softCtx && softCtx.Err() == context.DeadlineExceeded && hardCtx.Err() == nil {
@@ -323,11 +386,12 @@ func (r *runner) barrierStall(round uint32) string {
 			return b.String()
 		}
 	}
-	return fmt.Sprintf("%d/%d peers", r.syncs[round], r.cfg.N)
+	return fmt.Sprintf("%d/%d peers", r.marks[round].syncs, r.cfg.N)
 }
 
 // ingest files one received envelope: data by its round tag, sync markers
-// into the per-round tallies (advancing the acked watermark), early result
+// into the per-round tallies (advancing the acked watermark) and the round
+// log an aggregated marker carries with its round's data, early result
 // records aside for the exchange.
 func (r *runner) ingest(env transport.Envelope, round uint32) error {
 	n := r.cfg.N
@@ -336,33 +400,41 @@ func (r *runner) ingest(env transport.Envelope, round uint32) error {
 	}
 	switch env.Kind {
 	case transport.EnvData:
-		list, ok := r.pending[env.Round]
-		if !ok && len(r.free) > 0 {
-			list, r.free = r.free[len(r.free)-1], r.free[:len(r.free)-1]
-		}
-		r.pending[env.Round] = append(list, env)
+		t := r.traffic(env.Round)
+		t.envs = append(t.envs, env)
 		r.opts.Telemetry.AddInFlight(1)
 	case transport.EnvSync, transport.EnvBarrier:
 		// A per-link marker weighs one node; the chan network's aggregated
-		// marker weighs all n and carries their halted count.
+		// marker weighs all n, carries their halted count, and carries the
+		// round's multicasts.
 		weight, halted := 1, int(b2u(env.Halted))
 		if env.Kind == transport.EnvBarrier {
 			weight, halted = n, int(env.Seq)
+			r.fileRuns(env.Round, env.Runs)
 		}
-		r.syncs[env.Round] += weight
-		r.halts[env.Round] += halted
-		for r.syncs[uint32(r.acked)] == n {
+		m := r.marks[env.Round]
+		m.syncs += weight
+		m.halts += halted
+		r.marks[env.Round] = m
+		for r.marks[uint32(r.acked)].syncs == n {
 			r.acked++
 		}
 		// Scan newly completed rounds (final tallies) for the all-halted
 		// exit condition. Every node scans the complete rounds in order, so
-		// all detect the same, earliest such round.
+		// all detect the same, earliest such round. A scanned round's
+		// tally is never read again.
 		for r.exitRound < 0 && r.haltScan < r.acked {
-			if r.halts[uint32(r.haltScan)] == n {
+			rd := uint32(r.haltScan)
+			if r.marks[rd].halts == n {
 				r.exitRound = r.haltScan + 1
 			}
+			delete(r.marks, rd)
 			r.haltScan++
 		}
+	case transport.EnvLog:
+		// Runs the chan network published ahead of their round's barrier,
+		// handed over once this node stopped waiting for it.
+		r.fileRuns(env.Round, env.Runs)
 	case transport.EnvResult:
 		// Legitimate end-of-run skew: a peer that already holds all n
 		// final-round sync markers exits the loop and multicasts its result
@@ -373,6 +445,39 @@ func (r *runner) ingest(env transport.Envelope, round uint32) error {
 		return fmt.Errorf("round %d: unexpected %d-kind envelope from node %d", round, env.Kind, env.From)
 	}
 	return nil
+}
+
+// traffic returns round's pending entry, reusing an emptied one.
+func (r *runner) traffic(round uint32) *roundTraffic {
+	t := r.pending[round]
+	if t == nil {
+		if k := len(r.free); k > 0 {
+			t, r.free = r.free[k-1], r.free[:k-1]
+		} else {
+			t = new(roundTraffic)
+		}
+		r.pending[round] = t
+	}
+	return t
+}
+
+// fileRuns buffers multicast runs from round's log for delivery.
+func (r *runner) fileRuns(round uint32, runs [][]transport.Envelope) {
+	if len(runs) == 0 {
+		return
+	}
+	t := r.traffic(round)
+	t.logs = append(t.logs, runs)
+	r.opts.Telemetry.AddInFlight(logLen(runs))
+}
+
+// logLen counts the envelopes in a round-log piece.
+func logLen(runs [][]transport.Envelope) int {
+	k := 0
+	for _, run := range runs {
+		k += len(run)
+	}
+	return k
 }
 
 // barrierCtx applies the per-round timeout, when one is configured.

@@ -1,8 +1,10 @@
 package transport
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"ccba/internal/types"
@@ -10,18 +12,22 @@ import (
 
 // ChanNetwork is the in-process transport: n endpoints, one unbounded
 // mailbox each, no sockets. Envelopes are handed over as values (payload
-// bytes and decode cell shared, never copied), so the only cost per link is
-// a queue append — the transport itself adds no scheduling freedom beyond
-// goroutine interleaving, which the cluster synchronizer already absorbs.
+// bytes and decode cell shared, never copied) — the transport itself adds no
+// scheduling freedom beyond goroutine interleaving, which the cluster
+// synchronizer already absorbs.
 //
-// The round barrier is the one envelope kind the network does not fan out:
-// a multicast EnvSync arrives at a tally the endpoints share, and the
-// arrival that completes a round pushes one EnvBarrier into each mailbox —
-// n envelopes per round where per-link markers would be n². The tally only
-// sees multicasts, so the endpoints of one ChanNetwork are chaos-wrapped
-// all (NewChaosNetwork, whose per-link Sends bypass it and keep per-link
-// markers) or none. WrapChaos refuses a lone chan endpoint, which would
-// never arrive and would leave the others' barrier incomplete forever.
+// A round moves as one log, not as envelopes. A data multicast is not fanned
+// out: it is appended to the sender's own run for its round. A multicast
+// EnvSync arrives at a tally the endpoints share and publishes that run to
+// the round's log, and the arrival that completes a round pushes one
+// EnvBarrier into each mailbox carrying the whole log (Envelope.Runs) — n
+// envelopes per round where per-link delivery costs n per multicast and n²
+// markers. Unicasts and result records still go through the mailboxes. The
+// tally only sees multicasts, so the endpoints of one ChanNetwork are
+// chaos-wrapped all (NewChaosNetwork, whose per-link Sends bypass it and keep
+// per-link data and markers) or none. WrapChaos refuses a lone chan
+// endpoint, which would never arrive and would leave the others' barrier
+// incomplete forever.
 type ChanNetwork struct {
 	eps []Transport
 }
@@ -58,9 +64,10 @@ func (c *ChanNetwork) Close() error {
 }
 
 // barrierTally counts, per open round, which nodes have multicast their
-// sync marker. A round opens with its first arrival and is deleted by its
-// n-th, so the map holds as many rounds as the synchronizer lets a peer
-// lead by, plus one: two under the all-ack barrier.
+// sync marker, and keeps the round's log of published runs. A round opens
+// with its first arrival and is deleted by its n-th, so the map holds as
+// many rounds as the synchronizer lets a peer lead by, plus one: two under
+// the all-ack barrier.
 type barrierTally struct {
 	mu   sync.Mutex
 	n    int
@@ -70,11 +77,16 @@ type barrierTally struct {
 type barrierRound struct {
 	arrived       []uint64 // n-bit set of the nodes whose sync is in
 	count, halted int
+	// log holds one run per node that multicast data this round, in the
+	// order their syncs arrived. It is append-only, so the prefix a take
+	// handed out early is the prefix the barrier carries.
+	log [][]Envelope
 }
 
-// arrive records node from's round sync. The arrival that completes the
-// round reports done, with the number of halted nodes among the n.
-func (t *barrierTally) arrive(from types.NodeID, round uint32, halted bool) (haltedCount int, done bool, err error) {
+// arrive records node from's round sync and publishes its run of round
+// multicasts. The arrival that completes the round reports done, with the
+// round's log and the number of halted nodes among the n.
+func (t *barrierTally) arrive(from types.NodeID, round uint32, halted bool, run []Envelope) (log [][]Envelope, haltedCount int, done bool, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	br := t.open[round]
@@ -84,18 +96,39 @@ func (t *barrierTally) arrive(from types.NodeID, round uint32, halted bool) (hal
 	}
 	word, bit := int(from)/64, uint64(1)<<(uint(from)%64)
 	if br.arrived[word]&bit != 0 {
-		return 0, false, fmt.Errorf("transport: node %d issued its round-%d sync twice", from, round)
+		return nil, 0, false, fmt.Errorf("transport: node %d issued its round-%d sync twice", from, round)
 	}
 	br.arrived[word] |= bit
 	br.count++
 	if halted {
 		br.halted++
 	}
+	if len(run) > 0 {
+		br.log = append(br.log, run)
+	}
 	if br.count < t.n {
-		return 0, false, nil
+		return nil, 0, false, nil
 	}
 	delete(t.open, round)
-	return br.halted, true, nil
+	return br.log, br.halted, true, nil
+}
+
+// bySender orders the runs of one round log by sender — the lockstep
+// engine's (sender, seq) order, since each run is in seq order already.
+func bySender(a, b []Envelope) int { return cmp.Compare(a[0].From, b[0].From) }
+
+// takeNew returns an open round whose log holds runs past the first
+// len(taken[round]), and those runs; nil when no open round does. The slice
+// is capped at its length, so no holder can append into the log behind it.
+func (t *barrierTally) takeNew(taken map[uint32][]types.NodeID) (uint32, [][]Envelope) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for round, br := range t.open {
+		if skip := len(taken[round]); len(br.log) > skip {
+			return round, br.log[skip:len(br.log):len(br.log)]
+		}
+	}
+	return 0, nil
 }
 
 // missing lists the nodes whose round sync has not arrived, or nil when the
@@ -116,11 +149,20 @@ func (t *barrierTally) missing(round uint32) []types.NodeID {
 	return ids
 }
 
-// chanEndpoint is one node's view of a ChanNetwork.
+// chanEndpoint is one node's view of a ChanNetwork. The sending side (run)
+// belongs to the node's sending goroutine, the receiving side (taken) to
+// its single Recv consumer.
 type chanEndpoint struct {
 	self  types.NodeID
 	boxes []*mailbox
 	tally *barrierTally
+	// run is this node's unpublished data multicasts, all of one round, in
+	// seq order; the node's sync for that round publishes it.
+	run []Envelope
+	// taken lists, per open round, the senders whose runs Recv handed over
+	// in EnvLogs before the round's barrier — a prefix of the round's
+	// arrival-order log; it drops them from that barrier's log.
+	taken map[uint32][]types.NodeID
 }
 
 var _ Transport = (*chanEndpoint)(nil)
@@ -143,21 +185,37 @@ func (e *chanEndpoint) Send(to types.NodeID, env Envelope) error {
 	return nil
 }
 
-// Multicast implements Transport. Every recipient's queue entry shares the
-// same payload slice and decode cell; nothing is encoded or copied. An
-// EnvSync is not fanned out at all: it arrives at the shared tally, and the
-// n-th arrival of a round multicasts the one EnvBarrier that stands for all
-// n markers. Each node pushes its round-r data before it arrives and the
-// EnvBarrier is pushed after the last arrival, so in every mailbox every
-// round-r envelope precedes the round-r marker — what n per-link FIFO
-// markers guaranteed.
+// Multicast implements Transport. Neither kind the round loop multicasts
+// is fanned out. An EnvData is appended to the sender's run for its round.
+// An EnvSync arrives at the shared tally, publishing that run to the round's
+// log, and the n-th arrival of a round multicasts the one EnvBarrier that
+// stands for all n markers and carries the log. The data travels inside the
+// marker, so in every mailbox the round-r marker holds every round-r
+// multicast — what n per-link FIFO markers guaranteed, by construction. Any
+// other kind (EnvResult) is pushed into every mailbox, sharing one payload
+// slice and decode cell.
 func (e *chanEndpoint) Multicast(env Envelope) error {
-	if env.Kind == EnvSync {
-		halted, done, err := e.tally.arrive(e.self, env.Round, env.Halted)
+	switch env.Kind {
+	case EnvData, EnvSync:
+		if len(e.run) > 0 && e.run[0].Round != env.Round {
+			return fmt.Errorf("transport: node %d multicast a round-%d envelope before its round-%d sync", e.self, env.Round, e.run[0].Round)
+		}
+		if env.Kind == EnvData {
+			e.run = append(e.run, env)
+			return nil
+		}
+		run := e.run
+		e.run = nil
+		log, halted, done, err := e.tally.arrive(e.self, env.Round, env.Halted, run)
 		if err != nil || !done {
 			return err
 		}
-		env = Envelope{Kind: EnvBarrier, From: e.self, Round: env.Round, Seq: uint32(halted)}
+		// The barrier's log is sorted once here instead of by each of the n
+		// recipients. It is a copy: EnvLogs handed out earlier alias the
+		// arrival-order log.
+		log = slices.Clone(log)
+		slices.SortFunc(log, bySender)
+		env = Envelope{Kind: EnvBarrier, From: e.self, Round: env.Round, Seq: uint32(halted), Runs: log}
 	}
 	for to := range e.boxes {
 		if !e.boxes[to].push(env) {
@@ -174,9 +232,39 @@ func (e *chanEndpoint) BarrierMissing(round uint32) []types.NodeID {
 	return e.tally.missing(round)
 }
 
-// Recv implements Transport.
+// Recv implements Transport. Once ctx is done it still hands over what is
+// already this endpoint's, before the context's error: queued envelopes, and
+// then, one EnvLog per round, the runs published to an open round's log
+// that it has not yet received. So a caller that stops waiting for a round's
+// barrier — a runner advancing on its soft deadline — holds every multicast
+// whose sender has synced, as a mailbox that took each multicast as it was
+// sent would have held it. The round's EnvBarrier then carries only the
+// remaining runs.
 func (e *chanEndpoint) Recv(ctx context.Context) (Envelope, error) {
-	return e.boxes[e.self].pop(ctx)
+	env, err := e.boxes[e.self].pop(ctx)
+	if err != nil {
+		if ctx.Err() != nil {
+			if round, runs := e.tally.takeNew(e.taken); runs != nil {
+				if e.taken == nil {
+					e.taken = map[uint32][]types.NodeID{}
+				}
+				for _, run := range runs {
+					e.taken[round] = append(e.taken[round], run[0].From)
+				}
+				return Envelope{Kind: EnvLog, From: e.self, Round: round, Runs: runs}, nil
+			}
+		}
+		return env, err
+	}
+	if env.Kind == EnvBarrier && len(e.taken) > 0 {
+		if taken, ok := e.taken[env.Round]; ok {
+			delete(e.taken, env.Round)
+			env.Runs = slices.DeleteFunc(slices.Clone(env.Runs), func(run []Envelope) bool {
+				return slices.Contains(taken, run[0].From)
+			})
+		}
+	}
+	return env, nil
 }
 
 // Close implements Transport.

@@ -14,24 +14,26 @@
 //     mailbox per node, per-sender FIFO, no sockets. It is the reference
 //     transport the cluster runtime is cross-validated on — a chan-transport
 //     run must agree bit-for-bit with the lockstep engine on every
-//     protocol-visible fact. It carries the round barrier in O(n) envelopes:
-//     a multicast EnvSync arrives at a tally the endpoints share, and the
-//     n-th arrival of a round pushes one EnvBarrier ("all n synced, Seq of
-//     them halted") into each mailbox instead of every node pushing n
-//     markers.
+//     protocol-visible fact. It moves a round, not an envelope: a data
+//     multicast joins its sender's run for the round, a multicast EnvSync
+//     publishes that run to a tally the endpoints share, and the n-th
+//     arrival of a round pushes one EnvBarrier ("all n synced, Seq of them
+//     halted", with the round's runs in sender order) into each mailbox —
+//     n envelopes per round instead of n per multicast plus n² markers.
+//     Unicasts and result records still go mailbox by mailbox.
 //   - the TCP transport (ListenTCP/NewTCPNetwork): length-prefixed framing
 //     of the same envelope encoding over a dial-mesh of localhost or
 //     cross-host connections, with a hello handshake identifying the sender
 //     and graceful shutdown via context.
 //
 // Both preserve the only ordering property the cluster round synchronizer
-// needs: envelopes from one sender arrive at one recipient in send order
-// (per-link FIFO), so a sender's round-r data precedes the marker that
-// accounts for its round-r sync — its own per-link EnvSync, or the chan
-// network's EnvBarrier, which is pushed only after every sender has pushed
-// its round-r data and arrived. Cross-sender interleaving is arbitrary; the
-// synchronizer re-sorts each round's traffic into the deterministic
-// lockstep order.
+// needs: a sender's round-r data is in hand no later than the marker that
+// accounts for its round-r sync — over TCP because envelopes from one
+// sender arrive at one recipient in send order (per-link FIFO), on the chan
+// network because the EnvBarrier carries the round's multicasts. Over TCP
+// cross-sender interleaving is arbitrary and the synchronizer sorts each
+// round's traffic into the deterministic lockstep order; a chan barrier's
+// log already is in that order.
 //
 // A multicast's in-process recipients share the envelope's payload bytes
 // and, when the sender attached one, its DecodeCell: Decode parses the

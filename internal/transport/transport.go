@@ -27,11 +27,19 @@ const (
 	// never reaches the cluster runtime.
 	EnvHello EnvKind = 4
 	// EnvBarrier is the chan network's aggregated barrier marker: all n
-	// nodes have issued their round-Round EnvSync, Seq of them halted. It
-	// stands for those n markers in one envelope and exists only in
-	// process — DecodeEnvelope rejects the kind, so no TCP peer can inject
-	// one.
+	// nodes have issued their round-Round EnvSync, Seq of them halted, and
+	// Runs holds the round's multicasts. It stands for those n markers and
+	// that traffic in one envelope and exists only in process —
+	// DecodeEnvelope rejects the kind, so no TCP peer can inject one.
 	EnvBarrier EnvKind = 5
+	// EnvLog is the part of the chan network's round-Round log that has
+	// been published ahead of the round's EnvBarrier: the runs in Runs, of
+	// nodes whose round sync is in. A chan endpoint hands it out of Recv
+	// once the caller's context is done, so a node that stops waiting for
+	// the barrier still holds every round-Round multicast whose sender has
+	// synced. It weighs nothing toward the barrier and, like EnvBarrier,
+	// exists only in process.
+	EnvLog EnvKind = 6
 )
 
 // Envelope is the unit a Transport carries: one protocol message (or
@@ -62,6 +70,13 @@ type Envelope struct {
 	// one multicast share a single decode of Payload (see Decode). It never
 	// crosses a socket: an envelope received over TCP has none.
 	Cell *DecodeCell
+	// Runs is an EnvBarrier's or EnvLog's round log: one run per node that
+	// multicast data in the round, each run that node's EnvData envelopes
+	// in Seq order. A barrier's runs are in sender order, and are only
+	// those its recipient has not already received in an EnvLog; an
+	// EnvLog's are in the order the nodes' syncs arrived. Every recipient
+	// shares them read-only. They never cross a socket.
+	Runs [][]Envelope
 }
 
 // DecodeCell is the once-cell the recipients of one multicast share: the
@@ -101,8 +116,12 @@ type Transport interface {
 	// Multicast delivers env to every node, the sender included —
 	// equivalent to n Sends, but lets the transport pay per-envelope costs
 	// once instead of once per recipient: TCP encodes the frame once, and
-	// the chan network answers n multicast EnvSyncs of a round with one
-	// EnvBarrier per node instead of delivering n² markers.
+	// the chan network hands a whole round over at once — a node's round-r
+	// data multicasts join its run, its round-r EnvSync publishes the run,
+	// and each node receives one EnvBarrier per round carrying every run
+	// instead of n² markers and one envelope per multicast. A node's round-r
+	// data multicasts therefore precede its round-r EnvSync, which precedes
+	// its round-(r+1) data — the round loop's order anyway.
 	Multicast(env Envelope) error
 	// Recv blocks until an envelope arrives, the context is cancelled, or
 	// the endpoint is closed.

@@ -287,10 +287,14 @@ func TestTCPDialRetryTimesOut(t *testing.T) {
 // TestChanBarrierOrder drives the aggregated barrier the way n free-running
 // nodes would: every sender multicasts a random number of round-r data
 // envelopes, then its round-r sync, for 50 rounds, with no receive-side
-// pacing. In every mailbox each sender's round-r data must precede the
-// round-r marker, each round must arrive as exactly one EnvBarrier with the
-// right halted count, and nothing else marker-shaped may arrive — n markers
-// per round on the mesh, not n².
+// pacing. Every mailbox must receive exactly one EnvBarrier per round and
+// nothing else — no data envelope travels on its own, and n markers per
+// round cross the mesh, not n². Each barrier's log must hold exactly that
+// round's multicasts: one run per sender that sent any, in seq order, the
+// runs in sender order — the lockstep engine's (sender, seq) inbox. Half the
+// recipients also keep giving up on waiting, taking whatever has been
+// published as EnvLogs while the senders race ahead; for them the EnvLogs
+// and the barrier together must hold the round's multicasts exactly once.
 func TestChanBarrierOrder(t *testing.T) {
 	const n, rounds = 16, 50
 	netw, err := NewChanNetwork(n)
@@ -306,12 +310,10 @@ func TestChanBarrierOrder(t *testing.T) {
 	var data [n][rounds]int
 	var haltFrom [n]int
 	var wantHalted [rounds]uint32
-	perBox := 0
 	for i := 0; i < n; i++ {
 		haltFrom[i] = rng.IntN(rounds + 10)
 		for r := 0; r < rounds; r++ {
 			data[i][r] = rng.IntN(4)
-			perBox += data[i][r]
 			if r >= haltFrom[i] {
 				wantHalted[r]++
 			}
@@ -344,38 +346,48 @@ func TestChanBarrierOrder(t *testing.T) {
 		wg.Add(1)
 		go func(j int) {
 			defer wg.Done()
+			done, stop := context.WithCancel(context.Background())
+			stop()
 			var marked [rounds]bool
-			var got [n][rounds]int
-			for k := 0; k < perBox+rounds; k++ {
-				env, err := eps[j].Recv(ctx)
+			var early [rounds][][]Envelope
+			for k := 0; k < rounds; {
+				env, err := Envelope{}, context.Canceled
+				if j%2 == 1 {
+					env, err = eps[j].Recv(done)
+				}
+				if errors.Is(err, context.Canceled) {
+					env, err = eps[j].Recv(ctx)
+				}
 				if err != nil {
-					t.Errorf("mailbox %d: after %d envelopes: %v", j, k, err)
+					t.Errorf("mailbox %d: after %d barriers: %v", j, k, err)
 					return
 				}
-				switch env.Kind {
-				case EnvData:
-					if marked[env.Round] {
-						t.Errorf("mailbox %d: round-%d data from node %d after the round-%d marker", j, env.Round, env.From, env.Round)
-						return
-					}
-					got[env.From][env.Round]++
-				case EnvBarrier:
-					if marked[env.Round] {
-						t.Errorf("mailbox %d: second round-%d marker", j, env.Round)
-						return
-					}
-					marked[env.Round] = true
-					if env.Seq != wantHalted[env.Round] {
-						t.Errorf("mailbox %d: round-%d marker counts %d halted, want %d", j, env.Round, env.Seq, wantHalted[env.Round])
-					}
-					for i := 0; i < n; i++ {
-						if got[i][env.Round] != data[i][env.Round] {
-							t.Errorf("mailbox %d: round-%d marker after %d of sender %d's %d envelopes", j, env.Round, got[i][env.Round], i, data[i][env.Round])
-						}
-					}
-				default:
-					t.Errorf("mailbox %d: %d-kind envelope; a multicast sync must not be fanned out", j, env.Kind)
+				if env.Kind == EnvLog && !marked[env.Round] {
+					early[env.Round] = append(early[env.Round], env.Runs...)
+					continue
+				}
+				k++
+				if env.Kind != EnvBarrier {
+					t.Errorf("mailbox %d: %d-kind envelope; multicast data and syncs must not be fanned out", j, env.Kind)
 					return
+				}
+				if marked[env.Round] {
+					t.Errorf("mailbox %d: second round-%d marker", j, env.Round)
+					return
+				}
+				marked[env.Round] = true
+				if env.Seq != wantHalted[env.Round] {
+					t.Errorf("mailbox %d: round-%d marker counts %d halted, want %d", j, env.Round, env.Seq, wantHalted[env.Round])
+				}
+				if !slices.IsSortedFunc(env.Runs, bySender) {
+					t.Errorf("mailbox %d: round-%d log is not in sender order", j, env.Round)
+				}
+				sent := make([]int, n)
+				for i := range sent {
+					sent[i] = data[i][env.Round]
+				}
+				if err := checkRoundLog(append(early[env.Round], env.Runs...), env.Round, sent); err != nil {
+					t.Errorf("mailbox %d: %v", j, err)
 				}
 			}
 			if slices.Contains(marked[:], false) {
@@ -384,6 +396,163 @@ func TestChanBarrierOrder(t *testing.T) {
 		}(j)
 	}
 	wg.Wait()
+}
+
+// checkRoundLog checks that runs is exactly round's multicasts when node i
+// sent sent[i] of them: one run per node that sent any, each run the node's
+// envelopes with seqs 0, 1, … in order.
+func checkRoundLog(runs [][]Envelope, round uint32, sent []int) error {
+	sorted := slices.Clone(runs)
+	slices.SortFunc(sorted, func(a, b []Envelope) int { return int(a[0].From) - int(b[0].From) })
+	var want []types.NodeID
+	for i, k := range sent {
+		if k > 0 {
+			want = append(want, types.NodeID(i))
+		}
+	}
+	if len(sorted) != len(want) {
+		return fmt.Errorf("round-%d log has %d runs, want %d (senders %v)", round, len(sorted), len(want), want)
+	}
+	for k, run := range sorted {
+		from := want[k]
+		if run[0].From != from || len(run) != sent[from] {
+			return fmt.Errorf("round-%d log: run %d is %d envelopes from node %d, want %d from node %d", round, k, len(run), run[0].From, sent[from], from)
+		}
+		for s, env := range run {
+			if env.Kind != EnvData || env.From != from || env.Round != round || env.Seq != uint32(s) {
+				return fmt.Errorf("round-%d log: node %d's run holds %+v at position %d", round, from, env, s)
+			}
+		}
+	}
+	return nil
+}
+
+// TestChanMailboxTrafficStaysPerMailbox: only the round loop's multicasts
+// ride the log. A unicast data envelope lands in its one recipient's
+// mailbox, a multicast EnvResult in every mailbox, the sender's included,
+// and a data multicast whose sender has not synced is in nobody's.
+func TestChanMailboxTrafficStaysPerMailbox(t *testing.T) {
+	const n = 3
+	netw, err := NewChanNetwork(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer netw.Close()
+	eps := netw.Endpoints()
+	if err := eps[1].Multicast(Envelope{Kind: EnvData, From: 1, Round: 2, Seq: 0, Payload: []byte("mcast")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := eps[1].Send(2, Envelope{Kind: EnvData, From: 1, Round: 2, Seq: 1, Payload: []byte("uni")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := eps[1].Multicast(Envelope{Kind: EnvResult, From: 1, Round: 9, Payload: []byte("rec")}); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for j, ep := range eps {
+		want := []string{fmt.Sprintf("%d:rec", EnvResult)}
+		if j == 2 {
+			want = []string{fmt.Sprintf("%d:uni", EnvData), fmt.Sprintf("%d:rec", EnvResult)}
+		}
+		var got []string
+		for len(got) < len(want) {
+			env, err := ep.Recv(ctx)
+			if err != nil {
+				t.Fatalf("mailbox %d: %v", j, err)
+			}
+			got = append(got, fmt.Sprintf("%d:%s", env.Kind, env.Payload))
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("mailbox %d received %v, want %v", j, got, want)
+		}
+		// The unsynced multicast is the sender's alone: a receiver that
+		// stops waiting finds nothing more.
+		done, stop := context.WithCancel(context.Background())
+		stop()
+		if env, err := ep.Recv(done); !errors.Is(err, context.Canceled) {
+			t.Errorf("mailbox %d: an unsynced multicast surfaced as %+v (err %v)", j, env, err)
+		}
+	}
+	// The sender's next round may not start before its sync publishes the
+	// run it holds.
+	if err := eps[1].Multicast(Envelope{Kind: EnvData, From: 1, Round: 3}); err == nil {
+		t.Fatal("round-3 data accepted while round 2's run is unpublished")
+	}
+}
+
+// TestChanLogAheadOfBarrier pins the deadline-advance guarantee: a sender's
+// round-r multicasts are every recipient's as soon as its round-r sync
+// returns. A recipient that stops waiting (its context is done) receives
+// them in an EnvLog before the round's barrier exists, and the barrier then
+// carries only the runs it has not yet received; a recipient that kept
+// waiting gets the whole log with the barrier.
+func TestChanLogAheadOfBarrier(t *testing.T) {
+	const n = 4
+	netw, err := NewChanNetwork(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer netw.Close()
+	eps := netw.Endpoints()
+	mcast := func(i, seqs int) {
+		t.Helper()
+		for s := 0; s < seqs; s++ {
+			if err := eps[i].Multicast(Envelope{Kind: EnvData, From: types.NodeID(i), Round: 5, Seq: uint32(s)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	syncs := func(ids ...int) {
+		t.Helper()
+		for _, i := range ids {
+			if err := eps[i].Multicast(Envelope{Kind: EnvSync, From: types.NodeID(i), Round: 5}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	done, stop := context.WithCancel(context.Background())
+	stop()
+	runsFrom := func(runs [][]Envelope) []types.NodeID {
+		var ids []types.NodeID
+		for _, run := range runs {
+			ids = append(ids, run[0].From)
+		}
+		return ids
+	}
+
+	mcast(1, 2)
+	mcast(2, 1)
+	syncs(1)
+	for j := 0; j < n-1; j++ { // node 3 keeps waiting
+		env, err := eps[j].Recv(done)
+		if err != nil || env.Kind != EnvLog || env.Round != 5 || !slices.Equal(runsFrom(env.Runs), []types.NodeID{1}) || len(env.Runs[0]) != 2 {
+			t.Fatalf("recipient %d after node 1's sync: %+v, %v; want node 1's two-envelope run", j, env, err)
+		}
+		if env, err := eps[j].Recv(done); !errors.Is(err, context.Canceled) {
+			t.Fatalf("recipient %d: node 2's unsynced run surfaced as %+v (err %v)", j, env, err)
+		}
+	}
+
+	syncs(2, 0, 3)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for j := 0; j < n; j++ {
+		env, err := eps[j].Recv(ctx)
+		if err != nil || env.Kind != EnvBarrier || env.Round != 5 {
+			t.Fatalf("recipient %d: %+v, %v; want the round-5 barrier", j, env, err)
+		}
+		want := []types.NodeID{2}
+		if j == n-1 {
+			want = []types.NodeID{1, 2}
+		}
+		if got := runsFrom(env.Runs); !slices.Equal(got, want) {
+			t.Errorf("recipient %d: barrier carries runs from %v, want %v", j, got, want)
+		}
+		if env, err := eps[j].Recv(done); !errors.Is(err, context.Canceled) {
+			t.Errorf("recipient %d: %+v after the barrier (err %v), want nothing", j, env, err)
+		}
+	}
 }
 
 // A unicast EnvSync is a per-link marker — the path a chaos-wrapped endpoint
