@@ -13,6 +13,7 @@ package ccba
 import (
 	"context"
 	"testing"
+	"time"
 
 	"ccba/internal/cluster"
 	"ccba/internal/crypto/pki"
@@ -246,31 +247,73 @@ func BenchmarkACSN128Random(b *testing.B) {
 	benchProtocol(b, Config{Protocol: ACS, N: 128, F: 42, Sched: SchedRandom, MaxDeliveries: 1 << 25})
 }
 
+// benchCluster runs cfg live once per op, on a fresh in-process chan network
+// or, with tcp set, a loopback TCP mesh, injecting chaos when it is non-nil.
+// A consistency or validity violation fails the benchmark; a termination
+// failure fails it only without chaos, because under drops and delay
+// stalling is the degradation a chaos case measures.
+func benchCluster(b *testing.B, cfg Config, tcp bool, chaos *ChaosConfig, opts cluster.Options) {
+	b.Helper()
+	b.ReportAllocs()
+	ctx := context.Background()
+	for i := 0; i < b.N; i++ {
+		c := cfg
+		c.Seed[29] = byte(i)
+		c.Seed[28] = byte(i >> 8)
+		var netw transport.Network
+		var err error
+		if tcp {
+			netw, err = transport.NewTCPNetwork(ctx, transport.LoopbackAddrs(c.N), transport.TCPOptions{})
+		} else {
+			netw, err = transport.NewChanNetwork(c.N)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		var rep *cluster.Report
+		if chaos != nil {
+			rep, err = cluster.RunChaos(ctx, c, netw, *chaos, opts)
+		} else {
+			rep, err = cluster.Run(ctx, c, netw, opts)
+		}
+		netw.Close()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rep.Consistency != nil || rep.Validity != nil || (chaos == nil && rep.Termination != nil) {
+			b.Fatalf("violation: %v %v %v", rep.Consistency, rep.Validity, rep.Termination)
+		}
+	}
+}
+
 // The cluster_chan_n200 workload's shape: cluster.Run over a fresh chan
 // network per op, so the live runtime's barrier, hand-off and delivery cost
 // can be profiled without the bench/ module, e.g.
 //
 //	go test -run '^$' -bench ClusterChan -cpuprofile cpu.prof .
 func BenchmarkClusterChanN200(b *testing.B) {
-	cfg := Config{Protocol: Core, N: 200, F: 60, Lambda: 40}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c := cfg
-		c.Seed[29] = byte(i)
-		c.Seed[28] = byte(i >> 8)
-		netw, err := transport.NewChanNetwork(c.N)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rep, err := cluster.Run(context.Background(), c, netw, cluster.Options{})
-		netw.Close()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !rep.Ok() {
-			b.Fatalf("violation: %v %v %v", rep.Consistency, rep.Validity, rep.Termination)
-		}
-	}
+	benchCluster(b, Config{Protocol: Core, N: 200, F: 60, Lambda: 40}, false, nil, cluster.Options{})
+}
+
+// The live runtime under a deterministic fault schedule at the transport
+// (DESIGN.md §7): 25 % drops at Δ = 1, then Δ = 2 with drops and reorder
+// on the chan and the TCP network, where a node advances on its soft
+// round deadline. CI runs the three with -bench Chaos.
+func BenchmarkChaosChanCoreN32Drop25(b *testing.B) {
+	benchCluster(b, Config{Protocol: Core, N: 32, F: 9, Lambda: 10, MaxIters: 12}, false,
+		&ChaosConfig{DropRate: 0.25}, cluster.Options{})
+}
+
+func BenchmarkChaosChanCoreN32Delta2(b *testing.B) {
+	benchCluster(b, Config{Protocol: Core, N: 32, F: 9, Lambda: 10, MaxIters: 12}, false,
+		&ChaosConfig{Delta: 2, DropRate: 0.2, Reorder: 0.2},
+		cluster.Options{RoundInterval: 2 * time.Millisecond, RoundTimeout: 60 * time.Second})
+}
+
+func BenchmarkChaosTCPCoreN8Delta2(b *testing.B) {
+	benchCluster(b, Config{Protocol: Core, N: 8, F: 2, Lambda: 4, MaxIters: 12}, true,
+		&ChaosConfig{Delta: 2, DropRate: 0.25, Reorder: 0.2},
+		cluster.Options{RoundInterval: 2 * time.Millisecond, RoundTimeout: 60 * time.Second})
 }
 
 // --- Substrate micro-benchmarks --------------------------------------------

@@ -40,9 +40,10 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var seedBytes [32]byte
-	seedBytes[0] = byte(*seed)
-	seedBytes[1] = byte(*seed >> 8)
+	seedBytes, err := ccba.SeedFromInt(*seed)
+	if err != nil {
+		return err
+	}
 
 	switch *kind {
 	case "strong":

@@ -37,3 +37,11 @@ func TestRejectsUnknown(t *testing.T) {
 		t.Fatal("unknown victim accepted")
 	}
 }
+
+// -seed goes through ccba.SeedFromInt, as cmd/ba's does: a negative seed is
+// an error, not some other seed.
+func TestRejectsNegativeSeed(t *testing.T) {
+	if err := run([]string{"-kind", "flip", "-n", "100", "-f", "34", "-seed", "-1"}); err == nil {
+		t.Fatal("negative seed accepted")
+	}
+}

@@ -106,8 +106,8 @@ func NewInterner() *Interner {
 }
 
 // InternStats is the table's telemetry, for budget tests, the
-// copy-on-divergence assertions, and the run reports (scenario, cmd/ba,
-// cmd/bench). The counters are deterministic per (config, seed) — the
+// copy-on-divergence assertions, and the run reports (scenario, cmd/ba).
+// The counters are deterministic per (config, seed) — the
 // double-checked insert in advance makes them schedule-independent — so
 // reports that embed them stay byte-diffable across worker counts.
 type InternStats struct {

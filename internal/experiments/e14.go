@@ -37,9 +37,11 @@ type E14Row struct {
 // still draw every drop and every per-link delay from the one
 // netsim.Faults schedule, but the live cluster realizes a delay as a
 // wall-clock hold and adds its live-only reorder coin, so which round a
-// frame lands in depends on timing; the comparison relaxes to the paper's
-// actual guarantee: safety on every run, liveness degrading with the drop
-// rate the same way the simulator says it should.
+// frame lands in depends on timing, and only liveness is compared: it must
+// degrade with the drop rate the way the simulator says it should. The
+// safety column reports without a claim there: the paper proves safety at
+// Δ=1, and a Δ=3 partition can break core's consistency with nobody
+// corrupted (seed 1131, TestE12PartitionBreaksConsistency).
 type E14Result struct {
 	N, F, Lambda int
 	Rows         []E14Row
@@ -64,7 +66,7 @@ func E14CrossValidation(o Opts) (*E14Result, error) {
 		fmt.Sprintf("E14 (extension) — live chaos cluster vs simulator, same seeds and fault schedules (core, n=%d, f=%d, λ=%d)", n, f, lambda),
 		"transport", "Δ", "drop", "trials", "safety viol.", "exact ≡ sim", "termination", "rounds live", "rounds sim", "wall ms",
 	)
-	res.Table.Note = "Both runtimes call one fault schedule (netsim.Faults.Decide) for every drop and per-link delay. At Δ=1 nothing is delayed, so live runs must match the simulator bit for bit; at Δ>1 only wall-clock timing and the live reorder coin differ, and the claim relaxes to safety under every schedule."
+	res.Table.Note = "Both runtimes call one fault schedule (netsim.Faults.Decide) for every drop and per-link delay. At Δ=1 nothing is delayed, so live runs must match the simulator bit for bit; at Δ>1 only wall-clock timing and the live reorder coin differ, so only liveness is compared (safety is proved for Δ=1 alone)."
 	res.Sweep = harness.NewSweep("e14")
 
 	var settings []e14Setting

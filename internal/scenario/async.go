@@ -9,8 +9,6 @@ import (
 	"ccba/internal/aba"
 	"ccba/internal/acs"
 	"ccba/internal/brb"
-	"ccba/internal/crypto/pki"
-	"ccba/internal/fmine"
 	"ccba/internal/harness"
 	"ccba/internal/netsim"
 	"ccba/internal/obs"
@@ -126,22 +124,6 @@ func RegisterAsyncProtocol(p Protocol, b AsyncBuilder) {
 	asyncBuilders[p] = b
 }
 
-// asyncSuite builds the coin-share ticket suite per the crypto mode. Every
-// share mines (aba.CoinProb): the threshold structure lives in the f+1
-// reveal quorum, and the coin VALUE comes from the seed-keyed CoinSource in
-// both modes (DESIGN.md §11).
-func asyncSuite(cfg Config) (fmine.Suite, error) {
-	switch cfg.Crypto {
-	case Ideal:
-		return fmine.NewIdeal(cfg.Seed, aba.CoinProb), nil
-	case Real:
-		pub, secrets := pki.Setup(cfg.N, cfg.Seed)
-		return fmine.NewReal(pub, secrets, aba.CoinProb), nil
-	default:
-		return nil, fmt.Errorf("scenario: unknown crypto mode %q", cfg.Crypto)
-	}
-}
-
 // crashedSet draws the Crashes crash-faulty nodes seed-deterministically.
 func crashedSet(cfg Config) []bool {
 	if cfg.Crashes == 0 {
@@ -235,10 +217,10 @@ func init() {
 	})
 
 	RegisterAsyncProtocol(ABA, func(cfg Config) (asyncBuild, error) {
-		suite, err := asyncSuite(cfg)
-		if err != nil {
-			return asyncBuild{}, err
-		}
+		// Every coin share mines (aba.CoinProb): the threshold structure
+		// lives in the f+1 reveal quorum, and the coin VALUE comes from the
+		// seed-keyed CoinSource in both crypto modes (DESIGN.md §11).
+		suite := newSuite(cfg, aba.CoinProb, nil, nil)
 		src := aba.NewCoinSource(cfg.Seed)
 		typed := make([]*aba.Node, cfg.N)
 		nodes := make([]netsim.AsyncNode, cfg.N)
@@ -265,10 +247,7 @@ func init() {
 	})
 
 	RegisterAsyncProtocol(ACS, func(cfg Config) (asyncBuild, error) {
-		suite, err := asyncSuite(cfg)
-		if err != nil {
-			return asyncBuild{}, err
-		}
+		suite := newSuite(cfg, aba.CoinProb, nil, nil)
 		src := aba.NewCoinSource(cfg.Seed)
 		typed := make([]*acs.Node, cfg.N)
 		nodes := make([]netsim.AsyncNode, cfg.N)

@@ -77,22 +77,18 @@ func build(cfg Config) ([]netsim.Node, func(types.NodeID) any, int, error) {
 	return b(cfg)
 }
 
-// coreSuite builds the eligibility suite for the core protocol per the
-// crypto mode, along with the seize function handing miners to the
-// adversary.
-func coreSuite(cfg Config) (fmine.Suite, func(types.NodeID) any, error) {
-	probs := core.Probabilities(cfg.N, cfg.Lambda)
-	var suite fmine.Suite
-	switch cfg.Crypto {
-	case Ideal:
-		suite = fmine.NewIdeal(cfg.Seed, probs)
-	case Real:
-		pub, secrets := pki.Setup(cfg.N, cfg.Seed)
-		suite = fmine.NewReal(pub, secrets, probs)
-	default:
-		return nil, nil, fmt.Errorf("scenario: unknown crypto mode %q", cfg.Crypto)
+// newSuite builds the eligibility suite for prob per the crypto mode, which
+// validate has checked. Real crypto mines with the PKI's keys: a builder that
+// already ran pki.Setup passes them in (chenmicali also signs with them),
+// the others pass nil and newSuite runs it.
+func newSuite(cfg Config, prob fmine.ProbFunc, pub *pki.Public, secrets []pki.Secret) fmine.Suite {
+	if cfg.Crypto != Real {
+		return fmine.NewIdeal(cfg.Seed, prob)
 	}
-	return suite, func(id types.NodeID) any { return suite.Miner(id) }, nil
+	if pub == nil {
+		pub, secrets = pki.Setup(cfg.N, cfg.Seed)
+	}
+	return fmine.NewReal(pub, secrets, prob)
 }
 
 // newInterner builds the per-run attestation intern table every
@@ -113,24 +109,18 @@ func newInterner(cfg Config) *attest.Interner {
 
 func init() {
 	RegisterProtocol(Core, func(cfg Config) ([]netsim.Node, func(types.NodeID) any, int, error) {
-		suite, seize, err := coreSuite(cfg)
-		if err != nil {
-			return nil, nil, 0, err
-		}
+		suite := newSuite(cfg, core.Probabilities(cfg.N, cfg.Lambda), nil, nil)
 		ccfg := core.Config{N: cfg.N, F: cfg.F, Lambda: cfg.Lambda, MaxIters: cfg.MaxIters, Suite: suite, Compact: cfg.Sparse, Intern: newInterner(cfg)}
 		nodes, err := core.NewNodes(ccfg, cfg.Inputs)
-		return nodes, seize, ccfg.Rounds(), err
+		return nodes, func(id types.NodeID) any { return suite.Miner(id) }, ccfg.Rounds(), err
 	})
 
 	RegisterProtocol(CoreBroadcast, func(cfg Config) ([]netsim.Node, func(types.NodeID) any, int, error) {
-		suite, seize, err := coreSuite(cfg)
-		if err != nil {
-			return nil, nil, 0, err
-		}
+		suite := newSuite(cfg, core.Probabilities(cfg.N, cfg.Lambda), nil, nil)
 		ccfg := core.Config{N: cfg.N, F: cfg.F, Lambda: cfg.Lambda, MaxIters: cfg.MaxIters, Suite: suite, Compact: cfg.Sparse, Intern: newInterner(cfg)}
 		nodes, err := broadcast.NewNodes(cfg.N, cfg.Sender, cfg.SenderInput,
 			func(id types.NodeID, input types.Bit) (netsim.Node, error) { return core.New(ccfg, id, input) })
-		return nodes, seize, ccfg.Rounds() + 1, err
+		return nodes, func(id types.NodeID) any { return suite.Miner(id) }, ccfg.Rounds() + 1, err
 	})
 
 	RegisterProtocol(Quadratic, func(cfg Config) ([]netsim.Node, func(types.NodeID) any, int, error) {
@@ -150,11 +140,7 @@ func init() {
 	})
 
 	RegisterProtocol(PhaseKingSampled, func(cfg Config) ([]netsim.Node, func(types.NodeID) any, int, error) {
-		suite := fmine.Suite(fmine.NewIdeal(cfg.Seed, phaseking.Probabilities(cfg.N, cfg.Lambda)))
-		if cfg.Crypto == Real {
-			pub, secrets := pki.Setup(cfg.N, cfg.Seed)
-			suite = fmine.NewReal(pub, secrets, phaseking.Probabilities(cfg.N, cfg.Lambda))
-		}
+		suite := newSuite(cfg, phaseking.Probabilities(cfg.N, cfg.Lambda), nil, nil)
 		pcfg := phaseking.Config{
 			N: cfg.N, Epochs: cfg.Epochs, Sampled: true, Lambda: cfg.Lambda,
 			Suite: suite, CoinSeed: cfg.Seed, Intern: newInterner(cfg),
@@ -165,10 +151,7 @@ func init() {
 
 	RegisterProtocol(ChenMicali, func(cfg Config) ([]netsim.Node, func(types.NodeID) any, int, error) {
 		pub, secrets := pki.Setup(cfg.N, cfg.Seed)
-		suite := fmine.Suite(fmine.NewIdeal(cfg.Seed, chenmicali.Probabilities(cfg.N, cfg.Lambda)))
-		if cfg.Crypto == Real {
-			suite = fmine.NewReal(pub, secrets, chenmicali.Probabilities(cfg.N, cfg.Lambda))
-		}
+		suite := newSuite(cfg, chenmicali.Probabilities(cfg.N, cfg.Lambda), pub, secrets)
 		mcfg := chenmicali.Config{
 			N: cfg.N, Epochs: cfg.Epochs, Lambda: cfg.Lambda, Erasure: cfg.Erasure,
 			Suite: suite, PKI: pub,

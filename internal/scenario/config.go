@@ -244,6 +244,11 @@ func (c *Config) validate() error {
 	if c.Protocol == CommitteeEcho && c.N < 2 {
 		return fmt.Errorf("scenario: committee echo needs N ≥ 2 (a sender plus at least one echoer), got N=%d", c.N)
 	}
+	switch c.Crypto {
+	case "", Ideal, Real:
+	default:
+		return fmt.Errorf("scenario: unknown crypto mode %q (want %q or %q)", c.Crypto, Ideal, Real)
+	}
 	switch c.InputPattern {
 	case "", InputsMixed, InputsUnanimous0, InputsUnanimous1:
 	default:
