@@ -248,11 +248,11 @@ func BenchmarkACSN128Random(b *testing.B) {
 }
 
 // benchCluster runs cfg live once per op, on a fresh in-process chan network
-// or, with tcp set, a loopback TCP mesh, injecting chaos when it is non-nil.
-// A consistency or validity violation fails the benchmark; a termination
-// failure fails it only without chaos, because under drops and delay
+// or, with tcp set, a loopback TCP mesh, injecting opts.Chaos when it is
+// non-nil. A consistency or validity violation fails the benchmark; a
+// termination failure fails it only without chaos, because under drops and delay
 // stalling is the degradation a chaos case measures.
-func benchCluster(b *testing.B, cfg Config, tcp bool, chaos *ChaosConfig, opts cluster.Options) {
+func benchCluster(b *testing.B, cfg Config, tcp bool, opts cluster.Options) {
 	b.Helper()
 	b.ReportAllocs()
 	ctx := context.Background()
@@ -270,17 +270,12 @@ func benchCluster(b *testing.B, cfg Config, tcp bool, chaos *ChaosConfig, opts c
 		if err != nil {
 			b.Fatal(err)
 		}
-		var rep *cluster.Report
-		if chaos != nil {
-			rep, err = cluster.RunChaos(ctx, c, netw, *chaos, opts)
-		} else {
-			rep, err = cluster.Run(ctx, c, netw, opts)
-		}
+		rep, err := cluster.Run(ctx, c, netw, opts)
 		netw.Close()
 		if err != nil {
 			b.Fatal(err)
 		}
-		if rep.Consistency != nil || rep.Validity != nil || (chaos == nil && rep.Termination != nil) {
+		if rep.Consistency != nil || rep.Validity != nil || (opts.Chaos == nil && rep.Termination != nil) {
 			b.Fatalf("violation: %v %v %v", rep.Consistency, rep.Validity, rep.Termination)
 		}
 	}
@@ -292,7 +287,7 @@ func benchCluster(b *testing.B, cfg Config, tcp bool, chaos *ChaosConfig, opts c
 //
 //	go test -run '^$' -bench ClusterChan -cpuprofile cpu.prof .
 func BenchmarkClusterChanN200(b *testing.B) {
-	benchCluster(b, Config{Protocol: Core, N: 200, F: 60, Lambda: 40}, false, nil, cluster.Options{})
+	benchCluster(b, Config{Protocol: Core, N: 200, F: 60, Lambda: 40}, false, cluster.Options{})
 }
 
 // The live runtime under a deterministic fault schedule at the transport
@@ -301,19 +296,19 @@ func BenchmarkClusterChanN200(b *testing.B) {
 // round deadline. CI runs the three with -bench Chaos.
 func BenchmarkChaosChanCoreN32Drop25(b *testing.B) {
 	benchCluster(b, Config{Protocol: Core, N: 32, F: 9, Lambda: 10, MaxIters: 12}, false,
-		&ChaosConfig{DropRate: 0.25}, cluster.Options{})
+		cluster.Options{Chaos: &ChaosConfig{DropRate: 0.25}})
 }
 
 func BenchmarkChaosChanCoreN32Delta2(b *testing.B) {
 	benchCluster(b, Config{Protocol: Core, N: 32, F: 9, Lambda: 10, MaxIters: 12}, false,
-		&ChaosConfig{Delta: 2, DropRate: 0.2, Reorder: 0.2},
-		cluster.Options{RoundInterval: 2 * time.Millisecond, RoundTimeout: 60 * time.Second})
+		cluster.Options{RoundInterval: 2 * time.Millisecond, RoundTimeout: 60 * time.Second,
+			Chaos: &ChaosConfig{Delta: 2, DropRate: 0.2, Reorder: 0.2}})
 }
 
 func BenchmarkChaosTCPCoreN8Delta2(b *testing.B) {
 	benchCluster(b, Config{Protocol: Core, N: 8, F: 2, Lambda: 4, MaxIters: 12}, true,
-		&ChaosConfig{Delta: 2, DropRate: 0.25, Reorder: 0.2},
-		cluster.Options{RoundInterval: 2 * time.Millisecond, RoundTimeout: 60 * time.Second})
+		cluster.Options{RoundInterval: 2 * time.Millisecond, RoundTimeout: 60 * time.Second,
+			Chaos: &ChaosConfig{Delta: 2, DropRate: 0.25, Reorder: 0.2}})
 }
 
 // --- Substrate micro-benchmarks --------------------------------------------

@@ -114,6 +114,10 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-delta", "3"}, // Δ>1 needs a delay-capable -net
 		{"-net", "omission", "-omission-rate", "1.5"},
 		{"-scenario", "no-such-scenario"},
+		{"-n", "20", "-f", "5", "-lambda", "8", "-unanimous", "7"},
+		{"-protocol", "dolevstrong", "-n", "8", "-f", "2", "-sender-input", "5"},
+		{"-n", "20", "-f", "5", "-omission-rate", "0.5"}, // omission knobs need -net omission
+		{"-n", "20", "-f", "5", "-faulty", "3"},
 	}
 	for _, args := range cases {
 		if err := run(args, io.Discard); err == nil {

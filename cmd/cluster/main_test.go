@@ -44,6 +44,24 @@ func TestChanRunJSON(t *testing.T) {
 	}
 }
 
+// -unanimous sets an input pattern, which the runtime normalizes once; a
+// second normalization used to reject the config for setting both inputs
+// and a pattern.
+func TestChanRunUnanimous(t *testing.T) {
+	var buf bytes.Buffer
+	err := run(context.Background(), []string{"-n", "20", "-f", "5", "-lambda", "8", "-unanimous", "1", "-json"}, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("-json output unparseable: %v\n%s", err, buf.String())
+	}
+	if doc["ok"] != true {
+		t.Fatalf("-unanimous 1 run not ok: %v", doc)
+	}
+}
+
 func TestTCPInProcessMesh(t *testing.T) {
 	var buf bytes.Buffer
 	err := run(context.Background(), []string{"-transport", "tcp", "-n", "4", "-f", "1", "-lambda", "3", "-json"}, &buf)
@@ -137,6 +155,8 @@ func TestRejections(t *testing.T) {
 		{"-transport", "carrier-pigeon"},                     // unknown transport
 		{"-transport", "tcp", "-node", "0", "-peers", "a,b"}, // peer count mismatch (n=200)
 		{"-seed", "-1"},                                      // negative seed
+		{"-n", "20", "-f", "5", "-lambda", "8", "-unanimous", "7"},
+		{"-protocol", "dolevstrong", "-n", "8", "-f", "2", "-sender-input", "5"},
 	}
 	for _, args := range cases {
 		if err := run(context.Background(), args, io.Discard); err == nil {

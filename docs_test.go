@@ -296,12 +296,13 @@ func TestDesignSectionEightCoversAnalyzers(t *testing.T) {
 
 // TestDocsDoNotNameDeletedKnobs keeps README and DESIGN from describing
 // options and commands that no longer exist: the stepping worker count is
-// min(GOMAXPROCS, n) and nothing selects it, and the root benchmarks run
-// through go test -bench, not a command of their own. The one exemption is a table
+// min(GOMAXPROCS, n) and nothing selects it, the root benchmarks run
+// through go test -bench, not a command of their own, and the chaos layer is
+// Options.Chaos on cluster.Run and RunNode. The one exemption is a table
 // row marked as a dated record ("PR <n> record"), which may say what flag a
 // historical measurement was taken with.
 func TestDocsDoNotNameDeletedKnobs(t *testing.T) {
-	deleted := regexp.MustCompile("(^|[\\s`])-parallel\\b|-sparse-workers|SparseWorkers|Config\\.Parallel|`Parallel: true`|cmd/\\bbench\\b")
+	deleted := regexp.MustCompile("(^|[\\s`])-parallel\\b|-sparse-workers|SparseWorkers|Config\\.Parallel|`Parallel: true`|cmd/\\bbench\\b|\\bRun(Node)?Chaos\\b")
 	record := regexp.MustCompile(`PR \d+ record`)
 	for _, path := range []string{"README.md", "DESIGN.md"} {
 		data, err := os.ReadFile(path)

@@ -22,7 +22,8 @@ func runChaosChan(t *testing.T, cfg scenario.Config, chaos scenario.ChaosConfig,
 		t.Fatal(err)
 	}
 	defer netw.Close()
-	rep, err := RunChaos(context.Background(), cfg, netw, chaos, opts)
+	opts.Chaos = &chaos
+	rep, err := Run(context.Background(), cfg, netw, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,8 +132,8 @@ func TestChaosOverTCPCluster(t *testing.T) {
 	}
 	defer netw.Close()
 	chaos := scenario.ChaosConfig{Delta: 2, DropRate: 0.25, Faulty: 1, Reorder: 0.3}
-	opts := Options{RoundInterval: 5 * time.Millisecond, RoundTimeout: 30 * time.Second}
-	live, err := RunChaos(ctx, cfg, netw, chaos, opts)
+	opts := Options{RoundInterval: 5 * time.Millisecond, RoundTimeout: 30 * time.Second, Chaos: &chaos}
+	live, err := Run(ctx, cfg, netw, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,14 +154,14 @@ func TestChaosOptionGuards(t *testing.T) {
 	}
 	defer netw.Close()
 
-	_, err = RunChaos(context.Background(), cfg, netw,
-		scenario.ChaosConfig{Delta: 2, Reorder: 0.5}, Options{})
+	_, err = Run(context.Background(), cfg, netw,
+		Options{Chaos: &scenario.ChaosConfig{Delta: 2, Reorder: 0.5}})
 	if err == nil || !strings.Contains(err.Error(), "RoundInterval") {
 		t.Fatalf("delayed markers without a round interval accepted: %v", err)
 	}
 
-	_, err = RunChaos(context.Background(), cfg, netw,
-		scenario.ChaosConfig{Delta: 3, DropRate: 0.1}, Options{Delta: 2})
+	_, err = Run(context.Background(), cfg, netw,
+		Options{Delta: 2, Chaos: &scenario.ChaosConfig{Delta: 3, DropRate: 0.1}})
 	if err == nil || !strings.Contains(err.Error(), "budgeted") {
 		t.Fatalf("under-budgeted synchronizer accepted: %v", err)
 	}

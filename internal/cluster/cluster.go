@@ -53,6 +53,17 @@ type Options struct {
 	// non-deterministic timing channel that deliberately lives outside the
 	// trace.
 	Timing *obs.TimingLog
+	// Chaos, when non-nil, injects this declared fault schedule below the
+	// protocol surface: Run wraps every endpoint of its network, RunNode its
+	// own endpoint, in the chaos layer before the node ever sees it, so the
+	// protocol code runs unmodified against a misbehaving network. The
+	// schedule is validated against the normalized config's (N, F) — the
+	// live injector gets exactly the power the simulator's adversary model
+	// grants and no more (DESIGN.md §7) — and is seed-deterministic, so
+	// every process of a multi-process mesh, passing the same declaration,
+	// derives the identical schedule for its own links. Delta defaults to
+	// the schedule's Δ.
+	Chaos *scenario.ChaosConfig
 }
 
 // delta returns the effective delivery bound.
@@ -85,6 +96,9 @@ func Run(ctx context.Context, cfg scenario.Config, net transport.Network, opts O
 	if err != nil {
 		return nil, err
 	}
+	if plan.chaos != nil {
+		net = transport.NewChaosNetwork(net, *plan.chaos)
+	}
 	if net.N() != plan.cfg.N {
 		return nil, fmt.Errorf("cluster: config N=%d but the transport network has %d endpoints", plan.cfg.N, net.N())
 	}
@@ -103,7 +117,7 @@ func Run(ctx context.Context, cfg scenario.Config, net transport.Network, opts O
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			recs[i], rounds[i], errs[i] = plan.newRunner(types.NodeID(i), eps[i], opts).run(runCtx)
+			recs[i], rounds[i], errs[i] = plan.newRunner(types.NodeID(i), eps[i]).run(runCtx)
 			if errs[i] != nil {
 				cancel()
 			}
@@ -146,10 +160,15 @@ func RunNode(ctx context.Context, cfg scenario.Config, tr transport.Transport, o
 	if err != nil {
 		return nil, err
 	}
+	if plan.chaos != nil {
+		if tr, err = transport.WrapChaos(tr, *plan.chaos); err != nil {
+			return nil, err
+		}
+	}
 	if tr.N() != plan.cfg.N {
 		return nil, fmt.Errorf("cluster: config N=%d but the transport is a %d-node mesh", plan.cfg.N, tr.N())
 	}
-	r := plan.newRunner(tr.Self(), tr, opts)
+	r := plan.newRunner(tr.Self(), tr)
 	rec, rounds, err := r.run(ctx)
 	var recs []resultRecord
 	if err == nil {
@@ -186,10 +205,14 @@ func checkMultiProcess(cfg scenario.Config) error {
 	return nil
 }
 
-// plan is a validated, normalized execution: the defaulted config, the full
-// node set, the protocol decoder, and the round budget.
+// plan is a validated, normalized execution: the defaulted config, the
+// options with the chaos schedule's Δ filled in, the chaos layer's spec (nil
+// without Options.Chaos), the full node set, the protocol decoder, and the
+// round budget.
 type plan struct {
 	cfg       scenario.Config
+	opts      Options
+	chaos     *transport.ChaosSpec
 	nodes     []netsim.Node
 	decode    scenario.Decoder
 	maxRounds int
@@ -199,18 +222,24 @@ type plan struct {
 // runners need. The rejections are structural, not temporary gaps: see the
 // package comment.
 func prepare(cfg scenario.Config, opts Options) (*plan, error) {
+	normalized, err := cfg.Normalized()
+	if err != nil {
+		return nil, err
+	}
+	var spec *transport.ChaosSpec
+	if opts.Chaos != nil {
+		if spec, err = resolveChaos(normalized, &opts); err != nil {
+			return nil, err
+		}
+	}
 	if cfg.Adversary != nil {
 		return nil, fmt.Errorf("cluster: live runs execute honest protocols only; the adversary interface needs the simulator's omniscient envelope window (run this config through ccba.Run instead)")
 	}
 	if cfg.Net != "" && cfg.Net != scenario.NetDeltaOne {
-		return nil, fmt.Errorf("cluster: net model %q is simulated message scheduling; live faults are injected at the transport instead (RunChaos), with the synchronizer's Options.Delta bounding delivery (or run this config through ccba.Run)", cfg.Net)
+		return nil, fmt.Errorf("cluster: net model %q is simulated message scheduling; live faults are injected at the transport instead (Options.Chaos), with the synchronizer's Options.Delta bounding delivery (or run this config through ccba.Run)", cfg.Net)
 	}
 	if cfg.Sparse {
 		return nil, fmt.Errorf("cluster: Sparse is the simulator's large-N node representation; a live cluster already holds only per-node state per process (run this config through ccba.Run instead)")
-	}
-	normalized, err := cfg.Normalized()
-	if err != nil {
-		return nil, err
 	}
 	nodes, _, steps, err := scenario.Build(normalized)
 	if err != nil {
@@ -229,5 +258,5 @@ func prepare(cfg scenario.Config, opts Options) (*plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &plan{cfg: normalized, nodes: nodes, decode: decode, maxRounds: maxRounds}, nil
+	return &plan{cfg: normalized, opts: opts, chaos: spec, nodes: nodes, decode: decode, maxRounds: maxRounds}, nil
 }

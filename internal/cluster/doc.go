@@ -61,7 +61,7 @@
 // adversary (and scenarios naming one) are rejected — attack experiments
 // belong to the simulator. Likewise the simulated-delay network models
 // (worst-case, jitter, omission, partition) never run live: real faults
-// are injected at the transport instead, via RunChaos/RunNodeChaos and a
+// are injected at the transport instead, via Options.Chaos and a
 // declarative scenario.ChaosConfig whose schedule is seed-deterministic
 // and cross-validated against the simulator (DESIGN.md §7, experiment
 // E14).

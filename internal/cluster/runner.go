@@ -17,13 +17,13 @@ import (
 )
 
 // newRunner binds one node of the plan to its transport endpoint.
-func (p *plan) newRunner(self types.NodeID, tr transport.Transport, opts Options) *runner {
+func (p *plan) newRunner(self types.NodeID, tr transport.Transport) *runner {
 	return &runner{
 		plan: p,
 		self: self,
 		node: p.nodes[self],
 		tr:   tr,
-		opts: opts,
+		opts: p.opts,
 		// Under the all-ack barrier a peer runs at most one round ahead (it
 		// needs our round-r sync to finish round r); under deadline advance
 		// the skew cap bounds the lead at Δ rounds. Either way the maps
@@ -32,7 +32,7 @@ func (p *plan) newRunner(self types.NodeID, tr transport.Transport, opts Options
 		marks:   map[uint32]roundMarks{},
 		// No all-halted round observed yet.
 		exitRound: -1,
-		obs:       obs.NewSink(opts.Tracer),
+		obs:       obs.NewSink(p.opts.Tracer),
 	}
 }
 

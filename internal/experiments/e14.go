@@ -88,7 +88,7 @@ func E14CrossValidation(o Opts) (*E14Result, error) {
 		if st.delta >= 2 {
 			chaos.Reorder = 0.2
 		}
-		copts := cluster.Options{RoundTimeout: 60 * time.Second}
+		copts := cluster.Options{RoundTimeout: 60 * time.Second, Chaos: &chaos}
 		if st.delta >= 2 {
 			copts.RoundInterval = 2 * time.Millisecond
 		}
@@ -102,7 +102,7 @@ func E14CrossValidation(o Opts) (*E14Result, error) {
 		agg, err := harness.Collect(hopts, func(tr harness.Trial) (*harness.Obs, error) {
 			cfg := cfg
 			cfg.Seed = tr.Seed
-			return e14Trial(cfg, chaos, copts, st.transport, exact)
+			return e14Trial(cfg, copts, st.transport, exact)
 		})
 		if err != nil {
 			return nil, err
@@ -135,10 +135,10 @@ func E14CrossValidation(o Opts) (*E14Result, error) {
 
 // e14Trial executes one (seed, schedule) pair on both runtimes and scores
 // the comparison.
-func e14Trial(cfg scenario.Config, chaos scenario.ChaosConfig, copts cluster.Options, trName string, exact bool) (*harness.Obs, error) {
+func e14Trial(cfg scenario.Config, copts cluster.Options, trName string, exact bool) (*harness.Obs, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	sim, err := chaos.SimRun(ctx, cfg)
+	sim, err := copts.Chaos.SimRun(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -155,7 +155,7 @@ func e14Trial(cfg scenario.Config, chaos scenario.ChaosConfig, copts cluster.Opt
 	defer netw.Close()
 
 	start := time.Now()
-	live, err := cluster.RunChaos(ctx, cfg, netw, chaos, copts)
+	live, err := cluster.Run(ctx, cfg, netw, copts)
 	if err != nil {
 		return nil, err
 	}

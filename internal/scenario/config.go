@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"cmp"
 	"fmt"
 
 	"ccba/internal/attest"
@@ -289,6 +290,17 @@ func (c *Config) validateNet() error {
 		return fmt.Errorf("scenario: Delta=%d under the lockstep %q model, which delivers in exactly one round; pick -net %s, %s, %s, or %s",
 			c.Delta, NetDeltaOne, NetWorstCase, NetJitter, NetOmission, NetPartition)
 	}
+	// A knob of another model would otherwise be silently ignored. The
+	// chaos harness's prebuilt model replaces the Net-named one, so it is
+	// exempt, as from the Δ check above.
+	if c.chaosModel == nil && c.Net != NetOmission && (c.OmissionRate != 0 || c.OmissionFaulty != 0) {
+		return fmt.Errorf("scenario: OmissionRate=%v and OmissionFaulty=%d only apply under the %q model, got net %q",
+			c.OmissionRate, c.OmissionFaulty, NetOmission, cmp.Or(c.Net, NetDeltaOne))
+	}
+	if c.chaosModel == nil && c.Net != NetPartition && c.PartitionRounds != 0 {
+		return fmt.Errorf("scenario: PartitionRounds=%d only applies under the %q model, got net %q",
+			c.PartitionRounds, NetPartition, cmp.Or(c.Net, NetDeltaOne))
+	}
 	if c.OmissionRate < 0 || c.OmissionRate > 1 {
 		return fmt.Errorf("scenario: OmissionRate=%v outside [0, 1]", c.OmissionRate)
 	}
@@ -349,6 +361,9 @@ func (c *Config) applyDefaults() {
 				c.Inputs[i] = types.BitFromBool(i%2 == 0)
 			}
 		}
+		// The pattern is spent; keeping it would make a second Normalized
+		// reject the config for setting both.
+		c.InputPattern = ""
 	}
 	if c.Protocol.Broadcast() && !c.SenderInput.Valid() {
 		c.SenderInput = types.Zero

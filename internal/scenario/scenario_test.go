@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -95,6 +96,30 @@ func TestInputPatterns(t *testing.T) {
 	}
 }
 
+// Normalized is idempotent: the config it returns is one Normalized, Build
+// and Run accept again unchanged — whatever input pattern the scenario
+// started from.
+func TestNormalizedIdempotent(t *testing.T) {
+	for _, name := range Names() {
+		sc, _ := Lookup(name)
+		for _, pattern := range []string{"", InputsMixed, InputsUnanimous0, InputsUnanimous1} {
+			cfg := sc.Config
+			cfg.Inputs, cfg.InputPattern = nil, pattern
+			once, err := cfg.Normalized()
+			if err != nil {
+				t.Fatalf("%s/%q: %v", name, pattern, err)
+			}
+			twice, err := once.Normalized()
+			if err != nil {
+				t.Fatalf("%s/%q: second Normalized: %v", name, pattern, err)
+			}
+			if !reflect.DeepEqual(once, twice) {
+				t.Errorf("%s/%q: second Normalized changed the config:\n%+v\n%+v", name, pattern, once, twice)
+			}
+		}
+	}
+}
+
 // The net-spec validation: unknown models, negative or lockstep-incompatible
 // Δ, out-of-range omission parameters.
 func TestNetSpecValidation(t *testing.T) {
@@ -110,6 +135,9 @@ func TestNetSpecValidation(t *testing.T) {
 		{func(c *Config) { c.Net = NetOmission; c.OmissionRate = 1.5 }, "outside [0, 1]"},
 		{func(c *Config) { c.Net = NetOmission; c.OmissionFaulty = 4 }, "corruption budget"},
 		{func(c *Config) { c.MaxRounds = -2 }, "cannot be negative"},
+		{func(c *Config) { c.OmissionRate = 0.5 }, "only apply under"},
+		{func(c *Config) { c.Net = NetJitter; c.Delta = 2; c.OmissionFaulty = 2 }, "only apply under"},
+		{func(c *Config) { c.Net = NetWorstCase; c.Delta = 2; c.PartitionRounds = 4 }, "only applies under"},
 	}
 	for _, tc := range cases {
 		cfg := base
