@@ -17,7 +17,7 @@
 //	ba -protocol core -n 200 -f 60 -trials 100 -workers 8 -json
 //	ba -net delta -delta 3 -trials 8 -workers 4 -json
 //	ba -net omission -omission-rate 0.25 -n 100 -f 30
-//	ba -sparse -n 100000 -f 30000 -lambda 40       # large-N node representation
+//	ba -sparse -n 100000 -f 30000 -lambda 40       # plus intern statistics
 //	ba -scenario core-sparse-n100k
 //	ba -scenario core-delta3-n200
 //	ba -protocol aba -n 16 -f 5 -sched adversarial-delay   # async track
@@ -59,7 +59,7 @@ func run(args []string, out io.Writer) error {
 		fs.IntVar(&c.Crashes, "crashes", c.Crashes, "crash-faulty node count drawn seed-deterministically (async protocols, ≤ f)")
 		fs.Float64Var(&c.OmissionRate, "omission-rate", c.OmissionRate, "per-link drop probability of the omission model")
 		fs.IntVar(&c.OmissionFaulty, "faulty", c.OmissionFaulty, "omission-faulty sender count (0 = the corruption budget f)")
-		fs.BoolVar(&c.Sparse, "sparse", c.Sparse, "memory-lean large-N node representation (delta-one, passive adversary); use for n ≥ ~10⁵")
+		fs.BoolVar(&c.Sparse, "sparse", c.Sparse, "assert the delta-one, passive-adversary regime and report the attestation intern statistics (node state is the same without it)")
 		fs.IntVar(&trials, "trials", 1, "number of runs (aggregated when > 1)")
 		fs.IntVar(&workers, "workers", 0, "trial worker-pool size (0 = GOMAXPROCS); aggregates are identical for every value")
 	})

@@ -297,12 +297,14 @@ func TestDesignSectionEightCoversAnalyzers(t *testing.T) {
 // TestDocsDoNotNameDeletedKnobs keeps README and DESIGN from describing
 // options and commands that no longer exist: the stepping worker count is
 // min(GOMAXPROCS, n) and nothing selects it, the root benchmarks run
-// through go test -bench, not a command of their own, and the chaos layer is
-// Options.Chaos on cluster.Run and RunNode. The one exemption is a table
-// row marked as a dated record ("PR <n> record"), which may say what flag a
-// historical measurement was taken with.
+// through go test -bench, not a command of their own, the chaos layer is
+// Options.Chaos on cluster.Run and RunNode, core's window retention follows
+// core.Config.Lockstep, wall-clock timing lives in obs.Telemetry, and
+// tickets verify through Verifier().Verify alone. The one exemption is a
+// table row marked as a dated record ("PR <n> record"), which may say what
+// flag a historical measurement was taken with.
 func TestDocsDoNotNameDeletedKnobs(t *testing.T) {
-	deleted := regexp.MustCompile("(^|[\\s`])-parallel\\b|-sparse-workers|SparseWorkers|Config\\.Parallel|`Parallel: true`|cmd/\\bbench\\b|\\bRun(Node)?Chaos\\b")
+	deleted := regexp.MustCompile("(^|[\\s`])-parallel\\b|-sparse-workers|SparseWorkers|Config\\.Parallel|`Parallel: true`|cmd/\\bbench\\b|\\bRun(Node)?Chaos\\b|Config\\.Compact|TimingLog|VerifyBatch")
 	record := regexp.MustCompile(`PR \d+ record`)
 	for _, path := range []string{"README.md", "DESIGN.md"} {
 		data, err := os.ReadFile(path)

@@ -317,8 +317,8 @@ func TestInternHitsSumAcrossBlocks(t *testing.T) {
 }
 
 // TestBindAlongsideSharesTheHitBlock is the per-node contract: sets bound
-// alongside an anchor after every Bind is done — the way a map-backed core
-// node binds its per-iteration sets from Step — count every hit on the
+// alongside an anchor after every Bind is done — the way a keep-all core
+// node binds the window slots it grows from Step — count every hit on the
 // anchor's block and take no place on it, and a set bound alongside an
 // owned one stays owned.
 func TestBindAlongsideSharesTheHitBlock(t *testing.T) {

@@ -49,10 +49,6 @@ type Options struct {
 	// in-flight frames, chaos drops, and barrier-latency quantiles. Unlike
 	// the trace this channel is wall-clock state and never deterministic.
 	Telemetry *obs.Telemetry
-	// Timing, when non-nil, collects per-round barrier latencies — the
-	// non-deterministic timing channel that deliberately lives outside the
-	// trace.
-	Timing *obs.TimingLog
 	// Chaos, when non-nil, injects this declared fault schedule below the
 	// protocol surface: Run wraps every endpoint of its network, RunNode its
 	// own endpoint, in the chaos layer before the node ever sees it, so the

@@ -194,17 +194,15 @@ func (r *runner) runRounds(ctx context.Context) (int, error) {
 		if err := r.collectBarrier(ctx, uint32(round)); err != nil {
 			return 0, err
 		}
-		elapsed := time.Since(barrierStart)
-		r.opts.Telemetry.ObserveRoundLatency(elapsed.Seconds())
+		r.opts.Telemetry.ObserveRoundLatency(time.Since(barrierStart).Seconds())
 		r.opts.Telemetry.Acked(r.acked)
 		r.opts.Telemetry.ObserveLag(round + 1 - r.acked)
-		r.opts.Timing.Add(round, r.self, "barrier", elapsed)
 		// Trace: watermark advance. Under the pure all-ack barrier the
 		// watermark provably reaches round+1 the moment the barrier
 		// completes, so the mark is deterministic and mirrors the
 		// simulator's per-node EvMark. Under deadline advance
 		// (RoundInterval > 0) the watermark is a race against wall clocks —
-		// those marks go to Telemetry and Timing only, keeping the trace a
+		// those marks go to Telemetry only, keeping the trace a
 		// pure function of the config.
 		if r.opts.RoundInterval == 0 {
 			r.obs.Mark(round, r.self, r.acked)

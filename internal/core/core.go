@@ -78,23 +78,24 @@ type Config struct {
 	MaxIters int
 	// Suite provides eligibility election (F_mine or the VRF compiler).
 	Suite fmine.Suite
-	// Compact selects the memory-lean node representation of Sparse runs
-	// (DESIGN.md §6): the per-iteration vote/commit attestation
-	// maps are replaced by a two-slot sliding window whose sets are recycled
-	// across iterations, so a node's footprint is bounded by the committee
-	// size instead of growing with every iteration executed. Valid only
-	// under the Sparse delivery regime (lockstep Δ = 1, passive
-	// adversary), where protocol traffic only ever touches the current and
-	// previous iteration; traffic beyond the window is ignored.
-	Compact bool
+	// Lockstep states a fact about the run's delivery, not a storage
+	// choice: every message arrives exactly one round after it was sent,
+	// and no adversary injects (the paper's Δ = 1 model with a passive
+	// adversary). An iteration-I vote or commit then arrives while the node
+	// executes iteration I or I+1, so once traffic for iteration I+2 has
+	// arrived, iteration I can receive nothing more and its sets are
+	// recycled: a node holds two iterations however many it runs. Without
+	// the fact the node keeps every iteration, exact under any schedule and
+	// adversary (DESIGN.md §6).
+	Lockstep bool
 	// Intern, when non-nil, is a per-run intern table shared by every node
 	// of the execution: all attestation sets bind to it, so nodes with
 	// identical add-histories (every forever-honest node under the passive
 	// lockstep schedule) share one copy-on-divergence backing array instead
 	// of holding per-node state (DESIGN.md §6). Every scenario build sets
-	// it, with or without Compact; nil (owned sets) is the reference the
-	// tests compare against. Behaviour is bit-identical either way, at any
-	// worker count and under any adversary; only storage changes.
+	// it; nil (owned sets) is the reference the tests compare against.
+	// Behaviour is bit-identical either way, at any worker count and under
+	// any adversary; only storage changes.
 	Intern *attest.Interner
 }
 
@@ -143,11 +144,19 @@ func PhaseOf(round int) (uint32, Phase) {
 	return uint32(q + 2), PhaseStatus + Phase(rem)
 }
 
-// iterSets is one window slot of the compact representation: the per-bit
-// attestation sets of one iteration.
+// iterSets is one window slot: the per-bit attestation sets of one
+// iteration. Iteration 0 carries no traffic, so it marks a free slot.
 type iterSets struct {
 	iter uint32
 	sets [2]attest.Set
+}
+
+// window is one collection's attestation sets (the votes or the commits),
+// keyed by iteration. slots starts on the two inline slots and grows only
+// when a new iteration finds none it may recycle (see Config.Lockstep).
+type window struct {
+	slots  []iterSets
+	inline [2]iterSets
 }
 
 // proposal is a received, validated leader proposal.
@@ -167,23 +176,14 @@ type Node struct {
 	verif fmine.Verifier
 
 	bestCert [2]attest.Certificate
-	votes    map[uint32]*[2]attest.Set
-	commits  map[uint32]*[2]attest.Set
+	votes    window
+	commits  window
 
 	// anchor is bound to Config.Intern at construction and never added to;
-	// every other set binds alongside it, the map-backed ones lazily from
-	// Step, so all of the node's hits count on one hit block whichever
-	// shard steps it (DESIGN.md §6).
+	// every window slot binds alongside it, the grown ones lazily from Step,
+	// so all of the node's hits count on one hit block whichever shard
+	// steps it (DESIGN.md §6).
 	anchor attest.Set
-
-	// Compact-mode replacements for the maps above (Config.Compact): a
-	// two-slot iteration window per collection, plus a scratch pair that
-	// absorbs — and discards — traffic for iterations older than the
-	// window. Certificates cut from window sets are unaffected by slot
-	// recycling: Attestations() copies.
-	voteWin   [2]iterSets
-	commitWin [2]iterSets
-	staleSets [2]attest.Set
 
 	// Proposals for the current iteration, keyed by bit; among valid
 	// proposals for the same bit the lowest ticket hash wins, so all honest
@@ -214,15 +214,11 @@ func New(cfg Config, id types.NodeID, input types.Bit) (*Node, error) {
 		verif: cfg.Suite.Verifier(),
 	}
 	n.anchor.Bind(cfg.Intern)
-	if !cfg.Compact {
-		n.votes = make(map[uint32]*[2]attest.Set)
-		n.commits = make(map[uint32]*[2]attest.Set)
-	} else {
-		for w := 0; w < 2; w++ {
-			n.bindPair(&n.voteWin[w].sets)
-			n.bindPair(&n.commitWin[w].sets)
+	for _, w := range []*window{&n.votes, &n.commits} {
+		for i := range w.inline {
+			n.bindPair(&w.inline[i].sets)
 		}
-		n.bindPair(&n.staleSets)
+		w.slots = w.inline[:]
 	}
 	return n, nil
 }
@@ -336,61 +332,38 @@ func (n *Node) absorbCert(c attest.Certificate, b types.Bit) bool {
 	return true
 }
 
-func (n *Node) voteSet(iter uint32) *[2]attest.Set {
-	if n.cfg.Compact {
-		return n.windowSet(&n.voteWin, iter)
-	}
-	s := n.votes[iter]
-	if s == nil {
-		s = &[2]attest.Set{}
-		n.bindPair(s)
-		n.votes[iter] = s
-	}
-	return s
-}
+func (n *Node) voteSet(iter uint32) *[2]attest.Set { return n.slot(&n.votes, iter) }
 
-func (n *Node) commitSet(iter uint32) *[2]attest.Set {
-	if n.cfg.Compact {
-		return n.windowSet(&n.commitWin, iter)
-	}
-	s := n.commits[iter]
-	if s == nil {
-		s = &[2]attest.Set{}
-		n.bindPair(s)
-		n.commits[iter] = s
-	}
-	return s
-}
+func (n *Node) commitSet(iter uint32) *[2]attest.Set { return n.slot(&n.commits, iter) }
 
-// windowSet resolves an iteration's attestation sets in the compact
-// two-slot window. Under the sparse delivery regime (Δ = 1, passive) an
-// iteration-I message only ever arrives while the node is executing
-// iteration I or I+1 — votes are delivered within their own iteration,
-// commits one phase later — so a {current, previous} window is exactly
-// sufficient and a slot is only reclaimed once its iteration can no longer
-// receive traffic. Requests older than the window (impossible under the
-// sparse preconditions, defensive otherwise) get a scratch pair that is
-// reset on every access: their traffic is observed and discarded.
-func (n *Node) windowSet(w *[2]iterSets, iter uint32) *[2]attest.Set {
-	if w[0].iter == iter {
-		return &w[0].sets
+// slot resolves an iteration's attestation sets in window w. An iteration
+// without a slot takes a free one or, under Config.Lockstep, one whose
+// iteration is older than the one before iter — traffic for iter means
+// the node executes iteration iter or later, so that iteration can receive
+// nothing more. Only when no slot qualifies does the window grow: traffic
+// is always kept, never discarded. Certificates cut from a recycled slot
+// are unaffected: Attestations() copies or aliases immutable state.
+func (n *Node) slot(w *window, iter uint32) *[2]attest.Set {
+	free := -1
+	for i := range w.slots {
+		s := &w.slots[i]
+		if s.iter == iter {
+			return &s.sets
+		}
+		if free < 0 && (s.iter == 0 || n.cfg.Lockstep && s.iter+1 < iter) {
+			free = i
+		}
 	}
-	if w[1].iter == iter {
-		return &w[1].sets
+	if free < 0 {
+		free = len(w.slots)
+		w.slots = append(w.slots, iterSets{})
+		n.bindPair(&w.slots[free].sets)
 	}
-	old := 0
-	if w[1].iter < w[0].iter {
-		old = 1
-	}
-	if iter < w[old].iter {
-		n.staleSets[0].Reset()
-		n.staleSets[1].Reset()
-		return &n.staleSets
-	}
-	w[old].iter = iter
-	w[old].sets[0].Reset()
-	w[old].sets[1].Reset()
-	return &w[old].sets
+	s := &w.slots[free]
+	s.iter = iter
+	s.sets[0].Reset()
+	s.sets[1].Reset()
+	return &s.sets
 }
 
 func (n *Node) ingest(delivered []netsim.Delivered) {

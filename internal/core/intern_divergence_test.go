@@ -41,14 +41,14 @@ func TestInternHonestRunSharesHandles(t *testing.T) {
 
 	shared := 0
 	for iter := uint32(1); iter <= 2; iter++ {
-		ref := cores[0].votes[iter]
+		ref := cores[0].votes.held(iter)
 		if ref == nil {
 			continue
 		}
 		for b := 0; b < 2; b++ {
 			sharers := 0
 			for i := 0; i < n; i++ {
-				set := cores[i].votes[iter]
+				set := cores[i].votes.held(iter)
 				if set == nil || !ref[b].SharesStorageWith(&set[b]) {
 					t.Fatalf("node %d iter %d bit %d: honest vote set does not share storage", i, iter, b)
 				}
@@ -208,7 +208,7 @@ func TestInternAdversarialDivergenceForksHandles(t *testing.T) {
 	}
 
 	setOf := func(id types.NodeID) *attest.Set {
-		pair := cores[id].votes[1]
+		pair := cores[id].votes.held(1)
 		if pair == nil {
 			t.Fatalf("node %d has no iter-1 vote sets", id)
 		}
@@ -241,7 +241,7 @@ func TestInternAdversarialDivergenceForksHandles(t *testing.T) {
 	// included, the forked handle is held by the targets alone.
 	sharers := 0
 	for _, c := range cores {
-		if pair := c.votes[1]; pair != nil && tset.SharesStorageWith(&pair[flip]) {
+		if pair := c.votes.held(1); pair != nil && tset.SharesStorageWith(&pair[flip]) {
 			sharers++
 		}
 	}

@@ -29,7 +29,7 @@ func (c *sendCounter) Step(round int, delivered []netsim.Delivered) []netsim.Sen
 }
 
 // TestInternedMatchesOwnedInEveryRegime pins what lets every scenario build
-// intern, map-backed or Sparse: a run whose nodes share one intern table is
+// intern, Sparse or not: a run whose nodes share one intern table is
 // the same execution as one whose nodes own their sets, in every delivery
 // regime and under every adversary shape, not only the passive lockstep one
 // Sparse runs are confined to. Each regime runs with Intern nil (the
@@ -153,21 +153,26 @@ func TestInternedMatchesOwnedInEveryRegime(t *testing.T) {
 }
 
 // TestNodeCountsHitsOnOneBlock is the white-box half of the per-node hit
-// block: every set a node holds — the map-backed per-iteration sets bound
-// lazily from Step, or the window bound at construction — counts its hits
-// on the anchor's block, and the blocks are node-sized, not run-sized.
+// block: every set a node's window holds — the inline slots bound at
+// construction and, on a keep-all node, the slots grown lazily from Step —
+// counts its hits on the anchor's block, and the blocks are node-sized, not
+// run-sized.
 func TestNodeCountsHitsOnOneBlock(t *testing.T) {
 	const n, f, lambda = 200, 60, 40
-	for _, compact := range []bool{false, true} {
-		t.Run(fmt.Sprintf("compact=%v", compact), func(t *testing.T) {
+	for _, lockstep := range []bool{false, true} {
+		name := "keep-all"
+		if lockstep {
+			name = "lockstep"
+		}
+		t.Run(name, func(t *testing.T) {
 			cfg := idealConfig(n, f, lambda, 3)
-			cfg.Compact = compact
+			cfg.Lockstep = lockstep
 			cfg.Intern = attest.NewInterner()
 			nodes, err := NewNodes(cfg, mixedInputs(n))
 			if err != nil {
 				t.Fatal(err)
 			}
-			rt, err := netsim.NewRuntime(netsim.Config{N: n, F: f, MaxRounds: cfg.Rounds(), Sparse: compact}, nodes, nil)
+			rt, err := netsim.NewRuntime(netsim.Config{N: n, F: f, MaxRounds: cfg.Rounds(), Sparse: lockstep}, nodes, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -177,34 +182,29 @@ func TestNodeCountsHitsOnOneBlock(t *testing.T) {
 			if first.anchor.CountsWith(&last.anchor) {
 				t.Errorf("nodes 0 and %d count on one hit block", n-1)
 			}
+			grown := 0
 			for i, nd := range nodes {
 				c := nd.(*Node)
 				var sets []*attest.Set
-				for _, pairs := range []map[uint32]*[2]attest.Set{c.votes, c.commits} {
-					for _, pair := range pairs {
-						sets = append(sets, &pair[0], &pair[1])
+				for _, w := range []*window{&c.votes, &c.commits} {
+					grown += len(w.slots) - len(w.inline)
+					for k := range w.slots {
+						sets = append(sets, &w.slots[k].sets[0], &w.slots[k].sets[1])
 					}
 				}
-				for w := range c.voteWin {
-					sets = append(sets, &c.voteWin[w].sets[0], &c.voteWin[w].sets[1],
-						&c.commitWin[w].sets[0], &c.commitWin[w].sets[1])
-				}
-				sets = append(sets, &c.staleSets[0], &c.staleSets[1])
-				bound := 0
 				for k, s := range sets {
 					if !s.Interned() {
-						continue
+						t.Fatalf("node %d: set %d is not bound to the run's table", i, k)
 					}
-					bound++
 					if !s.CountsWith(&c.anchor) {
 						t.Fatalf("node %d: set %d counts its hits off the node's block", i, k)
 					}
 				}
-				// Map-backed: ≥ one vote and one commit pair bound from Step;
-				// compact: the ten window and stale sets bound in New.
-				if bound < 4 {
-					t.Fatalf("node %d holds %d interned sets; nothing was bound", i, bound)
-				}
+			}
+			// Lockstep nodes recycle their inline slots; keep-all ones must
+			// have grown some, or the lazy binding went unchecked.
+			if lockstep != (grown == 0) {
+				t.Fatalf("lockstep=%v: windows grew by %d slots in all", lockstep, grown)
 			}
 		})
 	}

@@ -71,9 +71,8 @@ func outputFromProof(proof []byte) prf.Output {
 //
 // Ed25519 batch verification proper (cofactored aggregation of the group
 // equation) is not expressible over the standard library, which does not
-// export the curve operations; EvalBatch and VerifyBatch are therefore
-// amortisation points, not aggregation, and the single call site is where
-// aggregation would slot in if the primitive ever becomes available.
+// export the curve operations; EvalBatch is therefore an amortisation
+// point, not aggregation.
 func EvalBatch(sks []sig.PrivateKey, msg []byte, outs []prf.Output, proofs [][]byte) ([]prf.Output, [][]byte) {
 	b, input := domainInput(msg)
 	h := sha256.New()
@@ -90,31 +89,4 @@ func EvalBatch(sks []sig.PrivateKey, msg []byte, outs []prf.Output, proofs [][]b
 	*b = input[:0]
 	wire.PutScratch(b)
 	return outs, proofs
-}
-
-// VerifyBatch checks each (pk, proof) claim against the common message,
-// appending the certified outputs (zero where invalid) and validity flags
-// to outs and oks and returning the extended slices. Semantically identical
-// to calling Verify once per claim; see EvalBatch for what the batch form
-// amortises and why it does not aggregate.
-func VerifyBatch(pks []sig.PublicKey, msg []byte, proofs [][]byte, outs []prf.Output, oks []bool) ([]prf.Output, []bool) {
-	b, input := domainInput(msg)
-	h := sha256.New()
-	for i, pk := range pks {
-		if !sig.Verify(pk, input, proofs[i]) {
-			outs = append(outs, prf.Output{})
-			oks = append(oks, false)
-			continue
-		}
-		h.Reset()
-		h.Write([]byte(domainOut))
-		h.Write(proofs[i])
-		var out prf.Output
-		h.Sum(out[:0])
-		outs = append(outs, out)
-		oks = append(oks, true)
-	}
-	*b = input[:0]
-	wire.PutScratch(b)
-	return outs, oks
 }

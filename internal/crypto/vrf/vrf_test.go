@@ -141,33 +141,3 @@ func TestEvalBatchMatchesScalar(t *testing.T) {
 		}
 	}
 }
-
-// TestVerifyBatchMatchesScalar pins batch ≡ scalar for verification across
-// valid proofs, wrong-key claims, wrong-message proofs, and malformed
-// bytes.
-func TestVerifyBatchMatchesScalar(t *testing.T) {
-	msg := []byte("batch tag")
-	pk1, sk1 := keyFor(1)
-	pk2, sk2 := keyFor(2)
-	_, p1 := Eval(sk1, msg)
-	_, p2 := Eval(sk2, msg)
-	_, pOther := Eval(sk1, []byte("other tag"))
-	forged := append([]byte(nil), p1...)
-	forged[0] ^= 1
-
-	pks := []sig.PublicKey{pk1, pk2, pk2, pk1, pk1, pk1}
-	proofs := [][]byte{p1, p2, p1, pOther, forged, nil}
-	outs, oks := VerifyBatch(pks, msg, proofs, nil, nil)
-	for i := range pks {
-		wantOut, wantOk := Verify(pks[i], msg, proofs[i])
-		if oks[i] != wantOk || outs[i] != wantOut {
-			t.Fatalf("claim %d: batch (%x, %v), scalar (%x, %v)", i, outs[i], oks[i], wantOut, wantOk)
-		}
-	}
-	if !oks[0] || !oks[1] {
-		t.Fatal("genuine claims rejected")
-	}
-	if oks[2] || oks[3] || oks[4] || oks[5] {
-		t.Fatal("bogus claim accepted")
-	}
-}

@@ -45,7 +45,7 @@ type Real struct {
 	// verified, which over a long real-crypto run at n = 10⁵–10⁶ re-creates
 	// the per-node memory wall the sparse engine exists to avoid. Eviction
 	// exploits the protocols' verification locality: traffic for iteration i
-	// is verified within a few iterations of i (core's two-slot window keeps
+	// is verified within a few iterations of i (core's lockstep window keeps
 	// two), so entries whose tag iteration has fallen more than leanWindow
 	// behind the highest iteration seen are dropped. Iteration-0 tags
 	// (Terminate, and any other iteration-free domain) recur for the whole
@@ -61,7 +61,7 @@ type Real struct {
 }
 
 // leanWindow is how many iterations behind the newest observed iteration a
-// cache entry survives. Core's two-slot window keeps two iterations of
+// cache entry survives. Core's lockstep window keeps two iterations of
 // attestation state; doubling that covers stragglers (certificates
 // re-verified one epoch late) with room to spare, while still bounding the
 // cache at O(window · traffic-per-iteration).
@@ -244,79 +244,6 @@ func (r *Real) MineBatch(tag Tag, ids []types.NodeID) ([][]byte, []bool) {
 		}
 	}
 	return proofs, oks
-}
-
-// VerifyBatch checks a batch of (id, proof) claims against one tag,
-// returning per-claim validity. Answers are identical to calling
-// Verifier().Verify per claim — including cache hits, the known-forgery
-// table, and cache population — but cache misses within the batch share
-// one tag encoding and one VRF domain input (vrf.VerifyBatch), and the
-// whole batch takes each lock once instead of once per claim.
-func (r *Real) VerifyBatch(tag Tag, ids []types.NodeID, proofs [][]byte) []bool {
-	if len(ids) != len(proofs) {
-		panic("fmine: VerifyBatch ids/proofs length mismatch")
-	}
-	res := make([]bool, len(ids))
-	p := r.prob(tag)
-
-	// Pass 1 under one read lock: answer cache hits and known forgeries,
-	// collect the rest for batched verification.
-	type miss struct {
-		i  int
-		pk sig.PublicKey
-	}
-	var misses []miss
-	r.mu.RLock()
-	for i, id := range ids {
-		key := verifyKey{tag: tag.key(), id: id}
-		if e, hit := r.cache[key]; hit && bytes.Equal(e.proof, proofs[i]) {
-			res[i] = e.valid
-			continue
-		}
-		pk := r.pub.VRFKey(id)
-		if pk == nil {
-			continue
-		}
-		if _, known := r.bad[badProofKey{key: key, hash: sha256.Sum256(proofs[i])}]; known {
-			continue
-		}
-		misses = append(misses, miss{i: i, pk: pk})
-	}
-	r.mu.RUnlock()
-	if len(misses) == 0 {
-		return res
-	}
-
-	scratch := wire.GetScratch()
-	tagBytes := tag.AppendEncode((*scratch)[:0])
-	pks := make([]sig.PublicKey, len(misses))
-	missProofs := make([][]byte, len(misses))
-	for j, m := range misses {
-		pks[j] = m.pk
-		missProofs[j] = proofs[m.i]
-	}
-	outs, oks := vrf.VerifyBatch(pks, tagBytes, missProofs, nil, nil)
-	*scratch = tagBytes[:0]
-	wire.PutScratch(scratch)
-
-	// Pass 2 under one write lock: record results with the same
-	// valid-claims-slot / forgery-table policy as the scalar path.
-	r.mu.Lock()
-	for j, m := range misses {
-		key := verifyKey{tag: tag.key(), id: ids[m.i]}
-		valid := oks[j] && outs[j].Below(p)
-		res[m.i] = valid
-		if !valid {
-			r.bad[badProofKey{key: key, hash: sha256.Sum256(missProofs[j])}] = struct{}{}
-			continue
-		}
-		if cur, exists := r.cache[key]; !exists || !cur.valid {
-			r.cache[key] = verifyEntry{proof: bytes.Clone(missProofs[j]), valid: true}
-			r.noteInsertLocked(key)
-		}
-	}
-	r.mu.Unlock()
-	return res
 }
 
 // Miner returns node id's mining capability (its VRF secret key bound to the

@@ -9,11 +9,11 @@ import (
 	"ccba/internal/types"
 )
 
-// The batch mine/verify entry points must be observationally equivalent to
-// the scalar path — identical proofs, identical success flags, identical
-// verify answers for genuine tickets, wrong-owner claims, and forged bytes —
-// and the windowed verify cache must stay bounded while answering exactly as
-// an uncached vrf.Verify would.
+// The batch mining entry point must be observationally equivalent to the
+// scalar path — identical proofs, identical success flags — and the
+// windowed verify cache must stay bounded while answering exactly as an
+// uncached vrf.Verify would, for genuine tickets, wrong-owner claims, and
+// forged bytes.
 
 const batchProb = 0.5
 
@@ -40,57 +40,11 @@ func TestRealMineBatchMatchesScalar(t *testing.T) {
 	}
 }
 
-func TestRealVerifyBatchMatchesScalar(t *testing.T) {
-	const n = 24
-	r, _, ids := batchReal(n)
-	tag := Tag{Domain: "batch-test", Type: 1, Iter: 1, Bit: types.Zero}
-	proofs, oks := r.MineBatch(tag, ids)
-
-	// Build a hostile claim set: genuine tickets, failed attempts' nil
-	// proofs, wrong-owner proofs, and forged bytes.
-	claimIDs := append([]types.NodeID{}, ids...)
-	claimProofs := append([][]byte{}, proofs...)
-	firstWin := -1
-	for i, ok := range oks {
-		if ok {
-			firstWin = i
-			break
-		}
-	}
-	if firstWin < 0 {
-		t.Fatal("no successful tickets at p=0.5; corpus broken")
-	}
-	// Wrong owner: node (firstWin+1) claims firstWin's ticket.
-	claimIDs = append(claimIDs, types.NodeID((firstWin+1)%n))
-	claimProofs = append(claimProofs, proofs[firstWin])
-	// Forgery: flipped byte of a genuine ticket, claimed by its owner.
-	forged := bytes.Clone(proofs[firstWin])
-	forged[0] ^= 1
-	claimIDs = append(claimIDs, types.NodeID(firstWin))
-	claimProofs = append(claimProofs, forged)
-
-	got := r.VerifyBatch(tag, claimIDs, claimProofs)
-	v := r.Verifier()
-	for i := range claimIDs {
-		if want := v.Verify(tag, claimIDs[i], claimProofs[i]); got[i] != want {
-			t.Fatalf("claim %d (id %d): batch %v, scalar %v", i, claimIDs[i], got[i], want)
-		}
-	}
-	// Repeat the batch: now every answer is a cache or bad-table hit and
-	// must not change.
-	again := r.VerifyBatch(tag, claimIDs, claimProofs)
-	for i := range got {
-		if got[i] != again[i] {
-			t.Fatalf("claim %d: first batch %v, cached batch %v", i, got[i], again[i])
-		}
-	}
-}
-
 // TestRealVerifyAfterEviction pins the cache's eviction policy and its
 // invisibility. Entries older than the iteration window are dropped and
 // iteration-0 (Terminate) entries never are; a ticket presented again after
 // its iteration left the window — genuine, forged, or under the wrong owner —
-// is answered exactly as vrf.Verify answers it, through both entry points.
+// is answered exactly as vrf.Verify answers it, uncached and then cached.
 func TestRealVerifyAfterEviction(t *testing.T) {
 	const n = 16
 	r, pub, ids := batchReal(n)
@@ -101,20 +55,18 @@ func TestRealVerifyAfterEviction(t *testing.T) {
 
 	termTag := Tag{Domain: "evict-test", Type: 9, Iter: 0, Bit: types.NoBit}
 	termProofs, termOks := r.MineBatch(termTag, ids)
-	r.VerifyBatch(termTag, ids, termProofs)
+	v := r.Verifier()
+	for i, id := range ids {
+		v.Verify(termTag, id, termProofs[i])
+	}
 
 	const iters = 20
 	perIter := make(map[uint32][][]byte)
 	iterTag := func(iter uint32) Tag { return Tag{Domain: "evict-test", Type: 1, Iter: iter, Bit: types.One} }
 	for iter := uint32(1); iter <= iters; iter++ {
 		proofs, _ := r.MineBatch(iterTag(iter), ids)
-		// Alternate the entry point that populates the cache.
-		if iter%2 == 0 {
-			r.VerifyBatch(iterTag(iter), ids, proofs)
-		} else {
-			for i, id := range ids {
-				r.Verifier().Verify(iterTag(iter), id, proofs[i])
-			}
+		for i, id := range ids {
+			v.Verify(iterTag(iter), id, proofs[i])
 		}
 		perIter[iter] = proofs
 	}
@@ -145,8 +97,8 @@ func TestRealVerifyAfterEviction(t *testing.T) {
 	}
 
 	// Evicted tickets, their forgeries and wrong-owner claims answer as an
-	// uncached verification does.
-	v := r.Verifier()
+	// uncached verification does, the first time and again once the answer
+	// is cached or recorded as a forgery.
 	var claimIDs []types.NodeID
 	var claimProofs [][]byte
 	valid := 0
@@ -159,20 +111,13 @@ func TestRealVerifyAfterEviction(t *testing.T) {
 		claimIDs = append(claimIDs, ids[i], ids[i], ids[(i+1)%n])
 		claimProofs = append(claimProofs, proof, forged, proof)
 	}
-	// Even claims reach the scalar entry point uncached, odd ones the batch.
-	scalar := make([]bool, len(claimIDs))
-	for j := 0; j < len(claimIDs); j += 2 {
-		scalar[j] = v.Verify(early, claimIDs[j], claimProofs[j])
-	}
-	batch := r.VerifyBatch(early, claimIDs, claimProofs)
-	for j := 1; j < len(claimIDs); j += 2 {
-		scalar[j] = v.Verify(early, claimIDs[j], claimProofs[j])
-	}
 	for j := range claimIDs {
 		want := reference(early, claimIDs[j], claimProofs[j])
-		if batch[j] != want || scalar[j] != want {
-			t.Fatalf("claim %d (id %d) after eviction: VerifyBatch %v, Verify %v, vrf.Verify says %v",
-				j, claimIDs[j], batch[j], scalar[j], want)
+		first := v.Verify(early, claimIDs[j], claimProofs[j])
+		again := v.Verify(early, claimIDs[j], claimProofs[j])
+		if first != want || again != want {
+			t.Fatalf("claim %d (id %d) after eviction: Verify %v, then %v; vrf.Verify says %v",
+				j, claimIDs[j], first, again, want)
 		}
 		if want {
 			valid++

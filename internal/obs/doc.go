@@ -1,9 +1,9 @@
 // Package obs is the deterministic observability layer: typed round-
 // lifecycle events emitted by the simulator (dense and sparse), and the
 // live cluster through one nil-guarded Sink; a ring-buffered Recorder with
-// canonical JSONL export whose content is a pure function of the seed; an
-// explicitly non-deterministic TimingLog for wall-clock measurements; and
-// the Telemetry counters behind cmd/cluster's expvar/pprof endpoint.
+// canonical JSONL export whose content is a pure function of the seed; and
+// the explicitly non-deterministic Telemetry counters behind cmd/cluster's
+// expvar/pprof endpoint, which hold every wall-clock measurement.
 //
 // Architecture: DESIGN.md §10 — the event taxonomy, the determinism
 // boundary between the trace and timing channels, and the canonical order

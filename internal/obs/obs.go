@@ -34,7 +34,7 @@ const (
 	// watermark. The simulator advances by construction; the live cluster
 	// emits it when the all-ack barrier completes. Deadline-advance runs
 	// (Options.RoundInterval > 0) suppress it — there the watermark is
-	// timing-dependent and belongs to the TimingLog, not the trace.
+	// timing-dependent and belongs to Telemetry, not the trace.
 	EvMark
 	// EvFault: the network dropped one (sender, recipient) link this
 	// round; Node is the sender, A the recipient, B the FaultKind, Seq a

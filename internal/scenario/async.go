@@ -55,7 +55,7 @@ func (c *Config) validateAsync() error {
 		return fmt.Errorf("scenario: protocol %q runs on the event-driven runtime; the Net/Delta/MaxRounds family does not apply (use Sched/AdvDelay/MaxDeliveries)", c.Protocol)
 	}
 	if c.Sparse {
-		return fmt.Errorf("scenario: the event runtime has no large-N node representation; drop Sparse for protocol %q", c.Protocol)
+		return fmt.Errorf("scenario: Sparse asserts the lockstep simulator's regime, not the event runtime's; drop Sparse for protocol %q", c.Protocol)
 	}
 	if c.Adversary != nil {
 		return fmt.Errorf("scenario: async protocol %q takes faults via Crashes and Sched, not a synchronous adversary", c.Protocol)

@@ -98,11 +98,11 @@ func newSuite(cfg Config, prob fmine.ProbFunc, pub *pki.Public, secrets []pki.Se
 // dominant memory term at every n, and sharing them is answer-equivalent
 // under every network model and adversary. One table per execution: sharing
 // is an execution-scoped property, never cross-trial. RunCtx pre-creates the
-// table (cfg.interner) for Sparse runs so it can surface the sharing
+// table (cfg.run.interner) for Sparse runs so it can surface the sharing
 // statistics in the Report after the run.
 func newInterner(cfg Config) *attest.Interner {
-	if cfg.interner != nil {
-		return cfg.interner
+	if cfg.run.interner != nil {
+		return cfg.run.interner
 	}
 	return attest.NewInterner()
 }
@@ -110,14 +110,14 @@ func newInterner(cfg Config) *attest.Interner {
 func init() {
 	RegisterProtocol(Core, func(cfg Config) ([]netsim.Node, func(types.NodeID) any, int, error) {
 		suite := newSuite(cfg, core.Probabilities(cfg.N, cfg.Lambda), nil, nil)
-		ccfg := core.Config{N: cfg.N, F: cfg.F, Lambda: cfg.Lambda, MaxIters: cfg.MaxIters, Suite: suite, Compact: cfg.Sparse, Intern: newInterner(cfg)}
+		ccfg := core.Config{N: cfg.N, F: cfg.F, Lambda: cfg.Lambda, MaxIters: cfg.MaxIters, Suite: suite, Lockstep: cfg.run.lockstep, Intern: newInterner(cfg)}
 		nodes, err := core.NewNodes(ccfg, cfg.Inputs)
 		return nodes, func(id types.NodeID) any { return suite.Miner(id) }, ccfg.Rounds(), err
 	})
 
 	RegisterProtocol(CoreBroadcast, func(cfg Config) ([]netsim.Node, func(types.NodeID) any, int, error) {
 		suite := newSuite(cfg, core.Probabilities(cfg.N, cfg.Lambda), nil, nil)
-		ccfg := core.Config{N: cfg.N, F: cfg.F, Lambda: cfg.Lambda, MaxIters: cfg.MaxIters, Suite: suite, Compact: cfg.Sparse, Intern: newInterner(cfg)}
+		ccfg := core.Config{N: cfg.N, F: cfg.F, Lambda: cfg.Lambda, MaxIters: cfg.MaxIters, Suite: suite, Lockstep: cfg.run.lockstep, Intern: newInterner(cfg)}
 		nodes, err := broadcast.NewNodes(cfg.N, cfg.Sender, cfg.SenderInput,
 			func(id types.NodeID, input types.Bit) (netsim.Node, error) { return core.New(ccfg, id, input) })
 		return nodes, func(id types.NodeID) any { return suite.Miner(id) }, ccfg.Rounds() + 1, err

@@ -158,17 +158,12 @@ type Config struct {
 	Erasure bool
 	// Adversary is the corruption strategy (nil = passive).
 	Adversary netsim.Adversary
-	// Sparse selects the memory-lean large-N node representation
-	// (DESIGN.md §6): core's two-slot attestation window in place of
-	// per-iteration maps, so a node's footprint stops growing with the
-	// iterations it executes. Attestation interning does not depend on it —
-	// every core and phase-king run interns — so what Sparse still selects
-	// is the window, netsim.Config.Sparse's assertion and the Report.Intern
-	// statistics. The two-slot window is correct only where no traffic
-	// older than two iterations can arrive, so it is restricted to the
-	// delta-one lockstep model with a passive adversary (validate rejects
-	// anything else). Observationally equivalent to the map-backed nodes
-	// there.
+	// Sparse selects no node state (DESIGN.md §6): core's iteration
+	// window follows the delivery model whether it is set or not, and every
+	// core and phase-king run interns. It asserts the delta-one lockstep
+	// model with a passive adversary (validate rejects anything else, and
+	// it sets netsim.Config.Sparse's assertion) and adds the intern table's
+	// statistics to the Report (Report.Intern).
 	Sparse bool
 	// Tracer receives the round-lifecycle event stream (DESIGN.md §10),
 	// threaded straight through to netsim.Config.Tracer. Trace content is a
@@ -220,11 +215,21 @@ type Config struct {
 	// surface stays Net + ChaosConfig.
 	chaosModel netsim.NetModel
 
-	// interner, when non-nil, is the per-execution attestation intern table
-	// RunCtx created so it can read the sharing statistics back after the
-	// run (Report.Intern). The builders reuse it instead of allocating their
-	// own; external Build callers still get a fresh table per call.
+	// run is what RunCtx derives for one execution before building it.
+	// External Build callers get the zero value: a fresh intern table per
+	// call and nodes that keep every iteration.
+	run execution
+}
+
+// execution is the per-execution state RunCtx hands the builders.
+type execution struct {
+	// interner, when non-nil, is the attestation intern table RunCtx
+	// created so it can read the sharing statistics back after the run
+	// (Report.Intern). The builders reuse it instead of allocating their
+	// own.
 	interner *attest.Interner
+	// lockstep is core.Config.Lockstep, derived by lockstepRun.
+	lockstep bool
 }
 
 // validate rejects configurations the simulator cannot execute
@@ -261,10 +266,10 @@ func (c *Config) validate() error {
 	}
 	if c.Sparse {
 		if c.Net != "" && c.Net != NetDeltaOne {
-			return fmt.Errorf("scenario: Sparse requires the %q lockstep model, got net %q (a delayed message can be older than the two-slot window keeps)", NetDeltaOne, c.Net)
+			return fmt.Errorf("scenario: Sparse asserts the %q lockstep model, got net %q", NetDeltaOne, c.Net)
 		}
 		if c.Adversary != nil {
-			return fmt.Errorf("scenario: Sparse requires a passive adversary (injected traffic can be older than the two-slot window keeps)")
+			return fmt.Errorf("scenario: Sparse asserts a passive adversary")
 		}
 	}
 	if err := c.validateAsync(); err != nil {

@@ -4,16 +4,17 @@ import (
 	"testing"
 
 	"ccba/internal/attest"
+	"ccba/internal/netsim"
 	"ccba/internal/testenv"
 )
 
 // TestMapBackedInternStatsAcrossWorkers pins the telemetry of the lazily
-// bound path: a map-backed core run binds each iteration's sets from Step,
-// on whichever shard steps the node, yet its intern table must count what a
-// Sparse run of the same seed counts — where every set is bound at
-// construction — identically at every GOMAXPROCS. In a passive lockstep run
-// all n nodes perform the same add sequence, so every state is created once
-// and hit by the other n−1 nodes: hits = adds − states.
+// bound path: a keep-all core run — Build's nodes, which grow their window
+// from Step, on whichever shard steps the node — must count in its intern
+// table what a Sparse run of the same seed counts, where every set is bound
+// at construction, identically at every GOMAXPROCS. In a passive lockstep
+// run all n nodes perform the same add sequence, so every state is created
+// once and hit by the other n−1 nodes: hits = adds − states.
 func TestMapBackedInternStatsAcrossWorkers(t *testing.T) {
 	const n = 2000
 	base := Config{Protocol: Core, N: n, F: 600, Lambda: 40}
@@ -36,16 +37,21 @@ func TestMapBackedInternStatsAcrossWorkers(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 8} {
 		testenv.SetGOMAXPROCS(t, workers)
 		cfg := base
-		cfg.interner = attest.NewInterner()
-		rep, err := Run(cfg)
+		cfg.applyDefaults()
+		cfg.run.interner = attest.NewInterner()
+		nodes, seize, steps, err := build(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !rep.Ok() {
+		rt, err := netsim.NewRuntime(netsim.Config{N: n, F: cfg.F, MaxRounds: steps, Seize: seize}, nodes, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep := Evaluate(cfg, rt.Run()); !rep.Ok() {
 			t.Fatalf("w%d: violation: %v %v %v", workers, rep.Consistency, rep.Validity, rep.Termination)
 		}
-		if got := cfg.interner.Stats(); got != want {
-			t.Errorf("w%d: map-backed intern stats %+v, the Sparse run's %+v", workers, got, want)
+		if got := cfg.run.interner.Stats(); got != want {
+			t.Errorf("w%d: keep-all intern stats %+v, the Sparse run's %+v", workers, got, want)
 		}
 	}
 }
@@ -61,15 +67,15 @@ func TestEveryInterningBuildInterns(t *testing.T) {
 		{Protocol: PhaseKingSampled, N: 60, F: 12, Lambda: 20, Epochs: 4},
 	} {
 		t.Run(string(cfg.Protocol), func(t *testing.T) {
-			cfg.interner = attest.NewInterner()
+			cfg.run.interner = attest.NewInterner()
 			rep, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if st := cfg.interner.Stats(); st.Hits == 0 {
+			if st := cfg.run.interner.Stats(); st.Hits == 0 {
 				t.Errorf("no Add hit the run's table (%+v): the build did not intern", st)
 			}
-			cfg.interner = nil
+			cfg.run.interner = nil
 			if rep, err = Run(cfg); err != nil {
 				t.Fatal(err)
 			}

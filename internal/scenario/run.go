@@ -55,18 +55,19 @@ func RunCtx(ctx context.Context, cfg Config) (*Report, error) {
 	if cfg.Protocol.Async() {
 		return runAsync(ctx, cfg)
 	}
-	if cfg.Sparse && cfg.interner == nil {
-		cfg.interner = attest.NewInterner()
+	net, err := cfg.netModel()
+	if err != nil {
+		return nil, err
 	}
+	if cfg.Sparse && cfg.run.interner == nil {
+		cfg.run.interner = attest.NewInterner()
+	}
+	cfg.run.lockstep = lockstepRun(cfg, net)
 	nodes, seize, steps, err := build(cfg)
 	if err != nil {
 		return nil, err
 	}
 	maxRounds, err := cfg.RoundBudget(steps)
-	if err != nil {
-		return nil, err
-	}
-	net, err := cfg.netModel()
 	if err != nil {
 		return nil, err
 	}
@@ -85,11 +86,24 @@ func RunCtx(ctx context.Context, cfg Config) (*Report, error) {
 		return nil, err
 	}
 	rep := Evaluate(cfg, res)
-	if cfg.interner != nil {
-		st := cfg.interner.Stats()
+	if cfg.run.interner != nil {
+		st := cfg.run.interner.Stats()
 		rep.Intern = &st
 	}
 	return rep, nil
+}
+
+// lockstepRun reports the delivery fact core sizes its iteration window
+// from (core.Config.Lockstep): the resolved model delivers every message
+// exactly one round after it was sent (its Validate returns Δ = 1; a
+// dropped message never arrives) and no adversary injects. Every other run
+// keeps every iteration.
+func lockstepRun(cfg Config, net netsim.NetModel) bool {
+	if cfg.Adversary != nil {
+		return false
+	}
+	delta, _, err := net.Validate(cfg.N, cfg.F)
+	return err == nil && delta == 1
 }
 
 // Evaluate runs the paper's three security checkers over a completed

@@ -254,7 +254,7 @@ func init() {
 	})
 	MustRegister(Scenario{
 		Name:        "core-sparse-n100k",
-		Description: "core protocol on the large-N node representation (Sparse), n=100,000 f=30,000 λ=40",
+		Description: "core protocol under Sparse (lockstep assertion, intern statistics), n=100,000 f=30,000 λ=40",
 		Config:      Config{Protocol: Core, N: 100_000, F: 30_000, Lambda: 40, Sparse: true},
 	})
 	MustRegister(Scenario{

@@ -12,8 +12,8 @@ import (
 // 8.5 MB cumulative allocation, the same to within a few allocations at
 // GOMAXPROCS 1, 2 and 4 (128k / 11 MB while every mining attempt allocated
 // its PRF output and every interned state a successor map; ≈411k / ≈145 MB
-// before attestation interning; map-backed, which interns too: 131k allocs,
-// 16 MB); its budgets sit ~15 % above that, so a reintroduced allocation
+// before attestation interning; non-Sparse runs with per-iteration maps,
+// which interned too: 131k allocs, 16 MB); its budgets sit ~15 % above that, so a reintroduced allocation
 // per mining attempt (82k of them) or per delivery fails them. Core-real
 // measures ≈521k allocs / ≈39 MB cumulative with the lean bounded verify
 // cache, budgeted at ~2×: those fail on a reintroduced O(n)-per-round buffer, per-node
@@ -116,13 +116,14 @@ func TestSparseRealBudgetN10k(t *testing.T) {
 	}
 }
 
-// A Sparse run must allocate strictly less than the map-backed one on the
-// same configuration — the point of its existence. Both intern their
-// attestation sets, so the gap is the two-slot window alone: per-node
-// iteration maps and a set pair per iteration and kind (n = 2,000: 27.2k
-// allocs / 3.3 MB map-backed, 9.2k / 1.8 MB Sparse). Asserted at n = 2,000
-// to keep the double run cheap.
-func TestSparseAllocatesLessThanDense(t *testing.T) {
+// A Sparse run and a non-Sparse one of the same passive lockstep
+// configuration run the same node state — RunCtx derives core's lockstep
+// window from the delivery model, not from Sparse — so they must allocate
+// within 1 % of each other (n = 2,000: 9.22–9.25k allocs / 1.87 MB either
+// way at GOMAXPROCS 1, 2 and 4). What is left between them is scheduling
+// noise of a few dozen allocations. Asserted at n = 2,000 to keep the
+// double run cheap.
+func TestSparseAllocatesLikeDense(t *testing.T) {
 	measure := func(sparse bool) (allocs, bytes uint64) {
 		cfg := Config{Protocol: Core, N: 2_000, F: 600, Lambda: 40, Sparse: sparse}
 		cfg.Seed[0] = 7
@@ -133,12 +134,13 @@ func TestSparseAllocatesLessThanDense(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 	}
+	within := func(a, b uint64) bool { return float64(max(a, b)) <= 1.01*float64(min(a, b)) }
 	denseAllocs, denseBytes := measure(false)
 	sparseAllocs, sparseBytes := measure(true)
-	if sparseAllocs >= denseAllocs {
-		t.Errorf("sparse allocs %d >= dense allocs %d", sparseAllocs, denseAllocs)
+	if !within(sparseAllocs, denseAllocs) {
+		t.Errorf("sparse allocs %d vs non-sparse %d: more than 1 %% apart", sparseAllocs, denseAllocs)
 	}
-	if sparseBytes >= denseBytes {
-		t.Errorf("sparse bytes %d >= dense bytes %d", sparseBytes, denseBytes)
+	if !within(sparseBytes, denseBytes) {
+		t.Errorf("sparse bytes %d vs non-sparse %d: more than 1 %% apart", sparseBytes, denseBytes)
 	}
 }

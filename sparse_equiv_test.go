@@ -7,11 +7,12 @@ import (
 	"ccba/internal/testenv"
 )
 
-// The large-N node representation (Config.Sparse, DESIGN.md §6: core's
-// two-slot window over interned attestation sets) must be observationally
-// equivalent to the map-backed nodes wherever it applies. There is one
-// round engine under both, so what differs is node state only. Two layers
-// of pinning:
+// A Sparse run (Config.Sparse, DESIGN.md §6) must be observationally
+// equivalent to the non-Sparse run of the same config. There is one round
+// engine and one node state under both — core's window follows the
+// delivery model, and every run interns — so Sparse is an assertion plus
+// the intern statistics, and these tests pin that it changes nothing else.
+// Two layers of pinning:
 //
 //   - the PR1 fixed-seed goldens reproduce bit-for-bit under Sparse —
 //     same outputs digest, rounds, and all four metrics counters — at
@@ -19,7 +20,7 @@ import (
 //     interned ≡ owned attestation storage);
 //   - a sweep across every protocol (both crypto modes where relevant)
 //     compares sparse runs at GOMAXPROCS ∈ {1, 2, 4, 8} against a
-//     map-backed run of the same config.
+//     non-Sparse run of the same config.
 
 // sparseEquivWorkers are the GOMAXPROCS settings — hence stepping worker
 // counts — the equivalence suite sweeps: serial, one shard per core of a

@@ -16,9 +16,9 @@ import (
 // The trace goldens extend the fixed-seed goldens one level down: not just
 // the end state, but the canonical JSONL of every round-lifecycle event
 // (DESIGN.md §10). The digest below pins the core-ideal-n80 trace; every
-// execution regime — one stepping worker or several, map-backed or Sparse
-// node state, and the live chan cluster at Δ=1 — must reproduce it byte for
-// byte, which is what makes cmd/tracediff's line-by-line alignment sound.
+// execution regime — one stepping worker or several, with or without
+// Sparse, and the live chan cluster at Δ=1, whose nodes keep every
+// iteration — must reproduce it byte for byte, which is what makes cmd/tracediff's line-by-line alignment sound.
 const traceGoldenDigest = "7dbfcf95599988a9"
 
 // traceJSONL runs cfg in the simulator with a fresh recorder attached and
