@@ -107,8 +107,12 @@ func run(args []string, out io.Writer) error {
 				return err
 			}
 		} else {
+			norm, err := cfg.Normalized()
+			if err != nil {
+				return err
+			}
 			fmt.Fprintf(out, "protocol=%s n=%d f=%d crypto=%s net=%s delta=%d trials=%d workers=%d\n",
-				cfg.Protocol, cfg.N, cfg.F, cfg.Crypto, netLabel(cfg), cfg.Delta, trials, workers)
+				norm.Protocol, norm.N, norm.F, norm.Crypto, cli.NetLabel(norm), max(norm.Delta, 1), trials, workers)
 			fmt.Fprintf(out, "  violations:      %d (rate %.3f, 95%% CI [%.3f, %.3f])\n",
 				st.Violations, st.ViolationRate, st.ViolationLo, st.ViolationHi)
 			fmt.Fprintf(out, "  rounds:          %v\n", st.Rounds)
@@ -137,20 +141,9 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 	}
-	return r.Report(out, rep, netLabel(cfg), max(cfg.Delta, 1), "")
-}
-
-// netLabel names the effective message-scheduling model of a config: the
-// network model on the synchronous track, the scheduler on the async one.
-func netLabel(cfg ccba.Config) string {
-	if cfg.Protocol.Async() {
-		if cfg.Sched == "" {
-			return "sched:" + string(ccba.SchedFIFO)
-		}
-		return "sched:" + string(cfg.Sched)
+	norm, err := cfg.Normalized()
+	if err != nil {
+		return err
 	}
-	if cfg.Net == "" {
-		return string(ccba.NetDeltaOne)
-	}
-	return string(cfg.Net)
+	return r.Report(out, rep, cli.NetLabel(norm), max(norm.Delta, 1), "")
 }

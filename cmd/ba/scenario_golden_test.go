@@ -20,34 +20,34 @@ var scenarioGoldens = []struct {
 	args []string
 	want string
 }{
-	{[]string{"-scenario", "aba-adv-n16"}, "41e520d6e9ab7739596a00b4863bdf6ee11272d3debffb8d950691520cc756d2"},
-	{[]string{"-scenario", "aba-n16"}, "7d5f7dbd86fa66868e1d93c575fe179f7a0d5109722b6d77e8fa216c4d63df7e"},
-	{[]string{"-scenario", "acs-crash-n16"}, "c61df0430df3d62b74dbf1692877d8b88c965c7b41ff9874ea40e35fdfde52cf"},
-	{[]string{"-scenario", "acs-n16"}, "72053d8ca96435c71b7d26195e818593e97ce449e493df44a8d9e9a57ae29706"},
-	{[]string{"-scenario", "brb-n16"}, "264a5e37e5db91c9175869298a84edb334bbc5a787774fdeffcdb16af2fb5ebd"},
-	{[]string{"-scenario", "chenmicali-flip-n150"}, "3a5367bf0707402c13f0dbfd19e872d58c3b6bf3bfecc187306afff4ab82218b"},
-	{[]string{"-scenario", "committee-n64"}, "d7991fb146ce5c4aeff7dafb2b850a5f0663c09a1b41b6afed91821bce740b1f"},
-	{[]string{"-scenario", "core-chaos-n32"}, "60eaaed0466b7db5779b04401050f82d39b163e7d449fde7d2766a744f4f50be"},
-	{[]string{"-scenario", "core-delta3-n200"}, "920731e50c3eb11101e3a173fbd17d2578fcb24a042e811119b1cd7328312ea9"},
-	{[]string{"-scenario", "core-flip-n200"}, "bc8505bd75b9ade639b2904d7723724fc67f3abd9174f7f60b8178fec063368d"},
-	{[]string{"-scenario", "core-jitter3-n200"}, "34b71328afe293320e5ed8ce60c3d89d76527b92dbf87d59e23a8f9c8ee5e08b"},
-	{[]string{"-scenario", "core-n200"}, "dc9ea3ed3dd6621a88faddb377870db5419e8de083e1e5463145b756e59c7a99"},
-	{[]string{"-scenario", "core-omission-n200"}, "c57e8c924b0057fa43e33eaf29380226522c5e5c0496365bff23a3348d59db83"},
-	{[]string{"-scenario", "core-partition-n200"}, "7d7f5b1ae91323fdecb951a60315d4b6cc84a8d8f458284092b24e7b0b04bea4"},
+	{[]string{"-scenario", "aba-adv-n16"}, "279a5bf0cf548fbb2c49c393ca3cfc57bb9b4e93bbb2312ce5e1be052318fc85"},
+	{[]string{"-scenario", "aba-n16"}, "972afe73f1af6edc85f6559b1b0c6d5bd25d7aef38ad5c0b7b7a16a1c341c421"},
+	{[]string{"-scenario", "acs-crash-n16"}, "1610adcb4fe115846034b4db157d180a13f448d5f2d1968e75d6283140927bc8"},
+	{[]string{"-scenario", "acs-n16"}, "8cba447fdb83a7dcfb2e518592f5d00a4137db8dc0f6aaaa465ef9972f6099fb"},
+	{[]string{"-scenario", "brb-n16"}, "295f1018e38f402a8ac3651f20f4b43756b330677e2ffc850528502a6f05479d"},
+	{[]string{"-scenario", "chenmicali-flip-n150"}, "e08c86f728ee130ef6e849bd96594e41fe562625485aaba1c2feb9b4ede9744a"},
+	{[]string{"-scenario", "committee-n64"}, "7e1fb217c8e3a62ae6ff13b8812f023098a2e237e24a56962c18e72fa4b6de2d"},
+	{[]string{"-scenario", "core-chaos-n32"}, "7dd9db23c15229e38957fe6f2c1ad1669ab355ae736d53ce506977680f576e25"},
+	{[]string{"-scenario", "core-delta3-n200"}, "934d47efbe4d878de98be3638980187aeaebe0e2ac5894f4d856b47ee0abfee9"},
+	{[]string{"-scenario", "core-flip-n200"}, "7df4bbd3a5f6464348b0a6d4021e5b2cae8a0be4885f79cb439cdf24e3d8ec65"},
+	{[]string{"-scenario", "core-jitter3-n200"}, "b0883912c7440495d4e8457d1ed06b49bdf96f9f795d9a04c6626ad6d4f63bcb"},
+	{[]string{"-scenario", "core-n200"}, "9ef2807378a30e8337364b3b477e5f38c889c95ede366b63c56896a67fa31d7f"},
+	{[]string{"-scenario", "core-omission-n200"}, "6b9f20cab777926cf1577f51b840b26cd4dc7ed052af4f98eadc1cfb47866fdd"},
+	{[]string{"-scenario", "core-partition-n200"}, "a75a222b75e144dfef94e9ef7716e33d3831862d4d361e7fd79316411359fff7"},
 	{[]string{"-scenario", "core-real-n200"}, "eee149761dc0aa06d86ce302d804f4331e6a2b73e1b8efcc04f046c3e61dd45f"},
-	{[]string{"-scenario", "core-silent-n200"}, "7e6f52820c863aac887dfc6e789de66382fe64cb0a1f065c4da972f77934de7e"},
-	{[]string{"-scenario", "core-sparse-n100k"}, "a7e972eeb5b272d2fdad47f7175fbdc2a847ad28c40ab700a2547dcd3990d666"},
-	{[]string{"-scenario", "dolevstrong-n48"}, "35b4ada66d1c7ae80893eb138e3f046172fb603ea1fb058d6d2e2c3e60c6efab"},
-	{[]string{"-scenario", "phaseking-sampled-n200"}, "7c9ef041e3b486214b982c8aff8e59f40321afc9dc61fb49fa600fdfd93e6e62"},
-	{[]string{"-scenario", "quadratic-n49"}, "4039cd5b9ac887b9279b02ac790b6b38f2e9f4ba6264fe54cf15dff674ef9da3"},
+	{[]string{"-scenario", "core-silent-n200"}, "cc73702e72efcd24d48a1ed63f915913b915c0f278b9da93aceeaefcf98eecde"},
+	{[]string{"-scenario", "core-sparse-n100k"}, "11d4d869727c02faf4577be51f2f2baf476fe20e9cf23e457755ad7757c6567b"},
+	{[]string{"-scenario", "dolevstrong-n48"}, "bd1b43829a13ef9dbfdc9e75e5b03e54cc4c0197ef89aa0dd128cc19c10eaa81"},
+	{[]string{"-scenario", "phaseking-sampled-n200"}, "1e8f35e9969829f77d7e8606a7750718c62a7cad01153a4476c23fa8122832c7"},
+	{[]string{"-scenario", "quadratic-n49"}, "5ca98c6d676a350174013744cb6ee95250327da81806cdff10886b3c242b42e1"},
 
-	{[]string{"-scenario", "core-n200", "-n", "100", "-f", "30"}, "d26112bcbf9d2d42d3f58f5791458fab73cb569cc3e17415d49ec2f4c59ce316"},
-	{[]string{"-scenario", "core-omission-n200", "-omission-rate", "0.1"}, "12b938a4d661558421cde95d290b4da10fccb04b186db1b9e3a9208a8981bba6"},
-	{[]string{"-scenario", "core-sparse-n100k", "-n", "2000", "-f", "600", "-sparse=false"}, "109cfdfcd32165150a5eef725228235e5988a352c2314cd6d46e7a78e932706d"},
-	{[]string{"-scenario", "brb-n16", "-sender-input", "0"}, "264a5e37e5db91c9175869298a84edb334bbc5a787774fdeffcdb16af2fb5ebd"},
-	{[]string{"-scenario", "aba-n16", "-unanimous", "1"}, "d4ef0e4e67b6d44c7b54e193590311ad337c60a5130d0a0e96208764d794f2a3"},
-	{[]string{"-scenario", "core-flip-n200", "-adversary", "none"}, "dc9ea3ed3dd6621a88faddb377870db5419e8de083e1e5463145b756e59c7a99"},
-	{[]string{"-scenario", "core-delta3-n200", "-delta", "2"}, "004fa1d381fd6705ac481238f0a7d52410a4b90a8ef0c8d92286a42d56c7bb81"},
+	{[]string{"-scenario", "core-n200", "-n", "100", "-f", "30"}, "271fbfd62cd8fb16f9306afefd57000aa26a86111ae690beda866109de210829"},
+	{[]string{"-scenario", "core-omission-n200", "-omission-rate", "0.1"}, "e8b0f6040ae9091c220a159227b2df2bbc7824ccda64b3d0820cdb112f8613ba"},
+	{[]string{"-scenario", "core-sparse-n100k", "-n", "2000", "-f", "600", "-sparse=false"}, "aad23496e8abc94f0995d66864bf8fa6bba51e6201714e143172f6db9125b178"},
+	{[]string{"-scenario", "brb-n16", "-sender-input", "0"}, "295f1018e38f402a8ac3651f20f4b43756b330677e2ffc850528502a6f05479d"},
+	{[]string{"-scenario", "aba-n16", "-unanimous", "1"}, "450764710d3d7e4e36d35a102bce7e3d69a7125617f46a5c4bcfb801481860d0"},
+	{[]string{"-scenario", "core-flip-n200", "-adversary", "none"}, "9ef2807378a30e8337364b3b477e5f38c889c95ede366b63c56896a67fa31d7f"},
+	{[]string{"-scenario", "core-delta3-n200", "-delta", "2"}, "4fa42b6bb87e7d3f71599a8a9ec5568ce6f326fa63547b33dee08fb5b3b16a1e"},
 }
 
 func TestScenarioGolden(t *testing.T) {

@@ -24,7 +24,7 @@ var netGoldens = []struct {
 	{[]string{"-n", "24", "-f", "7", "-lambda", "8", "-seed", "5", "-chaos-drop", "0.4"}, "c7002b375c62f2c868554ca9e436b42f3514425a7a34f062beeec2618efa20cc"},
 	{[]string{"-n", "24", "-f", "7", "-lambda", "8", "-seed", "5", "-chaos-crash-from", "1", "-chaos-crash-rounds", "3"}, "f1a3cb75a78f9d2001274eba24a2c227d0359ce4df567285c7ad9608e5e3b849"},
 	{[]string{"-n", "24", "-f", "7", "-lambda", "8", "-seed", "5", "-chaos-drop", "0.4", "-chaos-crash-from", "1", "-chaos-crash-rounds", "3"}, "53128b0ee158b56f41400409130e39107416f3e437be6a12582cd948157d8c0f"},
-	{[]string{"-scenario", "core-chaos-n32"}, "d374783aa3a59f997aba23fafd4382c6fc8a25847ab7b12d6b8ff6e0b3be34fd"},
+	{[]string{"-scenario", "core-chaos-n32"}, "23a49a8361fa0e52dd5c3331866591263d0d04baefb5525dc5211cd5da178ec8"},
 }
 
 func TestNetGolden(t *testing.T) {

@@ -18,18 +18,18 @@ var scenarioGoldens = []struct {
 	name string
 	want string
 }{
-	{"committee-n64", "d7991fb146ce5c4aeff7dafb2b850a5f0663c09a1b41b6afed91821bce740b1f"},
-	{"core-chaos-n32", "f05d1d5ac4ad52b0b2a794da889280d8027f10e61320a9f42afce5e088171a0f"},
+	{"committee-n64", "7e1fb217c8e3a62ae6ff13b8812f023098a2e237e24a56962c18e72fa4b6de2d"},
+	{"core-chaos-n32", "858c535201aea019541bf8d1e38248845f9828ce50d02d32324a95d04a98c63c"},
 	{"core-delta3-n200", "f504a78768e12d2bb332f9e4494d1da32f31722daceb0a6a8db9ebaae12d9e02"},
 	{"core-jitter3-n200", "703c5d255554ece37f1250c99f50fa69bdc2b31b22f683489d99b3f0bee4a293"},
-	{"core-n200", "dc9ea3ed3dd6621a88faddb377870db5419e8de083e1e5463145b756e59c7a99"},
+	{"core-n200", "9ef2807378a30e8337364b3b477e5f38c889c95ede366b63c56896a67fa31d7f"},
 	{"core-omission-n200", "99d14c78c697f994c9f543ac3969a61a5cbe49ce68afda5bf0483d776972183d"},
 	{"core-partition-n200", "1fbb3dfde2e61de170c2fac5faeb32b5c76658716a4cd3b16dd1aded1e3bfcd1"},
 	{"core-real-n200", "eee149761dc0aa06d86ce302d804f4331e6a2b73e1b8efcc04f046c3e61dd45f"},
 	{"core-sparse-n100k", "9931bade33127c1224cf8c074c01342a4ea2729c0f8a5e405dc703be96cfa33a"},
-	{"dolevstrong-n48", "35b4ada66d1c7ae80893eb138e3f046172fb603ea1fb058d6d2e2c3e60c6efab"},
-	{"phaseking-sampled-n200", "7c9ef041e3b486214b982c8aff8e59f40321afc9dc61fb49fa600fdfd93e6e62"},
-	{"quadratic-n49", "4039cd5b9ac887b9279b02ac790b6b38f2e9f4ba6264fe54cf15dff674ef9da3"},
+	{"dolevstrong-n48", "bd1b43829a13ef9dbfdc9e75e5b03e54cc4c0197ef89aa0dd128cc19c10eaa81"},
+	{"phaseking-sampled-n200", "1e8f35e9969829f77d7e8606a7750718c62a7cad01153a4476c23fa8122832c7"},
+	{"quadratic-n49", "5ca98c6d676a350174013744cb6ee95250327da81806cdff10886b3c242b42e1"},
 }
 
 func TestScenarioGolden(t *testing.T) {

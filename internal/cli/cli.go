@@ -142,11 +142,15 @@ type document struct {
 }
 
 // Report prints rep as the -json document or the text report and fails
-// the command when a security property is violated. net and delta name the
-// message schedule the run executed; the text header names transport
-// instead when it is not empty.
+// the command when a security property is violated. It describes the
+// config the run executed, with every default applied; net and delta name
+// the message schedule, and the text header names transport instead when
+// it is not empty.
 func (r *Run) Report(out io.Writer, rep *ccba.Report, net string, delta int, transport string) error {
-	cfg := r.Config
+	cfg, err := r.Config.Normalized()
+	if err != nil {
+		return err
+	}
 	props := []struct {
 		name string
 		err  error
@@ -205,6 +209,15 @@ func (r *Run) Report(out io.Writer, rep *ccba.Report, net string, delta int, tra
 		return fmt.Errorf("security properties violated")
 	}
 	return nil
+}
+
+// NetLabel names the message schedule a normalized config executes: the
+// network model on the synchronous track, the scheduler on the async one.
+func NetLabel(cfg ccba.Config) string {
+	if cfg.Protocol.Async() {
+		return "sched:" + string(cfg.Sched)
+	}
+	return string(cfg.Net)
 }
 
 // WriteJSON writes v as indented JSON and a newline.
