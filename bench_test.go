@@ -248,10 +248,10 @@ func BenchmarkACSN128Random(b *testing.B) {
 }
 
 // benchCluster runs cfg live once per op, on a fresh in-process chan network
-// or, with tcp set, a loopback TCP mesh, injecting opts.Chaos when it is
-// non-nil. A consistency or validity violation fails the benchmark; a
-// termination failure fails it only without chaos, because under drops and delay
-// stalling is the degradation a chaos case measures.
+// or, with tcp set, a loopback TCP mesh, injecting the config's network
+// model. A consistency or validity violation fails the benchmark; a
+// termination failure fails it only under the delta-one model, because
+// under drops and delay stalling is the degradation a chaos case measures.
 func benchCluster(b *testing.B, cfg Config, tcp bool, opts cluster.Options) {
 	b.Helper()
 	b.ReportAllocs()
@@ -275,7 +275,7 @@ func benchCluster(b *testing.B, cfg Config, tcp bool, opts cluster.Options) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if rep.Consistency != nil || rep.Validity != nil || (opts.Chaos == nil && rep.Termination != nil) {
+		if rep.Consistency != nil || rep.Validity != nil || (cfg.Net == "" && rep.Termination != nil) {
 			b.Fatalf("violation: %v %v %v", rep.Consistency, rep.Validity, rep.Termination)
 		}
 	}
@@ -290,25 +290,23 @@ func BenchmarkClusterChanN200(b *testing.B) {
 	benchCluster(b, Config{Protocol: Core, N: 200, F: 60, Lambda: 40}, false, cluster.Options{})
 }
 
-// The live runtime under a deterministic fault schedule at the transport
+// The live runtime under the chaos model, injected at the transport
 // (DESIGN.md §7): 25 % drops at Δ = 1, then Δ = 2 with drops and reorder
 // on the chan and the TCP network, where a node advances on its soft
 // round deadline. CI runs the three with -bench Chaos.
 func BenchmarkChaosChanCoreN32Drop25(b *testing.B) {
-	benchCluster(b, Config{Protocol: Core, N: 32, F: 9, Lambda: 10, MaxIters: 12}, false,
-		cluster.Options{Chaos: &ChaosConfig{DropRate: 0.25}})
+	benchCluster(b, Config{Protocol: Core, N: 32, F: 9, Lambda: 10, MaxIters: 12, Net: NetChaos, OmissionRate: 0.25}, false,
+		cluster.Options{})
 }
 
 func BenchmarkChaosChanCoreN32Delta2(b *testing.B) {
-	benchCluster(b, Config{Protocol: Core, N: 32, F: 9, Lambda: 10, MaxIters: 12}, false,
-		cluster.Options{RoundInterval: 2 * time.Millisecond, RoundTimeout: 60 * time.Second,
-			Chaos: &ChaosConfig{Delta: 2, DropRate: 0.2, Reorder: 0.2}})
+	benchCluster(b, Config{Protocol: Core, N: 32, F: 9, Lambda: 10, MaxIters: 12, Net: NetChaos, Delta: 2, OmissionRate: 0.2}, false,
+		cluster.Options{RoundInterval: 2 * time.Millisecond, RoundTimeout: 60 * time.Second, Reorder: 0.2})
 }
 
 func BenchmarkChaosTCPCoreN8Delta2(b *testing.B) {
-	benchCluster(b, Config{Protocol: Core, N: 8, F: 2, Lambda: 4, MaxIters: 12}, true,
-		cluster.Options{RoundInterval: 2 * time.Millisecond, RoundTimeout: 60 * time.Second,
-			Chaos: &ChaosConfig{Delta: 2, DropRate: 0.25, Reorder: 0.2}})
+	benchCluster(b, Config{Protocol: Core, N: 8, F: 2, Lambda: 4, MaxIters: 12, Net: NetChaos, Delta: 2, OmissionRate: 0.25}, true,
+		cluster.Options{RoundInterval: 2 * time.Millisecond, RoundTimeout: 60 * time.Second, Reorder: 0.2})
 }
 
 // --- Substrate micro-benchmarks --------------------------------------------

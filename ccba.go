@@ -17,7 +17,8 @@
 //   - the execution model of Appendix A.1 (synchronous rounds, rushing
 //     adaptive adversaries, enforced after-the-fact-removal boundary) with
 //     a pluggable network-model layer — worst-case Δ-delay scheduling,
-//     seeded jitter, per-link omission faults, temporary partitions — and a
+//     seeded jitter, per-link omission faults, temporary partitions and
+//     their chaos composite, which the live cluster injects too — and a
 //     library of attack strategies, including the Theorem 1 and Theorem 3
 //     lower-bound adversaries.
 //
@@ -95,8 +96,6 @@ type (
 	Report = scenario.Report
 	// Scenario is a declarative, optionally registered experiment setting.
 	Scenario = scenario.Scenario
-	// ChaosConfig declares a live-cluster fault schedule (DESIGN.md §7).
-	ChaosConfig = scenario.ChaosConfig
 	// AdversaryFactory builds one fresh adversary per trial of a config.
 	AdversaryFactory = scenario.AdversaryFactory
 	// Builder constructs a protocol's node set from a resolved Config.
@@ -167,6 +166,9 @@ const (
 	NetOmission = scenario.NetOmission
 	// NetPartition temporarily holds cross-partition links to Δ.
 	NetPartition = scenario.NetPartition
+	// NetChaos composes jitter, omission drops, a partition and a crash
+	// window; the live cluster injects the same schedule at its transport.
+	NetChaos = scenario.NetChaos
 )
 
 // Re-exported observability layer (DESIGN.md §10): deterministic

@@ -20,6 +20,8 @@
 //	ba -sparse -n 100000 -f 30000 -lambda 40       # plus intern statistics
 //	ba -scenario core-sparse-n100k
 //	ba -scenario core-delta3-n200
+//	ba -scenario core-chaos-n32    # exits 1: Δ=2 stalls node 0 (E12's liveness collapse)
+//	ba -net chaos -n 24 -f 7 -lambda 8 -omission-rate 0.25 -crash-from 2 -crash-rounds 4
 //	ba -protocol aba -n 16 -f 5 -sched adversarial-delay   # async track
 //	ba -protocol acs -n 16 -f 5 -crashes 5 -sched random
 //	ba -scenario acs-n16 -trials 50 -workers 4 -json
@@ -52,13 +54,9 @@ func run(args []string, out io.Writer) error {
 			sc.Adversary = "none"
 		}
 		fs.StringVar(&sc.Adversary, "adversary", sc.Adversary, "adversary from the registry (see ccba.Adversaries): none, silent, flip, …")
-		fs.StringVar((*string)(&c.Net), "net", string(c.Net), "network model: delta-one (default), delta (worst-case Δ-delay), jitter, omission, partition")
-		fs.IntVar(&c.Delta, "delta", c.Delta, "delivery bound Δ for the delay-capable network models")
 		fs.StringVar((*string)(&c.Sched), "sched", string(c.Sched), "async scheduler for brb/aba/acs: fifo (default), random, adversarial-delay")
 		fs.IntVar(&c.AdvDelay, "adv-delay", c.AdvDelay, "adversarial-delay holdback penalty (0 = 4·n; adversarial-delay scheduler only)")
 		fs.IntVar(&c.Crashes, "crashes", c.Crashes, "crash-faulty node count drawn seed-deterministically (async protocols, ≤ f)")
-		fs.Float64Var(&c.OmissionRate, "omission-rate", c.OmissionRate, "per-link drop probability of the omission model")
-		fs.IntVar(&c.OmissionFaulty, "faulty", c.OmissionFaulty, "omission-faulty sender count (0 = the corruption budget f)")
 		fs.BoolVar(&c.Sparse, "sparse", c.Sparse, "assert the delta-one, passive-adversary regime and report the attestation intern statistics (node state is the same without it)")
 		fs.IntVar(&trials, "trials", 1, "number of runs (aggregated when > 1)")
 		fs.IntVar(&workers, "workers", 0, "trial worker-pool size (0 = GOMAXPROCS); aggregates are identical for every value")
@@ -141,9 +139,5 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 	}
-	norm, err := cfg.Normalized()
-	if err != nil {
-		return err
-	}
-	return r.Report(out, rep, cli.NetLabel(norm), max(norm.Delta, 1), "")
+	return r.Report(out, rep, "")
 }

@@ -118,6 +118,10 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-protocol", "dolevstrong", "-n", "8", "-f", "2", "-sender-input", "5"},
 		{"-n", "20", "-f", "5", "-omission-rate", "0.5"}, // omission knobs need -net omission
 		{"-n", "20", "-f", "5", "-faulty", "3"},
+		{"-n", "20", "-f", "5", "-net", "chaos", "-partition-rounds", "-2"},
+		{"-n", "20", "-f", "5", "-net", "chaos", "-crash-from", "-5", "-crash-rounds", "3"},
+		{"-n", "20", "-f", "5", "-net", "omission", "-crash-rounds", "3"}, // crash windows need -net chaos
+		{"-n", "20", "-f", "5", "-net", "delta", "-delta", "2", "-partition-rounds", "2"},
 	}
 	for _, args := range cases {
 		if err := run(args, io.Discard); err == nil {

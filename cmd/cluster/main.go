@@ -19,16 +19,22 @@
 //	cluster -transport tcp -n 4 -f 1
 //	cluster -transport tcp -crypto real -node 0 -peers 127.0.0.1:7701,127.0.0.1:7702,127.0.0.1:7703,127.0.0.1:7704
 //	cluster -scenario quadratic-n49
-//	cluster -scenario core-chaos-n32 -json
+//	cluster -scenario core-omission-n200 -json
+//	cluster -scenario core-chaos-n32 -round-interval 2ms -reorder 0.3 -json
 //	cluster -scenarios
-//	cluster -n 24 -f 7 -lambda 8 -chaos-drop 0.25 -json
-//	cluster -n 16 -f 4 -delta 2 -round-interval 2ms -chaos-drop 0.2 -chaos-reorder 0.3
+//	cluster -n 24 -f 7 -lambda 8 -net chaos -omission-rate 0.25 -json
+//	cluster -n 24 -f 7 -lambda 8 -net chaos -crash-from 2 -crash-rounds 4
+//	cluster -n 16 -f 4 -net chaos -delta 2 -round-interval 2ms -omission-rate 0.2 -reorder 0.3
 //
-// The -chaos-* flags (and the Chaos field of a registered scenario) inject a
-// deterministic fault schedule below the protocol surface: drops and crash
-// windows on seed-chosen faulty senders, reorder/partition holds within the
-// Δ bound (DESIGN.md §7). The same declaration lowers to a lockstep network
-// model too — the E14 experiment cross-validates the two runtimes.
+// The network flags (-net, -delta, -omission-rate, -faulty,
+// -partition-rounds, -crash-from, -crash-rounds) mean what they mean to
+// cmd/ba: they declare the config's network model, and the cluster injects
+// its schedule below the protocol surface — drops and crash windows on
+// seed-chosen faulty senders, delays held -round-interval per round within
+// the Δ bound (DESIGN.md §7). At Δ = 1 a run prints the same bytes as
+// cmd/ba; the E14 experiment cross-validates the two runtimes. -reorder is
+// the one live-only fault: a coin that holds a data frame past its sync
+// marker (Δ ≥ 2, with -round-interval).
 //
 // The multi-process form (-node) runs the Appendix D compiler's real
 // crypto for the committee-sampled protocols: the hybrid world's F_mine
@@ -63,7 +69,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		transportName, peers, obsAddr          string
 		node                                   int
 		roundTimeout, roundInterval, obsLinger time.Duration
-		chaos                                  ccba.ChaosConfig
+		reorder                                float64
 	)
 	r, err := cli.Parse("cluster", args, out, func(fs *flag.FlagSet, sc *ccba.Scenario) {
 		fs.StringVar(&transportName, "transport", "chan", "transport: chan (in-process channels) or tcp (length-prefixed framing)")
@@ -72,21 +78,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		fs.DurationVar(&roundTimeout, "round-timeout", 30*time.Second, "per-round barrier timeout for tcp (chan runs never need one)")
 		fs.StringVar(&obsAddr, "obs-addr", "", "serve live telemetry on this host:port — /debug/vars (expvar, the \"ccba\" var) and /debug/pprof; port 0 picks a free one")
 		fs.DurationVar(&obsLinger, "obs-linger", 0, "keep the -obs-addr endpoint alive this long after the run, so scrapers (CI smoke jobs) can read final counters")
-		fs.DurationVar(&roundInterval, "round-interval", 0, "soft per-round deadline; required when the chaos schedule delays traffic (Δ ≥ 2 reorder/jitter/partition holds)")
-
-		// The -chaos-* flags default to the scenario's chaos declaration;
-		// -delta is both its Δ and the synchronizer's bound.
-		chaos = ccba.ChaosConfig{}
-		if sc.Chaos != nil {
-			chaos = *sc.Chaos
-		}
-		fs.IntVar(&chaos.Delta, "delta", chaos.Delta, "synchronizer delivery bound Δ (0 = the chaos spec's Δ, else 1)")
-		fs.Float64Var(&chaos.DropRate, "chaos-drop", chaos.DropRate, "chaos: per-frame drop rate on the seed-chosen faulty senders' links")
-		fs.IntVar(&chaos.Faulty, "chaos-faulty", chaos.Faulty, "chaos: number of faulty senders to draw (0 = the config's f when dropping)")
-		fs.Float64Var(&chaos.Reorder, "chaos-reorder", chaos.Reorder, "chaos: probability a data frame is held back about one round (needs Δ ≥ 2)")
-		fs.IntVar(&chaos.PartitionRounds, "chaos-partition", chaos.PartitionRounds, "chaos: hold cross-cut traffic to the Δ bound for this many initial rounds (needs Δ ≥ 2)")
-		fs.IntVar(&chaos.CrashFrom, "chaos-crash-from", chaos.CrashFrom, "chaos: first round of the crash window (with -chaos-crash-rounds)")
-		fs.IntVar(&chaos.CrashRounds, "chaos-crash-rounds", chaos.CrashRounds, "chaos: crash one faulty node for this many rounds, then let it restart")
+		fs.DurationVar(&roundInterval, "round-interval", 0, "soft per-round deadline, and the wall-clock round a network-model delay is held for; without it only drops and crash windows are injected")
+		fs.Float64Var(&reorder, "reorder", 0, "probability a data frame is held back about one round past its sync marker (needs Δ ≥ 2 and -round-interval)")
 	})
 	if r == nil {
 		return err
@@ -96,22 +89,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	cfg := r.Config
 
-	opts := cluster.Options{Delta: chaos.Delta, RoundInterval: roundInterval}
+	opts := cluster.Options{RoundInterval: roundInterval, Reorder: reorder}
 	if transportName == "tcp" {
 		opts.RoundTimeout = roundTimeout
-	}
-	// The JSON document's net/delta fields: a chaos run reports its injected
-	// schedule, a plain run the lockstep-equivalent ∆ = 1 delivery.
-	netName, deltaOut := string(ccba.NetDeltaOne), max(chaos.Delta, 1)
-	// Chaos is on under a chaos scenario or when any -chaos-* flag is
-	// passed, even a zero one.
-	chaosOn := r.Chaos != nil
-	for name := range r.Passed {
-		chaosOn = chaosOn || strings.HasPrefix(name, "chaos-")
-	}
-	if chaosOn {
-		opts.Chaos = &chaos
-		netName, deltaOut = "chaos", chaos.EffectiveDelta()
 	}
 	var rec *ccba.TraceRecorder
 	if r.Trace != "" {
@@ -190,7 +170,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		// the run's final counters and take a pprof profile.
 		time.Sleep(obsLinger)
 	}
-	return r.Report(out, rep.Report, netName, deltaOut, transportName)
+	return r.Report(out, rep.Report, transportName)
 }
 
 // splitPeers parses the -peers list and checks it covers the cluster.

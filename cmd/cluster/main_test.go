@@ -157,6 +157,13 @@ func TestRejections(t *testing.T) {
 		{"-seed", "-1"},                                      // negative seed
 		{"-n", "20", "-f", "5", "-lambda", "8", "-unanimous", "7"},
 		{"-protocol", "dolevstrong", "-n", "8", "-f", "2", "-sender-input", "5"},
+		// Network knobs fail closed, as on cmd/ba.
+		{"-n", "20", "-f", "5", "-net", "chaos", "-partition-rounds", "-2"},
+		{"-n", "20", "-f", "5", "-net", "chaos", "-crash-from", "-5", "-crash-rounds", "3"},
+		{"-n", "20", "-f", "5", "-crash-rounds", "3"},
+		{"-n", "20", "-f", "5", "-delta", "2"},
+		{"-n", "20", "-f", "5", "-reorder", "0.3", "-round-interval", "2ms"},                                // delta-one has Δ = 1
+		{"-n", "20", "-f", "5", "-net", "chaos", "-delta", "2", "-omission-rate", "0.2", "-reorder", "0.3"}, // no round interval
 	}
 	for _, args := range cases {
 		if err := run(context.Background(), args, io.Discard); err == nil {

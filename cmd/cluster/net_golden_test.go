@@ -21,9 +21,9 @@ var netGoldens = []struct {
 	args []string
 	want string
 }{
-	{[]string{"-n", "24", "-f", "7", "-lambda", "8", "-seed", "5", "-chaos-drop", "0.4"}, "c7002b375c62f2c868554ca9e436b42f3514425a7a34f062beeec2618efa20cc"},
-	{[]string{"-n", "24", "-f", "7", "-lambda", "8", "-seed", "5", "-chaos-crash-from", "1", "-chaos-crash-rounds", "3"}, "f1a3cb75a78f9d2001274eba24a2c227d0359ce4df567285c7ad9608e5e3b849"},
-	{[]string{"-n", "24", "-f", "7", "-lambda", "8", "-seed", "5", "-chaos-drop", "0.4", "-chaos-crash-from", "1", "-chaos-crash-rounds", "3"}, "53128b0ee158b56f41400409130e39107416f3e437be6a12582cd948157d8c0f"},
+	{[]string{"-n", "24", "-f", "7", "-lambda", "8", "-seed", "5", "-net", "chaos", "-omission-rate", "0.4"}, "c7002b375c62f2c868554ca9e436b42f3514425a7a34f062beeec2618efa20cc"},
+	{[]string{"-n", "24", "-f", "7", "-lambda", "8", "-seed", "5", "-net", "chaos", "-crash-from", "1", "-crash-rounds", "3"}, "f1a3cb75a78f9d2001274eba24a2c227d0359ce4df567285c7ad9608e5e3b849"},
+	{[]string{"-n", "24", "-f", "7", "-lambda", "8", "-seed", "5", "-net", "chaos", "-omission-rate", "0.4", "-crash-from", "1", "-crash-rounds", "3"}, "53128b0ee158b56f41400409130e39107416f3e437be6a12582cd948157d8c0f"},
 	{[]string{"-scenario", "core-chaos-n32"}, "23a49a8361fa0e52dd5c3331866591263d0d04baefb5525dc5211cd5da178ec8"},
 }
 

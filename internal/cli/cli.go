@@ -22,8 +22,6 @@ type Run struct {
 	Seed  int64
 	JSON  bool
 	Trace string
-	// Passed names the flags on the command line.
-	Passed map[string]bool
 }
 
 // Parse declares the shared run flags and the command's own, which bind
@@ -60,8 +58,6 @@ func Parse(name string, args []string, out io.Writer, bind func(fs *flag.FlagSet
 			return nil, err
 		}
 	}
-	r.Passed = map[string]bool{}
-	fs.Visit(func(fl *flag.Flag) { r.Passed[fl.Name] = true })
 	var err error
 	if r.Config.Seed, err = ccba.SeedFromInt(r.Seed); err != nil {
 		return nil, err
@@ -83,6 +79,13 @@ func (r *Run) flagSet(name string, list *bool, bind func(*flag.FlagSet, *ccba.Sc
 		"sender-input", "sender input `bit`, 0 or 1 (broadcast protocols)")
 	fs.Var(bitFlag{def: "-1", unset: true, set: func(b ccba.Bit) { c.Inputs, c.InputPattern = nil, "unanimous-"+b.String() }},
 		"unanimous", "if 0 or 1, give every node that input `bit` (agreement protocols); -1 leaves the inputs alone")
+	fs.StringVar((*string)(&c.Net), "net", string(c.Net), "network model: delta-one (default), delta (worst-case Δ-delay), jitter, omission, partition, chaos (all of them plus a crash window)")
+	fs.IntVar(&c.Delta, "delta", c.Delta, "delivery bound Δ for the delay-capable network models")
+	fs.Float64Var(&c.OmissionRate, "omission-rate", c.OmissionRate, "per-link drop probability on the faulty senders' links (omission, chaos)")
+	fs.IntVar(&c.OmissionFaulty, "faulty", c.OmissionFaulty, "omission-faulty sender count (0 = f under omission; under chaos f when dropping, 1 for a crash window alone)")
+	fs.IntVar(&c.PartitionRounds, "partition-rounds", c.PartitionRounds, "rounds the half/half partition lasts (partition: 0 = 2·Δ; chaos: 0 = none)")
+	fs.IntVar(&c.CrashFrom, "crash-from", c.CrashFrom, "first round of the chaos crash window (with -crash-rounds)")
+	fs.IntVar(&c.CrashRounds, "crash-rounds", c.CrashRounds, "crash the first faulty sender for this many rounds, then let it restart (chaos)")
 	fs.Int64Var(&r.Seed, "seed", 1, "execution seed")
 	fs.BoolVar(&r.JSON, "json", false, "emit the outcome as JSON (one document for cmd/ba and cmd/cluster)")
 	fs.StringVar(&r.Trace, "trace", "", "write the canonical round-event trace (JSONL, DESIGN.md §10) to this file; single runs only")
@@ -143,14 +146,14 @@ type document struct {
 
 // Report prints rep as the -json document or the text report and fails
 // the command when a security property is violated. It describes the
-// config the run executed, with every default applied; net and delta name
-// the message schedule, and the text header names transport instead when
-// it is not empty.
-func (r *Run) Report(out io.Writer, rep *ccba.Report, net string, delta int, transport string) error {
+// config the run executed, with every default applied; the text header
+// names transport instead of the message schedule when it is not empty.
+func (r *Run) Report(out io.Writer, rep *ccba.Report, transport string) error {
 	cfg, err := r.Config.Normalized()
 	if err != nil {
 		return err
 	}
+	net, delta := NetLabel(cfg), max(cfg.Delta, 1)
 	props := []struct {
 		name string
 		err  error

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand/v2"
@@ -9,45 +10,31 @@ import (
 	"testing"
 	"time"
 
+	"ccba/internal/netsim"
+	"ccba/internal/obs"
 	"ccba/internal/scenario"
 	"ccba/internal/transport"
 )
 
-// runChaosChan executes cfg live on a fresh chan network with the chaos
-// declaration injected.
-func runChaosChan(t *testing.T, cfg scenario.Config, chaos scenario.ChaosConfig, opts Options) *Report {
-	t.Helper()
-	netw, err := transport.NewChanNetwork(cfg.N)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer netw.Close()
-	opts.Chaos = &chaos
-	rep, err := Run(context.Background(), cfg, netw, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rep
-}
+// chaosBase is the n = 24 core config the Δ = 1 cross-validations run.
+var chaosBase = scenario.Config{Protocol: scenario.Core, N: 24, F: 7, Lambda: 8, MaxIters: 12}
 
 // TestChaosLiveMatchesSimDropOnly is the headline cross-validation claim:
-// a Δ=1 delay-free chaos run — drops on seed-chosen faulty senders, decided
-// per (round, from, to) by the shared netsim.Faults.Decide — executes the
-// exact schedule the simulator runs, so every protocol-visible fact matches
-// bit for bit, seed by seed.
+// a Δ=1 chaos run — drops on seed-chosen faulty senders, decided per
+// (round, from, to) by the shared netsim.Faults.Decide — executes the exact
+// schedule the simulator runs, so every protocol-visible fact matches bit
+// for bit, seed by seed.
 func TestChaosLiveMatchesSimDropOnly(t *testing.T) {
-	cfg := scenario.Config{Protocol: scenario.Core, N: 24, F: 7, Lambda: 8, MaxIters: 12}
-	chaos := scenario.ChaosConfig{DropRate: 0.25}
 	for seed := byte(1); seed <= 10; seed++ {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
-			cfg := cfg
+			cfg := chaosBase
+			cfg.Net, cfg.OmissionRate = scenario.NetChaos, 0.25
 			cfg.Seed[0] = seed
-			sim, err := chaos.SimRun(context.Background(), cfg)
+			sim, err := scenario.Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			live := runChaosChan(t, cfg, chaos, Options{})
-			assertSameExecution(t, live, sim)
+			assertSameExecution(t, runChan(t, cfg, Options{}), sim)
 		})
 	}
 }
@@ -56,18 +43,16 @@ func TestChaosLiveMatchesSimDropOnly(t *testing.T) {
 // the victim (the first seed-chosen faulty node) goes dark for the same
 // rounds on both runtimes, so the executions still match exactly.
 func TestChaosLiveMatchesSimCrash(t *testing.T) {
-	cfg := scenario.Config{Protocol: scenario.Core, N: 24, F: 7, Lambda: 8, MaxIters: 12}
-	chaos := scenario.ChaosConfig{CrashFrom: 2, CrashRounds: 4}
 	for seed := byte(1); seed <= 5; seed++ {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
-			cfg := cfg
+			cfg := chaosBase
+			cfg.Net, cfg.CrashFrom, cfg.CrashRounds = scenario.NetChaos, 2, 4
 			cfg.Seed[0] = seed
-			sim, err := chaos.SimRun(context.Background(), cfg)
+			sim, err := scenario.Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			live := runChaosChan(t, cfg, chaos, Options{})
-			assertSameExecution(t, live, sim)
+			assertSameExecution(t, runChan(t, cfg, Options{}), sim)
 		})
 	}
 }
@@ -77,17 +62,60 @@ func TestChaosLiveMatchesSimCrash(t *testing.T) {
 // *standalone* NetOmission model — same derived seed, same faulty set, same
 // per-link decisions — not just the chaos lowering of the schedule.
 func TestChaosLiveMatchesOmissionScenario(t *testing.T) {
-	cfg := scenario.Config{Protocol: scenario.Core, N: 24, F: 7, Lambda: 8, MaxIters: 12}
+	cfg := chaosBase
 	cfg.Seed[0] = 42
+	cfg.OmissionRate = 0.25
 	simCfg := cfg
 	simCfg.Net = scenario.NetOmission
-	simCfg.OmissionRate = 0.25
 	sim, err := scenario.Run(simCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	live := runChaosChan(t, cfg, scenario.ChaosConfig{DropRate: 0.25}, Options{})
-	assertSameExecution(t, live, sim)
+	cfg.Net = scenario.NetChaos
+	assertSameExecution(t, runChan(t, cfg, Options{}), sim)
+}
+
+// TestNetModelsLiveMatchSim runs one config through scenario.Run and
+// through cluster.Run over chan at Δ = 1 for every model that drops: the
+// Result and the canonical trace must be identical.
+func TestNetModelsLiveMatchSim(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		set  func(*scenario.Config)
+	}{
+		{"omission", func(c *scenario.Config) { c.Net, c.OmissionRate = scenario.NetOmission, 0.25 }},
+		{"chaos-drop", func(c *scenario.Config) { c.Net, c.OmissionRate = scenario.NetChaos, 0.3 }},
+		{"chaos-crash", func(c *scenario.Config) { c.Net, c.CrashFrom, c.CrashRounds = scenario.NetChaos, 1, 3 }},
+		{"chaos-drop-crash", func(c *scenario.Config) {
+			c.Net, c.OmissionRate, c.CrashFrom, c.CrashRounds = scenario.NetChaos, 0.3, 1, 3
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := chaosBase
+			tc.set(&cfg)
+			cfg.Seed[0] = 9
+			simRec := obs.NewRecorder(0)
+			cfg.Tracer = simRec
+			sim, err := scenario.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			liveRec := obs.NewRecorder(0)
+			cfg.Tracer = nil
+			live := runChan(t, cfg, Options{Tracer: liveRec})
+			assertSameResult(t, live, sim)
+			var simTrace, liveTrace bytes.Buffer
+			if err := simRec.WriteJSONL(&simTrace); err != nil {
+				t.Fatal(err)
+			}
+			if err := liveRec.WriteJSONL(&liveTrace); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(simTrace.Bytes(), liveTrace.Bytes()) {
+				t.Errorf("canonical traces differ: sim %d bytes, live %d bytes", simTrace.Len(), liveTrace.Len())
+			}
+		})
+	}
 }
 
 // TestChaosDeltaTwoSafety runs the full chaos menu — drops, deterministic
@@ -96,18 +124,18 @@ func TestChaosLiveMatchesOmissionScenario(t *testing.T) {
 // (real-time delays have no lockstep counterpart), so the claim is the
 // paper's: agreement and validity hold under any Δ-respecting schedule.
 func TestChaosDeltaTwoSafety(t *testing.T) {
-	cfg := scenario.Config{Protocol: scenario.Core, N: 16, F: 4, Lambda: 8, MaxIters: 12}
-	chaos := scenario.ChaosConfig{Delta: 2, DropRate: 0.2, Reorder: 0.3, PartitionRounds: 4}
-	opts := Options{RoundInterval: 3 * time.Millisecond, RoundTimeout: 30 * time.Second}
+	cfg := scenario.Config{Protocol: scenario.Core, N: 16, F: 4, Lambda: 8, MaxIters: 12,
+		Net: scenario.NetChaos, Delta: 2, OmissionRate: 0.2, PartitionRounds: 4}
+	opts := Options{RoundInterval: 3 * time.Millisecond, RoundTimeout: 30 * time.Second, Reorder: 0.3}
 	for seed := byte(1); seed <= 5; seed++ {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			cfg := cfg
 			cfg.Seed[0] = seed
-			live := runChaosChan(t, cfg, chaos, opts)
+			live := runChan(t, cfg, opts)
 			if live.Consistency != nil || live.Validity != nil {
 				t.Fatalf("safety violated: consistency=%v validity=%v", live.Consistency, live.Validity)
 			}
-			sim, err := chaos.SimRun(context.Background(), cfg)
+			sim, err := scenario.Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -124,15 +152,15 @@ func TestChaosDeltaTwoSafety(t *testing.T) {
 func TestChaosOverTCPCluster(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	cfg := scenario.Config{Protocol: scenario.Core, N: 4, F: 1, Lambda: 3}
+	cfg := scenario.Config{Protocol: scenario.Core, N: 4, F: 1, Lambda: 3,
+		Net: scenario.NetChaos, Delta: 2, OmissionRate: 0.25, OmissionFaulty: 1}
 	cfg.Seed[0] = 7
 	netw, err := transport.NewTCPNetwork(ctx, transport.LoopbackAddrs(cfg.N), transport.TCPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer netw.Close()
-	chaos := scenario.ChaosConfig{Delta: 2, DropRate: 0.25, Faulty: 1, Reorder: 0.3}
-	opts := Options{RoundInterval: 5 * time.Millisecond, RoundTimeout: 30 * time.Second, Chaos: &chaos}
+	opts := Options{RoundInterval: 5 * time.Millisecond, RoundTimeout: 30 * time.Second, Reorder: 0.3}
 	live, err := Run(ctx, cfg, netw, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -142,28 +170,56 @@ func TestChaosOverTCPCluster(t *testing.T) {
 	}
 }
 
-// TestChaosOptionGuards pins the configuration errors that keep chaos runs
-// honest: time-based injection without a soft round deadline would stall
-// the all-ack barrier, and a synchronizer budgeted below the schedule's Δ
-// would let injected delays outrun the buffer.
+// TestChaosDelaysScaleWithInterval: prepare hands the injection layer the
+// config's one lowering — the chaos Δ with its jitter spread and the
+// partition at N/2 — and the synchronizer's interval, which turns the
+// schedule's round delays into holds (the transport tests pin the holds).
+func TestChaosDelaysScaleWithInterval(t *testing.T) {
+	cfg := scenario.Config{Protocol: scenario.Core, N: 16, F: 4, Lambda: 8, Net: scenario.NetChaos, Delta: 3, PartitionRounds: 2}
+	p, err := prepare(cfg, Options{RoundInterval: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := p.chaos
+	if spec.Interval != 10*time.Millisecond || spec.Faults.Delta != 3 || spec.Faults.Spread != netsim.SpreadJitter {
+		t.Fatalf("spec (interval %v, Δ %d, spread %d), want (10ms, 3, jitter)", spec.Interval, spec.Faults.Delta, spec.Faults.Spread)
+	}
+	if fs := spec.Faults; int(fs.Cut) != cfg.N/2 || fs.CutFrom != 0 || fs.CutUntil != 2 {
+		t.Fatalf("partition (%d, [%d, %d)), want cut 8 rounds [0, 2)", fs.Cut, fs.CutFrom, fs.CutUntil)
+	}
+	if p.opts.Delta != 3 {
+		t.Fatalf("synchronizer Δ %d, want the config's 3", p.opts.Delta)
+	}
+}
+
+// TestChaosOptionGuards pins the configuration errors that keep injected
+// runs honest: time-based injection without a soft round deadline would
+// stall the all-ack barrier, a synchronizer budgeted below the model's Δ
+// would let injected delays outrun the buffer, and the injection layer's
+// live-only rules hold for every model, delta-one included.
 func TestChaosOptionGuards(t *testing.T) {
-	cfg := scenario.Config{Protocol: scenario.Core, N: 8, F: 2, Lambda: 4}
-	netw, err := transport.NewChanNetwork(cfg.N)
+	base := scenario.Config{Protocol: scenario.Core, N: 8, F: 2, Lambda: 4}
+	netw, err := transport.NewChanNetwork(base.N)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer netw.Close()
-
-	_, err = Run(context.Background(), cfg, netw,
-		Options{Chaos: &scenario.ChaosConfig{Delta: 2, Reorder: 0.5}})
-	if err == nil || !strings.Contains(err.Error(), "RoundInterval") {
-		t.Fatalf("delayed markers without a round interval accepted: %v", err)
-	}
-
-	_, err = Run(context.Background(), cfg, netw,
-		Options{Delta: 2, Chaos: &scenario.ChaosConfig{Delta: 3, DropRate: 0.1}})
-	if err == nil || !strings.Contains(err.Error(), "budgeted") {
-		t.Fatalf("under-budgeted synchronizer accepted: %v", err)
+	for _, tc := range []struct {
+		name string
+		set  func(*scenario.Config)
+		opts Options
+		want string
+	}{
+		{"reorder without interval", func(c *scenario.Config) { c.Net, c.Delta = scenario.NetChaos, 2 }, Options{Reorder: 0.5}, "RoundInterval"},
+		{"under-budgeted synchronizer", func(c *scenario.Config) { c.Net, c.Delta, c.OmissionRate = scenario.NetChaos, 3, 0.1 }, Options{Delta: 2}, "budgeted"},
+		{"reorder at delta one", func(c *scenario.Config) {}, Options{Reorder: 0.5, RoundInterval: time.Millisecond}, "Δ ≥ 2"},
+		{"partition at delta one", func(c *scenario.Config) { c.Net, c.PartitionRounds = scenario.NetChaos, 2 }, Options{}, "Δ ≥ 2"},
+	} {
+		cfg := base
+		tc.set(&cfg)
+		if _, err := Run(context.Background(), cfg, netw, tc.opts); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: want error containing %q, got %v", tc.name, tc.want, err)
+		}
 	}
 }
 

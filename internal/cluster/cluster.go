@@ -26,17 +26,27 @@ type Options struct {
 	// Delta is the delivery bound Δ the synchronizer budgets for: traffic
 	// up to Δ rounds early is buffered, the round budget scales to
 	// steps × Δ, and deadline-based advance (RoundInterval) never lets a
-	// node run more than Δ rounds past the oldest incomplete barrier.
-	// Zero or one keeps the all-ack lockstep of DESIGN.md §6 — bit-identical
-	// to the simulator's Δ=1 engine.
+	// node run more than Δ rounds past the oldest incomplete barrier. Zero
+	// means the config's Delta; a smaller bound than the config's is
+	// rejected, since the network model may hold traffic that long. Δ = 1
+	// keeps the all-ack lockstep of DESIGN.md §6 — bit-identical to the
+	// simulator's Δ=1 engine.
 	Delta int
 	// RoundInterval, when positive, arms a soft per-round deadline: a node
 	// advances from round r once it holds all n sync markers or the
 	// interval has elapsed, whichever comes first (subject to the Δ skew
-	// cap). Zero keeps the pure all-ack barrier. Chaos runs with delayed
-	// sync markers need it; drop-only chaos does not, since markers are
-	// reliable and the all-ack barrier still completes.
+	// cap). Zero keeps the pure all-ack barrier. It is also the wall-clock
+	// length of a round to the fault injection: a frame the network model
+	// delays d rounds is held (d−1) intervals, so without an interval only
+	// drops and crash windows reach a live run. Markers are never dropped,
+	// so a drop-only schedule completes on the all-ack barrier.
 	RoundInterval time.Duration
+	// Reorder is the per-frame probability that the fault injection holds
+	// a data frame back past its sender's next sync marker, arriving about
+	// one round late. It is the one live-only coin — the simulator's
+	// round-tagged delivery has no intra-round order to disturb — and needs
+	// Δ ≥ 2 and a RoundInterval.
+	Reorder float64
 	// Tracer receives the round-lifecycle event stream (DESIGN.md §10). At
 	// Δ=1 under the pure all-ack barrier (RoundInterval zero) the canonical
 	// export is byte-identical to the simulator's trace of the same config —
@@ -49,25 +59,6 @@ type Options struct {
 	// in-flight frames, chaos drops, and barrier-latency quantiles. Unlike
 	// the trace this channel is wall-clock state and never deterministic.
 	Telemetry *obs.Telemetry
-	// Chaos, when non-nil, injects this declared fault schedule below the
-	// protocol surface: Run wraps every endpoint of its network, RunNode its
-	// own endpoint, in the chaos layer before the node ever sees it, so the
-	// protocol code runs unmodified against a misbehaving network. The
-	// schedule is validated against the normalized config's (N, F) — the
-	// live injector gets exactly the power the simulator's adversary model
-	// grants and no more (DESIGN.md §7) — and is seed-deterministic, so
-	// every process of a multi-process mesh, passing the same declaration,
-	// derives the identical schedule for its own links. Delta defaults to
-	// the schedule's Δ.
-	Chaos *scenario.ChaosConfig
-}
-
-// delta returns the effective delivery bound.
-func (o Options) delta() int {
-	if o.Delta <= 0 {
-		return 1
-	}
-	return o.Delta
 }
 
 // Report is the outcome of a live run: the same scenario.Report the
@@ -138,7 +129,7 @@ func Run(ctx context.Context, cfg scenario.Config, net transport.Network, opts O
 	if induced != nil {
 		return nil, induced
 	}
-	return assemble(plan.cfg, rounds[0], recs), nil
+	return plan.assemble(rounds[0], recs), nil
 }
 
 // RunNode executes one node of a multi-process cluster over its endpoint
@@ -173,7 +164,7 @@ func RunNode(ctx context.Context, cfg scenario.Config, tr transport.Transport, o
 	if err != nil {
 		return nil, fmt.Errorf("cluster: node %d: %w", tr.Self(), err)
 	}
-	return assemble(plan.cfg, rounds, recs), nil
+	return plan.assemble(rounds, recs), nil
 }
 
 // checkMultiProcess rejects configs that only execute correctly when every
@@ -202,9 +193,9 @@ func checkMultiProcess(cfg scenario.Config) error {
 }
 
 // plan is a validated, normalized execution: the defaulted config, the
-// options with the chaos schedule's Δ filled in, the chaos layer's spec (nil
-// without Options.Chaos), the full node set, the protocol decoder, and the
-// round budget.
+// options with the synchronizer's Δ filled in, the fault injection's spec
+// (nil under the delta-one model), the full node set, the protocol decoder,
+// and the round budget.
 type plan struct {
 	cfg       scenario.Config
 	opts      Options
@@ -217,38 +208,61 @@ type plan struct {
 // prepare validates cfg for live execution and resolves everything the
 // runners need. The rejections are structural, not temporary gaps: see the
 // package comment.
+//
+// Any network model but delta-one is injected below the protocol surface:
+// Run wraps every endpoint of its network, RunNode its own endpoint, in the
+// fault-injection layer before the node ever sees it, so the protocol code
+// runs unmodified against a misbehaving network. The layer puts every frame
+// to the config's one lowering (scenario.Config.Faults), validated against
+// (N, F) — the live injector gets exactly the power the simulator's model
+// grants and no more (DESIGN.md §7) — and seed-deterministic, so every
+// process of a multi-process mesh derives the identical schedule for its
+// own links.
 func prepare(cfg scenario.Config, opts Options) (*plan, error) {
 	normalized, err := cfg.Normalized()
 	if err != nil {
 		return nil, err
 	}
-	var spec *transport.ChaosSpec
-	if opts.Chaos != nil {
-		if spec, err = resolveChaos(normalized, &opts); err != nil {
-			return nil, err
-		}
-	}
 	if cfg.Adversary != nil {
 		return nil, fmt.Errorf("cluster: live runs execute honest protocols only; the adversary interface needs the simulator's omniscient envelope window (run this config through ccba.Run instead)")
 	}
-	if cfg.Net != "" && cfg.Net != scenario.NetDeltaOne {
-		return nil, fmt.Errorf("cluster: net model %q is simulated message scheduling; live faults are injected at the transport instead (Options.Chaos), with the synchronizer's Options.Delta bounding delivery (or run this config through ccba.Run)", cfg.Net)
-	}
 	if cfg.Sparse {
 		return nil, fmt.Errorf("cluster: Sparse is the simulator's large-N node representation; a live cluster already holds only per-node state per process (run this config through ccba.Run instead)")
+	}
+	if opts.Delta == 0 {
+		opts.Delta = normalized.Delta
+	}
+	if opts.Delta < normalized.Delta {
+		return nil, fmt.Errorf("cluster: net model %q delivers within Δ=%d but the synchronizer is budgeted for Δ=%d",
+			normalized.Net, normalized.Delta, opts.Delta)
 	}
 	nodes, _, steps, err := scenario.Build(normalized)
 	if err != nil {
 		return nil, err
 	}
+	var spec *transport.ChaosSpec
+	if normalized.Net != scenario.NetDeltaOne || opts.Reorder != 0 {
+		fs, err := normalized.Faults()
+		if err != nil {
+			return nil, err
+		}
+		spec = &transport.ChaosSpec{Faults: fs, Interval: opts.RoundInterval, ReorderRate: opts.Reorder,
+			Obs: obs.NewSink(opts.Tracer), Telemetry: opts.Telemetry}
+		if err := spec.Validate(normalized.N, normalized.F); err != nil {
+			return nil, err
+		}
+	}
+	if opts.Reorder > 0 && opts.RoundInterval <= 0 {
+		return nil, fmt.Errorf("cluster: reordering holds data frames past their sync markers, which stalls the pure all-ack barrier; set Options.RoundInterval to arm the soft round deadline")
+	}
 	maxRounds, err := normalized.RoundBudget(steps)
 	if err != nil {
 		return nil, err
 	}
-	// A Δ>1 synchronizer may legitimately spend up to Δ rounds per protocol
-	// step — the same scaling RoundBudget applies to simulated Δ>1 models.
-	if d := opts.delta(); d > 1 && steps*d > maxRounds {
-		maxRounds = steps * d
+	// A synchronizer budgeted above the model's Δ may spend up to its own Δ
+	// rounds per protocol step — the same scaling RoundBudget applies.
+	if steps*opts.Delta > maxRounds {
+		maxRounds = steps * opts.Delta
 	}
 	decode, err := scenario.DecoderFor(normalized.Protocol)
 	if err != nil {

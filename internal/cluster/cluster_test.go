@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -41,14 +42,14 @@ func caseName(cfg scenario.Config) string {
 }
 
 // runChan executes cfg on a fresh in-process network.
-func runChan(t *testing.T, cfg scenario.Config) *Report {
+func runChan(t *testing.T, cfg scenario.Config, opts Options) *Report {
 	t.Helper()
 	netw, err := transport.NewChanNetwork(cfg.N)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer netw.Close()
-	rep, err := Run(context.Background(), cfg, netw, Options{})
+	rep, err := Run(context.Background(), cfg, netw, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,6 +83,16 @@ func assertSameExecution(t *testing.T, live *Report, sim *scenario.Report) {
 	}
 }
 
+// assertSameResult checks the live Result equals the simulator's field for
+// field, and the checker verdicts match.
+func assertSameResult(t *testing.T, live *Report, sim *scenario.Report) {
+	t.Helper()
+	if !reflect.DeepEqual(live.Result, sim.Result) {
+		t.Errorf("Result: live %+v\nvs lockstep %+v", live.Result, sim.Result)
+	}
+	assertSameExecution(t, live, sim)
+}
+
 func TestChanClusterMatchesLockstep(t *testing.T) {
 	for _, cfg := range equivCases {
 		t.Run(caseName(cfg), func(t *testing.T) {
@@ -90,7 +101,7 @@ func TestChanClusterMatchesLockstep(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			live := runChan(t, cfg)
+			live := runChan(t, cfg, Options{})
 			assertSameExecution(t, live, sim)
 		})
 	}
@@ -139,7 +150,7 @@ func TestPerNodeMetricsMatchInstrumentedLockstep(t *testing.T) {
 			}
 			rt.Run()
 
-			live := runChan(t, cfg)
+			live := runChan(t, cfg, Options{})
 			for i := range perNode {
 				if live.PerNode[i] != perNode[i] {
 					t.Errorf("node %d: live %+v vs instrumented lockstep %+v", i, live.PerNode[i], perNode[i])
@@ -170,7 +181,7 @@ func TestSynchronizerTorture(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		live := runChan(t, cfg)
+		live := runChan(t, cfg, Options{})
 		if t.Failed() {
 			t.Fatalf("trial %d diverged", trial)
 		}
@@ -271,14 +282,6 @@ func TestClusterRejectsSimulatorOnlyConfigs(t *testing.T) {
 	if _, err := Run(context.Background(), withAdv, netw, Options{}); err == nil ||
 		!strings.Contains(err.Error(), "adversary") {
 		t.Fatalf("adversary config: %v", err)
-	}
-
-	withNet := base
-	withNet.Net = scenario.NetJitter
-	withNet.Delta = 3
-	if _, err := Run(context.Background(), withNet, netw, Options{}); err == nil ||
-		!strings.Contains(err.Error(), "net model") {
-		t.Fatalf("net-model config: %v", err)
 	}
 
 	small, err := transport.NewChanNetwork(3)
@@ -390,7 +393,7 @@ func TestRoundBudgetExhaustion(t *testing.T) {
 	if sim.Termination == nil {
 		t.Fatal("simulator terminated a stubborn protocol")
 	}
-	live := runChan(t, cfg)
+	live := runChan(t, cfg, Options{})
 	assertSameExecution(t, live, sim)
 	if live.Rounds != 4 {
 		t.Fatalf("rounds = %d, want the 4-step budget", live.Rounds)

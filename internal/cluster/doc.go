@@ -59,12 +59,13 @@
 // interface is an omniscient round-scoped window over all in-flight
 // envelopes, which no distributed runtime can offer, so configs carrying an
 // adversary (and scenarios naming one) are rejected — attack experiments
-// belong to the simulator. Likewise the simulated-delay network models
-// (worst-case, jitter, omission, partition) never run live: real faults
-// are injected at the transport instead, via Options.Chaos and a
-// declarative scenario.ChaosConfig whose schedule is seed-deterministic
-// and cross-validated against the simulator (DESIGN.md §7, experiment
-// E14).
+// belong to the simulator. The config's network model does run live: for
+// any model but delta-one, the schedule scenario.Config.Faults lowers —
+// the one the simulator runs — is injected at the transport, below the
+// protocol surface, with Options.RoundInterval as the wall-clock length
+// of a held round and Options.Reorder as the one live-only fault. It is
+// seed-deterministic and cross-validated against the simulator (DESIGN.md
+// §7, experiment E14).
 //
 // Architecture: DESIGN.md §2 — live cluster runtime over pluggable
 // transports; DESIGN.md §7 — Δ > 1 synchronizer and chaos injection.

@@ -349,7 +349,7 @@ func (r *runner) collectBarrier(ctx context.Context, round uint32) error {
 				// collecting — the watermark may climb enough on the next
 				// window, and running ahead of it now would exceed the
 				// Δ-bounded skew the buffers (and the model) promise.
-				if int(round)+1 <= r.acked+r.opts.delta() {
+				if int(round)+1 <= r.acked+r.opts.Delta {
 					return nil
 				}
 				armSoft()
@@ -501,8 +501,9 @@ type resultRecord struct {
 // assemble builds the Report from all n records, indexed by node, and
 // evaluates the paper's three properties on it. Both routes go through it:
 // Run with the records its node goroutines return, RunNode with the records
-// the exchange collected.
-func assemble(cfg scenario.Config, rounds int, recs []resultRecord) *Report {
+// the exchange collected. The omission-faulty senders are the injected
+// schedule's, as in the simulator's Result.
+func (p *plan) assemble(rounds int, recs []resultRecord) *Report {
 	n := len(recs)
 	res := &netsim.Result{
 		Outputs: make([]types.Bit, n),
@@ -510,6 +511,9 @@ func assemble(cfg scenario.Config, rounds int, recs []resultRecord) *Report {
 		Halted:  make([]bool, n),
 		Corrupt: make([]bool, n), // live runs are adversary-free
 		Rounds:  rounds,
+	}
+	if p.chaos != nil {
+		res.OmissionFaulty = slices.Clone(p.chaos.Faults.Faulty)
 	}
 	perNode := make([]netsim.Metrics, n)
 	for i, rec := range recs {
@@ -519,7 +523,7 @@ func assemble(cfg scenario.Config, rounds int, recs []resultRecord) *Report {
 		perNode[i] = rec.metrics
 		res.Metrics.Add(rec.metrics)
 	}
-	return &Report{Report: scenario.Evaluate(cfg, res), PerNode: perNode}
+	return &Report{Report: scenario.Evaluate(p.cfg, res), PerNode: perNode}
 }
 
 func encodeResult(rec resultRecord) []byte {

@@ -78,19 +78,16 @@ func E14CrossValidation(o Opts) (*E14Result, error) {
 	settings = append(settings, e14Setting{"tcp", 2, 0.25})
 
 	for _, st := range settings {
-		cfg := scenario.Config{Protocol: scenario.Core, N: n, F: f, Lambda: lambda, MaxIters: maxIters}
+		cfg := scenario.Config{Protocol: scenario.Core, N: n, F: f, Lambda: lambda, MaxIters: maxIters,
+			Net: scenario.NetChaos, Delta: st.delta, OmissionRate: st.drop}
 		if st.transport == "tcp" {
 			// Real sockets: a 32-node full mesh is 992 connections per
 			// trial; 8 nodes keep the point honest and the sweep quick.
 			cfg.N, cfg.F, cfg.Lambda = 8, 2, 4
 		}
-		chaos := scenario.ChaosConfig{Delta: st.delta, DropRate: st.drop}
+		copts := cluster.Options{RoundTimeout: 60 * time.Second}
 		if st.delta >= 2 {
-			chaos.Reorder = 0.2
-		}
-		copts := cluster.Options{RoundTimeout: 60 * time.Second, Chaos: &chaos}
-		if st.delta >= 2 {
-			copts.RoundInterval = 2 * time.Millisecond
+			copts.RoundInterval, copts.Reorder = 2*time.Millisecond, 0.2
 		}
 		// Exact equivalence only where the schedules are shared: Δ=1 keeps
 		// the run delay-free, so every fault decision is round-indexed and
@@ -133,12 +130,11 @@ func E14CrossValidation(o Opts) (*E14Result, error) {
 	return res, nil
 }
 
-// e14Trial executes one (seed, schedule) pair on both runtimes and scores
-// the comparison.
+// e14Trial executes one config on both runtimes and scores the comparison.
 func e14Trial(cfg scenario.Config, copts cluster.Options, trName string, exact bool) (*harness.Obs, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	sim, err := copts.Chaos.SimRun(ctx, cfg)
+	sim, err := scenario.RunCtx(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}

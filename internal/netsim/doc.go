@@ -13,10 +13,11 @@
 // round-r send is assigned a delivery round in [r+1, r+∆]. The default
 // DeltaOne model is lockstep ∆ = 1, the fault-free Faults value. Every
 // schedule is one Faults value — worst-case ∆-delay, seeded jitter,
-// per-link omission faults, a temporary partition, a crash window, or any
-// mix — exercising the adversary's classic synchronous power of delaying
-// honest messages up to the bound. The live chaos transport calls the same
-// Faults.Decide, so both runtimes draw one fault schedule. The Runtime
+// per-link omission faults, a temporary partition, a crash window, or the
+// chaos composite of them all — exercising the adversary's classic
+// synchronous power of delaying honest messages up to the bound. The live
+// cluster's fault-injection transport calls the same Faults.Decide for
+// every frame, so both runtimes run one schedule. The Runtime
 // enforces the model's answers against the bound and the adversary's Power:
 // honest-to-honest messages always arrive by ∆, and only links from
 // omission-faulty or corrupt senders may be dropped (see NetModel).

@@ -51,7 +51,8 @@ func (c *Config) validateAsync() error {
 	if c.Crashes < 0 || c.Crashes > c.F {
 		return fmt.Errorf("scenario: Crashes=%d outside [0, F=%d]; crash faults spend the corruption budget", c.Crashes, c.F)
 	}
-	if c.Net != "" || c.Delta != 0 || c.OmissionRate != 0 || c.OmissionFaulty != 0 || c.PartitionRounds != 0 || c.MaxRounds != 0 {
+	if c.Net != "" || c.Delta != 0 || c.OmissionRate != 0 || c.OmissionFaulty != 0 || c.PartitionRounds != 0 ||
+		c.CrashFrom != 0 || c.CrashRounds != 0 || c.MaxRounds != 0 {
 		return fmt.Errorf("scenario: protocol %q runs on the event-driven runtime; the Net/Delta/MaxRounds family does not apply (use Sched/AdvDelay/MaxDeliveries)", c.Protocol)
 	}
 	if c.Sparse {

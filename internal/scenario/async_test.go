@@ -97,6 +97,8 @@ func TestAsyncConfigValidation(t *testing.T) {
 		{"sched on sync protocol", Config{Protocol: Core, N: 4, F: 1, Sched: SchedFIFO}, "event-runtime knobs"},
 		{"net on async protocol", Config{Protocol: ABA, N: 4, F: 1, Net: NetJitter}, "does not apply"},
 		{"maxrounds on async protocol", Config{Protocol: ACS, N: 4, F: 1, MaxRounds: 10}, "does not apply"},
+		{"crash window on async protocol", Config{Protocol: ACS, N: 4, F: 1, CrashFrom: 1, CrashRounds: 2}, "does not apply"},
+		{"crash rounds on async protocol", Config{Protocol: ABA, N: 4, F: 1, CrashRounds: 2}, "does not apply"},
 		{"n too small", Config{Protocol: ABA, N: 3, F: 1}, "N > 3F"},
 		{"crashes over budget", Config{Protocol: ACS, N: 7, F: 2, Crashes: 3}, "corruption budget"},
 		{"advdelay without sched", Config{Protocol: ABA, N: 4, F: 1, Sched: SchedRandom, AdvDelay: 7}, "only applies"},

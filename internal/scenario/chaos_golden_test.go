@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"bytes"
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -11,25 +10,28 @@ import (
 	"ccba/internal/obs"
 )
 
-// chaosSimGoldens pin ChaosConfig.SimRun end to end: the SHA-256 of the
+// chaosGoldens pin Run of a NetChaos config end to end: the SHA-256 of the
 // report's per-node outcome, rounds, metrics and checker verdicts plus the
 // canonical trace (which carries every fault event and its kind).
-var chaosSimGoldens = []struct {
-	name  string
-	chaos ChaosConfig
-	want  string
+var chaosGoldens = []struct {
+	name string
+	set  func(*Config)
+	want string
 }{
-	{"drop-only-1", ChaosConfig{DropRate: 0.3}, "605b01b23cba94fafffd18dae0b4aca0a63ac5b419cbd0784ac767dd9ff526bb"},
-	{"full-3", ChaosConfig{Delta: 3, DropRate: 0.3, PartitionRounds: 4, CrashFrom: 2, CrashRounds: 3}, "9cf0c974da98e91cd823b464a98799d7a8c648b586362696d7809483b732a6b5"},
+	{"drop-only-1", func(c *Config) { c.OmissionRate = 0.3 }, "605b01b23cba94fafffd18dae0b4aca0a63ac5b419cbd0784ac767dd9ff526bb"},
+	{"full-3", func(c *Config) {
+		c.Delta, c.OmissionRate, c.PartitionRounds, c.CrashFrom, c.CrashRounds = 3, 0.3, 4, 2, 3
+	}, "9cf0c974da98e91cd823b464a98799d7a8c648b586362696d7809483b732a6b5"},
 }
 
-func TestChaosSimRunGolden(t *testing.T) {
-	for _, g := range chaosSimGoldens {
-		cfg := Config{Protocol: Core, N: 40, F: 12, Lambda: 16}
+func TestChaosRunGolden(t *testing.T) {
+	for _, g := range chaosGoldens {
+		cfg := Config{Protocol: Core, N: 40, F: 12, Lambda: 16, Net: NetChaos}
+		g.set(&cfg)
 		cfg.Seed[0] = 21
 		rec := obs.NewRecorder(0)
 		cfg.Tracer = rec
-		rep, err := g.chaos.SimRun(context.Background(), cfg)
+		rep, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", g.name, err)
 		}
@@ -43,7 +45,7 @@ func TestChaosSimRunGolden(t *testing.T) {
 			rep.Rounds, rep.Metrics, rep.Inputs, rep.Consistency, rep.Validity, rep.Termination)
 		h.Write(events.Bytes())
 		if got := hex.EncodeToString(h.Sum(nil)); got != g.want {
-			t.Errorf("%s SimRun digest = %s, want %s", g.name, got, g.want)
+			t.Errorf("%s Run digest = %s, want %s", g.name, got, g.want)
 		}
 	}
 }

@@ -1,53 +1,80 @@
 package scenario
 
 import (
-	"context"
-	"reflect"
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"ccba/internal/harness"
 	"ccba/internal/netsim"
+	"ccba/internal/transport"
 )
 
-// The chaos lowering must draw the same faulty set the NetOmission model
-// draws for the same config — that shared derivation is what lets one seed
-// cross-validate a live chaos run against the omission simulation — and
-// both runtimes must get the one schedule.
-func TestChaosFaultySetMatchesOmission(t *testing.T) {
-	cfg := Config{Protocol: Core, N: 24, F: 7, Lambda: 8}
-	cfg.Seed[0] = 11
-	spec, err := ChaosConfig{DropRate: 0.3}.TransportSpec(cfg, 0)
+// lower normalizes cfg and lowers its network model.
+func lower(t *testing.T, cfg Config) netsim.Faults {
+	t.Helper()
+	norm, err := cfg.Normalized()
 	if err != nil {
 		t.Fatal(err)
 	}
+	fs, err := norm.Faults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fs
+}
+
+// The chaos lowering must draw the same faulty set and key the NetOmission
+// model draws for the same config — that shared derivation is what lets one
+// seed cross-validate a chaos run against the omission model.
+func TestChaosFaultySetMatchesOmission(t *testing.T) {
+	cfg := Config{Protocol: Core, N: 24, F: 7, Lambda: 8, Net: NetChaos, OmissionRate: 0.3}
+	cfg.Seed[0] = 11
+	chaos := lower(t, cfg)
 	seed := harness.SeedFrom(cfg.Seed, netSeedDomain, string(NetOmission), 0)
 	want := faultyMask(cfg.N, sampleIDs(seed, cfg.N, cfg.F))
-	if !slices.Equal(spec.Faults.Faulty, want) {
-		t.Fatalf("chaos faulty set %v, omission derivation %v", spec.Faults.Faulty, want)
+	if !slices.Equal(chaos.Faulty, want) {
+		t.Fatalf("chaos faulty set %v, omission derivation %v", chaos.Faulty, want)
 	}
-	model, err := ChaosConfig{DropRate: 0.3}.NetModel(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(model, spec.Faults) {
-		t.Fatalf("sim-side schedule %+v, transport-side %+v", model, spec.Faults)
+	cfg.Net = NetOmission
+	omission := lower(t, cfg)
+	if !slices.Equal(omission.Faulty, chaos.Faulty) || omission.Key != chaos.Key || omission.Rate != chaos.Rate {
+		t.Fatalf("omission schedule %+v, chaos schedule %+v", omission, chaos)
 	}
 }
 
-// The crash victim is the first seed-chosen faulty node, and a crash-only
-// declaration still draws one faulty node to spend the corruption budget.
-func TestChaosCrashVictimDeterministic(t *testing.T) {
-	cfg := Config{Protocol: Core, N: 16, F: 4, Lambda: 8}
-	cfg.Seed[0] = 5
-	cc := ChaosConfig{CrashFrom: 1, CrashRounds: 3}
-	spec, err := cc.TransportSpec(cfg, 0)
-	if err != nil {
-		t.Fatal(err)
+// The chaos faulty count defaults to F when dropping, to one node for a
+// crash-only window (the crashed node spends the corruption budget), and to
+// none otherwise; an explicit count wins.
+func TestChaosFaultyDefaults(t *testing.T) {
+	base := Config{Protocol: Core, N: 16, F: 4, Lambda: 8, Net: NetChaos, Delta: 2}
+	for _, tc := range []struct {
+		name string
+		set  func(*Config)
+		want int
+	}{
+		{"drops", func(c *Config) { c.OmissionRate = 0.2 }, 4},
+		{"crash only", func(c *Config) { c.CrashRounds = 2 }, 1},
+		{"delays only", func(c *Config) {}, 0},
+		{"explicit", func(c *Config) { c.OmissionRate, c.OmissionFaulty = 0.2, 2 }, 2},
+	} {
+		cfg := base
+		tc.set(&cfg)
+		norm, err := cfg.Normalized()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if norm.OmissionFaulty != tc.want {
+			t.Errorf("%s: OmissionFaulty %d, want %d", tc.name, norm.OmissionFaulty, tc.want)
+		}
 	}
-	fs := spec.Faults
+}
+
+// The crash victim is the first seed-chosen faulty node.
+func TestChaosCrashVictimDeterministic(t *testing.T) {
+	cfg := Config{Protocol: Core, N: 16, F: 4, Lambda: 8, Net: NetChaos, CrashFrom: 1, CrashRounds: 3}
+	cfg.Seed[0] = 5
+	fs := lower(t, cfg)
 	seed := harness.SeedFrom(cfg.Seed, netSeedDomain, string(NetOmission), 0)
 	if want := sampleIDs(seed, cfg.N, 1); !slices.Equal(fs.Faulty, faultyMask(cfg.N, want)) || fs.Crash != want[0] {
 		t.Fatalf("crash victim %d, faulty %v; want the single drawn faulty node %v", fs.Crash, fs.Faulty, want)
@@ -57,57 +84,44 @@ func TestChaosCrashVictimDeterministic(t *testing.T) {
 	}
 }
 
-// The transport spec carries the synchronizer's interval, which turns the
-// schedule's round delays into holds (the transport tests pin the holds),
-// the chaos Δ with its jitter spread, and the partition at N/2.
-func TestChaosDelaysScaleWithInterval(t *testing.T) {
-	cfg := Config{Protocol: Core, N: 16, F: 4, Lambda: 8}
-	spec, err := ChaosConfig{Delta: 3, PartitionRounds: 2}.TransportSpec(cfg, 10*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec.Interval != 10*time.Millisecond || spec.Faults.Delta != 3 || spec.Faults.Spread != netsim.SpreadJitter {
-		t.Fatalf("spec (interval %v, Δ %d, spread %d), want (10ms, 3, jitter)", spec.Interval, spec.Faults.Delta, spec.Faults.Spread)
-	}
-	if fs := spec.Faults; int(fs.Cut) != cfg.N/2 || fs.CutFrom != 0 || fs.CutUntil != 2 {
-		t.Fatalf("partition (%d, [%d, %d)), want cut 8 rounds [0, 2)", fs.Cut, fs.CutFrom, fs.CutUntil)
-	}
-}
-
-// Invalid declarations are rejected with the power boundary spelled out.
+// A declaration the live injector cannot honour is rejected with the power
+// boundary spelled out: the lowering is put to the injection layer's own
+// validation, as cluster.Run does.
 func TestChaosConfigRejections(t *testing.T) {
-	cfg := Config{Protocol: Core, N: 16, F: 0, Lambda: 8}
+	base := Config{Protocol: Core, N: 16, F: 0, Lambda: 8, Net: NetChaos}
 	cases := []struct {
-		name string
-		cc   ChaosConfig
-		want string
+		name    string
+		set     func(*Config)
+		reorder float64
+		want    string
 	}{
-		{"drops without budget", ChaosConfig{DropRate: 0.5}, "faulty"},
-		{"reorder at delta one", ChaosConfig{Reorder: 0.5}, "Δ ≥ 2"},
-		{"partition at delta one", ChaosConfig{PartitionRounds: 2}, "Δ ≥ 2"},
-		{"crash without budget", ChaosConfig{CrashRounds: 2}, "faulty"},
+		{"drops without budget", func(c *Config) { c.OmissionRate = 0.5 }, 0, "faulty"},
+		{"reorder at delta one", func(c *Config) {}, 0.5, "Δ ≥ 2"},
+		{"partition at delta one", func(c *Config) { c.PartitionRounds = 2 }, 0, "Δ ≥ 2"},
+		{"crash without budget", func(c *Config) { c.CrashRounds = 2 }, 0, "faulty"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := tc.cc.TransportSpec(cfg, 0); err == nil || !strings.Contains(err.Error(), tc.want) {
+			cfg := base
+			tc.set(&cfg)
+			spec := transport.ChaosSpec{Faults: lower(t, cfg), ReorderRate: tc.reorder}
+			if err := spec.Validate(cfg.N, cfg.F); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("want error containing %q, got %v", tc.want, err)
 			}
 		})
 	}
 }
 
-// SimRun executes the fault schedule through the standard simulator path:
-// the report must be deterministic in the seed and judged by the same
-// checkers as every other run.
-func TestChaosSimRunDeterministic(t *testing.T) {
-	cfg := Config{Protocol: Core, N: 16, F: 4, Lambda: 8, MaxIters: 12}
+// A chaos run is deterministic in the seed and judged by the same checkers
+// as every other run.
+func TestChaosRunDeterministic(t *testing.T) {
+	cfg := Config{Protocol: Core, N: 16, F: 4, Lambda: 8, MaxIters: 12, Net: NetChaos, Delta: 2, OmissionRate: 0.2}
 	cfg.Seed[0] = 3
-	cc := ChaosConfig{Delta: 2, DropRate: 0.2}
-	a, err := cc.SimRun(context.Background(), cfg)
+	a, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := cc.SimRun(context.Background(), cfg)
+	b, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,24 +133,20 @@ func TestChaosSimRunDeterministic(t *testing.T) {
 	}
 }
 
-// The registered chaos scenario resolves and its declaration lowers to both
-// runtimes.
+// The registered chaos scenario declares the chaos model and lowers.
 func TestChaosScenarioRegistered(t *testing.T) {
 	s, ok := Lookup("core-chaos-n32")
 	if !ok {
 		t.Fatal("core-chaos-n32 not registered")
 	}
-	if s.Chaos == nil {
-		t.Fatal("core-chaos-n32 carries no chaos declaration")
+	if s.Config.Net != NetChaos {
+		t.Fatalf("core-chaos-n32 declares net %q", s.Config.Net)
 	}
 	cfg, err := s.Resolve([32]byte{1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Chaos.TransportSpec(cfg, 5*time.Millisecond); err != nil {
-		t.Fatalf("transport lowering: %v", err)
-	}
-	if _, err := s.Chaos.NetModel(cfg); err != nil {
-		t.Fatalf("sim lowering: %v", err)
+	if fs := lower(t, cfg); fs.Delta != 2 || fs.Rate != 0.2 {
+		t.Fatalf("core-chaos-n32 lowers to %+v", fs)
 	}
 }

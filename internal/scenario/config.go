@@ -97,6 +97,12 @@ const (
 	// NetPartition splits the network into two halves for PartitionRounds
 	// rounds, holding cross-partition links to ∆.
 	NetPartition NetName = "partition"
+	// NetChaos is the composite of the others: seeded jitter in [1, ∆],
+	// OmissionRate drops on OmissionFaulty senders, a half/half partition
+	// for PartitionRounds rounds and a crash window on the first faulty
+	// sender (CrashFrom, CrashRounds). It is the schedule the live cluster's
+	// fault injection is cross-validated on (DESIGN.md §7).
+	NetChaos NetName = "chaos"
 )
 
 // SchedName selects the event runtime's message scheduler by name
@@ -176,16 +182,25 @@ type Config struct {
 	// Delta is the delivery bound ∆ for the delay-capable models (default
 	// 1; must stay 1 under NetDeltaOne).
 	Delta int
-	// OmissionRate is the per-link drop probability of NetOmission, in
-	// [0, 1].
+	// OmissionRate is the per-link drop probability of NetOmission and
+	// NetChaos, in [0, 1].
 	OmissionRate float64
 	// OmissionFaulty is the number of omission-faulty senders NetOmission
-	// draws (seed-deterministically) from the node set. It spends the same
-	// budget as corruptions: the default — and the maximum — is F.
+	// and NetChaos draw (seed-deterministically, the same set under both)
+	// from the node set. It spends the same budget as corruptions, so the
+	// maximum is F. The default is F under NetOmission; under NetChaos it
+	// is F when OmissionRate drops, 1 when only a crash window is declared,
+	// and 0 otherwise.
 	OmissionFaulty int
 	// PartitionRounds is how long the NetPartition split lasts (default
-	// 2·∆).
+	// 2·∆); under NetChaos, a split at N/2 for rounds [0, PartitionRounds)
+	// (default none).
 	PartitionRounds int
+	// CrashFrom and CrashRounds, when CrashRounds > 0, crash the first
+	// faulty sender for rounds [CrashFrom, CrashFrom+CrashRounds) under
+	// NetChaos: every link it sends on drops, then it resumes — a
+	// crash/restart realized as a total omission window.
+	CrashFrom, CrashRounds int
 	// MaxRounds overrides the derived round budget. The default (0) derives
 	// it from the protocol's step count × ∆ — a ∆ > 1 schedule can hold
 	// every message to the bound, so a lockstep budget would cut the
@@ -207,13 +222,6 @@ type Config struct {
 	// Crashes is the number of crash-faulty nodes the async run draws
 	// seed-deterministically from the node set (≤ F; they never start).
 	Crashes int
-
-	// chaosModel, when non-nil, overrides the Net-named model with a
-	// prebuilt one. Only ChaosConfig.SimRun sets it, so the cross-validation
-	// harness can execute the exact fault schedule a live chaos run calls
-	// (DESIGN.md §7). Unexported on purpose: the declarative
-	// surface stays Net + ChaosConfig.
-	chaosModel netsim.NetModel
 
 	// run is what RunCtx derives for one execution before building it.
 	// External Build callers get the zero value: a fresh intern table per
@@ -283,43 +291,46 @@ func (c *Config) validate() error {
 // protocol's step count is known.
 func (c *Config) validateNet() error {
 	switch c.Net {
-	case "", NetDeltaOne, NetWorstCase, NetJitter, NetOmission, NetPartition:
+	case "", NetDeltaOne, NetWorstCase, NetJitter, NetOmission, NetPartition, NetChaos:
 	default:
-		return fmt.Errorf("scenario: unknown net model %q (want %q, %q, %q, %q, or %q)",
-			c.Net, NetDeltaOne, NetWorstCase, NetJitter, NetOmission, NetPartition)
+		return fmt.Errorf("scenario: unknown net model %q (want %q, %q, %q, %q, %q, or %q)",
+			c.Net, NetDeltaOne, NetWorstCase, NetJitter, NetOmission, NetPartition, NetChaos)
 	}
-	if c.Delta < 0 {
-		return fmt.Errorf("scenario: Delta=%d; the delivery bound cannot be negative", c.Delta)
+	for _, k := range []struct {
+		name string
+		v    int
+	}{{"Delta", c.Delta}, {"OmissionFaulty", c.OmissionFaulty}, {"PartitionRounds", c.PartitionRounds},
+		{"CrashFrom", c.CrashFrom}, {"CrashRounds", c.CrashRounds}, {"MaxRounds", c.MaxRounds}} {
+		if k.v < 0 {
+			return fmt.Errorf("scenario: %s=%d cannot be negative", k.name, k.v)
+		}
 	}
-	if c.Delta > 1 && c.chaosModel == nil && (c.Net == "" || c.Net == NetDeltaOne) {
-		return fmt.Errorf("scenario: Delta=%d under the lockstep %q model, which delivers in exactly one round; pick -net %s, %s, %s, or %s",
-			c.Delta, NetDeltaOne, NetWorstCase, NetJitter, NetOmission, NetPartition)
+	net := cmp.Or(c.Net, NetDeltaOne)
+	if c.Delta > 1 && net == NetDeltaOne {
+		return fmt.Errorf("scenario: Delta=%d under the lockstep %q model, which delivers in exactly one round; pick -net %s, %s, %s, %s, or %s",
+			c.Delta, NetDeltaOne, NetWorstCase, NetJitter, NetOmission, NetPartition, NetChaos)
 	}
-	// A knob of another model would otherwise be silently ignored. The
-	// chaos harness's prebuilt model replaces the Net-named one, so it is
-	// exempt, as from the Δ check above.
-	if c.chaosModel == nil && c.Net != NetOmission && (c.OmissionRate != 0 || c.OmissionFaulty != 0) {
-		return fmt.Errorf("scenario: OmissionRate=%v and OmissionFaulty=%d only apply under the %q model, got net %q",
-			c.OmissionRate, c.OmissionFaulty, NetOmission, cmp.Or(c.Net, NetDeltaOne))
+	// A knob of another model would otherwise be silently ignored.
+	if net != NetOmission && net != NetChaos && (c.OmissionRate != 0 || c.OmissionFaulty != 0) {
+		return fmt.Errorf("scenario: OmissionRate=%v and OmissionFaulty=%d only apply under the %q and %q models, got net %q",
+			c.OmissionRate, c.OmissionFaulty, NetOmission, NetChaos, net)
 	}
-	if c.chaosModel == nil && c.Net != NetPartition && c.PartitionRounds != 0 {
-		return fmt.Errorf("scenario: PartitionRounds=%d only applies under the %q model, got net %q",
-			c.PartitionRounds, NetPartition, cmp.Or(c.Net, NetDeltaOne))
+	if net != NetPartition && net != NetChaos && c.PartitionRounds != 0 {
+		return fmt.Errorf("scenario: PartitionRounds=%d only applies under the %q and %q models, got net %q",
+			c.PartitionRounds, NetPartition, NetChaos, net)
+	}
+	if net != NetChaos && (c.CrashFrom != 0 || c.CrashRounds != 0) {
+		return fmt.Errorf("scenario: CrashFrom=%d and CrashRounds=%d only apply under the %q model, got net %q",
+			c.CrashFrom, c.CrashRounds, NetChaos, net)
+	}
+	if c.CrashFrom != 0 && c.CrashRounds == 0 {
+		return fmt.Errorf("scenario: CrashFrom=%d without CrashRounds declares no crash window", c.CrashFrom)
 	}
 	if c.OmissionRate < 0 || c.OmissionRate > 1 {
 		return fmt.Errorf("scenario: OmissionRate=%v outside [0, 1]", c.OmissionRate)
 	}
-	if c.OmissionFaulty < 0 {
-		return fmt.Errorf("scenario: OmissionFaulty=%d cannot be negative", c.OmissionFaulty)
-	}
-	if c.Net == NetOmission && c.OmissionFaulty > c.F {
+	if c.OmissionFaulty > c.F {
 		return fmt.Errorf("scenario: OmissionFaulty=%d exceeds F=%d; omission faults spend the corruption budget", c.OmissionFaulty, c.F)
-	}
-	if c.PartitionRounds < 0 {
-		return fmt.Errorf("scenario: PartitionRounds=%d cannot be negative", c.PartitionRounds)
-	}
-	if c.MaxRounds < 0 {
-		return fmt.Errorf("scenario: MaxRounds=%d cannot be negative", c.MaxRounds)
 	}
 	return nil
 }
@@ -393,8 +404,13 @@ func (c *Config) applyDefaults() {
 			c.Delta = 1
 		}
 	}
-	if c.Net == NetOmission && c.OmissionFaulty == 0 {
-		c.OmissionFaulty = c.F
+	if c.OmissionFaulty == 0 {
+		switch {
+		case c.Net == NetOmission, c.Net == NetChaos && c.OmissionRate > 0:
+			c.OmissionFaulty = c.F
+		case c.Net == NetChaos && c.CrashRounds > 0:
+			c.OmissionFaulty = 1
+		}
 	}
 	if c.Net == NetPartition && c.PartitionRounds == 0 {
 		c.PartitionRounds = 2 * c.Delta
@@ -436,15 +452,13 @@ func (c *Config) RoundBudget(steps int) (int, error) {
 // seed use.
 const netSeedDomain = "scenario/net"
 
-// netModel resolves the Config's network spec into a netsim model. It runs
-// after applyDefaults.
-func (c *Config) netModel() (netsim.NetModel, error) {
-	if c.chaosModel != nil {
-		return c.chaosModel, nil
-	}
+// Faults lowers the config's network model to the one fault schedule
+// both runtimes execute: the simulator runs it as its NetModel and the live
+// cluster puts every frame to its Decide. It runs on a normalized config.
+func (c *Config) Faults() (netsim.Faults, error) {
 	switch c.Net {
 	case NetDeltaOne:
-		return netsim.DeltaOne(), nil
+		return netsim.Faults{Delta: 1}, nil
 	case NetWorstCase:
 		return netsim.Faults{Delta: c.Delta, Spread: netsim.SpreadHold}, nil
 	case NetJitter:
@@ -460,8 +474,31 @@ func (c *Config) netModel() (netsim.NetModel, error) {
 		}, nil
 	case NetPartition:
 		return netsim.Faults{Delta: c.Delta, Cut: types.NodeID(c.N / 2), CutUntil: c.PartitionRounds}, nil
+	case NetChaos:
+		// The faulty set and key are the NetOmission derivation, so a chaos
+		// run and an omission run of the same seed corrupt the same nodes,
+		// and the crash victim is the first drawn faulty node.
+		seed := harness.SeedFrom(c.Seed, netSeedDomain, string(NetOmission), 0)
+		faulty := sampleIDs(seed, c.N, c.OmissionFaulty)
+		fs := netsim.Faults{
+			Delta:  c.Delta,
+			Spread: netsim.SpreadJitter,
+			Key:    netsim.FoldSeed(seed),
+			Faulty: faultyMask(c.N, faulty),
+			Rate:   c.OmissionRate,
+		}
+		if c.PartitionRounds > 0 {
+			fs.Cut, fs.CutUntil = types.NodeID(c.N/2), c.PartitionRounds
+		}
+		if c.CrashRounds > 0 {
+			if len(faulty) == 0 {
+				return netsim.Faults{}, fmt.Errorf("scenario: chaos crash window needs a faulty node to crash, but the faulty set is empty (F=%d)", c.F)
+			}
+			fs.Crash, fs.CrashFrom, fs.CrashUntil = faulty[0], c.CrashFrom, c.CrashFrom+c.CrashRounds
+		}
+		return fs, nil
 	default:
-		return nil, fmt.Errorf("scenario: unknown net model %q", c.Net)
+		return netsim.Faults{}, fmt.Errorf("scenario: unknown net model %q", c.Net)
 	}
 }
 

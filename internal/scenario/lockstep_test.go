@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"context"
 	"testing"
 
 	"ccba/internal/netsim"
@@ -9,7 +8,7 @@ import (
 )
 
 // TestLockstepDerivation pins where core's window retention comes from:
-// RunCtx, and through it ChaosConfig.SimRun, hands the builders the
+// RunCtx hands the builders the
 // lockstep fact exactly when the resolved model delivers in one round (Δ =
 // 1, drops allowed) and no adversary is set. Every Δ = 2 model, every
 // non-nil adversary, and the exported Build keep every iteration. The core
@@ -29,9 +28,9 @@ func TestLockstepDerivation(t *testing.T) {
 		cfg.Net, cfg.Delta = net, 2
 		return cfg
 	}
-	omission := func(delta int) Config {
+	drops := func(net NetName, delta int) Config {
 		cfg := base
-		cfg.Net, cfg.Delta, cfg.OmissionRate = NetOmission, delta, 0.25
+		cfg.Net, cfg.Delta, cfg.OmissionRate = net, delta, 0.25
 		return cfg
 	}
 	sparse := base
@@ -45,19 +44,16 @@ func TestLockstepDerivation(t *testing.T) {
 	runCfg := func(cfg Config) func() error {
 		return func() error { _, err := Run(cfg); return err }
 	}
-	simRun := func(cc ChaosConfig) func() error {
-		return func() error { _, err := cc.SimRun(context.Background(), base); return err }
-	}
 	rows := []row{
 		{"delta-one passive", runCfg(base), true},
 		{"delta-one passive Sparse", runCfg(sparse), true},
-		{"omission delta-one", runCfg(omission(1)), true},
-		{"chaos SimRun delta-one drops", simRun(ChaosConfig{DropRate: 0.25}), true},
+		{"omission delta-one", runCfg(drops(NetOmission, 1)), true},
+		{"chaos delta-one drops", runCfg(drops(NetChaos, 1)), true},
 		{"worst-case delta-two", runCfg(delta2(NetWorstCase)), false},
 		{"jitter delta-two", runCfg(delta2(NetJitter)), false},
-		{"omission delta-two", runCfg(omission(2)), false},
+		{"omission delta-two", runCfg(drops(NetOmission, 2)), false},
 		{"partition delta-two", runCfg(delta2(NetPartition)), false},
-		{"chaos SimRun delta-two", simRun(ChaosConfig{Delta: 2, DropRate: 0.25}), false},
+		{"chaos delta-two", runCfg(drops(NetChaos, 2)), false},
 		{"Build", func() error { _, _, _, err := Build(base); return err }, false},
 	}
 	for _, name := range Adversaries() {

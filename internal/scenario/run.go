@@ -55,7 +55,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Report, error) {
 	if cfg.Protocol.Async() {
 		return runAsync(ctx, cfg)
 	}
-	net, err := cfg.netModel()
+	net, err := cfg.Faults()
 	if err != nil {
 		return nil, err
 	}
@@ -98,7 +98,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Report, error) {
 // exactly one round after it was sent (its Validate returns Δ = 1; a
 // dropped message never arrives) and no adversary injects. Every other run
 // keeps every iteration.
-func lockstepRun(cfg Config, net netsim.NetModel) bool {
+func lockstepRun(cfg Config, net netsim.Faults) bool {
 	if cfg.Adversary != nil {
 		return false
 	}

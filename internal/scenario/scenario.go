@@ -27,11 +27,6 @@ type Scenario struct {
 	// Adversary names the corruption strategy in the adversary registry
 	// ("" = passive).
 	Adversary string
-	// Chaos, when set, declares a live-cluster fault schedule. The
-	// simulator path (Run) ignores it — simulated faults are expressed
-	// through Config.Net — but cmd/cluster applies it to live runs, and the
-	// cross-validation harness lowers it to both runtimes (DESIGN.md §7).
-	Chaos *ChaosConfig
 }
 
 // Resolve produces the per-trial Config: the trial seed is installed, the
@@ -248,9 +243,8 @@ func init() {
 	})
 	MustRegister(Scenario{
 		Name:        "core-chaos-n32",
-		Description: "live-cluster chaos: Δ=2 synchronizer, f faulty senders dropping 20% of data frames",
-		Config:      Config{Protocol: Core, N: 32, F: 9, Lambda: 10, MaxIters: 12},
-		Chaos:       &ChaosConfig{Delta: 2, DropRate: 0.2},
+		Description: "core protocol under the chaos composite at Δ=2: seeded jitter, f faulty senders dropping 20% of their links",
+		Config:      Config{Protocol: Core, N: 32, F: 9, Lambda: 10, MaxIters: 12, Net: NetChaos, Delta: 2, OmissionRate: 0.2},
 	})
 	MustRegister(Scenario{
 		Name:        "core-sparse-n100k",

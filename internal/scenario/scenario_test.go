@@ -138,6 +138,20 @@ func TestNetSpecValidation(t *testing.T) {
 		{func(c *Config) { c.OmissionRate = 0.5 }, "only apply under"},
 		{func(c *Config) { c.Net = NetJitter; c.Delta = 2; c.OmissionFaulty = 2 }, "only apply under"},
 		{func(c *Config) { c.Net = NetWorstCase; c.Delta = 2; c.PartitionRounds = 4 }, "only applies under"},
+		// Every count knob is non-negative under every model, and each
+		// belongs to the models that read it.
+		{func(c *Config) { c.Net = NetChaos; c.Delta = 2; c.PartitionRounds = -2 }, "PartitionRounds=-2 cannot be negative"},
+		{func(c *Config) { c.Net = NetChaos; c.CrashFrom = -5; c.CrashRounds = 3 }, "CrashFrom=-5 cannot be negative"},
+		{func(c *Config) { c.Net = NetChaos; c.CrashRounds = -1 }, "CrashRounds=-1 cannot be negative"},
+		{func(c *Config) { c.Net = NetPartition; c.OmissionFaulty = -1 }, "OmissionFaulty=-1 cannot be negative"},
+		{func(c *Config) { c.Net = NetChaos; c.OmissionFaulty = 4 }, "corruption budget"},
+		{func(c *Config) { c.Net = NetChaos; c.OmissionRate = -0.5 }, "outside [0, 1]"},
+		{func(c *Config) { c.Net = NetPartition; c.OmissionRate = 0.5 }, "only apply under the \"omission\" and \"chaos\" models"},
+		{func(c *Config) { c.Net = NetOmission; c.PartitionRounds = 2 }, "only applies under the \"partition\" and \"chaos\" models"},
+		{func(c *Config) { c.Net = NetOmission; c.CrashFrom, c.CrashRounds = 1, 2 }, "only apply under the \"chaos\" model"},
+		{func(c *Config) { c.CrashRounds = 2 }, "only apply under the \"chaos\" model"},
+		{func(c *Config) { c.Net = NetChaos; c.CrashFrom = 3 }, "without CrashRounds"},
+		{func(c *Config) { c.Net = NetDeltaOne; c.Delta = 2 }, "pick -net delta, jitter, omission, partition, or chaos"},
 	}
 	for _, tc := range cases {
 		cfg := base
@@ -367,7 +381,7 @@ func TestSampleIDs(t *testing.T) {
 // Resolving a net model never mutates shared state; two configs with the
 // same seed produce interchangeable models.
 func TestNetModelResolution(t *testing.T) {
-	for _, name := range []NetName{NetDeltaOne, NetWorstCase, NetJitter, NetOmission, NetPartition} {
+	for _, name := range []NetName{NetDeltaOne, NetWorstCase, NetJitter, NetOmission, NetPartition, NetChaos} {
 		cfg := Config{Protocol: Core, N: 12, F: 3, Net: name, Delta: 2}
 		if name == NetDeltaOne {
 			cfg.Delta = 1
@@ -376,7 +390,7 @@ func TestNetModelResolution(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		cfg.applyDefaults()
-		m, err := cfg.netModel()
+		m, err := cfg.Faults()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -48,7 +48,8 @@
 //
 // A third layer wraps either implementation: the chaos transport
 // (WrapChaos/NewChaosNetwork) injects the simulator's own fault schedule
-// below the protocol surface. Every data frame and sync marker is put to
+// below the protocol surface — the cluster wraps its network in it for
+// every network model but delta-one. Every data frame and sync marker is put to
 // netsim.Faults.Decide — drops on faulty senders' links, crash windows,
 // timed partitions and per-link delays, each delay held (d−1) round
 // intervals — so the decisions match a simulated run link for link; the
