@@ -24,6 +24,21 @@ func TestChanRunDefaults(t *testing.T) {
 	}
 }
 
+// The text header names the network model the run injected and the
+// transport it ran over, as the -json document names the model.
+func TestTextHeaderNamesNetAndTransport(t *testing.T) {
+	var buf bytes.Buffer
+	err := run(context.Background(), []string{"-n", "24", "-f", "7", "-lambda", "8", "-seed", "5",
+		"-net", "chaos", "-omission-rate", "0.4", "-crash-from", "1", "-crash-rounds", "3"}, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, _, _ := strings.Cut(buf.String(), "\n")
+	if want := "protocol=core n=24 f=7 crypto=ideal net=chaos delta=1 transport=chan seed=5"; header != want {
+		t.Errorf("header %q, want %q", header, want)
+	}
+}
+
 func TestChanRunJSON(t *testing.T) {
 	var buf bytes.Buffer
 	err := run(context.Background(), []string{"-n", "32", "-f", "9", "-lambda", "10", "-json"}, &buf)

@@ -10,11 +10,14 @@ import (
 // model (Δ=1) and once under a vote-flip adversary over a Δ=2 omission
 // network. Both intern their attestation sets (DESIGN.md §6) and deliver
 // through the same traffic-sized ring; the first runs core's lockstep
-// window, the second its keep-all window. Measured: lockstep 7.30–7.33k
-// allocs / 1.13 MB, faults 9.38–9.42k allocs / 2.52–2.54 MB at GOMAXPROCS
-// 1, 2 and 4; the ceilings sit 9–10 % above. With per-iteration maps on
-// every node the same runs cost 15.3k / 1.80 MB and 16.1k / 2.85 MB, and
-// fail all four ceilings. The faults case once cost 36.1k / 11.03 MB, when
+// window, the second its keep-all window. Measured with the engine's
+// ticket screen: lockstep 7.30–7.33k allocs / 1.13–1.14 MB, faults
+// 9.38–9.43k allocs / 2.52–2.54 MB at GOMAXPROCS 1, 2 and 4, cold or warm;
+// the ceilings sit 9–10 % above. Seed 7 costs more than most seeds:
+// BenchmarkCoreIdealN1000's per-op figure (~5.6k / 1.05 MB) averages over
+// seeds that mostly cost 5.0–5.4k allocs, so it reads lower. With
+// per-iteration maps on every node the same runs cost 15.3k / 1.80 MB and
+// 16.1k / 2.85 MB, and fail all four ceilings. The faults case once cost 36.1k / 11.03 MB, when
 // its delivery ring copied every multicast into a per-recipient list, and
 // before interning the two cost 43.1k / 15.27 MB and 59.8k / 22.35 MB — n
 // private copies of one committee's votes. So tier-1 holds the window, the

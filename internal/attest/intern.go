@@ -108,7 +108,7 @@ func NewInterner() *Interner {
 // InternStats is the table's telemetry, for budget tests, the
 // copy-on-divergence assertions, and the run reports (scenario, cmd/ba).
 // The counters are deterministic per (config, seed) — the
-// double-checked insert in advance makes them schedule-independent — so
+// double-checked insert in record makes them schedule-independent — so
 // reports that embed them stay byte-diffable across worker counts.
 type InternStats struct {
 	// States is the number of interned states created (the empty root is
@@ -136,26 +136,29 @@ func (in *Interner) Stats() InternStats {
 	return st
 }
 
-// advance resolves the transition state --Add(id, proof)--> successor,
-// recording and cloning on first use. hit reports that the transition was
-// already recorded.
-func (in *Interner) advance(h *sharedAtts, id types.NodeID, proof []byte) (next *sharedAtts, hit bool) {
-	if first := h.first.Load(); first != nil {
-		if first.adds(id, proof) {
-			return first, true
-		}
-		in.mu.RLock()
-		next = findFork(h.forks[id], id, proof)
-		in.mu.RUnlock()
-		if next != nil {
-			return next, true
-		}
+// recorded returns the successor already recorded out of h for
+// (id, proof), or nil. It takes no write lock: first is an atomic load, and
+// the forks map is read under the read lock.
+func (in *Interner) recorded(h *sharedAtts, id types.NodeID, proof []byte) *sharedAtts {
+	first := h.first.Load()
+	if first == nil {
+		return nil
 	}
+	if first.adds(id, proof) {
+		return first
+	}
+	in.mu.RLock()
+	next := findFork(h.forks[id], id, proof)
+	in.mu.RUnlock()
+	return next
+}
 
+// record resolves the transition state --Add(id, proof)--> successor under
+// the write lock, recording and cloning it unless another worker recorded
+// it since the caller's unlocked look. hit reports that it had.
+func (in *Interner) record(h *sharedAtts, id types.NodeID, proof []byte) (next *sharedAtts, hit bool) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	// Re-check: another worker may have recorded the transition since the
-	// unlocked look.
 	first := h.first.Load()
 	if first != nil {
 		if first.adds(id, proof) {
@@ -269,13 +272,24 @@ func (s *Set) CountsWith(o *Set) bool {
 
 // addInterned is Add in interned mode: a transition to the successor
 // state, shared with every other set that performed the same sequence.
+//
+// A recorded transition is tried first. The successor adding (id, proof)
+// out of a state exists only if some Add of id to that state found id
+// absent, so a hit is a valid Add without the duplicate scan; only a miss
+// pays the O(committee) scan before recording.
 func (s *Set) addInterned(id types.NodeID, proof []byte) bool {
+	table := s.in.table
+	if next := table.recorded(s.h, id, proof); next != nil {
+		s.in.hits.Add(1)
+		s.h = next
+		return true
+	}
 	for i := range s.h.atts {
 		if s.h.atts[i].ID == id {
 			return false
 		}
 	}
-	next, hit := s.in.table.advance(s.h, id, proof)
+	next, hit := table.record(s.h, id, proof)
 	if hit {
 		s.in.hits.Add(1)
 	}

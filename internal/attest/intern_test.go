@@ -2,6 +2,7 @@ package attest
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"unsafe"
@@ -234,7 +235,7 @@ func TestInternConcurrent(t *testing.T) {
 	}
 }
 
-// TestInternConcurrentForks races the locked half of advance: workers split
+// TestInternConcurrentForks races the locked record path: workers split
 // into two histories at the root, so first successors, fork records and hits
 // through the fork map all happen concurrently. Content and counters must
 // come out as a serial execution's would.
@@ -362,5 +363,116 @@ func TestBindAlongsideSharesTheHitBlock(t *testing.T) {
 	s.BindAlongside(&owned)
 	if s.Interned() || s.CountsWith(&owned) {
 		t.Errorf("a set bound alongside an owned set is interned")
+	}
+}
+
+// TestInternDuplicateFromRecordedState covers Add's recorded-transition
+// path at a state that already has a successor: a duplicate id — with its
+// own proof or another — must miss every recorded transition, fall through
+// to the duplicate scan, and be refused without moving the set or the
+// table's counters.
+func TestInternDuplicateFromRecordedState(t *testing.T) {
+	in := NewInterner()
+	var lead, follow Set
+	lead.Bind(in)
+	follow.Bind(in)
+	for _, id := range []types.NodeID{1, 2} {
+		lead.Add(id, proofFor(id))
+		follow.Add(id, proofFor(id))
+	}
+	lead.Add(3, proofFor(3)) // records {1,2} --(3)--> {1,2,3}
+	lead.Reset()
+	lead.Add(1, proofFor(1))
+	lead.Add(2, proofFor(2))
+	lead.Add(4, proofFor(4)) // and a fork {1,2} --(4)--> {1,2,4}
+	if follow.Count() != 2 || follow.h.first.Load() == nil || follow.h.forks == nil {
+		t.Fatalf("follower's state {1,2} should have a first successor and a fork")
+	}
+
+	before, state := in.Stats(), follow.h
+	for _, tc := range []struct {
+		id    types.NodeID
+		proof []byte
+	}{
+		{1, []byte("forged")},
+		{2, proofFor(2)},
+		{1, proofFor(3)}, // the recorded successor's proof under a present id
+	} {
+		if follow.Add(tc.id, tc.proof) {
+			t.Errorf("duplicate Add(%d, %q) accepted", tc.id, tc.proof)
+		}
+		if follow.h != state {
+			t.Fatalf("duplicate Add(%d, %q) moved the set", tc.id, tc.proof)
+		}
+	}
+	if st := in.Stats(); st != before {
+		t.Errorf("duplicate Adds changed the stats: %+v, was %+v", st, before)
+	}
+
+	// The recorded transitions themselves are hits and land on the
+	// recorded states.
+	if !follow.Add(4, proofFor(4)) || !follow.SharesStorageWith(&lead) {
+		t.Fatal("recorded fork not taken")
+	}
+	if st := in.Stats(); st.Hits != before.Hits+1 || st.States != before.States {
+		t.Errorf("fork hit: stats %+v, was %+v", st, before)
+	}
+}
+
+// TestInternRandomSequencesMatchOwned replays seeded random add sequences —
+// small id ranges so duplicates are common, two proofs per id so the same
+// id arrives with different proofs, resets in between — through sets that
+// mostly follow one shared history and sometimes diverge, each beside an
+// owned twin. Every Add's answer and every set's content must match the
+// twin's, and the counters must satisfy the table's accounting: one clone
+// per state, and every accepted Add either created a state or hit one.
+func TestInternRandomSequencesMatchOwned(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		in := NewInterner()
+		const sets = 5
+		owned, interned := make([]Set, sets), make([]Set, sets)
+		for i := range interned {
+			interned[i].Bind(in)
+		}
+		var accepted int64
+		for step := 0; step < 400; step++ {
+			if rng.Intn(40) == 0 {
+				for i := range interned {
+					owned[i].Reset()
+					interned[i].Reset()
+				}
+				continue
+			}
+			id := types.NodeID(rng.Intn(12))
+			proof := []byte(fmt.Sprintf("p%d-%d", id, rng.Intn(2)))
+			for i := range interned {
+				id, proof := id, proof
+				if rng.Intn(8) == 0 { // this set diverges on this step
+					id = types.NodeID(rng.Intn(12))
+					proof = []byte(fmt.Sprintf("p%d-%d", id, rng.Intn(2)))
+				}
+				gotO, gotI := owned[i].Add(id, proof), interned[i].Add(id, proof)
+				if gotO != gotI {
+					t.Fatalf("seed %d step %d set %d: Add(%d, %s) owned=%v interned=%v", seed, step, i, id, proof, gotO, gotI)
+				}
+				if gotI {
+					accepted++
+				}
+				ao, ai := owned[i].Attestations(), interned[i].Attestations()
+				if len(ao) != len(ai) {
+					t.Fatalf("seed %d step %d set %d: %d owned attestations, %d interned", seed, step, i, len(ao), len(ai))
+				}
+				for k := range ao {
+					if ao[k].ID != ai[k].ID || string(ao[k].Proof) != string(ai[k].Proof) {
+						t.Fatalf("seed %d step %d set %d: attestation %d differs: %v vs %v", seed, step, i, k, ao[k], ai[k])
+					}
+				}
+			}
+		}
+		st := in.Stats()
+		if st.Clones != st.States || st.Hits+int64(st.States) != accepted {
+			t.Errorf("seed %d: stats %+v for %d accepted Adds, want clones = states and hits + states = accepted", seed, st, accepted)
+		}
 	}
 }

@@ -147,7 +147,7 @@ type document struct {
 // Report prints rep as the -json document or the text report and fails
 // the command when a security property is violated. It describes the
 // config the run executed, with every default applied; the text header
-// names transport instead of the message schedule when it is not empty.
+// names transport after the message schedule when it is not empty.
 func (r *Run) Report(out io.Writer, rep *ccba.Report, transport string) error {
 	cfg, err := r.Config.Normalized()
 	if err != nil {
@@ -177,7 +177,7 @@ func (r *Run) Report(out io.Writer, rep *ccba.Report, transport string) error {
 	} else {
 		where := fmt.Sprintf("net=%s delta=%d", net, delta)
 		if transport != "" {
-			where = "transport=" + transport
+			where += " transport=" + transport
 		}
 		outputs := map[ccba.Bit]int{}
 		for _, id := range rep.ForeverHonest() {

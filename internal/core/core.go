@@ -8,6 +8,7 @@ import (
 	"ccba/internal/fmine"
 	"ccba/internal/netsim"
 	"ccba/internal/types"
+	"ccba/internal/wire"
 )
 
 // Domain separates this protocol's mining tags.
@@ -366,11 +367,57 @@ func (n *Node) slot(w *window, iter uint32) *[2]attest.Set {
 	return &s.sets
 }
 
+// Screen returns core's netsim.Config.Screen over verifier v: the tickets
+// check every ingest path opens with, which depends only on the delivery,
+// so the round engine can run it once per multicast instead of once per
+// recipient. What stays with each node is everything that depends on its
+// state: certificates (absorbCert, a terminate's commits), the proposal a
+// node follows, and the attestation sets.
+func Screen(v fmine.Verifier) netsim.Screen {
+	return func(from types.NodeID, msg wire.Message) bool { return tickets(v, from, msg) }
+}
+
+// tickets is the recipient-independent prefix of every ingest path: bit
+// validity, a nonzero iteration where the type has one, the sender's
+// eligibility ticket, and a vote's leader-proposal ticket. A terminate
+// message is judged by its commits alone (see ingestTerminate), so its
+// prefix checks only the fields. Messages of other protocols pass: core
+// ignores them anyway.
+func tickets(v fmine.Verifier, from types.NodeID, msg wire.Message) bool {
+	switch m := msg.(type) {
+	case StatusMsg:
+		return m.B.Valid() && v.Verify(StatusTag(m.Iter, m.B), from, m.Elig)
+	case ProposeMsg:
+		return m.B.Valid() && v.Verify(ProposeTag(m.Iter, m.B), from, m.Elig)
+	case VoteMsg:
+		// Votes after iteration 1 count only with a provably eligible
+		// leader's proposal for the same bit attached.
+		return m.B.Valid() && m.Iter != 0 &&
+			v.Verify(VoteTag(m.Iter, m.B), from, m.Elig) &&
+			(m.Iter == 1 || v.Verify(ProposeTag(m.Iter, m.B), m.Leader, m.LeaderElig))
+	case CommitMsg:
+		return m.B.Valid() && m.Iter != 0 && v.Verify(CommitTag(m.Iter, m.B), from, m.Elig)
+	case TerminateMsg:
+		return m.B.Valid() && m.Iter != 0
+	default:
+		return true
+	}
+}
+
+// ingest applies a round's deliveries, trusting the engine's screen verdict
+// where there is one and checking tickets itself everywhere else.
 func (n *Node) ingest(delivered []netsim.Delivered) {
 	for _, d := range delivered {
+		if pass, known := d.Screened(); known {
+			if !pass {
+				continue
+			}
+		} else if !tickets(n.verif, d.From, d.Msg) {
+			continue
+		}
 		switch m := d.Msg.(type) {
 		case StatusMsg:
-			n.ingestStatus(d.From, m)
+			n.absorbCert(m.Cert, m.B)
 		case ProposeMsg:
 			n.ingestPropose(d.From, m)
 		case VoteMsg:
@@ -383,23 +430,9 @@ func (n *Node) ingest(delivered []netsim.Delivered) {
 	}
 }
 
-func (n *Node) ingestStatus(from types.NodeID, m StatusMsg) {
-	if !m.B.Valid() {
-		return
-	}
-	if !n.verif.Verify(StatusTag(m.Iter, m.B), from, m.Elig) {
-		return
-	}
-	n.absorbCert(m.Cert, m.B)
-}
+// The ingest functions take messages that passed tickets.
 
 func (n *Node) ingestPropose(from types.NodeID, m ProposeMsg) {
-	if !m.B.Valid() {
-		return
-	}
-	if !n.verif.Verify(ProposeTag(m.Iter, m.B), from, m.Elig) {
-		return
-	}
 	if !n.absorbCert(m.Cert, m.B) {
 		return
 	}
@@ -423,17 +456,6 @@ func proposalLess(a, b *proposal) bool {
 }
 
 func (n *Node) ingestVote(from types.NodeID, m VoteMsg) {
-	if !m.B.Valid() || m.Iter == 0 {
-		return
-	}
-	if !n.verif.Verify(VoteTag(m.Iter, m.B), from, m.Elig) {
-		return
-	}
-	// Votes after iteration 1 count only with a provably eligible leader's
-	// proposal for the same bit attached.
-	if m.Iter > 1 && !n.verif.Verify(ProposeTag(m.Iter, m.B), m.Leader, m.LeaderElig) {
-		return
-	}
 	set := n.voteSet(m.Iter)
 	set[m.B].Add(from, m.Elig)
 	// ⌈λ/2⌉ votes for the same (iter, bit) form a certificate.
@@ -443,12 +465,6 @@ func (n *Node) ingestVote(from types.NodeID, m VoteMsg) {
 }
 
 func (n *Node) ingestCommit(from types.NodeID, m CommitMsg) {
-	if !m.B.Valid() || m.Iter == 0 {
-		return
-	}
-	if !n.verif.Verify(CommitTag(m.Iter, m.B), from, m.Elig) {
-		return
-	}
 	if m.Cert.Iter == m.Iter && m.Cert.Bit == m.B {
 		n.absorbCert(m.Cert, m.B)
 	}
@@ -460,7 +476,7 @@ func (n *Node) ingestCommit(from types.NodeID, m CommitMsg) {
 }
 
 func (n *Node) ingestTerminate(m TerminateMsg) {
-	if n.terminate != nil || !m.B.Valid() || m.Iter == 0 {
+	if n.terminate != nil {
 		return
 	}
 	// The relayed message must itself carry a valid terminate ticket? No:

@@ -31,7 +31,29 @@ type Node interface {
 // sender identity (the paper assumes authenticated channels throughout).
 type Delivered struct {
 	From types.NodeID
-	Msg  wire.Message
+	// screen is the round engine's Config.Screen verdict on a shared
+	// delivery (screenUnknown on everything else). It sits in the padding
+	// after From, so a Delivered stays the size of {From, Msg} on 64-bit
+	// platforms.
+	screen uint8
+	Msg    wire.Message
+}
+
+// Screen verdicts recorded in Delivered.screen.
+const (
+	screenUnknown uint8 = iota
+	screenPass
+	screenFail
+)
+
+// Screened returns the verdict of the run's Config.Screen on this delivery:
+// known reports that the engine screened it, pass what the screen answered.
+// Only shared lockstep deliveries are screened; a recipient checks
+// everything that comes back unknown itself — unicasts, a held multicast's
+// copy to its sender, the live cluster's and the event runtime's
+// deliveries, and literals built outside an engine.
+func (d Delivered) Screened() (pass, known bool) {
+	return d.screen == screenPass, d.screen != screenUnknown
 }
 
 // Send is an outgoing message. To is types.Broadcast for a multicast.

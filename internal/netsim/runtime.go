@@ -34,6 +34,15 @@ type Config struct {
 	// closed with ErrSparseAdversary instead of building that state for a
 	// caller who sized the run on its absence.
 	Sparse bool
+	// Screen, when non-nil, is the protocol's recipient-independent check
+	// of a delivery — the public ticket verification that every recipient
+	// of a multicast would otherwise repeat (DESIGN.md §6). Its answer must
+	// depend only on (from, msg), never on who receives it or when in the
+	// round it is asked. At the start of every round the engine runs it
+	// once per shared delivery, serially, and records the verdict in the
+	// Delivered every inbox aliases (Delivered.Screened); the shards only
+	// read it. Nil screens nothing: every node checks every delivery.
+	Screen Screen
 	// Tracer receives the round-lifecycle event stream (DESIGN.md §10):
 	// round starts, deliveries and sends with their Definitions 6–7 sizes,
 	// decide/halt transitions, watermark marks, and injected link faults.
@@ -44,6 +53,10 @@ type Config struct {
 	// shards emit in parallel).
 	Tracer obs.Tracer
 }
+
+// Screen is a protocol's recipient-independent check of one delivery; see
+// Config.Screen.
+type Screen func(from types.NodeID, msg wire.Message) bool
 
 // ErrSparseAdversary is NewRuntime's refusal of Config.Sparse.
 var ErrSparseAdversary = errors.New("netsim: Sparse requires a passive adversary (any other needs per-node corruption state)")
@@ -306,8 +319,12 @@ func (rt *Runtime) stepRound(round int) (done bool) {
 	}
 
 	// 1. So-far-honest, non-halted nodes produce their sends for this round,
-	// shard by shard.
+	// shard by shard, after the round's shared deliveries are screened once
+	// for all of them.
 	rt.curRound, rt.cur = round, round%len(rt.ring)
+	if rt.cfg.Screen != nil {
+		rt.screen(rt.slotAt(0).shared)
+	}
 	if rt.pool != nil {
 		for k := range rt.shards {
 			rt.pool.Do(k)
@@ -422,6 +439,18 @@ func (rt *Runtime) stepShard(k int) {
 		}
 		if !halted {
 			sh.done = false
+		}
+	}
+}
+
+// screen records Config.Screen's verdict on each shared delivery of the
+// round, before any shard reads them.
+func (rt *Runtime) screen(shared []Delivered) {
+	for i := range shared {
+		d := &shared[i]
+		d.screen = screenFail
+		if rt.cfg.Screen(d.From, d.Msg) {
+			d.screen = screenPass
 		}
 	}
 }

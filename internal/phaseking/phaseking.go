@@ -8,6 +8,7 @@ import (
 	"ccba/internal/fmine"
 	"ccba/internal/netsim"
 	"ccba/internal/types"
+	"ccba/internal/wire"
 )
 
 // Domain is the F_mine tag domain for this protocol.
@@ -215,19 +216,50 @@ func (n *Node) collectProposals(epoch uint32, delivered []netsim.Delivered) {
 		if !ok || m.Epoch != epoch || !m.B.Valid() {
 			continue
 		}
-		if !n.validProposal(epoch, d.From, m) {
+		if !n.validProposal(epoch, d) {
 			continue
 		}
 		n.proposals[m.B] = true
 	}
 }
 
-func (n *Node) validProposal(epoch uint32, from types.NodeID, m ProposeMsg) bool {
+func (n *Node) validProposal(epoch uint32, d netsim.Delivered) bool {
 	if n.cfg.Sampled {
-		tag := fmine.Tag{Domain: Domain, Type: TagPropose, Iter: epoch, Bit: m.B}
-		return n.verif.Verify(tag, from, m.Elig)
+		return n.ticketOK(d)
 	}
-	return int(from) == int(epoch)%n.cfg.N
+	return int(d.From) == int(epoch)%n.cfg.N
+}
+
+// ticketOK reports whether a sampled-mode delivery carries a valid ticket,
+// taking the engine's screen verdict where there is one. Callers have
+// matched the message's epoch to their own, so the tag tickets checks is
+// the one the node expects.
+func (n *Node) ticketOK(d netsim.Delivered) bool {
+	if pass, known := d.Screened(); known {
+		return pass
+	}
+	return tickets(n.verif, d.From, d.Msg)
+}
+
+// Screen returns the sampled variant's netsim.Config.Screen over verifier
+// v: the Propose and Ack ticket checks, which depend only on the delivery,
+// so the round engine runs them once per multicast instead of once per
+// recipient (DESIGN.md §6). The plain variant has no tickets to screen.
+func Screen(v fmine.Verifier) netsim.Screen {
+	return func(from types.NodeID, msg wire.Message) bool { return tickets(v, from, msg) }
+}
+
+// tickets checks a sampled-mode message's bit and eligibility ticket for the
+// epoch it names. Messages of other protocols pass: the node ignores them.
+func tickets(v fmine.Verifier, from types.NodeID, msg wire.Message) bool {
+	switch m := msg.(type) {
+	case ProposeMsg:
+		return m.B.Valid() && v.Verify(fmine.Tag{Domain: Domain, Type: TagPropose, Iter: m.Epoch, Bit: m.B}, from, m.Elig)
+	case AckMsg:
+		return m.B.Valid() && v.Verify(fmine.Tag{Domain: Domain, Type: TagAck, Iter: m.Epoch, Bit: m.B}, from, m.Elig)
+	default:
+		return true
+	}
 }
 
 // ack runs step 2 of the epoch: choose b* and (conditionally) multicast an
@@ -274,11 +306,8 @@ func (n *Node) tally(epoch uint32, delivered []netsim.Delivered) {
 		if !ok || m.Epoch != epoch || !m.B.Valid() {
 			continue
 		}
-		if n.cfg.Sampled {
-			tag := fmine.Tag{Domain: Domain, Type: TagAck, Iter: epoch, Bit: m.B}
-			if !n.verif.Verify(tag, d.From, m.Elig) {
-				continue
-			}
+		if n.cfg.Sampled && !n.ticketOK(d) {
+			continue
 		}
 		n.acks[m.B].Add(d.From, m.Elig)
 	}

@@ -111,6 +111,7 @@ func init() {
 	RegisterProtocol(Core, func(cfg Config) ([]netsim.Node, func(types.NodeID) any, int, error) {
 		suite := newSuite(cfg, core.Probabilities(cfg.N, cfg.Lambda), nil, nil)
 		ccfg := core.Config{N: cfg.N, F: cfg.F, Lambda: cfg.Lambda, MaxIters: cfg.MaxIters, Suite: suite, Lockstep: cfg.run.lockstep, Intern: newInterner(cfg)}
+		cfg.offerScreen(core.Screen(suite.Verifier()))
 		nodes, err := core.NewNodes(ccfg, cfg.Inputs)
 		return nodes, func(id types.NodeID) any { return suite.Miner(id) }, ccfg.Rounds(), err
 	})
@@ -118,6 +119,7 @@ func init() {
 	RegisterProtocol(CoreBroadcast, func(cfg Config) ([]netsim.Node, func(types.NodeID) any, int, error) {
 		suite := newSuite(cfg, core.Probabilities(cfg.N, cfg.Lambda), nil, nil)
 		ccfg := core.Config{N: cfg.N, F: cfg.F, Lambda: cfg.Lambda, MaxIters: cfg.MaxIters, Suite: suite, Lockstep: cfg.run.lockstep, Intern: newInterner(cfg)}
+		cfg.offerScreen(core.Screen(suite.Verifier()))
 		nodes, err := broadcast.NewNodes(cfg.N, cfg.Sender, cfg.SenderInput,
 			func(id types.NodeID, input types.Bit) (netsim.Node, error) { return core.New(ccfg, id, input) })
 		return nodes, func(id types.NodeID) any { return suite.Miner(id) }, ccfg.Rounds() + 1, err
@@ -145,6 +147,7 @@ func init() {
 			N: cfg.N, Epochs: cfg.Epochs, Sampled: true, Lambda: cfg.Lambda,
 			Suite: suite, CoinSeed: cfg.Seed, Intern: newInterner(cfg),
 		}
+		cfg.offerScreen(phaseking.Screen(suite.Verifier()))
 		nodes, err := phaseking.NewNodes(pcfg, cfg.Inputs)
 		return nodes, func(id types.NodeID) any { return suite.Miner(id) }, pcfg.Rounds() + 1, err
 	})

@@ -238,6 +238,18 @@ type execution struct {
 	interner *attest.Interner
 	// lockstep is core.Config.Lockstep, derived by lockstepRun.
 	lockstep bool
+	// screen is where a builder leaves the protocol's netsim.Config.Screen
+	// (offerScreen) for RunCtx to hand the engine; nil outside RunCtx.
+	screen *netsim.Screen
+}
+
+// offerScreen hands RunCtx the protocol's screen for netsim.Config.Screen.
+// A Build outside RunCtx has no engine to hand it to; its nodes check every
+// ticket themselves.
+func (c *Config) offerScreen(s netsim.Screen) {
+	if c.run.screen != nil {
+		*c.run.screen = s
+	}
 }
 
 // validate rejects configurations the simulator cannot execute

@@ -63,6 +63,8 @@ func RunCtx(ctx context.Context, cfg Config) (*Report, error) {
 		cfg.run.interner = attest.NewInterner()
 	}
 	cfg.run.lockstep = lockstepRun(cfg, net)
+	var screen netsim.Screen
+	cfg.run.screen = &screen
 	nodes, seize, steps, err := build(cfg)
 	if err != nil {
 		return nil, err
@@ -74,6 +76,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Report, error) {
 	rt, err := netsim.NewRuntime(netsim.Config{
 		N: cfg.N, F: cfg.F, MaxRounds: maxRounds,
 		Seize:  seize,
+		Screen: screen,
 		Net:    net,
 		Sparse: cfg.Sparse,
 		Tracer: cfg.Tracer,
