@@ -122,6 +122,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-n", "20", "-f", "5", "-net", "chaos", "-crash-from", "-5", "-crash-rounds", "3"},
 		{"-n", "20", "-f", "5", "-net", "omission", "-crash-rounds", "3"}, // crash windows need -net chaos
 		{"-n", "20", "-f", "5", "-net", "delta", "-delta", "2", "-partition-rounds", "2"},
+		{"-n", "20", "-f", "5", "-net", "chaos", "-partition-rounds", "2"},   // a partition at Δ = 1 holds nothing
+		{"-n", "20", "-f", "0", "-net", "omission", "-omission-rate", "0.2"}, // no faulty sender to drop from
 	}
 	for _, args := range cases {
 		if err := run(args, io.Discard); err == nil {

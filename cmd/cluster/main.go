@@ -20,21 +20,22 @@
 //	cluster -transport tcp -crypto real -node 0 -peers 127.0.0.1:7701,127.0.0.1:7702,127.0.0.1:7703,127.0.0.1:7704
 //	cluster -scenario quadratic-n49
 //	cluster -scenario core-omission-n200 -json
-//	cluster -scenario core-chaos-n32 -round-interval 2ms -reorder 0.3 -json
+//	cluster -scenario core-chaos-n32 -json
 //	cluster -scenarios
 //	cluster -n 24 -f 7 -lambda 8 -net chaos -omission-rate 0.25 -json
 //	cluster -n 24 -f 7 -lambda 8 -net chaos -crash-from 2 -crash-rounds 4
-//	cluster -n 16 -f 4 -net chaos -delta 2 -round-interval 2ms -omission-rate 0.2 -reorder 0.3
+//	cluster -n 16 -f 4 -net chaos -delta 2 -omission-rate 0.2 -partition-rounds 4
 //
 // The network flags (-net, -delta, -omission-rate, -faulty,
 // -partition-rounds, -crash-from, -crash-rounds) mean what they mean to
-// cmd/ba: they declare the config's network model, and the cluster injects
-// its schedule below the protocol surface — drops and crash windows on
-// seed-chosen faulty senders, delays held -round-interval per round within
-// the Δ bound (DESIGN.md §7). At Δ = 1 a run prints the same bytes as
-// cmd/ba; the E14 experiment cross-validates the two runtimes. -reorder is
-// the one live-only fault: a coin that holds a data frame past its sync
-// marker (Δ ≥ 2, with -round-interval).
+// cmd/ba: they declare the config's network model, and every node applies
+// its schedule in its own round loop — a frame the model delays d rounds
+// is delivered d rounds after it was sent, drops and crash windows hit
+// only seed-chosen faulty senders (DESIGN.md §7). On the all-ack barrier
+// (no -round-interval) a run prints the same bytes as cmd/ba under every
+// model and Δ, -trace included; the E14 experiment cross-validates the two
+// runtimes. -round-interval arms a soft per-round deadline; when a node
+// advances, and so the run, then depends on timing.
 //
 // The multi-process form (-node) runs the Appendix D compiler's real
 // crypto for the committee-sampled protocols: the hybrid world's F_mine
@@ -69,7 +70,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		transportName, peers, obsAddr          string
 		node                                   int
 		roundTimeout, roundInterval, obsLinger time.Duration
-		reorder                                float64
 	)
 	r, err := cli.Parse("cluster", args, out, func(fs *flag.FlagSet, sc *ccba.Scenario) {
 		fs.StringVar(&transportName, "transport", "chan", "transport: chan (in-process channels) or tcp (length-prefixed framing)")
@@ -78,8 +78,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		fs.DurationVar(&roundTimeout, "round-timeout", 30*time.Second, "per-round barrier timeout for tcp (chan runs never need one)")
 		fs.StringVar(&obsAddr, "obs-addr", "", "serve live telemetry on this host:port — /debug/vars (expvar, the \"ccba\" var) and /debug/pprof; port 0 picks a free one")
 		fs.DurationVar(&obsLinger, "obs-linger", 0, "keep the -obs-addr endpoint alive this long after the run, so scrapers (CI smoke jobs) can read final counters")
-		fs.DurationVar(&roundInterval, "round-interval", 0, "soft per-round deadline, and the wall-clock round a network-model delay is held for; without it only drops and crash windows are injected")
-		fs.Float64Var(&reorder, "reorder", 0, "probability a data frame is held back about one round past its sync marker (needs Δ ≥ 2 and -round-interval)")
+		fs.DurationVar(&roundInterval, "round-interval", 0, "soft per-round deadline: a node advances once all n sync markers are in or the interval has elapsed (0 = pure all-ack barrier)")
 	})
 	if r == nil {
 		return err
@@ -89,7 +88,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	cfg := r.Config
 
-	opts := cluster.Options{RoundInterval: roundInterval, Reorder: reorder}
+	opts := cluster.Options{RoundInterval: roundInterval}
 	if transportName == "tcp" {
 		opts.RoundTimeout = roundTimeout
 	}

@@ -177,8 +177,9 @@ func TestRejections(t *testing.T) {
 		{"-n", "20", "-f", "5", "-net", "chaos", "-crash-from", "-5", "-crash-rounds", "3"},
 		{"-n", "20", "-f", "5", "-crash-rounds", "3"},
 		{"-n", "20", "-f", "5", "-delta", "2"},
-		{"-n", "20", "-f", "5", "-reorder", "0.3", "-round-interval", "2ms"},                                // delta-one has Δ = 1
-		{"-n", "20", "-f", "5", "-net", "chaos", "-delta", "2", "-omission-rate", "0.2", "-reorder", "0.3"}, // no round interval
+		{"-n", "20", "-f", "5", "-net", "chaos", "-partition-rounds", "2"},         // a partition at Δ = 1 holds nothing
+		{"-n", "20", "-f", "0", "-net", "omission", "-omission-rate", "0.2"},       // no faulty sender to drop from
+		{"-n", "20", "-f", "5", "-net", "chaos", "-delta", "2", "-reorder", "0.3"}, // -reorder is gone: jitter draws what it did
 	}
 	for _, args := range cases {
 		if err := run(context.Background(), args, io.Discard); err == nil {

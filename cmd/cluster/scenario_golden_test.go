@@ -19,15 +19,14 @@ var scenarioGoldens = []struct {
 	want string
 }{
 	{"committee-n64", "7e1fb217c8e3a62ae6ff13b8812f023098a2e237e24a56962c18e72fa4b6de2d"},
-	{"core-chaos-n32", "858c535201aea019541bf8d1e38248845f9828ce50d02d32324a95d04a98c63c"},
-	// The net-model rows run: with no round interval only drops reach a
-	// live run, so the Δ = 3 models deliver on the all-ack barrier, and
-	// omission prints cmd/ba's bytes.
-	{"core-delta3-n200", "d8383ace8f86c1f192805bef2ab3eaa9f2661bd9ce61572dc6d8d8b16862e85a"},
-	{"core-jitter3-n200", "d1d58572cf9d68f4a70040c7287eb86b534f91a26b99b15029e2ff69b483f81a"},
+	{"core-chaos-n32", "96861b0aaca39d3dddcb3cbf1e7bcadd0c5f40c0298fa1670c216c013928a0da"},
+	// Every row is cmd/ba's digest of the same scenario: the network
+	// model's delays, drops and partitions run live as simulated.
+	{"core-delta3-n200", "934d47efbe4d878de98be3638980187aeaebe0e2ac5894f4d856b47ee0abfee9"},
+	{"core-jitter3-n200", "b0883912c7440495d4e8457d1ed06b49bdf96f9f795d9a04c6626ad6d4f63bcb"},
 	{"core-n200", "9ef2807378a30e8337364b3b477e5f38c889c95ede366b63c56896a67fa31d7f"},
 	{"core-omission-n200", "6b9f20cab777926cf1577f51b840b26cd4dc7ed052af4f98eadc1cfb47866fdd"},
-	{"core-partition-n200", "72b7dad0110c54d1f57a65fca95694c9c48c25c420cf6d71acce8b2dbeac77c2"},
+	{"core-partition-n200", "a75a222b75e144dfef94e9ef7716e33d3831862d4d361e7fd79316411359fff7"},
 	{"core-real-n200", "eee149761dc0aa06d86ce302d804f4331e6a2b73e1b8efcc04f046c3e61dd45f"},
 	{"core-sparse-n100k", "9931bade33127c1224cf8c074c01342a4ea2729c0f8a5e405dc703be96cfa33a"},
 	{"dolevstrong-n48", "bd1b43829a13ef9dbfdc9e75e5b03e54cc4c0197ef89aa0dd128cc19c10eaa81"},

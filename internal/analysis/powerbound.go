@@ -6,13 +6,13 @@ import (
 	"strings"
 )
 
-// Powerbound polices the adversary's power boundary in the chaos layer.
+// Powerbound polices the adversary's power boundary in live fault code.
 // Both runtimes decide the network's faults through one schedule,
 // netsim.Faults.Decide, whose seeded coins netsim.LinkDrop and
 // netsim.LinkDelay the simulator power-checks (≤F faulty senders, honest
-// links delivered within Δ). Live fault injection calls the same Decide —
-// that is what makes a Δ=1 chaos run bit-identical to the simulated
-// schedule — so:
+// links delivered within Δ). A live recipient applies the same Decide to
+// every frame — that is what makes a live run of any model bit-identical
+// to the simulated schedule — so:
 //
 //   - netsim.LinkDrop and netsim.LinkDelay may only be called from netsim
 //     itself; any other package flipping the coins directly would grant
@@ -20,9 +20,8 @@ import (
 //   - chaos code (files named *chaos*.go in transport/cluster) may not
 //     reach for raw fault mechanisms: no channel sends or closes, no
 //     direct net connections, no wall-clock reads or math/rand — every
-//     drop, delay, and reorder decision must derive from the spec's
-//     schedule and seed and flow through the wrapped Transport
-//     (DESIGN.md §7–§8).
+//     drop and delay must be a number of rounds derived from the config's
+//     schedule and seed, applied in the round loop (DESIGN.md §7–§8).
 var Powerbound = &Analyzer{
 	Name:      "powerbound",
 	Directive: "power-ok",
@@ -48,9 +47,9 @@ func runPowerbound(p *Pass) {
 			for _, imp := range f.Imports {
 				switch importPath(imp) {
 				case "net":
-					p.Reportf(imp.Pos(), "chaos code imports net: faults are injected by wrapping the Transport, never by touching connections")
+					p.Reportf(imp.Pos(), "chaos code imports net: faults are rounds the schedule returns, never touched connections")
 				case "math/rand", "math/rand/v2":
-					p.Reportf(imp.Pos(), "chaos code imports %s: fault decisions must come from the spec's schedule (netsim.Faults.Decide) and seed (netsim.Mix64)", importPath(imp))
+					p.Reportf(imp.Pos(), "chaos code imports %s: fault decisions must come from the config's schedule (netsim.Faults.Decide) and seed (netsim.Mix64)", importPath(imp))
 				}
 			}
 		}
@@ -65,14 +64,14 @@ func runPowerbound(p *Pass) {
 					return true
 				}
 				if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && id.Name == "close" && len(n.Args) == 1 {
-					p.Reportf(n.Pos(), "chaos code closes a channel: crash faults are omission windows over the wrapped Transport, not torn-down plumbing")
+					p.Reportf(n.Pos(), "chaos code closes a channel: crash faults are omission windows in the schedule, not torn-down plumbing")
 				}
 				if isPkgLevelOf(fn, "time") && (fn.Name() == "Now" || fn.Name() == "Since" || fn.Name() == "Until") {
 					p.Reportf(n.Pos(), "chaos code reads the wall clock via time.%s: fault decisions must be a pure function of (seed, round, from, to)", fn.Name())
 				}
 			case *ast.SendStmt:
 				if inChaos {
-					p.Reportf(n.Pos(), "raw channel send in chaos code: deliver through the wrapped Transport so the power checks stay in the path")
+					p.Reportf(n.Pos(), "raw channel send in chaos code: deliver through the round loop so the power checks stay in the path")
 				}
 			}
 			return true

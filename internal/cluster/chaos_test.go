@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand/v2"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"ccba/internal/obs"
 	"ccba/internal/scenario"
 	"ccba/internal/transport"
+	"ccba/internal/types"
 )
 
 // chaosBase is the n = 24 core config the Δ = 1 cross-validations run.
@@ -75,80 +77,136 @@ func TestChaosLiveMatchesOmissionScenario(t *testing.T) {
 	assertSameExecution(t, runChan(t, cfg, Options{}), sim)
 }
 
+// netModelCases declares every network model the equivalence runs: the
+// classic models, and the chaos composite's faults alone and together.
+// delta-one runs at Δ = 1 only, and a partition needs Δ ≥ 2 to hold
+// anything.
+var netModelCases = []struct {
+	name  string
+	set   func(*scenario.Config)
+	delta []int
+}{
+	{"delta-one", func(c *scenario.Config) {}, []int{1}},
+	{"delta", func(c *scenario.Config) { c.Net = scenario.NetWorstCase }, []int{1, 2, 3}},
+	{"jitter", func(c *scenario.Config) { c.Net = scenario.NetJitter }, []int{1, 2, 3}},
+	{"omission", func(c *scenario.Config) { c.Net, c.OmissionRate = scenario.NetOmission, 0.25 }, []int{1, 2, 3}},
+	{"partition", func(c *scenario.Config) { c.Net = scenario.NetPartition }, []int{1, 2, 3}},
+	{"chaos-drop", func(c *scenario.Config) { c.Net, c.OmissionRate = scenario.NetChaos, 0.3 }, []int{1, 2, 3}},
+	{"chaos-crash", func(c *scenario.Config) { c.Net, c.CrashFrom, c.CrashRounds = scenario.NetChaos, 1, 3 }, []int{1, 2, 3}},
+	{"chaos-drop-crash", func(c *scenario.Config) {
+		c.Net, c.OmissionRate, c.CrashFrom, c.CrashRounds = scenario.NetChaos, 0.3, 1, 3
+	}, []int{1, 2, 3}},
+	{"chaos-all", func(c *scenario.Config) {
+		c.Net, c.OmissionRate, c.CrashFrom, c.CrashRounds, c.PartitionRounds = scenario.NetChaos, 0.3, 1, 3, 4
+	}, []int{2, 3}},
+}
+
 // TestNetModelsLiveMatchSim runs one config through scenario.Run and
-// through cluster.Run over chan at Δ = 1 for every model that drops: the
-// Result and the canonical trace must be identical.
+// through cluster.Run on the all-ack barrier, for every network model at
+// Δ ∈ {1, 2, 3} over chan and for the chaos composite over a 4-node
+// loopback TCP mesh: the Result and the canonical trace must be identical.
+// A live node files each frame for the round the simulator delivers it in,
+// so delays, drops and partitions reach both runtimes alike.
 func TestNetModelsLiveMatchSim(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		set  func(*scenario.Config)
-	}{
-		{"omission", func(c *scenario.Config) { c.Net, c.OmissionRate = scenario.NetOmission, 0.25 }},
-		{"chaos-drop", func(c *scenario.Config) { c.Net, c.OmissionRate = scenario.NetChaos, 0.3 }},
-		{"chaos-crash", func(c *scenario.Config) { c.Net, c.CrashFrom, c.CrashRounds = scenario.NetChaos, 1, 3 }},
-		{"chaos-drop-crash", func(c *scenario.Config) {
-			c.Net, c.OmissionRate, c.CrashFrom, c.CrashRounds = scenario.NetChaos, 0.3, 1, 3
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := chaosBase
-			tc.set(&cfg)
-			cfg.Seed[0] = 9
-			simRec := obs.NewRecorder(0)
-			cfg.Tracer = simRec
-			sim, err := scenario.Run(cfg)
+	for _, tc := range netModelCases {
+		for _, delta := range tc.delta {
+			name := tc.name
+			if delta > 1 {
+				name = fmt.Sprintf("%s-delta%d", tc.name, delta)
+			}
+			t.Run(name, func(t *testing.T) {
+				cfg := chaosBase
+				tc.set(&cfg)
+				if delta > 1 {
+					cfg.Delta = delta
+				}
+				cfg.Seed[0] = 9
+				assertLiveTraceMatchesSim(t, cfg, func(opts Options) *Report { return runChan(t, cfg, opts) })
+			})
+		}
+	}
+	t.Run("tcp-chaos-all-delta2", func(t *testing.T) {
+		cfg := scenario.Config{Protocol: scenario.Core, N: 4, F: 1, Lambda: 3, MaxIters: 12,
+			Net: scenario.NetChaos, Delta: 2, OmissionRate: 0.4, CrashFrom: 1, CrashRounds: 2, PartitionRounds: 3}
+		cfg.Seed[0] = 7
+		assertLiveTraceMatchesSim(t, cfg, func(opts Options) *Report {
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			netw, err := transport.NewTCPNetwork(ctx, transport.LoopbackAddrs(cfg.N), transport.TCPOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			liveRec := obs.NewRecorder(0)
-			cfg.Tracer = nil
-			live := runChan(t, cfg, Options{Tracer: liveRec})
-			assertSameResult(t, live, sim)
-			var simTrace, liveTrace bytes.Buffer
-			if err := simRec.WriteJSONL(&simTrace); err != nil {
+			defer netw.Close()
+			opts.RoundTimeout = 30 * time.Second
+			live, err := Run(ctx, cfg, netw, opts)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if err := liveRec.WriteJSONL(&liveTrace); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(simTrace.Bytes(), liveTrace.Bytes()) {
-				t.Errorf("canonical traces differ: sim %d bytes, live %d bytes", simTrace.Len(), liveTrace.Len())
-			}
+			return live
 		})
+	})
+}
+
+// assertLiveTraceMatchesSim runs cfg on the simulator and through live
+// (which runs it with the given options) with a trace recorder each, and
+// requires equal Results and byte-identical canonical traces.
+func assertLiveTraceMatchesSim(t *testing.T, cfg scenario.Config, live func(Options) *Report) {
+	t.Helper()
+	simRec := obs.NewRecorder(0)
+	cfg.Tracer = simRec
+	sim, err := scenario.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	liveRec := obs.NewRecorder(0)
+	assertSameResult(t, live(Options{Tracer: liveRec}), sim)
+	var simTrace, liveTrace bytes.Buffer
+	if err := simRec.WriteJSONL(&simTrace); err != nil {
+		t.Fatal(err)
+	}
+	if err := liveRec.WriteJSONL(&liveTrace); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(simTrace.Bytes(), liveTrace.Bytes()) {
+		t.Errorf("canonical traces differ: sim %d bytes, live %d bytes", simTrace.Len(), liveTrace.Len())
 	}
 }
 
-// TestChaosDeltaTwoSafety runs the full chaos menu — drops, deterministic
-// delays, reorders, and a timed partition — under the Δ=2 synchronizer on
-// the chan mesh. Schedules no longer match the simulator round for round
-// (real-time delays have no lockstep counterpart), so the claim is the
-// paper's: agreement and validity hold under any Δ-respecting schedule.
+// TestChaosDeltaTwoSafety runs the full chaos menu — drops, per-link
+// jitter, and a timed partition — under Δ = 2 on the chan mesh. On the
+// all-ack barrier each seed is the simulator's execution exactly. One run
+// advances on a soft round deadline instead, where which round a frame
+// lands in depends on timing (never earlier than its delay, never later
+// than Δ past the watermark); there the claim is the paper's alone:
+// agreement and validity hold under any Δ-respecting schedule.
 func TestChaosDeltaTwoSafety(t *testing.T) {
 	cfg := scenario.Config{Protocol: scenario.Core, N: 16, F: 4, Lambda: 8, MaxIters: 12,
 		Net: scenario.NetChaos, Delta: 2, OmissionRate: 0.2, PartitionRounds: 4}
-	opts := Options{RoundInterval: 3 * time.Millisecond, RoundTimeout: 30 * time.Second, Reorder: 0.3}
 	for seed := byte(1); seed <= 5; seed++ {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			cfg := cfg
 			cfg.Seed[0] = seed
-			live := runChan(t, cfg, opts)
-			if live.Consistency != nil || live.Validity != nil {
-				t.Fatalf("safety violated: consistency=%v validity=%v", live.Consistency, live.Validity)
-			}
 			sim, err := scenario.Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if sim.Consistency != nil || sim.Validity != nil {
-				t.Fatalf("simulated safety violated: consistency=%v validity=%v", sim.Consistency, sim.Validity)
-			}
+			assertSameResult(t, runChan(t, cfg, Options{}), sim)
 		})
 	}
+	t.Run("round-interval", func(t *testing.T) {
+		cfg := cfg
+		cfg.Seed[0] = 1
+		live := runChan(t, cfg, Options{RoundInterval: 3 * time.Millisecond, RoundTimeout: 30 * time.Second})
+		if live.Consistency != nil || live.Validity != nil {
+			t.Fatalf("safety violated: consistency=%v validity=%v", live.Consistency, live.Validity)
+		}
+	})
 }
 
-// TestChaosOverTCPCluster drives a chaos schedule over real sockets: a
-// 4-node TCP mesh with Δ=2 delays and reorders injected below the framing
-// layer. Safety must hold and the run must complete.
+// TestChaosOverTCPCluster drives a chaos schedule over real sockets on the
+// soft round deadline: a 4-node TCP mesh with Δ=2 delays and drops, nodes
+// advancing on a timer as a deployed mesh would. Safety must hold and the
+// run must complete.
 func TestChaosOverTCPCluster(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -160,7 +218,7 @@ func TestChaosOverTCPCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer netw.Close()
-	opts := Options{RoundInterval: 5 * time.Millisecond, RoundTimeout: 30 * time.Second, Reorder: 0.3}
+	opts := Options{RoundInterval: 5 * time.Millisecond, RoundTimeout: 30 * time.Second}
 	live, err := Run(ctx, cfg, netw, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -170,33 +228,164 @@ func TestChaosOverTCPCluster(t *testing.T) {
 	}
 }
 
-// TestChaosDelaysScaleWithInterval: prepare hands the injection layer the
-// config's one lowering — the chaos Δ with its jitter spread and the
-// partition at N/2 — and the synchronizer's interval, which turns the
-// schedule's round delays into holds (the transport tests pin the holds).
-func TestChaosDelaysScaleWithInterval(t *testing.T) {
-	cfg := scenario.Config{Protocol: scenario.Core, N: 16, F: 4, Lambda: 8, Net: scenario.NetChaos, Delta: 3, PartitionRounds: 2}
-	p, err := prepare(cfg, Options{RoundInterval: 10 * time.Millisecond})
+// TestChaosDelaysAreRounds: prepare keeps the config's one lowering — the
+// chaos Δ with its jitter spread, the partition at N/2 and the faulty mask
+// — and nothing of the synchronizer's interval, since a delay is a number
+// of rounds; delta-one keeps no model at all.
+func TestChaosDelaysAreRounds(t *testing.T) {
+	cfg := scenario.Config{Protocol: scenario.Core, N: 16, F: 4, Lambda: 8, Net: scenario.NetChaos, Delta: 3,
+		OmissionRate: 0.3, PartitionRounds: 2}
+	p, err := prepare(cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := p.chaos
-	if spec.Interval != 10*time.Millisecond || spec.Faults.Delta != 3 || spec.Faults.Spread != netsim.SpreadJitter {
-		t.Fatalf("spec (interval %v, Δ %d, spread %d), want (10ms, 3, jitter)", spec.Interval, spec.Faults.Delta, spec.Faults.Spread)
+	timed, err := prepare(cfg, Options{RoundInterval: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if fs := spec.Faults; int(fs.Cut) != cfg.N/2 || fs.CutFrom != 0 || fs.CutUntil != 2 {
+	l := p.links
+	if !reflect.DeepEqual(l, timed.links) {
+		t.Fatalf("the round interval changed the network model: %+v vs %+v", l, timed.links)
+	}
+	if l.delta != 3 || l.faults.Spread != netsim.SpreadJitter || p.opts.Delta != 3 {
+		t.Fatalf("model (Δ %d, spread %d, synchronizer Δ %d), want (3, jitter, 3)", l.delta, l.faults.Spread, p.opts.Delta)
+	}
+	if fs := l.faults; int(fs.Cut) != cfg.N/2 || fs.CutFrom != 0 || fs.CutUntil != 2 {
 		t.Fatalf("partition (%d, [%d, %d)), want cut 8 rounds [0, 2)", fs.Cut, fs.CutFrom, fs.CutUntil)
 	}
-	if p.opts.Delta != 3 {
-		t.Fatalf("synchronizer Δ %d, want the config's 3", p.opts.Delta)
+	if !reflect.DeepEqual(l.faulty, l.faults.Faulty) {
+		t.Fatalf("faulty mask %v, lowering's %v", l.faulty, l.faults.Faulty)
+	}
+	if lockstep, err := prepare(chaosBase, Options{}); err != nil || lockstep.links != nil {
+		t.Fatalf("delta-one plan keeps a network model: %+v, %v", lockstep.links, err)
 	}
 }
 
-// TestChaosOptionGuards pins the configuration errors that keep injected
-// runs honest: time-based injection without a soft round deadline would
-// stall the all-ack barrier, a synchronizer budgeted below the model's Δ
-// would let injected delays outrun the buffer, and the injection layer's
-// live-only rules hold for every model, delta-one included.
+// TestChaosDropMatchesSimulatorDecision checks the recipient's rule link by
+// link against Decide across rate drops, a crash window, a partition hold
+// and Δ = 3 jitter: a faulty sender's dropped link is lost, any other delay
+// is Decide's clamped to [1, Δ], and a self-link takes one round. The
+// sender's trace carries one fault event per dropped link, with Decide's
+// kind, numbered per (round, sender) in (send, recipient) order.
+func TestChaosDropMatchesSimulatorDecision(t *testing.T) {
+	cfg := scenario.Config{Protocol: scenario.Core, N: 16, F: 4, Lambda: 8, Net: scenario.NetChaos, Delta: 3,
+		OmissionRate: 0.3, CrashFrom: 5, CrashRounds: 7, PartitionRounds: 10}
+	cfg.Seed[0] = 7
+	p, err := prepare(cfg, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := p.links
+	rec := obs.NewRecorder(0)
+	sink := obs.NewSink(rec)
+	seen := map[string]int{}
+	for r := 0; r < 24; r++ {
+		for from := types.NodeID(0); int(from) < cfg.N; from++ {
+			// Two multicasts and a unicast to node 3 per sender and round.
+			seq := 0
+			for _, to := range []types.NodeID{types.Broadcast, types.Broadcast, 3} {
+				l.traceDrops(sink, r, from, to, cfg.N, &seq)
+			}
+			for to := types.NodeID(0); int(to) < cfg.N; to++ {
+				got := l.delay(r, from, to)
+				d, kind := l.faults.Decide(r, from, to)
+				var want int
+				switch {
+				case from == to:
+					want = 1
+				case d == netsim.Drop && l.faulty[from]:
+					want = 0
+					seen[kind.String()]++
+				case d == netsim.Drop:
+					t.Fatalf("round %d: Decide drops honest sender %d's link to %d", r, from, to)
+				default:
+					want = min(max(d, 1), l.delta)
+					if want > 1 {
+						seen["hold"]++
+					}
+				}
+				if got != want {
+					t.Fatalf("round %d %d→%d: delay %d, want %d (Decide %d, %s)", r, from, to, got, want, d, kind)
+				}
+			}
+		}
+	}
+	if seen["drop"] == 0 || seen["crash"] == 0 || seen["hold"] == 0 {
+		t.Fatalf("rate drops, the crash window or delays never exercised: %v", seen)
+	}
+	want := map[[3]int]int{} // (round, from, seq) → to, for every dropped link in send order
+	for r := 0; r < 24; r++ {
+		for from := types.NodeID(0); int(from) < cfg.N; from++ {
+			seq := 0
+			for _, to := range []types.NodeID{types.Broadcast, types.Broadcast, 3} {
+				for j := 0; j < cfg.N; j++ {
+					if (to == types.Broadcast || int(to) == j) && l.delay(r, from, types.NodeID(j)) == 0 {
+						want[[3]int{r, int(from), seq}] = j
+						seq++
+					}
+				}
+			}
+		}
+	}
+	events := rec.Events()
+	if len(events) != len(want) {
+		t.Fatalf("%d fault events, want one per dropped link: %d", len(events), len(want))
+	}
+	for _, e := range events {
+		_, kind := l.faults.Decide(int(e.Round), types.NodeID(e.Node), types.NodeID(e.A))
+		if to, ok := want[[3]int{int(e.Round), int(e.Node), int(e.Seq)}]; e.Kind != obs.EvFault || !ok || int(e.A) != to || obs.FaultKind(e.B) != kind {
+			t.Fatalf("traced %+v, want a fault to %d (ok %v) with Decide's kind %s", e, to, ok, kind)
+		}
+	}
+}
+
+// TestChaosCrashWindow: a crash window is total outbound data omission for
+// its rounds; before and after it, the victim's frames flow.
+func TestChaosCrashWindow(t *testing.T) {
+	l := &links{faults: netsim.Faults{Delta: 1, Key: 42, Faulty: []bool{false, true}, Crash: 1, CrashFrom: 2, CrashUntil: 5},
+		delta: 1, faulty: []bool{false, true}}
+	for r := 0; r < 8; r++ {
+		if got, want := l.delay(r, 1, 0) > 0, r < 2 || r >= 5; got != want {
+			t.Fatalf("round %d delivered=%v, want %v (crash window [2,5))", r, got, want)
+		}
+		if l.delay(r, 1, 1) != 1 || l.delay(r, 0, 1) != 1 {
+			t.Fatalf("round %d: the self-link or the honest node's link lost its one-round delivery", r)
+		}
+	}
+}
+
+// TestChaosPowerBoundary: a faulty sender at drop rate 1 loses every link
+// but its self-link, while an honest sender's frames are delayed, never
+// lost — a drop the schedule asks of an honest link degrades to the Δ
+// hold, as in the simulator.
+func TestChaosPowerBoundary(t *testing.T) {
+	l := &links{faults: netsim.Faults{Delta: 2, Key: 1, Faulty: []bool{true, false, false}, Rate: 1},
+		delta: 2, faulty: []bool{true, false, false}}
+	for r := 0; r < 8; r++ {
+		for to := types.NodeID(0); to < 3; to++ {
+			want := 0
+			if to == 0 {
+				want = 1
+			}
+			if got := l.delay(r, 0, to); got != want {
+				t.Fatalf("round %d: faulty 0→%d delay %d, want %d", r, to, got, want)
+			}
+			if got := l.delay(r, 1, to); got != 1 {
+				t.Fatalf("round %d: honest 1→%d delay %d, want 1", r, to, got)
+			}
+		}
+	}
+	// The validated mask, not the schedule, says who may lose traffic.
+	honest := &links{faults: netsim.Faults{Delta: 2, Faulty: []bool{true, true, false}, Rate: 1}, delta: 2, faulty: []bool{true, false, false}}
+	if got := honest.delay(0, 1, 2); got != 2 {
+		t.Fatalf("a drop on a link the mask calls honest: delay %d, want the Δ hold 2", got)
+	}
+}
+
+// TestChaosOptionGuards pins the configuration errors that keep a live run
+// honest: a synchronizer budgeted below the model's Δ would let delayed
+// frames outrun the buffer, and a declared fault that could not act is
+// rejected, as the simulator rejects it.
 func TestChaosOptionGuards(t *testing.T) {
 	base := scenario.Config{Protocol: scenario.Core, N: 8, F: 2, Lambda: 4}
 	netw, err := transport.NewChanNetwork(base.N)
@@ -210,10 +399,9 @@ func TestChaosOptionGuards(t *testing.T) {
 		opts Options
 		want string
 	}{
-		{"reorder without interval", func(c *scenario.Config) { c.Net, c.Delta = scenario.NetChaos, 2 }, Options{Reorder: 0.5}, "RoundInterval"},
 		{"under-budgeted synchronizer", func(c *scenario.Config) { c.Net, c.Delta, c.OmissionRate = scenario.NetChaos, 3, 0.1 }, Options{Delta: 2}, "budgeted"},
-		{"reorder at delta one", func(c *scenario.Config) {}, Options{Reorder: 0.5, RoundInterval: time.Millisecond}, "Δ ≥ 2"},
 		{"partition at delta one", func(c *scenario.Config) { c.Net, c.PartitionRounds = scenario.NetChaos, 2 }, Options{}, "Δ ≥ 2"},
+		{"drops without a faulty set", func(c *scenario.Config) { c.Net, c.F, c.OmissionRate = scenario.NetChaos, 0, 0.1 }, Options{}, "faulty"},
 	} {
 		cfg := base
 		tc.set(&cfg)

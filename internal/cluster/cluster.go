@@ -35,28 +35,19 @@ type Options struct {
 	// RoundInterval, when positive, arms a soft per-round deadline: a node
 	// advances from round r once it holds all n sync markers or the
 	// interval has elapsed, whichever comes first (subject to the Δ skew
-	// cap). Zero keeps the pure all-ack barrier. It is also the wall-clock
-	// length of a round to the fault injection: a frame the network model
-	// delays d rounds is held (d−1) intervals, so without an interval only
-	// drops and crash windows reach a live run. Markers are never dropped,
-	// so a drop-only schedule completes on the all-ack barrier.
+	// cap). Zero keeps the pure all-ack barrier, on which a run of any
+	// network model is the simulator's run of it.
 	RoundInterval time.Duration
-	// Reorder is the per-frame probability that the fault injection holds
-	// a data frame back past its sender's next sync marker, arriving about
-	// one round late. It is the one live-only coin — the simulator's
-	// round-tagged delivery has no intra-round order to disturb — and needs
-	// Δ ≥ 2 and a RoundInterval.
-	Reorder float64
-	// Tracer receives the round-lifecycle event stream (DESIGN.md §10). At
-	// Δ=1 under the pure all-ack barrier (RoundInterval zero) the canonical
-	// export is byte-identical to the simulator's trace of the same config —
-	// the equivalence cmd/tracediff checks. Implementations must accept
-	// concurrent Emit calls (node goroutines emit in parallel). Nil disables
-	// tracing.
+	// Tracer receives the round-lifecycle event stream (DESIGN.md §10).
+	// Under the pure all-ack barrier (RoundInterval zero) the canonical
+	// export is byte-identical to the simulator's trace of the same config,
+	// under every network model — the equivalence cmd/tracediff checks.
+	// Implementations must accept concurrent Emit calls (node goroutines
+	// emit in parallel). Nil disables tracing.
 	Tracer obs.Tracer
 	// Telemetry, when non-nil, receives the live operational counters the
 	// -obs-addr endpoint serves: rounds, watermark lag, messages and bytes,
-	// in-flight frames, chaos drops, and barrier-latency quantiles. Unlike
+	// in-flight frames, dropped frames, and barrier-latency quantiles. Unlike
 	// the trace this channel is wall-clock state and never deterministic.
 	Telemetry *obs.Telemetry
 }
@@ -82,9 +73,6 @@ func Run(ctx context.Context, cfg scenario.Config, net transport.Network, opts O
 	plan, err := prepare(cfg, opts)
 	if err != nil {
 		return nil, err
-	}
-	if plan.chaos != nil {
-		net = transport.NewChaosNetwork(net, *plan.chaos)
 	}
 	if net.N() != plan.cfg.N {
 		return nil, fmt.Errorf("cluster: config N=%d but the transport network has %d endpoints", plan.cfg.N, net.N())
@@ -147,11 +135,6 @@ func RunNode(ctx context.Context, cfg scenario.Config, tr transport.Transport, o
 	if err != nil {
 		return nil, err
 	}
-	if plan.chaos != nil {
-		if tr, err = transport.WrapChaos(tr, *plan.chaos); err != nil {
-			return nil, err
-		}
-	}
 	if tr.N() != plan.cfg.N {
 		return nil, fmt.Errorf("cluster: config N=%d but the transport is a %d-node mesh", plan.cfg.N, tr.N())
 	}
@@ -193,13 +176,13 @@ func checkMultiProcess(cfg scenario.Config) error {
 }
 
 // plan is a validated, normalized execution: the defaulted config, the
-// options with the synchronizer's Δ filled in, the fault injection's spec
-// (nil under the delta-one model), the full node set, the protocol decoder,
-// and the round budget.
+// options with the synchronizer's Δ filled in, the network model (nil under
+// delta-one), the full node set, the protocol decoder, and the round
+// budget.
 type plan struct {
 	cfg       scenario.Config
 	opts      Options
-	chaos     *transport.ChaosSpec
+	links     *links
 	nodes     []netsim.Node
 	decode    scenario.Decoder
 	maxRounds int
@@ -209,15 +192,13 @@ type plan struct {
 // runners need. The rejections are structural, not temporary gaps: see the
 // package comment.
 //
-// Any network model but delta-one is injected below the protocol surface:
-// Run wraps every endpoint of its network, RunNode its own endpoint, in the
-// fault-injection layer before the node ever sees it, so the protocol code
-// runs unmodified against a misbehaving network. The layer puts every frame
-// to the config's one lowering (scenario.Config.Faults), validated against
-// (N, F) — the live injector gets exactly the power the simulator's model
-// grants and no more (DESIGN.md §7) — and seed-deterministic, so every
-// process of a multi-process mesh derives the identical schedule for its
-// own links.
+// Any network model but delta-one runs in the runners' round loops: each
+// recipient files every data frame for the round the config's one lowering
+// (scenario.Config.Faults), validated against (N, F), delivers it in — the
+// simulator's schedule, with exactly the power the simulator's model grants
+// (DESIGN.md §7). The transport and the protocol code see an ordinary run,
+// and the schedule is seed-deterministic, so every process of a
+// multi-process mesh derives the identical schedule.
 func prepare(cfg scenario.Config, opts Options) (*plan, error) {
 	normalized, err := cfg.Normalized()
 	if err != nil {
@@ -240,20 +221,17 @@ func prepare(cfg scenario.Config, opts Options) (*plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	var spec *transport.ChaosSpec
-	if normalized.Net != scenario.NetDeltaOne || opts.Reorder != 0 {
+	var model *links
+	if normalized.Net != scenario.NetDeltaOne {
 		fs, err := normalized.Faults()
 		if err != nil {
 			return nil, err
 		}
-		spec = &transport.ChaosSpec{Faults: fs, Interval: opts.RoundInterval, ReorderRate: opts.Reorder,
-			Obs: obs.NewSink(opts.Tracer), Telemetry: opts.Telemetry}
-		if err := spec.Validate(normalized.N, normalized.F); err != nil {
+		delta, faulty, err := fs.Validate(normalized.N, normalized.F)
+		if err != nil {
 			return nil, err
 		}
-	}
-	if opts.Reorder > 0 && opts.RoundInterval <= 0 {
-		return nil, fmt.Errorf("cluster: reordering holds data frames past their sync markers, which stalls the pure all-ack barrier; set Options.RoundInterval to arm the soft round deadline")
+		model = &links{faults: fs, delta: delta, faulty: faulty}
 	}
 	maxRounds, err := normalized.RoundBudget(steps)
 	if err != nil {
@@ -268,5 +246,5 @@ func prepare(cfg scenario.Config, opts Options) (*plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &plan{cfg: normalized, opts: opts, chaos: spec, nodes: nodes, decode: decode, maxRounds: maxRounds}, nil
+	return &plan{cfg: normalized, opts: opts, links: model, nodes: nodes, decode: decode, maxRounds: maxRounds}, nil
 }

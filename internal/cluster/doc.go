@@ -15,9 +15,8 @@
 //     wire encoding.
 //   - After transmitting its round-r sends, each node issues a sync marker
 //     carrying its halted flag (Transport.Multicast of an EnvSync). What
-//     comes back depends on the transport: a TCP mesh and every
-//     chaos-wrapped endpoint deliver n per-link markers, each accounting
-//     for one node; the in-process chan network counts the arrivals in one
+//     comes back depends on the transport: a TCP mesh delivers n
+//     per-link markers, each accounting for one node; the in-process chan network counts the arrivals in one
 //     shared tally and delivers a single aggregated marker accounting for
 //     all n (and their halted count) once the last node has arrived — n
 //     envelopes per round instead of n², with no coordinator across
@@ -60,13 +59,13 @@
 // envelopes, which no distributed runtime can offer, so configs carrying an
 // adversary (and scenarios naming one) are rejected — attack experiments
 // belong to the simulator. The config's network model does run live: for
-// any model but delta-one, the schedule scenario.Config.Faults lowers —
-// the one the simulator runs — is injected at the transport, below the
-// protocol surface, with Options.RoundInterval as the wall-clock length
-// of a held round and Options.Reorder as the one live-only fault. It is
-// seed-deterministic and cross-validated against the simulator (DESIGN.md
-// §7, experiment E14).
+// any model but delta-one, each recipient puts every data frame to the
+// schedule scenario.Config.Faults lowers — the one the simulator runs —
+// and files it for the round the simulator delivers it in, or drops it
+// (chaos.go). A delay is a number of rounds, never a timer, so on the
+// all-ack barrier a run of any model at any Δ is the simulator's run,
+// trace included (DESIGN.md §7, experiment E14).
 //
 // Architecture: DESIGN.md §2 — live cluster runtime over pluggable
-// transports; DESIGN.md §7 — Δ > 1 synchronizer and chaos injection.
+// transports; DESIGN.md §7 — Δ > 1 synchronizer and network models.
 package cluster

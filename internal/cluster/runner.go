@@ -60,7 +60,7 @@ type runner struct {
 
 	metrics netsim.Metrics // this node's own sends (Definitions 6 and 7)
 
-	pending map[uint32]*roundTraffic // round-tagged data awaiting delivery
+	pending map[uint32]*roundTraffic // data awaiting delivery, by the round it is delivered after
 	// marks tallies the sync markers received per round. Rounds below
 	// haltScan are complete and scanned, and their entries are deleted, so
 	// the map holds the rounds within the skew, not the whole run.
@@ -96,7 +96,7 @@ type runner struct {
 }
 
 // roundTraffic is one round's data awaiting delivery: envelopes received
-// one at a time (unicasts; every data envelope over TCP and under chaos),
+// one at a time (unicasts; every data envelope over TCP),
 // and the pieces of the chan network's round log as they were handed over,
 // shared read-only with every other recipient.
 type roundTraffic struct {
@@ -138,7 +138,10 @@ func (r *runner) runRounds(ctx context.Context) (int, error) {
 		// envelopes, accounting communication as we go. A multicast reaches
 		// every node including the sender — the simulator's rule, so quorum
 		// counting treats one's own vote uniformly — and shares one payload
-		// encoding across all copies.
+		// encoding across all copies. With its trace on, a node under a
+		// network model also traces the links the schedule drops its sends
+		// on, numbered as the simulator numbers them.
+		faultSeq := 0
 		for seq, s := range sends {
 			payload := wire.Marshal(s.Msg)
 			env := transport.Envelope{
@@ -148,6 +151,9 @@ func (r *runner) runRounds(ctx context.Context) (int, error) {
 			r.metrics.CountSend(s.To, n, len(payload))
 			r.opts.Telemetry.CountSend(len(payload))
 			r.obs.Send(round, r.self, seq, s.To, len(payload))
+			if r.links != nil && r.obs.Enabled() {
+				r.links.traceDrops(r.obs, round, r.self, s.To, n, &faultSeq)
+			}
 			if s.To == types.Broadcast {
 				// In-process recipients share one decode of the payload.
 				env.Cell = new(transport.DecodeCell)
@@ -220,14 +226,15 @@ func (r *runner) runRounds(ctx context.Context) (int, error) {
 			return r.exitRound, nil
 		}
 
-		// 5. Deliver all arrived traffic tagged for this round or earlier,
+		// 5. Deliver all arrived traffic filed for this round or earlier,
 		// in the (round, sender, sequence) order of the lockstep engine's
 		// envelope list, decoded from canonical bytes back into the values
-		// the state machines switch on. At Δ=1 under all-ack only
-		// round-tagged == round entries exist (per-link FIFO); at Δ>1 frames
-		// up to Δ rounds late join the batch of the round they land in — the
-		// model's rule that the adversary picks any delivery round within
-		// the bound.
+		// the state machines switch on. Under delta-one a frame is filed
+		// under its own round; under a network model, under the round its
+		// link's delay says (arrival) — the model's rule that the adversary
+		// picks any delivery round within the bound. A frame that arrives
+		// after that round (a soft deadline skimmed past it) joins the next
+		// batch.
 		envs, logs := r.envs[:0], r.logs[:0]
 		for rd, t := range r.pending {
 			if rd <= uint32(round) {
@@ -398,7 +405,12 @@ func (r *runner) ingest(env transport.Envelope, round uint32) error {
 	}
 	switch env.Kind {
 	case transport.EnvData:
-		t := r.traffic(env.Round)
+		at, ok := r.arrival(env.Round, env.From)
+		if !ok {
+			r.opts.Telemetry.Drop(env.From, r.self)
+			return nil
+		}
+		t := r.traffic(at)
 		t.envs = append(t.envs, env)
 		r.opts.Telemetry.AddInFlight(1)
 	case transport.EnvSync, transport.EnvBarrier:
@@ -459,14 +471,45 @@ func (r *runner) traffic(round uint32) *roundTraffic {
 	return t
 }
 
-// fileRuns buffers multicast runs from round's log for delivery.
+// fileRuns buffers multicast runs from round's log for delivery. Under a
+// network model each run, one sender's, is filed whole by its link's
+// delay: the schedule decides a (round, from, to) link once for all its
+// frames.
 func (r *runner) fileRuns(round uint32, runs [][]transport.Envelope) {
 	if len(runs) == 0 {
 		return
 	}
-	t := r.traffic(round)
-	t.logs = append(t.logs, runs)
-	r.opts.Telemetry.AddInFlight(logLen(runs))
+	if r.links == nil {
+		// Filed as one piece, a lone barrier's log stays the inbox as it
+		// stands (see inbox).
+		t := r.traffic(round)
+		t.logs = append(t.logs, runs)
+		r.opts.Telemetry.AddInFlight(logLen(runs))
+		return
+	}
+	for i, run := range runs {
+		if at, ok := r.arrival(round, run[0].From); ok {
+			t := r.traffic(at)
+			t.logs = append(t.logs, runs[i:i+1:i+1])
+			r.opts.Telemetry.AddInFlight(len(run))
+		} else {
+			for range run {
+				r.opts.Telemetry.Drop(run[0].From, r.self)
+			}
+		}
+	}
+}
+
+// arrival is the pending round a round-r frame from from is filed under:
+// r itself under delta-one, else r + d − 1 for the link's delay d, so the
+// frame reaches the state machine in round r + d. ok is false when the
+// schedule drops the frame.
+func (r *runner) arrival(round uint32, from types.NodeID) (at uint32, ok bool) {
+	if r.links == nil {
+		return round, true
+	}
+	d := r.links.delay(int(round), from, r.self)
+	return round + uint32(d) - 1, d > 0
 }
 
 // logLen counts the envelopes in a round-log piece.
@@ -501,8 +544,8 @@ type resultRecord struct {
 // assemble builds the Report from all n records, indexed by node, and
 // evaluates the paper's three properties on it. Both routes go through it:
 // Run with the records its node goroutines return, RunNode with the records
-// the exchange collected. The omission-faulty senders are the injected
-// schedule's, as in the simulator's Result.
+// the exchange collected. The omission-faulty senders are the network
+// model's, as in the simulator's Result.
 func (p *plan) assemble(rounds int, recs []resultRecord) *Report {
 	n := len(recs)
 	res := &netsim.Result{
@@ -512,8 +555,8 @@ func (p *plan) assemble(rounds int, recs []resultRecord) *Report {
 		Corrupt: make([]bool, n), // live runs are adversary-free
 		Rounds:  rounds,
 	}
-	if p.chaos != nil {
-		res.OmissionFaulty = slices.Clone(p.chaos.Faults.Faulty)
+	if p.links != nil {
+		res.OmissionFaulty = slices.Clone(p.links.faulty)
 	}
 	perNode := make([]netsim.Metrics, n)
 	for i, rec := range recs {

@@ -3,7 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"slices"
+	"reflect"
 	"time"
 
 	"ccba/internal/cluster"
@@ -21,7 +21,7 @@ type E14Row struct {
 	DropRate        float64
 	Trials          int
 	SafetyViol      int     // live consistency or validity breaks
-	ExactMatch      float64 // fraction of trials bit-identical to the simulator (-1: schedules not comparable)
+	ExactMatch      float64 // fraction of trials bit-identical to the simulator
 	TerminationRate float64 // fraction of live trials where every honest node decided
 	MeanRoundsLive  float64
 	MeanRoundsSim   float64
@@ -30,18 +30,15 @@ type E14Row struct {
 
 // E14Result is the chaos cross-validation experiment: the same declarative
 // fault schedule executed by the lockstep simulator and by a live cluster
-// whose transports inject the faults for real. At Δ=1 with round-indexed
-// faults only, the two runtimes share every drop decision and the live run
-// must be bit-identical to the simulated one — the strongest claim a
-// distributed runtime can make against its model. At Δ>1 both runtimes
-// still draw every drop and every per-link delay from the one
-// netsim.Faults schedule, but the live cluster realizes a delay as a
-// wall-clock hold and adds its live-only reorder coin, so which round a
-// frame lands in depends on timing, and only liveness is compared: it must
-// degrade with the drop rate the way the simulator says it should. The
-// safety column reports without a claim there: the paper proves safety at
-// Δ=1, and a Δ=3 partition can break core's consistency with nobody
-// corrupted (seed 1131, TestE12PartitionBreaksConsistency).
+// whose nodes apply it in their round loops. Both runtimes draw every drop
+// and every per-link delay from the one netsim.Faults schedule, and a live
+// recipient delivers a frame in the round the simulator does, so at every
+// Δ, on chan and on TCP, each live run must be bit-identical to the
+// simulated one — the strongest claim a distributed runtime can make
+// against its model. The safety column makes a claim at Δ=1 only: the
+// paper proves safety in the synchronous lockstep model, and a Δ=3
+// partition can break core's consistency with nobody corrupted (seed 1131,
+// TestE12PartitionBreaksConsistency), on both runtimes alike.
 type E14Result struct {
 	N, F, Lambda int
 	Rows         []E14Row
@@ -66,7 +63,7 @@ func E14CrossValidation(o Opts) (*E14Result, error) {
 		fmt.Sprintf("E14 (extension) — live chaos cluster vs simulator, same seeds and fault schedules (core, n=%d, f=%d, λ=%d)", n, f, lambda),
 		"transport", "Δ", "drop", "trials", "safety viol.", "exact ≡ sim", "termination", "rounds live", "rounds sim", "wall ms",
 	)
-	res.Table.Note = "Both runtimes call one fault schedule (netsim.Faults.Decide) for every drop and per-link delay. At Δ=1 nothing is delayed, so live runs must match the simulator bit for bit; at Δ>1 only wall-clock timing and the live reorder coin differ, so only liveness is compared (safety is proved for Δ=1 alone)."
+	res.Table.Note = "Both runtimes call one fault schedule (netsim.Faults.Decide) for every drop and per-link delay, and a live node delivers each frame in the round the simulator does, so every live run must match the simulator bit for bit, at every Δ and on both transports. Safety is proved for Δ=1 alone."
 	res.Sweep = harness.NewSweep("e14")
 
 	var settings []e14Setting
@@ -86,20 +83,13 @@ func E14CrossValidation(o Opts) (*E14Result, error) {
 			cfg.N, cfg.F, cfg.Lambda = 8, 2, 4
 		}
 		copts := cluster.Options{RoundTimeout: 60 * time.Second}
-		if st.delta >= 2 {
-			copts.RoundInterval, copts.Reorder = 2*time.Millisecond, 0.2
-		}
-		// Exact equivalence only where the schedules are shared: Δ=1 keeps
-		// the run delay-free, so every fault decision is round-indexed and
-		// common to both runtimes.
-		exact := st.delta == 1
 
 		hopts := o.options("e14", fmt.Sprintf("%s/delta=%d/drop=%.2f", st.transport, st.delta, st.drop))
 		hopts.Workers = 1
 		agg, err := harness.Collect(hopts, func(tr harness.Trial) (*harness.Obs, error) {
 			cfg := cfg
 			cfg.Seed = tr.Seed
-			return e14Trial(cfg, copts, st.transport, exact)
+			return e14Trial(cfg, copts, st.transport)
 		})
 		if err != nil {
 			return nil, err
@@ -109,20 +99,15 @@ func E14CrossValidation(o Opts) (*E14Result, error) {
 			Transport: st.transport, Delta: st.delta, DropRate: st.drop,
 			Trials:          o.Trials,
 			SafetyViol:      agg.Count("safety_violation"),
-			ExactMatch:      -1,
+			ExactMatch:      agg.Rate("exact_match"),
 			TerminationRate: agg.Rate("terminated"),
 			MeanRoundsLive:  agg.Mean("rounds_live"),
 			MeanRoundsSim:   agg.Mean("rounds_sim"),
 			MeanWallMs:      agg.Mean("wall_ms"),
 		}
-		match := any("-")
-		if exact {
-			row.ExactMatch = agg.Rate("exact_match")
-			match = pct(row.ExactMatch)
-		}
 		res.Rows = append(res.Rows, row)
 		res.Table.Add(row.Transport, row.Delta, fmt.Sprintf("%.2f", row.DropRate), row.Trials,
-			row.SafetyViol, match, pct(row.TerminationRate),
+			row.SafetyViol, pct(row.ExactMatch), pct(row.TerminationRate),
 			fmt.Sprintf("%.1f", row.MeanRoundsLive), fmt.Sprintf("%.1f", row.MeanRoundsSim),
 			fmt.Sprintf("%.1f", row.MeanWallMs))
 	}
@@ -131,7 +116,7 @@ func E14CrossValidation(o Opts) (*E14Result, error) {
 }
 
 // e14Trial executes one config on both runtimes and scores the comparison.
-func e14Trial(cfg scenario.Config, copts cluster.Options, trName string, exact bool) (*harness.Obs, error) {
+func e14Trial(cfg scenario.Config, copts cluster.Options, trName string) (*harness.Obs, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	sim, err := scenario.RunCtx(ctx, cfg)
@@ -158,11 +143,9 @@ func e14Trial(cfg scenario.Config, copts cluster.Options, trName string, exact b
 	wall := time.Since(start)
 
 	v := checkReport(live.Report)
-	match := live.Rounds == sim.Rounds &&
-		slices.Equal(live.Outputs, sim.Outputs) &&
-		slices.Equal(live.Decided, sim.Decided)
-	if exact && !match {
-		return nil, fmt.Errorf("e14: Δ=1 live run diverged from the simulator (rounds %d vs %d)", live.Rounds, sim.Rounds)
+	match := reflect.DeepEqual(live.Result, sim.Result)
+	if !match {
+		return nil, fmt.Errorf("e14: Δ=%d live run diverged from the simulator (rounds %d vs %d)", cfg.Delta, live.Rounds, sim.Rounds)
 	}
 	return harness.NewObs().
 		Event("safety_violation", v.consistency || v.validity).

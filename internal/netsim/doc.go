@@ -15,9 +15,9 @@
 // schedule is one Faults value — worst-case ∆-delay, seeded jitter,
 // per-link omission faults, a temporary partition, a crash window, or the
 // chaos composite of them all — exercising the adversary's classic
-// synchronous power of delaying honest messages up to the bound. The live
-// cluster's fault-injection transport calls the same Faults.Decide for
-// every frame, so both runtimes run one schedule. The Runtime
+// synchronous power of delaying honest messages up to the bound. A live
+// cluster's recipients call the same Faults.Decide for every frame, so
+// both runtimes run one schedule. The Runtime
 // enforces the model's answers against the bound and the adversary's Power:
 // honest-to-honest messages always arrive by ∆, and only links from
 // omission-faulty or corrupt senders may be dropped (see NetModel).

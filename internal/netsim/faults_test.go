@@ -103,7 +103,7 @@ func TestChaosPartitionHold(t *testing.T) {
 }
 
 // Validate shares one power boundary between the simulator and the live
-// wrapper: Δ, the rate, the budget, ids in range and a cut in range.
+// cluster: Δ, the rate, the budget, ids in range and a cut in range.
 func TestFaultsValidate(t *testing.T) {
 	cases := []struct {
 		name string

@@ -95,8 +95,8 @@ const (
 
 // Faults is the network adversary's whole power in one value: drop traffic
 // from its ≤ F faulty senders, delay any other link by up to ∆. The
-// simulator runs it as a NetModel and the live chaos transport calls the
-// same Decide for every frame, so both runtimes draw one schedule.
+// simulator runs it as a NetModel and a live cluster's recipients call
+// the same Decide for every frame, so both runtimes draw one schedule.
 //
 // Each classic model is one literal: worst-case ∆-delay is SpreadHold,
 // seeded jitter is SpreadJitter, omission is SpreadNext plus Faulty and
@@ -228,7 +228,7 @@ func Mix64(z uint64) uint64 {
 // (round, from, to) is lost under drop probability rate and folded seed key.
 // One decision covers the whole link-round — every message a sender puts on
 // that link in that round shares the same fate. Faults.Decide is its one
-// caller, for the simulator and the live chaos transport alike.
+// caller, for the simulator and the live cluster alike.
 func LinkDrop(key uint64, round int, from, to types.NodeID, rate float64) bool {
 	if rate <= 0 {
 		return false

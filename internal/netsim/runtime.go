@@ -600,9 +600,9 @@ func (rt *Runtime) linkDelay(round int, e *Envelope, to types.NodeID) int {
 }
 
 // traceFault emits one accepted link drop. The per-(round, sender)
-// sequence counter reproduces the live chaos endpoint's numbering: both
-// runtimes inject faults in (send seq, recipient) order, so the streams
-// align event for event at Δ=1.
+// sequence counter is the live sender's numbering too: both runtimes
+// decide a sender's links in (send seq, recipient) order, so the streams
+// align event for event.
 func (rt *Runtime) traceFault(round int, from, to types.NodeID, kind obs.FaultKind) {
 	seq := rt.faultSeq[from]
 	rt.faultSeq[from] = seq + 1

@@ -8,7 +8,7 @@ import (
 )
 
 // Telemetry is the live cluster's operational counter set: monotonic
-// gauges a node's runner and chaos endpoint bump as the run progresses,
+// gauges a node's runner bumps as the run progresses,
 // snapshotted on demand by the expvar endpoint. Unlike the trace, none of
 // this is deterministic — it is wall-clock operational state, which is why
 // it lives beside, not inside, the event stream.
@@ -96,7 +96,7 @@ func (t *Telemetry) AddInFlight(d int) {
 	t.inflight.Add(int64(d))
 }
 
-// Drop counts one chaos-injected drop on the (from, to) link.
+// Drop counts one frame the network model dropped on the (from, to) link.
 func (t *Telemetry) Drop(from, to types.NodeID) {
 	if t == nil {
 		return

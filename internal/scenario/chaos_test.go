@@ -7,7 +7,6 @@ import (
 
 	"ccba/internal/harness"
 	"ccba/internal/netsim"
-	"ccba/internal/transport"
 )
 
 // lower normalizes cfg and lowers its network model.
@@ -84,28 +83,33 @@ func TestChaosCrashVictimDeterministic(t *testing.T) {
 	}
 }
 
-// A declaration the live injector cannot honour is rejected with the power
-// boundary spelled out: the lowering is put to the injection layer's own
-// validation, as cluster.Run does.
+// A declaration whose fault could not act, or that overspends the budget,
+// is rejected with the reason spelled out — by Normalized, by the lowering
+// or by the lowering's Validate, the three steps both runtimes take.
 func TestChaosConfigRejections(t *testing.T) {
 	base := Config{Protocol: Core, N: 16, F: 0, Lambda: 8, Net: NetChaos}
 	cases := []struct {
-		name    string
-		set     func(*Config)
-		reorder float64
-		want    string
+		name string
+		set  func(*Config)
+		want string
 	}{
-		{"drops without budget", func(c *Config) { c.OmissionRate = 0.5 }, 0, "faulty"},
-		{"reorder at delta one", func(c *Config) {}, 0.5, "Δ ≥ 2"},
-		{"partition at delta one", func(c *Config) { c.PartitionRounds = 2 }, 0, "Δ ≥ 2"},
-		{"crash without budget", func(c *Config) { c.CrashRounds = 2 }, 0, "faulty"},
+		{"drops without budget", func(c *Config) { c.OmissionRate = 0.5 }, "faulty"},
+		{"partition at delta one", func(c *Config) { c.PartitionRounds = 2 }, "Δ ≥ 2"},
+		{"crash without budget", func(c *Config) { c.CrashRounds = 2 }, "faulty"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := base
 			tc.set(&cfg)
-			spec := transport.ChaosSpec{Faults: lower(t, cfg), ReorderRate: tc.reorder}
-			if err := spec.Validate(cfg.N, cfg.F); err == nil || !strings.Contains(err.Error(), tc.want) {
+			norm, err := cfg.Normalized()
+			var fs netsim.Faults
+			if err == nil {
+				fs, err = norm.Faults()
+			}
+			if err == nil {
+				_, _, err = fs.Validate(norm.N, norm.F)
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("want error containing %q, got %v", tc.want, err)
 			}
 		})

@@ -100,8 +100,8 @@ const (
 	// NetChaos is the composite of the others: seeded jitter in [1, ∆],
 	// OmissionRate drops on OmissionFaulty senders, a half/half partition
 	// for PartitionRounds rounds and a crash window on the first faulty
-	// sender (CrashFrom, CrashRounds). It is the schedule the live cluster's
-	// fault injection is cross-validated on (DESIGN.md §7).
+	// sender (CrashFrom, CrashRounds). It is the schedule the live cluster
+	// is cross-validated on (DESIGN.md §7).
 	NetChaos NetName = "chaos"
 )
 
@@ -343,6 +343,15 @@ func (c *Config) validateNet() error {
 	}
 	if c.OmissionFaulty > c.F {
 		return fmt.Errorf("scenario: OmissionFaulty=%d exceeds F=%d; omission faults spend the corruption budget", c.OmissionFaulty, c.F)
+	}
+	// A declared fault that cannot act would be silently ignored too: a
+	// drop rate over an empty faulty set (its size defaults to F), a chaos
+	// partition whose hold is a Δ of one round.
+	if c.OmissionRate > 0 && c.OmissionFaulty == 0 && c.F == 0 {
+		return fmt.Errorf("scenario: OmissionRate=%v with an empty faulty set drops nothing — name the ≤F faulty senders", c.OmissionRate)
+	}
+	if net == NetChaos && c.PartitionRounds > 0 && c.Delta <= 1 {
+		return fmt.Errorf("scenario: a partition holds cross links to Δ and needs Δ ≥ 2, got Δ=%d", max(c.Delta, 1))
 	}
 	return nil
 }

@@ -22,12 +22,7 @@ import (
 // the round's log, and the arrival that completes a round pushes one
 // EnvBarrier into each mailbox carrying the whole log (Envelope.Runs) — n
 // envelopes per round where per-link delivery costs n per multicast and n²
-// markers. Unicasts and result records still go through the mailboxes. The
-// tally only sees multicasts, so the endpoints of one ChanNetwork are
-// chaos-wrapped all (NewChaosNetwork, whose per-link Sends bypass it and keep
-// per-link data and markers) or none. WrapChaos refuses a lone chan
-// endpoint, which would never arrive and would leave the others' barrier
-// incomplete forever.
+// markers. Unicasts and result records still go through the mailboxes.
 type ChanNetwork struct {
 	eps []Transport
 }

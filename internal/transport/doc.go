@@ -46,19 +46,10 @@
 // the payloads (the real-crypto mode) are still verified by the protocols
 // themselves.
 //
-// A third layer wraps either implementation: the chaos transport
-// (WrapChaos/NewChaosNetwork) injects the simulator's own fault schedule
-// below the protocol surface — the cluster wraps its network in it for
-// every network model but delta-one. Every data frame and sync marker is put to
-// netsim.Faults.Decide — drops on faulty senders' links, crash windows,
-// timed partitions and per-link delays, each delay held (d−1) round
-// intervals — so the decisions match a simulated run link for link; the
-// per-frame reorder coin and wall-clock timing are the only live-only
-// parts (DESIGN.md §7). Its Multicast
-// is n per-link Sends, so chaos runs keep per-link sync markers on both
-// transports; since those bypass the chan network's tally, one
-// ChanNetwork's endpoints are wrapped all (NewChaosNetwork) or none —
-// WrapChaos rejects a lone chan endpoint.
+// Neither transport knows the network model. A config's delays and drops
+// are rounds the schedule returns, applied by the recipient's round loop in
+// internal/cluster (DESIGN.md §7), so a run under any model moves exactly
+// the envelopes a delta-one run does.
 //
 // Architecture: DESIGN.md §2 — live envelope transports under the cluster runtime.
 package transport

@@ -555,8 +555,8 @@ func TestChanLogAheadOfBarrier(t *testing.T) {
 	}
 }
 
-// A unicast EnvSync is a per-link marker — the path a chaos-wrapped endpoint
-// takes, one decision per link — and must land as itself, not at the tally.
+// A unicast EnvSync is a per-link marker and must land as itself, not at
+// the tally: only Multicast goes through it.
 func TestChanUnicastSyncStaysPerLink(t *testing.T) {
 	netw, err := NewChanNetwork(3)
 	if err != nil {
