@@ -1,631 +1,284 @@
-package transport
+package transport_test
+
+// The network model — drops, crash windows, delays and partitions — is
+// applied by the live round loop to the frames a transport carries: the
+// transport itself is lossless and every frame is sent, and the recipient
+// files it for the round the model delivers it in, or loses it. These tests
+// drive the model end to end over chan and TCP networks and check what a
+// recipient reads against what was sent, from the run's trace.
 
 import (
 	"context"
-	"fmt"
-	"net"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"ccba/internal/netsim"
+	"ccba/internal/cluster"
 	"ccba/internal/obs"
+	"ccba/internal/scenario"
+	"ccba/internal/transport"
 	"ccba/internal/types"
 )
 
-func chaosPair(t *testing.T, n int, spec ChaosSpec) Network {
+// linkKey counts traffic on one (round, sender, recipient) link.
+type linkKey struct{ round, from, to int32 }
+
+// traffic tallies a trace: sends per link (a multicast counts once on every
+// link, the self-link included), deliveries per link keyed by the round
+// they were read in, the rounds each node ran, and the senders the network
+// dropped traffic of.
+type traffic struct {
+	n         int
+	sent      map[linkKey]int
+	delivered map[linkKey]int
+	live      map[[2]int32]bool // (round, node)
+	dropped   map[int32]int     // sender → fault events
+}
+
+func tally(n int, events []obs.Event) traffic {
+	tr := traffic{n: n, sent: map[linkKey]int{}, delivered: map[linkKey]int{}, live: map[[2]int32]bool{}, dropped: map[int32]int{}}
+	for _, e := range events {
+		switch e.Kind {
+		case obs.EvSend:
+			if e.A == int32(types.Broadcast) {
+				for j := int32(0); j < int32(n); j++ {
+					tr.sent[linkKey{e.Round, e.Node, j}]++
+				}
+			} else {
+				tr.sent[linkKey{e.Round, e.Node, e.A}]++
+			}
+		case obs.EvDeliver:
+			tr.delivered[linkKey{e.Round, e.A, e.Node}]++
+		case obs.EvRoundStart:
+			tr.live[[2]int32{e.Round, e.Node}] = true
+		case obs.EvFault:
+			tr.dropped[e.Node]++
+		}
+	}
+	return tr
+}
+
+// between sums a per-link tally over rounds [lo, hi] of one link.
+func between(m map[linkKey]int, from, to, lo, hi int32) int {
+	s := 0
+	for r := lo; r <= hi; r++ {
+		s += m[linkKey{r, from, to}]
+	}
+	return s
+}
+
+// runTraced runs cfg live over netw on the all-ack barrier with a trace
+// recorder and returns the report and the recorded events.
+func runTraced(t *testing.T, cfg scenario.Config, netw transport.Network, opts cluster.Options) (*cluster.Report, []obs.Event) {
 	t.Helper()
-	inner, err := NewChanNetwork(n)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	rec := obs.NewRecorder(0)
+	opts.Tracer = rec
+	rep, err := cluster.Run(ctx, cfg, netw, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	netw := NewChaosNetwork(inner, spec)
-	t.Cleanup(func() { netw.Close() })
-	return netw
-}
-
-// mask marks ids in an n-long faulty mask.
-func mask(n int, ids ...types.NodeID) []bool {
-	m := make([]bool, n)
-	for _, id := range ids {
-		m[id] = true
+	if rep.Consistency != nil || rep.Validity != nil {
+		t.Fatalf("safety violated: consistency=%v validity=%v", rep.Consistency, rep.Validity)
 	}
-	return m
+	return rep, rec.Events()
 }
 
-// sendLog is an inner transport that records, synchronously, every frame
-// the chaos wrapper passes down.
-type sendLog struct {
-	self types.NodeID
-	n    int
-	mu   sync.Mutex
-	sent []loggedSend
-}
-
-type loggedSend struct {
-	to  types.NodeID
-	env Envelope
-}
-
-func (l *sendLog) Self() types.NodeID { return l.self }
-func (l *sendLog) N() int             { return l.n }
-func (l *sendLog) Send(to types.NodeID, env Envelope) error {
-	l.mu.Lock()
-	l.sent = append(l.sent, loggedSend{to, env})
-	l.mu.Unlock()
-	return nil
-}
-func (l *sendLog) Multicast(env Envelope) error {
-	for j := 0; j < l.n; j++ {
-		l.Send(types.NodeID(j), env)
+// TestChaosPowerBoundary: at drop rate 1 over a chan network, a faulty
+// sender's data reaches no one but itself, while every honest sender's
+// data reaches every live recipient in the next round — the network may
+// drop only a faulty sender's links. Sync markers never meet the model:
+// the all-ack barrier, which needs every node's marker every round, lets
+// the run finish.
+func TestChaosPowerBoundary(t *testing.T) {
+	cfg := scenario.Config{Protocol: scenario.Core, N: 8, F: 2, Lambda: 4, MaxIters: 12,
+		Net: scenario.NetChaos, OmissionRate: 1}
+	cfg.Seed[0] = 3
+	netw, err := transport.NewChanNetwork(cfg.N)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return nil
-}
-func (l *sendLog) Recv(ctx context.Context) (Envelope, error) {
-	<-ctx.Done()
-	return Envelope{}, ctx.Err()
-}
-func (l *sendLog) Close() error { return nil }
-
-// The live wrapper runs the simulator's schedule frame for frame: for every
-// data frame and sync marker its action is Faults.Decide's answer on the
-// frame's (round, from, to) link — the drop with its fault kind, or a hold
-// of (delay−1)·Interval — across rate drops, a crash window, a partition
-// hold and Δ = 3 jitter. Sync markers are never dropped. The plan is
-// checked directly, and executed: with an hour-long interval, exactly the
-// frames the schedule delivers next round reach the inner transport at
-// once, the held ones wait on a timer each, and the trace carries one
-// fault event per dropped data frame with Decide's kind.
-func TestChaosDropMatchesSimulatorDecision(t *testing.T) {
-	const n, rounds, interval = 5, 24, time.Hour
-	key := netsim.FoldSeed([32]byte{7, 7, 7})
-	schedules := []struct {
-		name string
-		fs   netsim.Faults
-	}{
-		{"drop-only-1", netsim.Faults{Delta: 1, Spread: netsim.SpreadJitter, Key: key, Faulty: mask(n, 0, 3), Rate: 0.5}},
-		{"crash-partition-3", netsim.Faults{Delta: 3, Spread: netsim.SpreadJitter, Key: key, Faulty: mask(n, 0, 3), Rate: 0.3,
-			Cut: 2, CutFrom: 3, CutUntil: 10, Crash: 3, CrashFrom: 5, CrashUntil: 12}},
+	defer netw.Close()
+	_, events := runTraced(t, cfg, netw, cluster.Options{})
+	tr := tally(cfg.N, events)
+	if len(tr.dropped) == 0 || len(tr.dropped) > cfg.F {
+		t.Fatalf("%d senders lost traffic, want 1..F=%d: %v", len(tr.dropped), cfg.F, tr.dropped)
 	}
-	for _, sc := range schedules {
-		if err := (ChaosSpec{Faults: sc.fs, Interval: interval}).Validate(n, 2); err != nil {
-			t.Fatalf("%s: %v", sc.name, err)
+	checked, lost := 0, 0
+	for k, sent := range tr.sent {
+		if !tr.live[[2]int32{k.round + 1, k.to}] {
+			continue // the recipient no longer reads
 		}
-		rec := obs.NewRecorder(0)
-		seen := map[string]int{}
-		var wantFaults int
-		for from := types.NodeID(0); from < n; from++ {
-			inner := &sendLog{self: from, n: n}
-			c := wrapChaos(inner, ChaosSpec{Faults: sc.fs, Interval: interval, Obs: obs.NewSink(rec)})
-			held := 0
-			for r := 0; r < rounds; r++ {
-				for to := types.NodeID(0); to < n; to++ {
-					if to == from {
-						continue
-					}
-					delay, kind := sc.fs.Decide(r, from, to)
-					for _, env := range []Envelope{
-						{Kind: EnvData, From: from, Round: uint32(r)},
-						{Kind: EnvSync, From: from, Round: uint32(r)},
-					} {
-						wantDrop := delay == netsim.Drop && env.Kind == EnvData
-						var wantHold time.Duration
-						if delay != netsim.Drop {
-							wantHold = time.Duration(delay-1) * interval
+		want := sent
+		if tr.dropped[k.from] > 0 && k.from != k.to {
+			want = 0
+			lost += sent
+		}
+		if got := tr.delivered[linkKey{k.round + 1, k.from, k.to}]; got != want {
+			t.Fatalf("round %d %d→%d: %d sent, %d delivered, want %d (faulty sender: %v)",
+				k.round, k.from, k.to, sent, got, want, tr.dropped[k.from] > 0)
+		}
+		checked++
+	}
+	if checked == 0 || lost == 0 {
+		t.Fatalf("%d links checked, %d faulty frames lost: the boundary was never exercised", checked, lost)
+	}
+}
+
+// TestChaosDelayReorderLosesNothing: a chaos model of delays alone — Δ = 3
+// jitter, so one link's later frames may overtake its earlier ones, and a
+// partition holding cross links to Δ — loses no frame over chan or TCP.
+// On every link, nothing is delivered that was not sent, and every frame a
+// recipient was still reading for Δ rounds after its send was delivered.
+func TestChaosDelayReorderLosesNothing(t *testing.T) {
+	const delta = 3
+	cfg := scenario.Config{Protocol: scenario.Core, N: 4, F: 1, Lambda: 3, MaxIters: 12,
+		Net: scenario.NetChaos, Delta: delta, PartitionRounds: 4}
+	cfg.Seed[0] = 5
+	for _, tc := range []struct {
+		name string
+		netw func(t *testing.T) transport.Network
+	}{
+		{"chan", func(t *testing.T) transport.Network {
+			netw, err := transport.NewChanNetwork(cfg.N)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return netw
+		}},
+		{"tcp", func(t *testing.T) transport.Network {
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			netw, err := transport.NewTCPNetwork(ctx, transport.LoopbackAddrs(cfg.N), transport.TCPOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return netw
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			netw := tc.netw(t)
+			defer netw.Close()
+			_, events := runTraced(t, cfg, netw, cluster.Options{RoundTimeout: 30 * time.Second})
+			tr := tally(cfg.N, events)
+			if len(tr.dropped) != 0 {
+				t.Fatalf("a delay-only model dropped traffic: %v", tr.dropped)
+			}
+			last := int32(0)
+			for k := range tr.live {
+				last = max(last, k[0])
+			}
+			held := false
+			for from := int32(0); from < int32(cfg.N); from++ {
+				for to := int32(0); to < int32(cfg.N); to++ {
+					// Frames sent up to round r are due by r + Δ, and only
+					// frames sent before round r can be read in it.
+					for r := int32(0); r <= last; r++ {
+						sent, got := between(tr.sent, from, to, 0, r-1), between(tr.delivered, from, to, 0, r)
+						if got > sent {
+							t.Fatalf("%d→%d: %d delivered by round %d, only %d sent before it", from, to, got, r, sent)
 						}
-						hold, drop, k := c.plan(env, to)
-						if drop != wantDrop || hold != wantHold || (drop && k != kind) {
-							t.Fatalf("%s: %d→%d round %d kind %d: plan (hold %v, drop %v, %s), Decide (%d, %s)",
-								sc.name, from, to, r, env.Kind, hold, drop, k, delay, kind)
+						if tr.live[[2]int32{r, to}] && got < between(tr.sent, from, to, 0, r-delta) {
+							t.Fatalf("%d→%d: %d delivered by round %d, want the %d sent by round %d",
+								from, to, got, r, between(tr.sent, from, to, 0, r-delta), r-delta)
 						}
-						before := len(inner.sent)
-						if err := c.Send(to, env); err != nil {
-							t.Fatal(err)
-						}
-						now := len(inner.sent) - before
-						switch {
-						case wantDrop:
-							wantFaults++
-							seen[kind.String()]++
-							if now != 0 {
-								t.Fatalf("%s: dropped frame %d→%d round %d reached the wire", sc.name, from, to, r)
-							}
-						case wantHold > 0:
-							held++
-							seen["hold"]++
-							if now != 0 {
-								t.Fatalf("%s: frame %d→%d round %d went out unheld, want a %v hold", sc.name, from, to, r, wantHold)
-							}
-						default:
-							if now != 1 {
-								t.Fatalf("%s: frame %d→%d round %d kind %d not sent at once", sc.name, from, to, r, env.Kind)
-							}
+						if got < sent && tr.live[[2]int32{r, to}] {
+							held = true
 						}
 					}
 				}
 			}
-			c.mu.Lock()
-			timers := len(c.timers)
-			c.mu.Unlock()
-			if timers != held {
-				t.Fatalf("%s: node %d has %d pending holds, want %d", sc.name, from, timers, held)
+			if !held {
+				t.Fatal("no frame was ever held past a round: the model delayed nothing")
 			}
-			c.Close()
-		}
-		events := rec.Events()
-		if len(events) != wantFaults {
-			t.Fatalf("%s: %d fault events, want %d", sc.name, len(events), wantFaults)
-		}
-		for _, e := range events {
-			delay, kind := sc.fs.Decide(int(e.Round), types.NodeID(e.Node), types.NodeID(e.A))
-			if e.Kind != obs.EvFault || delay != netsim.Drop || obs.FaultKind(e.B) != kind {
-				t.Fatalf("%s: traced %+v, Decide (%d, %s)", sc.name, e, delay, kind)
-			}
-		}
-		if seen["drop"] == 0 {
-			t.Fatalf("%s: no rate drops — schedule is degenerate: %v", sc.name, seen)
-		}
-		if sc.fs.Delta > 1 && (seen["crash"] == 0 || seen["hold"] == 0) {
-			t.Fatalf("%s: crash window or holds never exercised: %v", sc.name, seen)
-		}
+		})
 	}
 }
 
-// Honest senders are outside the faulty set: nothing of theirs may be lost,
-// and sync markers survive even on faulty links.
-func TestChaosPowerBoundary(t *testing.T) {
-	spec := ChaosSpec{Faults: netsim.Faults{Delta: 1, Key: netsim.FoldSeed([32]byte{1}), Faulty: mask(3, 0), Rate: 1}}
-	netw := chaosPair(t, 3, spec)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-
-	// Node 0 is faulty with certain drops: its data never arrives, its syncs
-	// always do. Node 1 is honest: everything arrives.
-	for r := 0; r < 8; r++ {
-		for _, from := range []types.NodeID{0, 1} {
-			ep := netw.Endpoints()[from]
-			if err := ep.Send(2, Envelope{Kind: EnvData, From: from, Round: uint32(r)}); err != nil {
-				t.Fatal(err)
-			}
-			if err := ep.Send(2, Envelope{Kind: EnvSync, From: from, Round: uint32(r)}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	var data0, data1, sync0, sync1 int
-	deadline, cancel2 := context.WithTimeout(ctx, 2*time.Second)
-	defer cancel2()
-	for {
-		env, err := netw.Endpoints()[2].Recv(deadline)
-		if err != nil {
-			break // drained
-		}
-		switch {
-		case env.Kind == EnvData && env.From == 0:
-			data0++
-		case env.Kind == EnvData && env.From == 1:
-			data1++
-		case env.Kind == EnvSync && env.From == 0:
-			sync0++
-		case env.Kind == EnvSync && env.From == 1:
-			sync1++
-		}
-		if sync0 == 8 && sync1 == 8 && data1 == 8 {
-			break
-		}
-	}
-	if data0 != 0 {
-		t.Fatalf("faulty sender at rate 1 delivered %d data frames", data0)
-	}
-	if data1 != 8 || sync0 != 8 || sync1 != 8 {
-		t.Fatalf("honest traffic lost: data1=%d sync0=%d sync1=%d (want 8 each)", data1, sync0, sync1)
-	}
+// countingNetwork counts every frame its endpoints put on the wire.
+type countingNetwork struct {
+	transport.Network
+	eps    []transport.Transport
+	frames atomic.Int64
 }
 
-// A crash window is total outbound data omission for its rounds — before and
-// after, the node's frames flow.
-func TestChaosCrashWindow(t *testing.T) {
-	spec := ChaosSpec{Faults: netsim.Faults{Delta: 1, Key: 42, Faulty: mask(2, 1), Crash: 1, CrashFrom: 2, CrashUntil: 5}}
-	netw := chaosPair(t, 2, spec)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-
-	ep := netw.Endpoints()[1]
-	for r := 0; r < 8; r++ {
-		if err := ep.Send(0, Envelope{Kind: EnvData, From: 1, Round: uint32(r)}); err != nil {
-			t.Fatal(err)
-		}
-		if err := ep.Send(0, Envelope{Kind: EnvSync, From: 1, Round: uint32(r)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := map[int]bool{}
-	for r := 0; r < 8; r++ {
-		for {
-			env, err := netw.Endpoints()[0].Recv(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if env.Kind == EnvData {
-				got[int(env.Round)] = true
-				continue
-			}
-			break
-		}
-	}
-	for r := 0; r < 8; r++ {
-		want := r < 2 || r >= 5
-		if got[r] != want {
-			t.Fatalf("round %d delivered=%v, want %v (crash window [2,5))", r, got[r], want)
-		}
-	}
+type countingTransport struct {
+	transport.Transport
+	frames *atomic.Int64
 }
 
-// Delays and reorders shift arrival times but lose nothing: every data frame
-// an honest sender emits is eventually delivered.
-func TestChaosDelayReorderLosesNothing(t *testing.T) {
-	spec := ChaosSpec{
-		Faults:      netsim.Faults{Delta: 2, Spread: netsim.SpreadJitter, Key: 9},
-		Interval:    2 * time.Millisecond,
-		ReorderRate: 0.5,
-	}
-	netw := chaosPair(t, 2, spec)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
+func (c *countingTransport) Send(to types.NodeID, env transport.Envelope) error {
+	c.frames.Add(1)
+	return c.Transport.Send(to, env)
+}
 
-	ep := netw.Endpoints()[0]
-	const rounds, perRound = 10, 4
-	for r := 0; r < rounds; r++ {
-		for s := 0; s < perRound; s++ {
-			env := Envelope{Kind: EnvData, From: 0, Round: uint32(r), Seq: uint32(s)}
-			if err := ep.Send(1, env); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := ep.Send(1, Envelope{Kind: EnvSync, From: 0, Round: uint32(r)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := ep.Send(1, Envelope{Kind: EnvResult, From: 0}); err != nil {
+func (c *countingTransport) Multicast(env transport.Envelope) error {
+	c.frames.Add(1)
+	return c.Transport.Multicast(env)
+}
+
+func newCountingNetwork(t *testing.T, n int) *countingNetwork {
+	inner, err := transport.NewChanNetwork(n)
+	if err != nil {
 		t.Fatal(err)
 	}
-	seen := map[[2]uint32]bool{}
-	syncs := 0
-	for len(seen) < rounds*perRound || syncs < rounds {
-		env, err := netw.Endpoints()[1].Recv(ctx)
-		if err != nil {
-			t.Fatalf("after %d data / %d syncs: %v", len(seen), syncs, err)
-		}
-		switch env.Kind {
-		case EnvData:
-			seen[[2]uint32{env.Round, env.Seq}] = true
-		case EnvSync:
-			syncs++
-		}
+	c := &countingNetwork{Network: inner}
+	for _, ep := range inner.Endpoints() {
+		c.eps = append(c.eps, &countingTransport{Transport: ep, frames: &c.frames})
 	}
+	return c
 }
 
-// The spec validation enforces the simulator's power boundary.
+func (c *countingNetwork) Endpoints() []transport.Transport { return c.eps }
+
+// TestChaosSpecValidate: the chaos spec — the config's network model and
+// the synchronizer's Δ budget — is validated before a live run puts a
+// single frame on the transport. A valid spec runs; an invalid one is
+// refused with its reason and the network stays silent.
 func TestChaosSpecValidate(t *testing.T) {
+	base := scenario.Config{Protocol: scenario.Core, N: 4, F: 1, Lambda: 3, MaxIters: 12, Net: scenario.NetChaos}
 	cases := []struct {
 		name string
-		spec ChaosSpec
+		set  func(*scenario.Config)
+		opts cluster.Options
 		want string // substring of the error, "" for valid
 	}{
-		{"lockstep", ChaosSpec{Faults: netsim.Faults{Delta: 1}}, ""},
-		{"no-delta", ChaosSpec{}, "Δ ≥ 1"},
-		{"drops", ChaosSpec{Faults: netsim.Faults{Delta: 1, Faulty: mask(4, 0, 1), Rate: 0.5}}, ""},
-		{"budget", ChaosSpec{Faults: netsim.Faults{Delta: 1, Faulty: mask(4, 0, 1, 2), Rate: 0.5}}, "budget"},
-		{"rate", ChaosSpec{Faults: netsim.Faults{Delta: 1, Faulty: mask(4, 0), Rate: 1.5}}, "outside"},
-		{"reorder-rate", ChaosSpec{Faults: netsim.Faults{Delta: 2}, ReorderRate: -0.1}, "outside"},
-		{"interval", ChaosSpec{Faults: netsim.Faults{Delta: 2}, Interval: -time.Millisecond}, "negative"},
-		{"drop-no-faulty", ChaosSpec{Faults: netsim.Faults{Delta: 1, Rate: 0.5}}, "faulty"},
-		{"reorder-delta", ChaosSpec{Faults: netsim.Faults{Delta: 1}, ReorderRate: 0.5}, "Δ ≥ 2"},
-		{"partition-delta", ChaosSpec{Faults: netsim.Faults{Delta: 1, Cut: 2, CutUntil: 3}}, "Δ ≥ 2"},
-		{"partition-cut", ChaosSpec{Faults: netsim.Faults{Delta: 2, Cut: 4, CutUntil: 3}}, "split"},
-		{"partition-range", ChaosSpec{Faults: netsim.Faults{Delta: 2, Cut: 9, CutUntil: 3}}, "range"},
-		{"crash-not-faulty", ChaosSpec{Faults: netsim.Faults{Delta: 1, Faulty: mask(4, 0), Rate: 0.1, Crash: 3, CrashUntil: 2}}, "faulty set"},
-		{"crash-empty", ChaosSpec{Faults: netsim.Faults{Delta: 1, Faulty: mask(4, 3), Crash: 3, CrashFrom: 2, CrashUntil: 2}}, "empty"},
-		{"crash-ok", ChaosSpec{Faults: netsim.Faults{Delta: 1, Faulty: mask(4, 3), Crash: 3, CrashUntil: 2}}, ""},
-		{"partition-ok", ChaosSpec{Faults: netsim.Faults{Delta: 2, Spread: netsim.SpreadJitter, Cut: 2, CutUntil: 3}, Interval: time.Millisecond, ReorderRate: 0.2}, ""},
+		{"lockstep", func(c *scenario.Config) { c.Net = scenario.NetDeltaOne }, cluster.Options{}, ""},
+		{"negative-delta", func(c *scenario.Config) { c.Delta = -1 }, cluster.Options{}, "negative"},
+		{"drops", func(c *scenario.Config) { c.OmissionRate = 0.5 }, cluster.Options{}, ""},
+		{"budget", func(c *scenario.Config) { c.OmissionRate, c.OmissionFaulty = 0.5, 2 }, cluster.Options{}, "exceeds F"},
+		{"rate", func(c *scenario.Config) { c.OmissionRate = 1.5 }, cluster.Options{}, "outside"},
+		{"drop-no-faulty", func(c *scenario.Config) { c.F, c.OmissionRate = 0, 0.5 }, cluster.Options{}, "faulty"},
+		{"partition-delta", func(c *scenario.Config) { c.PartitionRounds = 2 }, cluster.Options{}, "Δ ≥ 2"},
+		{"crash-empty", func(c *scenario.Config) { c.CrashFrom = 2 }, cluster.Options{}, "crash window"},
+		{"crash-ok", func(c *scenario.Config) { c.CrashRounds = 2 }, cluster.Options{}, ""},
+		{"synchronizer-budget", func(c *scenario.Config) { c.Delta, c.OmissionRate = 3, 0.2 }, cluster.Options{Delta: 2}, "budgeted"},
+		{"partition-ok", func(c *scenario.Config) { c.Delta, c.PartitionRounds, c.OmissionRate = 2, 3, 0.2 }, cluster.Options{}, ""},
 	}
 	for _, tc := range cases {
-		err := tc.spec.Validate(4, 2)
-		if tc.want == "" {
-			if err != nil {
-				t.Errorf("%s: unexpected error %v", tc.name, err)
-			}
-			continue
-		}
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: error %v, want substring %q", tc.name, err, tc.want)
-		}
-	}
-}
-
-// The chaos layer composes with the TCP mesh the same way it does with the
-// chan network — injection is below the protocol surface, above the socket.
-func TestChaosOverTCP(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-	inner, err := NewTCPNetwork(ctx, LoopbackAddrs(2), TCPOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := ChaosSpec{Faults: netsim.Faults{Delta: 1, Key: 5, Faulty: mask(2, 0), Rate: 1}}
-	netw := NewChaosNetwork(inner, spec)
-	defer netw.Close()
-
-	ep := netw.Endpoints()[0]
-	if err := ep.Send(1, Envelope{Kind: EnvData, From: 0, Round: 3}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ep.Send(1, Envelope{Kind: EnvSync, From: 0, Round: 3}); err != nil {
-		t.Fatal(err)
-	}
-	env, err := netw.Endpoints()[1].Recv(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if env.Kind != EnvSync || env.Round != 3 {
-		t.Fatalf("expected only the sync to survive a rate-1 faulty link, got %+v", env)
-	}
-}
-
-// A lone chan endpoint cannot be chaos-wrapped: its per-link markers would
-// bypass the barrier tally the network's endpoints share. Wrapping the whole
-// network is the supported shape, and its per-link markers complete a round.
-func TestWrapChaosRefusesLoneChanEndpoint(t *testing.T) {
-	inner, err := NewChanNetwork(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer inner.Close()
-	spec := ChaosSpec{Faults: netsim.Faults{Delta: 1, Key: 1}}
-	if _, err := WrapChaos(inner.Endpoints()[1], spec); err == nil || !strings.Contains(err.Error(), "NewChaosNetwork") {
-		t.Fatalf("WrapChaos on a chan endpoint: %v, want a construction error", err)
-	}
-
-	netw := NewChaosNetwork(inner, spec)
-	for i, ep := range netw.Endpoints() {
-		if _, ok := ep.(*chaosEndpoint); !ok {
-			t.Fatalf("endpoint %d is %T, want it chaos-wrapped", i, ep)
-		}
-		if err := ep.Multicast(Envelope{Kind: EnvSync, From: types.NodeID(i), Round: 0}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	for i, ep := range netw.Endpoints() {
-		for seen := 0; seen < 3; seen++ {
-			env, err := ep.Recv(ctx)
-			if err != nil {
-				t.Fatalf("node %d after %d markers: %v", i, seen, err)
-			}
-			if env.Kind != EnvSync {
-				t.Fatalf("node %d got a %d-kind envelope, want per-link EnvSync markers", i, env.Kind)
-			}
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// TCP startup robustness and hello hardening.
-
-// A mesh whose listeners come up staggered (last one 600ms late) must still
-// connect: the dial path retries with backoff instead of failing fast.
-func TestTCPStaggeredStart(t *testing.T) {
-	const n = 4
-	// Reserve concrete ports so late starters have known addresses.
-	addrs := make([]string, n)
-	for i := range addrs {
-		ls, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[i] = ls.Addr().String()
-		ls.Close()
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-
-	var wg sync.WaitGroup
-	eps := make([]*TCPEndpoint, n)
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			time.Sleep(time.Duration(i) * 200 * time.Millisecond) // staggered binds
-			ep, err := ListenTCP(types.NodeID(i), n, addrs[i], TCPOptions{DialTimeout: 15 * time.Second})
-			if err != nil {
-				errs[i] = err
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := base
+			tc.set(&cfg)
+			netw := newCountingNetwork(t, cfg.N)
+			defer netw.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			_, err := cluster.Run(ctx, cfg, netw, tc.opts)
+			frames := netw.frames.Load()
+			if tc.want == "" {
+				if err != nil || frames == 0 {
+					t.Fatalf("valid spec: error %v after %d frames", err, frames)
+				}
 				return
 			}
-			eps[i] = ep
-			errs[i] = ep.Connect(ctx, addrs)
-		}(i)
-	}
-	wg.Wait()
-	defer func() {
-		for _, ep := range eps {
-			if ep != nil {
-				ep.Close()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %v, want substring %q", err, tc.want)
 			}
-		}
-	}()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("node %d: %v", i, err)
-		}
-	}
-	// Full exchange proves every link of the staggered mesh is live.
-	for i, ep := range eps {
-		if err := ep.Multicast(Envelope{Kind: EnvSync, From: types.NodeID(i), Round: 1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i, ep := range eps {
-		seen := 0
-		for seen < n {
-			env, err := ep.Recv(ctx)
-			if err != nil {
-				t.Fatalf("node %d after %d syncs: %v", i, seen, err)
+			if frames != 0 {
+				t.Fatalf("refused spec put %d frames on the transport", frames)
 			}
-			if env.Kind == EnvSync {
-				seen++
-			}
-		}
-	}
-}
-
-// A peer whose listener is down when Connect starts (crashed and
-// restarting, or simply last to boot) must be picked up by the backoff
-// retries once it binds — Connect may not fail fast.
-func TestTCPConnectRetriesWhileListenerDown(t *testing.T) {
-	ls, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ls.Addr().String()
-	ls.Close() // reserve the address, leave the port dark
-
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-	dialer, err := ListenTCP(0, 2, "127.0.0.1:0", TCPOptions{DialTimeout: 15 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dialer.Close()
-
-	connectErr := make(chan error, 1)
-	go func() { connectErr <- dialer.Connect(ctx, []string{dialer.Addr(), addr}) }()
-
-	// Let several refused dials accumulate before the peer comes back.
-	time.Sleep(400 * time.Millisecond)
-	real, err := ListenTCP(1, 2, addr, TCPOptions{})
-	if err != nil {
-		t.Fatalf("rebinding %s: %v", addr, err)
-	}
-	defer real.Close()
-
-	if err := <-connectErr; err != nil {
-		t.Fatalf("Connect did not survive a late listener: %v", err)
-	}
-	if err := dialer.Send(1, Envelope{Kind: EnvData, From: 0, Round: 1}); err != nil {
-		t.Fatal(err)
-	}
-	env, err := real.Recv(ctx)
-	if err != nil || env.Round != 1 || env.From != 0 {
-		t.Fatalf("exchange after late bind: %+v, %v", env, err)
-	}
-}
-
-// Malformed hellos are rejected with a descriptive reason, not a silent
-// drop or a hang.
-func TestTCPHelloRejections(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-	ep, err := ListenTCP(0, 2, "127.0.0.1:0", TCPOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ep.Close()
-
-	cases := []struct {
-		name  string
-		frame []byte
-		want  string
-	}{
-		{"oversized", AppendFrame(nil, make([]byte, MaxHelloFrame+1)), "frame exceeds"},
-		{"garbage", AppendFrame(nil, []byte{1, 2, 3}), "hello"},
-		{"bad-magic", func() []byte {
-			env := Envelope{Kind: EnvHello, From: 1, Payload: []byte("not-the-magic-xx")}
-			return AppendFrame(nil, AppendEnvelope(nil, env))
-		}(), "payload is"},
-		{"wrong-kind", func() []byte {
-			return AppendFrame(nil, AppendEnvelope(nil, Envelope{Kind: EnvData, From: 1}))
-		}(), "kind"},
-		{"out-of-range", func() []byte {
-			frame := HelloFrame(7, 2)
-			return frame
-		}(), "node 7"},
-		{"size-mismatch", func() []byte {
-			return HelloFrame(1, 5) // dialer thinks the mesh has 5 nodes
-		}(), "cluster of 5"},
-	}
-	for _, tc := range cases {
-		prev := ep.HandshakeError()
-		conn, err := net.Dial("tcp", ep.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		conn.Write(tc.frame)
-		var got error
-		for i := 0; i < 200; i++ {
-			if got = ep.HandshakeError(); got != nil && got != prev {
-				break
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-		conn.Close()
-		if got == nil || got == prev || !strings.Contains(got.Error(), tc.want) {
-			t.Fatalf("%s: handshake error %v, want substring %q", tc.name, got, tc.want)
-		}
-	}
-
-	// And a valid hello still opens the link.
-	conn, err := net.Dial("tcp", ep.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write(HelloFrame(1, 2)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Write(marshalFrame(Envelope{Kind: EnvData, From: 1, Round: 4})); err != nil {
-		t.Fatal(err)
-	}
-	env, err := ep.Recv(ctx)
-	if err != nil || env.Round != 4 {
-		t.Fatalf("valid hello path broken: %+v, %v", env, err)
-	}
-}
-
-// Every decision is a pure function of (key, coordinates): two runs of the
-// same spec produce the same drops.
-func TestChaosDeterminism(t *testing.T) {
-	spec := ChaosSpec{Faults: netsim.Faults{Delta: 1, Key: 77, Faulty: mask(2, 0), Rate: 0.4}}
-	pattern := func() string {
-		netw := chaosPair(t, 2, spec)
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		ep := netw.Endpoints()[0]
-		for r := 0; r < 32; r++ {
-			ep.Send(1, Envelope{Kind: EnvData, From: 0, Round: uint32(r)})
-			ep.Send(1, Envelope{Kind: EnvSync, From: 0, Round: uint32(r)})
-		}
-		var b strings.Builder
-		for r := 0; r < 32; r++ {
-			delivered := false
-			for {
-				env, err := netw.Endpoints()[1].Recv(ctx)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if env.Kind == EnvData {
-					delivered = true
-					continue
-				}
-				break
-			}
-			fmt.Fprintf(&b, "%v,", delivered)
-		}
-		return b.String()
-	}
-	if a, b := pattern(), pattern(); a != b {
-		t.Fatalf("same spec, different schedules:\n%s\n%s", a, b)
+		})
 	}
 }
