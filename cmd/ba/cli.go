@@ -1,4 +1,4 @@
-package cli
+package main
 
 import (
 	"encoding/json"
@@ -8,35 +8,41 @@ import (
 	"io"
 	"os"
 	"strconv"
+	"time"
 
 	"ccba"
 )
 
-// Run is one parsed command line: the scenario to execute — the registered
-// one -scenario names, else the one the flags build — with every passed
-// flag applied, plus the shared flags that are not part of a Config.
-type Run struct {
+// invocation is one parsed command line: the scenario to execute — the
+// registered one -scenario names, else the one the flags build — with every
+// passed flag applied, plus the flags that are not part of a Config.
+type invocation struct {
 	ccba.Scenario
-	// Seed is the -seed value; Parse has already widened it into
+	// seed is the -seed value; parse has already widened it into
 	// Config.Seed.
-	Seed  int64
-	JSON  bool
-	Trace string
+	seed            int64
+	json            bool
+	trace           string
+	trials, workers int
+	// transport picks the runtime: sim, chan or tcp. The fields after it
+	// are read by the live runtimes only.
+	transport                string
+	node                     int
+	peers, obsAddr           string
+	roundInterval, obsLinger time.Duration
 }
 
-// Parse declares the shared run flags and the command's own, which bind
-// registers on fs, and parses args. Every flag is bound onto the field it
-// sets, with the field's current value as its default. Under -scenario the
-// args are parsed a second time onto the scenario, so exactly the flags
-// passed override it; bind gets the scenario, so a command flag can take
-// its default from it too. With -scenarios Parse lists the registry to out
-// and returns a nil Run.
-func Parse(name string, args []string, out io.Writer, bind func(fs *flag.FlagSet, sc *ccba.Scenario)) (*Run, error) {
-	r := &Run{Scenario: ccba.Scenario{Config: ccba.Config{
+// parse declares the command's one flag set and parses args. Every flag is
+// bound onto the field it sets, with the field's current value as its
+// default. Under -scenario the args are parsed a second time onto the
+// scenario, so exactly the flags passed override it. With -scenarios parse
+// lists the registry to out and returns a nil invocation.
+func parse(args []string, out io.Writer) (*invocation, error) {
+	inv := &invocation{Scenario: ccba.Scenario{Config: ccba.Config{
 		Protocol: ccba.Core, N: 200, F: 60, Lambda: 40, Epochs: 20, Crypto: ccba.Ideal,
 	}}}
 	var list bool
-	fs := r.flagSet(name, &list, bind)
+	fs := inv.flagSet(&list)
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -47,27 +53,30 @@ func Parse(name string, args []string, out io.Writer, bind func(fs *flag.FlagSet
 		}
 		return nil, nil
 	}
-	if r.Name != "" {
-		sc, ok := ccba.LookupScenario(r.Name)
+	if inv.Name != "" {
+		sc, ok := ccba.LookupScenario(inv.Name)
 		if !ok {
-			return nil, fmt.Errorf("unknown scenario %q (registered: %v)", r.Name, ccba.ScenarioNames())
+			return nil, fmt.Errorf("unknown scenario %q (registered: %v)", inv.Name, ccba.ScenarioNames())
 		}
-		r.Scenario = sc
-		fs = r.flagSet(name, &list, bind)
+		inv.Scenario = sc
+		fs = inv.flagSet(&list)
 		if err := fs.Parse(args); err != nil {
 			return nil, err
 		}
 	}
-	var err error
-	if r.Config.Seed, err = ccba.SeedFromInt(r.Seed); err != nil {
+	if err := inv.checkRuntimeFlags(fs); err != nil {
 		return nil, err
 	}
-	return r, nil
+	var err error
+	if inv.Config.Seed, err = ccba.SeedFromInt(inv.seed); err != nil {
+		return nil, err
+	}
+	return inv, nil
 }
 
-func (r *Run) flagSet(name string, list *bool, bind func(*flag.FlagSet, *ccba.Scenario)) *flag.FlagSet {
-	fs := flag.NewFlagSet(name, flag.ContinueOnError)
-	c := &r.Config
+func (inv *invocation) flagSet(list *bool) *flag.FlagSet {
+	fs := flag.NewFlagSet("ba", flag.ContinueOnError)
+	c := &inv.Config
 	fs.StringVar((*string)(&c.Protocol), "protocol", string(c.Protocol), "protocol: core, core-broadcast, quadratic, phaseking, phaseking-sampled, chenmicali, dolevstrong, committee, brb, aba, acs")
 	fs.IntVar(&c.N, "n", c.N, "number of nodes")
 	fs.IntVar(&c.F, "f", c.F, "corruption budget")
@@ -86,13 +95,51 @@ func (r *Run) flagSet(name string, list *bool, bind func(*flag.FlagSet, *ccba.Sc
 	fs.IntVar(&c.PartitionRounds, "partition-rounds", c.PartitionRounds, "rounds the half/half partition lasts (partition: 0 = 2·Δ; chaos: 0 = none)")
 	fs.IntVar(&c.CrashFrom, "crash-from", c.CrashFrom, "first round of the chaos crash window (with -crash-rounds)")
 	fs.IntVar(&c.CrashRounds, "crash-rounds", c.CrashRounds, "crash the first faulty sender for this many rounds, then let it restart (chaos)")
-	fs.Int64Var(&r.Seed, "seed", 1, "execution seed")
-	fs.BoolVar(&r.JSON, "json", false, "emit the outcome as JSON (one document for cmd/ba and cmd/cluster)")
-	fs.StringVar(&r.Trace, "trace", "", "write the canonical round-event trace (JSONL, DESIGN.md §10) to this file; single runs only")
-	fs.StringVar(&r.Name, "scenario", r.Name, "run a registered scenario by name; other flags override its fields")
+	fs.Int64Var(&inv.seed, "seed", 1, "execution seed")
+	fs.BoolVar(&inv.json, "json", false, "emit the outcome as JSON (one document for every transport)")
+	fs.StringVar(&inv.trace, "trace", "", "write the canonical round-event trace (JSONL, DESIGN.md §10) to this file; single runs only")
+	fs.StringVar(&inv.Name, "scenario", inv.Name, "run a registered scenario by name; other flags override its fields")
 	fs.BoolVar(list, "scenarios", false, "list the registered scenarios and exit")
-	bind(fs, &r.Scenario)
+
+	if inv.Adversary == "" {
+		inv.Adversary = "none"
+	}
+	fs.StringVar(&inv.Adversary, "adversary", inv.Adversary, "adversary from the registry (see ccba.Adversaries): none, silent, flip, …")
+	fs.StringVar((*string)(&c.Sched), "sched", string(c.Sched), "async scheduler for brb/aba/acs: fifo (default), random, adversarial-delay")
+	fs.IntVar(&c.AdvDelay, "adv-delay", c.AdvDelay, "adversarial-delay holdback penalty (0 = 4·n; adversarial-delay scheduler only)")
+	fs.IntVar(&c.Crashes, "crashes", c.Crashes, "crash-faulty node count drawn seed-deterministically (async protocols, ≤ f)")
+	fs.BoolVar(&c.Sparse, "sparse", c.Sparse, "assert the delta-one, passive-adversary regime and report the attestation intern statistics (node state is the same without it)")
+	fs.IntVar(&inv.trials, "trials", 1, "number of runs (aggregated when > 1)")
+	fs.IntVar(&inv.workers, "workers", 0, "trial worker-pool size (0 = GOMAXPROCS); aggregates are identical for every value")
+
+	fs.StringVar(&inv.transport, "transport", "sim", "runtime: sim (the lockstep or event-driven simulator), chan (a live cluster over in-process channels) or tcp (a live cluster over a TCP mesh with length-prefixed framing)")
+	fs.IntVar(&inv.node, "node", -1, "run only this node index over TCP, joining the -peers mesh (-1 = all nodes in this process)")
+	fs.StringVar(&inv.peers, "peers", "", "comma-separated list of all node addresses in node order (tcp)")
+	fs.DurationVar(&inv.roundInterval, "round-interval", 0, "soft per-round deadline: a node advances once all n sync markers are in or the interval has elapsed (0 = pure all-ack barrier)")
+	fs.StringVar(&inv.obsAddr, "obs-addr", "", "serve live telemetry on this host:port — /debug/vars (expvar, the \"ccba\" var) and /debug/pprof; port 0 picks a free one")
+	fs.DurationVar(&inv.obsLinger, "obs-linger", 0, "keep the -obs-addr endpoint alive this long after the run, so scrapers (CI smoke jobs) can read final counters")
 	return fs
+}
+
+// checkRuntimeFlags rejects an unknown -transport and every passed flag
+// the chosen runtime would not read.
+func (inv *invocation) checkRuntimeFlags(fs *flag.FlagSet) error {
+	switch inv.transport {
+	case "sim", "chan", "tcp":
+	default:
+		return fmt.Errorf("unknown transport %q (want sim, chan or tcp)", inv.transport)
+	}
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		switch {
+		case err != nil:
+		case (f.Name == "node" || f.Name == "peers") && inv.transport != "tcp":
+			err = fmt.Errorf("-%s needs -transport tcp; sim and chan always host the whole cluster", f.Name)
+		case (f.Name == "round-interval" || f.Name == "obs-addr" || f.Name == "obs-linger") && inv.transport == "sim":
+			err = fmt.Errorf("-%s needs -transport chan or tcp; the simulator runs no live nodes", f.Name)
+		}
+	})
+	return err
 }
 
 // bitFlag is an input-bit flag. It accepts 0 and 1 — and, when unset is
@@ -122,11 +169,11 @@ func (b bitFlag) Set(s string) error {
 	return nil
 }
 
-// document is the single-run -json document both commands print, field
-// for field, so their outputs diff clean for the same seed and
-// configuration. The intern field appears only on interning runs (Sparse
-// defaults it on); its counters are deterministic per (config, seed), so
-// sparse documents stay byte-diffable across GOMAXPROCS values.
+// document is the single-run -json document, field for field the same on
+// every transport, so the runtimes' outputs diff clean for the same seed
+// and configuration. The intern field appears only on interning runs
+// (Sparse defaults it on); its counters are deterministic per (config,
+// seed), so sparse documents stay byte-diffable across GOMAXPROCS values.
 type document struct {
 	Protocol   string            `json:"protocol"`
 	N          int               `json:"n"`
@@ -144,24 +191,24 @@ type document struct {
 	Violations map[string]string `json:"violations"`
 }
 
-// Report prints rep as the -json document or the text report and fails
+// report prints rep as the -json document or the text report and fails
 // the command when a security property is violated. It describes the
 // config the run executed, with every default applied; the text header
-// names transport after the message schedule when it is not empty.
-func (r *Run) Report(out io.Writer, rep *ccba.Report, transport string) error {
-	cfg, err := r.Config.Normalized()
+// names a live run's transport after the message schedule.
+func (inv *invocation) report(out io.Writer, rep *ccba.Report) error {
+	cfg, err := inv.Config.Normalized()
 	if err != nil {
 		return err
 	}
-	net, delta := NetLabel(cfg), max(cfg.Delta, 1)
+	net, delta := netLabel(cfg), max(cfg.Delta, 1)
 	props := []struct {
 		name string
 		err  error
 	}{{"consistency", rep.Consistency}, {"validity", rep.Validity}, {"termination", rep.Termination}}
-	if r.JSON {
+	if inv.json {
 		doc := document{
 			Protocol: string(cfg.Protocol), N: cfg.N, F: cfg.F, Crypto: string(cfg.Crypto),
-			Net: net, Delta: delta, Seed: r.Seed,
+			Net: net, Delta: delta, Seed: inv.seed,
 			Rounds: rep.Rounds, Corrupted: rep.NumCorrupt(), Metrics: rep.Result.Metrics,
 			Intern: rep.Intern, Async: rep.Async, Ok: rep.Ok(),
 			Violations: map[string]string{},
@@ -171,13 +218,13 @@ func (r *Run) Report(out io.Writer, rep *ccba.Report, transport string) error {
 				doc.Violations[p.name] = p.err.Error()
 			}
 		}
-		if err := WriteJSON(out, doc); err != nil {
+		if err := writeJSON(out, doc); err != nil {
 			return err
 		}
 	} else {
 		where := fmt.Sprintf("net=%s delta=%d", net, delta)
-		if transport != "" {
-			where += " transport=" + transport
+		if inv.transport != "sim" {
+			where += " transport=" + inv.transport
 		}
 		outputs := map[ccba.Bit]int{}
 		for _, id := range rep.ForeverHonest() {
@@ -186,7 +233,7 @@ func (r *Run) Report(out io.Writer, rep *ccba.Report, transport string) error {
 			}
 		}
 		fmt.Fprintf(out, "protocol=%s n=%d f=%d crypto=%s %s seed=%d\n",
-			cfg.Protocol, cfg.N, cfg.F, cfg.Crypto, where, r.Seed)
+			cfg.Protocol, cfg.N, cfg.F, cfg.Crypto, where, inv.seed)
 		fmt.Fprintf(out, "  rounds:            %d\n", rep.Rounds)
 		fmt.Fprintf(out, "  corrupted:         %d\n", rep.NumCorrupt())
 		fmt.Fprintf(out, "  multicasts:        %d (%d bytes)\n",
@@ -214,17 +261,17 @@ func (r *Run) Report(out io.Writer, rep *ccba.Report, transport string) error {
 	return nil
 }
 
-// NetLabel names the message schedule a normalized config executes: the
+// netLabel names the message schedule a normalized config executes: the
 // network model on the synchronous track, the scheduler on the async one.
-func NetLabel(cfg ccba.Config) string {
+func netLabel(cfg ccba.Config) string {
 	if cfg.Protocol.Async() {
 		return "sched:" + string(cfg.Sched)
 	}
 	return string(cfg.Net)
 }
 
-// WriteJSON writes v as indented JSON and a newline.
-func WriteJSON(w io.Writer, v any) error {
+// writeJSON writes v as indented JSON and a newline.
+func writeJSON(w io.Writer, v any) error {
 	buf, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err
@@ -234,8 +281,8 @@ func WriteJSON(w io.Writer, v any) error {
 	return err
 }
 
-// WriteTrace exports a recorder's canonical JSONL to path.
-func WriteTrace(path string, rec *ccba.TraceRecorder) error {
+// writeTrace exports a recorder's canonical JSONL to path.
+func writeTrace(path string, rec *ccba.TraceRecorder) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err

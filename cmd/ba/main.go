@@ -8,6 +8,33 @@
 // select the message-scheduling model, and -scenario loads a whole
 // registered setting (individual flags still override its fields).
 //
+// -transport picks the runtime that executes the config:
+//
+//	-transport sim     the lockstep simulator (the event-driven one for
+//	                   brb, aba and acs); the default
+//	-transport chan    a live cluster: n nodes in this process, one
+//	                   goroutine each, over in-process channels
+//	-transport tcp     a live cluster over a localhost (or cross-host) TCP
+//	                   mesh with length-prefixed framing; all n nodes in
+//	                   this process by default, or a single node joining a
+//	                   mesh with -node and -peers
+//
+// A live cluster drives the same node state machines as concurrent node
+// processes exchanging wire-encoded envelopes, and every node applies the
+// config's network model in its own round loop: a frame the model delays
+// d rounds is delivered d rounds after it was sent, drops and crash windows
+// hit only seed-chosen faulty senders (DESIGN.md §7). On the all-ack
+// barrier (no -round-interval) a live run prints the simulator's bytes
+// under every model and Δ, -trace included; the E14 experiment
+// cross-validates the runtimes. -round-interval arms a soft per-round
+// deadline; when a node advances, and so the run, then depends on timing.
+// Live runs execute honest synchronous protocols one at a time: an
+// adversary, an async protocol, -sparse and -trials > 1 need the simulator,
+// and -node, -peers, -round-interval, -obs-addr and -obs-linger need a live
+// transport. The multi-process form (-node) runs the Appendix D compiler's
+// real crypto for the committee-sampled protocols: the hybrid world's
+// F_mine trusted party cannot be split across processes.
+//
 // Examples:
 //
 //	ba -protocol core -n 500 -f 150 -lambda 40
@@ -26,45 +53,39 @@
 //	ba -protocol acs -n 16 -f 5 -crashes 5 -sched random
 //	ba -scenario acs-n16 -trials 50 -workers 4 -json
 //	ba -scenarios
+//	ba -transport chan -n 200 -f 60 -lambda 40
+//	ba -transport chan -scenario core-omission-n200 -json
+//	ba -transport chan -n 16 -f 4 -net chaos -delta 2 -omission-rate 0.2 -partition-rounds 4
+//	ba -transport tcp -n 4 -f 1
+//	ba -transport tcp -crypto real -node 0 -peers 127.0.0.1:7701,127.0.0.1:7702,127.0.0.1:7703,127.0.0.1:7704
 package main
 
 import (
-	"flag"
+	"context"
 	"fmt"
 	"io"
 	"os"
 	"sync/atomic"
 
 	"ccba"
-	"ccba/internal/cli"
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	if err := run(context.Background(), os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "ba:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string, out io.Writer) error {
-	var trials, workers int
-	r, err := cli.Parse("ba", args, out, func(fs *flag.FlagSet, sc *ccba.Scenario) {
-		c := &sc.Config
-		if sc.Adversary == "" {
-			sc.Adversary = "none"
-		}
-		fs.StringVar(&sc.Adversary, "adversary", sc.Adversary, "adversary from the registry (see ccba.Adversaries): none, silent, flip, …")
-		fs.StringVar((*string)(&c.Sched), "sched", string(c.Sched), "async scheduler for brb/aba/acs: fifo (default), random, adversarial-delay")
-		fs.IntVar(&c.AdvDelay, "adv-delay", c.AdvDelay, "adversarial-delay holdback penalty (0 = 4·n; adversarial-delay scheduler only)")
-		fs.IntVar(&c.Crashes, "crashes", c.Crashes, "crash-faulty node count drawn seed-deterministically (async protocols, ≤ f)")
-		fs.BoolVar(&c.Sparse, "sparse", c.Sparse, "assert the delta-one, passive-adversary regime and report the attestation intern statistics (node state is the same without it)")
-		fs.IntVar(&trials, "trials", 1, "number of runs (aggregated when > 1)")
-		fs.IntVar(&workers, "workers", 0, "trial worker-pool size (0 = GOMAXPROCS); aggregates are identical for every value")
-	})
-	if r == nil {
+func run(ctx context.Context, args []string, out io.Writer) error {
+	inv, err := parse(args, out)
+	if inv == nil {
 		return err
 	}
-	cfg, advName := r.Config, r.Adversary
+	if inv.transport != "sim" {
+		return runLive(ctx, inv, out)
+	}
+	cfg, advName := inv.Config, inv.Adversary
 
 	// Adversaries are stateful, so the registry builds one fresh instance
 	// per trial; resolve once up front so an unknown name or unsupported
@@ -85,13 +106,13 @@ func run(args []string, out io.Writer) error {
 		return adv
 	}
 
-	if trials > 1 {
-		if r.Trace != "" {
+	if inv.trials > 1 {
+		if inv.trace != "" {
 			return fmt.Errorf("-trace records one execution; drop -trials or run them one seed at a time")
 		}
 		st, err := ccba.RunTrialsOpts(cfg, ccba.TrialOpts{
-			Trials:       trials,
-			Workers:      workers,
+			Trials:       inv.trials,
+			Workers:      inv.workers,
 			NewAdversary: newAdversary,
 		})
 		if e := advErr.Load(); e != nil {
@@ -100,8 +121,8 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if r.JSON {
-			if err := cli.WriteJSON(out, st); err != nil {
+		if inv.json {
+			if err := writeJSON(out, st); err != nil {
 				return err
 			}
 		} else {
@@ -110,7 +131,7 @@ func run(args []string, out io.Writer) error {
 				return err
 			}
 			fmt.Fprintf(out, "protocol=%s n=%d f=%d crypto=%s net=%s delta=%d trials=%d workers=%d\n",
-				norm.Protocol, norm.N, norm.F, norm.Crypto, cli.NetLabel(norm), max(norm.Delta, 1), trials, workers)
+				norm.Protocol, norm.N, norm.F, norm.Crypto, netLabel(norm), max(norm.Delta, 1), inv.trials, inv.workers)
 			fmt.Fprintf(out, "  violations:      %d (rate %.3f, 95%% CI [%.3f, %.3f])\n",
 				st.Violations, st.ViolationRate, st.ViolationLo, st.ViolationHi)
 			fmt.Fprintf(out, "  rounds:          %v\n", st.Rounds)
@@ -119,25 +140,25 @@ func run(args []string, out io.Writer) error {
 		}
 		// Same exit-code contract as a single run: violations fail the command.
 		if st.Violations > 0 {
-			return fmt.Errorf("security properties violated in %d/%d trials", st.Violations, trials)
+			return fmt.Errorf("security properties violated in %d/%d trials", st.Violations, inv.trials)
 		}
 		return nil
 	}
 
 	cfg.Adversary = newAdversary(0)
 	var rec *ccba.TraceRecorder
-	if r.Trace != "" {
+	if inv.trace != "" {
 		rec = ccba.NewTraceRecorder(0)
 		cfg.Tracer = rec
 	}
-	rep, err := ccba.Run(cfg)
+	rep, err := ccba.RunCtx(ctx, cfg)
 	if err != nil {
 		return err
 	}
 	if rec != nil {
-		if err := cli.WriteTrace(r.Trace, rec); err != nil {
+		if err := writeTrace(inv.trace, rec); err != nil {
 			return err
 		}
 	}
-	return r.Report(out, rep, "")
+	return inv.report(out, rep)
 }

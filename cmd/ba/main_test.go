@@ -12,14 +12,14 @@ import (
 )
 
 func TestRunDefaults(t *testing.T) {
-	if err := run([]string{"-n", "100", "-f", "30", "-lambda", "30"}, io.Discard); err != nil {
+	if err := run(t.Context(), []string{"-n", "100", "-f", "30", "-lambda", "30"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunTrialsPath(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{"-n", "80", "-f", "20", "-lambda", "24", "-trials", "2"}, &buf); err != nil {
+	if err := run(t.Context(), []string{"-n", "80", "-f", "20", "-lambda", "24", "-trials", "2"}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "violations") {
@@ -30,14 +30,14 @@ func TestRunTrialsPath(t *testing.T) {
 func TestRunTrialsWithAdversaryFactory(t *testing.T) {
 	// -trials with a stateful adversary exercises the per-trial factory; the
 	// old code reused one instance across every trial.
-	if err := run([]string{"-n", "100", "-f", "30", "-lambda", "30", "-adversary", "flip", "-trials", "3", "-workers", "2"}, io.Discard); err != nil {
+	if err := run(t.Context(), []string{"-n", "100", "-f", "30", "-lambda", "30", "-adversary", "flip", "-trials", "3", "-workers", "2"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunTrialsJSON(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{"-n", "80", "-f", "20", "-lambda", "24", "-trials", "2", "-json"}, &buf); err != nil {
+	if err := run(t.Context(), []string{"-n", "80", "-f", "20", "-lambda", "24", "-trials", "2", "-json"}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	var doc map[string]any
@@ -54,10 +54,10 @@ func TestRunTrialsJSON(t *testing.T) {
 func TestRunTrialsJSONDeterministicAcrossWorkers(t *testing.T) {
 	var serial, parallel bytes.Buffer
 	args := []string{"-n", "80", "-f", "20", "-lambda", "24", "-trials", "4", "-json"}
-	if err := run(append(args, "-workers", "1"), &serial); err != nil {
+	if err := run(t.Context(), append(args, "-workers", "1"), &serial); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(append(args, "-workers", "8"), &parallel); err != nil {
+	if err := run(t.Context(), append(args, "-workers", "8"), &parallel); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(serial.Bytes(), parallel.Bytes()) {
@@ -67,7 +67,7 @@ func TestRunTrialsJSONDeterministicAcrossWorkers(t *testing.T) {
 
 func TestRunSingleJSON(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{"-n", "80", "-f", "20", "-lambda", "24", "-json"}, &buf); err != nil {
+	if err := run(t.Context(), []string{"-n", "80", "-f", "20", "-lambda", "24", "-json"}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	var doc map[string]any
@@ -80,54 +80,81 @@ func TestRunSingleJSON(t *testing.T) {
 }
 
 func TestRunSilentAdversary(t *testing.T) {
-	if err := run([]string{"-n", "100", "-f", "30", "-lambda", "30", "-adversary", "silent"}, io.Discard); err != nil {
+	if err := run(t.Context(), []string{"-n", "100", "-f", "30", "-lambda", "30", "-adversary", "silent"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunFlipOnCore(t *testing.T) {
-	if err := run([]string{"-n", "100", "-f", "30", "-lambda", "30", "-adversary", "flip"}, io.Discard); err != nil {
+	if err := run(t.Context(), []string{"-n", "100", "-f", "30", "-lambda", "30", "-adversary", "flip"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunBroadcastProtocol(t *testing.T) {
-	if err := run([]string{"-protocol", "dolevstrong", "-n", "12", "-f", "4", "-sender-input", "1"}, io.Discard); err != nil {
+	if err := run(t.Context(), []string{"-protocol", "dolevstrong", "-n", "12", "-f", "4", "-sender-input", "1"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunUnanimous(t *testing.T) {
-	if err := run([]string{"-n", "80", "-f", "20", "-lambda", "24", "-unanimous", "1"}, io.Discard); err != nil {
+	if err := run(t.Context(), []string{"-n", "80", "-f", "20", "-lambda", "24", "-unanimous", "1"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestRunRejectsBadFlags: every bad command line fails with an error that
+// names its cause, under each transport: bad config values, a -transport
+// the command does not have, a live-only flag under the simulator, and a
+// config the live runtime cannot execute.
 func TestRunRejectsBadFlags(t *testing.T) {
-	cases := [][]string{
-		{"-adversary", "nonexistent"},
-		{"-protocol", "quadratic", "-adversary", "flip", "-n", "9", "-f", "4"},
-		{"-protocol", "unknown-protocol", "-n", "10", "-f", "2"},
-		{"-n", "10", "-f", "10"},
-		{"-n", "0", "-f", "0"},
-		{"-net", "carrier-pigeon"},
-		{"-delta", "3"}, // Δ>1 needs a delay-capable -net
-		{"-net", "omission", "-omission-rate", "1.5"},
-		{"-scenario", "no-such-scenario"},
-		{"-n", "20", "-f", "5", "-lambda", "8", "-unanimous", "7"},
-		{"-protocol", "dolevstrong", "-n", "8", "-f", "2", "-sender-input", "5"},
-		{"-n", "20", "-f", "5", "-omission-rate", "0.5"}, // omission knobs need -net omission
-		{"-n", "20", "-f", "5", "-faulty", "3"},
-		{"-n", "20", "-f", "5", "-net", "chaos", "-partition-rounds", "-2"},
-		{"-n", "20", "-f", "5", "-net", "chaos", "-crash-from", "-5", "-crash-rounds", "3"},
-		{"-n", "20", "-f", "5", "-net", "omission", "-crash-rounds", "3"}, // crash windows need -net chaos
-		{"-n", "20", "-f", "5", "-net", "delta", "-delta", "2", "-partition-rounds", "2"},
-		{"-n", "20", "-f", "5", "-net", "chaos", "-partition-rounds", "2"},   // a partition at Δ = 1 holds nothing
-		{"-n", "20", "-f", "0", "-net", "omission", "-omission-rate", "0.2"}, // no faulty sender to drop from
+	cases := []struct {
+		args []string
+		want string // substring of the error
+	}{
+		{[]string{"-adversary", "nonexistent"}, `unknown adversary "nonexistent"`},
+		{[]string{"-protocol", "quadratic", "-adversary", "flip", "-n", "9", "-f", "4"}, `not "quadratic"`},
+		{[]string{"-protocol", "unknown-protocol", "-n", "10", "-f", "2"}, `unknown protocol "unknown-protocol"`},
+		{[]string{"-n", "10", "-f", "10"}, "need F < N"},
+		{[]string{"-n", "0", "-f", "0"}, "N=0"},
+		{[]string{"-net", "carrier-pigeon"}, `unknown net model "carrier-pigeon"`},
+		{[]string{"-delta", "3"}, "Delta=3 under the lockstep"}, // Δ>1 needs a delay-capable -net
+		{[]string{"-net", "omission", "-omission-rate", "1.5"}, "outside [0, 1]"},
+		{[]string{"-scenario", "no-such-scenario"}, `unknown scenario "no-such-scenario"`},
+		{[]string{"-n", "20", "-f", "5", "-lambda", "8", "-unanimous", "7"}, "-unanimous"},
+		{[]string{"-protocol", "dolevstrong", "-n", "8", "-f", "2", "-sender-input", "5"}, "-sender-input"},
+		{[]string{"-n", "20", "-f", "5", "-omission-rate", "0.5"}, "only apply under"}, // omission knobs need -net omission
+		{[]string{"-n", "20", "-f", "5", "-faulty", "3"}, "only apply under"},
+		{[]string{"-n", "20", "-f", "5", "-net", "chaos", "-partition-rounds", "-2"}, "PartitionRounds=-2 cannot be negative"},
+		{[]string{"-n", "20", "-f", "5", "-net", "chaos", "-crash-from", "-5", "-crash-rounds", "3"}, "CrashFrom=-5 cannot be negative"},
+		{[]string{"-n", "20", "-f", "5", "-net", "omission", "-crash-rounds", "3"}, `only apply under the "chaos" model`}, // crash windows need -net chaos
+		{[]string{"-n", "20", "-f", "5", "-net", "delta", "-delta", "2", "-partition-rounds", "2"}, "PartitionRounds=2 only applies"},
+		{[]string{"-n", "20", "-f", "5", "-net", "chaos", "-partition-rounds", "2"}, "needs Δ ≥ 2"},        // a partition at Δ = 1 holds nothing
+		{[]string{"-n", "20", "-f", "0", "-net", "omission", "-omission-rate", "0.2"}, "empty faulty set"}, // no faulty sender to drop from
+
+		{[]string{"-transport", "carrier-pigeon"}, `unknown transport "carrier-pigeon"`},
+		// Flags only a live runtime reads, under the simulator.
+		{[]string{"-node", "0"}, "-node needs -transport tcp"},
+		{[]string{"-peers", "127.0.0.1:7701"}, "-peers needs -transport tcp"},
+		{[]string{"-round-interval", "2ms"}, "-round-interval needs -transport chan or tcp"},
+		{[]string{"-obs-addr", "127.0.0.1:0"}, "-obs-addr needs -transport chan or tcp"},
+		{[]string{"-transport", "sim", "-obs-linger", "1s"}, "-obs-linger needs -transport chan or tcp"},
+		// A single node joins a TCP mesh only.
+		{[]string{"-transport", "chan", "-node", "0"}, "-node needs -transport tcp"},
+		{[]string{"-transport", "chan", "-peers", "a,b"}, "-peers needs -transport tcp"},
+		{[]string{"-transport", "tcp", "-node", "0"}, "-node 0 needs -peers"},
+		{[]string{"-transport", "tcp", "-node", "0", "-peers", "a,b"}, "-peers lists 2 addresses for a cluster of 200"},
+		// What only the simulator executes.
+		{[]string{"-transport", "chan", "-scenario", "core-silent-n200"}, `adversary "silent": live clusters execute honest protocols only`},
+		{[]string{"-transport", "tcp", "-adversary", "flip"}, `adversary "flip": live clusters execute honest protocols only`},
+		{[]string{"-transport", "chan", "-scenario", "aba-n16"}, `cluster: protocol "aba" runs on the asynchronous track`},
+		{[]string{"-transport", "chan", "-n", "40", "-f", "10", "-lambda", "16", "-sparse"}, "cluster: Sparse is the simulator's"},
+		{[]string{"-transport", "chan", "-n", "20", "-f", "5", "-lambda", "8", "-trials", "2"}, "-trials 2: a live cluster runs one execution"},
+		{[]string{"-transport", "chan", "-n", "20", "-f", "5", "-net", "chaos", "-delta", "2", "-reorder", "0.3"}, "-reorder"}, // jitter draws what reorder did
 	}
-	for _, args := range cases {
-		if err := run(args, io.Discard); err == nil {
-			t.Errorf("args %v accepted", args)
+	for _, tc := range cases {
+		if err := run(t.Context(), tc.args, io.Discard); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("args %v: got %v, want an error containing %q", tc.args, err, tc.want)
 		}
 	}
 }
@@ -135,7 +162,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 // The omission model at a modest rate keeps the protocol live (more rounds,
 // same safety), so the command exits clean.
 func TestRunOmissionNet(t *testing.T) {
-	if err := run([]string{"-n", "80", "-f", "20", "-lambda", "24",
+	if err := run(t.Context(), []string{"-n", "80", "-f", "20", "-lambda", "24",
 		"-net", "omission", "-omission-rate", "0.2"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +173,7 @@ func TestRunOmissionNet(t *testing.T) {
 // model and reports the termination violation.
 func TestRunDeltaNetJSON(t *testing.T) {
 	var buf bytes.Buffer
-	err := run([]string{"-n", "60", "-f", "15", "-lambda", "16",
+	err := run(t.Context(), []string{"-n", "60", "-f", "15", "-lambda", "16",
 		"-net", "delta", "-delta", "3", "-json"}, &buf)
 	if err == nil || !strings.Contains(err.Error(), "violated") {
 		t.Fatalf("worst-case Δ=3 err = %v, want violation exit", err)
@@ -166,8 +193,8 @@ func TestRunDeltaTrialsDeterministicAcrossWorkers(t *testing.T) {
 	var serial, parallel bytes.Buffer
 	args := []string{"-n", "60", "-f", "15", "-lambda", "16",
 		"-net", "jitter", "-delta", "2", "-trials", "4", "-json"}
-	errSerial := run(append(args, "-workers", "1"), &serial)
-	errParallel := run(append(args, "-workers", "4"), &parallel)
+	errSerial := run(t.Context(), append(args, "-workers", "1"), &serial)
+	errParallel := run(t.Context(), append(args, "-workers", "4"), &parallel)
 	if (errSerial == nil) != (errParallel == nil) {
 		t.Fatalf("exit mismatch: %v vs %v", errSerial, errParallel)
 	}
@@ -179,7 +206,7 @@ func TestRunDeltaTrialsDeterministicAcrossWorkers(t *testing.T) {
 func TestRunScenario(t *testing.T) {
 	var buf bytes.Buffer
 	// Registered scenario, shrunk by explicit flag overrides for speed.
-	if err := run([]string{"-scenario", "core-silent-n200", "-n", "80", "-f", "20", "-lambda", "24", "-json"}, &buf); err != nil {
+	if err := run(t.Context(), []string{"-scenario", "core-silent-n200", "-n", "80", "-f", "20", "-lambda", "24", "-json"}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	var doc map[string]any
@@ -193,7 +220,7 @@ func TestRunScenario(t *testing.T) {
 
 func TestListScenarios(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{"-scenarios"}, &buf); err != nil {
+	if err := run(t.Context(), []string{"-scenarios"}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"core-n200", "core-delta3-n200", "core-omission-n200"} {
@@ -214,17 +241,17 @@ func TestRunScenarioKeepsSparse(t *testing.T) {
 		t.Fatal(err)
 	}
 	var kept, dropped bytes.Buffer
-	if err := run([]string{"-scenario", "test-sparse-n40", "-json"}, &kept); err != nil {
+	if err := run(t.Context(), []string{"-scenario", "test-sparse-n40", "-json"}, &kept); err != nil {
 		t.Fatalf("sparse scenario: %v", err)
 	}
 	if !strings.Contains(kept.String(), `"intern"`) {
 		t.Fatalf("the flag default overwrote the scenario's Sparse:\n%s", kept.String())
 	}
-	err := run([]string{"-scenario", "test-sparse-n40", "-net", "delta", "-delta", "2"}, &kept)
+	err := run(t.Context(), []string{"-scenario", "test-sparse-n40", "-net", "delta", "-delta", "2"}, &kept)
 	if err == nil || !strings.Contains(err.Error(), "Sparse") {
 		t.Fatalf("-net delta on a Sparse scenario: got %v, want the Sparse/net rejection", err)
 	}
-	if err := run([]string{"-scenario", "test-sparse-n40", "-sparse=false", "-json"}, &dropped); err != nil {
+	if err := run(t.Context(), []string{"-scenario", "test-sparse-n40", "-sparse=false", "-json"}, &dropped); err != nil {
 		t.Fatalf("explicit -sparse=false must override the scenario: %v", err)
 	}
 	if strings.Contains(dropped.String(), `"intern"`) {
@@ -261,7 +288,7 @@ const seed5Doc = `{
 func TestSeedUsesAllBits(t *testing.T) {
 	docAt := func(seed string) string {
 		var buf bytes.Buffer
-		if err := run([]string{"-n", "60", "-f", "15", "-lambda", "16", "-seed", seed, "-json"}, &buf); err != nil {
+		if err := run(t.Context(), []string{"-n", "60", "-f", "15", "-lambda", "16", "-seed", seed, "-json"}, &buf); err != nil {
 			t.Fatalf("-seed %s: %v", seed, err)
 		}
 		return buf.String()
@@ -274,7 +301,7 @@ func TestSeedUsesAllBits(t *testing.T) {
 	if strings.Replace(high, `"seed": 16777221`, `"seed": 5`, 1) == low {
 		t.Errorf("-seed 5 and -seed 5+2^24 are the same execution:\n%s", high)
 	}
-	err := run([]string{"-seed", "-1"}, io.Discard)
+	err := run(t.Context(), []string{"-seed", "-1"}, io.Discard)
 	if !errors.Is(err, ccba.ErrNegativeSeed) || !strings.Contains(err.Error(), "-seed") {
 		t.Errorf("-seed -1: got %v, want an error naming the flag", err)
 	}

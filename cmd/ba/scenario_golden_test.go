@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -15,7 +16,10 @@ import (
 // scenarioGoldens pin the -json document and exit error of every registered
 // scenario and of flag overrides on top of one: the SHA-256 of the exit
 // error and the JSON. How flags are declared and merged into a scenario
-// must leave these bytes alone.
+// must leave these bytes alone. Every row a live cluster can execute — a
+// synchronous protocol, no adversary, not Sparse — prints the same bytes
+// under -transport chan: the network model's delays, drops and partitions
+// run live as simulated.
 var scenarioGoldens = []struct {
 	args []string
 	want string
@@ -56,16 +60,36 @@ func TestScenarioGolden(t *testing.T) {
 	covered := map[string]bool{}
 	for _, g := range scenarioGoldens {
 		covered[g.args[1]] = true
+		inv, err := parse(g.args, io.Discard)
+		if err != nil {
+			t.Fatalf("%v: %v", g.args, err)
+		}
+		live := !inv.Config.Protocol.Async() && inv.Adversary == "none"
+		if live && inv.Config.Sparse {
+			// The live runtime refuses Sparse before it runs a round.
+			var out bytes.Buffer
+			err := run(t.Context(), append([]string{"-transport", "chan"}, g.args...), &out)
+			if err == nil || !strings.HasPrefix(err.Error(), "cluster: Sparse ") || out.Len() != 0 {
+				t.Errorf("-transport chan %v: got %v and %d bytes, want the Sparse rejection", g.args, err, out.Len())
+			}
+			live = false
+		}
 		if (testing.Short() || testenv.Race) && g.args[1] == "core-sparse-n100k" && len(g.args) == 2 {
 			continue // the 10⁵-node run is a minute under the race detector
 		}
-		var out bytes.Buffer
-		err := run(append(g.args, "-json"), &out)
-		h := sha256.New()
-		fmt.Fprintf(h, "%v\n", err)
-		h.Write(out.Bytes())
-		if got := hex.EncodeToString(h.Sum(nil)); got != g.want {
-			t.Errorf("%v digest = %s, want %s", g.args, got, g.want)
+		transports := []string{"sim"}
+		if live {
+			transports = append(transports, "chan")
+		}
+		for _, tr := range transports {
+			var out bytes.Buffer
+			err := run(t.Context(), append([]string{"-transport", tr, "-json"}, g.args...), &out)
+			h := sha256.New()
+			fmt.Fprintf(h, "%v\n", err)
+			h.Write(out.Bytes())
+			if got := hex.EncodeToString(h.Sum(nil)); got != g.want {
+				t.Errorf("-transport %s %v digest = %s, want %s", tr, g.args, got, g.want)
+			}
 		}
 	}
 	for _, name := range ccba.ScenarioNames() {

@@ -1,12 +1,12 @@
 // Command tracediff compares two canonical round-event traces — the JSONL
-// files written by `ba -trace` and `cluster -trace` (DESIGN.md §10) — and
-// reports the first divergence. Because both writers emit events in the
+// files `ba -trace` writes under any -transport (DESIGN.md §10) — and
+// reports the first divergence. Because every runtime emits events in the
 // canonical (round, node, kind, seq) order, alignment is line-by-line: the
 // first differing line is the first semantically divergent event, and the
 // lines around it are the shared prefix and each trace's continuation.
 //
 //	ba -n 80 -f 24 -lambda 16 -seed 7 -trace sim.jsonl
-//	cluster -n 80 -f 24 -lambda 16 -seed 7 -trace live.jsonl
+//	ba -transport chan -n 80 -f 24 -lambda 16 -seed 7 -trace live.jsonl
 //	tracediff sim.jsonl live.jsonl
 //
 // Exit status: 0 when the traces are identical, 1 when they diverge, 2 on

@@ -301,12 +301,14 @@ func TestDesignSectionEightCoversAnalyzers(t *testing.T) {
 // the config's network model (no ChaosConfig, SimRun, Options.Chaos or
 // -chaos-* flags) in the round loop (no -reorder, ReorderRate, ChaosSpec,
 // WrapChaos or NewChaosNetwork), core's window retention follows
-// core.Config.Lockstep, wall-clock timing lives in obs.Telemetry, and
-// tickets verify through Verifier().Verify alone. The one exemption is a
+// core.Config.Lockstep, wall-clock timing lives in obs.Telemetry,
+// tickets verify through Verifier().Verify alone, and one command runs
+// every runtime (cmd/ba -transport; no cmd/cluster, internal/cli or
+// -round-timeout). The one exemption is a
 // table row marked as a dated record ("PR <n> record"), which may say what
 // flag a historical measurement was taken with.
 func TestDocsDoNotNameDeletedKnobs(t *testing.T) {
-	deleted := regexp.MustCompile("(^|[\\s`])-parallel\\b|-sparse-workers|SparseWorkers|Config\\.Parallel|`Parallel: true`|cmd/\\bbench\\b|\\bRun(Node)?Chaos\\b|Config\\.Compact|TimingLog|VerifyBatch|ChaosConfig|SimRun|Options\\.Chaos|(^|[\\s`])-chaos-|(^|[\\s`])-reorder\\b|ReorderRate|ChaosSpec|WrapChaos|NewChaosNetwork")
+	deleted := regexp.MustCompile("(^|[\\s`])-parallel\\b|-sparse-workers|SparseWorkers|Config\\.Parallel|`Parallel: true`|cmd/\\bbench\\b|\\bRun(Node)?Chaos\\b|Config\\.Compact|TimingLog|VerifyBatch|ChaosConfig|SimRun|Options\\.Chaos|(^|[\\s`])-chaos-|(^|[\\s`])-reorder\\b|ReorderRate|ChaosSpec|WrapChaos|NewChaosNetwork|cmd/cluster\\b|internal/cli\\b|(^|[\\s`])-round-timeout\\b")
 	record := regexp.MustCompile(`PR \d+ record`)
 	for _, path := range []string{"README.md", "DESIGN.md"} {
 		data, err := os.ReadFile(path)

@@ -207,6 +207,9 @@ func prepare(cfg scenario.Config, opts Options) (*plan, error) {
 	if cfg.Adversary != nil {
 		return nil, fmt.Errorf("cluster: live runs execute honest protocols only; the adversary interface needs the simulator's omniscient envelope window (run this config through ccba.Run instead)")
 	}
+	if normalized.Protocol.Async() {
+		return nil, fmt.Errorf("cluster: protocol %q runs on the asynchronous track; live runs execute the synchronous track only (run this config through ccba.Run instead)", normalized.Protocol)
+	}
 	if cfg.Sparse {
 		return nil, fmt.Errorf("cluster: Sparse is the simulator's large-N node representation; a live cluster already holds only per-node state per process (run this config through ccba.Run instead)")
 	}
@@ -217,7 +220,10 @@ func prepare(cfg scenario.Config, opts Options) (*plan, error) {
 		return nil, fmt.Errorf("cluster: net model %q delivers within Δ=%d but the synchronizer is budgeted for Δ=%d",
 			normalized.Net, normalized.Delta, opts.Delta)
 	}
-	nodes, _, steps, err := scenario.Build(normalized)
+	// Build validates and defaults the caller's cfg itself, as the
+	// simulator's one pass does; fed the normalized copy it would validate
+	// defaulted values the simulator never sees.
+	nodes, _, steps, err := scenario.Build(cfg)
 	if err != nil {
 		return nil, err
 	}

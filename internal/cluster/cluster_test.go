@@ -284,6 +284,20 @@ func TestClusterRejectsSimulatorOnlyConfigs(t *testing.T) {
 		t.Fatalf("adversary config: %v", err)
 	}
 
+	// An async protocol and Sparse are refused in the runtime's own words,
+	// with one package prefix.
+	async := scenario.Config{Protocol: scenario.ABA, N: 4, F: 1}
+	if _, err := Run(context.Background(), async, netw, Options{}); err == nil ||
+		err.Error() != `cluster: protocol "aba" runs on the asynchronous track; live runs execute the synchronous track only (run this config through ccba.Run instead)` {
+		t.Fatalf("async config: %v", err)
+	}
+	sparse := base
+	sparse.Sparse = true
+	if _, err := Run(context.Background(), sparse, netw, Options{}); err == nil ||
+		!strings.HasPrefix(err.Error(), "cluster: Sparse ") {
+		t.Fatalf("sparse config: %v", err)
+	}
+
 	small, err := transport.NewChanNetwork(3)
 	if err != nil {
 		t.Fatal(err)

@@ -279,6 +279,13 @@ func TestChaosSpecValidate(t *testing.T) {
 			if frames != 0 {
 				t.Fatalf("refused spec put %d frames on the transport", frames)
 			}
+			// A config the live runtime refuses, the simulator refuses in
+			// the same words: both validate the caller's config once.
+			if tc.opts == (cluster.Options{}) {
+				if _, simErr := scenario.Run(cfg); simErr == nil || simErr.Error() != err.Error() {
+					t.Fatalf("live error %q, simulator error %v", err, simErr)
+				}
+			}
 		})
 	}
 }
