@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -136,5 +137,100 @@ func TestTCPMultiNode(t *testing.T) {
 		if outs[i].String() != outs[0].String() {
 			t.Fatalf("node %d report differs from node 0:\n%s\nvs\n%s", i, outs[i].String(), outs[0].String())
 		}
+	}
+}
+
+// TestRejections: what the live transports refuse, each with an error
+// that names its cause — a mesh flag outside a TCP mesh, a config only the
+// simulator executes, and bad config values, which a live run validates
+// as the simulator does.
+func TestRejections(t *testing.T) {
+	cases := []struct {
+		args []string
+		want string // substring of the error
+	}{
+		// A single node joins a TCP mesh only.
+		{[]string{"-transport", "chan", "-node", "0"}, "-node needs -transport tcp"},
+		{[]string{"-transport", "chan", "-peers", "a,b"}, "-peers needs -transport tcp"},
+		{[]string{"-transport", "tcp", "-node", "0"}, "-node 0 needs -peers"},
+		{[]string{"-transport", "tcp", "-node", "0", "-peers", "a,b"}, "-peers lists 2 addresses for a cluster of 200"},
+		// What only the simulator executes.
+		{[]string{"-transport", "chan", "-scenario", "core-silent-n200"}, `adversary "silent": live clusters execute honest protocols only`},
+		{[]string{"-transport", "tcp", "-adversary", "flip"}, `adversary "flip": live clusters execute honest protocols only`},
+		{[]string{"-transport", "chan", "-scenario", "aba-n16"}, `cluster: protocol "aba" runs on the asynchronous track`},
+		{[]string{"-transport", "chan", "-n", "40", "-f", "10", "-lambda", "16", "-sparse"}, "cluster: Sparse is the simulator's"},
+		{[]string{"-transport", "chan", "-n", "20", "-f", "5", "-lambda", "8", "-trials", "2"}, "-trials 2: a live cluster runs one execution"},
+		// Bad values fail closed on a live run too.
+		{[]string{"-transport", "chan", "-seed", "-1"}, "-seed cannot be negative"},
+		{[]string{"-transport", "chan", "-n", "20", "-f", "5", "-lambda", "8", "-unanimous", "7"}, "-unanimous"},
+		{[]string{"-transport", "chan", "-protocol", "dolevstrong", "-n", "8", "-f", "2", "-sender-input", "5"}, "-sender-input"},
+		{[]string{"-transport", "chan", "-n", "20", "-f", "5", "-net", "chaos", "-partition-rounds", "-2"}, "PartitionRounds=-2 cannot be negative"},
+		{[]string{"-transport", "chan", "-n", "20", "-f", "5", "-net", "chaos", "-crash-from", "-5", "-crash-rounds", "3"}, "CrashFrom=-5 cannot be negative"},
+		{[]string{"-transport", "chan", "-n", "20", "-f", "5", "-crash-rounds", "3"}, `only apply under the "chaos" model`},
+		{[]string{"-transport", "chan", "-n", "20", "-f", "5", "-delta", "2"}, "Delta=2 under the lockstep"},
+		{[]string{"-transport", "chan", "-n", "20", "-f", "5", "-net", "chaos", "-partition-rounds", "2"}, "needs Δ ≥ 2"},        // a partition at Δ = 1 holds nothing
+		{[]string{"-transport", "chan", "-n", "20", "-f", "0", "-net", "omission", "-omission-rate", "0.2"}, "empty faulty set"}, // no faulty sender to drop from
+		{[]string{"-transport", "chan", "-n", "20", "-f", "5", "-net", "chaos", "-delta", "2", "-reorder", "0.3"}, "-reorder"},   // jitter draws what reorder did
+	}
+	for _, tc := range cases {
+		if err := run(t.Context(), tc.args, io.Discard); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("args %v: got %v, want an error containing %q", tc.args, err, tc.want)
+		}
+	}
+}
+
+// The registry listing does not depend on the transport, and repeats
+// byte for byte.
+func TestScenarioListing(t *testing.T) {
+	var first bytes.Buffer
+	if err := run(t.Context(), []string{"-scenarios"}, &first); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(first.String(), "quadratic-n49") {
+		t.Fatalf("missing registered scenario:\n%s", first.String())
+	}
+	for _, tr := range []string{"sim", "chan", "tcp"} {
+		var again bytes.Buffer
+		if err := run(t.Context(), []string{"-transport", tr, "-scenarios"}, &again); err != nil {
+			t.Fatal(err)
+		}
+		if again.String() != first.String() {
+			t.Fatalf("-transport %s -scenarios listing differs:\n%s\nvs\n%s", tr, again.String(), first.String())
+		}
+	}
+}
+
+// A registered scenario runs live through the text report.
+func TestScenarioRun(t *testing.T) {
+	var buf bytes.Buffer
+	if err := run(t.Context(), []string{"-transport", "chan", "-scenario", "quadratic-n49"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	header, _, _ := strings.Cut(buf.String(), "\n")
+	if want := "protocol=quadratic n=49 f=24 crypto=ideal net=delta-one delta=1 transport=chan seed=1"; header != want {
+		t.Errorf("header %q, want %q", header, want)
+	}
+	if !strings.Contains(buf.String(), "consistency:       ok") {
+		t.Fatalf("unexpected output:\n%s", buf.String())
+	}
+}
+
+// A live run widens -seed as the simulator does: -seed 5 prints the
+// simulator's document, and seeds 2²⁴ apart are different executions.
+func TestLiveSeedUsesAllBits(t *testing.T) {
+	docAt := func(seed string) string {
+		var buf bytes.Buffer
+		if err := run(t.Context(), []string{"-transport", "chan", "-n", "60", "-f", "15", "-lambda", "16", "-seed", seed, "-json"}, &buf); err != nil {
+			t.Fatalf("-seed %s: %v", seed, err)
+		}
+		return buf.String()
+	}
+	low := docAt("5")
+	if low != seed5Doc {
+		t.Errorf("-transport chan -seed 5 document differs from the simulator's:\n%s", low)
+	}
+	high := docAt("16777221") // 5 + 2²⁴
+	if strings.Replace(high, `"seed": 16777221`, `"seed": 5`, 1) == low {
+		t.Errorf("-seed 5 and -seed 5+2^24 are the same execution:\n%s", high)
 	}
 }

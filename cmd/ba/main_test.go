@@ -104,9 +104,9 @@ func TestRunUnanimous(t *testing.T) {
 }
 
 // TestRunRejectsBadFlags: every bad command line fails with an error that
-// names its cause, under each transport: bad config values, a -transport
-// the command does not have, a live-only flag under the simulator, and a
-// config the live runtime cannot execute.
+// names its cause: bad config values, a -transport the command does not
+// have, and a live-only flag under the simulator. TestRejections holds
+// what the live transports refuse.
 func TestRunRejectsBadFlags(t *testing.T) {
 	cases := []struct {
 		args []string
@@ -139,18 +139,6 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{[]string{"-round-interval", "2ms"}, "-round-interval needs -transport chan or tcp"},
 		{[]string{"-obs-addr", "127.0.0.1:0"}, "-obs-addr needs -transport chan or tcp"},
 		{[]string{"-transport", "sim", "-obs-linger", "1s"}, "-obs-linger needs -transport chan or tcp"},
-		// A single node joins a TCP mesh only.
-		{[]string{"-transport", "chan", "-node", "0"}, "-node needs -transport tcp"},
-		{[]string{"-transport", "chan", "-peers", "a,b"}, "-peers needs -transport tcp"},
-		{[]string{"-transport", "tcp", "-node", "0"}, "-node 0 needs -peers"},
-		{[]string{"-transport", "tcp", "-node", "0", "-peers", "a,b"}, "-peers lists 2 addresses for a cluster of 200"},
-		// What only the simulator executes.
-		{[]string{"-transport", "chan", "-scenario", "core-silent-n200"}, `adversary "silent": live clusters execute honest protocols only`},
-		{[]string{"-transport", "tcp", "-adversary", "flip"}, `adversary "flip": live clusters execute honest protocols only`},
-		{[]string{"-transport", "chan", "-scenario", "aba-n16"}, `cluster: protocol "aba" runs on the asynchronous track`},
-		{[]string{"-transport", "chan", "-n", "40", "-f", "10", "-lambda", "16", "-sparse"}, "cluster: Sparse is the simulator's"},
-		{[]string{"-transport", "chan", "-n", "20", "-f", "5", "-lambda", "8", "-trials", "2"}, "-trials 2: a live cluster runs one execution"},
-		{[]string{"-transport", "chan", "-n", "20", "-f", "5", "-net", "chaos", "-delta", "2", "-reorder", "0.3"}, "-reorder"}, // jitter draws what reorder did
 	}
 	for _, tc := range cases {
 		if err := run(t.Context(), tc.args, io.Discard); err == nil || !strings.Contains(err.Error(), tc.want) {

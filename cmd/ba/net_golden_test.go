@@ -16,8 +16,8 @@ import (
 // kind, at the default Δ and at Δ = 3 — dropping a quarter of the faulty
 // senders' links on the omission rows; the last ones are chaos drops at
 // Δ = 1, a crash window, both at once, and the registered Δ = 2 chaos
-// scenario. Each row prints the same bytes on the simulator and on a live
-// chan cluster. How the schedule is declared, lowered, decided and applied
+// scenario. Each row prints the same bytes on the simulator
+// (TestNetKindsGolden) and on a live chan cluster (TestLiveNetGolden). How the schedule is declared, lowered, decided and applied
 // must leave these bytes alone.
 var netGoldens = []struct {
 	args []string
@@ -49,21 +49,36 @@ func netKind(kind, delta string) []string {
 
 func TestNetKindsGolden(t *testing.T) {
 	for _, g := range netGoldens {
-		for _, tr := range []string{"sim", "chan"} {
-			trace := filepath.Join(t.TempDir(), "trace.jsonl")
-			var out bytes.Buffer
-			err := run(t.Context(), append([]string{"-transport", tr, "-json", "-trace", trace}, g.args...), &out)
-			events, rerr := os.ReadFile(trace)
-			if rerr != nil {
-				t.Fatalf("-transport %s %v: %v (run: %v)", tr, g.args, rerr, err)
-			}
-			h := sha256.New()
-			fmt.Fprintf(h, "%v\n", err)
-			h.Write(out.Bytes())
-			h.Write(events)
-			if got := hex.EncodeToString(h.Sum(nil)); got != g.want {
-				t.Errorf("-transport %s %v digest = %s, want %s", tr, g.args, got, g.want)
-			}
+		if got := netDigest(t, "sim", g.args); got != g.want {
+			t.Errorf("%v digest = %s, want %s", g.args, got, g.want)
 		}
 	}
+}
+
+// TestLiveNetGolden runs every net golden row on a live chan cluster,
+// which must print the simulator's bytes.
+func TestLiveNetGolden(t *testing.T) {
+	for _, g := range netGoldens {
+		if got := netDigest(t, "chan", g.args); got != g.want {
+			t.Errorf("-transport chan %v digest = %s, want %s", g.args, got, g.want)
+		}
+	}
+}
+
+// netDigest is the SHA-256 of the exit error, the -json document and the
+// -trace JSONL of args run under -transport tr.
+func netDigest(t *testing.T, tr string, args []string) string {
+	t.Helper()
+	trace := filepath.Join(t.TempDir(), "trace.jsonl")
+	var out bytes.Buffer
+	err := run(t.Context(), append([]string{"-transport", tr, "-json", "-trace", trace}, args...), &out)
+	events, rerr := os.ReadFile(trace)
+	if rerr != nil {
+		t.Fatalf("-transport %s %v: %v (run: %v)", tr, args, rerr, err)
+	}
+	h := sha256.New()
+	fmt.Fprintf(h, "%v\n", err)
+	h.Write(out.Bytes())
+	h.Write(events)
+	return hex.EncodeToString(h.Sum(nil))
 }

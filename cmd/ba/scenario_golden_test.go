@@ -18,8 +18,8 @@ import (
 // error and the JSON. How flags are declared and merged into a scenario
 // must leave these bytes alone. Every row a live cluster can execute — a
 // synchronous protocol, no adversary, not Sparse — prints the same bytes
-// under -transport chan: the network model's delays, drops and partitions
-// run live as simulated.
+// under -transport chan (TestLiveScenarioGolden): the network model's
+// delays, drops and partitions run live as simulated.
 var scenarioGoldens = []struct {
 	args []string
 	want string
@@ -60,36 +60,11 @@ func TestScenarioGolden(t *testing.T) {
 	covered := map[string]bool{}
 	for _, g := range scenarioGoldens {
 		covered[g.args[1]] = true
-		inv, err := parse(g.args, io.Discard)
-		if err != nil {
-			t.Fatalf("%v: %v", g.args, err)
-		}
-		live := !inv.Config.Protocol.Async() && inv.Adversary == "none"
-		if live && inv.Config.Sparse {
-			// The live runtime refuses Sparse before it runs a round.
-			var out bytes.Buffer
-			err := run(t.Context(), append([]string{"-transport", "chan"}, g.args...), &out)
-			if err == nil || !strings.HasPrefix(err.Error(), "cluster: Sparse ") || out.Len() != 0 {
-				t.Errorf("-transport chan %v: got %v and %d bytes, want the Sparse rejection", g.args, err, out.Len())
-			}
-			live = false
-		}
 		if (testing.Short() || testenv.Race) && g.args[1] == "core-sparse-n100k" && len(g.args) == 2 {
 			continue // the 10⁵-node run is a minute under the race detector
 		}
-		transports := []string{"sim"}
-		if live {
-			transports = append(transports, "chan")
-		}
-		for _, tr := range transports {
-			var out bytes.Buffer
-			err := run(t.Context(), append([]string{"-transport", tr, "-json"}, g.args...), &out)
-			h := sha256.New()
-			fmt.Fprintf(h, "%v\n", err)
-			h.Write(out.Bytes())
-			if got := hex.EncodeToString(h.Sum(nil)); got != g.want {
-				t.Errorf("-transport %s %v digest = %s, want %s", tr, g.args, got, g.want)
-			}
+		if got := scenarioDigest(t, "sim", g.args); got != g.want {
+			t.Errorf("%v digest = %s, want %s", g.args, got, g.want)
 		}
 	}
 	for _, name := range ccba.ScenarioNames() {
@@ -97,4 +72,41 @@ func TestScenarioGolden(t *testing.T) {
 			t.Errorf("scenario %q has no golden row", name)
 		}
 	}
+}
+
+// TestLiveScenarioGolden reruns every golden row a live cluster can
+// execute under -transport chan against the same digest, and checks that
+// the Sparse rows are refused before a round runs.
+func TestLiveScenarioGolden(t *testing.T) {
+	for _, g := range scenarioGoldens {
+		inv, err := parse(g.args, io.Discard)
+		if err != nil {
+			t.Fatalf("%v: %v", g.args, err)
+		}
+		if inv.Config.Protocol.Async() || inv.Adversary != "none" {
+			continue // simulator only; TestRejections checks the refusals
+		}
+		if inv.Config.Sparse {
+			var out bytes.Buffer
+			err := run(t.Context(), append([]string{"-transport", "chan"}, g.args...), &out)
+			if err == nil || !strings.HasPrefix(err.Error(), "cluster: Sparse ") || out.Len() != 0 {
+				t.Errorf("-transport chan %v: got %v and %d bytes, want the Sparse rejection", g.args, err, out.Len())
+			}
+			continue
+		}
+		if got := scenarioDigest(t, "chan", g.args); got != g.want {
+			t.Errorf("-transport chan %v digest = %s, want %s", g.args, got, g.want)
+		}
+	}
+}
+
+// scenarioDigest is the SHA-256 of the exit error and the -json document
+// of args run under -transport tr.
+func scenarioDigest(t *testing.T, tr string, args []string) string {
+	var out bytes.Buffer
+	err := run(t.Context(), append([]string{"-transport", tr, "-json"}, args...), &out)
+	h := sha256.New()
+	fmt.Fprintf(h, "%v\n", err)
+	h.Write(out.Bytes())
+	return hex.EncodeToString(h.Sum(nil))
 }
