@@ -292,8 +292,8 @@ func BenchmarkClusterChanN200(b *testing.B) {
 
 // The live runtime under the chaos model, applied in each node's round
 // loop (DESIGN.md §7): 25 % drops at Δ = 1, then Δ = 2 with drops and
-// per-link jitter on the chan and the TCP network, where a node advances
-// on its soft round deadline. CI runs the three with -bench Chaos.
+// per-link jitter on the chan and the TCP network. Every run is the
+// simulator's execution of its config. CI runs the three with -bench Chaos.
 func BenchmarkChaosChanCoreN32Drop25(b *testing.B) {
 	benchCluster(b, Config{Protocol: Core, N: 32, F: 9, Lambda: 10, MaxIters: 12, Net: NetChaos, OmissionRate: 0.25}, false,
 		cluster.Options{})
@@ -301,12 +301,12 @@ func BenchmarkChaosChanCoreN32Drop25(b *testing.B) {
 
 func BenchmarkChaosChanCoreN32Delta2(b *testing.B) {
 	benchCluster(b, Config{Protocol: Core, N: 32, F: 9, Lambda: 10, MaxIters: 12, Net: NetChaos, Delta: 2, OmissionRate: 0.2}, false,
-		cluster.Options{RoundInterval: 2 * time.Millisecond, RoundTimeout: 60 * time.Second})
+		cluster.Options{RoundTimeout: 60 * time.Second})
 }
 
 func BenchmarkChaosTCPCoreN8Delta2(b *testing.B) {
 	benchCluster(b, Config{Protocol: Core, N: 8, F: 2, Lambda: 4, MaxIters: 12, Net: NetChaos, Delta: 2, OmissionRate: 0.25}, true,
-		cluster.Options{RoundInterval: 2 * time.Millisecond, RoundTimeout: 60 * time.Second})
+		cluster.Options{RoundTimeout: 60 * time.Second})
 }
 
 // --- Substrate micro-benchmarks --------------------------------------------

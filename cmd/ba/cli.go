@@ -26,10 +26,10 @@ type invocation struct {
 	trials, workers int
 	// transport picks the runtime: sim, chan or tcp. The fields after it
 	// are read by the live runtimes only.
-	transport                string
-	node                     int
-	peers, obsAddr           string
-	roundInterval, obsLinger time.Duration
+	transport      string
+	node           int
+	peers, obsAddr string
+	obsLinger      time.Duration
 }
 
 // parse declares the command's one flag set and parses args. Every flag is
@@ -115,7 +115,6 @@ func (inv *invocation) flagSet(list *bool) *flag.FlagSet {
 	fs.StringVar(&inv.transport, "transport", "sim", "runtime: sim (the lockstep or event-driven simulator), chan (a live cluster over in-process channels) or tcp (a live cluster over a TCP mesh with length-prefixed framing)")
 	fs.IntVar(&inv.node, "node", -1, "run only this node index over TCP, joining the -peers mesh (-1 = all nodes in this process)")
 	fs.StringVar(&inv.peers, "peers", "", "comma-separated list of all node addresses in node order (tcp)")
-	fs.DurationVar(&inv.roundInterval, "round-interval", 0, "soft per-round deadline: a node advances once all n sync markers are in or the interval has elapsed (0 = pure all-ack barrier)")
 	fs.StringVar(&inv.obsAddr, "obs-addr", "", "serve live telemetry on this host:port — /debug/vars (expvar, the \"ccba\" var) and /debug/pprof; port 0 picks a free one")
 	fs.DurationVar(&inv.obsLinger, "obs-linger", 0, "keep the -obs-addr endpoint alive this long after the run, so scrapers (CI smoke jobs) can read final counters")
 	return fs
@@ -135,7 +134,7 @@ func (inv *invocation) checkRuntimeFlags(fs *flag.FlagSet) error {
 		case err != nil:
 		case (f.Name == "node" || f.Name == "peers") && inv.transport != "tcp":
 			err = fmt.Errorf("-%s needs -transport tcp; sim and chan always host the whole cluster", f.Name)
-		case (f.Name == "round-interval" || f.Name == "obs-addr" || f.Name == "obs-linger") && inv.transport == "sim":
+		case (f.Name == "obs-addr" || f.Name == "obs-linger") && inv.transport == "sim":
 			err = fmt.Errorf("-%s needs -transport chan or tcp; the simulator runs no live nodes", f.Name)
 		}
 	})

@@ -29,7 +29,7 @@ func runLive(ctx context.Context, inv *invocation, out io.Writer) error {
 	if inv.trials > 1 {
 		return fmt.Errorf("-trials %d: a live cluster runs one execution (use -transport sim)", inv.trials)
 	}
-	opts := cluster.Options{RoundInterval: inv.roundInterval}
+	var opts cluster.Options
 	if inv.transport == "tcp" {
 		opts.RoundTimeout = tcpRoundTimeout
 	}
@@ -68,9 +68,14 @@ func runLive(ctx context.Context, inv *invocation, out io.Writer) error {
 
 // runCluster runs the config over the invocation's transport: every node
 // in this process, or with -node just that one, joining the -peers mesh.
+// A config the live runtime refuses is refused before any transport
+// exists, so the refusal opens no socket.
 func runCluster(ctx context.Context, inv *invocation, opts cluster.Options) (*cluster.Report, error) {
 	cfg := inv.Config
 	if inv.transport == "chan" {
+		if err := cluster.Check(cfg, false); err != nil {
+			return nil, err
+		}
 		netw, err := transport.NewChanNetwork(cfg.N)
 		if err != nil {
 			return nil, err
@@ -86,6 +91,9 @@ func runCluster(ctx context.Context, inv *invocation, opts cluster.Options) (*cl
 		if addrs = strings.Split(inv.peers, ","); len(addrs) != cfg.N {
 			return nil, fmt.Errorf("-peers lists %d addresses for a cluster of %d", len(addrs), cfg.N)
 		}
+	}
+	if err := cluster.Check(cfg, inv.node >= 0); err != nil {
+		return nil, err
 	}
 	if inv.node < 0 {
 		netw, err := transport.NewTCPNetwork(ctx, addrs, transport.TCPOptions{})

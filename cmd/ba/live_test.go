@@ -140,6 +140,31 @@ func TestTCPMultiNode(t *testing.T) {
 	}
 }
 
+// TestRefusalBeforeTransport: a config the live runtime refuses is refused
+// before any socket opens. The test holds node 0's -peers address with a
+// listener of its own, so a run that built its endpoint first would fail
+// to listen instead of naming the refusal.
+func TestRefusalBeforeTransport(t *testing.T) {
+	held, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	peers := held.Addr().String() + ",127.0.0.1:1,127.0.0.1:2,127.0.0.1:3"
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-crypto", "real", "-sparse"}, "cluster: Sparse is the simulator's"},
+		{[]string{"-crypto", "ideal"}, `cluster: protocol "core" in the hybrid F_mine world needs its trusted party in-process`},
+	} {
+		args := append([]string{"-transport", "tcp", "-n", "4", "-f", "1", "-lambda", "3", "-node", "0", "-peers", peers}, tc.args...)
+		if err := run(t.Context(), args, io.Discard); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("args %v: got %v, want an error containing %q", args, err, tc.want)
+		}
+	}
+}
+
 // TestRejections: what the live transports refuse, each with an error
 // that names its cause — a mesh flag outside a TCP mesh, a config only the
 // simulator executes, and bad config values, which a live run validates
@@ -170,7 +195,10 @@ func TestRejections(t *testing.T) {
 		{[]string{"-transport", "chan", "-n", "20", "-f", "5", "-delta", "2"}, "Delta=2 under the lockstep"},
 		{[]string{"-transport", "chan", "-n", "20", "-f", "5", "-net", "chaos", "-partition-rounds", "2"}, "needs Δ ≥ 2"},        // a partition at Δ = 1 holds nothing
 		{[]string{"-transport", "chan", "-n", "20", "-f", "0", "-net", "omission", "-omission-rate", "0.2"}, "empty faulty set"}, // no faulty sender to drop from
-		{[]string{"-transport", "chan", "-n", "20", "-f", "5", "-net", "chaos", "-delta", "2", "-reorder", "0.3"}, "-reorder"},   // jitter draws what reorder did
+		{[]string{"-transport", "chan", "-n", "20", "-f", "5", "-net", "delta"}, `net model "delta" only delays traffic within Δ and needs Δ ≥ 2`},
+		{[]string{"-transport", "chan", "-n", "20", "-f", "5", "-net", "jitter", "-delta", "1"}, `net model "jitter" only delays traffic within Δ and needs Δ ≥ 2`},
+		{[]string{"-transport", "tcp", "-n", "4", "-f", "1", "-net", "partition"}, `net model "partition" only delays traffic within Δ and needs Δ ≥ 2`},
+		{[]string{"-transport", "chan", "-n", "20", "-f", "5", "-net", "chaos", "-delta", "2", "-reorder", "0.3"}, "-reorder"}, // jitter draws what reorder did
 	}
 	for _, tc := range cases {
 		if err := run(t.Context(), tc.args, io.Discard); err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -23,17 +23,17 @@
 // processes exchanging wire-encoded envelopes, and every node applies the
 // config's network model in its own round loop: a frame the model delays
 // d rounds is delivered d rounds after it was sent, drops and crash windows
-// hit only seed-chosen faulty senders (DESIGN.md §7). On the all-ack
-// barrier (no -round-interval) a live run prints the simulator's bytes
-// under every model and Δ, -trace included; the E14 experiment
-// cross-validates the runtimes. -round-interval arms a soft per-round
-// deadline; when a node advances, and so the run, then depends on timing.
-// Live runs execute honest synchronous protocols one at a time: an
-// adversary, an async protocol, -sparse and -trials > 1 need the simulator,
-// and -node, -peers, -round-interval, -obs-addr and -obs-linger need a live
-// transport. The multi-process form (-node) runs the Appendix D compiler's
-// real crypto for the committee-sampled protocols: the hybrid world's
-// F_mine trusted party cannot be split across processes.
+// hit only seed-chosen faulty senders (DESIGN.md §7). A node enters a round
+// only once every node has finished the last, so a live run prints the
+// simulator's bytes under every model and Δ, -trace included; the E14
+// experiment cross-validates the runtimes. Live runs execute honest
+// synchronous protocols one at a time: an adversary, an async protocol,
+// -sparse and -trials > 1 need the simulator, and -node, -peers, -obs-addr
+// and -obs-linger need a live transport. A refused config is refused
+// before any transport is built. The multi-process form (-node) runs the
+// Appendix D compiler's real crypto for the committee-sampled protocols:
+// the hybrid world's F_mine trusted party cannot be split across
+// processes.
 //
 // Examples:
 //

@@ -131,12 +131,15 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{[]string{"-n", "20", "-f", "5", "-net", "delta", "-delta", "2", "-partition-rounds", "2"}, "PartitionRounds=2 only applies"},
 		{[]string{"-n", "20", "-f", "5", "-net", "chaos", "-partition-rounds", "2"}, "needs Δ ≥ 2"},        // a partition at Δ = 1 holds nothing
 		{[]string{"-n", "20", "-f", "0", "-net", "omission", "-omission-rate", "0.2"}, "empty faulty set"}, // no faulty sender to drop from
+		// A model that only delays runs the delta-one schedule at Δ = 1.
+		{[]string{"-n", "20", "-f", "5", "-net", "delta"}, `net model "delta" only delays traffic within Δ and needs Δ ≥ 2`},
+		{[]string{"-n", "20", "-f", "5", "-net", "jitter", "-delta", "1"}, `net model "jitter" only delays traffic within Δ and needs Δ ≥ 2`},
+		{[]string{"-n", "20", "-f", "5", "-net", "partition"}, `net model "partition" only delays traffic within Δ and needs Δ ≥ 2`},
 
 		{[]string{"-transport", "carrier-pigeon"}, `unknown transport "carrier-pigeon"`},
 		// Flags only a live runtime reads, under the simulator.
 		{[]string{"-node", "0"}, "-node needs -transport tcp"},
 		{[]string{"-peers", "127.0.0.1:7701"}, "-peers needs -transport tcp"},
-		{[]string{"-round-interval", "2ms"}, "-round-interval needs -transport chan or tcp"},
 		{[]string{"-obs-addr", "127.0.0.1:0"}, "-obs-addr needs -transport chan or tcp"},
 		{[]string{"-transport", "sim", "-obs-linger", "1s"}, "-obs-linger needs -transport chan or tcp"},
 	}

@@ -14,11 +14,9 @@ import (
 // A delay is a number of rounds, never a length of time. The recipient
 // files a round-r frame for delivery in round r + d, where d is the
 // simulator's answer for the frame's (round, from, to) link, so on the
-// all-ack barrier a live run of any model at any Δ is the simulator's run;
-// under a soft deadline a frame that arrives late is delivered at the next
-// round boundary, still no earlier than r + d. Sync markers never meet the
-// schedule: the round clock is the synchronous model's assumption, not the
-// adversary's to bend.
+// all-ack barrier a live run of any model at any Δ is the simulator's run.
+// Sync markers never meet the schedule: the round clock is the synchronous
+// model's assumption, not the adversary's to bend.
 type links struct {
 	faults netsim.Faults
 	delta  int

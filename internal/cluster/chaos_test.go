@@ -79,8 +79,9 @@ func TestChaosLiveMatchesOmissionScenario(t *testing.T) {
 
 // netModelCases declares every network model the equivalence runs: the
 // classic models, and the chaos composite's faults alone and together.
-// delta-one runs at Δ = 1 only, and a partition needs Δ ≥ 2 to hold
-// anything.
+// delta-one runs at Δ = 1 only. The models that only delay — delta, jitter
+// and partition — hold nothing at Δ = 1, so both runtimes refuse them
+// there, and so does a chaos partition.
 var netModelCases = []struct {
 	name  string
 	set   func(*scenario.Config)
@@ -102,11 +103,12 @@ var netModelCases = []struct {
 }
 
 // TestNetModelsLiveMatchSim runs one config through scenario.Run and
-// through cluster.Run on the all-ack barrier, for every network model at
-// Δ ∈ {1, 2, 3} over chan and for the chaos composite over a 4-node
-// loopback TCP mesh: the Result and the canonical trace must be identical.
-// A live node files each frame for the round the simulator delivers it in,
-// so delays, drops and partitions reach both runtimes alike.
+// through cluster.Run, for every network model at Δ ∈ {1, 2, 3} over chan
+// and for the chaos composite over a 4-node loopback TCP mesh: the Result
+// and the canonical trace must be identical, or, for a delay-only model at
+// Δ = 1, both runtimes must refuse the config in the same words. A live
+// node files each frame for the round the simulator delivers it in, so
+// delays, drops and partitions reach both runtimes alike.
 func TestNetModelsLiveMatchSim(t *testing.T) {
 	for _, tc := range netModelCases {
 		for _, delta := range tc.delta {
@@ -121,6 +123,20 @@ func TestNetModelsLiveMatchSim(t *testing.T) {
 					cfg.Delta = delta
 				}
 				cfg.Seed[0] = 9
+				if _, simErr := scenario.Run(cfg); simErr != nil {
+					if delta != 1 || !strings.Contains(simErr.Error(), "only delays") {
+						t.Fatal(simErr)
+					}
+					netw, err := transport.NewChanNetwork(cfg.N)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer netw.Close()
+					if _, err := Run(context.Background(), cfg, netw, Options{}); err == nil || err.Error() != simErr.Error() {
+						t.Fatalf("live error %v, simulator error %q", err, simErr)
+					}
+					return
+				}
 				assertLiveTraceMatchesSim(t, cfg, func(opts Options) *Report { return runChan(t, cfg, opts) })
 			})
 		}
@@ -173,12 +189,8 @@ func assertLiveTraceMatchesSim(t *testing.T, cfg scenario.Config, live func(Opti
 }
 
 // TestChaosDeltaTwoSafety runs the full chaos menu — drops, per-link
-// jitter, and a timed partition — under Δ = 2 on the chan mesh. On the
-// all-ack barrier each seed is the simulator's execution exactly. One run
-// advances on a soft round deadline instead, where which round a frame
-// lands in depends on timing (never earlier than its delay, never later
-// than Δ past the watermark); there the claim is the paper's alone:
-// agreement and validity hold under any Δ-respecting schedule.
+// jitter, and a timed partition — under Δ = 2 on the chan mesh: each seed
+// is the simulator's execution exactly.
 func TestChaosDeltaTwoSafety(t *testing.T) {
 	cfg := scenario.Config{Protocol: scenario.Core, N: 16, F: 4, Lambda: 8, MaxIters: 12,
 		Net: scenario.NetChaos, Delta: 2, OmissionRate: 0.2, PartitionRounds: 4}
@@ -193,20 +205,11 @@ func TestChaosDeltaTwoSafety(t *testing.T) {
 			assertSameResult(t, runChan(t, cfg, Options{}), sim)
 		})
 	}
-	t.Run("round-interval", func(t *testing.T) {
-		cfg := cfg
-		cfg.Seed[0] = 1
-		live := runChan(t, cfg, Options{RoundInterval: 3 * time.Millisecond, RoundTimeout: 30 * time.Second})
-		if live.Consistency != nil || live.Validity != nil {
-			t.Fatalf("safety violated: consistency=%v validity=%v", live.Consistency, live.Validity)
-		}
-	})
 }
 
-// TestChaosOverTCPCluster drives a chaos schedule over real sockets on the
-// soft round deadline: a 4-node TCP mesh with Δ=2 delays and drops, nodes
-// advancing on a timer as a deployed mesh would. Safety must hold and the
-// run must complete.
+// TestChaosOverTCPCluster drives a chaos schedule over real sockets: a
+// 4-node TCP mesh with Δ=2 delays and drops, whose per-link markers
+// interleave as the network pleases. The run must be the simulator's.
 func TestChaosOverTCPCluster(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -218,20 +221,20 @@ func TestChaosOverTCPCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer netw.Close()
-	opts := Options{RoundInterval: 5 * time.Millisecond, RoundTimeout: 30 * time.Second}
-	live, err := Run(ctx, cfg, netw, opts)
+	live, err := Run(ctx, cfg, netw, Options{RoundTimeout: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if live.Consistency != nil || live.Validity != nil {
-		t.Fatalf("safety violated: consistency=%v validity=%v", live.Consistency, live.Validity)
+	sim, err := scenario.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	assertSameResult(t, live, sim)
 }
 
 // TestChaosDelaysAreRounds: prepare keeps the config's one lowering — the
 // chaos Δ with its jitter spread, the partition at N/2 and the faulty mask
-// — and nothing of the synchronizer's interval, since a delay is a number
-// of rounds; delta-one keeps no model at all.
+// — since a delay is a number of rounds; delta-one keeps no model at all.
 func TestChaosDelaysAreRounds(t *testing.T) {
 	cfg := scenario.Config{Protocol: scenario.Core, N: 16, F: 4, Lambda: 8, Net: scenario.NetChaos, Delta: 3,
 		OmissionRate: 0.3, PartitionRounds: 2}
@@ -239,16 +242,9 @@ func TestChaosDelaysAreRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	timed, err := prepare(cfg, Options{RoundInterval: 10 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
 	l := p.links
-	if !reflect.DeepEqual(l, timed.links) {
-		t.Fatalf("the round interval changed the network model: %+v vs %+v", l, timed.links)
-	}
-	if l.delta != 3 || l.faults.Spread != netsim.SpreadJitter || p.opts.Delta != 3 {
-		t.Fatalf("model (Δ %d, spread %d, synchronizer Δ %d), want (3, jitter, 3)", l.delta, l.faults.Spread, p.opts.Delta)
+	if l.delta != 3 || l.faults.Spread != netsim.SpreadJitter {
+		t.Fatalf("model (Δ %d, spread %d), want (3, jitter)", l.delta, l.faults.Spread)
 	}
 	if fs := l.faults; int(fs.Cut) != cfg.N/2 || fs.CutFrom != 0 || fs.CutUntil != 2 {
 		t.Fatalf("partition (%d, [%d, %d)), want cut 8 rounds [0, 2)", fs.Cut, fs.CutFrom, fs.CutUntil)
@@ -383,9 +379,8 @@ func TestChaosPowerBoundary(t *testing.T) {
 }
 
 // TestChaosOptionGuards pins the configuration errors that keep a live run
-// honest: a synchronizer budgeted below the model's Δ would let delayed
-// frames outrun the buffer, and a declared fault that could not act is
-// rejected, as the simulator rejects it.
+// honest: a declared fault that could not act is rejected, as the
+// simulator rejects it.
 func TestChaosOptionGuards(t *testing.T) {
 	base := scenario.Config{Protocol: scenario.Core, N: 8, F: 2, Lambda: 4}
 	netw, err := transport.NewChanNetwork(base.N)
@@ -396,16 +391,14 @@ func TestChaosOptionGuards(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		set  func(*scenario.Config)
-		opts Options
 		want string
 	}{
-		{"under-budgeted synchronizer", func(c *scenario.Config) { c.Net, c.Delta, c.OmissionRate = scenario.NetChaos, 3, 0.1 }, Options{Delta: 2}, "budgeted"},
-		{"partition at delta one", func(c *scenario.Config) { c.Net, c.PartitionRounds = scenario.NetChaos, 2 }, Options{}, "Δ ≥ 2"},
-		{"drops without a faulty set", func(c *scenario.Config) { c.Net, c.F, c.OmissionRate = scenario.NetChaos, 0, 0.1 }, Options{}, "faulty"},
+		{"partition at delta one", func(c *scenario.Config) { c.Net, c.PartitionRounds = scenario.NetChaos, 2 }, "Δ ≥ 2"},
+		{"drops without a faulty set", func(c *scenario.Config) { c.Net, c.F, c.OmissionRate = scenario.NetChaos, 0, 0.1 }, "faulty"},
 	} {
 		cfg := base
 		tc.set(&cfg)
-		if _, err := Run(context.Background(), cfg, netw, tc.opts); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, err := Run(context.Background(), cfg, netw, Options{}); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: want error containing %q, got %v", tc.name, tc.want, err)
 		}
 	}
@@ -452,54 +445,50 @@ func newLaggedNetwork(inner transport.Network, seed uint64, maxLag time.Duration
 
 func (l *laggedNetwork) Endpoints() []transport.Transport { return l.eps }
 
-// TestDeltaSynchronizerTorture shakes the Δ-budgeted synchronizer with
-// randomized per-node scheduling delays: 32 core nodes on the chan mesh,
-// each pausing a seed-random duration every round, under Δ ∈ {1, 2, 3} and
-// nine seeds each (27 runs). Soft deadlines fire, nodes skew apart up to
-// the Δ cap, early traffic gets buffered — and agreement plus validity must
-// hold every single time. The paper's claim under test is exactly this:
-// Δ-synchrony is an assumption about the network, not about the nodes
-// stepping in lockstep.
+// TestDeltaSynchronizerTorture shakes the synchronizer with randomized
+// per-node scheduling delays: 32 core nodes on the chan mesh, each pausing
+// a seed-random duration before every multicast, under Δ = 1 (delta-one)
+// and Δ ∈ {2, 3} (jitter at that Δ), nine seeds each (27 runs). Nodes
+// reach each barrier in a different order every run, and each run must
+// still be the simulator's: Δ-synchrony is an assumption about the
+// network, not about the nodes stepping in lockstep, and a node leaves a
+// round only once all n have synced.
 func TestDeltaSynchronizerTorture(t *testing.T) {
 	if testing.Short() {
 		t.Skip("torture run skipped in -short mode")
 	}
-	cfg := scenario.Config{Protocol: scenario.Core, N: 32, F: 9, Lambda: 10, MaxIters: 12}
+	base := scenario.Config{Protocol: scenario.Core, N: 32, F: 9, Lambda: 10, MaxIters: 12}
 	for _, delta := range []int{1, 2, 3} {
 		for seed := byte(1); seed <= 9; seed++ {
 			t.Run(fmt.Sprintf("delta-%d-seed-%d", delta, seed), func(t *testing.T) {
-				cfg := cfg
+				cfg := base
+				if delta > 1 {
+					cfg.Net, cfg.Delta = scenario.NetJitter, delta
+				}
 				cfg.Seed[0] = seed
+				sim, err := scenario.Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
 				inner, err := transport.NewChanNetwork(cfg.N)
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer inner.Close()
 				netw := newLaggedNetwork(inner, uint64(seed)*1000+uint64(delta), 2*time.Millisecond)
-				opts := Options{
-					Delta:         delta,
-					RoundInterval: 3 * time.Millisecond,
-					RoundTimeout:  30 * time.Second,
-				}
-				rep, err := Run(context.Background(), cfg, netw, opts)
+				live, err := Run(context.Background(), cfg, netw, Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if rep.Consistency != nil || rep.Validity != nil {
-					t.Fatalf("safety violated: consistency=%v validity=%v", rep.Consistency, rep.Validity)
-				}
-				if rep.Termination != nil {
-					t.Fatalf("termination failed under scheduling skew alone: %v", rep.Termination)
-				}
+				assertSameResult(t, live, sim)
 			})
 		}
 	}
 }
 
-// TestTortureLockstepAnchor re-anchors the torture family: with the same
-// explicit options but no scheduling skew and no soft deadline, a Δ=1 run
-// must remain bit-identical to the lockstep simulator — the equivalence the
-// skewed runs deliberately depart from.
+// TestTortureLockstepAnchor re-anchors the torture family: with no
+// scheduling skew, a Δ=1 run is bit-identical to the lockstep simulator,
+// its per-node metrics included.
 func TestTortureLockstepAnchor(t *testing.T) {
 	cfg := scenario.Config{Protocol: scenario.Core, N: 32, F: 9, Lambda: 10, MaxIters: 12}
 	cfg.Seed[0] = 3
@@ -512,7 +501,7 @@ func TestTortureLockstepAnchor(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer netw.Close()
-	live, err := Run(context.Background(), cfg, netw, Options{Delta: 1})
+	live, err := Run(context.Background(), cfg, netw, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,32 +23,17 @@ type Options struct {
 	// meshes should set it: a dead peer then yields an error instead of a
 	// hang.
 	RoundTimeout time.Duration
-	// Delta is the delivery bound Δ the synchronizer budgets for: traffic
-	// up to Δ rounds early is buffered, the round budget scales to
-	// steps × Δ, and deadline-based advance (RoundInterval) never lets a
-	// node run more than Δ rounds past the oldest incomplete barrier. Zero
-	// means the config's Delta; a smaller bound than the config's is
-	// rejected, since the network model may hold traffic that long. Δ = 1
-	// keeps the all-ack lockstep of DESIGN.md §6 — bit-identical to the
-	// simulator's Δ=1 engine.
-	Delta int
-	// RoundInterval, when positive, arms a soft per-round deadline: a node
-	// advances from round r once it holds all n sync markers or the
-	// interval has elapsed, whichever comes first (subject to the Δ skew
-	// cap). Zero keeps the pure all-ack barrier, on which a run of any
-	// network model is the simulator's run of it.
-	RoundInterval time.Duration
-	// Tracer receives the round-lifecycle event stream (DESIGN.md §10).
-	// Under the pure all-ack barrier (RoundInterval zero) the canonical
-	// export is byte-identical to the simulator's trace of the same config,
-	// under every network model — the equivalence cmd/tracediff checks.
-	// Implementations must accept concurrent Emit calls (node goroutines
-	// emit in parallel). Nil disables tracing.
+	// Tracer receives the round-lifecycle event stream (DESIGN.md §10). Its
+	// canonical export is byte-identical to the simulator's trace of the
+	// same config, under every network model — the equivalence
+	// cmd/tracediff checks. Implementations must accept concurrent Emit
+	// calls (node goroutines emit in parallel). Nil disables tracing.
 	Tracer obs.Tracer
 	// Telemetry, when non-nil, receives the live operational counters the
-	// -obs-addr endpoint serves: rounds, watermark lag, messages and bytes,
-	// in-flight frames, dropped frames, and barrier-latency quantiles. Unlike
-	// the trace this channel is wall-clock state and never deterministic.
+	// -obs-addr endpoint serves: rounds, the acked watermark, messages and
+	// bytes, in-flight frames, dropped frames, and barrier-latency
+	// quantiles. Unlike the trace this channel is wall-clock state and never
+	// deterministic.
 	Telemetry *obs.Telemetry
 }
 
@@ -128,7 +113,7 @@ func Run(ctx context.Context, cfg scenario.Config, net transport.Network, opts O
 // every process the complete outcome; the returned Report equals the one a
 // single-process run would produce (with this node's round count).
 func RunNode(ctx context.Context, cfg scenario.Config, tr transport.Transport, opts Options) (*Report, error) {
-	if err := checkMultiProcess(cfg); err != nil {
+	if err := Check(cfg, true); err != nil {
 		return nil, err
 	}
 	plan, err := prepare(cfg, opts)
@@ -148,6 +133,22 @@ func RunNode(ctx context.Context, cfg scenario.Config, tr transport.Transport, o
 		return nil, fmt.Errorf("cluster: node %d: %w", tr.Self(), err)
 	}
 	return plan.assemble(rounds, recs), nil
+}
+
+// Check reports why the live runtime refuses cfg, or nil when it runs it:
+// an invalid config, in the simulator's words, or one only the simulator
+// executes — an adversary, the asynchronous track, Sparse — and, when
+// multiProcess is set (RunNode's one node per process), a hybrid-world
+// config. Run and RunNode check first thing; a caller that builds its
+// transport from cfg checks before, so a refused config costs no network.
+func Check(cfg scenario.Config, multiProcess bool) error {
+	if multiProcess {
+		if err := checkMultiProcess(cfg); err != nil {
+			return err
+		}
+	}
+	_, err := check(cfg)
+	return err
 }
 
 // checkMultiProcess rejects configs that only execute correctly when every
@@ -175,10 +176,29 @@ func checkMultiProcess(cfg scenario.Config) error {
 	return nil
 }
 
+// check is Check's single-process half, returning the normalized config.
+// The rejections are structural, not temporary gaps: see the package
+// comment.
+func check(cfg scenario.Config) (scenario.Config, error) {
+	normalized, err := cfg.Normalized()
+	if err != nil {
+		return scenario.Config{}, err
+	}
+	if cfg.Adversary != nil {
+		return scenario.Config{}, fmt.Errorf("cluster: live runs execute honest protocols only; the adversary interface needs the simulator's omniscient envelope window (run this config through ccba.Run instead)")
+	}
+	if normalized.Protocol.Async() {
+		return scenario.Config{}, fmt.Errorf("cluster: protocol %q runs on the asynchronous track; live runs execute the synchronous track only (run this config through ccba.Run instead)", normalized.Protocol)
+	}
+	if cfg.Sparse {
+		return scenario.Config{}, fmt.Errorf("cluster: Sparse is the simulator's large-N node representation; a live cluster already holds only per-node state per process (run this config through ccba.Run instead)")
+	}
+	return normalized, nil
+}
+
 // plan is a validated, normalized execution: the defaulted config, the
-// options with the synchronizer's Δ filled in, the network model (nil under
-// delta-one), the full node set, the protocol decoder, and the round
-// budget.
+// options, the network model (nil under delta-one), the full node set, the
+// protocol decoder, and the round budget.
 type plan struct {
 	cfg       scenario.Config
 	opts      Options
@@ -188,9 +208,8 @@ type plan struct {
 	maxRounds int
 }
 
-// prepare validates cfg for live execution and resolves everything the
-// runners need. The rejections are structural, not temporary gaps: see the
-// package comment.
+// prepare checks cfg for live execution and resolves everything the
+// runners need.
 //
 // Any network model but delta-one runs in the runners' round loops: each
 // recipient files every data frame for the round the config's one lowering
@@ -200,25 +219,9 @@ type plan struct {
 // and the schedule is seed-deterministic, so every process of a
 // multi-process mesh derives the identical schedule.
 func prepare(cfg scenario.Config, opts Options) (*plan, error) {
-	normalized, err := cfg.Normalized()
+	normalized, err := check(cfg)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Adversary != nil {
-		return nil, fmt.Errorf("cluster: live runs execute honest protocols only; the adversary interface needs the simulator's omniscient envelope window (run this config through ccba.Run instead)")
-	}
-	if normalized.Protocol.Async() {
-		return nil, fmt.Errorf("cluster: protocol %q runs on the asynchronous track; live runs execute the synchronous track only (run this config through ccba.Run instead)", normalized.Protocol)
-	}
-	if cfg.Sparse {
-		return nil, fmt.Errorf("cluster: Sparse is the simulator's large-N node representation; a live cluster already holds only per-node state per process (run this config through ccba.Run instead)")
-	}
-	if opts.Delta == 0 {
-		opts.Delta = normalized.Delta
-	}
-	if opts.Delta < normalized.Delta {
-		return nil, fmt.Errorf("cluster: net model %q delivers within Δ=%d but the synchronizer is budgeted for Δ=%d",
-			normalized.Net, normalized.Delta, opts.Delta)
 	}
 	// Build validates and defaults the caller's cfg itself, as the
 	// simulator's one pass does; fed the normalized copy it would validate
@@ -242,11 +245,6 @@ func prepare(cfg scenario.Config, opts Options) (*plan, error) {
 	maxRounds, err := normalized.RoundBudget(steps)
 	if err != nil {
 		return nil, err
-	}
-	// A synchronizer budgeted above the model's Δ may spend up to its own Δ
-	// rounds per protocol step — the same scaling RoundBudget applies.
-	if steps*opts.Delta > maxRounds {
-		maxRounds = steps * opts.Delta
 	}
 	decode, err := scenario.DecoderFor(normalized.Protocol)
 	if err != nil {

@@ -22,18 +22,17 @@
 //     envelopes per round instead of n², with no coordinator across
 //     processes, and carrying the round's multicasts as one log. In both
 //     cases a peer's round-r data is in this node's hands no later than
-//     the marker that accounts for that peer. A node enters
-//     round r+1 once its round-r markers account for all n nodes, or —
-//     when Options.RoundInterval arms the soft per-round deadline — as
-//     soon as advancing keeps it within Δ rounds of the all-acked
-//     watermark. At the default Δ = 1 the
-//     barrier realises the paper's synchronous model exactly (every
-//     round-r message is delivered before any round-r+1 computation) with
-//     no wall-clock timeouts in the in-process case; at Δ > 1 up to Δ
-//     rounds of early traffic are buffered and skew stays capped at Δ
-//     (DESIGN.md §7). Over TCP, Options.RoundTimeout bounds the barrier
-//     wait so a dead peer fails the run instead of hanging it; on the chan
-//     network the timeout error names the nodes that never arrived.
+//     the marker that accounts for that peer. A node enters round r+1
+//     only once its round-r markers account for all n nodes — there is no
+//     other way forward, so when a node advances, and so the run, is a
+//     function of (config, seed) alone. The barrier realises the paper's
+//     synchronous model exactly (every round-r message is in hand before
+//     any round-r+1 computation) with no wall-clock timeouts in the
+//     in-process case; a network model's delays are rounds the recipient
+//     holds a frame for (DESIGN.md §7). Over TCP, Options.RoundTimeout
+//     bounds the barrier wait so a dead peer fails the run instead of
+//     hanging it; on the chan network the timeout error names the nodes
+//     that never arrived.
 //   - Each round's traffic is delivered in (sender, sequence) order — a
 //     chan barrier's log is walked as it comes, anything received envelope
 //     by envelope is sorted — reproducing the deterministic envelope order
@@ -58,14 +57,15 @@
 // interface is an omniscient round-scoped window over all in-flight
 // envelopes, which no distributed runtime can offer, so configs carrying an
 // adversary (and scenarios naming one) are rejected — attack experiments
-// belong to the simulator. The config's network model does run live: for
-// any model but delta-one, each recipient puts every data frame to the
-// schedule scenario.Config.Faults lowers — the one the simulator runs —
-// and files it for the round the simulator delivers it in, or drops it
-// (chaos.go). A delay is a number of rounds, never a timer, so on the
-// all-ack barrier a run of any model at any Δ is the simulator's run,
-// trace included (DESIGN.md §7, experiment E14).
+// belong to the simulator. Check states every such refusal, and a caller
+// can ask it before building a transport. The config's network model does
+// run live: for any model but delta-one, each recipient puts every data
+// frame to the schedule scenario.Config.Faults lowers — the one the
+// simulator runs — and files it for the round the simulator delivers it
+// in, or drops it (chaos.go). A delay is a number of rounds, never a
+// timer, so a run of any model at any Δ is the simulator's run, trace
+// included (DESIGN.md §7, experiment E14).
 //
 // Architecture: DESIGN.md §2 — live cluster runtime over pluggable
-// transports; DESIGN.md §7 — Δ > 1 synchronizer and network models.
+// transports; DESIGN.md §7 — the synchronizer and the network models.
 package cluster

@@ -23,16 +23,13 @@ func (p *plan) newRunner(self types.NodeID, tr transport.Transport) *runner {
 		self: self,
 		node: p.nodes[self],
 		tr:   tr,
-		opts: p.opts,
-		// Under the all-ack barrier a peer runs at most one round ahead (it
-		// needs our round-r sync to finish round r); under deadline advance
-		// the skew cap bounds the lead at Δ rounds. Either way the maps
-		// buffer early traffic per round until its delivery point.
+		// A peer runs at most one round ahead (it needs our round-r sync to
+		// finish round r), and a network model holds a frame at most Δ
+		// rounds: the maps buffer traffic per round until its delivery
+		// point.
 		pending: map[uint32]*roundTraffic{},
 		marks:   map[uint32]roundMarks{},
-		// No all-halted round observed yet.
-		exitRound: -1,
-		obs:       obs.NewSink(p.opts.Tracer),
+		obs:     obs.NewSink(p.opts.Tracer),
 	}
 }
 
@@ -56,14 +53,13 @@ type runner struct {
 	self types.NodeID
 	node netsim.Node
 	tr   transport.Transport
-	opts Options
 
 	metrics netsim.Metrics // this node's own sends (Definitions 6 and 7)
 
 	pending map[uint32]*roundTraffic // data awaiting delivery, by the round it is delivered after
-	// marks tallies the sync markers received per round. Rounds below
-	// haltScan are complete and scanned, and their entries are deleted, so
-	// the map holds the rounds within the skew, not the whole run.
+	// marks tallies the sync markers received per round. A round's entry
+	// is deleted once its barrier completes, so the map holds the current
+	// round and the next.
 	marks   map[uint32]roundMarks
 	results []transport.Envelope // early result records (see below)
 	// envs, logs and runs hold the delivery batch and free the emptied
@@ -74,25 +70,10 @@ type runner struct {
 	runs [][]transport.Envelope
 	free []*roundTraffic
 
-	// acked is the watermark of consecutive fully-acknowledged rounds:
-	// every round < acked holds sync markers for all n nodes. Deadline-based
-	// advance is capped at Δ rounds past it, and the all-halted scan below
-	// only inspects rounds whose marker sets are complete.
-	acked int
 	// obs emits this node's slice of the round-lifecycle trace; trDecided
 	// pins EvDecide to the transition round, as the simulator does.
 	obs       obs.Sink
 	trDecided bool
-
-	// haltScan is the next acked round the runner has not yet checked for
-	// the all-halted exit condition, and exitRound is the detected exit
-	// point (−1 until an all-halted round is observed). The scan lives in
-	// ingest — tallies only change there — so a node blocked in a barrier
-	// whose peers have already exited still notices the run is over the
-	// moment the proving markers arrive, instead of waiting out the hard
-	// timeout on sync traffic that will never come.
-	haltScan  int
-	exitRound int
 }
 
 // roundTraffic is one round's data awaiting delivery: envelopes received
@@ -201,51 +182,37 @@ func (r *runner) runRounds(ctx context.Context) (int, error) {
 			return 0, err
 		}
 		r.opts.Telemetry.ObserveRoundLatency(time.Since(barrierStart).Seconds())
-		r.opts.Telemetry.Acked(r.acked)
-		r.opts.Telemetry.ObserveLag(round + 1 - r.acked)
-		// Trace: watermark advance. Under the pure all-ack barrier the
-		// watermark provably reaches round+1 the moment the barrier
-		// completes, so the mark is deterministic and mirrors the
-		// simulator's per-node EvMark. Under deadline advance
-		// (RoundInterval > 0) the watermark is a race against wall clocks —
-		// those marks go to Telemetry only, keeping the trace a
-		// pure function of the config.
-		if r.opts.RoundInterval == 0 {
-			r.obs.Mark(round, r.self, r.acked)
-		}
+		// The barrier is complete, so every round up to this one is acked:
+		// the watermark is round+1, as in the simulator's per-node EvMark.
+		r.opts.Telemetry.Acked(round + 1)
+		r.obs.Mark(round, r.self, round+1)
+		marks := r.marks[uint32(round)]
+		delete(r.marks, uint32(round))
 
 		// 4. Exit check: the run ends the round after the one in which every
-		// node reported halted. ingest detects that round — only rounds
-		// with a complete marker set can testify, and once complete a
-		// round's tally is final. Under the all-ack barrier this degenerates
-		// to "did everyone halt this round" — the lockstep engine's rule —
-		// because rounds complete strictly in order; under deadline advance
-		// it also catches an all-halted round this node skimmed past, whose
-		// markers straggled in during a later barrier.
-		if r.exitRound >= 0 {
-			return r.exitRound, nil
+		// node reported halted — the lockstep engine's rule.
+		if marks.halts == n {
+			return round + 1, nil
 		}
 
-		// 5. Deliver all arrived traffic filed for this round or earlier,
-		// in the (round, sender, sequence) order of the lockstep engine's
-		// envelope list, decoded from canonical bytes back into the values
-		// the state machines switch on. Under delta-one a frame is filed
-		// under its own round; under a network model, under the round its
-		// link's delay says (arrival) — the model's rule that the adversary
-		// picks any delivery round within the bound. A frame that arrives
-		// after that round (a soft deadline skimmed past it) joins the next
-		// batch.
+		// 5. Deliver the traffic filed for this round, in the (round,
+		// sender, sequence) order of the lockstep engine's envelope list,
+		// decoded from canonical bytes back into the values the state
+		// machines switch on. Under delta-one a frame is filed under its
+		// own round; under a network model, under the round its link's
+		// delay says (arrival) — the model's rule that the adversary picks
+		// any delivery round within the bound. Every frame filed for this
+		// round is in: its sender's sync for the round it was sent in
+		// precedes this barrier.
 		envs, logs := r.envs[:0], r.logs[:0]
-		for rd, t := range r.pending {
-			if rd <= uint32(round) {
-				envs = append(envs, t.envs...)
-				logs = append(logs, t.logs...)
-				clear(t.envs) // release payload references
-				clear(t.logs)
-				t.envs, t.logs = t.envs[:0], t.logs[:0]
-				delete(r.pending, rd)
-				r.free = append(r.free, t)
-			}
+		if t := r.pending[uint32(round)]; t != nil {
+			envs = append(envs, t.envs...)
+			logs = append(logs, t.logs...)
+			clear(t.envs) // release payload references
+			clear(t.logs)
+			t.envs, t.logs = t.envs[:0], t.logs[:0]
+			delete(r.pending, uint32(round))
+			r.free = append(r.free, t)
 		}
 		r.envs, r.logs = envs, logs
 		inFlight := len(envs)
@@ -324,44 +291,14 @@ func runOrder(a, b []transport.Envelope) int {
 	return cmp.Or(cmp.Compare(a[0].Round, b[0].Round), cmp.Compare(a[0].From, b[0].From))
 }
 
-// collectBarrier consumes incoming envelopes until the node may advance:
-// the round-r sync markers of all n nodes are in (the all-ack fast path, and
-// the only path when no RoundInterval is configured), or the soft per-round
-// deadline has expired and the Δ skew cap permits running ahead of the
-// stragglers.
-// Data for any round is buffered as it goes.
+// collectBarrier consumes incoming envelopes until the round-r sync markers
+// of all n nodes are in, buffering data for any round as it goes.
 func (r *runner) collectBarrier(ctx context.Context, round uint32) error {
-	hardCtx, cancel := r.barrierCtx(ctx)
+	ctx, cancel := r.barrierCtx(ctx)
 	defer cancel()
-	cur := hardCtx
-	var softCtx context.Context
-	softCancel := func() {}
-	defer func() { softCancel() }()
-	armSoft := func() {
-		if r.opts.RoundInterval > 0 {
-			softCancel()
-			softCtx, softCancel = context.WithTimeout(hardCtx, r.opts.RoundInterval)
-			cur = softCtx
-		}
-	}
-	armSoft()
-	n := r.cfg.N
-	for r.exitRound < 0 && int(round) >= r.acked && r.marks[round].syncs < n {
-		env, err := r.tr.Recv(cur)
+	for r.marks[round].syncs < r.cfg.N {
+		env, err := r.tr.Recv(ctx)
 		if err != nil {
-			if cur == softCtx && softCtx.Err() == context.DeadlineExceeded && hardCtx.Err() == nil {
-				// Soft deadline. Advance without the stragglers if that
-				// keeps us within Δ rounds of the oldest incomplete
-				// barrier; otherwise re-arm the deadline and keep
-				// collecting — the watermark may climb enough on the next
-				// window, and running ahead of it now would exceed the
-				// Δ-bounded skew the buffers (and the model) promise.
-				if int(round)+1 <= r.acked+r.opts.Delta {
-					return nil
-				}
-				armSoft()
-				continue
-			}
 			return fmt.Errorf("round %d barrier (%s): %w", round, r.barrierStall(round), err)
 		}
 		if err := r.ingest(env, round); err != nil {
@@ -395,9 +332,8 @@ func (r *runner) barrierStall(round uint32) string {
 }
 
 // ingest files one received envelope: data by its round tag, sync markers
-// into the per-round tallies (advancing the acked watermark) and the round
-// log an aggregated marker carries with its round's data, early result
-// records aside for the exchange.
+// into the per-round tallies and the round log an aggregated marker carries
+// with its round's data, early result records aside for the exchange.
 func (r *runner) ingest(env transport.Envelope, round uint32) error {
 	n := r.cfg.N
 	if int(env.From) < 0 || int(env.From) >= n {
@@ -426,25 +362,6 @@ func (r *runner) ingest(env transport.Envelope, round uint32) error {
 		m.syncs += weight
 		m.halts += halted
 		r.marks[env.Round] = m
-		for r.marks[uint32(r.acked)].syncs == n {
-			r.acked++
-		}
-		// Scan newly completed rounds (final tallies) for the all-halted
-		// exit condition. Every node scans the complete rounds in order, so
-		// all detect the same, earliest such round. A scanned round's
-		// tally is never read again.
-		for r.exitRound < 0 && r.haltScan < r.acked {
-			rd := uint32(r.haltScan)
-			if r.marks[rd].halts == n {
-				r.exitRound = r.haltScan + 1
-			}
-			delete(r.marks, rd)
-			r.haltScan++
-		}
-	case transport.EnvLog:
-		// Runs the chan network published ahead of their round's barrier,
-		// handed over once this node stopped waiting for it.
-		r.fileRuns(env.Round, env.Runs)
 	case transport.EnvResult:
 		// Legitimate end-of-run skew: a peer that already holds all n
 		// final-round sync markers exits the loop and multicasts its result
@@ -605,11 +522,9 @@ func b2u(b bool) uint8 {
 
 // exchangeResults multicasts this node's record and collects everyone's —
 // the one step a node whose peers live in other processes needs to learn
-// the full outcome. Under the all-ack barrier every node's round count is
-// identical, a deterministic function of the halted flags all nodes
-// collected through the same barriers; under deadline advance nodes may
-// observe the all-halted round at slightly different points, which is why
-// the caller reports its own.
+// the full outcome. Every node's round count is identical, a deterministic
+// function of the halted flags all nodes collected through the same
+// barriers.
 func (r *runner) exchangeResults(ctx context.Context, rec resultRecord, rounds int) ([]resultRecord, error) {
 	n := r.cfg.N
 	env := transport.Envelope{

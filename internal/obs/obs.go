@@ -31,10 +31,8 @@ const (
 	// EvHalt: node halted (emitted once, in the round it happened).
 	EvHalt
 	// EvMark: node's sync watermark advanced past this round; A is the new
-	// watermark. The simulator advances by construction; the live cluster
-	// emits it when the all-ack barrier completes. Deadline-advance runs
-	// (Options.RoundInterval > 0) suppress it — there the watermark is
-	// timing-dependent and belongs to Telemetry, not the trace.
+	// watermark, round+1. The simulator advances by construction; the live
+	// cluster emits it when the all-ack barrier completes.
 	EvMark
 	// EvFault: the network dropped one (sender, recipient) link this
 	// round; Node is the sender, A the recipient, B the FaultKind, Seq a

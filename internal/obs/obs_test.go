@@ -122,8 +122,7 @@ func TestTelemetrySnapshot(t *testing.T) {
 	tel.RoundStarted(4)
 	tel.RoundStarted(2)
 	tel.Acked(5)
-	tel.ObserveLag(2)
-	tel.ObserveLag(1)
+	tel.Acked(3)
 	tel.CountSend(100)
 	tel.CountSend(20)
 	tel.AddInFlight(3)
@@ -133,8 +132,8 @@ func TestTelemetrySnapshot(t *testing.T) {
 	tel.Drop(0, 1)
 	tel.ObserveRoundLatency(0.01)
 	s := tel.Snapshot()
-	if s.Rounds != 5 || s.Acked != 5 || s.WatermarkLag != 2 {
-		t.Fatalf("rounds/acked/lag = %d/%d/%d", s.Rounds, s.Acked, s.WatermarkLag)
+	if s.Rounds != 5 || s.Acked != 5 {
+		t.Fatalf("rounds/acked = %d/%d", s.Rounds, s.Acked)
 	}
 	if s.MsgsSent != 2 || s.BytesSent != 120 || s.InFlight != 2 {
 		t.Fatalf("msgs/bytes/inflight = %d/%d/%d", s.MsgsSent, s.BytesSent, s.InFlight)

@@ -20,7 +20,6 @@ type Telemetry struct {
 	n        int
 	rounds   atomic.Int64 // highest round any node has started, +1
 	acked    atomic.Int64 // highest sync watermark any node reached
-	lag      atomic.Int64 // worst observed (round+1 − acked) watermark lag
 	msgs     atomic.Int64 // protocol messages sent (a multicast counts once)
 	bytes    atomic.Int64 // exact encoded bytes of those messages
 	inflight atomic.Int64 // data frames received but not yet delivered
@@ -66,15 +65,6 @@ func (t *Telemetry) Acked(acked int) {
 		return
 	}
 	atomicMax(&t.acked, int64(acked))
-}
-
-// ObserveLag notes one node's instantaneous watermark lag (rounds past the
-// oldest incomplete barrier); the gauge keeps the worst seen.
-func (t *Telemetry) ObserveLag(lag int) {
-	if t == nil {
-		return
-	}
-	atomicMax(&t.lag, int64(lag))
 }
 
 // CountSend accounts one transmitted protocol message of the given encoded
@@ -128,7 +118,6 @@ type LinkDrops struct {
 type TelemetrySnapshot struct {
 	Rounds       int64                   `json:"rounds"`
 	Acked        int64                   `json:"acked"`
-	WatermarkLag int64                   `json:"watermark_lag"`
 	MsgsSent     int64                   `json:"msgs_sent"`
 	BytesSent    int64                   `json:"bytes_sent"`
 	InFlight     int64                   `json:"in_flight"`
@@ -144,12 +133,11 @@ func (t *Telemetry) Snapshot() TelemetrySnapshot {
 		return TelemetrySnapshot{}
 	}
 	s := TelemetrySnapshot{
-		Rounds:       t.rounds.Load(),
-		Acked:        t.acked.Load(),
-		WatermarkLag: t.lag.Load(),
-		MsgsSent:     t.msgs.Load(),
-		BytesSent:    t.bytes.Load(),
-		InFlight:     t.inflight.Load(),
+		Rounds:    t.rounds.Load(),
+		Acked:     t.acked.Load(),
+		MsgsSent:  t.msgs.Load(),
+		BytesSent: t.bytes.Load(),
+		InFlight:  t.inflight.Load(),
 	}
 	for i := range t.drops {
 		d := t.drops[i].Load()

@@ -346,12 +346,17 @@ func (c *Config) validateNet() error {
 	}
 	// A declared fault that cannot act would be silently ignored too: a
 	// drop rate over an empty faulty set (its size defaults to F), a chaos
-	// partition whose hold is a Δ of one round.
+	// partition whose hold is a Δ of one round, and a model that only
+	// delays, where every delay within Δ = 1 is the lockstep round.
 	if c.OmissionRate > 0 && c.OmissionFaulty == 0 && c.F == 0 {
 		return fmt.Errorf("scenario: OmissionRate=%v with an empty faulty set drops nothing — name the ≤F faulty senders", c.OmissionRate)
 	}
 	if net == NetChaos && c.PartitionRounds > 0 && c.Delta <= 1 {
 		return fmt.Errorf("scenario: a partition holds cross links to Δ and needs Δ ≥ 2, got Δ=%d", max(c.Delta, 1))
+	}
+	if (net == NetWorstCase || net == NetJitter || net == NetPartition) && c.Delta <= 1 {
+		return fmt.Errorf("scenario: net model %q only delays traffic within Δ and needs Δ ≥ 2, got Δ=%d; at Δ=1 it runs the %q schedule",
+			net, max(c.Delta, 1), NetDeltaOne)
 	}
 	return nil
 }

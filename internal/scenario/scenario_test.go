@@ -121,7 +121,7 @@ func TestNormalizedIdempotent(t *testing.T) {
 }
 
 // The net-spec validation: unknown models, negative or lockstep-incompatible
-// Δ, out-of-range omission parameters.
+// Δ, out-of-range omission parameters, delay-only models at Δ = 1.
 func TestNetSpecValidation(t *testing.T) {
 	base := Config{Protocol: Core, N: 10, F: 3}
 	cases := []struct {
@@ -152,6 +152,11 @@ func TestNetSpecValidation(t *testing.T) {
 		{func(c *Config) { c.CrashRounds = 2 }, "only apply under the \"chaos\" model"},
 		{func(c *Config) { c.Net = NetChaos; c.CrashFrom = 3 }, "without CrashRounds"},
 		{func(c *Config) { c.Net = NetDeltaOne; c.Delta = 2 }, "pick -net delta, jitter, omission, partition, or chaos"},
+		// A model that only delays holds nothing at Δ = 1: it would run the
+		// delta-one schedule under another name.
+		{func(c *Config) { c.Net = NetWorstCase }, `net model "delta" only delays traffic within Δ and needs Δ ≥ 2, got Δ=1`},
+		{func(c *Config) { c.Net = NetJitter; c.Delta = 1 }, `net model "jitter" only delays traffic within Δ and needs Δ ≥ 2, got Δ=1`},
+		{func(c *Config) { c.Net = NetPartition }, `net model "partition" only delays traffic within Δ and needs Δ ≥ 2, got Δ=1`},
 	}
 	for _, tc := range cases {
 		cfg := base

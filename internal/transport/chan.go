@@ -60,9 +60,8 @@ func (c *ChanNetwork) Close() error {
 
 // barrierTally counts, per open round, which nodes have multicast their
 // sync marker, and keeps the round's log of published runs. A round opens
-// with its first arrival and is deleted by its n-th, so the map holds as
-// many rounds as the synchronizer lets a peer lead by, plus one: two under
-// the all-ack barrier.
+// with its first arrival and is deleted by its n-th, so under the all-ack
+// barrier the map holds at most two rounds.
 type barrierTally struct {
 	mu   sync.Mutex
 	n    int
@@ -73,8 +72,7 @@ type barrierRound struct {
 	arrived       []uint64 // n-bit set of the nodes whose sync is in
 	count, halted int
 	// log holds one run per node that multicast data this round, in the
-	// order their syncs arrived. It is append-only, so the prefix a take
-	// handed out early is the prefix the barrier carries.
+	// order their syncs arrived.
 	log [][]Envelope
 }
 
@@ -112,20 +110,6 @@ func (t *barrierTally) arrive(from types.NodeID, round uint32, halted bool, run 
 // engine's (sender, seq) order, since each run is in seq order already.
 func bySender(a, b []Envelope) int { return cmp.Compare(a[0].From, b[0].From) }
 
-// takeNew returns an open round whose log holds runs past the first
-// len(taken[round]), and those runs; nil when no open round does. The slice
-// is capped at its length, so no holder can append into the log behind it.
-func (t *barrierTally) takeNew(taken map[uint32][]types.NodeID) (uint32, [][]Envelope) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for round, br := range t.open {
-		if skip := len(taken[round]); len(br.log) > skip {
-			return round, br.log[skip:len(br.log):len(br.log)]
-		}
-	}
-	return 0, nil
-}
-
 // missing lists the nodes whose round sync has not arrived, or nil when the
 // round is not open (nobody has arrived yet, or everybody has).
 func (t *barrierTally) missing(round uint32) []types.NodeID {
@@ -144,9 +128,8 @@ func (t *barrierTally) missing(round uint32) []types.NodeID {
 	return ids
 }
 
-// chanEndpoint is one node's view of a ChanNetwork. The sending side (run)
-// belongs to the node's sending goroutine, the receiving side (taken) to
-// its single Recv consumer.
+// chanEndpoint is one node's view of a ChanNetwork. Its run belongs to the
+// node's sending goroutine.
 type chanEndpoint struct {
 	self  types.NodeID
 	boxes []*mailbox
@@ -154,10 +137,6 @@ type chanEndpoint struct {
 	// run is this node's unpublished data multicasts, all of one round, in
 	// seq order; the node's sync for that round publishes it.
 	run []Envelope
-	// taken lists, per open round, the senders whose runs Recv handed over
-	// in EnvLogs before the round's barrier — a prefix of the round's
-	// arrival-order log; it drops them from that barrier's log.
-	taken map[uint32][]types.NodeID
 }
 
 var _ Transport = (*chanEndpoint)(nil)
@@ -206,9 +185,7 @@ func (e *chanEndpoint) Multicast(env Envelope) error {
 			return err
 		}
 		// The barrier's log is sorted once here instead of by each of the n
-		// recipients. It is a copy: EnvLogs handed out earlier alias the
-		// arrival-order log.
-		log = slices.Clone(log)
+		// recipients. The tally has let go of it, so it is sorted in place.
 		slices.SortFunc(log, bySender)
 		env = Envelope{Kind: EnvBarrier, From: e.self, Round: env.Round, Seq: uint32(halted), Runs: log}
 	}
@@ -227,39 +204,9 @@ func (e *chanEndpoint) BarrierMissing(round uint32) []types.NodeID {
 	return e.tally.missing(round)
 }
 
-// Recv implements Transport. Once ctx is done it still hands over what is
-// already this endpoint's, before the context's error: queued envelopes, and
-// then, one EnvLog per round, the runs published to an open round's log
-// that it has not yet received. So a caller that stops waiting for a round's
-// barrier — a runner advancing on its soft deadline — holds every multicast
-// whose sender has synced, as a mailbox that took each multicast as it was
-// sent would have held it. The round's EnvBarrier then carries only the
-// remaining runs.
+// Recv implements Transport.
 func (e *chanEndpoint) Recv(ctx context.Context) (Envelope, error) {
-	env, err := e.boxes[e.self].pop(ctx)
-	if err != nil {
-		if ctx.Err() != nil {
-			if round, runs := e.tally.takeNew(e.taken); runs != nil {
-				if e.taken == nil {
-					e.taken = map[uint32][]types.NodeID{}
-				}
-				for _, run := range runs {
-					e.taken[round] = append(e.taken[round], run[0].From)
-				}
-				return Envelope{Kind: EnvLog, From: e.self, Round: round, Runs: runs}, nil
-			}
-		}
-		return env, err
-	}
-	if env.Kind == EnvBarrier && len(e.taken) > 0 {
-		if taken, ok := e.taken[env.Round]; ok {
-			delete(e.taken, env.Round)
-			env.Runs = slices.DeleteFunc(slices.Clone(env.Runs), func(run []Envelope) bool {
-				return slices.Contains(taken, run[0].From)
-			})
-		}
-	}
-	return env, nil
+	return e.boxes[e.self].pop(ctx)
 }
 
 // Close implements Transport.

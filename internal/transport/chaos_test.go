@@ -233,29 +233,26 @@ func newCountingNetwork(t *testing.T, n int) *countingNetwork {
 
 func (c *countingNetwork) Endpoints() []transport.Transport { return c.eps }
 
-// TestChaosSpecValidate: the chaos spec — the config's network model and
-// the synchronizer's Δ budget — is validated before a live run puts a
-// single frame on the transport. A valid spec runs; an invalid one is
+// TestChaosSpecValidate: the chaos spec — the config's network model — is
+// validated before a live run puts a single frame on the transport. A valid spec runs; an invalid one is
 // refused with its reason and the network stays silent.
 func TestChaosSpecValidate(t *testing.T) {
 	base := scenario.Config{Protocol: scenario.Core, N: 4, F: 1, Lambda: 3, MaxIters: 12, Net: scenario.NetChaos}
 	cases := []struct {
 		name string
 		set  func(*scenario.Config)
-		opts cluster.Options
 		want string // substring of the error, "" for valid
 	}{
-		{"lockstep", func(c *scenario.Config) { c.Net = scenario.NetDeltaOne }, cluster.Options{}, ""},
-		{"negative-delta", func(c *scenario.Config) { c.Delta = -1 }, cluster.Options{}, "negative"},
-		{"drops", func(c *scenario.Config) { c.OmissionRate = 0.5 }, cluster.Options{}, ""},
-		{"budget", func(c *scenario.Config) { c.OmissionRate, c.OmissionFaulty = 0.5, 2 }, cluster.Options{}, "exceeds F"},
-		{"rate", func(c *scenario.Config) { c.OmissionRate = 1.5 }, cluster.Options{}, "outside"},
-		{"drop-no-faulty", func(c *scenario.Config) { c.F, c.OmissionRate = 0, 0.5 }, cluster.Options{}, "faulty"},
-		{"partition-delta", func(c *scenario.Config) { c.PartitionRounds = 2 }, cluster.Options{}, "Δ ≥ 2"},
-		{"crash-empty", func(c *scenario.Config) { c.CrashFrom = 2 }, cluster.Options{}, "crash window"},
-		{"crash-ok", func(c *scenario.Config) { c.CrashRounds = 2 }, cluster.Options{}, ""},
-		{"synchronizer-budget", func(c *scenario.Config) { c.Delta, c.OmissionRate = 3, 0.2 }, cluster.Options{Delta: 2}, "budgeted"},
-		{"partition-ok", func(c *scenario.Config) { c.Delta, c.PartitionRounds, c.OmissionRate = 2, 3, 0.2 }, cluster.Options{}, ""},
+		{"lockstep", func(c *scenario.Config) { c.Net = scenario.NetDeltaOne }, ""},
+		{"negative-delta", func(c *scenario.Config) { c.Delta = -1 }, "negative"},
+		{"drops", func(c *scenario.Config) { c.OmissionRate = 0.5 }, ""},
+		{"budget", func(c *scenario.Config) { c.OmissionRate, c.OmissionFaulty = 0.5, 2 }, "exceeds F"},
+		{"rate", func(c *scenario.Config) { c.OmissionRate = 1.5 }, "outside"},
+		{"drop-no-faulty", func(c *scenario.Config) { c.F, c.OmissionRate = 0, 0.5 }, "faulty"},
+		{"partition-delta", func(c *scenario.Config) { c.PartitionRounds = 2 }, "Δ ≥ 2"},
+		{"crash-empty", func(c *scenario.Config) { c.CrashFrom = 2 }, "crash window"},
+		{"crash-ok", func(c *scenario.Config) { c.CrashRounds = 2 }, ""},
+		{"partition-ok", func(c *scenario.Config) { c.Delta, c.PartitionRounds, c.OmissionRate = 2, 3, 0.2 }, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -265,7 +262,7 @@ func TestChaosSpecValidate(t *testing.T) {
 			defer netw.Close()
 			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 			defer cancel()
-			_, err := cluster.Run(ctx, cfg, netw, tc.opts)
+			_, err := cluster.Run(ctx, cfg, netw, cluster.Options{})
 			frames := netw.frames.Load()
 			if tc.want == "" {
 				if err != nil || frames == 0 {
@@ -281,10 +278,8 @@ func TestChaosSpecValidate(t *testing.T) {
 			}
 			// A config the live runtime refuses, the simulator refuses in
 			// the same words: both validate the caller's config once.
-			if tc.opts == (cluster.Options{}) {
-				if _, simErr := scenario.Run(cfg); simErr == nil || simErr.Error() != err.Error() {
-					t.Fatalf("live error %q, simulator error %v", err, simErr)
-				}
+			if _, simErr := scenario.Run(cfg); simErr == nil || simErr.Error() != err.Error() {
+				t.Fatalf("live error %q, simulator error %v", err, simErr)
 			}
 		})
 	}

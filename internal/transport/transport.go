@@ -32,14 +32,6 @@ const (
 	// that traffic in one envelope and exists only in process —
 	// DecodeEnvelope rejects the kind, so no TCP peer can inject one.
 	EnvBarrier EnvKind = 5
-	// EnvLog is the part of the chan network's round-Round log that has
-	// been published ahead of the round's EnvBarrier: the runs in Runs, of
-	// nodes whose round sync is in. A chan endpoint hands it out of Recv
-	// once the caller's context is done, so a node that stops waiting for
-	// the barrier still holds every round-Round multicast whose sender has
-	// synced. It weighs nothing toward the barrier and, like EnvBarrier,
-	// exists only in process.
-	EnvLog EnvKind = 6
 )
 
 // Envelope is the unit a Transport carries: one protocol message (or
@@ -70,12 +62,10 @@ type Envelope struct {
 	// one multicast share a single decode of Payload (see Decode). It never
 	// crosses a socket: an envelope received over TCP has none.
 	Cell *DecodeCell
-	// Runs is an EnvBarrier's or EnvLog's round log: one run per node that
-	// multicast data in the round, each run that node's EnvData envelopes
-	// in Seq order. A barrier's runs are in sender order, and are only
-	// those its recipient has not already received in an EnvLog; an
-	// EnvLog's are in the order the nodes' syncs arrived. Every recipient
-	// shares them read-only. They never cross a socket.
+	// Runs is an EnvBarrier's round log: one run per node that multicast
+	// data in the round, each run that node's EnvData envelopes in Seq
+	// order, the runs in sender order. Every recipient shares them
+	// read-only. They never cross a socket.
 	Runs [][]Envelope
 }
 

@@ -291,10 +291,7 @@ func TestTCPDialRetryTimesOut(t *testing.T) {
 // nothing else — no data envelope travels on its own, and n markers per
 // round cross the mesh, not n². Each barrier's log must hold exactly that
 // round's multicasts: one run per sender that sent any, in seq order, the
-// runs in sender order — the lockstep engine's (sender, seq) inbox. Half the
-// recipients also keep giving up on waiting, taking whatever has been
-// published as EnvLogs while the senders race ahead; for them the EnvLogs
-// and the barrier together must hold the round's multicasts exactly once.
+// runs in sender order — the lockstep engine's (sender, seq) inbox.
 func TestChanBarrierOrder(t *testing.T) {
 	const n, rounds = 16, 50
 	netw, err := NewChanNetwork(n)
@@ -346,27 +343,13 @@ func TestChanBarrierOrder(t *testing.T) {
 		wg.Add(1)
 		go func(j int) {
 			defer wg.Done()
-			done, stop := context.WithCancel(context.Background())
-			stop()
 			var marked [rounds]bool
-			var early [rounds][][]Envelope
-			for k := 0; k < rounds; {
-				env, err := Envelope{}, context.Canceled
-				if j%2 == 1 {
-					env, err = eps[j].Recv(done)
-				}
-				if errors.Is(err, context.Canceled) {
-					env, err = eps[j].Recv(ctx)
-				}
+			for k := 0; k < rounds; k++ {
+				env, err := eps[j].Recv(ctx)
 				if err != nil {
 					t.Errorf("mailbox %d: after %d barriers: %v", j, k, err)
 					return
 				}
-				if env.Kind == EnvLog && !marked[env.Round] {
-					early[env.Round] = append(early[env.Round], env.Runs...)
-					continue
-				}
-				k++
 				if env.Kind != EnvBarrier {
 					t.Errorf("mailbox %d: %d-kind envelope; multicast data and syncs must not be fanned out", j, env.Kind)
 					return
@@ -386,7 +369,7 @@ func TestChanBarrierOrder(t *testing.T) {
 				for i := range sent {
 					sent[i] = data[i][env.Round]
 				}
-				if err := checkRoundLog(append(early[env.Round], env.Runs...), env.Round, sent); err != nil {
+				if err := checkRoundLog(env.Runs, env.Round, sent); err != nil {
 					t.Errorf("mailbox %d: %v", j, err)
 				}
 			}
@@ -478,80 +461,6 @@ func TestChanMailboxTrafficStaysPerMailbox(t *testing.T) {
 	// run it holds.
 	if err := eps[1].Multicast(Envelope{Kind: EnvData, From: 1, Round: 3}); err == nil {
 		t.Fatal("round-3 data accepted while round 2's run is unpublished")
-	}
-}
-
-// TestChanLogAheadOfBarrier pins the deadline-advance guarantee: a sender's
-// round-r multicasts are every recipient's as soon as its round-r sync
-// returns. A recipient that stops waiting (its context is done) receives
-// them in an EnvLog before the round's barrier exists, and the barrier then
-// carries only the runs it has not yet received; a recipient that kept
-// waiting gets the whole log with the barrier.
-func TestChanLogAheadOfBarrier(t *testing.T) {
-	const n = 4
-	netw, err := NewChanNetwork(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer netw.Close()
-	eps := netw.Endpoints()
-	mcast := func(i, seqs int) {
-		t.Helper()
-		for s := 0; s < seqs; s++ {
-			if err := eps[i].Multicast(Envelope{Kind: EnvData, From: types.NodeID(i), Round: 5, Seq: uint32(s)}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	syncs := func(ids ...int) {
-		t.Helper()
-		for _, i := range ids {
-			if err := eps[i].Multicast(Envelope{Kind: EnvSync, From: types.NodeID(i), Round: 5}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	done, stop := context.WithCancel(context.Background())
-	stop()
-	runsFrom := func(runs [][]Envelope) []types.NodeID {
-		var ids []types.NodeID
-		for _, run := range runs {
-			ids = append(ids, run[0].From)
-		}
-		return ids
-	}
-
-	mcast(1, 2)
-	mcast(2, 1)
-	syncs(1)
-	for j := 0; j < n-1; j++ { // node 3 keeps waiting
-		env, err := eps[j].Recv(done)
-		if err != nil || env.Kind != EnvLog || env.Round != 5 || !slices.Equal(runsFrom(env.Runs), []types.NodeID{1}) || len(env.Runs[0]) != 2 {
-			t.Fatalf("recipient %d after node 1's sync: %+v, %v; want node 1's two-envelope run", j, env, err)
-		}
-		if env, err := eps[j].Recv(done); !errors.Is(err, context.Canceled) {
-			t.Fatalf("recipient %d: node 2's unsynced run surfaced as %+v (err %v)", j, env, err)
-		}
-	}
-
-	syncs(2, 0, 3)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	for j := 0; j < n; j++ {
-		env, err := eps[j].Recv(ctx)
-		if err != nil || env.Kind != EnvBarrier || env.Round != 5 {
-			t.Fatalf("recipient %d: %+v, %v; want the round-5 barrier", j, env, err)
-		}
-		want := []types.NodeID{2}
-		if j == n-1 {
-			want = []types.NodeID{1, 2}
-		}
-		if got := runsFrom(env.Runs); !slices.Equal(got, want) {
-			t.Errorf("recipient %d: barrier carries runs from %v, want %v", j, got, want)
-		}
-		if env, err := eps[j].Recv(done); !errors.Is(err, context.Canceled) {
-			t.Errorf("recipient %d: %+v after the barrier (err %v), want nothing", j, env, err)
-		}
 	}
 }
 
