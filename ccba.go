@@ -68,9 +68,6 @@ type (
 	Adversary = netsim.Adversary
 	// Node is the sans-I/O protocol state machine interface.
 	Node = netsim.Node
-	// NetModel is the pluggable message-scheduling layer (delivery round
-	// assignment within the synchronous bound Δ).
-	NetModel = netsim.NetModel
 )
 
 // Re-exported bit values.

@@ -198,6 +198,9 @@ func TestRejections(t *testing.T) {
 		{[]string{"-transport", "chan", "-n", "20", "-f", "5", "-net", "delta"}, `net model "delta" only delays traffic within Δ and needs Δ ≥ 2`},
 		{[]string{"-transport", "chan", "-n", "20", "-f", "5", "-net", "jitter", "-delta", "1"}, `net model "jitter" only delays traffic within Δ and needs Δ ≥ 2`},
 		{[]string{"-transport", "tcp", "-n", "4", "-f", "1", "-net", "partition"}, `net model "partition" only delays traffic within Δ and needs Δ ≥ 2`},
+		{[]string{"-transport", "chan", "-n", "20", "-f", "5", "-lambda", "8", "-net", "omission", "-json"}, `net model "omission" neither delays nor drops a message at Δ=1`},
+		{[]string{"-transport", "chan", "-n", "20", "-f", "5", "-lambda", "8", "-net", "omission", "-delta", "2", "-json"}, `net model "omission" neither delays nor drops a message at Δ=2`},
+		{[]string{"-transport", "tcp", "-n", "4", "-f", "1", "-net", "chaos", "-json"}, `net model "chaos" neither delays nor drops a message at Δ=1`},
 		{[]string{"-transport", "chan", "-n", "20", "-f", "5", "-net", "chaos", "-delta", "2", "-reorder", "0.3"}, "-reorder"}, // jitter draws what reorder did
 	}
 	for _, tc := range cases {

@@ -135,6 +135,12 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{[]string{"-n", "20", "-f", "5", "-net", "delta"}, `net model "delta" only delays traffic within Δ and needs Δ ≥ 2`},
 		{[]string{"-n", "20", "-f", "5", "-net", "jitter", "-delta", "1"}, `net model "jitter" only delays traffic within Δ and needs Δ ≥ 2`},
 		{[]string{"-n", "20", "-f", "5", "-net", "partition"}, `net model "partition" only delays traffic within Δ and needs Δ ≥ 2`},
+		// A model that can neither delay nor drop runs the delta-one schedule
+		// under another name: omission without a drop rate, at any Δ, and
+		// chaos at Δ = 1 with no rate, crash window or partition.
+		{[]string{"-n", "20", "-f", "5", "-lambda", "8", "-net", "omission", "-json"}, `net model "omission" neither delays nor drops a message at Δ=1`},
+		{[]string{"-n", "20", "-f", "5", "-lambda", "8", "-net", "omission", "-delta", "3", "-json"}, `net model "omission" neither delays nor drops a message at Δ=3`},
+		{[]string{"-n", "20", "-f", "5", "-lambda", "8", "-net", "chaos", "-json"}, `net model "chaos" neither delays nor drops a message at Δ=1`},
 
 		{[]string{"-transport", "carrier-pigeon"}, `unknown transport "carrier-pigeon"`},
 		// Flags only a live runtime reads, under the simulator.

@@ -304,11 +304,12 @@ func TestDesignSectionEightCoversAnalyzers(t *testing.T) {
 // core.Config.Lockstep, wall-clock timing lives in obs.Telemetry,
 // tickets verify through Verifier().Verify alone, and one command runs
 // every runtime (cmd/ba -transport; no cmd/cluster, internal/cli or
-// -round-timeout). The one exemption is a
+// -round-timeout), and the network model is the one netsim.Faults type (no
+// NetModel interface, no DeltaOne constructor). The one exemption is a
 // table row marked as a dated record ("PR <n> record"), which may say what
 // flag a historical measurement was taken with.
 func TestDocsDoNotNameDeletedKnobs(t *testing.T) {
-	deleted := regexp.MustCompile("(^|[\\s`])-parallel\\b|-sparse-workers|SparseWorkers|Config\\.Parallel|`Parallel: true`|cmd/\\bbench\\b|\\bRun(Node)?Chaos\\b|Config\\.Compact|TimingLog|VerifyBatch|ChaosConfig|SimRun|Options\\.Chaos|(^|[\\s`])-chaos-|(^|[\\s`])-reorder\\b|ReorderRate|ChaosSpec|WrapChaos|NewChaosNetwork|cmd/cluster\\b|internal/cli\\b|(^|[\\s`])-round-timeout\\b")
+	deleted := regexp.MustCompile("(^|[\\s`])-parallel\\b|-sparse-workers|SparseWorkers|Config\\.Parallel|`Parallel: true`|cmd/\\bbench\\b|\\bRun(Node)?Chaos\\b|Config\\.Compact|TimingLog|VerifyBatch|ChaosConfig|SimRun|Options\\.Chaos|(^|[\\s`])-chaos-|(^|[\\s`])-reorder\\b|ReorderRate|ChaosSpec|WrapChaos|NewChaosNetwork|cmd/cluster\\b|internal/cli\\b|(^|[\\s`])-round-timeout\\b|\\bNetModel\\b|\\bDeltaOne\\b")
 	record := regexp.MustCompile(`PR \d+ record`)
 	for _, path := range []string{"README.md", "DESIGN.md"} {
 		data, err := os.ReadFile(path)

@@ -7,12 +7,13 @@ import (
 )
 
 // Powerbound polices the adversary's power boundary in live fault code.
-// Both runtimes decide the network's faults through one schedule,
-// netsim.Faults.Decide, whose seeded coins netsim.LinkDrop and
-// netsim.LinkDelay the simulator power-checks (≤F faulty senders, honest
-// links delivered within Δ). A live recipient applies the same Decide to
-// every frame — that is what makes a live run of any model bit-identical
-// to the simulated schedule — so:
+// Both runtimes decide the network's faults by one per-link rule,
+// netsim.Faults.Link, over the schedule's seeded coins netsim.LinkDrop and
+// netsim.LinkDelay. The boundary holds by the schedule's construction
+// (Validate keeps drops on ≤F faulty senders, Decide delivers every other
+// link within Δ), not by a check at delivery. A live recipient applies the
+// same Link to every frame — that is what makes a live run of any model
+// bit-identical to the simulated schedule — so:
 //
 //   - netsim.LinkDrop and netsim.LinkDelay may only be called from netsim
 //     itself; any other package flipping the coins directly would grant
@@ -58,7 +59,7 @@ func runPowerbound(p *Pass) {
 			case *ast.CallExpr:
 				fn := calleeFunc(p.Info, n)
 				if path != netsimPath && (isPkgFunc(fn, netsimPath, "LinkDrop") || isPkgFunc(fn, netsimPath, "LinkDelay")) {
-					p.Reportf(n.Pos(), "call to netsim.%s outside netsim: the schedule's coins are the adversary's, reached only through netsim.Faults.Decide", fn.Name())
+					p.Reportf(n.Pos(), "call to netsim.%s outside netsim: the schedule's coins are the adversary's, reached only through netsim.Faults.Link", fn.Name())
 				}
 				if !inChaos {
 					return true

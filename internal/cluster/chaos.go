@@ -2,57 +2,43 @@ package cluster
 
 import (
 	"ccba/internal/netsim"
-	"ccba/internal/obs"
 	"ccba/internal/types"
 )
 
-// links is the network model a live run executes: the schedule
-// scenario.Config.Faults lowers, the one the simulator runs, validated
-// against (N, F). prepare builds it for every model but delta-one, whose
-// runs never consult it.
-//
-// A delay is a number of rounds, never a length of time. The recipient
-// files a round-r frame for delivery in round r + d, where d is the
-// simulator's answer for the frame's (round, from, to) link, so on the
-// all-ack barrier a live run of any model at any Δ is the simulator's run.
-// Sync markers never meet the schedule: the round clock is the synchronous
-// model's assumption, not the adversary's to bend.
-type links struct {
-	faults netsim.Faults
-	delta  int
-	faulty []bool // omission-faulty senders, n long; nil for none
-}
+// A live run executes the network model the simulator runs: the schedule
+// scenario.Config.Faults lowers, kept in the plan for every model but
+// delta-one, whose runs never consult it. A delay is a number of rounds,
+// never a length of time. The recipient files a round-r frame for delivery
+// in round r + d, where d is the model's Link answer for the frame's
+// (round, from, to) link, so on the all-ack barrier a live run of any model
+// at any Δ is the simulator's run. Sync markers never meet the schedule:
+// the round clock is the synchronous model's assumption, not the
+// adversary's to bend.
 
-// delay is the simulator's per-link rule (netsim.Runtime's linkDelay) for a
-// run without corrupt senders: the rounds a round-r frame from from takes
-// to reach to, in [1, Δ], or 0 when the schedule drops it. Self-links
-// always take one round. Only a faulty sender's frame may be dropped; a
-// drop asked of an honest link holds it to Δ.
-func (l *links) delay(round int, from, to types.NodeID) int {
-	if from == to {
-		return 1
+// arrival is the pending round a round-r frame from from is filed under:
+// r itself under delta-one, else r + d − 1 for the link's delay d, so the
+// frame reaches the state machine in round r + d. ok is false when the
+// schedule drops the frame.
+func (r *runner) arrival(round uint32, from types.NodeID) (at uint32, ok bool) {
+	if r.net == nil {
+		return round, true
 	}
-	d, _ := l.faults.Decide(round, from, to)
+	d, _ := r.net.Link(int(round), from, r.self)
 	if d == netsim.Drop {
-		if l.dropsFrom(from) {
-			return 0
-		}
-		d = l.delta
+		return 0, false
 	}
-	return min(max(d, 1), l.delta)
-}
-
-func (l *links) dropsFrom(from types.NodeID) bool {
-	return l.faulty != nil && l.faulty[from]
+	return round + uint32(d) - 1, true
 }
 
 // traceDrops emits the fault events of a round-r send to to (Broadcast for
-// a multicast) from from: one per dropped link, numbered by *seq in
-// recipient order. A sender calls it for its sends in send order, which is
-// the simulator's per-(round, sender) numbering. A unicast to no node
-// reaches no link, as in the simulator.
-func (l *links) traceDrops(sink obs.Sink, round int, from, to types.NodeID, n int, seq *int) {
-	if !l.dropsFrom(from) {
+// a multicast) from this node: one per dropped link, numbered by *seq in
+// recipient order. The node calls it for its sends in send order, which is
+// the simulator's per-(round, sender) numbering. Only a faulty sender's
+// links drop, and a unicast to no node reaches no link, as in the
+// simulator.
+func (r *runner) traceDrops(round int, to types.NodeID, seq *int) {
+	n, from := r.cfg.N, r.self
+	if int(from) >= len(r.net.Faulty) || !r.net.Faulty[from] {
 		return
 	}
 	lo, hi := int(to), int(to)+1
@@ -60,11 +46,8 @@ func (l *links) traceDrops(sink obs.Sink, round int, from, to types.NodeID, n in
 		lo, hi = 0, n
 	}
 	for j := max(lo, 0); j < min(hi, n); j++ {
-		if types.NodeID(j) == from {
-			continue
-		}
-		if d, kind := l.faults.Decide(round, from, types.NodeID(j)); d == netsim.Drop {
-			sink.Fault(round, from, types.NodeID(j), *seq, kind)
+		if d, kind := r.net.Link(round, from, types.NodeID(j)); d == netsim.Drop {
+			r.obs.Fault(round, from, types.NodeID(j), *seq, kind)
 			*seq++
 		}
 	}

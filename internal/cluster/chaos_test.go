@@ -233,8 +233,9 @@ func TestChaosOverTCPCluster(t *testing.T) {
 }
 
 // TestChaosDelaysAreRounds: prepare keeps the config's one lowering — the
-// chaos Δ with its jitter spread, the partition at N/2 and the faulty mask
-// — since a delay is a number of rounds; delta-one keeps no model at all.
+// chaos Δ with its jitter spread, the partition at N/2 and the faulty mask,
+// already in the form Validate returns — since a delay is a number of
+// rounds; delta-one keeps no model at all.
 func TestChaosDelaysAreRounds(t *testing.T) {
 	cfg := scenario.Config{Protocol: scenario.Core, N: 16, F: 4, Lambda: 8, Net: scenario.NetChaos, Delta: 3,
 		OmissionRate: 0.3, PartitionRounds: 2}
@@ -242,60 +243,69 @@ func TestChaosDelaysAreRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := p.links
-	if l.delta != 3 || l.faults.Spread != netsim.SpreadJitter {
-		t.Fatalf("model (Δ %d, spread %d), want (3, jitter)", l.delta, l.faults.Spread)
+	fs := p.net
+	if fs.Delta != 3 || fs.Spread != netsim.SpreadJitter {
+		t.Fatalf("model (Δ %d, spread %d), want (3, jitter)", fs.Delta, fs.Spread)
 	}
-	if fs := l.faults; int(fs.Cut) != cfg.N/2 || fs.CutFrom != 0 || fs.CutUntil != 2 {
+	if int(fs.Cut) != cfg.N/2 || fs.CutFrom != 0 || fs.CutUntil != 2 {
 		t.Fatalf("partition (%d, [%d, %d)), want cut 8 rounds [0, 2)", fs.Cut, fs.CutFrom, fs.CutUntil)
 	}
-	if !reflect.DeepEqual(l.faulty, l.faults.Faulty) {
-		t.Fatalf("faulty mask %v, lowering's %v", l.faulty, l.faults.Faulty)
+	if mask, err := fs.Validate(cfg.N, cfg.F); err != nil || !reflect.DeepEqual(mask, fs.Faulty) {
+		t.Fatalf("faulty mask %v, Validate's %v (%v)", fs.Faulty, mask, err)
 	}
-	if lockstep, err := prepare(chaosBase, Options{}); err != nil || lockstep.links != nil {
-		t.Fatalf("delta-one plan keeps a network model: %+v, %v", lockstep.links, err)
+	if lockstep, err := prepare(chaosBase, Options{}); err != nil || lockstep.net != nil {
+		t.Fatalf("delta-one plan keeps a network model: %+v, %v", lockstep.net, err)
 	}
+}
+
+// linkDelay is the rounds a round-r frame from from takes to reach to under
+// p's schedule, as to's runner files it, or 0 when the schedule drops it.
+func linkDelay(p *plan, round int, from, to types.NodeID) int {
+	at, ok := (&runner{plan: p, self: to}).arrival(uint32(round), from)
+	if !ok {
+		return 0
+	}
+	return int(at) - round + 1
 }
 
 // TestChaosDropMatchesSimulatorDecision checks the recipient's rule link by
 // link against Decide across rate drops, a crash window, a partition hold
 // and Δ = 3 jitter: a faulty sender's dropped link is lost, any other delay
-// is Decide's clamped to [1, Δ], and a self-link takes one round. The
-// sender's trace carries one fault event per dropped link, with Decide's
-// kind, numbered per (round, sender) in (send, recipient) order.
+// is Decide's, and a self-link takes one round. The sender's trace carries
+// one fault event per dropped link, with Decide's kind, numbered per
+// (round, sender) in (send, recipient) order.
 func TestChaosDropMatchesSimulatorDecision(t *testing.T) {
 	cfg := scenario.Config{Protocol: scenario.Core, N: 16, F: 4, Lambda: 8, Net: scenario.NetChaos, Delta: 3,
 		OmissionRate: 0.3, CrashFrom: 5, CrashRounds: 7, PartitionRounds: 10}
 	cfg.Seed[0] = 7
-	p, err := prepare(cfg, Options{})
+	rec := obs.NewRecorder(0)
+	p, err := prepare(cfg, Options{Tracer: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := p.links
-	rec := obs.NewRecorder(0)
-	sink := obs.NewSink(rec)
+	fs := p.net
 	seen := map[string]int{}
 	for r := 0; r < 24; r++ {
 		for from := types.NodeID(0); int(from) < cfg.N; from++ {
 			// Two multicasts and a unicast to node 3 per sender and round.
-			seq := 0
+			seq, sender := 0, p.newRunner(from, nil)
 			for _, to := range []types.NodeID{types.Broadcast, types.Broadcast, 3} {
-				l.traceDrops(sink, r, from, to, cfg.N, &seq)
+				sender.traceDrops(r, to, &seq)
 			}
 			for to := types.NodeID(0); int(to) < cfg.N; to++ {
-				got := l.delay(r, from, to)
-				d, kind := l.faults.Decide(r, from, to)
+				got := linkDelay(p, r, from, to)
+				d, kind := fs.Decide(r, from, to)
 				var want int
 				switch {
 				case from == to:
 					want = 1
-				case d == netsim.Drop && l.faulty[from]:
+				case d == netsim.Drop && fs.Faulty[from]:
 					want = 0
 					seen[kind.String()]++
 				case d == netsim.Drop:
 					t.Fatalf("round %d: Decide drops honest sender %d's link to %d", r, from, to)
 				default:
-					want = min(max(d, 1), l.delta)
+					want = d
 					if want > 1 {
 						seen["hold"]++
 					}
@@ -315,7 +325,7 @@ func TestChaosDropMatchesSimulatorDecision(t *testing.T) {
 			seq := 0
 			for _, to := range []types.NodeID{types.Broadcast, types.Broadcast, 3} {
 				for j := 0; j < cfg.N; j++ {
-					if (to == types.Broadcast || int(to) == j) && l.delay(r, from, types.NodeID(j)) == 0 {
+					if (to == types.Broadcast || int(to) == j) && linkDelay(p, r, from, types.NodeID(j)) == 0 {
 						want[[3]int{r, int(from), seq}] = j
 						seq++
 					}
@@ -328,7 +338,7 @@ func TestChaosDropMatchesSimulatorDecision(t *testing.T) {
 		t.Fatalf("%d fault events, want one per dropped link: %d", len(events), len(want))
 	}
 	for _, e := range events {
-		_, kind := l.faults.Decide(int(e.Round), types.NodeID(e.Node), types.NodeID(e.A))
+		_, kind := fs.Decide(int(e.Round), types.NodeID(e.Node), types.NodeID(e.A))
 		if to, ok := want[[3]int{int(e.Round), int(e.Node), int(e.Seq)}]; e.Kind != obs.EvFault || !ok || int(e.A) != to || obs.FaultKind(e.B) != kind {
 			t.Fatalf("traced %+v, want a fault to %d (ok %v) with Decide's kind %s", e, to, ok, kind)
 		}
@@ -338,43 +348,36 @@ func TestChaosDropMatchesSimulatorDecision(t *testing.T) {
 // TestChaosCrashWindow: a crash window is total outbound data omission for
 // its rounds; before and after it, the victim's frames flow.
 func TestChaosCrashWindow(t *testing.T) {
-	l := &links{faults: netsim.Faults{Delta: 1, Key: 42, Faulty: []bool{false, true}, Crash: 1, CrashFrom: 2, CrashUntil: 5},
-		delta: 1, faulty: []bool{false, true}}
+	p := &plan{cfg: scenario.Config{N: 2}, net: &netsim.Faults{Delta: 1, Key: 42, Faulty: []bool{false, true}, Crash: 1, CrashFrom: 2, CrashUntil: 5}}
 	for r := 0; r < 8; r++ {
-		if got, want := l.delay(r, 1, 0) > 0, r < 2 || r >= 5; got != want {
+		if got, want := linkDelay(p, r, 1, 0) > 0, r < 2 || r >= 5; got != want {
 			t.Fatalf("round %d delivered=%v, want %v (crash window [2,5))", r, got, want)
 		}
-		if l.delay(r, 1, 1) != 1 || l.delay(r, 0, 1) != 1 {
+		if linkDelay(p, r, 1, 1) != 1 || linkDelay(p, r, 0, 1) != 1 {
 			t.Fatalf("round %d: the self-link or the honest node's link lost its one-round delivery", r)
 		}
 	}
 }
 
 // TestChaosPowerBoundary: a faulty sender at drop rate 1 loses every link
-// but its self-link, while an honest sender's frames are delayed, never
-// lost — a drop the schedule asks of an honest link degrades to the Δ
-// hold, as in the simulator.
+// but its self-link, while an honest sender's frames all arrive next round.
+// That Decide drops no honest link under any schedule Validate accepts is
+// netsim's TestFaultsPowerBoundary.
 func TestChaosPowerBoundary(t *testing.T) {
-	l := &links{faults: netsim.Faults{Delta: 2, Key: 1, Faulty: []bool{true, false, false}, Rate: 1},
-		delta: 2, faulty: []bool{true, false, false}}
+	p := &plan{cfg: scenario.Config{N: 3}, net: &netsim.Faults{Delta: 2, Key: 1, Faulty: []bool{true, false, false}, Rate: 1}}
 	for r := 0; r < 8; r++ {
 		for to := types.NodeID(0); to < 3; to++ {
 			want := 0
 			if to == 0 {
 				want = 1
 			}
-			if got := l.delay(r, 0, to); got != want {
+			if got := linkDelay(p, r, 0, to); got != want {
 				t.Fatalf("round %d: faulty 0→%d delay %d, want %d", r, to, got, want)
 			}
-			if got := l.delay(r, 1, to); got != 1 {
+			if got := linkDelay(p, r, 1, to); got != 1 {
 				t.Fatalf("round %d: honest 1→%d delay %d, want 1", r, to, got)
 			}
 		}
-	}
-	// The validated mask, not the schedule, says who may lose traffic.
-	honest := &links{faults: netsim.Faults{Delta: 2, Faulty: []bool{true, true, false}, Rate: 1}, delta: 2, faulty: []bool{true, false, false}}
-	if got := honest.delay(0, 1, 2); got != 2 {
-		t.Fatalf("a drop on a link the mask calls honest: delay %d, want the Δ hold 2", got)
 	}
 }
 
@@ -395,6 +398,9 @@ func TestChaosOptionGuards(t *testing.T) {
 	}{
 		{"partition at delta one", func(c *scenario.Config) { c.Net, c.PartitionRounds = scenario.NetChaos, 2 }, "Δ ≥ 2"},
 		{"drops without a faulty set", func(c *scenario.Config) { c.Net, c.F, c.OmissionRate = scenario.NetChaos, 0, 0.1 }, "faulty"},
+		// Normalized accepts it; its lowering's one faulty node overspends
+		// F = 0, which only Faults.Validate sees.
+		{"crash window without a budget", func(c *scenario.Config) { c.Net, c.F, c.CrashRounds = scenario.NetChaos, 0, 2 }, "exceed the corruption budget f=0"},
 	} {
 		cfg := base
 		tc.set(&cfg)

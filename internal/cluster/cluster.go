@@ -202,7 +202,7 @@ func check(cfg scenario.Config) (scenario.Config, error) {
 type plan struct {
 	cfg       scenario.Config
 	opts      Options
-	links     *links
+	net       *netsim.Faults
 	nodes     []netsim.Node
 	decode    scenario.Decoder
 	maxRounds int
@@ -213,11 +213,12 @@ type plan struct {
 //
 // Any network model but delta-one runs in the runners' round loops: each
 // recipient files every data frame for the round the config's one lowering
-// (scenario.Config.Faults), validated against (N, F), delivers it in — the
-// simulator's schedule, with exactly the power the simulator's model grants
-// (DESIGN.md §7). The transport and the protocol code see an ordinary run,
-// and the schedule is seed-deterministic, so every process of a
-// multi-process mesh derives the identical schedule.
+// (scenario.Config.Faults), validated against (N, F) as NewRuntime
+// validates it, delivers it in — the simulator's schedule, with exactly the
+// power the simulator's model grants (DESIGN.md §7). The transport and the
+// protocol code see an ordinary run, and the schedule is
+// seed-deterministic, so every process of a multi-process mesh derives the
+// identical schedule.
 func prepare(cfg scenario.Config, opts Options) (*plan, error) {
 	normalized, err := check(cfg)
 	if err != nil {
@@ -230,17 +231,19 @@ func prepare(cfg scenario.Config, opts Options) (*plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	var model *links
+	var net *netsim.Faults
 	if normalized.Net != scenario.NetDeltaOne {
 		fs, err := normalized.Faults()
 		if err != nil {
 			return nil, err
 		}
-		delta, faulty, err := fs.Validate(normalized.N, normalized.F)
-		if err != nil {
+		// The check the simulator's NewRuntime makes. A valid config can
+		// still lower past the budget: a chaos crash window at F = 0
+		// defaults its faulty set to one node.
+		if _, err := fs.Validate(normalized.N, normalized.F); err != nil {
 			return nil, err
 		}
-		model = &links{faults: fs, delta: delta, faulty: faulty}
+		net = &fs
 	}
 	maxRounds, err := normalized.RoundBudget(steps)
 	if err != nil {
@@ -250,5 +253,5 @@ func prepare(cfg scenario.Config, opts Options) (*plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &plan{cfg: normalized, opts: opts, links: model, nodes: nodes, decode: decode, maxRounds: maxRounds}, nil
+	return &plan{cfg: normalized, opts: opts, net: net, nodes: nodes, decode: decode, maxRounds: maxRounds}, nil
 }

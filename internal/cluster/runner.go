@@ -132,8 +132,8 @@ func (r *runner) runRounds(ctx context.Context) (int, error) {
 			r.metrics.CountSend(s.To, n, len(payload))
 			r.opts.Telemetry.CountSend(len(payload))
 			r.obs.Send(round, r.self, seq, s.To, len(payload))
-			if r.links != nil && r.obs.Enabled() {
-				r.links.traceDrops(r.obs, round, r.self, s.To, n, &faultSeq)
+			if r.net != nil && r.obs.Enabled() {
+				r.traceDrops(round, s.To, &faultSeq)
 			}
 			if s.To == types.Broadcast {
 				// In-process recipients share one decode of the payload.
@@ -396,7 +396,7 @@ func (r *runner) fileRuns(round uint32, runs [][]transport.Envelope) {
 	if len(runs) == 0 {
 		return
 	}
-	if r.links == nil {
+	if r.net == nil {
 		// Filed as one piece, a lone barrier's log stays the inbox as it
 		// stands (see inbox).
 		t := r.traffic(round)
@@ -415,18 +415,6 @@ func (r *runner) fileRuns(round uint32, runs [][]transport.Envelope) {
 			}
 		}
 	}
-}
-
-// arrival is the pending round a round-r frame from from is filed under:
-// r itself under delta-one, else r + d − 1 for the link's delay d, so the
-// frame reaches the state machine in round r + d. ok is false when the
-// schedule drops the frame.
-func (r *runner) arrival(round uint32, from types.NodeID) (at uint32, ok bool) {
-	if r.links == nil {
-		return round, true
-	}
-	d := r.links.delay(int(round), from, r.self)
-	return round + uint32(d) - 1, d > 0
 }
 
 // logLen counts the envelopes in a round-log piece.
@@ -472,8 +460,8 @@ func (p *plan) assemble(rounds int, recs []resultRecord) *Report {
 		Corrupt: make([]bool, n), // live runs are adversary-free
 		Rounds:  rounds,
 	}
-	if p.links != nil {
-		res.OmissionFaulty = slices.Clone(p.links.faulty)
+	if p.net != nil {
+		res.OmissionFaulty = slices.Clone(p.net.Faulty)
 	}
 	perNode := make([]netsim.Metrics, n)
 	for i, rec := range recs {

@@ -48,7 +48,7 @@ func TestInternedMatchesOwnedInEveryRegime(t *testing.T) {
 		name   string
 		seed   byte
 		inputs []types.Bit
-		net    netsim.NetModel
+		net    netsim.Faults
 		adv    func() netsim.Adversary
 		// exercised reports whether the adversary did what the regime is
 		// there for; nil for passive regimes.
@@ -93,12 +93,8 @@ func TestInternedMatchesOwnedInEveryRegime(t *testing.T) {
 				if rg.adv != nil {
 					adv = rg.adv()
 				}
-				delta := 1
-				if rg.net != nil {
-					delta, _, _ = rg.net.Validate(n, f)
-				}
 				rt, err := netsim.NewRuntime(netsim.Config{
-					N: n, F: f, MaxRounds: cfg.Rounds() * delta, Net: rg.net,
+					N: n, F: f, MaxRounds: cfg.Rounds() * max(rg.net.Delta, 1), Net: rg.net,
 					Seize: func(id types.NodeID) any { return cfg.Suite.Miner(id) },
 				}, nodes, adv)
 				if err != nil {

@@ -63,7 +63,7 @@ func E14CrossValidation(o Opts) (*E14Result, error) {
 		fmt.Sprintf("E14 (extension) — live chaos cluster vs simulator, same seeds and fault schedules (core, n=%d, f=%d, λ=%d)", n, f, lambda),
 		"transport", "Δ", "drop", "trials", "safety viol.", "exact ≡ sim", "termination", "rounds live", "rounds sim", "wall ms",
 	)
-	res.Table.Note = "Both runtimes call one fault schedule (netsim.Faults.Decide) for every drop and per-link delay, and a live node delivers each frame in the round the simulator does, so every live run must match the simulator bit for bit, at every Δ and on both transports. Safety is proved for Δ=1 alone."
+	res.Table.Note = "Both runtimes apply one fault schedule (netsim.Faults) to every drop and per-link delay, and a live node delivers each frame in the round the simulator does, so every live run must match the simulator bit for bit, at every Δ and on both transports. Safety is proved for Δ=1 alone."
 	res.Sweep = harness.NewSweep("e14")
 
 	var settings []e14Setting
@@ -77,6 +77,11 @@ func E14CrossValidation(o Opts) (*E14Result, error) {
 	for _, st := range settings {
 		cfg := scenario.Config{Protocol: scenario.Core, N: n, F: f, Lambda: lambda, MaxIters: maxIters,
 			Net: scenario.NetChaos, Delta: st.delta, OmissionRate: st.drop}
+		if st.delta == 1 && st.drop == 0 {
+			// Chaos that can neither delay nor drop is refused: the
+			// control point runs the lockstep schedule by its own name.
+			cfg.Net = scenario.NetDeltaOne
+		}
 		if st.transport == "tcp" {
 			// Real sockets: a 32-node full mesh is 992 connections per
 			// trial; 8 nodes keep the point honest and the sweep quick.

@@ -89,7 +89,7 @@ func (c *Ctx) Corrupt(id types.NodeID) (Seized, error) {
 	// Corrupting an already-faulty node converts its fault slot into a
 	// corruption slot rather than consuming a second one.
 	spent := c.CorruptCount() + c.rt.honestFaultyCount()
-	if c.rt.faulty != nil && c.rt.faulty[id] {
+	if c.rt.cfg.Net.Faulty != nil && c.rt.cfg.Net.Faulty[id] {
 		spent--
 	}
 	if spent >= c.rt.cfg.F {
@@ -161,12 +161,6 @@ func (c *Ctx) Inject(from, to types.NodeID, msg wire.Message) error {
 	if c.rt.status[from] != types.Corrupt {
 		return fmt.Errorf("%w: inject from honest node %d", ErrNotCorrupt, from)
 	}
-	c.envs = append(c.envs, &Envelope{
-		From:     from,
-		To:       to,
-		Msg:      msg,
-		size:     wire.Size(msg),
-		injected: true,
-	})
+	c.envs = append(c.envs, &Envelope{From: from, To: to, Msg: msg, size: wire.Size(msg)})
 	return nil
 }

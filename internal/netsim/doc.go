@@ -4,23 +4,22 @@
 //
 // Every protocol in this repository is written "sans I/O" as a Node state
 // machine; the Runtime drives rounds, routes multicast and pairwise
-// messages through a pluggable scheduling layer (NetModel), lets the
-// adversary observe and intervene between sending and delivery, and
-// accounts communication complexity in both the classical (Definition 6)
-// and multicast (Definition 7) senses.
+// messages by the network model (Faults), lets the adversary observe and
+// intervene between sending and delivery, and accounts communication
+// complexity in both the classical (Definition 6) and multicast
+// (Definition 7) senses.
 //
-// Message timing is the NetModel's job: each (sender, recipient) link of a
-// round-r send is assigned a delivery round in [r+1, r+∆]. The default
-// DeltaOne model is lockstep ∆ = 1, the fault-free Faults value. Every
-// schedule is one Faults value — worst-case ∆-delay, seeded jitter,
-// per-link omission faults, a temporary partition, a crash window, or the
-// chaos composite of them all — exercising the adversary's classic
-// synchronous power of delaying honest messages up to the bound. A live
-// cluster's recipients call the same Faults.Decide for every frame, so
-// both runtimes run one schedule. The Runtime
-// enforces the model's answers against the bound and the adversary's Power:
-// honest-to-honest messages always arrive by ∆, and only links from
-// omission-faulty or corrupt senders may be dropped (see NetModel).
+// Message timing is the network model's: each (sender, recipient) link of
+// a round-r send is assigned a delivery round in [r+1, r+∆], or dropped.
+// Every schedule is one Faults value — lockstep ∆ = 1 (the zero value, the
+// default), worst-case ∆-delay, seeded jitter, per-link omission faults, a
+// temporary partition, a crash window, or the chaos composite of them all
+// — exercising the adversary's classic synchronous power of delaying
+// honest messages up to the bound. The per-link rule is Faults.Link, and a
+// live cluster's recipients apply the same Link to every frame, so both
+// runtimes run one schedule. The model's power boundary holds by
+// construction (see Faults): honest-to-honest messages always arrive by ∆,
+// and only links from the ≤ F omission-faulty senders are dropped.
 //
 // The adversary model is enforced structurally:
 //

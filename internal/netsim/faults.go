@@ -8,74 +8,9 @@ import (
 	"ccba/internal/types"
 )
 
-// NetModel is the pluggable message-scheduling layer of the simulator.
-//
-// The paper's execution model (Appendix A.1) is synchronous with delivery
-// bound ∆: the adversary controls the network and may delay any message, but
-// a message sent by a so-far-honest node in round r must be delivered by
-// round r+∆. The Runtime asks its NetModel for a delivery delay on every
-// (sender, recipient) link — once per multicast when the model declares
-// the sender's links Uniform — and enforces the model's answers against
-// that bound and against the adversary's declared Power:
-//
-//   - Honest-sender links are never dropped. A model that returns Drop for
-//     one is overridden to the maximal legal delay ∆ — holding a message to
-//     the bound is the strongest thing a synchronous adversary can do to an
-//     honest link. The only exceptions are the adversary's own after-the-fact
-//     removal (a Ctx.Remove by a strongly adaptive adversary, which happens
-//     before scheduling) and the model's declared omission faults below.
-//   - Delays are clamped into [1, ∆]. Nothing arrives in the round it was
-//     sent (the adversary is rushing, the honest nodes are not), and nothing
-//     arrives after the bound.
-//   - A model may declare a set of omission-faulty senders. Links from those
-//     nodes may be dropped — the classic omission/crash fault class, distinct
-//     from Byzantine corruption: faulty nodes keep executing the protocol
-//     honestly, but the network loses (some of) their outbound messages.
-//     Omission faults spend the same budget as corruptions: Validate rejects
-//     fault sets that exceed F, and Ctx.Corrupt charges adaptive corruptions
-//     against the remainder, so faulty-plus-corrupt senders never exceed F
-//     in total.
-//   - Links from corrupt senders (injected traffic, or sends erasable under
-//     strongly adaptive power) may be dropped freely — the adversary already
-//     controls that traffic.
-//   - A node's message to itself never touches the network: self-links are
-//     delivered next round and cannot be dropped or delayed further.
-//
-// Models must be deterministic given their construction parameters: every
-// decision is a function of (round, from, to), so executions remain
-// reproducible and independent of scheduling order.
-type NetModel interface {
-	// Validate checks the model against an execution of n nodes with
-	// corruption budget f and returns what the Runtime enforces it by: the
-	// delivery bound ∆ ≥ 1 and the omission-faulty senders as an n-long
-	// mask (nil when the model declares none).
-	Validate(n, f int) (delta int, faulty []bool, err error)
-	// Decide returns the delivery delay in rounds for the link
-	// (round, from, to), in [1, ∆], or Drop to omit delivery on it, with
-	// kind classifying the drop for the trace. The Runtime clamps and
-	// power-checks the answer as described above.
-	Decide(round int, from, to types.NodeID) (delay int, kind obs.FaultKind)
-	// Uniform reports ok when Decide(round, from, to) returns the same
-	// delay, never Drop, for every to ≠ from, and returns that delay. The
-	// Runtime then delivers a multicast from from as one entry instead of
-	// deciding its n links. Answering false is always safe; answering ok
-	// when some link would differ is a contract violation.
-	Uniform(round int, from types.NodeID) (delay int, ok bool)
-}
-
-// Drop is the Decide return value requesting that a link's message be
-// omitted entirely. The Runtime honors it only on links the adversary's
-// power permits (faulty or corrupt senders); on honest links it degrades to
-// the maximal delay ∆.
+// Drop is the delay Decide and Link return for a link whose message is
+// lost.
 const Drop = -1
-
-// DeltaOne returns the lockstep model, the default: every message is
-// delivered exactly one round after it is sent. It is the fault-free
-// Faults{Delta: 1}, whose every sender is Uniform at delay 1.
-func DeltaOne() NetModel { return Faults{Delta: 1} }
-
-// ---------------------------------------------------------------------------
-// Faults — the one seeded fault schedule.
 
 // Spread is how Faults delays a link it neither drops nor holds across a
 // partition cut.
@@ -93,17 +28,31 @@ const (
 	SpreadHold
 )
 
-// Faults is the network adversary's whole power in one value: drop traffic
-// from its ≤ F faulty senders, delay any other link by up to ∆. The
-// simulator runs it as a NetModel and a live cluster's recipients call
-// the same Decide for every frame, so both runtimes draw one schedule.
+// Faults is the network model: the network adversary's whole power in one
+// value (Appendix A.1). It may drop traffic from its ≤ F faulty senders and
+// delay any other link by up to ∆. The simulator runs it (Config.Net) and
+// a live cluster's recipients file every frame by the same Link rule, so
+// both runtimes draw one schedule. Every decision is a function of
+// (round, from, to) and the seeded Key, so executions are reproducible and
+// independent of scheduling order.
+//
+// The power boundary holds by construction, not by a check at delivery:
+// Validate keeps the faulty set within the budget F and the crash victim
+// inside it, and Decide drops only links from Faulty senders and answers
+// every other link with a delay in [1, ∆]. Honest-to-honest messages
+// therefore arrive by ∆, and nothing arrives in the round it was sent (the
+// adversary is rushing, the honest nodes are not). Omission faults spend
+// the corruption budget: Ctx.Corrupt charges adaptive corruptions against
+// what the faulty set leaves. Faulty senders keep executing the protocol
+// honestly; the network loses (some of) their outbound messages.
 //
 // Each classic model is one literal: worst-case ∆-delay is SpreadHold,
 // seeded jitter is SpreadJitter, omission is SpreadNext plus Faulty and
 // Rate, a partition is SpreadNext plus the cut, and the chaos composite is
-// SpreadJitter plus all of them.
+// SpreadJitter plus all of them. The zero value, with ∆ read as 1, is the
+// lockstep model: every message arrives exactly one round after it is sent.
 type Faults struct {
-	// Delta is the delivery bound ∆ ≥ 1.
+	// Delta is the delivery bound ∆ ≥ 1 (Config.Net reads 0 as 1).
 	Delta int
 	// Spread is the delay of a link no fault below applies to.
 	Spread Spread
@@ -132,35 +81,49 @@ type Faults struct {
 // Validate checks the schedule against an execution of n nodes with
 // corruption budget f: ∆ ≥ 1, Rate in [0, 1], the faulty set within the
 // budget, a declared crash window non-empty with a Faulty victim, and an
-// open cut in [0, n]. It returns ∆ and the n-long faulty mask.
-func (fs Faults) Validate(n, f int) (int, []bool, error) {
+// open cut in [0, n]. It returns the faulty set as an n-long mask (nil for
+// none).
+func (fs *Faults) Validate(n, f int) ([]bool, error) {
 	if fs.Delta < 1 {
-		return 0, nil, fmt.Errorf("netsim: net model delta=%d, need Δ ≥ 1", fs.Delta)
+		return nil, fmt.Errorf("netsim: net model delta=%d, need Δ ≥ 1", fs.Delta)
 	}
 	if fs.Rate < 0 || fs.Rate > 1 {
-		return 0, nil, fmt.Errorf("netsim: drop rate %v outside [0, 1]", fs.Rate)
+		return nil, fmt.Errorf("netsim: drop rate %v outside [0, 1]", fs.Rate)
 	}
 	mask, err := checkFaultBudget(fs.Faulty, n, f)
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
 	if fs.CrashFrom != 0 || fs.CrashUntil != 0 {
 		if fs.CrashUntil <= fs.CrashFrom {
-			return 0, nil, fmt.Errorf("netsim: crash window [%d, %d) is empty", fs.CrashFrom, fs.CrashUntil)
+			return nil, fmt.Errorf("netsim: crash window [%d, %d) is empty", fs.CrashFrom, fs.CrashUntil)
 		}
 		if int(fs.Crash) < 0 || int(fs.Crash) >= len(mask) || !mask[fs.Crash] {
-			return 0, nil, fmt.Errorf("netsim: crash node %d must be in the faulty set (a crash is an omission fault and spends the budget)", fs.Crash)
+			return nil, fmt.Errorf("netsim: crash node %d must be in the faulty set (a crash is an omission fault and spends the budget)", fs.Crash)
 		}
 	}
 	if fs.CutUntil > fs.CutFrom && (int(fs.Cut) < 0 || int(fs.Cut) > n) {
-		return 0, nil, fmt.Errorf("netsim: partition cut %d out of range for %d nodes", fs.Cut, n)
+		return nil, fmt.Errorf("netsim: partition cut %d out of range for %d nodes", fs.Cut, n)
 	}
-	return fs.Delta, mask, nil
+	return mask, nil
 }
 
-// Decide applies the faults in a fixed precedence — the crash window, then
-// the rate drop, then the partition hold, then the base spread.
-func (fs Faults) Decide(round int, from, to types.NodeID) (int, obs.FaultKind) {
+// Link is the per-link rule both runtimes apply to a round-r message from
+// from to to: the self-link takes one round (a node's message to itself
+// never touches the network), a Drop loses the link, with kind classifying
+// the drop for the trace, and any other link takes Decide's delay.
+func (fs *Faults) Link(round int, from, to types.NodeID) (delay int, kind obs.FaultKind) {
+	if from == to {
+		return 1, obs.FaultDrop
+	}
+	return fs.Decide(round, from, to)
+}
+
+// Decide applies the faults to a network link in a fixed precedence — the
+// crash window, then the rate drop, then the partition hold, then the base
+// spread. It returns Drop, with the drop's kind, only on a Faulty sender's
+// link, and otherwise a delay in [1, ∆].
+func (fs *Faults) Decide(round int, from, to types.NodeID) (int, obs.FaultKind) {
 	if from == fs.Crash && round >= fs.CrashFrom && round < fs.CrashUntil {
 		return Drop, obs.FaultCrash
 	}
@@ -179,9 +142,12 @@ func (fs Faults) Decide(round int, from, to types.NodeID) (int, obs.FaultKind) {
 	return 1, obs.FaultDrop
 }
 
-// Uniform is ok unless from is Faulty (a crash victim is), a partition is
+// Uniform reports ok when Decide(round, from, to) returns the same delay,
+// never Drop, for every to ≠ from, and returns that delay; the Runtime then
+// delivers a multicast from from as one entry instead of deciding its n
+// links. It is ok unless from is Faulty (a crash victim is), a partition is
 // open, or the spread is jitter at ∆ > 1: the base spread decides the rest.
-func (fs Faults) Uniform(round int, from types.NodeID) (int, bool) {
+func (fs *Faults) Uniform(round int, from types.NodeID) (int, bool) {
 	if int(from) < len(fs.Faulty) && fs.Faulty[from] || round >= fs.CutFrom && round < fs.CutUntil ||
 		fs.Spread == SpreadJitter && fs.Delta > 1 {
 		return 0, false

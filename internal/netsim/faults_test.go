@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math/rand/v2"
 	"strings"
 	"testing"
 
@@ -52,7 +53,7 @@ func TestChaosDegeneratesToOmission(t *testing.T) {
 // outside the faulty set.
 func TestChaosCrashWindow(t *testing.T) {
 	fs := Faults{Delta: 1, Faulty: faultyMask(6, 3), Crash: 3, CrashFrom: 2, CrashUntil: 5}
-	if _, _, err := fs.Validate(6, 1); err != nil {
+	if _, err := fs.Validate(6, 1); err != nil {
 		t.Fatal(err)
 	}
 	for round := 0; round < 8; round++ {
@@ -73,12 +74,12 @@ func TestChaosCrashWindow(t *testing.T) {
 	}
 	empty := fs
 	empty.CrashFrom = 5
-	if _, _, err := empty.Validate(6, 1); err == nil || !strings.Contains(err.Error(), "empty") {
+	if _, err := empty.Validate(6, 1); err == nil || !strings.Contains(err.Error(), "empty") {
 		t.Fatalf("empty crash window: %v", err)
 	}
 	honest := fs
 	honest.Faulty = nil
-	if _, _, err := honest.Validate(6, 1); err == nil || !strings.Contains(err.Error(), "faulty set") {
+	if _, err := honest.Validate(6, 1); err == nil || !strings.Contains(err.Error(), "faulty set") {
 		t.Fatalf("crash victim outside the faulty set: %v", err)
 	}
 }
@@ -119,10 +120,10 @@ func TestFaultsValidate(t *testing.T) {
 		{"cut-ok", Faults{Delta: 2, Cut: 2, CutUntil: 3}, ""},
 	}
 	for _, tc := range cases {
-		delta, mask, err := tc.fs.Validate(4, 2)
+		mask, err := tc.fs.Validate(4, 2)
 		if tc.want == "" {
-			if err != nil || delta != tc.fs.Delta || mask != nil {
-				t.Errorf("%s: (%d, %v, %v), want (%d, nil, nil)", tc.name, delta, mask, err, tc.fs.Delta)
+			if err != nil || mask != nil {
+				t.Errorf("%s: (%v, %v), want (nil, nil)", tc.name, mask, err)
 			}
 			continue
 		}
@@ -132,18 +133,92 @@ func TestFaultsValidate(t *testing.T) {
 	}
 }
 
-// The per-link decision is on the scheduled engine's hot path: it must not
+// The per-link rule is on the scheduled engine's hot path: it must not
 // allocate.
 func TestFaultsDecideAllocatesNothing(t *testing.T) {
-	var m NetModel = Faults{Delta: 3, Spread: SpreadJitter, Key: 7, Faulty: faultyMask(8, 1, 5), Rate: 0.3, Cut: 4, CutUntil: 9}
+	m := Faults{Delta: 3, Spread: SpreadJitter, Key: 7, Faulty: faultyMask(8, 1, 5), Rate: 0.3, Cut: 4, CutUntil: 9}
 	allocs := testing.AllocsPerRun(100, func() {
 		for from := types.NodeID(0); from < 8; from++ {
 			for to := types.NodeID(0); to < 8; to++ {
-				m.Decide(3, from, to)
+				m.Link(3, from, to)
 			}
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("Decide allocated %v times per 64 links", allocs)
+		t.Fatalf("Link allocated %v times per 64 links", allocs)
+	}
+}
+
+// TestFaultsPowerBoundary draws seeded random schedules and, on every one
+// Validate accepts, checks the adversary's power link by link: Decide drops
+// only links from Faulty senders, answers every other link with a delay in
+// [1, Δ], and agrees with Uniform wherever Uniform is ok; Link adds the
+// one-round self-link. The runtimes apply these answers unchecked, so this
+// is the whole power boundary of the network model.
+func TestFaultsPowerBoundary(t *testing.T) {
+	const trials, rounds = 300, 12
+	rng := rand.New(rand.NewPCG(45, 1))
+	valid, drops, holds := 0, 0, 0
+	for trial := 0; trial < trials; trial++ {
+		n := 2 + rng.IntN(9)
+		f := rng.IntN(n)
+		fs := Faults{
+			Delta:  1 + rng.IntN(4),
+			Spread: Spread(rng.IntN(3)),
+			Key:    rng.Uint64(),
+			Rate:   []float64{0, 0.3, 1}[rng.IntN(3)],
+		}
+		if k := rng.IntN(f + 2); k > 0 {
+			// Up to f + 1 faulty senders, so an overspent set is drawn too.
+			fs.Faulty = make([]bool, n)
+			for _, id := range rng.Perm(n)[:min(k, n)] {
+				fs.Faulty[id] = true
+			}
+		}
+		if rng.IntN(2) == 0 {
+			fs.Cut, fs.CutFrom = types.NodeID(rng.IntN(n+1)), rng.IntN(rounds)
+			fs.CutUntil = fs.CutFrom + rng.IntN(rounds)
+		}
+		if rng.IntN(2) == 0 {
+			// Any victim, so one outside the faulty set is drawn too.
+			fs.Crash, fs.CrashFrom = types.NodeID(rng.IntN(n)), rng.IntN(rounds)
+			fs.CrashUntil = fs.CrashFrom + 1 + rng.IntN(rounds)
+		}
+		mask, err := fs.Validate(n, f)
+		if err != nil {
+			continue
+		}
+		valid++
+		fs.Faulty = mask // what NewRuntime runs
+		for r := 0; r < rounds+2; r++ {
+			for from := types.NodeID(0); int(from) < n; from++ {
+				uni, uniOK := fs.Uniform(r, from)
+				for to := types.NodeID(0); int(to) < n; to++ {
+					if d, _ := fs.Link(r, from, to); from == to && d != 1 {
+						t.Fatalf("%+v: self-link %d at round %d takes %d rounds, want 1", fs, from, r, d)
+					}
+					if from == to {
+						continue
+					}
+					d, _ := fs.Decide(r, from, to)
+					switch {
+					case d == Drop && (mask == nil || !mask[from]):
+						t.Fatalf("%+v: round %d drops honest sender %d's link to %d", fs, r, from, to)
+					case d == Drop:
+						drops++
+					case d < 1 || d > fs.Delta:
+						t.Fatalf("%+v: round %d %d→%d delay %d outside [1, %d]", fs, r, from, to, d, fs.Delta)
+					case d > 1:
+						holds++
+					}
+					if uniOK && d != uni {
+						t.Fatalf("%+v: Uniform(%d, %d) = %d, but Decide gives %d to %d", fs, r, from, uni, d, to)
+					}
+				}
+			}
+		}
+	}
+	if valid < trials/3 || drops == 0 || holds == 0 {
+		t.Fatalf("%d of %d schedules valid, %d drops, %d delays past one round: the draw exercises too little", valid, trials, drops, holds)
 	}
 }

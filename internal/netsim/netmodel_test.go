@@ -9,11 +9,11 @@ import (
 	"ccba/internal/types"
 )
 
-// The tests in this file pin down the scheduled-delivery semantics of the
-// network-model layer: worst-case Δ-delay is deterministic per seed,
-// honest-to-honest delivery never exceeds Δ, omission applies only to links
-// the adversary's power permits, and a model's Uniform answers change no
-// delivery.
+// The tests in this file pin down how the Runtime delivers by its network
+// model: worst-case Δ-delay reaches the bound, jitter is deterministic per
+// seed, omission loses only the faulty senders' links, and the Uniform
+// shortcut changes no delivery. TestFaultsPowerBoundary pins the model's
+// own answers.
 
 // traceNode records every delivery with its arrival round and sends a fixed
 // script in round 0; it stays alive for `rounds` rounds so delayed messages
@@ -50,16 +50,9 @@ func (n *traceNode) Halted() bool              { return n.halted }
 
 // runTrace executes n trace nodes under a model and adversary for enough
 // rounds to flush any legal schedule.
-func runTrace(t *testing.T, n int, scripts map[int][]Send, net NetModel, adv Adversary, f int) []*traceNode {
+func runTrace(t *testing.T, n int, scripts map[int][]Send, net Faults, adv Adversary, f int) []*traceNode {
 	t.Helper()
-	rounds := 2
-	if net != nil {
-		delta, _, err := net.Validate(n, f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rounds = delta + 1
-	}
+	rounds := max(net.Delta, 1) + 1
 	nodes := make([]Node, n)
 	tn := make([]*traceNode, n)
 	for i := range nodes {
@@ -91,43 +84,6 @@ func TestWorstCaseDelaysToBound(t *testing.T) {
 		}
 		if node.got[0].round != want {
 			t.Errorf("node %d received at round %d, want %d", i, node.got[0].round, want)
-		}
-	}
-}
-
-// hostileModel tries to break the contract: absurd delays on every link and
-// drops wherever the runtime lets it.
-type hostileModel struct{ delta int }
-
-func (h hostileModel) Validate(int, int) (int, []bool, error) { return h.delta, nil, nil }
-func (hostileModel) Uniform(int, types.NodeID) (int, bool)    { return 0, false }
-func (h hostileModel) Decide(_ int, from, _ types.NodeID) (int, obs.FaultKind) {
-	if from%2 == 0 {
-		return Drop, obs.FaultDrop
-	}
-	return 1 << 20, obs.FaultDrop
-}
-
-// Honest-to-honest messages must arrive by Δ no matter what the model
-// returns: drops degrade to Δ-delay, oversized delays clamp to Δ.
-func TestHonestDeliveryNeverExceedsDelta(t *testing.T) {
-	const delta = 2
-	tn := runTrace(t, 4, map[int][]Send{
-		0: {Multicast(markMsg{Tag: 10})},  // model wants to drop (even sender)
-		1: {Unicast(3, markMsg{Tag: 11})}, // model wants delay 2^20
-	}, hostileModel{delta: delta}, nil, 2)
-	for i, node := range tn {
-		want := 1 // multicast 10 to everyone
-		if i == 3 {
-			want = 2 // plus the unicast
-		}
-		if len(node.got) != want {
-			t.Fatalf("node %d received %d messages (%v), want %d: honest links must deliver", i, len(node.got), node.got, want)
-		}
-		for _, a := range node.got {
-			if a.round > delta {
-				t.Errorf("node %d received tag %d at round %d, beyond Δ=%d", i, a.tag, a.round, delta)
-			}
 		}
 	}
 }
@@ -228,9 +184,9 @@ func TestOmissionBudgetEnforced(t *testing.T) {
 	if !errors.Is(err, ErrUnknownNode) {
 		t.Fatalf("out-of-range fault gave %v, want ErrUnknownNode", err)
 	}
-	_, err = NewRuntime(Config{N: 4, F: 1, Net: Faults{Spread: SpreadHold}}, mk(4), nil)
+	_, err = NewRuntime(Config{N: 4, F: 1, Net: Faults{Delta: -1, Spread: SpreadHold}}, mk(4), nil)
 	if err == nil {
-		t.Fatal("Δ=0 model accepted")
+		t.Fatal("Δ=-1 model accepted")
 	}
 }
 
@@ -306,18 +262,13 @@ func TestOmissionFaultsShareCorruptionBudget(t *testing.T) {
 	}
 }
 
-// perLink hides a model's Uniform answers, forcing the Runtime to decide
-// every link of every multicast.
-type perLink struct{ NetModel }
-
-func (perLink) Uniform(int, types.NodeID) (int, bool) { return 0, false }
-
 // The per-link path must reproduce the uniform one exactly — arrivals with
 // their rounds, the adversary's view, the Result with its Metrics and the
 // trace, fault numbering included — under every model shape and under
 // adversaries that corrupt, Inject, Remove and RemoveFor, with chatNode's
 // self-links in every multicast. That equality is what lets the Runtime
-// skip n Decide calls for a sender the model declares Uniform.
+// skip n Decide calls for a sender the model declares Uniform; the
+// Runtime's perLink seam turns the shortcut off.
 func TestPerLinkPathMatchesUniform(t *testing.T) {
 	const n, rounds = 11, 5
 	var seed [32]byte
@@ -325,9 +276,9 @@ func TestPerLinkPathMatchesUniform(t *testing.T) {
 	key := FoldSeed(seed)
 	models := []struct {
 		name string
-		net  NetModel
+		net  Faults
 	}{
-		{"delta-one", DeltaOne()},
+		{"delta-one", Faults{}},
 		{"hold-2", Faults{Delta: 2, Spread: SpreadHold}},
 		{"hold-3", Faults{Delta: 3, Spread: SpreadHold}},
 		{"omission-2", Faults{Delta: 2, Key: key, Faulty: faultyMask(n, 2, 7), Rate: 0.5}},
@@ -352,7 +303,7 @@ func TestPerLinkPathMatchesUniform(t *testing.T) {
 		res    *Result
 		events []obs.Event
 	}
-	run := func(t *testing.T, net NetModel, adv Adversary) outcome {
+	run := func(t *testing.T, net Faults, adv Adversary, perLink bool) outcome {
 		nodes := make([]Node, n)
 		cn := make([]*chatNode, n)
 		for i := range nodes {
@@ -364,6 +315,7 @@ func TestPerLinkPathMatchesUniform(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		rt.perLink = perLink
 		out := outcome{res: rt.Run(), events: rec.Events()}
 		for _, c := range cn {
 			out.got = append(out.got, c.got)
@@ -376,7 +328,7 @@ func TestPerLinkPathMatchesUniform(t *testing.T) {
 	for _, m := range models {
 		for _, a := range advs {
 			t.Run(m.name+"/"+a.name, func(t *testing.T) {
-				uni, links := run(t, m.net, a.mk()), run(t, perLink{m.net}, a.mk())
+				uni, links := run(t, m.net, a.mk(), false), run(t, m.net, a.mk(), true)
 				if a.name != "passive" && uni.res.NumCorrupt() == 0 {
 					t.Fatalf("adversary corrupted nobody: %v", uni.log)
 				}
@@ -443,53 +395,6 @@ func TestPartitionSchedulesCrossCutLinks(t *testing.T) {
 		}
 		if node.got[0].round != wantRounds[i] {
 			t.Errorf("node %d received at round %d, want %d", i, node.got[0].round, wantRounds[i])
-		}
-	}
-}
-
-// A message sent by a node the adversary corrupts in the same round may be
-// dropped by the model only under strongly adaptive power — the
-// after-the-fact-removal boundary, enforced against the network layer too.
-type dropAllModel struct{ delta int }
-
-func (d dropAllModel) Validate(int, int) (int, []bool, error) { return d.delta, nil, nil }
-func (dropAllModel) Uniform(int, types.NodeID) (int, bool)    { return 0, false }
-func (dropAllModel) Decide(int, types.NodeID, types.NodeID) (int, obs.FaultKind) {
-	return Drop, obs.FaultDrop
-}
-
-type corruptingAdversary struct {
-	Passive
-	power Power
-}
-
-func (a *corruptingAdversary) Power() Power { return a.power }
-func (a *corruptingAdversary) Round(ctx *Ctx) {
-	if ctx.Round() == 0 {
-		_, _ = ctx.Corrupt(0)
-	}
-}
-
-func TestDropAfterCorruptionNeedsStrongPower(t *testing.T) {
-	for _, tc := range []struct {
-		power Power
-		want  int // messages node 2 receives from node 0
-	}{
-		{PowerWeaklyAdaptive, 1},   // drop vetoed: delivery held to Δ instead
-		{PowerStronglyAdaptive, 0}, // after-the-fact removal via the network
-	} {
-		adv := &corruptingAdversary{power: tc.power}
-		tn := runTrace(t, 3, map[int][]Send{
-			0: {Multicast(markMsg{Tag: 40})},
-		}, dropAllModel{delta: 2}, adv, 1)
-		got := 0
-		for _, a := range tn[2].got {
-			if a.from == 0 {
-				got++
-			}
-		}
-		if got != tc.want {
-			t.Errorf("power %s: node 2 received %d messages from corrupted sender, want %d", tc.power, got, tc.want)
 		}
 	}
 }

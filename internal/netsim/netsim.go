@@ -160,8 +160,6 @@ type Envelope struct {
 	size       int
 	removed    bool
 	removedFor map[types.NodeID]struct{} // per-recipient removals
-	honestSend bool                      // sender was so-far-honest when it sent
-	injected   bool
 }
 
 // Removed reports whether the envelope has been erased by the adversary.

@@ -25,9 +25,10 @@ type Config struct {
 	// Seize returns the secret key material handed to the adversary when it
 	// corrupts a node. May be nil.
 	Seize func(id types.NodeID) any
-	// Net is the message-scheduling model (nil = DeltaOne lockstep). See
-	// NetModel for the delivery-bound and power-enforcement contract.
-	Net NetModel
+	// Net is the network model, the schedule every link is delivered by.
+	// A zero Delta reads as 1, so the zero value is lockstep: every message
+	// arrives one round after it is sent.
+	Net Faults
 	// Sparse asserts that the execution is in the regime where the engine
 	// holds no n-sized state (DESIGN.md §6): a passive adversary (no status
 	// arrays), under any net model. It selects nothing, but NewRuntime fails
@@ -79,6 +80,8 @@ var ErrSparseAdversary = errors.New("netsim: Sparse requires a passive adversary
 // only valid during the round they belong to — adversaries and nodes must
 // not retain them across rounds (no strategy in this repository does).
 type Runtime struct {
+	// cfg is the Config as run: its Net is validated, with Delta ≥ 1 and
+	// Faulty the n-long mask of omission-faulty senders (nil for none).
 	cfg     Config
 	nodes   []Node
 	adv     Adversary
@@ -88,9 +91,9 @@ type Runtime struct {
 	// every node is forever honest and no window is opened.
 	status []types.Status
 
-	net    NetModel
-	delta  int    // the model's delivery bound ∆
-	faulty []bool // omission-faulty senders declared by the model, nil if none
+	// perLink makes deliver decide every multicast link by link, as if no
+	// sender were Uniform; tests set it to pin the two paths equal.
+	perLink bool
 
 	shards []shard
 	pool   *harness.Pool // steps the shards; nil when there is one
@@ -183,13 +186,14 @@ func newRuntime(cfg Config, nodes []Node, adv Adversary, workers int) (*Runtime,
 	if adv == nil {
 		adv = Passive{}
 	}
-	if cfg.Net == nil {
-		cfg.Net = DeltaOne()
+	if cfg.Net.Delta == 0 {
+		cfg.Net.Delta = 1
 	}
-	delta, faulty, err := cfg.Net.Validate(cfg.N, cfg.F)
+	faulty, err := cfg.Net.Validate(cfg.N, cfg.F)
 	if err != nil {
 		return nil, err
 	}
+	cfg.Net.Faulty = faulty
 	_, passive := adv.(Passive)
 	if cfg.Sparse && !passive {
 		return nil, ErrSparseAdversary
@@ -198,11 +202,8 @@ func newRuntime(cfg Config, nodes []Node, adv Adversary, workers int) (*Runtime,
 		cfg:    cfg,
 		nodes:  nodes,
 		adv:    adv,
-		net:    cfg.Net,
-		delta:  delta,
-		faulty: faulty,
 		shards: carveShards(cfg.N, workers),
-		ring:   make([]slot, delta),
+		ring:   make([]slot, cfg.Net.Delta),
 		tr:     obs.NewSink(cfg.Tracer),
 	}
 	if !passive {
@@ -422,7 +423,7 @@ func (rt *Runtime) stepShard(k int) {
 				rt.tr.Send(round, id, si, s.To, size)
 			}
 			sh.metrics.CountSend(s.To, n, size)
-			sh.slab = append(sh.slab, Envelope{From: id, To: s.To, Msg: s.Msg, size: size, honestSend: true})
+			sh.slab = append(sh.slab, Envelope{From: id, To: s.To, Msg: s.Msg, size: size})
 		}
 		halted := rt.nodes[i].Halted()
 		if traced {
@@ -531,18 +532,17 @@ func (rt *Runtime) deliver(round int, envs []*Envelope) {
 		d := Delivered{From: e.From, Msg: e.Msg}
 		if e.To != types.Broadcast {
 			if int(e.To) >= 0 && int(e.To) < rt.cfg.N && !e.RemovedFor(e.To) {
-				if delay := rt.linkDelay(round, e, e.To); delay > 0 {
+				if delay := rt.linkDelay(round, e.From, e.To); delay > 0 {
 					rt.slotAt(delay).extra(e.To, d)
 				}
 			}
 			continue
 		}
-		delay, ok := rt.net.Uniform(round, e.From)
-		if !ok || len(e.removedFor) > 0 {
+		delay, ok := rt.cfg.Net.Uniform(round, e.From)
+		if !ok || rt.perLink || len(e.removedFor) > 0 {
 			rt.deliverLinks(round, e, d)
 			continue
 		}
-		delay = min(max(delay, 1), rt.delta)
 		s := rt.slotAt(delay)
 		s.shared = append(s.shared, d)
 		if delay > 1 {
@@ -562,7 +562,7 @@ func (rt *Runtime) deliverLinks(round int, e *Envelope, d Delivered) {
 		if e.RemovedFor(types.NodeID(j)) {
 			continue
 		}
-		delay := rt.linkDelay(round, e, types.NodeID(j))
+		delay := rt.linkDelay(round, e.From, types.NodeID(j))
 		if delay == 0 {
 			continue
 		}
@@ -577,26 +577,17 @@ func (rt *Runtime) deliverLinks(round int, e *Envelope, d Delivered) {
 	}
 }
 
-// linkDelay decides one (envelope, recipient) link, enforcing the
-// delivery-bound and power contract documented on NetModel. It returns 0
-// for an accepted drop.
-func (rt *Runtime) linkDelay(round int, e *Envelope, to types.NodeID) int {
-	if e.From == to {
-		return 1
-	}
-	delay, kind := rt.net.Decide(round, e.From, to)
+// linkDelay decides one link by the network model's Link rule, tracing a
+// drop. It returns 0 for a dropped link.
+func (rt *Runtime) linkDelay(round int, from, to types.NodeID) int {
+	delay, kind := rt.cfg.Net.Link(round, from, to)
 	if delay == Drop {
-		if rt.mayDrop(e) {
-			if rt.tr.Enabled() {
-				rt.traceFault(round, e.From, to, kind)
-			}
-			return 0
+		if rt.tr.Enabled() {
+			rt.traceFault(round, from, to, kind)
 		}
-		// An illegal drop request degrades to the strongest legal move:
-		// holding the honest message to the bound.
-		delay = rt.delta
+		return 0
 	}
-	return min(max(delay, 1), rt.delta)
+	return delay
 }
 
 // traceFault emits one accepted link drop. The per-(round, sender)
@@ -615,26 +606,12 @@ func (rt *Runtime) traceFault(round int, from, to types.NodeID, kind obs.FaultKi
 // is cheaper than bookkeeping.
 func (rt *Runtime) honestFaultyCount() int {
 	n := 0
-	for id, faulty := range rt.faulty {
+	for id, faulty := range rt.cfg.Net.Faulty {
 		if faulty && !rt.isCorrupt(types.NodeID(id)) {
 			n++
 		}
 	}
 	return n
-}
-
-// mayDrop reports whether the network model is permitted to omit envelope
-// e's message: omission-faulty senders, adversary-injected traffic, and —
-// under strongly adaptive power only — messages whose sender was corrupted
-// after speaking (the after-the-fact-removal boundary of Theorem 1).
-func (rt *Runtime) mayDrop(e *Envelope) bool {
-	if rt.faulty != nil && int(e.From) < len(rt.faulty) && rt.faulty[e.From] {
-		return true
-	}
-	if !e.honestSend {
-		return true
-	}
-	return rt.isCorrupt(e.From) && rt.adv.Power() == PowerStronglyAdaptive
 }
 
 func (rt *Runtime) collect(rounds int) *Result {
@@ -647,8 +624,8 @@ func (rt *Runtime) collect(rounds int) *Result {
 		Rounds:  rounds,
 		Metrics: rt.metrics,
 	}
-	if rt.faulty != nil {
-		res.OmissionFaulty = append([]bool(nil), rt.faulty...)
+	if rt.cfg.Net.Faulty != nil {
+		res.OmissionFaulty = append([]bool(nil), rt.cfg.Net.Faulty...)
 	}
 	for i := 0; i < n; i++ {
 		bit, ok := rt.nodes[i].Output()

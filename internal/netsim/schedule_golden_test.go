@@ -39,11 +39,11 @@ func scheduleStreamDigest(t *testing.T, m Faults) string {
 	t.Helper()
 	const n, rounds = 7, 40
 	h := sha256.New()
-	delta, mask, err := m.Validate(n, n-1)
+	mask, err := m.Validate(n, n-1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.Write([]byte{byte(delta)})
+	h.Write([]byte{byte(m.Delta)})
 	for id := 0; id < n; id++ {
 		b := byte(0)
 		if mask != nil && mask[id] {

@@ -224,18 +224,15 @@ func TestShardsMatchSerialInEveryRegime(t *testing.T) {
 	seed[0] = 5
 	cases := []struct {
 		name string
-		net  func() NetModel
+		net  Faults
 		adv  func() Adversary
 	}{
-		{"adaptive-lockstep", nil, func() Adversary { return &shardHopper{victims: []types.NodeID{0, n - 1, n / 2}} }},
-		{"adaptive-worst-case-2", func() NetModel { return Faults{Delta: 2, Spread: SpreadHold} }, func() Adversary { return &shardHopper{victims: []types.NodeID{n - 1, 0, n / 2}} }},
-		{"passive-worst-case-2", func() NetModel { return Faults{Delta: 2, Spread: SpreadHold} }, nil},
-		{"passive-omission", func() NetModel {
-			return Faults{Delta: 2, Key: FoldSeed(seed), Faulty: faultyMask(n, 0, 5, n-1), Rate: 0.5}
-		}, nil},
-		{"adaptive-omission", func() NetModel {
-			return Faults{Delta: 2, Key: FoldSeed(seed), Faulty: faultyMask(n, 1, n-2), Rate: 0.5}
-		}, func() Adversary { return &shardHopper{victims: []types.NodeID{n - 2, 3}} }},
+		{"adaptive-lockstep", Faults{}, func() Adversary { return &shardHopper{victims: []types.NodeID{0, n - 1, n / 2}} }},
+		{"adaptive-worst-case-2", Faults{Delta: 2, Spread: SpreadHold}, func() Adversary { return &shardHopper{victims: []types.NodeID{n - 1, 0, n / 2}} }},
+		{"passive-worst-case-2", Faults{Delta: 2, Spread: SpreadHold}, nil},
+		{"passive-omission", Faults{Delta: 2, Key: FoldSeed(seed), Faulty: faultyMask(n, 0, 5, n-1), Rate: 0.5}, nil},
+		{"adaptive-omission", Faults{Delta: 2, Key: FoldSeed(seed), Faulty: faultyMask(n, 1, n-2), Rate: 0.5},
+			func() Adversary { return &shardHopper{victims: []types.NodeID{n - 2, 3}} }},
 	}
 	type outcome struct {
 		got [][]arrival
@@ -251,10 +248,7 @@ func TestShardsMatchSerialInEveryRegime(t *testing.T) {
 					cn[i] = &chatNode{id: i, n: n, rounds: rounds}
 					nodes[i] = cn[i]
 				}
-				cfg := Config{N: n, F: 4, MaxRounds: rounds + 4}
-				if tc.net != nil {
-					cfg.Net = tc.net()
-				}
+				cfg := Config{N: n, F: 4, MaxRounds: rounds + 4, Net: tc.net}
 				var adv Adversary
 				var hopper *shardHopper
 				if tc.adv != nil {
@@ -332,7 +326,7 @@ func (c *committeeNode) Halted() bool              { return c.halted }
 // the ring and not about the measurement missing allocations.
 func TestEngineStateIsTrafficSized(t *testing.T) {
 	const rounds = 10
-	engineBytes := func(n int, net NetModel) int64 {
+	engineBytes := func(n int, net Faults) int64 {
 		nodes := make([]Node, n)
 		backing := make([]committeeNode, n)
 		for i := range nodes {
@@ -357,9 +351,9 @@ func TestEngineStateIsTrafficSized(t *testing.T) {
 	var lockstep int64
 	for _, tc := range []struct {
 		name string
-		net  NetModel
+		net  Faults
 	}{
-		{"lockstep", nil},
+		{"lockstep", Faults{}},
 		{"worst-case(2)", Faults{Delta: 2, Spread: SpreadHold}},
 	} {
 		small, large := engineBytes(1_000, tc.net), engineBytes(100_000, tc.net)
@@ -367,7 +361,7 @@ func TestEngineStateIsTrafficSized(t *testing.T) {
 		if d := large - small; d > 64<<10 || d < -(64<<10) {
 			t.Errorf("%s: engine allocated %d B at n=1000 and %d B at n=100000: something in it is O(n)", tc.name, small, large)
 		}
-		if tc.net == nil {
+		if tc.net.Delta == 0 {
 			lockstep = small
 		} else if small <= lockstep {
 			t.Errorf("%s allocated %d B at n=1000, no more than lockstep's %d B: the measurement misses the ring", tc.name, small, lockstep)

@@ -120,9 +120,9 @@ func TestSparseRejections(t *testing.T) {
 			}
 		})
 	}
-	// The explicit DeltaOne model and a nil adversary are the accepted
+	// The explicit lockstep model and a nil adversary are the accepted
 	// regime.
-	if _, err := NewRuntime(Config{N: 4, F: 1, Sparse: true, Net: DeltaOne()}, nodes(), Passive{}); err != nil {
+	if _, err := NewRuntime(Config{N: 4, F: 1, Sparse: true, Net: Faults{Delta: 1}}, nodes(), Passive{}); err != nil {
 		t.Fatalf("explicit delta-one + passive rejected: %v", err)
 	}
 }

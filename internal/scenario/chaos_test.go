@@ -107,7 +107,7 @@ func TestChaosConfigRejections(t *testing.T) {
 				fs, err = norm.Faults()
 			}
 			if err == nil {
-				_, _, err = fs.Validate(norm.N, norm.F)
+				_, err = fs.Validate(norm.N, norm.F)
 			}
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("want error containing %q, got %v", tc.want, err)

@@ -358,6 +358,14 @@ func (c *Config) validateNet() error {
 		return fmt.Errorf("scenario: net model %q only delays traffic within Δ and needs Δ ≥ 2, got Δ=%d; at Δ=1 it runs the %q schedule",
 			net, max(c.Delta, 1), NetDeltaOne)
 	}
+	// Omission never delays, and no model delays within Δ = 1; only a drop
+	// rate or a crash window drops.
+	delays := net != NetOmission && c.Delta > 1
+	drops := c.OmissionRate > 0 || c.CrashRounds > 0
+	if net != NetDeltaOne && !delays && !drops {
+		return fmt.Errorf("scenario: net model %q neither delays nor drops a message at Δ=%d with OmissionRate=%v and no crash window; it runs the %q schedule",
+			net, max(c.Delta, 1), c.OmissionRate, NetDeltaOne)
+	}
 	return nil
 }
 
@@ -479,8 +487,9 @@ func (c *Config) RoundBudget(steps int) (int, error) {
 const netSeedDomain = "scenario/net"
 
 // Faults lowers the config's network model to the one fault schedule
-// both runtimes execute: the simulator runs it as its NetModel and the live
-// cluster puts every frame to its Decide. It runs on a normalized config.
+// both runtimes execute: the simulator runs it as its netsim.Config.Net and
+// the live cluster files every frame by its Link rule. It runs on a
+// normalized config; each runtime checks the result with Faults.Validate.
 func (c *Config) Faults() (netsim.Faults, error) {
 	switch c.Net {
 	case NetDeltaOne:

@@ -98,15 +98,11 @@ func RunCtx(ctx context.Context, cfg Config) (*Report, error) {
 
 // lockstepRun reports the delivery fact core sizes its iteration window
 // from (core.Config.Lockstep): the resolved model delivers every message
-// exactly one round after it was sent (its Validate returns Δ = 1; a
-// dropped message never arrives) and no adversary injects. Every other run
-// keeps every iteration.
+// exactly one round after it was sent (Δ = 1; a dropped message never
+// arrives) and no adversary injects. Every other run keeps every
+// iteration.
 func lockstepRun(cfg Config, net netsim.Faults) bool {
-	if cfg.Adversary != nil {
-		return false
-	}
-	delta, _, err := net.Validate(cfg.N, cfg.F)
-	return err == nil && delta == 1
+	return cfg.Adversary == nil && net.Delta == 1
 }
 
 // Evaluate runs the paper's three security checkers over a completed

@@ -157,6 +157,13 @@ func TestNetSpecValidation(t *testing.T) {
 		{func(c *Config) { c.Net = NetWorstCase }, `net model "delta" only delays traffic within Δ and needs Δ ≥ 2, got Δ=1`},
 		{func(c *Config) { c.Net = NetJitter; c.Delta = 1 }, `net model "jitter" only delays traffic within Δ and needs Δ ≥ 2, got Δ=1`},
 		{func(c *Config) { c.Net = NetPartition }, `net model "partition" only delays traffic within Δ and needs Δ ≥ 2, got Δ=1`},
+		// A model that neither delays nor drops holds nothing at all:
+		// omission without a rate at any Δ, chaos at Δ = 1 with no rate,
+		// crash window or partition.
+		{func(c *Config) { c.Net = NetOmission }, `net model "omission" neither delays nor drops a message at Δ=1 with OmissionRate=0 and no crash window; it runs the "delta-one" schedule`},
+		{func(c *Config) { c.Net = NetOmission; c.Delta = 3 }, `net model "omission" neither delays nor drops a message at Δ=3`},
+		{func(c *Config) { c.Net = NetChaos }, `net model "chaos" neither delays nor drops a message at Δ=1`},
+		{func(c *Config) { c.Net = NetChaos; c.OmissionFaulty = 2 }, `net model "chaos" neither delays nor drops a message at Δ=1`},
 	}
 	for _, tc := range cases {
 		cfg := base
@@ -388,8 +395,11 @@ func TestSampleIDs(t *testing.T) {
 func TestNetModelResolution(t *testing.T) {
 	for _, name := range []NetName{NetDeltaOne, NetWorstCase, NetJitter, NetOmission, NetPartition, NetChaos} {
 		cfg := Config{Protocol: Core, N: 12, F: 3, Net: name, Delta: 2}
-		if name == NetDeltaOne {
+		switch name {
+		case NetDeltaOne:
 			cfg.Delta = 1
+		case NetOmission:
+			cfg.OmissionRate = 0.25 // omission never delays: without a rate it would do nothing
 		}
 		if err := cfg.validate(); err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -399,8 +409,8 @@ func TestNetModelResolution(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if delta, _, err := m.Validate(cfg.N, cfg.F); err != nil || delta != cfg.Delta {
-			t.Fatalf("%s: Validate (Δ %d, %v), want Δ %d", name, delta, err, cfg.Delta)
+		if _, err := m.Validate(cfg.N, cfg.F); err != nil || m.Delta != cfg.Delta {
+			t.Fatalf("%s: Validate (Δ %d, %v), want Δ %d", name, m.Delta, err, cfg.Delta)
 		}
 		if _, err := netsim.NewRuntime(netsim.Config{N: cfg.N, F: cfg.F, Net: m}, makeIdle(cfg.N), nil); err != nil {
 			t.Fatalf("%s: runtime rejected model: %v", name, err)
