@@ -157,6 +157,7 @@ func TestRefusalBeforeTransport(t *testing.T) {
 	}{
 		{[]string{"-crypto", "real", "-sparse"}, "cluster: Sparse is the simulator's"},
 		{[]string{"-crypto", "ideal"}, `cluster: protocol "core" in the hybrid F_mine world needs its trusted party in-process`},
+		{[]string{"-crypto", "real", "-f", "0", "-net", "chaos", "-crash-rounds", "2"}, "a crash window (CrashRounds=2) crashes a faulty sender and needs F ≥ 1, got F=0"},
 	} {
 		args := append([]string{"-transport", "tcp", "-n", "4", "-f", "1", "-lambda", "3", "-node", "0", "-peers", peers}, tc.args...)
 		if err := run(t.Context(), args, io.Discard); err == nil || !strings.Contains(err.Error(), tc.want) {

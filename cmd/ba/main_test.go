@@ -131,6 +131,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{[]string{"-n", "20", "-f", "5", "-net", "delta", "-delta", "2", "-partition-rounds", "2"}, "PartitionRounds=2 only applies"},
 		{[]string{"-n", "20", "-f", "5", "-net", "chaos", "-partition-rounds", "2"}, "needs Δ ≥ 2"},        // a partition at Δ = 1 holds nothing
 		{[]string{"-n", "20", "-f", "0", "-net", "omission", "-omission-rate", "0.2"}, "empty faulty set"}, // no faulty sender to drop from
+		{[]string{"-n", "16", "-f", "0", "-lambda", "8", "-net", "chaos", "-crash-rounds", "2"}, "a crash window (CrashRounds=2) crashes a faulty sender and needs F ≥ 1, got F=0"},
 		// A model that only delays runs the delta-one schedule at Δ = 1.
 		{[]string{"-n", "20", "-f", "5", "-net", "delta"}, `net model "delta" only delays traffic within Δ and needs Δ ≥ 2`},
 		{[]string{"-n", "20", "-f", "5", "-net", "jitter", "-delta", "1"}, `net model "jitter" only delays traffic within Δ and needs Δ ≥ 2`},

@@ -15,19 +15,18 @@ import (
 // the round clock is the synchronous model's assumption, not the
 // adversary's to bend.
 
-// arrival is the pending round a round-r frame from from is filed under:
-// r itself under delta-one, else r + d − 1 for the link's delay d, so the
-// frame reaches the state machine in round r + d. ok is false when the
+// arrival is the delivery round of a round-r frame from from: r + 1 under
+// delta-one, else r + d for the link's delay d. ok is false when the
 // schedule drops the frame.
 func (r *runner) arrival(round uint32, from types.NodeID) (at uint32, ok bool) {
 	if r.net == nil {
-		return round, true
+		return round + 1, true
 	}
 	d, _ := r.net.Link(int(round), from, r.self)
 	if d == netsim.Drop {
 		return 0, false
 	}
-	return round + uint32(d) - 1, true
+	return round + uint32(d), true
 }
 
 // traceDrops emits the fault events of a round-r send to to (Broadcast for

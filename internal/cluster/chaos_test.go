@@ -265,7 +265,7 @@ func linkDelay(p *plan, round int, from, to types.NodeID) int {
 	if !ok {
 		return 0
 	}
-	return int(at) - round + 1
+	return int(at) - round
 }
 
 // TestChaosDropMatchesSimulatorDecision checks the recipient's rule link by
@@ -398,9 +398,9 @@ func TestChaosOptionGuards(t *testing.T) {
 	}{
 		{"partition at delta one", func(c *scenario.Config) { c.Net, c.PartitionRounds = scenario.NetChaos, 2 }, "Δ ≥ 2"},
 		{"drops without a faulty set", func(c *scenario.Config) { c.Net, c.F, c.OmissionRate = scenario.NetChaos, 0, 0.1 }, "faulty"},
-		// Normalized accepts it; its lowering's one faulty node overspends
-		// F = 0, which only Faults.Validate sees.
-		{"crash window without a budget", func(c *scenario.Config) { c.Net, c.F, c.CrashRounds = scenario.NetChaos, 0, 2 }, "exceed the corruption budget f=0"},
+		// Refused by Normalized, in the config's words, before its lowering
+		// could default a one-node faulty set past F = 0.
+		{"crash window without a budget", func(c *scenario.Config) { c.Net, c.F, c.CrashRounds = scenario.NetChaos, 0, 2 }, "a crash window (CrashRounds=2) crashes a faulty sender and needs F ≥ 1, got F=0"},
 	} {
 		cfg := base
 		tc.set(&cfg)

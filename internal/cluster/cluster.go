@@ -237,9 +237,8 @@ func prepare(cfg scenario.Config, opts Options) (*plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		// The check the simulator's NewRuntime makes. A valid config can
-		// still lower past the budget: a chaos crash window at F = 0
-		// defaults its faulty set to one node.
+		// The check the simulator's NewRuntime makes, kept so the live
+		// path validates the value it runs exactly as the simulator does.
 		if _, err := fs.Validate(normalized.N, normalized.F); err != nil {
 			return nil, err
 		}

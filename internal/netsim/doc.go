@@ -36,7 +36,10 @@
 //     stepping it.
 //
 // There is one round engine (Runtime): nodes step in min(GOMAXPROCS, n)
-// contiguous id shards, a serial shard-order merge builds the envelope list,
+// contiguous id shards, each node through StepNode — the one per-node step,
+// which a live cluster node runs too, so both runtimes trace and account a
+// round's inbox and sends by the same code — a serial shard-order merge
+// builds the envelope list,
 // and per-round state is sized by actual traffic under every net model: a
 // multicast is one delivery-ring entry, not n. It holds n-sized state only
 // when the configuration asks for it — corruption status under a

@@ -395,53 +395,67 @@ func (rt *Runtime) stepRound(round int) (done bool) {
 // removal was still *sent* by an honest node and stays counted, and
 // injected envelopes never enter a slab.
 //
-// Trace events are emitted here too; the recorder accepts concurrent Emit
-// and canonicalises order at export, so the stream does not depend on the
-// worker count.
+// Trace events are emitted here too (StepNode); the recorder accepts
+// concurrent Emit and canonicalises order at export, so the stream does not
+// depend on the worker count.
 func (rt *Runtime) stepShard(k int) {
 	sh := &rt.shards[k]
 	sh.slab = sh.slab[:0]
 	sh.metrics = Metrics{}
 	sh.done = true
 	n, round := rt.cfg.N, rt.curRound
-	traced := rt.tr.Enabled()
 	for i := sh.lo; i < sh.hi; i++ {
 		id := types.NodeID(i)
 		if rt.isCorrupt(id) || rt.nodes[i].Halted() {
 			continue
 		}
-		inbox := rt.inbox(id, &sh.merge)
-		if traced {
-			rt.tr.RoundStart(round, id)
-			for di, d := range inbox {
-				rt.tr.Deliver(round, id, di, d.From, wire.Size(d.Msg))
-			}
+		// trDecided[i] is only ever touched by the shard owning i.
+		var decided *bool
+		if rt.trDecided != nil {
+			decided = &rt.trDecided[i]
 		}
-		for si, s := range rt.nodes[i].Step(round, inbox) {
-			size := wire.Size(s.Msg)
-			if traced {
-				rt.tr.Send(round, id, si, s.To, size)
-			}
-			sh.metrics.CountSend(s.To, n, size)
-			sh.slab = append(sh.slab, Envelope{From: id, To: s.To, Msg: s.Msg, size: size})
-		}
-		halted := rt.nodes[i].Halted()
-		if traced {
-			// trDecided[i] is only ever touched by the shard owning i.
-			if !rt.trDecided[i] {
-				if bit, ok := rt.nodes[i].Output(); ok {
-					rt.tr.Decide(round, id, bit)
-					rt.trDecided[i] = true
-				}
-			}
-			if halted {
-				rt.tr.Halt(round, id)
-			}
-		}
-		if !halted {
-			sh.done = false
+		var halted bool
+		sh.slab, halted = StepNode(rt.tr, n, round, id, rt.nodes[i], rt.inbox(id, &sh.merge), &sh.metrics, decided, sh.slab)
+		sh.done = sh.done && halted
+	}
+}
+
+// StepNode is the one per-node round step, which the lockstep engine's
+// shards and every live node run. It traces node id's round start and
+// inbox, steps nd, then sizes, counts (Definitions 6–7, in a network of n)
+// and traces each send and appends it to out as an Envelope, and last
+// traces the node's decide and halt transitions. *decided deduplicates
+// EvDecide to the transition round and is read only when tr is enabled. It
+// returns out and whether nd has halted.
+func StepNode(tr obs.Sink, n, round int, id types.NodeID, nd Node, inbox []Delivered, m *Metrics, decided *bool, out []Envelope) ([]Envelope, bool) {
+	traced := tr.Enabled()
+	if traced {
+		tr.RoundStart(round, id)
+		for di, d := range inbox {
+			tr.Deliver(round, id, di, d.From, wire.Size(d.Msg))
 		}
 	}
+	for si, s := range nd.Step(round, inbox) {
+		size := wire.Size(s.Msg)
+		if traced {
+			tr.Send(round, id, si, s.To, size)
+		}
+		m.CountSend(s.To, n, size)
+		out = append(out, Envelope{From: id, To: s.To, Msg: s.Msg, size: size})
+	}
+	halted := nd.Halted()
+	if traced {
+		if !*decided {
+			if bit, ok := nd.Output(); ok {
+				tr.Decide(round, id, bit)
+				*decided = true
+			}
+		}
+		if halted {
+			tr.Halt(round, id)
+		}
+	}
+	return out, halted
 }
 
 // screen records Config.Screen's verdict on each shared delivery of the

@@ -338,6 +338,9 @@ func (c *Config) validateNet() error {
 	if c.CrashFrom != 0 && c.CrashRounds == 0 {
 		return fmt.Errorf("scenario: CrashFrom=%d without CrashRounds declares no crash window", c.CrashFrom)
 	}
+	if c.CrashRounds > 0 && c.F == 0 {
+		return fmt.Errorf("scenario: a crash window (CrashRounds=%d) crashes a faulty sender and needs F ≥ 1, got F=0", c.CrashRounds)
+	}
 	if c.OmissionRate < 0 || c.OmissionRate > 1 {
 		return fmt.Errorf("scenario: OmissionRate=%v outside [0, 1]", c.OmissionRate)
 	}

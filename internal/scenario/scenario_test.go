@@ -151,6 +151,7 @@ func TestNetSpecValidation(t *testing.T) {
 		{func(c *Config) { c.Net = NetOmission; c.CrashFrom, c.CrashRounds = 1, 2 }, "only apply under the \"chaos\" model"},
 		{func(c *Config) { c.CrashRounds = 2 }, "only apply under the \"chaos\" model"},
 		{func(c *Config) { c.Net = NetChaos; c.CrashFrom = 3 }, "without CrashRounds"},
+		{func(c *Config) { c.Net = NetChaos; c.F = 0; c.CrashRounds = 2 }, "a crash window (CrashRounds=2) crashes a faulty sender and needs F ≥ 1, got F=0"},
 		{func(c *Config) { c.Net = NetDeltaOne; c.Delta = 2 }, "pick -net delta, jitter, omission, partition, or chaos"},
 		// A model that only delays holds nothing at Δ = 1: it would run the
 		// delta-one schedule under another name.

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -106,10 +105,6 @@ func (t *barrierTally) arrive(from types.NodeID, round uint32, halted bool, run 
 	return br.log, br.halted, true, nil
 }
 
-// bySender orders the runs of one round log by sender — the lockstep
-// engine's (sender, seq) order, since each run is in seq order already.
-func bySender(a, b []Envelope) int { return cmp.Compare(a[0].From, b[0].From) }
-
 // missing lists the nodes whose round sync has not arrived, or nil when the
 // round is not open (nobody has arrived yet, or everybody has).
 func (t *barrierTally) missing(round uint32) []types.NodeID {
@@ -186,7 +181,7 @@ func (e *chanEndpoint) Multicast(env Envelope) error {
 		}
 		// The barrier's log is sorted once here instead of by each of the n
 		// recipients. The tally has let go of it, so it is sorted in place.
-		slices.SortFunc(log, bySender)
+		slices.SortFunc(log, RunsOrder)
 		env = Envelope{Kind: EnvBarrier, From: e.self, Round: env.Round, Seq: uint32(halted), Runs: log}
 	}
 	for to := range e.boxes {

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -68,6 +69,17 @@ type Envelope struct {
 	// read-only. They never cross a socket.
 	Runs [][]Envelope
 }
+
+// Order is the lockstep engine's delivery order of data envelopes: round,
+// then sender, then the sender's send sequence. A recipient sorts what it
+// received one envelope at a time by it.
+func Order(a, b Envelope) int {
+	return cmp.Or(cmp.Compare(a.Round, b.Round), cmp.Compare(a.From, b.From), cmp.Compare(a.Seq, b.Seq))
+}
+
+// RunsOrder is Order over runs, each one sender's envelopes of one round in
+// Seq order, so ordering the runs orders their concatenation.
+func RunsOrder(a, b []Envelope) int { return Order(a[0], b[0]) }
 
 // DecodeCell is the once-cell the recipients of one multicast share: the
 // first to call Decode parses Payload, the rest reuse its value or its

@@ -362,7 +362,7 @@ func TestChanBarrierOrder(t *testing.T) {
 				if env.Seq != wantHalted[env.Round] {
 					t.Errorf("mailbox %d: round-%d marker counts %d halted, want %d", j, env.Round, env.Seq, wantHalted[env.Round])
 				}
-				if !slices.IsSortedFunc(env.Runs, bySender) {
+				if !slices.IsSortedFunc(env.Runs, RunsOrder) {
 					t.Errorf("mailbox %d: round-%d log is not in sender order", j, env.Round)
 				}
 				sent := make([]int, n)
