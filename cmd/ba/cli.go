@@ -71,6 +71,14 @@ func parse(args []string, out io.Writer) (*invocation, error) {
 	if inv.Config.Seed, err = ccba.SeedFromInt(inv.seed); err != nil {
 		return nil, err
 	}
+	// A count no run can honour fails here, before any transport exists:
+	// -trials 0 would otherwise run one execution and exit 0.
+	if inv.trials < 1 {
+		return nil, fmt.Errorf("-trials must be at least 1, got %d", inv.trials)
+	}
+	if inv.workers < 0 {
+		return nil, fmt.Errorf("-workers cannot be negative (0 = GOMAXPROCS), got %d", inv.workers)
+	}
 	return inv, nil
 }
 

@@ -143,7 +143,8 @@ func TestTCPMultiNode(t *testing.T) {
 // TestRefusalBeforeTransport: a config the live runtime refuses is refused
 // before any socket opens. The test holds node 0's -peers address with a
 // listener of its own, so a run that built its endpoint first would fail
-// to listen instead of naming the refusal.
+// to listen instead of naming the refusal. Bad -trials and -workers values
+// are refused at parse, on chan as on TCP.
 func TestRefusalBeforeTransport(t *testing.T) {
 	held, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -151,15 +152,22 @@ func TestRefusalBeforeTransport(t *testing.T) {
 	}
 	defer held.Close()
 	peers := held.Addr().String() + ",127.0.0.1:1,127.0.0.1:2,127.0.0.1:3"
+	tcp := []string{"-transport", "tcp", "-n", "4", "-f", "1", "-lambda", "3", "-node", "0", "-peers", peers}
+	// A chan run that got past the refusal would execute and return nil.
+	chn := []string{"-transport", "chan", "-n", "4", "-f", "1", "-lambda", "3"}
 	for _, tc := range []struct {
-		args []string
-		want string
+		base, args []string
+		want       string
 	}{
-		{[]string{"-crypto", "real", "-sparse"}, "cluster: Sparse is the simulator's"},
-		{[]string{"-crypto", "ideal"}, `cluster: protocol "core" in the hybrid F_mine world needs its trusted party in-process`},
-		{[]string{"-crypto", "real", "-f", "0", "-net", "chaos", "-crash-rounds", "2"}, "a crash window (CrashRounds=2) crashes a faulty sender and needs F ≥ 1, got F=0"},
+		{tcp, []string{"-crypto", "real", "-sparse"}, "cluster: Sparse is the simulator's"},
+		{tcp, []string{"-crypto", "ideal"}, `cluster: protocol "core" in the hybrid F_mine world needs its trusted party in-process`},
+		{tcp, []string{"-crypto", "real", "-f", "0", "-net", "chaos", "-crash-rounds", "2"}, "a crash window (CrashRounds=2) crashes a faulty sender and needs F ≥ 1, got F=0"},
+		{tcp, []string{"-crypto", "real", "-trials", "0"}, "-trials must be at least 1, got 0"},
+		{chn, []string{"-trials", "0"}, "-trials must be at least 1, got 0"},
+		{chn, []string{"-trials", "-2"}, "-trials must be at least 1, got -2"},
+		{chn, []string{"-workers", "-1"}, "-workers cannot be negative (0 = GOMAXPROCS), got -1"},
 	} {
-		args := append([]string{"-transport", "tcp", "-n", "4", "-f", "1", "-lambda", "3", "-node", "0", "-peers", peers}, tc.args...)
+		args := append(append([]string(nil), tc.base...), tc.args...)
 		if err := run(t.Context(), args, io.Discard); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("args %v: got %v, want an error containing %q", args, err, tc.want)
 		}

@@ -117,6 +117,9 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{[]string{"-protocol", "unknown-protocol", "-n", "10", "-f", "2"}, `unknown protocol "unknown-protocol"`},
 		{[]string{"-n", "10", "-f", "10"}, "need F < N"},
 		{[]string{"-n", "0", "-f", "0"}, "N=0"},
+		{[]string{"-trials", "0"}, "-trials must be at least 1, got 0"},
+		{[]string{"-trials", "-2"}, "-trials must be at least 1, got -2"},
+		{[]string{"-workers", "-1"}, "-workers cannot be negative (0 = GOMAXPROCS), got -1"},
 		{[]string{"-net", "carrier-pigeon"}, `unknown net model "carrier-pigeon"`},
 		{[]string{"-delta", "3"}, "Delta=3 under the lockstep"}, // Δ>1 needs a delay-capable -net
 		{[]string{"-net", "omission", "-omission-rate", "1.5"}, "outside [0, 1]"},

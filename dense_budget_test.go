@@ -10,14 +10,17 @@ import (
 // model (Δ=1) and once under a vote-flip adversary over a Δ=2 omission
 // network. Both intern their attestation sets (DESIGN.md §6) and deliver
 // through the same traffic-sized ring; the first runs core's lockstep
-// window, the second its keep-all window. Measured with the engine's
-// ticket screen: lockstep 7.30–7.33k allocs / 1.13–1.14 MB, faults
-// 9.38–9.43k allocs / 2.52–2.54 MB at GOMAXPROCS 1, 2 and 4, cold or warm;
-// the ceilings sit 9–10 % above. Seed 7 costs more than most seeds:
-// BenchmarkCoreIdealN1000's per-op figure (~5.6k / 1.05 MB) averages over
-// seeds that mostly cost 5.0–5.4k allocs, so it reads lower. With
-// per-iteration maps on every node the same runs cost 15.3k / 1.80 MB and
-// 16.1k / 2.85 MB, and fail all four ceilings. The faults case once cost 36.1k / 11.03 MB, when
+// window, the second its keep-all window. Measured with 344-byte nodes
+// (one shared config, two-word attestation sets): lockstep 7.30–7.33k
+// allocs / 0.79–0.80 MB, faults 9.38–9.43k allocs / 2.02–2.03 MB at
+// GOMAXPROCS 1, 2 and 4, cold or warm; the ceilings sit 9–10 % above. The
+// 648-byte node before it (a private Config copy, a verifier and a
+// hit-block anchor per node, five-word sets) cost the same allocs at
+// 1.13–1.14 MB and 2.52–2.54 MB and fails both byte ceilings. Seed 7 costs
+// more than most seeds: BenchmarkCoreIdealN1000's per-op figure (~5.6k /
+// 0.73 MB) averages over seeds that mostly cost 5.0–5.4k allocs, so it
+// reads lower. With per-iteration maps on every node the same runs cost
+// 15.3k / 1.80 MB and 16.1k / 2.85 MB. The faults case once cost 36.1k / 11.03 MB, when
 // its delivery ring copied every multicast into a per-recipient list, and
 // before interning the two cost 43.1k / 15.27 MB and 59.8k / 22.35 MB — n
 // private copies of one committee's votes. So tier-1 holds the window, the
@@ -39,8 +42,8 @@ func TestDenseBudgetN1000(t *testing.T) {
 		maxAllocs  uint64
 		maxAllocMB float64
 	}{
-		{name: "passive delta-one", cfg: base, maxAllocs: 8_000, maxAllocMB: 1.24},
-		{name: "flip over omission delta-two", cfg: faults, adversary: "flip", maxAllocs: 10_300, maxAllocMB: 2.78},
+		{name: "passive delta-one", cfg: base, maxAllocs: 8_000, maxAllocMB: 0.88},
+		{name: "flip over omission delta-two", cfg: faults, adversary: "flip", maxAllocs: 10_300, maxAllocMB: 2.24},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			adv, err := NewAdversary(tc.adversary, tc.cfg, 0)

@@ -72,17 +72,18 @@ func VerifyAll(atts []Attestation, threshold int, verify VerifyFunc) bool {
 // dozen), so membership is a linear scan over a flat slice — cheaper and
 // allocation-lighter than a map at these sizes.
 //
-// A set operates in one of two modes. In owned mode (the zero value) it
-// holds its own backing slice, exactly as before. Bind or BindAlongside
-// switches it to interned mode, where its state is a handle into a per-run
-// Interner and every node with the same add-history shares one backing
-// array (see intern.go). The observable Add/Contains/Count/Reset behaviour
-// is identical in both modes; only storage and the aliasing contract of
-// Attestations differ.
+// A set is two words, a state handle and a hit block, because a core node
+// holds ten of them and a run n nodes. It operates in one of two modes. In
+// owned mode (the zero value, no hit block) the handle is a private,
+// mutable state the set allocates on its first Add and appends to in place.
+// Bind or BindAlongside switches it to interned mode, where the handle
+// points into a per-run Interner and every node with the same add-history
+// shares one immutable state (see intern.go). The observable
+// Add/Contains/Count/Reset behaviour is identical in both modes; only
+// storage and the aliasing contract of Attestations differ.
 type Set struct {
-	atts []Attestation
-	in   *hitBlock
-	h    *sharedAtts
+	h  *sharedAtts
+	in *hitBlock
 }
 
 // Add records an attestation, returning true if id was new. The first proof
@@ -91,12 +92,15 @@ func (s *Set) Add(id types.NodeID, proof []byte) bool {
 	if s.in != nil {
 		return s.addInterned(id, proof)
 	}
-	for i := range s.atts {
-		if s.atts[i].ID == id {
+	if s.h == nil {
+		s.h = &sharedAtts{}
+	}
+	for i := range s.h.atts {
+		if s.h.atts[i].ID == id {
 			return false
 		}
 	}
-	s.atts = append(s.atts, Attestation{ID: id, Proof: proof})
+	s.h.atts = append(s.h.atts, Attestation{ID: id, Proof: proof})
 	return true
 }
 
@@ -116,10 +120,10 @@ func (s *Set) Count() int { return len(s.view()) }
 // view returns the current attestation sequence without copying, whichever
 // mode the set is in.
 func (s *Set) view() []Attestation {
-	if s.in != nil {
-		return s.h.atts
+	if s.h == nil {
+		return nil
 	}
-	return s.atts
+	return s.h.atts
 }
 
 // Reset empties the set while keeping its backing array, so long-lived
@@ -133,7 +137,9 @@ func (s *Set) Reset() {
 		s.resetInterned()
 		return
 	}
-	s.atts = s.atts[:0]
+	if s.h != nil {
+		s.h.atts = s.h.atts[:0]
+	}
 }
 
 // Attestations returns the collected attestations in insertion order. In
@@ -145,7 +151,7 @@ func (s *Set) Attestations() []Attestation {
 	if s.in != nil {
 		return s.h.atts
 	}
-	return append([]Attestation(nil), s.atts...)
+	return append([]Attestation(nil), s.view()...)
 }
 
 // AttestationsSize returns the exact encoded length of a length-prefixed

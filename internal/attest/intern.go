@@ -79,7 +79,9 @@ type hitBlock struct {
 // the transitions out of it. A state no Set holds any more stays in the
 // table, because its memory is bounded by the distinct add-sequences of the
 // run (O(committee²) per iteration under honest-identical traffic) and a
-// later follower may still want the recorded transition.
+// later follower may still want the recorded transition. An owned-mode Set
+// keeps its private, mutable sequence in one too, outside any table, and
+// records no transition.
 type sharedAtts struct {
 	atts []Attestation
 	// first is the first transition recorded out of this state, read
@@ -235,7 +237,7 @@ func (s *Set) BindAlongside(o *Set) {
 }
 
 func (s *Set) mustBeFresh() {
-	if s.in != nil || len(s.atts) != 0 {
+	if s.in != nil || s.Count() != 0 {
 		panic("attest: Bind on a non-empty or already-interned Set")
 	}
 }
@@ -261,7 +263,7 @@ func (s *Set) Interned() bool { return s.in != nil }
 // same shared state handle — the property the copy-on-divergence tests
 // assert forks exactly at the first divergent mutation.
 func (s *Set) SharesStorageWith(o *Set) bool {
-	return s.h != nil && s.h == o.h
+	return s.in != nil && s.h == o.h
 }
 
 // CountsWith reports whether two interned sets count their hits on the same

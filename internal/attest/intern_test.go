@@ -275,11 +275,11 @@ func TestInternConcurrentForks(t *testing.T) {
 // TestInternHitsSumAcrossBlocks binds more sets than one hit block holds,
 // from several goroutines at once: every block but the newest must fill
 // exactly, Stats must report every hit, and the handle a Set carries must
-// not have grown it past five words (a slice and two pointers; a core node
-// holds ten or more Sets, n nodes).
+// not have grown it past two words (a state handle and a hit block; a core
+// node holds ten Sets, n nodes).
 func TestInternHitsSumAcrossBlocks(t *testing.T) {
-	if got, want := unsafe.Sizeof(Set{}), 5*unsafe.Sizeof(uintptr(0)); got != want {
-		t.Errorf("attest.Set is %d bytes, want five words (%d)", got, want)
+	if got, want := unsafe.Sizeof(Set{}), 2*unsafe.Sizeof(uintptr(0)); got != want {
+		t.Errorf("attest.Set is %d bytes, want two words (%d)", got, want)
 	}
 	in := NewInterner()
 	const workers, adds = 4, 4

@@ -168,23 +168,28 @@ type proposal struct {
 	elig   []byte
 }
 
+// shared is what every node of one run reads and none writes: the
+// validated Config and the suite's Verifier. NewNodes builds one per run,
+// so a node holds a pointer instead of a copy (DESIGN.md §6).
+type shared struct {
+	Config
+	verif fmine.Verifier
+}
+
 // Node is one participant's state machine.
 type Node struct {
-	cfg   Config
+	cfg   *shared
 	id    types.NodeID
 	input types.Bit
 	miner fmine.Miner
-	verif fmine.Verifier
 
 	bestCert [2]attest.Certificate
-	votes    window
-	commits  window
-
-	// anchor is bound to Config.Intern at construction and never added to;
-	// every window slot binds alongside it, the grown ones lazily from Step,
+	// votes' first inline set is bound to Config.Intern at construction;
+	// every other set binds alongside it, the grown ones lazily from Step,
 	// so all of the node's hits count on one hit block whichever shard
 	// steps it (DESIGN.md §6).
-	anchor attest.Set
+	votes   window
+	commits window
 
 	// Proposals for the current iteration, keyed by bit; among valid
 	// proposals for the same bit the lowest ticket hash wins, so all honest
@@ -199,22 +204,38 @@ type Node struct {
 	halted  bool
 }
 
-// New constructs node id with the given input bit.
-func New(cfg Config, id types.NodeID, input types.Bit) (*Node, error) {
+// share validates cfg and builds the value its nodes share.
+func share(cfg Config) (shared, error) {
 	if err := cfg.Validate(); err != nil {
+		return shared{}, err
+	}
+	return shared{Config: cfg, verif: cfg.Suite.Verifier()}, nil
+}
+
+// New constructs node id with the given input bit. The node and the shared
+// value it alone points at are one allocation, so a node built on its own
+// (core-broadcast builds them one at a time) costs no more allocations than
+// one built by NewNodes.
+func New(cfg Config, id types.NodeID, input types.Bit) (*Node, error) {
+	sh, err := share(cfg)
+	if err != nil {
 		return nil, err
 	}
+	solo := &struct {
+		node Node
+		cfg  shared
+	}{cfg: sh}
+	return solo.node.init(&solo.cfg, id, input)
+}
+
+// init sets up a zero node on the run's shared value. The node binds its
+// first set to Config.Intern and every other set alongside it.
+func (n *Node) init(cfg *shared, id types.NodeID, input types.Bit) (*Node, error) {
 	if !input.Valid() {
 		return nil, fmt.Errorf("core: invalid input %v", input)
 	}
-	n := &Node{
-		cfg:   cfg,
-		id:    id,
-		input: input,
-		miner: cfg.Suite.Miner(id),
-		verif: cfg.Suite.Verifier(),
-	}
-	n.anchor.Bind(cfg.Intern)
+	n.cfg, n.id, n.input, n.miner = cfg, id, input, cfg.Suite.Miner(id)
+	n.first().Bind(cfg.Intern)
 	for _, w := range []*window{&n.votes, &n.commits} {
 		for i := range w.inline {
 			n.bindPair(&w.inline[i].sets)
@@ -224,22 +245,35 @@ func New(cfg Config, id types.NodeID, input types.Bit) (*Node, error) {
 	return n, nil
 }
 
-// bindPair binds both bit-slots of a per-iteration set pair alongside the
-// node's anchor: to the run's intern table and the node's hit block, or not
-// at all when the node runs on owned sets.
+// first is the set init binds to Config.Intern. Growing the votes window
+// moves the live sets off the inline slots, but first keeps its hit block,
+// which is all BindAlongside reads.
+func (n *Node) first() *attest.Set { return &n.votes.inline[0].sets[0] }
+
+// bindPair binds both bit-slots of a per-iteration set pair (but first
+// itself) alongside the node's first set: to the run's intern table and the
+// node's hit block, or not at all when the node runs on owned sets.
 func (n *Node) bindPair(sets *[2]attest.Set) {
-	sets[0].BindAlongside(&n.anchor)
-	sets[1].BindAlongside(&n.anchor)
+	for i := range sets {
+		if s := &sets[i]; s != n.first() {
+			s.BindAlongside(n.first())
+		}
+	}
 }
 
-// NewNodes constructs all n state machines for one execution.
+// NewNodes constructs all n state machines for one execution, on one
+// validated shared value.
 func NewNodes(cfg Config, inputs []types.Bit) ([]netsim.Node, error) {
 	if len(inputs) != cfg.N {
 		return nil, fmt.Errorf("core: %d inputs for n=%d", len(inputs), cfg.N)
 	}
+	sh, err := share(cfg)
+	if err != nil {
+		return nil, err
+	}
 	nodes := make([]netsim.Node, cfg.N)
 	for i := range nodes {
-		n, err := New(cfg, types.NodeID(i), inputs[i])
+		n, err := new(Node).init(&sh, types.NodeID(i), inputs[i])
 		if err != nil {
 			return nil, err
 		}
@@ -298,7 +332,7 @@ func (n *Node) Step(round int, delivered []netsim.Delivered) []netsim.Send {
 func (n *Node) verifyVoteAtt(iter uint32, b types.Bit) attest.VerifyFunc {
 	tag := VoteTag(iter, b)
 	return func(id types.NodeID, proof []byte) bool {
-		return n.verif.Verify(tag, id, proof)
+		return n.cfg.verif.Verify(tag, id, proof)
 	}
 }
 
@@ -306,7 +340,7 @@ func (n *Node) verifyVoteAtt(iter uint32, b types.Bit) attest.VerifyFunc {
 func (n *Node) verifyCommitAtt(iter uint32, b types.Bit) attest.VerifyFunc {
 	tag := CommitTag(iter, b)
 	return func(id types.NodeID, proof []byte) bool {
-		return n.verif.Verify(tag, id, proof)
+		return n.cfg.verif.Verify(tag, id, proof)
 	}
 }
 
@@ -412,7 +446,7 @@ func (n *Node) ingest(delivered []netsim.Delivered) {
 			if !pass {
 				continue
 			}
-		} else if !tickets(n.verif, d.From, d.Msg) {
+		} else if !tickets(n.cfg.verif, d.From, d.Msg) {
 			continue
 		}
 		switch m := d.Msg.(type) {

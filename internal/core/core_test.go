@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"unsafe"
 
 	"ccba/internal/attest"
 	"ccba/internal/crypto/pki"
@@ -272,6 +273,30 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := NewNodes(good, make([]types.Bit, 3)); err == nil {
 		t.Error("input count mismatch accepted")
+	}
+	if _, err := NewNodes(bad[0], make([]types.Bit, bad[0].N)); err == nil {
+		t.Error("NewNodes accepted a bad config")
+	}
+}
+
+// TestNodeSize pins what a node costs, because at n = 10⁶ the nodes are
+// most of a run's memory: every node of a NewNodes run points at one shared
+// config and verifier, and on a 64-bit platform a node fits a 352-byte
+// allocation. A private Config copy, a per-node verifier, a set kept only
+// to hold the hit block, or a wider attest.Set each breaks the pin.
+func TestNodeSize(t *testing.T) {
+	nodes, err := NewNodes(idealConfig(4, 1, 4, 1), constInputs(4, types.One))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nodes[0].(*Node).cfg != nodes[3].(*Node).cfg {
+		t.Error("the nodes of one run hold distinct config values")
+	}
+	if unsafe.Sizeof(uintptr(0)) == 4 {
+		t.Skip("the size pin is for 64-bit layouts")
+	}
+	if got := unsafe.Sizeof(Node{}); got > 352 {
+		t.Errorf("core.Node is %d bytes, want at most 352", got)
 	}
 }
 

@@ -151,8 +151,8 @@ func TestInternedMatchesOwnedInEveryRegime(t *testing.T) {
 // TestNodeCountsHitsOnOneBlock is the white-box half of the per-node hit
 // block: every set a node's window holds — the inline slots bound at
 // construction and, on a keep-all node, the slots grown lazily from Step —
-// counts its hits on the anchor's block, and the blocks are node-sized, not
-// run-sized.
+// counts its hits on the block of the node's first set, and the blocks are
+// node-sized, not run-sized.
 func TestNodeCountsHitsOnOneBlock(t *testing.T) {
 	const n, f, lambda = 200, 60, 40
 	for _, lockstep := range []bool{false, true} {
@@ -175,7 +175,7 @@ func TestNodeCountsHitsOnOneBlock(t *testing.T) {
 			checkAll(t, rt.Run(), mixedInputs(n))
 
 			first, last := nodes[0].(*Node), nodes[n-1].(*Node)
-			if first.anchor.CountsWith(&last.anchor) {
+			if first.first().CountsWith(last.first()) {
 				t.Errorf("nodes 0 and %d count on one hit block", n-1)
 			}
 			grown := 0
@@ -192,7 +192,7 @@ func TestNodeCountsHitsOnOneBlock(t *testing.T) {
 					if !s.Interned() {
 						t.Fatalf("node %d: set %d is not bound to the run's table", i, k)
 					}
-					if !s.CountsWith(&c.anchor) {
+					if !s.CountsWith(c.first()) {
 						t.Fatalf("node %d: set %d counts its hits off the node's block", i, k)
 					}
 				}
