@@ -1,8 +1,12 @@
 package ccba
 
 import (
+	"context"
 	"runtime"
 	"testing"
+
+	"ccba/internal/cluster"
+	"ccba/internal/transport"
 )
 
 // Memory-regression pin for the live cluster at the benchmark's size: core
@@ -41,4 +45,20 @@ func TestClusterChanBudgetN200(t *testing.T) {
 	if mb := float64(total) / (1 << 20); mb > maxAllocMB {
 		t.Errorf("%.2f MB allocated, ceiling %.1f MB", mb, maxAllocMB)
 	}
+}
+
+// runClusterChan runs cfg on a fresh in-process chan network, closed
+// before it returns.
+func runClusterChan(t *testing.T, cfg Config) *cluster.Report {
+	t.Helper()
+	netw, err := transport.NewChanNetwork(cfg.N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer netw.Close()
+	rep, err := cluster.Run(context.Background(), cfg, netw, cluster.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
 }

@@ -128,8 +128,9 @@ func (inv *invocation) flagSet(list *bool) *flag.FlagSet {
 	return fs
 }
 
-// checkRuntimeFlags rejects an unknown -transport and every passed flag
-// the chosen runtime would not read.
+// checkRuntimeFlags rejects an unknown -transport, every passed flag the
+// chosen runtime would not read, and a passed -lambda or -epochs below 1,
+// which the protocols would otherwise replace with their defaults.
 func (inv *invocation) checkRuntimeFlags(fs *flag.FlagSet) error {
 	switch inv.transport {
 	case "sim", "chan", "tcp":
@@ -144,6 +145,8 @@ func (inv *invocation) checkRuntimeFlags(fs *flag.FlagSet) error {
 			err = fmt.Errorf("-%s needs -transport tcp; sim and chan always host the whole cluster", f.Name)
 		case (f.Name == "obs-addr" || f.Name == "obs-linger") && inv.transport == "sim":
 			err = fmt.Errorf("-%s needs -transport chan or tcp; the simulator runs no live nodes", f.Name)
+		case f.Name == "lambda" && inv.Config.Lambda < 1, f.Name == "epochs" && inv.Config.Epochs < 1:
+			err = fmt.Errorf("-%s must be at least 1, got %s", f.Name, f.Value)
 		}
 	})
 	return err

@@ -166,6 +166,8 @@ func TestRefusalBeforeTransport(t *testing.T) {
 		{chn, []string{"-trials", "0"}, "-trials must be at least 1, got 0"},
 		{chn, []string{"-trials", "-2"}, "-trials must be at least 1, got -2"},
 		{chn, []string{"-workers", "-1"}, "-workers cannot be negative (0 = GOMAXPROCS), got -1"},
+		{chn, []string{"-lambda", "0"}, "-lambda must be at least 1, got 0"},
+		{chn, []string{"-epochs", "0"}, "-epochs must be at least 1, got 0"},
 	} {
 		args := append(append([]string(nil), tc.base...), tc.args...)
 		if err := run(t.Context(), args, io.Discard); err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -120,6 +120,12 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{[]string{"-trials", "0"}, "-trials must be at least 1, got 0"},
 		{[]string{"-trials", "-2"}, "-trials must be at least 1, got -2"},
 		{[]string{"-workers", "-1"}, "-workers cannot be negative (0 = GOMAXPROCS), got -1"},
+		// A zero would run at the default; a negative one was refused only
+		// by the protocol package, in its own words.
+		{[]string{"-n", "20", "-f", "5", "-lambda", "0"}, "-lambda must be at least 1, got 0"},
+		{[]string{"-n", "20", "-f", "5", "-lambda", "-3"}, "-lambda must be at least 1, got -3"},
+		{[]string{"-protocol", "phaseking", "-n", "20", "-f", "5", "-epochs", "0"}, "-epochs must be at least 1, got 0"},
+		{[]string{"-scenario", "phaseking-sampled-n200", "-epochs", "-1"}, "-epochs must be at least 1, got -1"},
 		{[]string{"-net", "carrier-pigeon"}, `unknown net model "carrier-pigeon"`},
 		{[]string{"-delta", "3"}, "Delta=3 under the lockstep"}, // Δ>1 needs a delay-capable -net
 		{[]string{"-net", "omission", "-omission-rate", "1.5"}, "outside [0, 1]"},

@@ -22,7 +22,8 @@ import (
 //   - relative links in markdown files point at files that exist;
 //   - DESIGN.md's table of contents lists every `## §N` section under an
 //     anchor that resolves, and its §3 table has a row per experiment
-//     generator.
+//     generator;
+//   - every test and test file README.md and DESIGN.md cite exists.
 
 // docsFiles walks the repository (skipping .git and testdata) and returns
 // the files with one of the given extensions.
@@ -322,6 +323,54 @@ func TestDocsDoNotNameDeletedKnobs(t *testing.T) {
 			}
 			if m := deleted.FindString(line); m != "" {
 				t.Errorf("%s:%d names %q, which no longer exists", path, i+1, m)
+			}
+		}
+	}
+}
+
+// TestDocsCiteExistingTests pins every test function (Test[A-Z]\w*) and
+// test file (\w+_test.go) that README.md and DESIGN.md cite to one in the
+// tree, so deleting or renaming a test fails until the prose moves with
+// it. A cited name may be a prefix of a test's: a -run pattern selects by
+// prefix.
+func TestDocsCiteExistingTests(t *testing.T) {
+	tests, files := map[string]bool{}, map[string]bool{}
+	decl := regexp.MustCompile(`(?m)^func (Test[A-Z]\w*)\(`)
+	for _, path := range docsFiles(t, "_test.go") {
+		files[filepath.Base(path)] = true
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range decl.FindAllSubmatch(data, -1) {
+			tests[string(m[1])] = true
+		}
+	}
+	exists := func(name string) bool {
+		for test := range tests {
+			if strings.HasPrefix(test, name) {
+				return true
+			}
+		}
+		return false
+	}
+	testName := regexp.MustCompile(`Test[A-Z]\w*`)
+	testFile := regexp.MustCompile(`\w+_test\.go`)
+	for _, path := range []string{"README.md", "DESIGN.md"} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(data), "\n") {
+			for _, name := range testName.FindAllString(line, -1) {
+				if !exists(name) {
+					t.Errorf("%s:%d cites %s, but no test has that name", path, i+1, name)
+				}
+			}
+			for _, name := range testFile.FindAllString(line, -1) {
+				if !files[name] {
+					t.Errorf("%s:%d cites %s, but no such test file exists", path, i+1, name)
+				}
 			}
 		}
 	}

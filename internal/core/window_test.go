@@ -1,7 +1,6 @@
 package core
 
 import (
-	"reflect"
 	"testing"
 
 	"ccba/internal/attest"
@@ -21,13 +20,12 @@ func (w *window) held(iter uint32) *[2]attest.Set {
 	return nil
 }
 
-// Under the lockstep fact (Δ = 1, passive adversary) a node that recycles
-// its window is indistinguishable from one that keeps every iteration: the
-// same Result — outputs, decisions, halts, rounds, metrics — on the dense
-// and the Sparse engine, with owned and with interned sets. The lockstep
-// nodes never leave their two inline slots; the keep-all ones must hold
-// more than two iterations, or the comparison tests nothing.
-func TestLockstepWindowMatchesKeepAll(t *testing.T) {
+// Under the lockstep fact (Δ = 1, passive adversary) a node recycles its
+// window and never leaves its two inline slots, on the dense and the Sparse
+// engine, with owned and with interned sets, while a keep-all node of the
+// same run holds more than two iterations. That the two runs give the same
+// Result is the root package's TestEquivalenceMatrix (its keep-all column).
+func TestLockstepWindowStaysInline(t *testing.T) {
 	const n, f, lambda = 80, 24, 16
 	run := func(lockstep, sparse, interned bool) (*netsim.Result, []netsim.Node) {
 		cfg := Config{
@@ -57,8 +55,8 @@ func TestLockstepWindowMatchesKeepAll(t *testing.T) {
 		return most
 	}
 
-	want, keepAll := run(false, false, false)
-	checkAll(t, want, mixedInputs(n))
+	res, keepAll := run(false, false, false)
+	checkAll(t, res, mixedInputs(n))
 	if most := maxSlots(keepAll); most <= 2 {
 		t.Fatalf("keep-all nodes held at most %d iterations; the run never leaves the inline slots", most)
 	}
@@ -71,10 +69,7 @@ func TestLockstepWindowMatchesKeepAll(t *testing.T) {
 		{"sparse-engine/owned", true, false},
 		{"sparse-engine/interned", true, true},
 	} {
-		got, nodes := run(true, tc.sparse, tc.interned)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: lockstep result %+v, keep-all %+v", tc.name, got, want)
-		}
+		_, nodes := run(true, tc.sparse, tc.interned)
 		if most := maxSlots(nodes); most != 2 {
 			t.Errorf("%s: a lockstep node holds %d slots, want the 2 inline ones", tc.name, most)
 		}

@@ -107,24 +107,6 @@ type asyncBuild struct {
 	info func(res *netsim.Result) AsyncInfo
 }
 
-// AsyncBuilder constructs one async protocol's instance from a resolved
-// config.
-type AsyncBuilder func(cfg Config) (asyncBuild, error)
-
-// asyncBuilders is the async protocol registry runAsync resolves through.
-var asyncBuilders = map[Protocol]AsyncBuilder{}
-
-// RegisterAsyncProtocol adds an async protocol builder; duplicates panic.
-func RegisterAsyncProtocol(p Protocol, b AsyncBuilder) {
-	if p == "" || b == nil {
-		panic("scenario: RegisterAsyncProtocol with empty protocol or nil builder")
-	}
-	if _, dup := asyncBuilders[p]; dup {
-		panic(fmt.Sprintf("scenario: async protocol %q registered twice", p))
-	}
-	asyncBuilders[p] = b
-}
-
 // crashedSet draws the Crashes crash-faulty nodes seed-deterministically.
 func crashedSet(cfg Config) []bool {
 	if cfg.Crashes == 0 {
@@ -183,13 +165,19 @@ func runAsync(ctx context.Context, cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-// buildAsync resolves the async builder for an already-defaulted config.
+// buildAsync constructs the async protocol instance of an already-defaulted
+// config.
 func buildAsync(cfg Config) (asyncBuild, error) {
-	b, ok := asyncBuilders[cfg.Protocol]
-	if !ok {
-		return asyncBuild{}, fmt.Errorf("scenario: async protocol %q has no registered builder", cfg.Protocol)
+	switch cfg.Protocol {
+	case BRB:
+		return buildBRB(cfg), nil
+	case ABA:
+		return buildABA(cfg), nil
+	case ACS:
+		return buildACS(cfg), nil
+	default:
+		return asyncBuild{}, fmt.Errorf("scenario: async protocol %q has no builder", cfg.Protocol)
 	}
-	return b(cfg)
 }
 
 // asyncCrashedInfo lists the crash-faulted nodes of a result, sorted.
@@ -203,84 +191,82 @@ func asyncCrashedInfo(res *netsim.Result) []types.NodeID {
 	return out
 }
 
-func init() {
-	RegisterAsyncProtocol(BRB, func(cfg Config) (asyncBuild, error) {
-		nodes := make([]netsim.AsyncNode, cfg.N)
-		for i := range nodes {
-			nodes[i] = brb.NewNode(cfg.N, cfg.F, cfg.Sender, types.NodeID(i), cfg.SenderInput)
-		}
-		return asyncBuild{
-			nodes: nodes,
-			info: func(res *netsim.Result) AsyncInfo {
-				return AsyncInfo{SetSize: -1, Crashed: asyncCrashedInfo(res)}
-			},
-		}, nil
-	})
+func buildBRB(cfg Config) asyncBuild {
+	nodes := make([]netsim.AsyncNode, cfg.N)
+	for i := range nodes {
+		nodes[i] = brb.NewNode(cfg.N, cfg.F, cfg.Sender, types.NodeID(i), cfg.SenderInput)
+	}
+	return asyncBuild{
+		nodes: nodes,
+		info: func(res *netsim.Result) AsyncInfo {
+			return AsyncInfo{SetSize: -1, Crashed: asyncCrashedInfo(res)}
+		},
+	}
+}
 
-	RegisterAsyncProtocol(ABA, func(cfg Config) (asyncBuild, error) {
-		// Every coin share mines (aba.CoinProb): the threshold structure
-		// lives in the f+1 reveal quorum, and the coin VALUE comes from the
-		// seed-keyed CoinSource in both crypto modes (DESIGN.md §11).
-		suite := newSuite(cfg, aba.CoinProb, nil, nil)
-		src := aba.NewCoinSource(cfg.Seed)
-		typed := make([]*aba.Node, cfg.N)
-		nodes := make([]netsim.AsyncNode, cfg.N)
-		for i := range nodes {
-			typed[i] = aba.NewNode(aba.Config{
-				N: cfg.N, F: cfg.F, Me: types.NodeID(i),
-				Domain: "aba/0", Suite: suite, Source: src,
-				Sink: obs.NewSink(cfg.Tracer),
-			}, cfg.Inputs[i])
-			nodes[i] = typed[i]
-		}
-		return asyncBuild{
-			nodes: nodes,
-			info: func(res *netsim.Result) AsyncInfo {
-				inf := AsyncInfo{SetSize: -1, Crashed: asyncCrashedInfo(res)}
-				for i, nd := range typed {
-					if !res.Corrupt[i] && nd.DecidedRound() > inf.DecideRound {
-						inf.DecideRound = nd.DecidedRound()
-					}
+func buildABA(cfg Config) asyncBuild {
+	// Every coin share mines (aba.CoinProb): the threshold structure
+	// lives in the f+1 reveal quorum, and the coin VALUE comes from the
+	// seed-keyed CoinSource in both crypto modes (DESIGN.md §11).
+	suite := newSuite(cfg, aba.CoinProb, nil, nil)
+	src := aba.NewCoinSource(cfg.Seed)
+	typed := make([]*aba.Node, cfg.N)
+	nodes := make([]netsim.AsyncNode, cfg.N)
+	for i := range nodes {
+		typed[i] = aba.NewNode(aba.Config{
+			N: cfg.N, F: cfg.F, Me: types.NodeID(i),
+			Domain: "aba/0", Suite: suite, Source: src,
+			Sink: obs.NewSink(cfg.Tracer),
+		}, cfg.Inputs[i])
+		nodes[i] = typed[i]
+	}
+	return asyncBuild{
+		nodes: nodes,
+		info: func(res *netsim.Result) AsyncInfo {
+			inf := AsyncInfo{SetSize: -1, Crashed: asyncCrashedInfo(res)}
+			for i, nd := range typed {
+				if !res.Corrupt[i] && nd.DecidedRound() > inf.DecideRound {
+					inf.DecideRound = nd.DecidedRound()
 				}
-				return inf
-			},
-		}, nil
-	})
+			}
+			return inf
+		},
+	}
+}
 
-	RegisterAsyncProtocol(ACS, func(cfg Config) (asyncBuild, error) {
-		suite := newSuite(cfg, aba.CoinProb, nil, nil)
-		src := aba.NewCoinSource(cfg.Seed)
-		typed := make([]*acs.Node, cfg.N)
-		nodes := make([]netsim.AsyncNode, cfg.N)
-		for i := range nodes {
-			typed[i] = acs.NewNode(acs.Config{
-				N: cfg.N, F: cfg.F, Me: types.NodeID(i),
-				Input: acsPayload(cfg.Inputs[i]),
-				Suite: suite, Source: src,
-				Sink: obs.NewSink(cfg.Tracer),
-			})
-			nodes[i] = typed[i]
-		}
-		return asyncBuild{
-			nodes: nodes,
-			check: func(res *netsim.Result) error { return checkACSResult(cfg, res, typed) },
-			info: func(res *netsim.Result) AsyncInfo {
-				inf := AsyncInfo{SetSize: -1, Crashed: asyncCrashedInfo(res)}
-				for i, nd := range typed {
-					if res.Corrupt[i] {
-						continue
-					}
-					if set, ok := nd.OutputSet(); ok {
-						inf.SetSize = len(set)
-					}
-					if nd.DecidedRound() > inf.DecideRound {
-						inf.DecideRound = nd.DecidedRound()
-					}
+func buildACS(cfg Config) asyncBuild {
+	suite := newSuite(cfg, aba.CoinProb, nil, nil)
+	src := aba.NewCoinSource(cfg.Seed)
+	typed := make([]*acs.Node, cfg.N)
+	nodes := make([]netsim.AsyncNode, cfg.N)
+	for i := range nodes {
+		typed[i] = acs.NewNode(acs.Config{
+			N: cfg.N, F: cfg.F, Me: types.NodeID(i),
+			Input: acsPayload(cfg.Inputs[i]),
+			Suite: suite, Source: src,
+			Sink: obs.NewSink(cfg.Tracer),
+		})
+		nodes[i] = typed[i]
+	}
+	return asyncBuild{
+		nodes: nodes,
+		check: func(res *netsim.Result) error { return checkACSResult(cfg, res, typed) },
+		info: func(res *netsim.Result) AsyncInfo {
+			inf := AsyncInfo{SetSize: -1, Crashed: asyncCrashedInfo(res)}
+			for i, nd := range typed {
+				if res.Corrupt[i] {
+					continue
 				}
-				return inf
-			},
-		}, nil
-	})
+				if set, ok := nd.OutputSet(); ok {
+					inf.SetSize = len(set)
+				}
+				if nd.DecidedRound() > inf.DecideRound {
+					inf.DecideRound = nd.DecidedRound()
+				}
+			}
+			return inf
+		},
+	}
 }
 
 // checkACSResult is the ACS validity property: every honest node fixed the

@@ -34,7 +34,7 @@ func TestMapBackedInternStatsAcrossWorkers(t *testing.T) {
 		t.Fatalf("sparse intern stats %+v: want states > 0 and hits = adds (%d) - states", want, adds)
 	}
 
-	for _, workers := range []int{1, 2, 3, 8} {
+	for _, workers := range testenv.Procs {
 		testenv.SetGOMAXPROCS(t, workers)
 		cfg := base
 		cfg.applyDefaults()

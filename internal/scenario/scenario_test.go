@@ -41,11 +41,7 @@ func TestBuilderRegistryCoversAllProtocols(t *testing.T) {
 // validate checks the crypto mode, so every protocol rejects an unknown one;
 // the builders themselves only ask whether it is Real.
 func TestUnknownCryptoModeRejected(t *testing.T) {
-	protos := Protocols()
-	for p := range asyncBuilders {
-		protos = append(protos, p)
-	}
-	for _, p := range protos {
+	for _, p := range append(Protocols(), BRB, ABA, ACS) {
 		_, err := Run(Config{Protocol: p, N: 10, F: 3, Crypto: "bogus"})
 		if err == nil || !strings.Contains(err.Error(), "unknown crypto mode") {
 			t.Errorf("protocol %q: error %v, want unknown crypto mode", p, err)

@@ -5,5 +5,5 @@
 // worker count" is tested by moving GOMAXPROCS itself. Race lets the memory
 // budgets skip where -race instrumentation inflates what they measure.
 //
-// Architecture: DESIGN.md §5 — what the determinism suites sweep.
+// Architecture: DESIGN.md §5 — what the equivalence matrix sweeps.
 package testenv
