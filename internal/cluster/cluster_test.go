@@ -15,7 +15,31 @@ import (
 	"ccba/internal/scenario"
 	"ccba/internal/transport"
 	"ccba/internal/types"
+	"ccba/internal/wire"
 )
+
+// equivCases span every registered protocol family and both crypto modes;
+// each is run live on the chan transport and compared against the lockstep
+// simulator on every protocol-visible fact.
+var equivCases = []scenario.Config{
+	{Protocol: scenario.Core, N: 40, F: 12, Lambda: 12},
+	{Protocol: scenario.Core, N: 24, F: 7, Lambda: 8, Crypto: scenario.Real},
+	{Protocol: scenario.CoreBroadcast, N: 20, F: 6, Lambda: 8, SenderInput: types.One},
+	{Protocol: scenario.Quadratic, N: 15, F: 7},
+	{Protocol: scenario.PhaseKingPlain, N: 13, F: 2, Epochs: 6},
+	{Protocol: scenario.PhaseKingSampled, N: 40, F: 8, Lambda: 12, Epochs: 8},
+	{Protocol: scenario.ChenMicali, N: 24, F: 8, Lambda: 10, Epochs: 6},
+	{Protocol: scenario.DolevStrong, N: 12, F: 4, SenderInput: types.One},
+	{Protocol: scenario.CommitteeEcho, N: 16, F: 0, SenderInput: types.One},
+}
+
+func caseName(cfg scenario.Config) string {
+	name := fmt.Sprintf("%s-n%d", cfg.Protocol, cfg.N)
+	if cfg.Crypto == scenario.Real {
+		name += "-real"
+	}
+	return name
+}
 
 // runChan executes cfg on a fresh in-process network.
 func runChan(t *testing.T, cfg scenario.Config, opts Options) *Report {
@@ -69,6 +93,73 @@ func assertSameResult(t *testing.T, live *Report, sim *scenario.Report) {
 	assertSameExecution(t, live, sim)
 }
 
+func TestChanClusterMatchesLockstep(t *testing.T) {
+	for _, cfg := range equivCases {
+		t.Run(caseName(cfg), func(t *testing.T) {
+			cfg.Seed[0] = 7
+			sim, err := scenario.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			live := runChan(t, cfg, Options{})
+			assertSameExecution(t, live, sim)
+		})
+	}
+}
+
+// countingNode wraps a lockstep node and tallies its sends, giving the
+// simulator the per-node accounting the cluster produces natively.
+type countingNode struct {
+	netsim.Node
+	n       int
+	metrics *netsim.Metrics
+}
+
+func (c *countingNode) Step(round int, delivered []netsim.Delivered) []netsim.Send {
+	sends := c.Node.Step(round, delivered)
+	for _, s := range sends {
+		c.metrics.CountSend(s.To, c.n, wire.Size(s.Msg))
+	}
+	return sends
+}
+
+// TestPerNodeMetricsMatchInstrumentedLockstep is the headline equivalence
+// claim at per-node granularity: every node's multicast count (and the rest
+// of its communication footprint) in a live run equals what that same node
+// does under the lockstep engine.
+func TestPerNodeMetricsMatchInstrumentedLockstep(t *testing.T) {
+	for _, cfg := range equivCases {
+		t.Run(caseName(cfg), func(t *testing.T) {
+			cfg.Seed[0] = 7
+			norm, err := cfg.Normalized()
+			if err != nil {
+				t.Fatal(err)
+			}
+			nodes, _, steps, err := scenario.Build(norm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			perNode := make([]netsim.Metrics, norm.N)
+			wrapped := make([]netsim.Node, norm.N)
+			for i, nd := range nodes {
+				wrapped[i] = &countingNode{Node: nd, n: norm.N, metrics: &perNode[i]}
+			}
+			rt, err := netsim.NewRuntime(netsim.Config{N: norm.N, F: norm.F, MaxRounds: steps}, wrapped, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt.Run()
+
+			live := runChan(t, cfg, Options{})
+			for i := range perNode {
+				if live.PerNode[i] != perNode[i] {
+					t.Errorf("node %d: live %+v vs instrumented lockstep %+v", i, live.PerNode[i], perNode[i])
+				}
+			}
+		})
+	}
+}
+
 // TestSynchronizerTorture runs many seeds of a mid-size cluster — 64 nodes,
 // 50 trials, goroutine scheduling left to the runtime (and the race
 // detector, under -race) — and checks every trial agrees with the lockstep
@@ -99,6 +190,34 @@ func TestSynchronizerTorture(t *testing.T) {
 			t.Fatalf("trial %d diverged", trial)
 		}
 	}
+}
+
+// TestTCPClusterCoreAgreement is the live-socket path: a 4-node core
+// agreement over a localhost TCP mesh must complete, satisfy the paper's
+// properties, and agree with the lockstep engine.
+func TestTCPClusterCoreAgreement(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	cfg := scenario.Config{Protocol: scenario.Core, N: 4, F: 1, Lambda: 3}
+	cfg.Seed[0] = 7
+
+	netw, err := transport.NewTCPNetwork(ctx, transport.LoopbackAddrs(cfg.N), transport.TCPOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer netw.Close()
+	live, err := Run(ctx, cfg, netw, Options{RoundTimeout: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !live.Ok() {
+		t.Fatalf("violations: %v %v %v", live.Consistency, live.Validity, live.Termination)
+	}
+	sim, err := scenario.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameExecution(t, live, sim)
 }
 
 // TestRunNodeMultiEndpoint drives each node through RunNode over its own
