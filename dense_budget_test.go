@@ -10,19 +10,20 @@ import (
 // model (Δ=1) and once under a vote-flip adversary over a Δ=2 omission
 // network. Both intern their attestation sets (DESIGN.md §6) and deliver
 // through the same traffic-sized ring; the first runs core's lockstep
-// window, the second its keep-all window. Measured with 344-byte nodes
-// (one shared config, two-word attestation sets): lockstep 7.30–7.33k
-// allocs / 0.79–0.80 MB, faults 9.38–9.43k allocs / 2.02–2.03 MB at
-// GOMAXPROCS 1, 2 and 4, cold or warm; the ceilings sit 9–10 % above. The
-// 648-byte node before it (a private Config copy, a verifier and a
-// hit-block anchor per node, five-word sets) cost the same allocs at
-// 1.13–1.14 MB and 2.52–2.54 MB and fails both byte ceilings. Seed 7 costs
-// more than most seeds: BenchmarkCoreIdealN1000's per-op figure (~5.6k /
-// 0.73 MB) averages over seeds that mostly cost 5.0–5.4k allocs, so it
-// reads lower. With per-iteration maps on every node the same runs cost
-// 15.3k / 1.80 MB and 16.1k / 2.85 MB. The faults case once cost 36.1k / 11.03 MB, when
-// its delivery ring copied every multicast into a per-recipient list, and
-// before interning the two cost 43.1k / 15.27 MB and 59.8k / 22.35 MB — n
+// window, the second its keep-all window. Measured with state classes
+// (core nodes handed the round's shared list share one ingest of it,
+// DESIGN.md §6): lockstep 3.31–3.34k allocs / 0.551–0.554 MB, faults
+// 7.44–7.48k allocs / 1.85–1.86 MB at GOMAXPROCS 1, 2 and 4; the ceilings
+// sit about 10 % above. With every node ingesting alone (a proposal per
+// node per leader, a terminate message per node, and a vote-window slot
+// taken for every commit round) the same runs cost 7.30–7.33k allocs /
+// 0.79–0.80 MB and 9.38–9.43k / 2.02–2.03 MB. The 648-byte node before
+// that (a private Config copy, a verifier and a hit-block anchor per node,
+// five-word sets) cost the same allocs at 1.13–1.14 MB and 2.52–2.54 MB.
+// With per-iteration maps on every node the same runs cost 15.3k /
+// 1.80 MB and 16.1k / 2.85 MB. The faults case once cost 36.1k /
+// 11.03 MB, when its delivery ring copied every multicast into a
+// per-recipient list, and before interning the two cost 43.1k / 15.27 MB and 59.8k / 22.35 MB — n
 // private copies of one committee's votes. So tier-1 holds the window, the
 // interned node state, the one F_mine table, the allocation-free checkers
 // and the traffic-sized engine, and not only the benchmark driver: a coin
@@ -42,8 +43,8 @@ func TestDenseBudgetN1000(t *testing.T) {
 		maxAllocs  uint64
 		maxAllocMB float64
 	}{
-		{name: "passive delta-one", cfg: base, maxAllocs: 8_000, maxAllocMB: 0.88},
-		{name: "flip over omission delta-two", cfg: faults, adversary: "flip", maxAllocs: 10_300, maxAllocMB: 2.24},
+		{name: "passive delta-one", cfg: base, maxAllocs: 3_700, maxAllocMB: 0.61},
+		{name: "flip over omission delta-two", cfg: faults, adversary: "flip", maxAllocs: 8_200, maxAllocMB: 2.05},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			adv, err := NewAdversary(tc.adversary, tc.cfg, 0)

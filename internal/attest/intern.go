@@ -299,6 +299,23 @@ func (s *Set) addInterned(id types.NodeID, proof []byte) bool {
 	return true
 }
 
+// Copy sets s to o's current content and makes it count its hits on
+// anchor's hit block. Both o and anchor must be interned: s takes o's state
+// handle, which is immutable, so nothing is copied. This is how a core node
+// forks its own state off the frozen one a whole state class shares.
+func (s *Set) Copy(o, anchor *Set) { s.in, s.h = anchor.in, o.h }
+
+// CountHits adds k hits to s's hit block: the Adds of a transition s's
+// owner took by adopting the state another owner reached with the same
+// Adds from the same state. Every one of those Adds would have hit the
+// transitions the other owner recorded, so the table's Hits stay what
+// performing them would have counted. s must be interned.
+func (s *Set) CountHits(k int64) {
+	if k != 0 {
+		s.in.hits.Add(k)
+	}
+}
+
 // resetInterned rebinds the empty root, recycling the set for the next
 // iteration window.
 func (s *Set) resetInterned() { s.h = s.in.table.root }

@@ -66,13 +66,15 @@ func (r *runner) run(ctx context.Context) (resultRecord, int, error) {
 	for round := 0; round < r.maxRounds; round++ {
 		// 1. Step the state machine through the simulator's own per-node
 		// step, which traces, sizes and counts exactly as the lockstep
-		// engine's shards do. A halted node stays silent but keeps the
-		// barrier alive for peers still running.
+		// engine's shards do. The inbox is this node's own, never a list
+		// other nodes share, so the node ingests it alone. A halted node
+		// stays silent but keeps the barrier alive for peers still
+		// running.
 		r.sends = r.sends[:0]
 		halted := r.node.Halted()
 		if !halted {
 			r.opts.Telemetry.RoundStarted(round)
-			r.sends, halted = netsim.StepNode(r.obs, n, round, r.self, r.node, r.delivered, &r.metrics, &r.decided, r.sends)
+			r.sends, halted = netsim.StepNode(r.obs, n, round, r.self, r.node, r.delivered, false, &r.metrics, &r.decided, r.sends)
 		}
 		if err := r.transmit(round); err != nil {
 			return resultRecord{}, 0, err

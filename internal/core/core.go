@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"ccba/internal/attest"
 	"ccba/internal/fmine"
@@ -93,10 +96,13 @@ type Config struct {
 	// of the execution: all attestation sets bind to it, so nodes with
 	// identical add-histories (every forever-honest node under the passive
 	// lockstep schedule) share one copy-on-divergence backing array instead
-	// of holding per-node state (DESIGN.md §6). Every scenario build sets
-	// it; nil (owned sets) is the reference the tests compare against.
-	// Behaviour is bit-identical either way, at any worker count and under
-	// any adversary; only storage changes.
+	// of holding per-node state (DESIGN.md §6). The nodes NewNodes builds
+	// on it also start in one state class (see class), so nodes handed the
+	// round's shared delivery share one ingest of it. Every scenario build
+	// sets it; nil (owned sets, every node ingesting for itself) is the
+	// reference the tests compare against. Behaviour is bit-identical
+	// either way, at any worker count and under any adversary; only storage
+	// and the work of ingesting change.
 	Intern *attest.Interner
 }
 
@@ -160,12 +166,25 @@ type window struct {
 	inline [2]iterSets
 }
 
-// proposal is a received, validated leader proposal.
+// held returns the sets w holds for iter, or nil: a lookup that, unlike
+// slot, never takes or grows a slot.
+func (w *window) held(iter uint32) *[2]attest.Set {
+	for i := range w.slots {
+		if w.slots[i].iter == iter {
+			return &w.slots[i].sets
+		}
+	}
+	return nil
+}
+
+// proposal is a received, validated leader proposal. hash is the SHA-256 of
+// its ticket, which orders the proposals for one bit (proposalLess).
 type proposal struct {
 	leader types.NodeID
 	bit    types.Bit
 	cert   attest.Certificate
 	elig   []byte
+	hash   [sha256.Size]byte
 }
 
 // shared is what every node of one run reads and none writes: the
@@ -176,20 +195,12 @@ type shared struct {
 	verif fmine.Verifier
 }
 
-// Node is one participant's state machine.
-type Node struct {
-	cfg   *shared
-	id    types.NodeID
-	input types.Bit
-	miner fmine.Miner
-
+// state is everything ingest writes: what a node has learnt from its
+// deliveries, as opposed to who it is (Node) and what it has output.
+type state struct {
 	bestCert [2]attest.Certificate
-	// votes' first inline set is bound to Config.Intern at construction;
-	// every other set binds alongside it, the grown ones lazily from Step,
-	// so all of the node's hits count on one hit block whichever shard
-	// steps it (DESIGN.md §6).
-	votes   window
-	commits window
+	votes    window
+	commits  window
 
 	// Proposals for the current iteration, keyed by bit; among valid
 	// proposals for the same bit the lowest ticket hash wins, so all honest
@@ -198,10 +209,47 @@ type Node struct {
 	proposals [2]*proposal
 
 	terminate *TerminateMsg
+}
+
+// class is a state class: a frozen state that every node of the class reads
+// through Node.st, and the one transition recorded out of it (DESIGN.md
+// §6). ingest is a pure function of the state and the delivery, so nodes
+// that hold equal states and are handed the same list reach equal states;
+// the class computes that successor once, and its other members rebind to
+// it. Nothing writes a class's state once next can reach it: a member that
+// must ingest anything else first forks the state into its own (leave).
+type class struct {
+	state
+	// round is the round whose shared delivery led to this state, and adds
+	// the successful Adds of that ingest, which each rebinding member
+	// counts as hits.
+	round int
+	adds  int64
+	// next is the successor for round next.round, published once
+	// complete; mu serialises computing it.
+	next atomic.Pointer[class]
+	mu   sync.Mutex
+}
+
+// Node is one participant's state machine.
+type Node struct {
+	cfg *shared
+	// st is the state the node reads: own, or its class's frozen state.
+	st    *state
+	class *class // nil once the node holds its own state
+	miner fmine.Miner
+	id    types.NodeID
+	input types.Bit
 
 	out     types.Bit
 	decided bool
 	halted  bool
+
+	// own's first inline vote set is bound to Config.Intern at
+	// construction; every other set binds alongside it, the grown and
+	// forked ones lazily from Step, so all of the node's hits count on one
+	// hit block whichever shard steps it (DESIGN.md §6).
+	own state
 }
 
 // share validates cfg and builds the value its nodes share.
@@ -235,8 +283,9 @@ func (n *Node) init(cfg *shared, id types.NodeID, input types.Bit) (*Node, error
 		return nil, fmt.Errorf("core: invalid input %v", input)
 	}
 	n.cfg, n.id, n.input, n.miner = cfg, id, input, cfg.Suite.Miner(id)
+	n.st = &n.own
 	n.first().Bind(cfg.Intern)
-	for _, w := range []*window{&n.votes, &n.commits} {
+	for _, w := range []*window{&n.own.votes, &n.own.commits} {
 		for i := range w.inline {
 			n.bindPair(&w.inline[i].sets)
 		}
@@ -246,9 +295,10 @@ func (n *Node) init(cfg *shared, id types.NodeID, input types.Bit) (*Node, error
 }
 
 // first is the set init binds to Config.Intern. Growing the votes window
-// moves the live sets off the inline slots, but first keeps its hit block,
-// which is all BindAlongside reads.
-func (n *Node) first() *attest.Set { return &n.votes.inline[0].sets[0] }
+// moves the live sets off the inline slots, and a node in a class reads
+// another state, but first keeps its hit block, which is all BindAlongside,
+// Copy and CountHits read.
+func (n *Node) first() *attest.Set { return &n.own.votes.inline[0].sets[0] }
 
 // bindPair binds both bit-slots of a per-iteration set pair (but first
 // itself) alongside the node's first set: to the run's intern table and the
@@ -262,7 +312,9 @@ func (n *Node) bindPair(sets *[2]attest.Set) {
 }
 
 // NewNodes constructs all n state machines for one execution, on one
-// validated shared value.
+// validated shared value. With Config.Intern set they start in one state
+// class, on a frozen copy of the initial state, which every node's own
+// initial state equals.
 func NewNodes(cfg Config, inputs []types.Bit) ([]netsim.Node, error) {
 	if len(inputs) != cfg.N {
 		return nil, fmt.Errorf("core: %d inputs for n=%d", len(inputs), cfg.N)
@@ -272,14 +324,92 @@ func NewNodes(cfg Config, inputs []types.Bit) ([]netsim.Node, error) {
 		return nil, err
 	}
 	nodes := make([]netsim.Node, cfg.N)
+	var root *class
 	for i := range nodes {
 		n, err := new(Node).init(&sh, types.NodeID(i), inputs[i])
 		if err != nil {
 			return nil, err
 		}
+		if cfg.Intern != nil {
+			if root == nil {
+				root = new(class)
+				n.fork(&root.state, &n.own)
+			}
+			n.st, n.class = &root.state, root
+		}
 		nodes[i] = n
 	}
 	return nodes, nil
+}
+
+// fork makes dst a copy of src that the node may write: the windows are
+// rebased onto dst's own slots, and every set counts its hits on the node's
+// block. Certificates, proposals and the terminate message are immutable
+// once built, so they are shared, not copied.
+func (n *Node) fork(dst, src *state) {
+	dst.bestCert, dst.propIter, dst.proposals, dst.terminate = src.bestCert, src.propIter, src.proposals, src.terminate
+	n.forkWindow(&dst.votes, &src.votes)
+	n.forkWindow(&dst.commits, &src.commits)
+}
+
+func (n *Node) forkWindow(dst, src *window) {
+	if len(src.slots) == len(src.inline) {
+		dst.slots = dst.inline[:]
+	} else {
+		dst.slots = make([]iterSets, len(src.slots))
+	}
+	for i := range src.slots {
+		d, s := &dst.slots[i], &src.slots[i]
+		d.iter = s.iter
+		for b := range d.sets {
+			d.sets[b].Copy(&s.sets[b], n.first())
+		}
+	}
+}
+
+// leave takes the node out of its class onto its own copy of the class's
+// state, before the node ingests anything but a shared delivery.
+func (n *Node) leave() {
+	n.fork(&n.own, n.st)
+	n.st, n.class = &n.own, nil
+}
+
+// follow moves a class member along the round's shared delivery: to the
+// successor its class recorded for this round, counting the Adds of that
+// ingest as hits, or, for the first member to arrive, to the successor it
+// computes. So the ingest runs once per (class, round) at any worker count,
+// and the table's counters stay what n separate ingests would have made
+// them.
+func (n *Node) follow(round int, delivered []netsim.Delivered) {
+	if len(delivered) == 0 {
+		return // ingesting nothing changes nothing
+	}
+	next := n.class.next.Load()
+	if next == nil || next.round != round {
+		next = n.successor(round, delivered)
+	} else {
+		n.first().CountHits(next.adds)
+	}
+	n.st, n.class = &next.state, next
+}
+
+// successor returns the class's successor for round under the class's
+// lock: the one another member recorded since follow looked, or one the
+// node computes into a fresh state and records.
+func (n *Node) successor(round int, delivered []netsim.Delivered) *class {
+	c := n.class
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if next := c.next.Load(); next != nil && next.round == round {
+		n.first().CountHits(next.adds)
+		return next
+	}
+	next := &class{round: round}
+	n.fork(&next.state, &c.state)
+	n.st = &next.state
+	next.adds = n.ingest(delivered)
+	c.next.Store(next)
+	return next
 }
 
 var _ netsim.Node = (*Node)(nil)
@@ -290,16 +420,40 @@ func (n *Node) Output() (types.Bit, bool) { return n.out, n.decided }
 // Halted implements netsim.Node.
 func (n *Node) Halted() bool { return n.halted }
 
-// Step implements netsim.Node.
+var _ netsim.SharedStepper = (*Node)(nil)
+
+// Step implements netsim.Node. A node in a class leaves it first: its
+// inbox may be anyone's.
 func (n *Node) Step(round int, delivered []netsim.Delivered) []netsim.Send {
 	if n.halted {
 		return nil
 	}
+	if n.class != nil {
+		n.leave()
+	}
 	n.ingest(delivered)
+	return n.act(round)
+}
 
+// StepShared implements netsim.SharedStepper: a node in a class follows it
+// along the round's shared delivery instead of ingesting it alone.
+func (n *Node) StepShared(round int, delivered []netsim.Delivered) []netsim.Send {
+	if n.halted {
+		return nil
+	}
+	if n.class != nil {
+		n.follow(round, delivered)
+	} else {
+		n.ingest(delivered)
+	}
+	return n.act(round)
+}
+
+// act is the node's part of the round once its deliveries are ingested.
+func (n *Node) act(round int) []netsim.Send {
 	// Terminate step (⋆): output, conditionally relay, halt.
-	if n.terminate != nil {
-		msg := *n.terminate
+	if n.st.terminate != nil {
+		msg := *n.st.terminate
 		n.out = msg.B
 		n.decided = true
 		n.halted = true
@@ -357,19 +511,19 @@ func (n *Node) absorbCert(c attest.Certificate, b types.Bit) bool {
 	if c.Bit != b || !b.Valid() {
 		return false
 	}
-	if c.Rank() <= n.bestCert[b].Rank() {
+	if c.Rank() <= n.st.bestCert[b].Rank() {
 		return true
 	}
 	if !c.Verify(n.cfg.Threshold(), n.verifyVoteAtt(c.Iter, c.Bit)) {
 		return false
 	}
-	n.bestCert[b] = c
+	n.st.bestCert[b] = c
 	return true
 }
 
-func (n *Node) voteSet(iter uint32) *[2]attest.Set { return n.slot(&n.votes, iter) }
+func (n *Node) voteSet(iter uint32) *[2]attest.Set { return n.slot(&n.st.votes, iter) }
 
-func (n *Node) commitSet(iter uint32) *[2]attest.Set { return n.slot(&n.commits, iter) }
+func (n *Node) commitSet(iter uint32) *[2]attest.Set { return n.slot(&n.st.commits, iter) }
 
 // slot resolves an iteration's attestation sets in window w. An iteration
 // without a slot takes a free one or, under Config.Lockstep, one whose
@@ -438,9 +592,11 @@ func tickets(v fmine.Verifier, from types.NodeID, msg wire.Message) bool {
 	}
 }
 
-// ingest applies a round's deliveries, trusting the engine's screen verdict
-// where there is one and checking tickets itself everywhere else.
-func (n *Node) ingest(delivered []netsim.Delivered) {
+// ingest applies a round's deliveries to the state the node reads, trusting
+// the engine's screen verdict where there is one and checking tickets itself
+// everywhere else. It returns how many attestations it added, which a state
+// class's other members count as hits (follow).
+func (n *Node) ingest(delivered []netsim.Delivered) (adds int64) {
 	for _, d := range delivered {
 		if pass, known := d.Screened(); known {
 			if !pass {
@@ -455,13 +611,18 @@ func (n *Node) ingest(delivered []netsim.Delivered) {
 		case ProposeMsg:
 			n.ingestPropose(d.From, m)
 		case VoteMsg:
-			n.ingestVote(d.From, m)
+			if n.ingestVote(d.From, m) {
+				adds++
+			}
 		case CommitMsg:
-			n.ingestCommit(d.From, m)
+			if n.ingestCommit(d.From, m) {
+				adds++
+			}
 		case TerminateMsg:
 			n.ingestTerminate(m)
 		}
 	}
+	return adds
 }
 
 // The ingest functions take messages that passed tickets.
@@ -470,47 +631,49 @@ func (n *Node) ingestPropose(from types.NodeID, m ProposeMsg) {
 	if !n.absorbCert(m.Cert, m.B) {
 		return
 	}
-	if n.propIter != m.Iter {
-		n.propIter = m.Iter
-		n.proposals = [2]*proposal{}
+	if n.st.propIter != m.Iter {
+		n.st.propIter = m.Iter
+		n.st.proposals = [2]*proposal{}
 	}
-	cand := &proposal{leader: from, bit: m.B, cert: m.Cert, elig: m.Elig}
-	cur := n.proposals[m.B]
-	if cur == nil || proposalLess(cand, cur) {
-		n.proposals[m.B] = cand
+	hash := sha256.Sum256(m.Elig)
+	if cur := n.st.proposals[m.B]; cur == nil || proposalLess(hash, cur) {
+		n.st.proposals[m.B] = &proposal{leader: from, bit: m.B, cert: m.Cert, elig: m.Elig, hash: hash}
 	}
 }
 
-// proposalLess orders proposals for the same bit by ticket hash so all
+// proposalLess reports whether a proposal whose ticket hashes to hash
+// outranks p. Proposals for the same bit are ordered by ticket hash so all
 // honest nodes converge on the same representative.
-func proposalLess(a, b *proposal) bool {
-	ha := sha256.Sum256(a.elig)
-	hb := sha256.Sum256(b.elig)
-	return string(ha[:]) < string(hb[:])
+func proposalLess(hash [sha256.Size]byte, p *proposal) bool {
+	return bytes.Compare(hash[:], p.hash[:]) < 0
 }
 
-func (n *Node) ingestVote(from types.NodeID, m VoteMsg) {
+// ingestVote and ingestCommit report whether the attestation was new.
+
+func (n *Node) ingestVote(from types.NodeID, m VoteMsg) bool {
 	set := n.voteSet(m.Iter)
-	set[m.B].Add(from, m.Elig)
+	added := set[m.B].Add(from, m.Elig)
 	// ⌈λ/2⌉ votes for the same (iter, bit) form a certificate.
-	if set[m.B].Count() >= n.cfg.Threshold() && m.Iter > n.bestCert[m.B].Rank() {
-		n.bestCert[m.B] = attest.Certificate{Iter: m.Iter, Bit: m.B, Atts: set[m.B].Attestations()}
+	if set[m.B].Count() >= n.cfg.Threshold() && m.Iter > n.st.bestCert[m.B].Rank() {
+		n.st.bestCert[m.B] = attest.Certificate{Iter: m.Iter, Bit: m.B, Atts: set[m.B].Attestations()}
 	}
+	return added
 }
 
-func (n *Node) ingestCommit(from types.NodeID, m CommitMsg) {
+func (n *Node) ingestCommit(from types.NodeID, m CommitMsg) bool {
 	if m.Cert.Iter == m.Iter && m.Cert.Bit == m.B {
 		n.absorbCert(m.Cert, m.B)
 	}
 	set := n.commitSet(m.Iter)
-	set[m.B].Add(from, m.Elig)
-	if set[m.B].Count() >= n.cfg.Threshold() && n.terminate == nil {
-		n.terminate = &TerminateMsg{Iter: m.Iter, B: m.B, Commits: set[m.B].Attestations()}
+	added := set[m.B].Add(from, m.Elig)
+	if set[m.B].Count() >= n.cfg.Threshold() && n.st.terminate == nil {
+		n.st.terminate = &TerminateMsg{Iter: m.Iter, B: m.B, Commits: set[m.B].Attestations()}
 	}
+	return added
 }
 
 func (n *Node) ingestTerminate(m TerminateMsg) {
-	if n.terminate != nil {
+	if n.st.terminate != nil {
 		return
 	}
 	// The relayed message must itself carry a valid terminate ticket? No:
@@ -522,20 +685,20 @@ func (n *Node) ingestTerminate(m TerminateMsg) {
 	if !attest.VerifyAll(m.Commits, n.cfg.Threshold(), n.verifyCommitAtt(m.Iter, m.B)) {
 		return
 	}
-	n.terminate = &TerminateMsg{Iter: m.Iter, B: m.B, Commits: m.Commits}
+	n.st.terminate = &TerminateMsg{Iter: m.Iter, B: m.B, Commits: m.Commits}
 }
 
 // bestBit returns the bit backed by the highest certificate, falling back to
 // the node's input when no certificate exists.
 func (n *Node) bestBit() (types.Bit, attest.Certificate) {
-	r0, r1 := n.bestCert[0].Rank(), n.bestCert[1].Rank()
+	r0, r1 := n.st.bestCert[0].Rank(), n.st.bestCert[1].Rank()
 	switch {
 	case r0 == 0 && r1 == 0:
 		return n.input, attest.Certificate{}
 	case r1 > r0:
-		return types.One, n.bestCert[1]
+		return types.One, n.st.bestCert[1]
 	default:
-		return types.Zero, n.bestCert[0]
+		return types.Zero, n.st.bestCert[0]
 	}
 }
 
@@ -563,18 +726,18 @@ func (n *Node) voteRound(iter uint32) []netsim.Send {
 	switch {
 	case iter == 1:
 		b = n.input
-	case n.propIter != iter:
+	case n.st.propIter != iter:
 		return nil
-	case n.proposals[0] != nil && n.proposals[1] != nil:
+	case n.st.proposals[0] != nil && n.st.proposals[1] != nil:
 		return nil // proposals for both bits: abstain
-	case n.proposals[0] != nil:
-		b, just = types.Zero, n.proposals[0]
-	case n.proposals[1] != nil:
-		b, just = types.One, n.proposals[1]
+	case n.st.proposals[0] != nil:
+		b, just = types.Zero, n.st.proposals[0]
+	case n.st.proposals[1] != nil:
+		b, just = types.One, n.st.proposals[1]
 	default:
 		return nil
 	}
-	if iter > 1 && n.bestCert[b.Flip()].Rank() > just.cert.Rank() {
+	if iter > 1 && n.st.bestCert[b.Flip()].Rank() > just.cert.Rank() {
 		return nil
 	}
 	proof, ok := n.miner.Mine(VoteTag(iter, b))
@@ -589,8 +752,14 @@ func (n *Node) voteRound(iter uint32) []netsim.Send {
 	return []netsim.Send{netsim.Multicast(msg)}
 }
 
+// commitRound reads the iteration's votes without taking a window slot: a
+// node whose state its class shares writes nothing outside ingest, and an
+// iteration without a slot has no votes.
 func (n *Node) commitRound(iter uint32) []netsim.Send {
-	set := n.voteSet(iter)
+	set := n.st.votes.held(iter)
+	if set == nil {
+		return nil
+	}
 	for _, b := range []types.Bit{types.Zero, types.One} {
 		if set[b].Count() >= n.cfg.Threshold() && set[b.Flip()].Count() == 0 {
 			proof, ok := n.miner.Mine(CommitTag(iter, b))

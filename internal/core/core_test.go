@@ -312,7 +312,7 @@ func TestForgedTerminateRejected(t *testing.T) {
 		{ID: 2, Proof: make([]byte, fmine.IdealProofSize)},
 	}}
 	n.ingest([]netsim.Delivered{{From: 3, Msg: forged}})
-	if n.terminate != nil {
+	if n.st.terminate != nil {
 		t.Fatal("forged terminate accepted")
 	}
 }

@@ -10,10 +10,10 @@ import (
 )
 
 // TestInternHonestRunSharesHandles runs a dense interned execution under a
-// passive adversary and asserts the sharing claim interning rests on:
-// every honest node's per-iteration vote and commit sets walk identical
-// histories, so all n nodes end the run holding the *same*
-// handle — O(committee) attestation storage for the whole run instead of
+// passive adversary, every node ingesting alone, and asserts the sharing
+// claim interning rests on: every honest node's per-iteration vote and
+// commit sets walk identical histories, so all n nodes end the run holding
+// the *same* handle — O(committee) attestation storage for the whole run instead of
 // O(n·committee).
 func TestInternHonestRunSharesHandles(t *testing.T) {
 	const n, f, lambda = 80, 24, 40
@@ -32,23 +32,26 @@ func TestInternHonestRunSharesHandles(t *testing.T) {
 		cores[i] = nd.(*Node)
 		simNodes[i] = nd
 	}
-	rt, err := netsim.NewRuntime(netsim.Config{N: n, F: f, MaxRounds: cfg.Rounds()}, simNodes, nil)
+	// Each node ingests alone (privately), so the handles compared below
+	// are reached independently, not read off one class's frozen state.
+	rt, err := netsim.NewRuntime(netsim.Config{N: n, F: f, MaxRounds: cfg.Rounds()}, privately(simNodes), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	res := rt.Run()
 	checkAll(t, res, inputs)
+	readOwn(t, cores)
 
 	shared := 0
 	for iter := uint32(1); iter <= 2; iter++ {
-		ref := cores[0].votes.held(iter)
+		ref := cores[0].st.votes.held(iter)
 		if ref == nil {
 			continue
 		}
 		for b := 0; b < 2; b++ {
 			sharers := 0
 			for i := 0; i < n; i++ {
-				set := cores[i].votes.held(iter)
+				set := cores[i].st.votes.held(iter)
 				if set == nil || !ref[b].SharesStorageWith(&set[b]) {
 					t.Fatalf("node %d iter %d bit %d: honest vote set does not share storage", i, iter, b)
 				}
@@ -78,6 +81,18 @@ func TestInternHonestRunSharesHandles(t *testing.T) {
 	}
 	if st.Hits < int64(st.States)*int64(n/2) {
 		t.Fatalf("hits=%d suspiciously low for %d states across %d nodes", st.Hits, st.States, n)
+	}
+}
+
+// readOwn fails unless every node ended the run on its own state, so that
+// comparing two nodes' sets compares two Sets, not one frozen Set with
+// itself.
+func readOwn(t *testing.T, cores []*Node) {
+	t.Helper()
+	for i, c := range cores {
+		if c.class != nil || c.st != &c.own {
+			t.Fatalf("node %d reads a class's state, not its own", i)
+		}
 	}
 }
 
@@ -173,11 +188,13 @@ func TestInternAdversarialDivergenceForksHandles(t *testing.T) {
 		rt, err := netsim.NewRuntime(netsim.Config{
 			N: n, F: f, MaxRounds: cfg.Rounds(),
 			Seize: func(id types.NodeID) any { return cfg.Suite.Miner(id) },
-		}, simNodes, adv)
+		}, privately(simNodes), adv)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return cores, in, rt.Run()
+		res := rt.Run()
+		readOwn(t, cores)
+		return cores, in, res
 	}
 
 	adv := &unicastFlipInjector{targets: targets}
@@ -208,7 +225,7 @@ func TestInternAdversarialDivergenceForksHandles(t *testing.T) {
 	}
 
 	setOf := func(id types.NodeID) *attest.Set {
-		pair := cores[id].votes.held(1)
+		pair := cores[id].st.votes.held(1)
 		if pair == nil {
 			t.Fatalf("node %d has no iter-1 vote sets", id)
 		}
@@ -241,7 +258,7 @@ func TestInternAdversarialDivergenceForksHandles(t *testing.T) {
 	// included, the forked handle is held by the targets alone.
 	sharers := 0
 	for _, c := range cores {
-		if pair := c.votes.held(1); pair != nil && tset.SharesStorageWith(&pair[flip]) {
+		if pair := c.st.votes.held(1); pair != nil && tset.SharesStorageWith(&pair[flip]) {
 			sharers++
 		}
 	}

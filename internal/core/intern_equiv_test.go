@@ -13,15 +13,23 @@ import (
 )
 
 // sendCounter wraps a node to record the messages it sends itself — the
-// per-node view of the run's Metrics.
+// per-node view of the run's Metrics. It passes the engine's shared-inbox
+// step on, so interned nodes share their state classes' ingests.
 type sendCounter struct {
-	netsim.Node
+	*Node
 	n       int
 	metrics *netsim.Metrics
 }
 
 func (c *sendCounter) Step(round int, delivered []netsim.Delivered) []netsim.Send {
-	sends := c.Node.Step(round, delivered)
+	return c.count(c.Node.Step(round, delivered))
+}
+
+func (c *sendCounter) StepShared(round int, delivered []netsim.Delivered) []netsim.Send {
+	return c.count(c.Node.StepShared(round, delivered))
+}
+
+func (c *sendCounter) count(sends []netsim.Send) []netsim.Send {
 	for _, s := range sends {
 		c.metrics.CountSend(s.To, c.n, wire.Size(s.Msg))
 	}
@@ -87,7 +95,7 @@ func TestInternedMatchesOwnedInEveryRegime(t *testing.T) {
 				}
 				perNode := make([]netsim.Metrics, n)
 				for i := range nodes {
-					nodes[i] = &sendCounter{Node: nodes[i], n: n, metrics: &perNode[i]}
+					nodes[i] = &sendCounter{Node: nodes[i].(*Node), n: n, metrics: &perNode[i]}
 				}
 				var adv netsim.Adversary
 				if rg.adv != nil {
@@ -149,26 +157,30 @@ func TestInternedMatchesOwnedInEveryRegime(t *testing.T) {
 }
 
 // TestNodeCountsHitsOnOneBlock is the white-box half of the per-node hit
-// block: every set a node's window holds — the inline slots bound at
-// construction and, on a keep-all node, the slots grown lazily from Step —
-// counts its hits on the block of the node's first set, and the blocks are
-// node-sized, not run-sized.
+// block: every set a node's own window holds — the inline slots bound at
+// construction, the ones its class's state was forked onto and, on a
+// keep-all node, the slots grown lazily from Step — counts its hits on the
+// block of the node's first set, and the blocks are node-sized, not
+// run-sized. The nodes are stepped privately, so each leaves its class in
+// round 0 and ingests for itself.
 func TestNodeCountsHitsOnOneBlock(t *testing.T) {
-	const n, f, lambda = 200, 60, 40
+	// At λ = 20 this seed's run has votes in more than two iterations (see
+	// TestLockstepWindowStaysInline), so keep-all windows grow.
+	const n, f, lambda = 200, 60, 20
 	for _, lockstep := range []bool{false, true} {
 		name := "keep-all"
 		if lockstep {
 			name = "lockstep"
 		}
 		t.Run(name, func(t *testing.T) {
-			cfg := idealConfig(n, f, lambda, 3)
+			cfg := idealConfig(n, f, lambda, 2)
 			cfg.Lockstep = lockstep
 			cfg.Intern = attest.NewInterner()
 			nodes, err := NewNodes(cfg, mixedInputs(n))
 			if err != nil {
 				t.Fatal(err)
 			}
-			rt, err := netsim.NewRuntime(netsim.Config{N: n, F: f, MaxRounds: cfg.Rounds(), Sparse: lockstep}, nodes, nil)
+			rt, err := netsim.NewRuntime(netsim.Config{N: n, F: f, MaxRounds: cfg.Rounds(), Sparse: lockstep}, privately(nodes), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -181,8 +193,11 @@ func TestNodeCountsHitsOnOneBlock(t *testing.T) {
 			grown := 0
 			for i, nd := range nodes {
 				c := nd.(*Node)
+				if c.st != &c.own {
+					t.Fatalf("node %d never left its class", i)
+				}
 				var sets []*attest.Set
-				for _, w := range []*window{&c.votes, &c.commits} {
+				for _, w := range []*window{&c.own.votes, &c.own.commits} {
 					grown += len(w.slots) - len(w.inline)
 					for k := range w.slots {
 						sets = append(sets, &w.slots[k].sets[0], &w.slots[k].sets[1])

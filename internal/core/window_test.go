@@ -9,28 +9,21 @@ import (
 	"ccba/internal/types"
 )
 
-// held returns the sets window w holds for iter, or nil: a lookup that,
-// unlike slot, never takes or grows a slot.
-func (w *window) held(iter uint32) *[2]attest.Set {
-	for i := range w.slots {
-		if w.slots[i].iter == iter {
-			return &w.slots[i].sets
-		}
-	}
-	return nil
-}
-
 // Under the lockstep fact (Δ = 1, passive adversary) a node recycles its
 // window and never leaves its two inline slots, on the dense and the Sparse
 // engine, with owned and with interned sets, while a keep-all node of the
 // same run holds more than two iterations. That the two runs give the same
 // Result is the root package's TestEquivalenceMatrix (its keep-all column).
+// A window holds only iterations that received votes or commits, and an
+// honest run's votes mostly fall in its first and its deciding iteration;
+// at λ = 8 this seed's committees also fall short of the quorum in between,
+// so the keep-all window has more to hold.
 func TestLockstepWindowStaysInline(t *testing.T) {
-	const n, f, lambda = 80, 24, 16
+	const n, f, lambda = 80, 24, 8
 	run := func(lockstep, sparse, interned bool) (*netsim.Result, []netsim.Node) {
 		cfg := Config{
 			N: n, F: f, Lambda: lambda, MaxIters: 60,
-			Suite:    fmine.NewIdeal([32]byte{7}, Probabilities(n, lambda)),
+			Suite:    fmine.NewIdeal([32]byte{22}, Probabilities(n, lambda)),
 			Lockstep: lockstep,
 		}
 		if interned {
@@ -50,7 +43,7 @@ func TestLockstepWindowStaysInline(t *testing.T) {
 		most := 0
 		for _, nd := range nodes {
 			c := nd.(*Node)
-			most = max(most, len(c.votes.slots), len(c.commits.slots))
+			most = max(most, len(c.st.votes.slots), len(c.st.commits.slots))
 		}
 		return most
 	}
@@ -119,8 +112,8 @@ func TestWindowSetRotation(t *testing.T) {
 			if allocs := testing.AllocsPerRun(1, hundred); allocs != 0 {
 				t.Errorf("interned=%v: %v allocations over 100 lockstep iterations, want 0", in != nil, allocs)
 			}
-			if len(nd.votes.slots) != 2 || len(nd.commits.slots) != 2 {
-				t.Errorf("interned=%v: window grew to %d vote / %d commit slots", in != nil, len(nd.votes.slots), len(nd.commits.slots))
+			if len(nd.st.votes.slots) != 2 || len(nd.st.commits.slots) != 2 {
+				t.Errorf("interned=%v: window grew to %d vote / %d commit slots", in != nil, len(nd.st.votes.slots), len(nd.st.commits.slots))
 			}
 		}
 	})
@@ -131,13 +124,13 @@ func TestWindowSetRotation(t *testing.T) {
 			nd.voteSet(iter)[iter%2].Add(types.NodeID(iter%9), nil)
 		}
 		for iter := uint32(1); iter <= 100; iter++ {
-			s := nd.votes.held(iter)
+			s := nd.st.votes.held(iter)
 			if s == nil || s[iter%2].Count() != 1 || !s[iter%2].Contains(types.NodeID(iter%9)) || s[1-iter%2].Count() != 0 {
 				t.Fatalf("iteration %d lost or mixed its votes: %v", iter, s)
 			}
 		}
-		if len(nd.votes.slots) != 100 {
-			t.Errorf("keep-all window holds %d slots for 100 iterations", len(nd.votes.slots))
+		if len(nd.st.votes.slots) != 100 {
+			t.Errorf("keep-all window holds %d slots for 100 iterations", len(nd.st.votes.slots))
 		}
 	})
 
@@ -150,7 +143,7 @@ func TestWindowSetRotation(t *testing.T) {
 		if got := nd.voteSet(3); got[0].Count() != 1 || !got[0].Contains(7) {
 			t.Fatalf("an out-of-window arrival was not kept: count %d", got[0].Count())
 		}
-		if nd.votes.held(5)[0].Count() != 1 || nd.votes.held(6)[1].Count() != 1 {
+		if nd.st.votes.held(5)[0].Count() != 1 || nd.st.votes.held(6)[1].Count() != 1 {
 			t.Fatal("an out-of-window arrival disturbed the live iterations")
 		}
 		// The vote and commit windows are independent.

@@ -67,7 +67,8 @@ func (c *Ctx) Inbox(id types.NodeID) ([]Delivered, error) {
 		return nil, fmt.Errorf("%w: inbox of honest node %d", ErrNotCorrupt, id)
 	}
 	var scratch []Delivered
-	return c.rt.inbox(id, &scratch), nil
+	inbox, _ := c.rt.inbox(id, &scratch)
+	return inbox, nil
 }
 
 // Corrupt adaptively corrupts node id, handing over its state machine and

@@ -27,6 +27,21 @@ type Node interface {
 	Halted() bool
 }
 
+// SharedStepper is a Node that can make use of knowing that its inbox is
+// the round's shared list: the lockstep engine hands that one slice, unchanged,
+// to every node without a private delivery that round, so nodes whose states
+// are equal reach equal states by it (core's state classes, DESIGN.md §6).
+// StepNode calls StepShared in place of Step for exactly those inboxes; a
+// live node, a node stepped by an adversary and every other inbox go
+// through Step.
+type SharedStepper interface {
+	Node
+	// StepShared is Step for an inbox that is the round's shared list.
+	// Every node stepped through StepShared in one round of one run is
+	// handed the same list.
+	StepShared(round int, delivered []Delivered) []Send
+}
+
 // Delivered is a message as seen by its recipient. From is the authenticated
 // sender identity (the paper assumes authenticated channels throughout).
 type Delivered struct {

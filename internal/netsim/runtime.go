@@ -414,20 +414,23 @@ func (rt *Runtime) stepShard(k int) {
 		if rt.trDecided != nil {
 			decided = &rt.trDecided[i]
 		}
+		inbox, shared := rt.inbox(id, &sh.merge)
 		var halted bool
-		sh.slab, halted = StepNode(rt.tr, n, round, id, rt.nodes[i], rt.inbox(id, &sh.merge), &sh.metrics, decided, sh.slab)
+		sh.slab, halted = StepNode(rt.tr, n, round, id, rt.nodes[i], inbox, shared, &sh.metrics, decided, sh.slab)
 		sh.done = sh.done && halted
 	}
 }
 
 // StepNode is the one per-node round step, which the lockstep engine's
 // shards and every live node run. It traces node id's round start and
-// inbox, steps nd, then sizes, counts (Definitions 6–7, in a network of n)
-// and traces each send and appends it to out as an Envelope, and last
-// traces the node's decide and halt transitions. *decided deduplicates
-// EvDecide to the transition round and is read only when tr is enabled. It
-// returns out and whether nd has halted.
-func StepNode(tr obs.Sink, n, round int, id types.NodeID, nd Node, inbox []Delivered, m *Metrics, decided *bool, out []Envelope) ([]Envelope, bool) {
+// inbox, steps nd — through SharedStepper.StepShared when shared reports
+// that inbox is the round's shared list and nd implements it — then sizes,
+// counts (Definitions 6–7, in a network of n) and traces each send and
+// appends it to out as an Envelope, and last traces the node's decide and
+// halt transitions. *decided deduplicates EvDecide to the transition round
+// and is read only when tr is enabled. It returns out and whether nd has
+// halted.
+func StepNode(tr obs.Sink, n, round int, id types.NodeID, nd Node, inbox []Delivered, shared bool, m *Metrics, decided *bool, out []Envelope) ([]Envelope, bool) {
 	traced := tr.Enabled()
 	if traced {
 		tr.RoundStart(round, id)
@@ -435,7 +438,13 @@ func StepNode(tr obs.Sink, n, round int, id types.NodeID, nd Node, inbox []Deliv
 			tr.Deliver(round, id, di, d.From, wire.Size(d.Msg))
 		}
 	}
-	for si, s := range nd.Step(round, inbox) {
+	var sends []Send
+	if sn, ok := nd.(SharedStepper); ok && shared {
+		sends = sn.StepShared(round, inbox)
+	} else {
+		sends = nd.Step(round, inbox)
+	}
+	for si, s := range sends {
 		size := wire.Size(s.Msg)
 		if traced {
 			tr.Send(round, id, si, s.To, size)
@@ -484,15 +493,16 @@ func (rt *Runtime) honestAllHalted() bool {
 // round: the slot's shared list, aliased, unless the slot has an extra for
 // id or a cut that withholds an entry from it; then the merge of the two at
 // their recorded positions, into *scratch (so the slice is valid only until
-// the scratch is reused).
-func (rt *Runtime) inbox(id types.NodeID, scratch *[]Delivered) []Delivered {
+// the scratch is reused). shared reports the first case, in which every
+// node so answered this round receives the very same list.
+func (rt *Runtime) inbox(id types.NodeID, scratch *[]Delivered) (inbox []Delivered, shared bool) {
 	s := rt.slotAt(0)
 	ex, ci := s.extras[id], 0
 	for ci < len(s.cuts) && !s.cuts[ci].withholds(id) {
 		ci++
 	}
 	if len(ex) == 0 && ci == len(s.cuts) {
-		return s.shared
+		return s.shared, true
 	}
 	buf := (*scratch)[:0]
 	for i, d := range s.shared {
@@ -510,7 +520,7 @@ func (rt *Runtime) inbox(id types.NodeID, scratch *[]Delivered) []Delivered {
 		buf = append(buf, en.d)
 	}
 	*scratch = buf
-	return buf
+	return buf, false
 }
 
 // slotAt returns the slot of the round delay ∈ [0, ∆] after the current one.

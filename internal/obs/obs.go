@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"cmp"
+
 	"ccba/internal/types"
 )
 
@@ -105,28 +107,26 @@ type Event struct {
 	A, B  int32
 }
 
-// less orders events canonically: (Round, Node, Kind, Seq, A, B). Within
-// one (round, node) the kind order is the lifecycle order (see EventKind),
-// so a canonical sort makes the trace independent of emission interleaving
-// — the simulator's shards and cluster node goroutines emit concurrently,
-// yet the exported JSONL is byte-identical to a serial run's.
-func less(a, b Event) bool {
-	if a.Round != b.Round {
-		return a.Round < b.Round
+// compare orders events canonically: (Round, Node, Kind, Seq, A, B).
+// Within one (round, node) the kind order is the lifecycle order (see
+// EventKind), so a canonical sort makes the trace independent of emission
+// interleaving — the simulator's shards and cluster node goroutines emit
+// concurrently, yet the exported JSONL is byte-identical to a serial run's.
+func compare(a, b Event) int {
+	switch {
+	case a.Round != b.Round:
+		return cmp.Compare(a.Round, b.Round)
+	case a.Node != b.Node:
+		return cmp.Compare(a.Node, b.Node)
+	case a.Kind != b.Kind:
+		return cmp.Compare(a.Kind, b.Kind)
+	case a.Seq != b.Seq:
+		return cmp.Compare(a.Seq, b.Seq)
+	case a.A != b.A:
+		return cmp.Compare(a.A, b.A)
+	default:
+		return cmp.Compare(a.B, b.B)
 	}
-	if a.Node != b.Node {
-		return a.Node < b.Node
-	}
-	if a.Kind != b.Kind {
-		return a.Kind < b.Kind
-	}
-	if a.Seq != b.Seq {
-		return a.Seq < b.Seq
-	}
-	if a.A != b.A {
-		return a.A < b.A
-	}
-	return a.B < b.B
 }
 
 // Tracer receives the event stream. Implementations must be safe for

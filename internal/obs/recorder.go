@@ -3,7 +3,7 @@ package obs
 import (
 	"bufio"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 )
@@ -78,7 +78,7 @@ func (r *Recorder) Events() []Event {
 	out = append(out, r.buf[r.start:]...)
 	out = append(out, r.buf[:r.start]...)
 	r.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return less(out[i], out[j]) })
+	slices.SortFunc(out, compare)
 	return out
 }
 
