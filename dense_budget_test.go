@@ -10,13 +10,18 @@ import (
 // model (Δ=1) and once under a vote-flip adversary over a Δ=2 omission
 // network. Both intern their attestation sets (DESIGN.md §6) and deliver
 // through the same traffic-sized ring; the first runs core's lockstep
-// window, the second its keep-all window. Measured with state classes
-// (core nodes handed the round's shared list share one ingest of it,
-// DESIGN.md §6): lockstep 3.31–3.34k allocs / 0.551–0.554 MB, faults
-// 7.44–7.48k allocs / 1.85–1.86 MB at GOMAXPROCS 1, 2 and 4; the ceilings
-// sit about 10 % above. With every node ingesting alone (a proposal per
-// node per leader, a terminate message per node, and a vote-window slot
-// taken for every commit round) the same runs cost 7.30–7.33k allocs /
+// window, the second its keep-all window. Measured with the nodes in one
+// slab, a node's own state allocated only when it leaves its state class
+// and miners handed out without allocating (DESIGN.md §6): lockstep
+// 1.34–1.37k allocs / 0.257–0.259 MB, faults 5.38–5.42k allocs /
+// 1.83–1.84 MB at GOMAXPROCS 1, 2 and 4; the ceilings sit about 10 %
+// above. With a 352-byte node per allocation, its own state inline, and a
+// miner boxed per node, the same runs cost 3.31–3.34k allocs /
+// 0.551–0.554 MB and 7.44–7.48k / 1.85–1.86 MB; the lockstep ceilings
+// fail that layout. Before state classes (core nodes handed the round's
+// shared list share one ingest of it), with every node ingesting alone (a
+// proposal per node per leader, a terminate message per node, and a
+// vote-window slot taken for every commit round) the same runs cost 7.30–7.33k allocs /
 // 0.79–0.80 MB and 9.38–9.43k / 2.02–2.03 MB. The 648-byte node before
 // that (a private Config copy, a verifier and a hit-block anchor per node,
 // five-word sets) cost the same allocs at 1.13–1.14 MB and 2.52–2.54 MB.
@@ -43,8 +48,8 @@ func TestDenseBudgetN1000(t *testing.T) {
 		maxAllocs  uint64
 		maxAllocMB float64
 	}{
-		{name: "passive delta-one", cfg: base, maxAllocs: 3_700, maxAllocMB: 0.61},
-		{name: "flip over omission delta-two", cfg: faults, adversary: "flip", maxAllocs: 8_200, maxAllocMB: 2.05},
+		{name: "passive delta-one", cfg: base, maxAllocs: 1_520, maxAllocMB: 0.29},
+		{name: "flip over omission delta-two", cfg: faults, adversary: "flip", maxAllocs: 5_950, maxAllocMB: 2.03},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			adv, err := NewAdversary(tc.adversary, tc.cfg, 0)

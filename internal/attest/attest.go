@@ -72,11 +72,11 @@ func VerifyAll(atts []Attestation, threshold int, verify VerifyFunc) bool {
 // dozen), so membership is a linear scan over a flat slice — cheaper and
 // allocation-lighter than a map at these sizes.
 //
-// A set is two words, a state handle and a hit block, because a core node
-// holds ten of them and a run n nodes. It operates in one of two modes. In
-// owned mode (the zero value, no hit block) the handle is a private,
-// mutable state the set allocates on its first Add and appends to in place.
-// Bind or BindAlongside switches it to interned mode, where the handle
+// A set is two words, a state handle and a hit block, because a core state
+// holds eight of them and a run up to n states. It operates in one of two
+// modes. In owned mode (the zero value, no hit block) the handle is a
+// private, mutable state the set allocates on its first Add and appends to
+// in place. Bind or BindTo switches it to interned mode, where the handle
 // points into a per-run Interner and every node with the same add-history
 // shares one immutable state (see intern.go). The observable
 // Add/Contains/Count/Reset behaviour is identical in both modes; only

@@ -49,15 +49,15 @@ type Interner struct {
 	clones int
 	forks  int
 
-	// cur is the hitBlock Bind is handing out, the head of the list of all
+	// cur is the hitBlock Hits is handing out, the head of the list of all
 	// of them; replaced under mu.
 	cur atomic.Pointer[hitBlock]
 }
 
-// bindsPerHitBlock is how many consecutive Bind calls count their hits on
-// one hitBlock; BindAlongside takes no place. A node binds one set with Bind
-// at construction and every other set — then or later — alongside it, so a
-// block spans 64 nodes: small enough that engine shards (contiguous id
+// bindsPerHitBlock is how many consecutive Hits (or Bind) calls count their
+// hits on one hitBlock; BindTo takes no place. A node takes one place at
+// construction and binds every set — then or later — to it, so a block
+// spans 64 nodes: small enough that engine shards (contiguous id
 // ranges, nodes built in id order) own their blocks outright except for the
 // one straddling a shard boundary, large enough that the blocks cost two
 // bytes per node.
@@ -214,26 +214,51 @@ func (s *Set) Bind(in *Interner) {
 		return
 	}
 	s.mustBeFresh()
+	s.BindTo(in.Hits())
+}
+
+// Hits is where a group of Sets counts its interned hits: one place on one
+// of a table's hit blocks. A node takes one and binds every set it owns to
+// it, including sets it creates while stepping: those are bound from
+// whichever shard steps the node, so drawing each from the table's current
+// block would have several shards counting hits on one cache line. The
+// zero value is owned mode: sets bound to it stay owned.
+type Hits struct{ b *hitBlock }
+
+// Hits takes a place on the hit block the table is handing out, as Bind
+// does; a nil table gives the zero Hits.
+func (in *Interner) Hits() Hits {
+	if in == nil {
+		return Hits{}
+	}
 	b := in.cur.Load()
 	if b == nil || b.bound.Add(1) > bindsPerHitBlock {
 		b = in.nextBlock()
 	}
-	s.in, s.h = b, in.root
+	return Hits{b}
 }
 
-// BindAlongside switches an empty Set to interned mode on o's table and hit
-// block, taking no place on the block; if o is in owned mode, s stays owned
-// too. A node binds one set at construction and every other set alongside
-// it, including sets it creates while stepping: those are bound from
-// whichever shard steps the node, so drawing them from the table's current
-// block would have several shards counting hits on one cache line. Binding
-// a non-empty or already-bound set panics, as in Bind.
-func (s *Set) BindAlongside(o *Set) {
-	if o.in == nil {
+// BindTo switches an empty Set to interned mode on h's table, counting its
+// hits on h's block and taking no further place on it; under the zero Hits
+// s stays owned. Binding a non-empty or already-bound set panics, as in
+// Bind.
+func (s *Set) BindTo(h Hits) {
+	if h.b == nil {
 		return
 	}
 	s.mustBeFresh()
-	s.in, s.h = o.in, o.in.table.root
+	s.in, s.h = h.b, h.b.table.root
+}
+
+// Count adds k hits to h's block: the Adds of a transition h's owner took
+// by adopting the state another owner reached with the same Adds from the
+// same state. Every one of those Adds would have hit the transitions the
+// other owner recorded, so the table's Hits stay what performing them would
+// have counted. h must not be the zero Hits.
+func (h Hits) Count(k int64) {
+	if k != 0 {
+		h.b.hits.Add(k)
+	}
 }
 
 func (s *Set) mustBeFresh() {
@@ -266,12 +291,6 @@ func (s *Set) SharesStorageWith(o *Set) bool {
 	return s.in != nil && s.h == o.h
 }
 
-// CountsWith reports whether two interned sets count their hits on the same
-// hit block — the property BindAlongside exists for.
-func (s *Set) CountsWith(o *Set) bool {
-	return s.in != nil && s.in == o.in
-}
-
 // addInterned is Add in interned mode: a transition to the successor
 // state, shared with every other set that performed the same sequence.
 //
@@ -299,22 +318,14 @@ func (s *Set) addInterned(id types.NodeID, proof []byte) bool {
 	return true
 }
 
-// Copy sets s to o's current content and makes it count its hits on
-// anchor's hit block. Both o and anchor must be interned: s takes o's state
-// handle, which is immutable, so nothing is copied. This is how a core node
-// forks its own state off the frozen one a whole state class shares.
-func (s *Set) Copy(o, anchor *Set) { s.in, s.h = anchor.in, o.h }
+// Copy sets s to o's current content and makes it count its hits on h's
+// block. o must be interned and h bound: s takes o's state handle, which is
+// immutable, so nothing is copied. This is how a core node forks its own
+// state off the frozen one a whole state class shares.
+func (s *Set) Copy(o *Set, h Hits) { s.in, s.h = h.b, o.h }
 
-// CountHits adds k hits to s's hit block: the Adds of a transition s's
-// owner took by adopting the state another owner reached with the same
-// Adds from the same state. Every one of those Adds would have hit the
-// transitions the other owner recorded, so the table's Hits stay what
-// performing them would have counted. s must be interned.
-func (s *Set) CountHits(k int64) {
-	if k != 0 {
-		s.in.hits.Add(k)
-	}
-}
+// CountsOn reports whether s counts its hits on h's block.
+func (s *Set) CountsOn(h Hits) bool { return s.in != nil && s.in == h.b }
 
 // resetInterned rebinds the empty root, recycling the set for the next
 // iteration window.

@@ -317,32 +317,32 @@ func TestInternHitsSumAcrossBlocks(t *testing.T) {
 	}
 }
 
-// TestBindAlongsideSharesTheHitBlock is the per-node contract: sets bound
-// alongside an anchor after every Bind is done — the way a keep-all core
-// node binds the window slots it grows from Step — count every hit on the
-// anchor's block and take no place on it, and a set bound alongside an
-// owned one stays owned.
-func TestBindAlongsideSharesTheHitBlock(t *testing.T) {
+// TestBindToSharesTheHitBlock is the per-node contract: sets bound to a
+// node's Hits after every place is taken — the way a keep-all core node
+// binds the window slots it grows from Step — count every hit on that
+// place's block and take no place of their own, and a set bound to the
+// zero Hits stays owned.
+func TestBindToSharesTheHitBlock(t *testing.T) {
 	in := NewInterner()
 	const nodes, perNode, adds = 3 * bindsPerHitBlock / 2, 4, 3
-	anchors := make([]Set, nodes)
-	for i := range anchors {
-		anchors[i].Bind(in)
+	hits := make([]Hits, nodes)
+	for i := range hits {
+		hits[i] = in.Hits()
 	}
 	blocks := 0
 	for b := in.cur.Load(); b != nil; b = b.prev {
 		blocks++
 	}
 	if blocks != 2 {
-		t.Fatalf("%d anchors opened %d hit blocks, want 2", nodes, blocks)
+		t.Fatalf("%d places opened %d hit blocks, want 2", nodes, blocks)
 	}
 	sets := make([][perNode]Set, nodes)
 	for i := range sets {
 		for k := range sets[i] {
 			s := &sets[i][k]
-			s.BindAlongside(&anchors[i])
-			if !s.CountsWith(&anchors[i]) || !s.Interned() {
-				t.Fatalf("node %d set %d does not count on its anchor's block", i, k)
+			s.BindTo(hits[i])
+			if !s.CountsOn(hits[i]) || !s.Interned() {
+				t.Fatalf("node %d set %d does not count on its node's block", i, k)
 			}
 			for a := types.NodeID(0); a < adds; a++ {
 				s.Add(a, proofFor(a))
@@ -350,19 +350,19 @@ func TestBindAlongsideSharesTheHitBlock(t *testing.T) {
 		}
 	}
 	if got := in.cur.Load().bound.Load(); got != nodes-bindsPerHitBlock {
-		t.Errorf("newest block holds %d places after BindAlongside, want %d (Bind calls only)", got, nodes-bindsPerHitBlock)
+		t.Errorf("newest block holds %d places after BindTo, want %d (Hits calls only)", got, nodes-bindsPerHitBlock)
 	}
-	if anchors[0].CountsWith(&anchors[nodes-1]) {
-		t.Errorf("first and last anchor share a block across %d Bind calls", nodes)
+	if hits[0] == hits[nodes-1] {
+		t.Errorf("first and last node share a block across %d places", nodes)
 	}
 	if st, want := in.Stats(), (InternStats{States: adds, Clones: adds, Hits: int64(nodes*perNode*adds - adds)}); st != want {
 		t.Errorf("stats = %+v, want %+v", st, want)
 	}
 
-	var owned, s Set
-	s.BindAlongside(&owned)
-	if s.Interned() || s.CountsWith(&owned) {
-		t.Errorf("a set bound alongside an owned set is interned")
+	var s Set
+	s.BindTo(Hits{})
+	if s.Interned() || s.CountsOn(Hits{}) {
+		t.Errorf("a set bound to the zero Hits is interned")
 	}
 }
 

@@ -100,12 +100,11 @@ func TestSetRefillAllocatesNothing(t *testing.T) {
 }
 
 // TestSetBindRefusals pins that interning stays a construction-time choice
-// for a two-word set: Bind and BindAlongside panic on a set that holds an
+// for a two-word set: Bind and BindTo panic on a set that holds an
 // attestation or is already bound.
 func TestSetBindRefusals(t *testing.T) {
 	in := NewInterner()
-	var anchor Set
-	anchor.Bind(in)
+	hits := in.Hits()
 	cases := map[string]func(){
 		"Bind non-empty": func() {
 			var s Set
@@ -117,15 +116,15 @@ func TestSetBindRefusals(t *testing.T) {
 			s.Bind(in)
 			s.Bind(in)
 		},
-		"BindAlongside non-empty": func() {
+		"BindTo non-empty": func() {
 			var s Set
 			s.Add(1, proofFor(1))
-			s.BindAlongside(&anchor)
+			s.BindTo(hits)
 		},
-		"BindAlongside bound": func() {
+		"BindTo bound": func() {
 			var s Set
-			s.BindAlongside(&anchor)
-			s.BindAlongside(&anchor)
+			s.BindTo(hits)
+			s.BindTo(hits)
 		},
 	}
 	for name, bind := range cases {

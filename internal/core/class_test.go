@@ -28,6 +28,12 @@ func privately(nodes []netsim.Node) []netsim.Node {
 	return out
 }
 
+// onOwn reports whether n reads its own state, its slot of the run's
+// own-state slab, and not a class's.
+func onOwn(n *Node) bool {
+	return n.class == nil && n.cfg.own != nil && n.st == &n.cfg.own[n.id]
+}
+
 // countingSuite counts the ticket Verify calls made through its verifiers.
 type countingSuite struct {
 	fmine.Suite
@@ -172,7 +178,7 @@ func TestStateClassLeaveKeepsFrozenState(t *testing.T) {
 		t.Fatal("a node leaving its class changed a frozen state")
 	}
 	lone := cores[loner]
-	if lone.class != nil || lone.st != &lone.own {
+	if !onOwn(lone) {
 		t.Fatal("a node handed a private inbox stayed in its class")
 	}
 	if got, want := lone.st.votes.held(1)[types.One].Count(), next.votes.held(1)[types.One].Count(); got != want-1 || want != n {
@@ -183,10 +189,11 @@ func TestStateClassLeaveKeepsFrozenState(t *testing.T) {
 			t.Errorf("node %d did not rebind to the class's successor", i)
 		}
 	}
-	for _, w := range []*window{&lone.own.votes, &lone.own.commits} {
-		for k := range w.slots {
-			for b := range w.slots[k].sets {
-				if !w.slots[k].sets[b].CountsWith(lone.first()) {
+	for _, w := range []*window{&lone.st.votes, &lone.st.commits} {
+		for k := range w.len() {
+			_, pair := w.at(k)
+			for b := range pair {
+				if !pair[b].CountsOn(lone.hits) {
 					t.Fatal("the loner's forked sets count their hits off its own block")
 				}
 			}
@@ -199,15 +206,16 @@ func TestStateClassLeaveKeepsFrozenState(t *testing.T) {
 func render(st *state) string {
 	var b strings.Builder
 	for _, w := range []*window{&st.votes, &st.commits} {
-		for _, s := range w.slots {
-			fmt.Fprintf(&b, "iter %d:", s.iter)
-			for k := range s.sets {
-				fmt.Fprintf(&b, " %v |", s.sets[k].Attestations())
+		for i := range w.len() {
+			iter, sets := w.at(i)
+			fmt.Fprintf(&b, "iter %d:", *iter)
+			for k := range sets {
+				fmt.Fprintf(&b, " %v |", sets[k].Attestations())
 			}
 		}
 		b.WriteString("\n")
 	}
-	fmt.Fprintf(&b, "certs %v\nproposals %d:", st.bestCert, st.propIter)
+	fmt.Fprintf(&b, "certs %v\nproposals %d:", st.bestCert, st.propIter())
 	for _, p := range st.proposals {
 		if p != nil {
 			fmt.Fprintf(&b, " %+v", *p)

@@ -88,9 +88,14 @@ type Config struct {
 	// adversary). An iteration-I vote or commit then arrives while the node
 	// executes iteration I or I+1, so once traffic for iteration I+2 has
 	// arrived, iteration I can receive nothing more and its sets are
-	// recycled: a node holds two iterations however many it runs. Without
-	// the fact the node keeps every iteration, exact under any schedule and
-	// adversary (DESIGN.md §6).
+	// recycled: a node holds two iterations however many it runs. The
+	// second is a margin no run reaches: under the fact all of iteration
+	// I's votes arrive in its commit round and all its commits in the next
+	// status round, and the node reads each set only in the round it
+	// fills, so no run would change if iteration I were recycled as soon
+	// as iteration I+1's traffic arrives. Without the fact the node keeps
+	// every iteration, exact under any schedule and adversary (DESIGN.md
+	// §6).
 	Lockstep bool
 	// Intern, when non-nil, is a per-run intern table shared by every node
 	// of the execution: all attestation sets bind to it, so nodes with
@@ -159,40 +164,81 @@ type iterSets struct {
 }
 
 // window is one collection's attestation sets (the votes or the commits),
-// keyed by iteration. slots starts on the two inline slots and grows only
-// when a new iteration finds none it may recycle (see Config.Lockstep).
+// keyed by iteration. It holds two inline slots, their iterations kept apart
+// from their sets so that no slot pads, until a new iteration finds none it
+// may recycle (see Config.Lockstep); then grown takes over every slot.
 type window struct {
-	slots  []iterSets
-	inline [2]iterSets
+	iters  [2]uint32
+	inline [2][2]attest.Set
+	grown  []iterSets
+}
+
+// len is the number of slots w holds.
+func (w *window) len() int {
+	if w.grown != nil {
+		return len(w.grown)
+	}
+	return len(w.inline)
+}
+
+// at returns slot i's iteration and sets.
+func (w *window) at(i int) (*uint32, *[2]attest.Set) {
+	if w.grown != nil {
+		return &w.grown[i].iter, &w.grown[i].sets
+	}
+	return &w.iters[i], &w.inline[i]
 }
 
 // held returns the sets w holds for iter, or nil: a lookup that, unlike
 // slot, never takes or grows a slot.
 func (w *window) held(iter uint32) *[2]attest.Set {
-	for i := range w.slots {
-		if w.slots[i].iter == iter {
-			return &w.slots[i].sets
+	for i := range w.len() {
+		if it, sets := w.at(i); *it == iter {
+			return sets
 		}
 	}
 	return nil
 }
 
-// proposal is a received, validated leader proposal. hash is the SHA-256 of
-// its ticket, which orders the proposals for one bit (proposalLess).
+// proposal is a received, validated leader proposal for iteration iter. hash
+// is the SHA-256 of its ticket, which orders the proposals for one bit
+// (proposalLess).
 type proposal struct {
 	leader types.NodeID
-	bit    types.Bit
+	iter   uint32
 	cert   attest.Certificate
 	elig   []byte
 	hash   [sha256.Size]byte
 }
 
-// shared is what every node of one run reads and none writes: the
-// validated Config and the suite's Verifier. NewNodes builds one per run,
-// so a node holds a pointer instead of a copy (DESIGN.md §6).
+// shared is what every node of one run reads: the validated Config, the
+// suite's Verifier and the own-state slab. NewNodes builds one per run, so a
+// node holds a pointer instead of a copy (DESIGN.md §6).
 type shared struct {
 	Config
 	verif fmine.Verifier
+	// own holds node id's own state at own[id], allocated for all N nodes
+	// the first time any node needs one: at construction when the nodes
+	// start without a class, else when the first node leaves its class.
+	// Only NewNodes's nodes use it; a node New builds carries its own.
+	own     []state
+	ownOnce sync.Once
+}
+
+// set validates cfg into sh.
+func (sh *shared) set(cfg Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	sh.Config, sh.verif = cfg, cfg.Suite.Verifier()
+	return nil
+}
+
+// ownState returns node id's slot of the own-state slab, allocating the
+// slab on first use; safe for concurrent use.
+func (sh *shared) ownState(id types.NodeID) *state {
+	sh.ownOnce.Do(func() { sh.own = make([]state, sh.N) })
+	return &sh.own[id]
 }
 
 // state is everything ingest writes: what a node has learnt from its
@@ -202,13 +248,31 @@ type state struct {
 	votes    window
 	commits  window
 
-	// Proposals for the current iteration, keyed by bit; among valid
+	// Proposals for one iteration (propIter), keyed by bit; among valid
 	// proposals for the same bit the lowest ticket hash wins, so all honest
 	// nodes that saw the same messages follow the same leader.
-	propIter  uint32
 	proposals [2]*proposal
 
 	terminate *TerminateMsg
+}
+
+// init makes a zero st the initial state: both windows on their inline
+// slots, every set bound to h.
+func (st *state) init(h attest.Hits) {
+	for _, w := range []*window{&st.votes, &st.commits} {
+		for i := range w.inline {
+			bindPair(&w.inline[i], h)
+		}
+	}
+}
+
+// bindPair binds both bit-slots of a per-iteration set pair to h: to the
+// run's intern table and a node's hit block, or not at all when the node
+// runs on owned sets.
+func bindPair(sets *[2]attest.Set, h attest.Hits) {
+	for i := range sets {
+		sets[i].BindTo(h)
+	}
 }
 
 // class is a state class: a frozen state that every node of the class reads
@@ -231,109 +295,85 @@ type class struct {
 	mu   sync.Mutex
 }
 
-// Node is one participant's state machine.
+// Node is one participant's state machine. It holds no state of its own
+// until it needs one: a node in a class reads the class's, and mines
+// through the run's suite, whose miners allocate nothing per call.
 type Node struct {
 	cfg *shared
-	// st is the state the node reads: own, or its class's frozen state.
+	// st is the state the node reads: its own, or its class's frozen state.
 	st    *state
 	class *class // nil once the node holds its own state
-	miner fmine.Miner
+	// hits is the node's place on Config.Intern's hit blocks: every set the
+	// node owns counts on it, the grown and forked ones bound lazily from
+	// Step, so all of its hits count on one block whichever shard steps it
+	// (DESIGN.md §6).
+	hits  attest.Hits
 	id    types.NodeID
 	input types.Bit
 
 	out     types.Bit
 	decided bool
 	halted  bool
-
-	// own's first inline vote set is bound to Config.Intern at
-	// construction; every other set binds alongside it, the grown and
-	// forked ones lazily from Step, so all of the node's hits count on one
-	// hit block whichever shard steps it (DESIGN.md §6).
-	own state
 }
 
-// share validates cfg and builds the value its nodes share.
-func share(cfg Config) (shared, error) {
-	if err := cfg.Validate(); err != nil {
-		return shared{}, err
-	}
-	return shared{Config: cfg, verif: cfg.Suite.Verifier()}, nil
-}
-
-// New constructs node id with the given input bit. The node and the shared
-// value it alone points at are one allocation, so a node built on its own
-// (core-broadcast builds them one at a time) costs no more allocations than
-// one built by NewNodes.
+// New constructs node id with the given input bit. The node, the shared
+// value it alone points at and its own state are one allocation: a node
+// built on its own (core-broadcast builds them one at a time) is in no
+// class, so it starts on the state it keeps and never takes a slab.
 func New(cfg Config, id types.NodeID, input types.Bit) (*Node, error) {
-	sh, err := share(cfg)
-	if err != nil {
-		return nil, err
-	}
 	solo := &struct {
 		node Node
 		cfg  shared
-	}{cfg: sh}
-	return solo.node.init(&solo.cfg, id, input)
+		own  state
+	}{}
+	if err := solo.cfg.set(cfg); err != nil {
+		return nil, err
+	}
+	if err := solo.node.init(&solo.cfg, id, input); err != nil {
+		return nil, err
+	}
+	solo.node.st = &solo.own
+	solo.own.init(solo.node.hits)
+	return &solo.node, nil
 }
 
-// init sets up a zero node on the run's shared value. The node binds its
-// first set to Config.Intern and every other set alongside it.
-func (n *Node) init(cfg *shared, id types.NodeID, input types.Bit) (*Node, error) {
+// init sets up a zero node on the run's shared value, taking its place on
+// Config.Intern's hit blocks. The caller points it at a state.
+func (n *Node) init(cfg *shared, id types.NodeID, input types.Bit) error {
 	if !input.Valid() {
-		return nil, fmt.Errorf("core: invalid input %v", input)
+		return fmt.Errorf("core: invalid input %v", input)
 	}
-	n.cfg, n.id, n.input, n.miner = cfg, id, input, cfg.Suite.Miner(id)
-	n.st = &n.own
-	n.first().Bind(cfg.Intern)
-	for _, w := range []*window{&n.own.votes, &n.own.commits} {
-		for i := range w.inline {
-			n.bindPair(&w.inline[i].sets)
-		}
-		w.slots = w.inline[:]
-	}
-	return n, nil
+	n.cfg, n.id, n.input, n.hits = cfg, id, input, cfg.Intern.Hits()
+	return nil
 }
 
-// first is the set init binds to Config.Intern. Growing the votes window
-// moves the live sets off the inline slots, and a node in a class reads
-// another state, but first keeps its hit block, which is all BindAlongside,
-// Copy and CountHits read.
-func (n *Node) first() *attest.Set { return &n.own.votes.inline[0].sets[0] }
-
-// bindPair binds both bit-slots of a per-iteration set pair (but first
-// itself) alongside the node's first set: to the run's intern table and the
-// node's hit block, or not at all when the node runs on owned sets.
-func (n *Node) bindPair(sets *[2]attest.Set) {
-	for i := range sets {
-		if s := &sets[i]; s != n.first() {
-			s.BindAlongside(n.first())
-		}
-	}
-}
-
-// NewNodes constructs all n state machines for one execution, on one
-// validated shared value. With Config.Intern set they start in one state
-// class, on a frozen copy of the initial state, which every node's own
-// initial state equals.
+// NewNodes constructs all n state machines for one execution, in one slab
+// on one validated shared value. With Config.Intern set they start in one
+// state class, on the initial state, and get their own state only when they
+// leave it; without, each starts on its slot of the own-state slab.
 func NewNodes(cfg Config, inputs []types.Bit) ([]netsim.Node, error) {
 	if len(inputs) != cfg.N {
 		return nil, fmt.Errorf("core: %d inputs for n=%d", len(inputs), cfg.N)
 	}
-	sh, err := share(cfg)
-	if err != nil {
+	sh := new(shared)
+	if err := sh.set(cfg); err != nil {
 		return nil, err
 	}
+	slab := make([]Node, cfg.N)
 	nodes := make([]netsim.Node, cfg.N)
 	var root *class
-	for i := range nodes {
-		n, err := new(Node).init(&sh, types.NodeID(i), inputs[i])
-		if err != nil {
+	for i := range slab {
+		n := &slab[i]
+		if err := n.init(sh, types.NodeID(i), inputs[i]); err != nil {
 			return nil, err
 		}
-		if cfg.Intern != nil {
+		if cfg.Intern == nil {
+			n.st = sh.ownState(n.id)
+			n.st.init(n.hits)
+		} else {
 			if root == nil {
 				root = new(class)
-				n.fork(&root.state, &n.own)
+				root.init(n.hits)
 			}
 			n.st, n.class = &root.state, root
 		}
@@ -344,34 +384,35 @@ func NewNodes(cfg Config, inputs []types.Bit) ([]netsim.Node, error) {
 
 // fork makes dst a copy of src that the node may write: the windows are
 // rebased onto dst's own slots, and every set counts its hits on the node's
-// block. Certificates, proposals and the terminate message are immutable
+// hit block. Certificates, proposals and the terminate message are immutable
 // once built, so they are shared, not copied.
 func (n *Node) fork(dst, src *state) {
-	dst.bestCert, dst.propIter, dst.proposals, dst.terminate = src.bestCert, src.propIter, src.proposals, src.terminate
+	dst.bestCert, dst.proposals, dst.terminate = src.bestCert, src.proposals, src.terminate
 	n.forkWindow(&dst.votes, &src.votes)
 	n.forkWindow(&dst.commits, &src.commits)
 }
 
 func (n *Node) forkWindow(dst, src *window) {
-	if len(src.slots) == len(src.inline) {
-		dst.slots = dst.inline[:]
-	} else {
-		dst.slots = make([]iterSets, len(src.slots))
+	if src.grown != nil {
+		dst.grown = make([]iterSets, len(src.grown))
 	}
-	for i := range src.slots {
-		d, s := &dst.slots[i], &src.slots[i]
-		d.iter = s.iter
-		for b := range d.sets {
-			d.sets[b].Copy(&s.sets[b], n.first())
+	for i := range src.len() {
+		dIter, dSets := dst.at(i)
+		sIter, sSets := src.at(i)
+		*dIter = *sIter
+		for b := range dSets {
+			dSets[b].Copy(&sSets[b], n.hits)
 		}
 	}
 }
 
 // leave takes the node out of its class onto its own copy of the class's
-// state, before the node ingests anything but a shared delivery.
+// state, in its slot of the run's own-state slab, before the node ingests
+// anything but a shared delivery.
 func (n *Node) leave() {
-	n.fork(&n.own, n.st)
-	n.st, n.class = &n.own, nil
+	own := n.cfg.ownState(n.id)
+	n.fork(own, n.st)
+	n.st, n.class = own, nil
 }
 
 // follow moves a class member along the round's shared delivery: to the
@@ -388,7 +429,7 @@ func (n *Node) follow(round int, delivered []netsim.Delivered) {
 	if next == nil || next.round != round {
 		next = n.successor(round, delivered)
 	} else {
-		n.first().CountHits(next.adds)
+		n.hits.Count(next.adds)
 	}
 	n.st, n.class = &next.state, next
 }
@@ -401,7 +442,7 @@ func (n *Node) successor(round int, delivered []netsim.Delivered) *class {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if next := c.next.Load(); next != nil && next.round == round {
-		n.first().CountHits(next.adds)
+		n.hits.Count(next.adds)
 		return next
 	}
 	next := &class{round: round}
@@ -449,6 +490,9 @@ func (n *Node) StepShared(round int, delivered []netsim.Delivered) []netsim.Send
 	return n.act(round)
 }
 
+// mine is the node's mining attempt, through the run's suite.
+func (n *Node) mine(tag fmine.Tag) ([]byte, bool) { return n.cfg.Suite.Miner(n.id).Mine(tag) }
+
 // act is the node's part of the round once its deliveries are ingested.
 func (n *Node) act(round int) []netsim.Send {
 	// Terminate step (⋆): output, conditionally relay, halt.
@@ -457,7 +501,7 @@ func (n *Node) act(round int) []netsim.Send {
 		n.out = msg.B
 		n.decided = true
 		n.halted = true
-		if proof, ok := n.miner.Mine(TerminateTag(msg.B)); ok {
+		if proof, ok := n.mine(TerminateTag(msg.B)); ok {
 			msg.Elig = proof
 			return []netsim.Send{netsim.Multicast(msg)}
 		}
@@ -529,30 +573,39 @@ func (n *Node) commitSet(iter uint32) *[2]attest.Set { return n.slot(&n.st.commi
 // without a slot takes a free one or, under Config.Lockstep, one whose
 // iteration is older than the one before iter — traffic for iter means
 // the node executes iteration iter or later, so that iteration can receive
-// nothing more. Only when no slot qualifies does the window grow: traffic
-// is always kept, never discarded. Certificates cut from a recycled slot
-// are unaffected: Attestations() copies or aliases immutable state.
+// nothing more. (Under the lockstep fact the one before iter is finished
+// too, so recycling at s.iter < iter would change no run; the second
+// inline slot that the rule takes is a margin, see Config.Lockstep.) Only
+// when no slot qualifies does the window grow: traffic is always kept,
+// never discarded. Certificates cut from a recycled slot are unaffected:
+// Attestations() copies or aliases immutable state.
 func (n *Node) slot(w *window, iter uint32) *[2]attest.Set {
 	free := -1
-	for i := range w.slots {
-		s := &w.slots[i]
-		if s.iter == iter {
-			return &s.sets
+	for i := range w.len() {
+		it, sets := w.at(i)
+		if *it == iter {
+			return sets
 		}
-		if free < 0 && (s.iter == 0 || n.cfg.Lockstep && s.iter+1 < iter) {
+		if free < 0 && (*it == 0 || n.cfg.Lockstep && *it+1 < iter) {
 			free = i
 		}
 	}
 	if free < 0 {
-		free = len(w.slots)
-		w.slots = append(w.slots, iterSets{})
-		n.bindPair(&w.slots[free].sets)
+		if w.grown == nil {
+			w.grown = make([]iterSets, len(w.inline), 2*len(w.inline))
+			for i := range w.inline {
+				w.grown[i] = iterSets{w.iters[i], w.inline[i]}
+			}
+		}
+		free = len(w.grown)
+		w.grown = append(w.grown, iterSets{})
+		bindPair(&w.grown[free].sets, n.hits)
 	}
-	s := &w.slots[free]
-	s.iter = iter
-	s.sets[0].Reset()
-	s.sets[1].Reset()
-	return &s.sets
+	it, sets := w.at(free)
+	*it = iter
+	sets[0].Reset()
+	sets[1].Reset()
+	return sets
 }
 
 // Screen returns core's netsim.Config.Screen over verifier v: the tickets
@@ -631,14 +684,24 @@ func (n *Node) ingestPropose(from types.NodeID, m ProposeMsg) {
 	if !n.absorbCert(m.Cert, m.B) {
 		return
 	}
-	if n.st.propIter != m.Iter {
-		n.st.propIter = m.Iter
+	if n.st.propIter() != m.Iter {
 		n.st.proposals = [2]*proposal{}
 	}
 	hash := sha256.Sum256(m.Elig)
 	if cur := n.st.proposals[m.B]; cur == nil || proposalLess(hash, cur) {
-		n.st.proposals[m.B] = &proposal{leader: from, bit: m.B, cert: m.Cert, elig: m.Elig, hash: hash}
+		n.st.proposals[m.B] = &proposal{leader: from, iter: m.Iter, cert: m.Cert, elig: m.Elig, hash: hash}
 	}
+}
+
+// propIter is the iteration of the proposals st holds, 0 while it holds
+// none: a proposal for another iteration clears them all.
+func (st *state) propIter() uint32 {
+	for _, p := range st.proposals {
+		if p != nil {
+			return p.iter
+		}
+	}
+	return 0
 }
 
 // proposalLess reports whether a proposal whose ticket hashes to hash
@@ -704,7 +767,7 @@ func (n *Node) bestBit() (types.Bit, attest.Certificate) {
 
 func (n *Node) statusRound(iter uint32) []netsim.Send {
 	b, cert := n.bestBit()
-	proof, ok := n.miner.Mine(StatusTag(iter, b))
+	proof, ok := n.mine(StatusTag(iter, b))
 	if !ok {
 		return nil
 	}
@@ -713,7 +776,7 @@ func (n *Node) statusRound(iter uint32) []netsim.Send {
 
 func (n *Node) proposeRound(iter uint32) []netsim.Send {
 	b, cert := n.bestBit()
-	proof, ok := n.miner.Mine(ProposeTag(iter, b))
+	proof, ok := n.mine(ProposeTag(iter, b))
 	if !ok {
 		return nil
 	}
@@ -726,7 +789,7 @@ func (n *Node) voteRound(iter uint32) []netsim.Send {
 	switch {
 	case iter == 1:
 		b = n.input
-	case n.st.propIter != iter:
+	case n.st.propIter() != iter:
 		return nil
 	case n.st.proposals[0] != nil && n.st.proposals[1] != nil:
 		return nil // proposals for both bits: abstain
@@ -740,7 +803,7 @@ func (n *Node) voteRound(iter uint32) []netsim.Send {
 	if iter > 1 && n.st.bestCert[b.Flip()].Rank() > just.cert.Rank() {
 		return nil
 	}
-	proof, ok := n.miner.Mine(VoteTag(iter, b))
+	proof, ok := n.mine(VoteTag(iter, b))
 	if !ok {
 		return nil
 	}
@@ -762,7 +825,7 @@ func (n *Node) commitRound(iter uint32) []netsim.Send {
 	}
 	for _, b := range []types.Bit{types.Zero, types.One} {
 		if set[b].Count() >= n.cfg.Threshold() && set[b.Flip()].Count() == 0 {
-			proof, ok := n.miner.Mine(CommitTag(iter, b))
+			proof, ok := n.mine(CommitTag(iter, b))
 			if !ok {
 				return nil
 			}

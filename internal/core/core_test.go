@@ -281,22 +281,57 @@ func TestConfigValidation(t *testing.T) {
 
 // TestNodeSize pins what a node costs, because at n = 10⁶ the nodes are
 // most of a run's memory: every node of a NewNodes run points at one shared
-// config and verifier, and on a 64-bit platform a node fits a 352-byte
-// allocation. A private Config copy, a per-node verifier, a set kept only
-// to hold the hit block, or a wider attest.Set each breaks the pin.
+// config, verifier and own-state slab, mines through the run's suite, and on
+// a 64-bit platform fits 64 bytes of the run's node slab. Its own state is
+// not part of it: the nodes of a passive run stay in their class to the end
+// and the run never allocates the slab, while a node handed a private inbox
+// leaves its class onto its slot of it. A private Config copy, a per-node
+// verifier or miner, an inline own state, or a set kept only to hold the
+// hit block each breaks the pin.
 func TestNodeSize(t *testing.T) {
-	nodes, err := NewNodes(idealConfig(4, 1, 4, 1), constInputs(4, types.One))
-	if err != nil {
-		t.Fatal(err)
+	const n, f, lambda = 20, 4, 10
+	run := func(private bool) []netsim.Node {
+		cfg := idealConfig(n, f, lambda, 1)
+		cfg.Lockstep, cfg.Intern = true, attest.NewInterner()
+		nodes, err := NewNodes(cfg, mixedInputs(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stepped := nodes
+		if private {
+			stepped = privately(nodes)
+		}
+		rt, err := netsim.NewRuntime(netsim.Config{N: n, F: f, MaxRounds: cfg.Rounds()}, stepped, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAll(t, rt.Run(), mixedInputs(n))
+		return nodes
 	}
-	if nodes[0].(*Node).cfg != nodes[3].(*Node).cfg {
+
+	passive := run(false)
+	if passive[0].(*Node).cfg != passive[n-1].(*Node).cfg {
 		t.Error("the nodes of one run hold distinct config values")
 	}
+	for i, nd := range passive {
+		if nd.(*Node).class == nil {
+			t.Fatalf("node %d of a passive run left its class", i)
+		}
+	}
+	if passive[0].(*Node).cfg.own != nil {
+		t.Error("a passive run allocated the own-state slab")
+	}
+	for i, nd := range run(true) {
+		if c := nd.(*Node); !onOwn(c) || len(c.cfg.own) != n {
+			t.Fatalf("node %d stepped on a private inbox is not on its slot of the own-state slab", i)
+		}
+	}
+
 	if unsafe.Sizeof(uintptr(0)) == 4 {
 		t.Skip("the size pin is for 64-bit layouts")
 	}
-	if got := unsafe.Sizeof(Node{}); got > 352 {
-		t.Errorf("core.Node is %d bytes, want at most 352", got)
+	if got := unsafe.Sizeof(Node{}); got > 64 {
+		t.Errorf("core.Node is %d bytes, want at most 64", got)
 	}
 }
 

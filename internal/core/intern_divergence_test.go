@@ -90,7 +90,7 @@ func TestInternHonestRunSharesHandles(t *testing.T) {
 func readOwn(t *testing.T, cores []*Node) {
 	t.Helper()
 	for i, c := range cores {
-		if c.class != nil || c.st != &c.own {
+		if !onOwn(c) {
 			t.Fatalf("node %d reads a class's state, not its own", i)
 		}
 	}

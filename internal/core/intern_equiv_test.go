@@ -187,27 +187,28 @@ func TestNodeCountsHitsOnOneBlock(t *testing.T) {
 			checkAll(t, rt.Run(), mixedInputs(n))
 
 			first, last := nodes[0].(*Node), nodes[n-1].(*Node)
-			if first.first().CountsWith(last.first()) {
+			if first.hits == last.hits {
 				t.Errorf("nodes 0 and %d count on one hit block", n-1)
 			}
 			grown := 0
 			for i, nd := range nodes {
 				c := nd.(*Node)
-				if c.st != &c.own {
+				if !onOwn(c) {
 					t.Fatalf("node %d never left its class", i)
 				}
 				var sets []*attest.Set
-				for _, w := range []*window{&c.own.votes, &c.own.commits} {
-					grown += len(w.slots) - len(w.inline)
-					for k := range w.slots {
-						sets = append(sets, &w.slots[k].sets[0], &w.slots[k].sets[1])
+				for _, w := range []*window{&c.st.votes, &c.st.commits} {
+					grown += w.len() - len(w.inline)
+					for k := range w.len() {
+						_, pair := w.at(k)
+						sets = append(sets, &pair[0], &pair[1])
 					}
 				}
 				for k, s := range sets {
 					if !s.Interned() {
 						t.Fatalf("node %d: set %d is not bound to the run's table", i, k)
 					}
-					if !s.CountsWith(c.first()) {
+					if !s.CountsOn(c.hits) {
 						t.Fatalf("node %d: set %d counts its hits off the node's block", i, k)
 					}
 				}

@@ -43,7 +43,7 @@ func TestLockstepWindowStaysInline(t *testing.T) {
 		most := 0
 		for _, nd := range nodes {
 			c := nd.(*Node)
-			most = max(most, len(c.st.votes.slots), len(c.st.commits.slots))
+			most = max(most, c.st.votes.len(), c.st.commits.len())
 		}
 		return most
 	}
@@ -112,8 +112,8 @@ func TestWindowSetRotation(t *testing.T) {
 			if allocs := testing.AllocsPerRun(1, hundred); allocs != 0 {
 				t.Errorf("interned=%v: %v allocations over 100 lockstep iterations, want 0", in != nil, allocs)
 			}
-			if len(nd.st.votes.slots) != 2 || len(nd.st.commits.slots) != 2 {
-				t.Errorf("interned=%v: window grew to %d vote / %d commit slots", in != nil, len(nd.st.votes.slots), len(nd.st.commits.slots))
+			if nd.st.votes.len() != 2 || nd.st.commits.len() != 2 {
+				t.Errorf("interned=%v: window grew to %d vote / %d commit slots", in != nil, nd.st.votes.len(), nd.st.commits.len())
 			}
 		}
 	})
@@ -129,8 +129,8 @@ func TestWindowSetRotation(t *testing.T) {
 				t.Fatalf("iteration %d lost or mixed its votes: %v", iter, s)
 			}
 		}
-		if len(nd.st.votes.slots) != 100 {
-			t.Errorf("keep-all window holds %d slots for 100 iterations", len(nd.st.votes.slots))
+		if nd.st.votes.len() != 100 {
+			t.Errorf("keep-all window holds %d slots for 100 iterations", nd.st.votes.len())
 		}
 	})
 

@@ -159,7 +159,22 @@ type Ideal struct {
 	// evaluations of a round run in parallel across engine shards. The
 	// hidden key never leaves them.
 	evals [evalStripes]coinEval
+
+	// miners is the directory of the Miner values Miner hands out, one
+	// chunk per minerChunkLen consecutive ids, each allocated on the first
+	// request for one of its ids: a Miner is a pointer into its chunk, so
+	// handing one out allocates nothing. Chunks are write-once; minersMu
+	// serialises adding one, and growing the directory replaces it.
+	miners   atomic.Pointer[[]atomic.Pointer[minerChunk]]
+	minersMu sync.Mutex
 }
+
+// minerChunkLen is how many consecutive ids share one allocation of
+// miners: a node's miner then costs what a boxed one did, without an
+// allocation per call.
+const minerChunkLen = 64
+
+type minerChunk [minerChunkLen]idealMiner
 
 // ticketEntry is one successful Coin[m, i] cell of Figure 1: the attempt it
 // belongs to and the ticket handed out for it, in one object so a success
@@ -320,8 +335,8 @@ type idealMiner struct {
 	id types.NodeID
 }
 
-func (m idealMiner) Mine(tag Tag) ([]byte, bool) { return m.f.mine(tag, m.id) }
-func (m idealMiner) ID() types.NodeID            { return m.id }
+func (m *idealMiner) Mine(tag Tag) ([]byte, bool) { return m.f.mine(tag, m.id) }
+func (m *idealMiner) ID() types.NodeID            { return m.id }
 
 type idealVerifier struct{ f *Ideal }
 
@@ -329,8 +344,46 @@ func (v idealVerifier) Verify(tag Tag, id types.NodeID, proof []byte) bool {
 	return v.f.verify(tag, id, proof)
 }
 
-// Miner returns node id's mining capability.
-func (f *Ideal) Miner(id types.NodeID) Miner { return idealMiner{f: f, id: id} }
+// Miner returns node id's mining capability, id ≥ 0. It allocates nothing
+// once id's chunk exists, and is safe for concurrent use.
+func (f *Ideal) Miner(id types.NodeID) Miner {
+	c, i := int(id)/minerChunkLen, int(id)%minerChunkLen
+	if dir := f.miners.Load(); dir != nil && c < len(*dir) {
+		if chunk := (*dir)[c].Load(); chunk != nil {
+			return &chunk[i]
+		}
+	}
+	return &f.chunk(c)[i]
+}
+
+// chunk returns chunk c of the miners, adding it (and growing the
+// directory to hold it) unless another caller got here first.
+func (f *Ideal) chunk(c int) *minerChunk {
+	f.minersMu.Lock()
+	defer f.minersMu.Unlock()
+	dir := f.miners.Load()
+	if dir == nil || c >= len(*dir) {
+		var old []atomic.Pointer[minerChunk]
+		if dir != nil {
+			old = *dir
+		}
+		grown := make([]atomic.Pointer[minerChunk], max(c+1, 2*len(old)))
+		for k := range old {
+			grown[k].Store(old[k].Load())
+		}
+		dir = &grown
+		f.miners.Store(dir)
+	}
+	chunk := (*dir)[c].Load()
+	if chunk == nil {
+		chunk = new(minerChunk)
+		for k := range chunk {
+			chunk[k] = idealMiner{f: f, id: types.NodeID(c*minerChunkLen + k)}
+		}
+		(*dir)[c].Store(chunk)
+	}
+	return chunk
+}
 
 // Verifier returns the public verification interface.
 func (f *Ideal) Verifier() Verifier { return idealVerifier{f: f} }

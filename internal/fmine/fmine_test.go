@@ -2,6 +2,7 @@ package fmine
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"ccba/internal/crypto/pki"
@@ -254,5 +255,51 @@ func TestRealVerifierCache(t *testing.T) {
 	}
 	if v.Verify(tag(1, 1, types.Zero), 2, bad) {
 		t.Fatal("cached rejection flipped")
+	}
+}
+
+// TestMinerAllocatesNothing pins how a suite hands out miners: each id's
+// miner is built once, Real's with the suite and Ideal's with the first
+// request for an id of its chunk, so building a node, starting an ABA
+// instance or mining through Suite.Miner allocates nothing. One id gets one
+// miner however its first requests race.
+func TestMinerAllocatesNothing(t *testing.T) {
+	const n, workers = 3*minerChunkLen + 5, 4
+	for name, s := range suites(t, n, 0.5) {
+		t.Run(name, func(t *testing.T) {
+			got := make([][]Miner, workers)
+			var wg sync.WaitGroup
+			for w := range got {
+				got[w] = make([]Miner, n)
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := range n {
+						id := (i*(w+1) + w*minerChunkLen) % n // a different order per worker
+						got[w][id] = s.Miner(types.NodeID(id))
+					}
+				}()
+			}
+			wg.Wait()
+			for id := range n {
+				m := got[0][id]
+				if m.ID() != types.NodeID(id) {
+					t.Fatalf("Miner(%d).ID() = %d", id, m.ID())
+				}
+				for w := 1; w < workers; w++ {
+					if got[w][id] != m {
+						t.Fatalf("Miner(%d) handed out two miners", id)
+					}
+				}
+			}
+			allocs := testing.AllocsPerRun(10, func() {
+				for id := range n {
+					s.Miner(types.NodeID(id))
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%v allocations handing out %d miners, want 0", allocs, n)
+			}
+		})
 	}
 }

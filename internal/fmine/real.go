@@ -21,6 +21,9 @@ type Real struct {
 	pub  *pki.Public
 	sks  []sig.PrivateKey
 	prob ProbFunc
+	// miners are the Miner values Miner hands out, one per key, built
+	// once so that handing one out allocates nothing.
+	miners []realMiner
 
 	// Verification is deterministic, so the simulator memoises results:
 	// in a real deployment each of the n nodes verifies a multicast once;
@@ -92,14 +95,19 @@ func NewReal(pub *pki.Public, secrets []pki.Secret, prob ProbFunc) *Real {
 	for i, s := range secrets {
 		sks[i] = s.VrfSK
 	}
-	return &Real{
+	r := &Real{
 		pub:    pub,
 		sks:    sks,
 		prob:   prob,
+		miners: make([]realMiner, len(sks)),
 		cache:  make(map[verifyKey]verifyEntry),
 		bad:    make(map[badProofKey]struct{}),
 		byIter: make(map[uint32][]verifyKey),
 	}
+	for i := range r.miners {
+		r.miners[i] = realMiner{r: r, id: types.NodeID(i)}
+	}
+	return r
 }
 
 // CacheLen reports the current number of positive verify-cache entries;
@@ -142,13 +150,12 @@ func (r *Real) noteInsertLocked(key verifyKey) {
 type realMiner struct {
 	r  *Real
 	id types.NodeID
-	sk sig.PrivateKey
 }
 
-func (m realMiner) Mine(tag Tag) ([]byte, bool) {
+func (m *realMiner) Mine(tag Tag) ([]byte, bool) {
 	scratch := wire.GetScratch()
 	tagBytes := tag.AppendEncode((*scratch)[:0])
-	out, proof := vrf.Eval(m.sk, tagBytes)
+	out, proof := vrf.Eval(m.r.sks[m.id], tagBytes)
 	*scratch = tagBytes[:0]
 	wire.PutScratch(scratch)
 	if !out.Below(m.r.prob(tag)) {
@@ -157,7 +164,7 @@ func (m realMiner) Mine(tag Tag) ([]byte, bool) {
 	return proof, true
 }
 
-func (m realMiner) ID() types.NodeID { return m.id }
+func (m *realMiner) ID() types.NodeID { return m.id }
 
 type realVerifier struct{ r *Real }
 
@@ -247,10 +254,8 @@ func (r *Real) MineBatch(tag Tag, ids []types.NodeID) ([][]byte, []bool) {
 }
 
 // Miner returns node id's mining capability (its VRF secret key bound to the
-// difficulty schedule).
-func (r *Real) Miner(id types.NodeID) Miner {
-	return realMiner{r: r, id: id, sk: r.sks[id]}
-}
+// difficulty schedule), without allocating.
+func (r *Real) Miner(id types.NodeID) Miner { return &r.miners[id] }
 
 // Verifier returns the public verification interface.
 func (r *Real) Verifier() Verifier { return realVerifier{r: r} }

@@ -131,8 +131,9 @@ func New(cfg Config, id types.NodeID, input types.Bit) (*Node, error) {
 		n.miner = cfg.Suite.Miner(id)
 		n.verif = cfg.Suite.Verifier()
 	}
-	n.acks[0].Bind(cfg.Intern)
-	n.acks[1].BindAlongside(&n.acks[0])
+	hits := cfg.Intern.Hits()
+	n.acks[0].BindTo(hits)
+	n.acks[1].BindTo(hits)
 	return n, nil
 }
 
