@@ -1,8 +1,6 @@
 package aba
 
 import (
-	"sync"
-
 	"ccba/internal/crypto/prf"
 	"ccba/internal/fmine"
 	"ccba/internal/types"
@@ -22,9 +20,7 @@ const coinDomainLabel = "aba/coin"
 //
 // Safe for concurrent use; one source serves every node of a run.
 type CoinSource struct {
-	mu      sync.Mutex
-	st      *prf.State
-	scratch []byte
+	st prf.State
 }
 
 // NewCoinSource builds the coin table for one run seed.
@@ -34,10 +30,8 @@ func NewCoinSource(seed [32]byte) *CoinSource {
 
 // Value returns the coin bit for one (instance, round) tag.
 func (s *CoinSource) Value(tag fmine.Tag) types.Bit {
-	s.mu.Lock()
-	s.scratch = tag.AppendEncode(s.scratch[:0])
-	out := s.st.Eval(s.scratch)
-	s.mu.Unlock()
+	var buf [64]byte
+	out := s.st.Eval(tag.AppendEncode(buf[:0]))
 	return types.Bit(out[0] & 1)
 }
 

@@ -137,7 +137,7 @@ type Node struct {
 	miner  fmine.Miner
 	verif  fmine.Verifier
 	signer *EphemeralSigner
-	coins  prf.Key
+	coins  prf.State
 
 	belief  types.Bit
 	sticky  bool
@@ -164,7 +164,7 @@ func New(cfg Config, id types.NodeID, input types.Bit, secret pki.Secret) (*Node
 		miner:  cfg.Suite.Miner(id),
 		verif:  cfg.Suite.Verifier(),
 		signer: signer,
-		coins:  prf.DeriveKey(secret.PRFKey, "chenmicali/coin"),
+		coins:  prf.NewState(prf.DeriveKey(secret.PRFKey, "chenmicali/coin")),
 		belief: input,
 		sticky: true,
 	}
@@ -226,7 +226,8 @@ func (n *Node) Step(round int, delivered []netsim.Delivered) []netsim.Send {
 }
 
 func (n *Node) propose(epoch uint32) []netsim.Send {
-	coinOut := prf.Eval(n.coins, ProposeTicketTag(epoch).Encode())
+	var buf [64]byte
+	coinOut := n.coins.Eval(ProposeTicketTag(epoch).AppendEncode(buf[:0]))
 	coin := types.BitFromBool(coinOut.Below(0.5))
 	proof, ok := n.miner.Mine(ProposeTicketTag(epoch))
 	if !ok {

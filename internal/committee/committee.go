@@ -43,13 +43,13 @@ func (c Config) Rounds() int { return 3 }
 // twice). The selection is public — that publicness is exactly what the
 // adaptive attack exploits.
 func (c Config) Members() []types.NodeID {
-	key := prf.DeriveKey(prf.Key(c.CRS), "committee/crs")
+	st := prf.NewState(prf.DeriveKey(prf.Key(c.CRS), "committee/crs"))
 	members := make([]types.NodeID, 0, c.CommitteeSize)
 	seen := map[types.NodeID]struct{}{c.Sender: {}}
 	for ctr := uint32(0); len(members) < c.CommitteeSize; ctr++ {
 		var w wire.Writer
 		w.U32(ctr)
-		id := types.NodeID(prf.Eval(key, w.Buf).Uint64() % uint64(c.N))
+		id := types.NodeID(st.Eval(w.Buf).Uint64() % uint64(c.N))
 		if _, dup := seen[id]; dup {
 			continue
 		}

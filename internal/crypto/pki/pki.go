@@ -49,7 +49,7 @@ func Setup(n int, seed [32]byte) (*Public, []Secret) {
 	if n <= 0 {
 		panic(fmt.Sprintf("pki: invalid node count %d", n))
 	}
-	master := prf.Key(seed)
+	master := prf.NewState(prf.Key(seed))
 	pub := &Public{
 		sigPKs:   make([]sig.PublicKey, n),
 		vrfPKs:   make([]sig.PublicKey, n),
@@ -59,10 +59,10 @@ func Setup(n int, seed [32]byte) (*Public, []Secret) {
 	derive := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			label := fmt.Sprintf("node/%d", i)
-			sigSeed := prf.Eval(master, []byte("sig/"+label))
-			vrfSeed := prf.Eval(master, []byte("vrf/"+label))
-			prfKey := prf.Key(prf.Eval(master, []byte("prf/"+label)))
-			openSeed := prf.Eval(master, []byte("open/"+label))
+			sigSeed := master.Eval([]byte("sig/" + label))
+			vrfSeed := master.Eval([]byte("vrf/" + label))
+			prfKey := prf.Key(master.Eval([]byte("prf/" + label)))
+			openSeed := master.Eval([]byte("open/" + label))
 
 			_, sigSK := sig.KeyFromSeed([32]byte(sigSeed))
 			_, vrfSK := sig.KeyFromSeed([32]byte(vrfSeed))

@@ -1,11 +1,8 @@
 package prf
 
 import (
-	"crypto/hmac"
-	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"hash"
 	"io"
 	"math"
 )
@@ -39,39 +36,64 @@ func DeriveKey(master Key, label string) Key {
 // Output is a PRF evaluation result.
 type Output [OutputSize]byte
 
-// Eval computes PRF_k(msg) = HMAC-SHA256(k, msg).
+// Eval computes PRF_k(msg) = HMAC-SHA256(k, msg). It hashes the key into
+// both pads on every call; a caller evaluating one key more than once keeps
+// its State instead.
 func Eval(k Key, msg []byte) Output {
-	mac := hmac.New(sha256.New, k[:])
-	mac.Write(msg)
-	var out Output
-	mac.Sum(out[:0])
-	return out
+	s := NewState(k)
+	return s.Eval(msg)
 }
 
-// State is a reusable evaluation state for one key. Constructing an HMAC
-// hashes the key into both pads; profiles of large simulations show that
-// setup dominating Eval, so hot paths keep one State per key and Reset it
-// between evaluations. Not safe for concurrent use — callers serialise
-// access (fmine.Ideal keeps a stripe of States, each behind its own lock).
+// State is one key's HMAC-SHA256 evaluator: the SHA-256 chaining values
+// after compressing the block k⊕ipad (inner) and the block k⊕opad (outer).
+// Every HMAC of k starts from those two blocks, so keeping their midstates
+// leaves an evaluation only the message's own blocks and the outer hash of
+// the 32-byte inner digest: two compressions for a message of at most 55
+// bytes. A State is an immutable value, safe for concurrent use and free to
+// copy.
 type State struct {
-	mac hash.Hash
-	// sum receives the digest: hash.Hash.Sum is an interface call, so a
-	// local destination escapes and costs one heap allocation per Eval.
-	sum Output
+	inner, outer [8]uint32
 }
 
-// NewState returns a reusable evaluator for k.
-func NewState(k Key) *State {
-	return &State{mac: hmac.New(sha256.New, k[:])}
+// iv is SHA-256's initial hash value (FIPS 180-4 §5.3.3).
+var iv = [8]uint32{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19}
+
+// NewState returns the evaluator for k.
+func NewState(k Key) State {
+	// A key shorter than SHA-256's 64-byte block is zero-padded (RFC 2104).
+	var pad [64]byte
+	copy(pad[:], k[:])
+	for i := range pad {
+		pad[i] ^= 0x36
+	}
+	s := State{inner: iv, outer: iv}
+	block(&s.inner, pad[:])
+	for i := range pad {
+		pad[i] ^= 0x36 ^ 0x5c
+	}
+	block(&s.outer, pad[:])
+	return s
 }
 
-// Eval computes PRF_k(msg), reusing the keyed HMAC state. The result is
-// identical to the package-level Eval.
-func (s *State) Eval(msg []byte) Output {
-	s.mac.Reset()
-	s.mac.Write(msg)
-	s.mac.Sum(s.sum[:0])
-	return s.sum
+// Eval computes PRF_k(msg) for the State's key; it allocates nothing.
+func (s *State) Eval(msg []byte) (out Output) {
+	h := s.inner
+	whole := len(msg) &^ 63
+	if whole > 0 {
+		block(&h, msg[:whole])
+	}
+	// The inner hash's last one or two blocks: the message's tail, the 0x80
+	// marker, zeros, and the bit length of k⊕ipad ‖ msg.
+	var tail [128]byte
+	n := copy(tail[:], msg[whole:])
+	tail[n] = 0x80
+	end := 64
+	if n >= 56 {
+		end = 128
+	}
+	binary.BigEndian.PutUint64(tail[end-8:end], uint64(64+len(msg))<<3)
+	finish(&h, &s.outer, tail[:end], &out)
+	return out
 }
 
 // Uint64 interprets the first eight bytes of the output as a big-endian

@@ -1,8 +1,11 @@
 package prf
 
 import (
+	"crypto/hmac"
 	"crypto/rand"
+	"crypto/sha256"
 	"math"
+	mrand "math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -142,4 +145,99 @@ func TestStateEvalMatchesEvalWithoutAllocating(t *testing.T) {
 	if avg := testing.AllocsPerRun(100, func() { s.Eval(msg) }); avg != 0 {
 		t.Errorf("State.Eval allocates %.1f times per call, want 0", avg)
 	}
+}
+
+// hmacSHA256 is the reference PRF, computed by the standard library.
+func hmacSHA256(k Key, msg []byte) Output {
+	mac := hmac.New(sha256.New, k[:])
+	mac.Write(msg)
+	var out Output
+	mac.Sum(out[:0])
+	return out
+}
+
+// compressions runs f once per SHA-256 compression this host can execute:
+// the generic one always, and the SHA-extensions kernel where the CPU has
+// it. It switches the package's selection, so its callers do not run in
+// parallel.
+func compressions(f func(name string)) {
+	kernel := useSHANI
+	defer func() { useSHANI = kernel }()
+	useSHANI = false
+	f("generic")
+	if kernel {
+		useSHANI = true
+		f("sha-ni")
+	}
+}
+
+// TestEvalMatchesCryptoHMAC checks the midstate evaluator against
+// crypto/hmac on every message length from 0 to 300 bytes, which crosses
+// each padding edge: 55/56 (the inner hash's last block overflows into a
+// second one), 64 (a whole message block), 119/120 and beyond.
+func TestEvalMatchesCryptoHMAC(t *testing.T) {
+	rng := mrand.New(mrand.NewSource(1))
+	compressions(func(name string) {
+		for trial := 0; trial < 4; trial++ {
+			var k Key
+			rng.Read(k[:])
+			s := NewState(k)
+			for n := 0; n <= 300; n++ {
+				msg := make([]byte, n)
+				rng.Read(msg)
+				want := hmacSHA256(k, msg)
+				if got := s.Eval(msg); got != want {
+					t.Fatalf("%s: State.Eval of a %d-byte message = %x, crypto/hmac says %x", name, n, got, want)
+				}
+				if got := Eval(k, msg); got != want {
+					t.Fatalf("%s: Eval of a %d-byte message = %x, crypto/hmac says %x", name, n, got, want)
+				}
+			}
+		}
+	})
+}
+
+// FuzzEvalMatchesHMAC compares the evaluator with crypto/hmac on arbitrary
+// keys and messages, under every compression the host runs. A key shorter
+// than KeySize is zero-extended, a longer one truncated.
+func FuzzEvalMatchesHMAC(f *testing.F) {
+	f.Add([]byte("key"), []byte("tag"))
+	f.Fuzz(func(t *testing.T, key, msg []byte) {
+		var k Key
+		copy(k[:], key)
+		want := hmacSHA256(k, msg)
+		compressions(func(name string) {
+			if got := Eval(k, msg); got != want {
+				t.Fatalf("%s: Eval(%x, %x) = %x, crypto/hmac says %x", name, k, msg, got, want)
+			}
+		})
+	})
+}
+
+// BenchmarkEval times one evaluation of an 18-byte message (the length of
+// an fmine coin input, NodeID ‖ Tag with a four-byte domain) by the
+// midstate evaluator under each compression, and by a reused crypto/hmac
+// object, which is what the evaluator replaced.
+func BenchmarkEval(b *testing.B) {
+	k := Key{1}
+	msg := make([]byte, 18)
+	compressions(func(name string) {
+		b.Run(name, func(b *testing.B) {
+			s := NewState(k)
+			b.ReportAllocs()
+			for b.Loop() {
+				s.Eval(msg)
+			}
+		})
+	})
+	b.Run("crypto-hmac", func(b *testing.B) {
+		mac := hmac.New(sha256.New, k[:])
+		var out Output
+		b.ReportAllocs()
+		for b.Loop() {
+			mac.Reset()
+			mac.Write(msg)
+			mac.Sum(out[:0])
+		}
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -240,6 +241,15 @@ func TestE12Shape(t *testing.T) {
 		if r.Delta == 1 && r.SafetyViol != 0 {
 			t.Errorf("%s Δ=%d rate=%.2f: %d safety violations", r.Net, r.Delta, r.OmissionRate, r.SafetyViol)
 		}
+	}
+	// The n=10 partition row runs cmd/ba's seeds and reports the ones that
+	// broke safety; TestE12PartitionBreaksConsistency's seed is among them.
+	small := slices.IndexFunc(res.Rows, func(r E12Row) bool { return strings.Contains(r.Setting, "n=10") })
+	if small < 0 {
+		t.Fatal("no n=10 partition row")
+	}
+	if r := res.Rows[small]; r.SafetyViol == 0 || r.SafetyViol != len(r.BrokenSeeds) || !slices.Contains(r.BrokenSeeds, 1131) {
+		t.Errorf("n=10 partition row: %d safety violations at seeds %v, want seed 1131 among them", r.SafetyViol, r.BrokenSeeds)
 	}
 	control := res.Rows[0]
 	if control.Net != "delta-one" || control.TerminationRate != 1 {

@@ -1,6 +1,8 @@
 package fmine
 
 import (
+	"crypto/hmac"
+	"crypto/sha256"
 	"testing"
 
 	"ccba/internal/crypto/prf"
@@ -12,27 +14,52 @@ import (
 // Ideal is tested against: Coin[m, i] is the PRF of the hidden key on
 // NodeID ‖ tag, recomputed from scratch on every call, and the mined(m, i)
 // flag remembers every attempt — failures too, which Ideal's table drops.
+// It shares no coin code with Ideal: the key, the input encoding and the
+// PRF are computed here, the PRF by crypto/hmac.
 type figure1 struct {
-	key   prf.Key
+	key   []byte
 	prob  ProbFunc
 	mined map[string]bool
 }
 
 func newFigure1(seed [32]byte, prob ProbFunc) *figure1 {
-	return &figure1{key: prf.DeriveKey(prf.Key(seed), "fmine/ideal"), prob: prob, mined: make(map[string]bool)}
+	return &figure1{key: hiddenKey(seed), prob: prob, mined: make(map[string]bool)}
 }
 
-// cell encodes the coin input of Coin[m, i]: NodeID ‖ tag.
+// hmacSHA256 is the PRF of the paper's Appendix D.4, from the standard
+// library.
+func hmacSHA256(key, msg []byte) prf.Output {
+	mac := hmac.New(sha256.New, key)
+	mac.Write(msg)
+	var out prf.Output
+	mac.Sum(out[:0])
+	return out
+}
+
+// hiddenKey is the coin key NewIdeal derives from seed: the PRF of the seed
+// on the label "derive:fmine/ideal".
+func hiddenKey(seed [32]byte) []byte {
+	k := hmacSHA256(seed[:], []byte("derive:fmine/ideal"))
+	return k[:]
+}
+
+// cell encodes the coin input of Coin[m, i]: NodeID ‖ tag, the tag as its
+// length-prefixed domain, type, iteration and bit.
 func cell(tag Tag, id types.NodeID) []byte {
 	w := wire.Writer{}
 	w.NodeID(id)
-	return tag.AppendEncode(w.Buf)
+	w.U32(uint32(len(tag.Domain)))
+	w.Buf = append(w.Buf, tag.Domain...)
+	w.U8(tag.Type)
+	w.U32(tag.Iter)
+	w.Bit(tag.Bit)
+	return w.Buf
 }
 
 func (m *figure1) mine(tag Tag, id types.NodeID) ([]byte, bool) {
 	in := cell(tag, id)
 	m.mined[string(in)] = true
-	coin := prf.Eval(m.key, in)
+	coin := hmacSHA256(m.key, in)
 	if !coin.Below(m.prob(tag)) {
 		return nil, false
 	}
@@ -44,7 +71,7 @@ func (m *figure1) verify(tag Tag, id types.NodeID, proof []byte) bool {
 	if !m.mined[string(in)] {
 		return false
 	}
-	coin := prf.Eval(m.key, in)
+	coin := hmacSHA256(m.key, in)
 	return coin.Below(m.prob(tag)) && string(proof) == string(coin[:])
 }
 
@@ -89,7 +116,7 @@ func TestIdealMatchesFigure1(t *testing.T) {
 		for _, tag := range tags {
 			// Secrecy: before node id mines tag, verify answers false even
 			// for the ticket the attempt is about to produce.
-			coin := prf.Eval(model.key, cell(tag, id))
+			coin := hmacSHA256(model.key, cell(tag, id))
 			if v.Verify(tag, id, coin[:]) || model.verify(tag, id, coin[:]) {
 				t.Fatalf("Verify(%v, %d) answered true before mine was called", tag, id)
 			}

@@ -8,7 +8,6 @@ import (
 
 	"ccba/internal/crypto/prf"
 	"ccba/internal/types"
-	"ccba/internal/wire"
 )
 
 // CommitteeProb is the per-node success probability for committee messages:
@@ -50,16 +49,18 @@ func (t Tag) Encode() []byte {
 	return t.AppendEncode(make([]byte, 0, len(t.Domain)+10))
 }
 
-// AppendEncode appends the canonical byte encoding of the tag to dst, so hot
-// paths can reuse a scratch buffer instead of allocating per evaluation.
+// AppendEncode appends the canonical byte encoding of the tag to dst (the
+// wire package's U32 length, the domain, U8 type, U32 iteration, Bit), so
+// hot paths can encode into a reused or stack buffer instead of allocating
+// per evaluation. It appends to the slice itself rather than through a
+// wire.Writer: a store through the Writer's pointer would move a caller's
+// stack buffer to the heap.
 func (t Tag) AppendEncode(dst []byte) []byte {
-	w := wire.Writer{Buf: dst}
-	w.U32(uint32(len(t.Domain)))
-	w.Buf = append(w.Buf, t.Domain...)
-	w.U8(t.Type)
-	w.U32(t.Iter)
-	w.Bit(t.Bit)
-	return w.Buf
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(t.Domain)))
+	dst = append(dst, t.Domain...)
+	dst = append(dst, t.Type)
+	dst = binary.BigEndian.AppendUint32(dst, t.Iter)
+	return append(dst, byte(t.Bit))
 }
 
 // tagKey is the comparable form of a Tag, used as a map key on the hot
@@ -155,10 +156,8 @@ type Ideal struct {
 	// storeMu serialises the writers: first successes, O(committee) a round.
 	storeMu sync.Mutex
 
-	// evals are the coin evaluators, striped by id block so that the n
-	// evaluations of a round run in parallel across engine shards. The
-	// hidden key never leaves them.
-	evals [evalStripes]coinEval
+	// hidden is the trusted party's coin source; it never leaves f.
+	hidden prf.State
 
 	// miners is the directory of the Miner values Miner hands out, one
 	// chunk per minerChunkLen consecutive ids, each allocated on the first
@@ -219,35 +218,10 @@ func (t *ticketTable) insert(e *ticketEntry) {
 	t.used++
 }
 
-// coinEval is one stripe's coin evaluator: the keyed PRF state and the
-// coin-input encoding buffer, both reused across evaluations (heap profiles
-// of large runs were dominated by per-call HMAC construction and tag
-// encoding), behind a lock of its own. Node id evaluates on stripe
-// id/evalBlock mod evalStripes: an engine shard is a contiguous id range
-// stepped in order, so it stays on one stripe for evalBlock nodes and meets
-// another shard there only when the two are a multiple of
-// evalBlock·evalStripes ids apart — and then only for the ~200 ns of an
-// evaluation. The padding keeps any two stripes off one cache line.
-type coinEval struct {
-	mu      sync.Mutex
-	hidden  *prf.State // trusted party's coin source; never exposed
-	scratch []byte
-	_       [128 - 40]byte
-}
-
-const (
-	evalStripes = 16
-	evalBlock   = 64
-)
-
 // NewIdeal constructs the functionality with a seeded coin source.
 func NewIdeal(seed [32]byte, prob ProbFunc) *Ideal {
-	key := prf.DeriveKey(prf.Key(seed), "fmine/ideal")
-	f := &Ideal{prob: prob}
+	f := &Ideal{prob: prob, hidden: prf.NewState(prf.DeriveKey(prf.Key(seed), "fmine/ideal"))}
 	f.tickets.Store(&ticketTable{slots: make([]atomic.Pointer[ticketEntry], minTicketSlots)})
-	for i := range f.evals {
-		f.evals[i].hidden = prf.NewState(key)
-	}
 	return f
 }
 
@@ -255,16 +229,14 @@ func NewIdeal(seed [32]byte, prob ProbFunc) *Ideal {
 // hidden PRF key is equivalent to flipping and storing a fresh coin on first
 // use, and keeps executions reproducible. The coin input is the canonical
 // NodeID ‖ tag encoding, so coin values are bit-identical to earlier
-// revisions for the same seed.
+// revisions for the same seed. The evaluator is an immutable value, so the
+// n evaluations of a round run on every engine shard at once with no lock;
+// the encoding goes to a stack buffer (a domain too long for it spills to
+// the heap, which no protocol's does).
 func (f *Ideal) evalCoin(tag Tag, id types.NodeID) prf.Output {
-	ev := &f.evals[uint32(id)/evalBlock%evalStripes]
-	ev.mu.Lock()
-	w := wire.Writer{Buf: ev.scratch[:0]}
-	w.NodeID(id)
-	ev.scratch = tag.AppendEncode(w.Buf)
-	out := ev.hidden.Eval(ev.scratch)
-	ev.mu.Unlock()
-	return out
+	var buf [64]byte
+	in := binary.BigEndian.AppendUint32(buf[:0], uint32(id)) // wire's NodeID
+	return f.hidden.Eval(tag.AppendEncode(in))
 }
 
 // lookup returns the stored entry for (tag, id, ticket), if that attempt

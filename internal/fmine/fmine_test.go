@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ccba/internal/crypto/pki"
+	"ccba/internal/crypto/prf"
 	"ccba/internal/types"
 )
 
@@ -210,6 +211,30 @@ func TestProbHelpers(t *testing.T) {
 	}
 	if got := LeaderProb(0); got != 0 {
 		t.Fatalf("LeaderProb with n=0 = %v", got)
+	}
+}
+
+// TestEligibilityThresholds pins the difficulties D_p that decide every
+// committee and leader election at the benchmark's node counts (λ = 40).
+// Eligibility is ρ < prf.Threshold(p), computed in IEEE-754 float64 from
+// p = λ/n or 1/(2n); the values hold wherever Go does that arithmetic in
+// float64 without extended precision, which this test checks on every
+// architecture it runs on.
+func TestEligibilityThresholds(t *testing.T) {
+	for _, c := range []struct {
+		n                 int
+		committee, leader uint64
+	}{
+		{200, 0x3333333333333400, 0xa3d70a3d70a3d8},
+		{1000, 0xa3d70a3d70a3d80, 0x20c49ba5e353f8},
+		{10000, 0x10624dd2f1a9fc0, 0x346dc5d638865},
+	} {
+		if got := prf.Threshold(CommitteeProb(c.n, 40)); got != c.committee {
+			t.Errorf("n=%d: Threshold(λ/n) = %#x, want %#x", c.n, got, c.committee)
+		}
+		if got := prf.Threshold(LeaderProb(c.n)); got != c.leader {
+			t.Errorf("n=%d: Threshold(1/(2n)) = %#x, want %#x", c.n, got, c.leader)
+		}
 	}
 }
 

@@ -40,7 +40,7 @@ func TestIdealConcurrentMatchesFigure1(t *testing.T) {
 		return 0.05
 	}
 	seed := [32]byte{11}
-	key := prf.DeriveKey(prf.Key(seed), "fmine/ideal")
+	key := hiddenKey(seed)
 	var tags []Tag
 	for typ := uint8(1); typ <= 2; typ++ {
 		for iter := uint32(1); iter <= 3; iter++ {
@@ -56,7 +56,7 @@ func TestIdealConcurrentMatchesFigure1(t *testing.T) {
 			// coin is Figure 1's Coin[m, i] and whether it clears the
 			// difficulty, straight from the definition.
 			coin := func(tag Tag, id types.NodeID) (prf.Output, bool) {
-				c := prf.Eval(key, cell(tag, id))
+				c := hmacSHA256(key, cell(tag, id))
 				return c, c.Below(prob(tag))
 			}
 			var wg sync.WaitGroup
@@ -175,7 +175,7 @@ func TestIdealIndexCollision(t *testing.T) {
 	}
 
 	// A real mining success whose index is already occupied.
-	c := prf.Eval(prf.DeriveKey(prf.Key([32]byte{13}), "fmine/ideal"), cell(tagA, 9))
+	c := hmacSHA256(hiddenKey([32]byte{13}), cell(tagA, 9))
 	squatter := &ticketEntry{tag: tagB, id: 10, ticket: c}
 	squatter.ticket[0] ^= 1
 	f.store(squatter)

@@ -10,8 +10,8 @@ import (
 
 // Oracle elects one uniformly pseudorandom leader per iteration.
 type Oracle struct {
-	key prf.Key
-	n   int
+	st prf.State
+	n  int
 }
 
 // New constructs an oracle for n nodes from a seed.
@@ -19,14 +19,14 @@ func New(seed [32]byte, n int) *Oracle {
 	if n <= 0 {
 		panic(fmt.Sprintf("leader: invalid node count %d", n))
 	}
-	return &Oracle{key: prf.DeriveKey(prf.Key(seed), "leader/oracle"), n: n}
+	return &Oracle{st: prf.NewState(prf.DeriveKey(prf.Key(seed), "leader/oracle")), n: n}
 }
 
 // Leader returns the leader of the given iteration.
 func (o *Oracle) Leader(iter uint32) types.NodeID {
 	var w wire.Writer
 	w.U32(iter)
-	out := prf.Eval(o.key, w.Buf)
+	out := o.st.Eval(w.Buf)
 	// Rejection-free modular reduction; the bias of 2^64 mod n is far below
 	// any quantity measured here.
 	return types.NodeID(out.Uint64() % uint64(o.n))

@@ -96,7 +96,7 @@ type Node struct {
 	id    types.NodeID
 	miner fmine.Miner
 	verif fmine.Verifier
-	coins prf.Key // private coin source for leader proposals
+	coins prf.State // private coin source for leader proposals
 
 	belief  types.Bit // b_i
 	sticky  bool      // F
@@ -125,7 +125,7 @@ func New(cfg Config, id types.NodeID, input types.Bit) (*Node, error) {
 		belief:  input,
 		sticky:  true, // footnote 4: the sticky flag starts set so epoch 0 votes the input
 		lastAck: types.NoBit,
-		coins:   prf.DeriveKey(prf.Key(cfg.CoinSeed), "phaseking/coin/"+id.String()),
+		coins:   prf.NewState(prf.DeriveKey(prf.Key(cfg.CoinSeed), "phaseking/coin/"+id.String())),
 	}
 	if cfg.Sampled {
 		n.miner = cfg.Suite.Miner(id)
@@ -147,7 +147,8 @@ func (n *Node) Halted() bool { return n.halted }
 
 // leaderCoin flips the node's private coin for epoch r.
 func (n *Node) leaderCoin(epoch uint32) types.Bit {
-	out := prf.Eval(n.coins, fmine.Tag{Domain: Domain, Type: TagPropose, Iter: epoch}.Encode())
+	var buf [64]byte
+	out := n.coins.Eval(fmine.Tag{Domain: Domain, Type: TagPropose, Iter: epoch}.AppendEncode(buf[:0]))
 	return types.BitFromBool(out.Below(0.5))
 }
 
