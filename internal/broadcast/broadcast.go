@@ -2,6 +2,7 @@ package broadcast
 
 import (
 	"fmt"
+	"slices"
 
 	"ccba/internal/netsim"
 	"ccba/internal/types"
@@ -130,13 +131,16 @@ func (n *Node) Step(round int, delivered []netsim.Delivered) []netsim.Send {
 		}
 		return n.inner.Step(0, nil)
 	}
-	// Filter out stray wrapper messages so the inner protocol sees only its
-	// own; shift rounds by one.
-	filtered := delivered[:0:0]
-	for _, d := range delivered {
-		if _, isInput := d.Msg.(InputMsg); !isInput {
-			filtered = append(filtered, d)
-		}
+	// The inner protocol sees only its own messages, with rounds shifted by
+	// one: a filtered copy if a stray wrapper message arrived, else the
+	// inbox unchanged, so a core inner node can follow its state class.
+	if slices.ContainsFunc(delivered, isInput) {
+		delivered = slices.DeleteFunc(slices.Clone(delivered), isInput)
 	}
-	return n.inner.Step(round-1, filtered)
+	return n.inner.Step(round-1, delivered)
+}
+
+func isInput(d netsim.Delivered) bool {
+	_, ok := d.Msg.(InputMsg)
+	return ok
 }

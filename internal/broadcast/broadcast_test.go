@@ -11,15 +11,24 @@ import (
 )
 
 // coreBA returns a MakeBA over the subquadratic core protocol.
-func coreBA(n, f, lambda int, seedByte byte) (MakeBA, core.Config) {
+func coreBA(t *testing.T, n, f, lambda int, seedByte byte) (MakeBA, core.Config) {
+	t.Helper()
 	var seed [32]byte
 	seed[0] = seedByte
 	cfg := core.Config{
 		N: n, F: f, Lambda: lambda, MaxIters: 30,
 		Suite: fmine.NewIdeal(seed, core.Probabilities(n, lambda)),
 	}
+	run, err := core.NewRun(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return func(id types.NodeID, input types.Bit) (netsim.Node, error) {
-		return core.New(cfg, id, input)
+		nd, err := run.Node(id, input)
+		if err != nil {
+			return nil, err
+		}
+		return nd, nil
 	}, cfg
 }
 
@@ -38,7 +47,7 @@ func runBB(t *testing.T, n, f int, sender types.NodeID, input types.Bit, mk Make
 
 func TestHonestSenderValidityOverCore(t *testing.T) {
 	for _, b := range []types.Bit{types.Zero, types.One} {
-		mk, cfg := coreBA(80, 20, 24, 1)
+		mk, cfg := coreBA(t, 80, 20, 24, 1)
 		res := runBB(t, 80, 20, 0, b, mk, cfg.Rounds()+1, nil)
 		if err := netsim.CheckTermination(res); err != nil {
 			t.Fatal(err)
@@ -76,7 +85,7 @@ func (equivSender) Round(ctx *netsim.Ctx) {
 func TestEquivocatingSenderConsistencyViaBA(t *testing.T) {
 	// The reduction's point: a corrupt sender splits the inputs, and the
 	// underlying BA still forces one output.
-	mk, cfg := coreBA(80, 20, 24, 2)
+	mk, cfg := coreBA(t, 80, 20, 24, 2)
 	res := runBB(t, 80, 20, 0, types.Zero, mk, cfg.Rounds()+1, equivSender{})
 	if err := netsim.CheckTermination(res); err != nil {
 		t.Fatal(err)
@@ -87,7 +96,7 @@ func TestEquivocatingSenderConsistencyViaBA(t *testing.T) {
 }
 
 func TestSilentSenderDefaultsToZero(t *testing.T) {
-	mk, cfg := coreBA(60, 15, 24, 3)
+	mk, cfg := coreBA(t, 60, 15, 24, 3)
 	res := runBB(t, 60, 15, 0, types.One, mk, cfg.Rounds()+1, &silenceSender{})
 	if err := netsim.CheckConsistency(res); err != nil {
 		t.Fatal(err)
@@ -112,7 +121,7 @@ func (s *silenceSender) Setup(ctx *netsim.Ctx) {
 func TestPreservesSublinearMulticast(t *testing.T) {
 	// The reduction adds exactly one multicast: BB multicasts ≈ BA
 	// multicasts + 1.
-	mk, cfg := coreBA(200, 50, 24, 4)
+	mk, cfg := coreBA(t, 200, 50, 24, 4)
 	res := runBB(t, 200, 50, 0, types.One, mk, cfg.Rounds()+1, nil)
 	if res.Metrics.HonestMulticasts > 40*cfg.Lambda {
 		t.Fatalf("BB multicasts %d not sublinear-like", res.Metrics.HonestMulticasts)

@@ -74,7 +74,7 @@ func (r *runner) run(ctx context.Context) (resultRecord, int, error) {
 		halted := r.node.Halted()
 		if !halted {
 			r.opts.Telemetry.RoundStarted(round)
-			r.sends, halted = netsim.StepNode(r.obs, n, round, r.self, r.node, r.delivered, false, &r.metrics, &r.decided, r.sends)
+			r.sends, halted = netsim.StepNode(r.obs, n, round, r.self, r.node, r.delivered, &r.metrics, &r.decided, r.sends)
 		}
 		if err := r.transmit(round); err != nil {
 			return resultRecord{}, 0, err

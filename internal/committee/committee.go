@@ -1,6 +1,7 @@
 package committee
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"ccba/internal/crypto/prf"
@@ -47,9 +48,8 @@ func (c Config) Members() []types.NodeID {
 	members := make([]types.NodeID, 0, c.CommitteeSize)
 	seen := map[types.NodeID]struct{}{c.Sender: {}}
 	for ctr := uint32(0); len(members) < c.CommitteeSize; ctr++ {
-		var w wire.Writer
-		w.U32(ctr)
-		id := types.NodeID(st.Eval(w.Buf).Uint64() % uint64(c.N))
+		var buf [4]byte
+		id := types.NodeID(st.Eval(binary.BigEndian.AppendUint32(buf[:0], ctr)).Uint64() % uint64(c.N))
 		if _, dup := seen[id]; dup {
 			continue
 		}

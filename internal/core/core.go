@@ -101,9 +101,9 @@ type Config struct {
 	// of the execution: all attestation sets bind to it, so nodes with
 	// identical add-histories (every forever-honest node under the passive
 	// lockstep schedule) share one copy-on-divergence backing array instead
-	// of holding per-node state (DESIGN.md §6). The nodes NewNodes builds
-	// on it also start in one state class (see class), so nodes handed the
-	// round's shared delivery share one ingest of it. Every scenario build
+	// of holding per-node state (DESIGN.md §6). The nodes of a Run on it
+	// also start in one state class (see class), so nodes handed the
+	// round's shared list share one ingest of it. Every scenario build
 	// sets it; nil (owned sets, every node ingesting for itself) is the
 	// reference the tests compare against. Behaviour is bit-identical
 	// either way, at any worker count and under any adversary; only storage
@@ -211,34 +211,65 @@ type proposal struct {
 	hash   [sha256.Size]byte
 }
 
-// shared is what every node of one run reads: the validated Config, the
-// suite's Verifier and the own-state slab. NewNodes builds one per run, so a
-// node holds a pointer instead of a copy (DESIGN.md §6).
-type shared struct {
+// Run is what every node of one execution reads: the validated Config, the
+// suite's Verifier, the node slab, the class the nodes start in and the
+// own-state slab. A node holds a pointer to its run instead of a copy
+// (DESIGN.md §6).
+type Run struct {
 	Config
 	verif fmine.Verifier
+	// nodes is the node slab: node id is nodes[id].
+	nodes []Node
+	// root is the state class every node starts in, on the initial state;
+	// nil without Config.Intern.
+	root *class
 	// own holds node id's own state at own[id], allocated for all N nodes
 	// the first time any node needs one: at construction when the nodes
 	// start without a class, else when the first node leaves its class.
-	// Only NewNodes's nodes use it; a node New builds carries its own.
 	own     []state
 	ownOnce sync.Once
 }
 
-// set validates cfg into sh.
-func (sh *shared) set(cfg Config) error {
+// NewRun validates cfg into the value one execution's nodes share.
+func NewRun(cfg Config) (*Run, error) {
 	if err := cfg.Validate(); err != nil {
-		return err
+		return nil, err
 	}
-	sh.Config, sh.verif = cfg, cfg.Suite.Verifier()
-	return nil
+	r := &Run{Config: cfg, verif: cfg.Suite.Verifier(), nodes: make([]Node, cfg.N)}
+	if cfg.Intern != nil {
+		r.root = new(class)
+		r.root.init(cfg.Intern.Hits())
+	}
+	return r, nil
+}
+
+// Node constructs node id ∈ [0, N) with the given input bit, in its place
+// of the run's node slab. With Config.Intern set it starts in the run's one
+// state class, on the initial state, and gets its own state only when it
+// leaves it; without, it starts on its slot of the own-state slab. Each id
+// is built at most once, and distinct ids may be built concurrently:
+// core-broadcast builds a node from the shard that steps it, once its input
+// has arrived.
+func (r *Run) Node(id types.NodeID, input types.Bit) (*Node, error) {
+	if !input.Valid() {
+		return nil, fmt.Errorf("core: invalid input %v", input)
+	}
+	n := &r.nodes[id]
+	n.cfg, n.id, n.input, n.hits = r, id, input, r.Intern.Hits()
+	if r.root == nil {
+		n.st = r.ownState(id)
+		n.st.init(n.hits)
+	} else {
+		n.st, n.class = &r.root.state, r.root
+	}
+	return n, nil
 }
 
 // ownState returns node id's slot of the own-state slab, allocating the
 // slab on first use; safe for concurrent use.
-func (sh *shared) ownState(id types.NodeID) *state {
-	sh.ownOnce.Do(func() { sh.own = make([]state, sh.N) })
-	return &sh.own[id]
+func (r *Run) ownState(id types.NodeID) *state {
+	r.ownOnce.Do(func() { r.own = make([]state, r.N) })
+	return &r.own[id]
 }
 
 // state is everything ingest writes: what a node has learnt from its
@@ -284,10 +315,11 @@ func bindPair(sets *[2]attest.Set, h attest.Hits) {
 // must ingest anything else first forks the state into its own (leave).
 type class struct {
 	state
-	// round is the round whose shared delivery led to this state, and adds
-	// the successful Adds of that ingest, which each rebinding member
-	// counts as hits.
+	// round is the round whose shared list led to this state, from the
+	// slice the state was computed from, and adds the successful Adds of
+	// that ingest, which each rebinding member counts as hits.
 	round int
+	from  []netsim.Delivered
 	adds  int64
 	// next is the successor for round next.round, published once
 	// complete; mu serialises computing it.
@@ -299,7 +331,7 @@ type class struct {
 // until it needs one: a node in a class reads the class's, and mines
 // through the run's suite, whose miners allocate nothing per call.
 type Node struct {
-	cfg *shared
+	cfg *Run
 	// st is the state the node reads: its own, or its class's frozen state.
 	st    *state
 	class *class // nil once the node holds its own state
@@ -316,66 +348,21 @@ type Node struct {
 	halted  bool
 }
 
-// New constructs node id with the given input bit. The node, the shared
-// value it alone points at and its own state are one allocation: a node
-// built on its own (core-broadcast builds them one at a time) is in no
-// class, so it starts on the state it keeps and never takes a slab.
-func New(cfg Config, id types.NodeID, input types.Bit) (*Node, error) {
-	solo := &struct {
-		node Node
-		cfg  shared
-		own  state
-	}{}
-	if err := solo.cfg.set(cfg); err != nil {
-		return nil, err
-	}
-	if err := solo.node.init(&solo.cfg, id, input); err != nil {
-		return nil, err
-	}
-	solo.node.st = &solo.own
-	solo.own.init(solo.node.hits)
-	return &solo.node, nil
-}
-
-// init sets up a zero node on the run's shared value, taking its place on
-// Config.Intern's hit blocks. The caller points it at a state.
-func (n *Node) init(cfg *shared, id types.NodeID, input types.Bit) error {
-	if !input.Valid() {
-		return fmt.Errorf("core: invalid input %v", input)
-	}
-	n.cfg, n.id, n.input, n.hits = cfg, id, input, cfg.Intern.Hits()
-	return nil
-}
-
-// NewNodes constructs all n state machines for one execution, in one slab
-// on one validated shared value. With Config.Intern set they start in one
-// state class, on the initial state, and get their own state only when they
-// leave it; without, each starts on its slot of the own-state slab.
+// NewNodes constructs all n state machines for one execution: one Run, and
+// each node of it.
 func NewNodes(cfg Config, inputs []types.Bit) ([]netsim.Node, error) {
 	if len(inputs) != cfg.N {
 		return nil, fmt.Errorf("core: %d inputs for n=%d", len(inputs), cfg.N)
 	}
-	sh := new(shared)
-	if err := sh.set(cfg); err != nil {
+	r, err := NewRun(cfg)
+	if err != nil {
 		return nil, err
 	}
-	slab := make([]Node, cfg.N)
 	nodes := make([]netsim.Node, cfg.N)
-	var root *class
-	for i := range slab {
-		n := &slab[i]
-		if err := n.init(sh, types.NodeID(i), inputs[i]); err != nil {
+	for i, input := range inputs {
+		n, err := r.Node(types.NodeID(i), input)
+		if err != nil {
 			return nil, err
-		}
-		if cfg.Intern == nil {
-			n.st = sh.ownState(n.id)
-			n.st.init(n.hits)
-		} else {
-			if root == nil {
-				root = new(class)
-				root.init(n.hits)
-			}
-			n.st, n.class = &root.state, root
 		}
 		nodes[i] = n
 	}
@@ -408,49 +395,68 @@ func (n *Node) forkWindow(dst, src *window) {
 
 // leave takes the node out of its class onto its own copy of the class's
 // state, in its slot of the run's own-state slab, before the node ingests
-// anything but a shared delivery.
+// anything but the list its class follows.
 func (n *Node) leave() {
 	own := n.cfg.ownState(n.id)
 	n.fork(own, n.st)
 	n.st, n.class = own, nil
 }
 
-// follow moves a class member along the round's shared delivery: to the
-// successor its class recorded for this round, counting the Adds of that
-// ingest as hits, or, for the first member to arrive, to the successor it
-// computes. So the ingest runs once per (class, round) at any worker count,
-// and the table's counters stay what n separate ingests would have made
-// them.
-func (n *Node) follow(round int, delivered []netsim.Delivered) {
+// follow moves a class member along its round's inbox, or reports that the
+// member left its class instead and must ingest the inbox alone. An empty
+// inbox changes nothing. An inbox the engine marked as the round's shared
+// list (netsim.SharedList) takes the member to its class's successor for
+// the round: the first marked arrival computes it and records the slice it
+// came from, and the others rebind to it, counting the Adds of that ingest
+// as hits, if they hold that very slice. Any other inbox may hold anything
+// — an unmarked one, or a copy, a sub-slice or a reused buffer of a marked
+// one — so the member leaves. So the ingest runs once per (class, round) at
+// any worker count, the table's counters stay what n separate ingests would
+// have made them, and a wrapper that hands its node another slice loses
+// the sharing but never changes a state.
+func (n *Node) follow(round int, delivered []netsim.Delivered) bool {
 	if len(delivered) == 0 {
-		return // ingesting nothing changes nothing
+		return true
 	}
-	next := n.class.next.Load()
-	if next == nil || next.round != round {
-		next = n.successor(round, delivered)
-	} else {
-		n.hits.Count(next.adds)
+	if !netsim.SharedList(delivered) {
+		n.leave()
+		return false
 	}
-	n.st, n.class = &next.state, next
+	if next := n.class.next.Load(); next != nil && next.round == round {
+		return n.adopt(next, delivered)
+	}
+	return n.successor(round, delivered)
 }
 
-// successor returns the class's successor for round under the class's
-// lock: the one another member recorded since follow looked, or one the
-// node computes into a fresh state and records.
-func (n *Node) successor(round int, delivered []netsim.Delivered) *class {
+// successor moves the node along delivered under its class's lock: to the
+// successor another member recorded for round since follow looked, or to
+// one the node computes from delivered into a fresh state and records.
+func (n *Node) successor(round int, delivered []netsim.Delivered) bool {
 	c := n.class
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if next := c.next.Load(); next != nil && next.round == round {
-		n.hits.Count(next.adds)
-		return next
+		return n.adopt(next, delivered)
 	}
-	next := &class{round: round}
+	next := &class{round: round, from: delivered}
 	n.fork(&next.state, &c.state)
-	n.st = &next.state
+	n.st, n.class = &next.state, next
 	next.adds = n.ingest(delivered)
 	c.next.Store(next)
-	return next
+	return true
+}
+
+// adopt rebinds the node to next, its class's successor for the round, if
+// next was computed from delivered itself: the same first element and the
+// same length. Otherwise the node leaves its class.
+func (n *Node) adopt(next *class, delivered []netsim.Delivered) bool {
+	if &next.from[0] != &delivered[0] || len(next.from) != len(delivered) {
+		n.leave()
+		return false
+	}
+	n.hits.Count(next.adds)
+	n.st, n.class = &next.state, next
+	return true
 }
 
 var _ netsim.Node = (*Node)(nil)
@@ -461,30 +467,13 @@ func (n *Node) Output() (types.Bit, bool) { return n.out, n.decided }
 // Halted implements netsim.Node.
 func (n *Node) Halted() bool { return n.halted }
 
-var _ netsim.SharedStepper = (*Node)(nil)
-
-// Step implements netsim.Node. A node in a class leaves it first: its
-// inbox may be anyone's.
+// Step implements netsim.Node. A node in a class follows it when it can,
+// and otherwise ingests its inbox alone.
 func (n *Node) Step(round int, delivered []netsim.Delivered) []netsim.Send {
 	if n.halted {
 		return nil
 	}
-	if n.class != nil {
-		n.leave()
-	}
-	n.ingest(delivered)
-	return n.act(round)
-}
-
-// StepShared implements netsim.SharedStepper: a node in a class follows it
-// along the round's shared delivery instead of ingesting it alone.
-func (n *Node) StepShared(round int, delivered []netsim.Delivered) []netsim.Send {
-	if n.halted {
-		return nil
-	}
-	if n.class != nil {
-		n.follow(round, delivered)
-	} else {
+	if n.class == nil || !n.follow(round, delivered) {
 		n.ingest(delivered)
 	}
 	return n.act(round)

@@ -47,6 +47,24 @@ func run(t *testing.T, cfg Config, inputs []types.Bit, adv netsim.Adversary) *ne
 	return rt.Run()
 }
 
+// soloNode builds node id of a run of cfg on its own state, as a node that
+// left its class holds it, for tests that ingest into a node by hand.
+func soloNode(t *testing.T, cfg Config, id types.NodeID, input types.Bit) *Node {
+	t.Helper()
+	run, err := NewRun(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := run.Node(id, input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n.class != nil {
+		n.leave()
+	}
+	return n
+}
+
 func constInputs(n int, b types.Bit) []types.Bit {
 	in := make([]types.Bit, n)
 	for i := range in {
@@ -268,7 +286,11 @@ func TestConfigValidation(t *testing.T) {
 		}
 	}
 	good := Config{N: 10, F: 2, Lambda: 4, MaxIters: 5, Suite: suite}
-	if _, err := New(good, 0, types.NoBit); err == nil {
+	run, err := NewRun(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := run.Node(0, types.NoBit); err == nil {
 		t.Error("invalid input accepted")
 	}
 	if _, err := NewNodes(good, make([]types.Bit, 3)); err == nil {
@@ -297,11 +319,10 @@ func TestNodeSize(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stepped := nodes
 		if private {
-			stepped = privately(nodes)
+			leaveAll(nodes)
 		}
-		rt, err := netsim.NewRuntime(netsim.Config{N: n, F: f, MaxRounds: cfg.Rounds()}, stepped, nil)
+		rt, err := netsim.NewRuntime(netsim.Config{N: n, F: f, MaxRounds: cfg.Rounds()}, nodes, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -323,7 +344,7 @@ func TestNodeSize(t *testing.T) {
 	}
 	for i, nd := range run(true) {
 		if c := nd.(*Node); !onOwn(c) || len(c.cfg.own) != n {
-			t.Fatalf("node %d stepped on a private inbox is not on its slot of the own-state slab", i)
+			t.Fatalf("node %d left its class but is not on its slot of the own-state slab", i)
 		}
 	}
 
@@ -337,10 +358,7 @@ func TestNodeSize(t *testing.T) {
 
 func TestForgedTerminateRejected(t *testing.T) {
 	cfg := idealConfig(50, 10, 20, 9)
-	n, err := New(cfg, 0, types.Zero)
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := soloNode(t, cfg, 0, types.Zero)
 	// Terminate with garbage commit attestations must be ignored.
 	forged := TerminateMsg{Iter: 1, B: types.One, Commits: []attest.Attestation{
 		{ID: 1, Proof: make([]byte, fmine.IdealProofSize)},
@@ -354,10 +372,7 @@ func TestForgedTerminateRejected(t *testing.T) {
 
 func TestUnjustifiedVoteIgnoredAfterIterOne(t *testing.T) {
 	cfg := idealConfig(50, 10, 50, 11) // λ=n: everyone always eligible
-	node, err := New(cfg, 0, types.Zero)
-	if err != nil {
-		t.Fatal(err)
-	}
+	node := soloNode(t, cfg, 0, types.Zero)
 	// A vote for iteration 2 with a valid voter ticket but no leader
 	// justification must not be counted.
 	voter := cfg.Suite.Miner(5)
@@ -379,10 +394,7 @@ func TestUnjustifiedVoteIgnoredAfterIterOne(t *testing.T) {
 
 func TestWrongBitTicketRejected(t *testing.T) {
 	cfg := idealConfig(50, 10, 50, 12)
-	node, err := New(cfg, 0, types.Zero)
-	if err != nil {
-		t.Fatal(err)
-	}
+	node := soloNode(t, cfg, 0, types.Zero)
 	// Ticket mined for bit 0 presented with a vote for bit 1: must fail.
 	voter := cfg.Suite.Miner(7)
 	proof, ok := voter.Mine(VoteTag(1, types.Zero))

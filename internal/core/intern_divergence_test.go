@@ -32,9 +32,10 @@ func TestInternHonestRunSharesHandles(t *testing.T) {
 		cores[i] = nd.(*Node)
 		simNodes[i] = nd
 	}
-	// Each node ingests alone (privately), so the handles compared below
+	// Each node ingests alone (leaveAll), so the handles compared below
 	// are reached independently, not read off one class's frozen state.
-	rt, err := netsim.NewRuntime(netsim.Config{N: n, F: f, MaxRounds: cfg.Rounds()}, privately(simNodes), nil)
+	leaveAll(simNodes)
+	rt, err := netsim.NewRuntime(netsim.Config{N: n, F: f, MaxRounds: cfg.Rounds()}, simNodes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,10 +186,11 @@ func TestInternAdversarialDivergenceForksHandles(t *testing.T) {
 			cores[i] = nd.(*Node)
 			simNodes[i] = nd
 		}
+		leaveAll(simNodes)
 		rt, err := netsim.NewRuntime(netsim.Config{
 			N: n, F: f, MaxRounds: cfg.Rounds(),
 			Seize: func(id types.NodeID) any { return cfg.Suite.Miner(id) },
-		}, privately(simNodes), adv)
+		}, simNodes, adv)
 		if err != nil {
 			t.Fatal(err)
 		}

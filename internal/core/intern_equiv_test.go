@@ -13,8 +13,8 @@ import (
 )
 
 // sendCounter wraps a node to record the messages it sends itself — the
-// per-node view of the run's Metrics. It passes the engine's shared-inbox
-// step on, so interned nodes share their state classes' ingests.
+// per-node view of the run's Metrics. It hands its node the engine's inbox
+// unchanged, so interned nodes share their state classes' ingests.
 type sendCounter struct {
 	*Node
 	n       int
@@ -23,10 +23,6 @@ type sendCounter struct {
 
 func (c *sendCounter) Step(round int, delivered []netsim.Delivered) []netsim.Send {
 	return c.count(c.Node.Step(round, delivered))
-}
-
-func (c *sendCounter) StepShared(round int, delivered []netsim.Delivered) []netsim.Send {
-	return c.count(c.Node.StepShared(round, delivered))
 }
 
 func (c *sendCounter) count(sends []netsim.Send) []netsim.Send {
@@ -161,8 +157,8 @@ func TestInternedMatchesOwnedInEveryRegime(t *testing.T) {
 // construction, the ones its class's state was forked onto and, on a
 // keep-all node, the slots grown lazily from Step — counts its hits on the
 // block of the node's first set, and the blocks are node-sized, not
-// run-sized. The nodes are stepped privately, so each leaves its class in
-// round 0 and ingests for itself.
+// run-sized. Each node leaves its class before the run (leaveAll) and
+// ingests for itself.
 func TestNodeCountsHitsOnOneBlock(t *testing.T) {
 	// At λ = 20 this seed's run has votes in more than two iterations (see
 	// TestLockstepWindowStaysInline), so keep-all windows grow.
@@ -180,7 +176,8 @@ func TestNodeCountsHitsOnOneBlock(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rt, err := netsim.NewRuntime(netsim.Config{N: n, F: f, MaxRounds: cfg.Rounds(), Sparse: lockstep}, privately(nodes), nil)
+			leaveAll(nodes)
+			rt, err := netsim.NewRuntime(netsim.Config{N: n, F: f, MaxRounds: cfg.Rounds(), Sparse: lockstep}, nodes, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -82,11 +82,7 @@ func TestWindowSetRotation(t *testing.T) {
 			Lockstep: lockstep,
 			Intern:   in,
 		}
-		nd, err := New(cfg, 0, types.Zero)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return nd
+		return soloNode(t, cfg, 0, types.Zero)
 	}
 
 	t.Run("lockstep rotates in place", func(t *testing.T) {

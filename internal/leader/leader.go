@@ -1,11 +1,11 @@
 package leader
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"ccba/internal/crypto/prf"
 	"ccba/internal/types"
-	"ccba/internal/wire"
 )
 
 // Oracle elects one uniformly pseudorandom leader per iteration.
@@ -24,9 +24,8 @@ func New(seed [32]byte, n int) *Oracle {
 
 // Leader returns the leader of the given iteration.
 func (o *Oracle) Leader(iter uint32) types.NodeID {
-	var w wire.Writer
-	w.U32(iter)
-	out := o.st.Eval(w.Buf)
+	var buf [4]byte
+	out := o.st.Eval(binary.BigEndian.AppendUint32(buf[:0], iter))
 	// Rejection-free modular reduction; the bias of 2^64 mod n is far below
 	// any quantity measured here.
 	return types.NodeID(out.Uint64() % uint64(o.n))

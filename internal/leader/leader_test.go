@@ -1,6 +1,10 @@
 package leader
 
-import "testing"
+import (
+	"testing"
+
+	"ccba/internal/testenv"
+)
 
 func TestDeterministic(t *testing.T) {
 	var seed [32]byte
@@ -72,4 +76,17 @@ func TestInvalidNPanics(t *testing.T) {
 	}()
 	var seed [32]byte
 	New(seed, 0)
+}
+
+// TestLeaderAllocatesNothing: a draw encodes the iteration into a stack
+// buffer, so electing a leader allocates nothing.
+func TestLeaderAllocatesNothing(t *testing.T) {
+	if testenv.Race {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	o := New([32]byte{4}, 1000)
+	iter := uint32(0)
+	if avg := testing.AllocsPerRun(100, func() { iter++; o.Leader(iter) }); avg != 0 {
+		t.Errorf("Leader allocates %.1f times per call, want 0", avg)
+	}
 }

@@ -67,8 +67,7 @@ func (c *Ctx) Inbox(id types.NodeID) ([]Delivered, error) {
 		return nil, fmt.Errorf("%w: inbox of honest node %d", ErrNotCorrupt, id)
 	}
 	var scratch []Delivered
-	inbox, _ := c.rt.inbox(id, &scratch)
-	return inbox, nil
+	return c.rt.inbox(id, &scratch), nil
 }
 
 // Corrupt adaptively corrupts node id, handing over its state machine and

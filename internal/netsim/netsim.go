@@ -27,38 +27,23 @@ type Node interface {
 	Halted() bool
 }
 
-// SharedStepper is a Node that can make use of knowing that its inbox is
-// the round's shared list: the lockstep engine hands that one slice, unchanged,
-// to every node without a private delivery that round, so nodes whose states
-// are equal reach equal states by it (core's state classes, DESIGN.md §6).
-// StepNode calls StepShared in place of Step for exactly those inboxes; a
-// live node, a node stepped by an adversary and every other inbox go
-// through Step.
-type SharedStepper interface {
-	Node
-	// StepShared is Step for an inbox that is the round's shared list.
-	// Every node stepped through StepShared in one round of one run is
-	// handed the same list.
-	StepShared(round int, delivered []Delivered) []Send
-}
-
 // Delivered is a message as seen by its recipient. From is the authenticated
 // sender identity (the paper assumes authenticated channels throughout).
 type Delivered struct {
 	From types.NodeID
-	// screen is the round engine's Config.Screen verdict on a shared
-	// delivery (screenUnknown on everything else). It sits in the padding
-	// after From, so a Delivered stays the size of {From, Msg} on 64-bit
-	// platforms.
-	screen uint8
-	Msg    wire.Message
+	// flags is what the round engine knows of the delivery: the
+	// Config.Screen verdict on a shared delivery, and the mark of an entry
+	// of a round's shared list. It sits in the padding after From, so a
+	// Delivered stays the size of {From, Msg} on 64-bit platforms.
+	flags uint8
+	Msg   wire.Message
 }
 
-// Screen verdicts recorded in Delivered.screen.
+// Delivered.flags bits. Neither screen bit set is "not screened".
 const (
-	screenUnknown uint8 = iota
-	screenPass
+	screenPass uint8 = 1 << iota
 	screenFail
+	listed
 )
 
 // Screened returns the verdict of the run's Config.Screen on this delivery:
@@ -68,7 +53,21 @@ const (
 // copy to its sender, the live cluster's and the event runtime's
 // deliveries, and literals built outside an engine.
 func (d Delivered) Screened() (pass, known bool) {
-	return d.screen == screenPass, d.screen != screenUnknown
+	return d.flags&screenPass != 0, d.flags&(screenPass|screenFail) != 0
+}
+
+// SharedList reports whether inbox carries the lockstep engine's mark of a
+// round's shared list: the one slice the engine hands, unchanged, to every
+// node without a private delivery that round, so that nodes in equal states
+// reach equal states by it (core's state classes, DESIGN.md §6). The mark
+// is on the entries, so a copy or a sub-slice of the list carries it too:
+// a recipient that shares work by it must also know the list by its first
+// element, its length and the round. The engine's merge of a list with a
+// node's private deliveries strips the mark, and the live cluster, the
+// event runtime and literals built outside an engine never set it. An empty
+// inbox is never marked.
+func SharedList(inbox []Delivered) bool {
+	return len(inbox) > 0 && inbox[0].flags&listed != 0
 }
 
 // Send is an outgoing message. To is types.Broadcast for a multicast.

@@ -414,23 +414,20 @@ func (rt *Runtime) stepShard(k int) {
 		if rt.trDecided != nil {
 			decided = &rt.trDecided[i]
 		}
-		inbox, shared := rt.inbox(id, &sh.merge)
 		var halted bool
-		sh.slab, halted = StepNode(rt.tr, n, round, id, rt.nodes[i], inbox, shared, &sh.metrics, decided, sh.slab)
+		sh.slab, halted = StepNode(rt.tr, n, round, id, rt.nodes[i], rt.inbox(id, &sh.merge), &sh.metrics, decided, sh.slab)
 		sh.done = sh.done && halted
 	}
 }
 
 // StepNode is the one per-node round step, which the lockstep engine's
 // shards and every live node run. It traces node id's round start and
-// inbox, steps nd — through SharedStepper.StepShared when shared reports
-// that inbox is the round's shared list and nd implements it — then sizes,
-// counts (Definitions 6–7, in a network of n) and traces each send and
-// appends it to out as an Envelope, and last traces the node's decide and
-// halt transitions. *decided deduplicates EvDecide to the transition round
+// inbox, steps nd, then sizes, counts (Definitions 6–7, in a network of n)
+// and traces each send and appends it to out as an Envelope, and last
+// traces the node's decide and halt transitions. *decided deduplicates EvDecide to the transition round
 // and is read only when tr is enabled. It returns out and whether nd has
 // halted.
-func StepNode(tr obs.Sink, n, round int, id types.NodeID, nd Node, inbox []Delivered, shared bool, m *Metrics, decided *bool, out []Envelope) ([]Envelope, bool) {
+func StepNode(tr obs.Sink, n, round int, id types.NodeID, nd Node, inbox []Delivered, m *Metrics, decided *bool, out []Envelope) ([]Envelope, bool) {
 	traced := tr.Enabled()
 	if traced {
 		tr.RoundStart(round, id)
@@ -438,13 +435,7 @@ func StepNode(tr obs.Sink, n, round int, id types.NodeID, nd Node, inbox []Deliv
 			tr.Deliver(round, id, di, d.From, wire.Size(d.Msg))
 		}
 	}
-	var sends []Send
-	if sn, ok := nd.(SharedStepper); ok && shared {
-		sends = sn.StepShared(round, inbox)
-	} else {
-		sends = nd.Step(round, inbox)
-	}
-	for si, s := range sends {
+	for si, s := range nd.Step(round, inbox) {
 		size := wire.Size(s.Msg)
 		if traced {
 			tr.Send(round, id, si, s.To, size)
@@ -472,9 +463,9 @@ func StepNode(tr obs.Sink, n, round int, id types.NodeID, nd Node, inbox []Deliv
 func (rt *Runtime) screen(shared []Delivered) {
 	for i := range shared {
 		d := &shared[i]
-		d.screen = screenFail
+		d.flags = listed | screenFail
 		if rt.cfg.Screen(d.From, d.Msg) {
-			d.screen = screenPass
+			d.flags = listed | screenPass
 		}
 	}
 }
@@ -493,16 +484,18 @@ func (rt *Runtime) honestAllHalted() bool {
 // round: the slot's shared list, aliased, unless the slot has an extra for
 // id or a cut that withholds an entry from it; then the merge of the two at
 // their recorded positions, into *scratch (so the slice is valid only until
-// the scratch is reused). shared reports the first case, in which every
-// node so answered this round receives the very same list.
-func (rt *Runtime) inbox(id types.NodeID, scratch *[]Delivered) (inbox []Delivered, shared bool) {
+// the scratch is reused). The shared list carries its mark (SharedList);
+// the merge strips it from the entries it copies and keeps their screen
+// verdicts, so a merged inbox is never marked, though one shard's scratch
+// is handed to several nodes of a round.
+func (rt *Runtime) inbox(id types.NodeID, scratch *[]Delivered) []Delivered {
 	s := rt.slotAt(0)
 	ex, ci := s.extras[id], 0
 	for ci < len(s.cuts) && !s.cuts[ci].withholds(id) {
 		ci++
 	}
 	if len(ex) == 0 && ci == len(s.cuts) {
-		return s.shared, true
+		return s.shared
 	}
 	buf := (*scratch)[:0]
 	for i, d := range s.shared {
@@ -514,13 +507,14 @@ func (rt *Runtime) inbox(id types.NodeID, scratch *[]Delivered) (inbox []Deliver
 				continue
 			}
 		}
+		d.flags &^= listed
 		buf = append(buf, d)
 	}
 	for _, en := range ex {
 		buf = append(buf, en.d)
 	}
 	*scratch = buf
-	return buf, false
+	return buf
 }
 
 // slotAt returns the slot of the round delay ∈ [0, ∆] after the current one.
@@ -530,6 +524,12 @@ func (rt *Runtime) slotAt(delay int) *slot {
 		i -= len(rt.ring)
 	}
 	return &rt.ring[i]
+}
+
+// list appends d to the slot's shared list, marked as an entry of it.
+func (s *slot) list(d Delivered) {
+	d.flags = listed
+	s.shared = append(s.shared, d)
 }
 
 func (s *slot) extra(to types.NodeID, d Delivered) {
@@ -568,7 +568,7 @@ func (rt *Runtime) deliver(round int, envs []*Envelope) {
 			continue
 		}
 		s := rt.slotAt(delay)
-		s.shared = append(s.shared, d)
+		s.list(d)
 		if delay > 1 {
 			s.cuts = append(s.cuts, cut{at: len(s.shared) - 1, skip: e.From})
 			rt.slotAt(1).extra(e.From, d)
@@ -594,7 +594,7 @@ func (rt *Runtime) deliverLinks(round int, e *Envelope, d Delivered) {
 		if s.open == nil {
 			s.arena = append(s.arena, make([]uint64, (n+63)/64)...)
 			s.open = s.arena[len(s.arena)-(n+63)/64:]
-			s.shared = append(s.shared, d)
+			s.list(d)
 			s.cuts = append(s.cuts, cut{at: len(s.shared) - 1, bits: s.open})
 		}
 		s.open[j/64] |= 1 << (j % 64)

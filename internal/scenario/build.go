@@ -120,8 +120,17 @@ func init() {
 		suite := newSuite(cfg, core.Probabilities(cfg.N, cfg.Lambda), nil, nil)
 		ccfg := core.Config{N: cfg.N, F: cfg.F, Lambda: cfg.Lambda, MaxIters: cfg.MaxIters, Suite: suite, Lockstep: cfg.run.lockstep, Intern: newInterner(cfg)}
 		cfg.offerScreen(core.Screen(suite.Verifier()))
-		nodes, err := broadcast.NewNodes(cfg.N, cfg.Sender, cfg.SenderInput,
-			func(id types.NodeID, input types.Bit) (netsim.Node, error) { return core.New(ccfg, id, input) })
+		run, err := core.NewRun(ccfg)
+		if err != nil {
+			return nil, nil, 0, err
+		}
+		nodes, err := broadcast.NewNodes(cfg.N, cfg.Sender, cfg.SenderInput, func(id types.NodeID, input types.Bit) (netsim.Node, error) {
+			nd, err := run.Node(id, input)
+			if err != nil {
+				return nil, err
+			}
+			return nd, nil
+		})
 		return nodes, func(id types.NodeID) any { return suite.Miner(id) }, ccfg.Rounds() + 1, err
 	})
 

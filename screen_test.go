@@ -36,7 +36,9 @@ func (v countingVerifier) Verify(tag fmine.Tag, id types.NodeID, proof []byte) b
 
 // countVerifies runs core at n = 200 under the passive lockstep model and
 // returns the Verify calls it made and its Definition 7 multicast count.
-func countVerifies(t *testing.T, screened bool) (calls int64, multicasts int) {
+// With keepAll each node is wrapped as the equivalence matrix's keep-all
+// column wraps it.
+func countVerifies(t *testing.T, screened, keepAll bool) (calls int64, multicasts int) {
 	t.Helper()
 	var seed [32]byte
 	seed[0] = 7
@@ -49,6 +51,12 @@ func countVerifies(t *testing.T, screened bool) (calls int64, multicasts int) {
 	nodes, err := core.NewNodes(ccfg, inputs)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if keepAll {
+		perNode := make([]Metrics, ccfg.N)
+		for i, nd := range nodes {
+			nodes[i] = &senderTally{Node: nd, n: ccfg.N, metrics: &perNode[i]}
+		}
 	}
 	cfg := netsim.Config{N: ccfg.N, F: ccfg.F, MaxRounds: ccfg.Rounds()}
 	if screened {
@@ -79,11 +87,13 @@ func countVerifies(t *testing.T, screened bool) (calls int64, multicasts int) {
 // check the tickets themselves, but every node is handed every round's
 // shared list, so all n stay in one state class (DESIGN.md §6), which
 // ingests each list once: the unscreened count is the screened one, not n
-// times it. The counts are a pure function of the seed, at any worker
-// count.
+// times it. The keep-all column's nodes each ingest alone, so each
+// verifies every ticket it receives: n times the screened count. The
+// counts are a pure function of the seed, at any worker count.
 func TestScreenVerifyCount(t *testing.T) {
-	screened, multicasts := countVerifies(t, true)
-	plain, plainMulticasts := countVerifies(t, false)
+	screened, multicasts := countVerifies(t, true, false)
+	plain, plainMulticasts := countVerifies(t, false, false)
+	keepAll, _ := countVerifies(t, false, true)
 	if multicasts != plainMulticasts {
 		t.Fatalf("multicasts %d screened, %d unscreened", multicasts, plainMulticasts)
 	}
@@ -95,6 +105,9 @@ func TestScreenVerifyCount(t *testing.T) {
 	}
 	if want := int64(206); screened != want {
 		t.Errorf("screened run made %d Verify calls, want %d", screened, want)
+	}
+	if keepAll != 200*screened {
+		t.Errorf("keep-all run made %d Verify calls, want every node's check of every ticket, 200 × %d", keepAll, screened)
 	}
 }
 
