@@ -38,12 +38,20 @@ import (
 //   - every node's own Definitions 6–7 counts wherever the column sees
 //     them: equal to the first such column's, and summing to Metrics.
 //
+// A row may sweep more seeds: each extra seed is a subtest seed-k that
+// holds every column to that seed's own reference, as the row's seed is.
+// The sweeps sit on the rows where a live run is likeliest to drift from
+// the simulator: drops and a crash window at Δ = 1, the chaos menu at
+// Δ = 2, and the rows whose chan-lag cells shake the round barrier. This
+// is the only place a live run is compared with the simulator.
+//
 // A column skips a row only for a reason its SKIP line states: its runtime
 // refuses the row (the run must then fail), the row is past the column's
-// size limit, or -short picked another column of the same family. A row
-// the simulator refuses — a delay-only model at Δ = 1 — must be refused by
-// every column in the simulator's words, except Sparse, which refuses
-// every non-lockstep row first.
+// size limit, or -short picked another column of the same family or
+// another of the row's extra seeds. A row the simulator refuses — a
+// delay-only model at Δ = 1 — must be refused by every column in the
+// simulator's words, except Sparse, which refuses every non-lockstep row
+// first.
 func TestEquivalenceMatrix(t *testing.T) {
 	for _, g := range equivGroups() {
 		t.Run(g.name, func(t *testing.T) {
@@ -125,9 +133,12 @@ var netModelCases = []struct {
 // equivRow is one fixed-seed config of the matrix. The scenario is
 // resolved afresh for every run: adversaries are stateful.
 type equivRow struct {
-	name   string
-	sc     Scenario
-	seed   [32]byte
+	name string
+	sc   Scenario
+	seed [32]byte
+	// seeds is how many extra seeds the row sweeps: seed k is the row's
+	// seed with its last byte set to k.
+	seeds  int
 	golden *goldenCase
 	// fact is what the reference must show beyond the goldens, or nil.
 	fact func(t *testing.T, ref *Report)
@@ -169,7 +180,11 @@ func equivGroups() []equivGroup {
 		{name: "chenmicali-n60", sc: Scenario{Config: Config{Protocol: ChenMicali, N: 60, F: 20, Lambda: 24, Epochs: 6}}, seed: seedByte(11)},
 	}
 
-	nets := []equivRow{{name: "delta-one", sc: Scenario{Config: netBase}, seed: seedByte(9)}}
+	sweeps := map[string]int{
+		"delta-one": 9, "jitter-delta2": 9, "jitter-delta3": 9,
+		"chaos-drop-delta1": 10, "chaos-crash-delta1": 5, "chaos-all-delta2": 5,
+	}
+	nets := []equivRow{{name: "delta-one", sc: Scenario{Config: netBase}, seed: seedByte(9), seeds: sweeps["delta-one"]}}
 	for _, m := range netModelCases {
 		for delta := 1; delta <= 3; delta++ {
 			cfg := netBase
@@ -177,7 +192,8 @@ func equivGroups() []equivGroup {
 			if delta > 1 {
 				cfg.Delta = delta
 			}
-			nets = append(nets, equivRow{name: fmt.Sprintf("%s-delta%d", m.name, delta), sc: Scenario{Config: cfg}, seed: seedByte(9)})
+			name := fmt.Sprintf("%s-delta%d", m.name, delta)
+			nets = append(nets, equivRow{name: name, sc: Scenario{Config: cfg}, seed: seedByte(9), seeds: sweeps[name]})
 		}
 	}
 	// Meshes small enough for the TCP column: lockstep, and every chaos fault.
@@ -244,7 +260,8 @@ type equivColumn struct {
 	// refuses reports whether the column's runtime refuses configs like
 	// cfg by design; the run must then fail.
 	refuses func(cfg Config) bool
-	run     func(t *testing.T, cfg Config) (equivCell, error)
+	// run executes cfg traced into rec.
+	run func(t *testing.T, cfg Config, rec *obs.Recorder) (equivCell, error)
 }
 
 var equivColumns = []equivColumn{
@@ -262,7 +279,7 @@ var equivColumns = []equivColumn{
 			return ""
 		},
 		refuses: liveRefuses,
-		run: func(t *testing.T, cfg Config) (equivCell, error) {
+		run: func(t *testing.T, cfg Config, rec *obs.Recorder) (equivCell, error) {
 			if err := cluster.Check(cfg, false); err != nil {
 				return equivCell{}, err
 			}
@@ -273,7 +290,7 @@ var equivColumns = []equivColumn{
 				t.Fatal(err)
 			}
 			defer netw.Close()
-			return runLive(t, ctx, cfg, netw, cluster.Options{RoundTimeout: 30 * time.Second})
+			return runLive(t, ctx, cfg, netw, cluster.Options{RoundTimeout: 30 * time.Second}, rec)
 		},
 	},
 }
@@ -288,8 +305,8 @@ func sharded(procs int) equivColumn {
 	return equivColumn{
 		name:  name,
 		limit: shortPick(name, family...),
-		run: func(t *testing.T, cfg Config) (equivCell, error) {
-			return runSim(t, cfg, procs)
+		run: func(t *testing.T, cfg Config, rec *obs.Recorder) (equivCell, error) {
+			return runSim(t, cfg, procs, rec)
 		},
 	}
 }
@@ -320,9 +337,9 @@ func sparse(workers int) equivColumn {
 		refuses: func(cfg Config) bool {
 			return cfg.Adversary != nil || (cfg.Net != "" && cfg.Net != NetDeltaOne)
 		},
-		run: func(t *testing.T, cfg Config) (equivCell, error) {
+		run: func(t *testing.T, cfg Config, rec *obs.Recorder) (equivCell, error) {
 			cfg.Sparse = true
-			c, err := runSim(t, cfg, workers)
+			c, err := runSim(t, cfg, workers, rec)
 			if err == nil && c.rep.Intern == nil {
 				t.Error("a Sparse run reported no intern statistics")
 			}
@@ -348,7 +365,7 @@ func chanColumn(name string, maxLag time.Duration) equivColumn {
 		name:    name,
 		limit:   limit,
 		refuses: liveRefuses,
-		run: func(t *testing.T, cfg Config) (equivCell, error) {
+		run: func(t *testing.T, cfg Config, rec *obs.Recorder) (equivCell, error) {
 			chans, err := transport.NewChanNetwork(cfg.N)
 			if err != nil {
 				t.Fatal(err)
@@ -360,7 +377,7 @@ func chanColumn(name string, maxLag time.Duration) equivColumn {
 				h.Write([]byte(t.Name()))
 				netw = newLaggedNetwork(chans, h.Sum64(), maxLag)
 			}
-			return runLive(t, context.Background(), cfg, netw, cluster.Options{})
+			return runLive(t, context.Background(), cfg, netw, cluster.Options{}, rec)
 		},
 	}
 }
@@ -389,9 +406,8 @@ func digest(t *testing.T, rec *obs.Recorder) string {
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
-// runSim runs cfg through Run, traced, at GOMAXPROCS procs.
-func runSim(t *testing.T, cfg Config, procs int) (equivCell, error) {
-	rec := obs.NewRecorder(0)
+// runSim runs cfg through Run, traced into rec, at GOMAXPROCS procs.
+func runSim(t *testing.T, cfg Config, procs int, rec *obs.Recorder) (equivCell, error) {
 	cfg.Tracer = rec
 	var rep *Report
 	var err error
@@ -408,8 +424,7 @@ func runSim(t *testing.T, cfg Config, procs int) (equivCell, error) {
 // screen, so every node verifies every ticket it receives. Each node is
 // wrapped to tally its own sends. It steps on the test's GOMAXPROCS, as
 // the live columns do.
-func runKeepAll(t *testing.T, cfg Config) (equivCell, error) {
-	rec := obs.NewRecorder(0)
+func runKeepAll(t *testing.T, cfg Config, rec *obs.Recorder) (equivCell, error) {
 	cfg.Tracer = rec
 	norm, err := cfg.Normalized()
 	if err != nil {
@@ -466,9 +481,8 @@ func (c *senderTally) Step(round int, delivered []netsim.Delivered) []netsim.Sen
 	return sends
 }
 
-// runLive runs cfg as a live cluster over netw, traced.
-func runLive(t *testing.T, ctx context.Context, cfg Config, netw transport.Network, opts cluster.Options) (equivCell, error) {
-	rec := obs.NewRecorder(0)
+// runLive runs cfg as a live cluster over netw, traced into rec.
+func runLive(t *testing.T, ctx context.Context, cfg Config, netw transport.Network, opts cluster.Options, rec *obs.Recorder) (equivCell, error) {
 	opts.Tracer = rec
 	rep, err := cluster.Run(ctx, cfg, netw, opts)
 	if err != nil {
@@ -519,21 +533,47 @@ type equivRef struct {
 	rep   *Report // nil when the simulator refuses the row
 	err   error
 	trace string
+	// events is how many events the traced reference emitted.
+	events int
 	// perNode is the first column's that sees them, intern the first
 	// Sparse column's statistics.
 	perNode []Metrics
 	intern  *InternStats
 }
 
+// check runs the row's seed, then each extra seed as a row of its own;
+// -short runs the one extra seed a hash of the row's name picks.
 func (row equivRow) check(t *testing.T) {
+	row.checkSeed(t)
+	pick := 0
+	if testing.Short() && row.seeds > 0 {
+		h := fnv.New32a()
+		h.Write([]byte(t.Name()))
+		pick = 1 + int(h.Sum32()%uint32(row.seeds))
+	}
+	for k := 1; k <= row.seeds; k++ {
+		t.Run(fmt.Sprintf("seed-%d", k), func(t *testing.T) {
+			if pick != 0 && k != pick {
+				t.Skipf("-short runs seed-%d of this row's %d extra seeds", pick, row.seeds)
+			}
+			extra := equivRow{name: row.name, sc: row.sc, seed: row.seed}
+			extra.seed[len(extra.seed)-1] = byte(k)
+			extra.checkSeed(t)
+		})
+	}
+}
+
+// checkSeed runs the row's reference and holds every column to it.
+func (row equivRow) checkSeed(t *testing.T) {
 	var ref equivRef
 	atProcs(1, func() { ref.rep, ref.err = Run(row.config(t)) })
-	traced, tracedErr := runSim(t, row.config(t), 1)
+	rec := obs.NewRecorder(0)
+	traced, tracedErr := runSim(t, row.config(t), 1, rec)
 	if ref.err == nil {
 		if tracedErr != nil {
 			t.Fatal(tracedErr)
 		}
-		ref.trace = traced.trace
+		ref.trace, ref.events = traced.trace, rec.Len()
 	}
 	if g := row.golden; g != nil {
 		holds(t, ref.rep)
@@ -580,7 +620,10 @@ func (ref *equivRef) cell(t *testing.T, cfg Config, col equivColumn) {
 			t.Skip(why)
 		}
 	}
-	got, err := col.run(t, cfg)
+	// A cell must emit the reference's events, so its ring holds one more:
+	// an extra event changes the digest or overflows the ring, and either
+	// fails the cell. A default ring is 24 MB to zero for every cell.
+	got, err := col.run(t, cfg, obs.NewRecorder(ref.events+1))
 	switch {
 	case col.refuses != nil && col.refuses(cfg):
 		if err == nil {

@@ -27,10 +27,11 @@ func leaveAll(nodes []netsim.Node) {
 	}
 }
 
-// onOwn reports whether n reads its own state, its slot of the run's
-// own-state slab, and not a class's.
+// onOwn reports whether n reads its own state, its slot of its chunk of the
+// run's own states, and not a class's.
 func onOwn(n *Node) bool {
-	return n.class == nil && n.cfg.own != nil && n.st == &n.cfg.own[n.id]
+	c := n.cfg.own[n.id/ownChunkLen]
+	return n.class == nil && c != nil && n.st == &c[n.id%ownChunkLen]
 }
 
 // countingSuite counts the ticket Verify calls made through its verifiers.

@@ -213,7 +213,7 @@ type proposal struct {
 
 // Run is what every node of one execution reads: the validated Config, the
 // suite's Verifier, the node slab, the class the nodes start in and the
-// own-state slab. A node holds a pointer to its run instead of a copy
+// nodes' own states. A node holds a pointer to its run instead of a copy
 // (DESIGN.md §6).
 type Run struct {
 	Config
@@ -223,19 +223,27 @@ type Run struct {
 	// root is the state class every node starts in, on the initial state;
 	// nil without Config.Intern.
 	root *class
-	// own holds node id's own state at own[id], allocated for all N nodes
-	// the first time any node needs one: at construction when the nodes
-	// start without a class, else when the first node leaves its class.
-	own     []state
-	ownOnce sync.Once
+	// own is the directory of the nodes' own states, one chunk per
+	// ownChunkLen consecutive ids, each allocated the first time one of
+	// its nodes needs one: at construction when the nodes start without a
+	// class, else when the node leaves its class. A run whose nodes stay in
+	// their classes allocates no chunk. ownMu guards the directory.
+	own   [][]state
+	ownMu sync.Mutex
 }
+
+// ownChunkLen is how many consecutive ids share one chunk of own states.
+const ownChunkLen = 64
 
 // NewRun validates cfg into the value one execution's nodes share.
 func NewRun(cfg Config) (*Run, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	r := &Run{Config: cfg, verif: cfg.Suite.Verifier(), nodes: make([]Node, cfg.N)}
+	r := &Run{
+		Config: cfg, verif: cfg.Suite.Verifier(), nodes: make([]Node, cfg.N),
+		own: make([][]state, (cfg.N+ownChunkLen-1)/ownChunkLen),
+	}
 	if cfg.Intern != nil {
 		r.root = new(class)
 		r.root.init(cfg.Intern.Hits())
@@ -246,10 +254,9 @@ func NewRun(cfg Config) (*Run, error) {
 // Node constructs node id ∈ [0, N) with the given input bit, in its place
 // of the run's node slab. With Config.Intern set it starts in the run's one
 // state class, on the initial state, and gets its own state only when it
-// leaves it; without, it starts on its slot of the own-state slab. Each id
-// is built at most once, and distinct ids may be built concurrently:
-// core-broadcast builds a node from the shard that steps it, once its input
-// has arrived.
+// leaves it; without, it starts on its own state. Each id is built at most
+// once, and distinct ids may be built concurrently: core-broadcast builds a
+// node from the shard that steps it, once its input has arrived.
 func (r *Run) Node(id types.NodeID, input types.Bit) (*Node, error) {
 	if !input.Valid() {
 		return nil, fmt.Errorf("core: invalid input %v", input)
@@ -265,11 +272,16 @@ func (r *Run) Node(id types.NodeID, input types.Bit) (*Node, error) {
 	return n, nil
 }
 
-// ownState returns node id's slot of the own-state slab, allocating the
-// slab on first use; safe for concurrent use.
+// ownState returns node id's own state, allocating its chunk on first use
+// (the last chunk holds only the ids left over); safe for concurrent use.
 func (r *Run) ownState(id types.NodeID) *state {
-	r.ownOnce.Do(func() { r.own = make([]state, r.N) })
-	return &r.own[id]
+	c := int(id) / ownChunkLen
+	r.ownMu.Lock()
+	defer r.ownMu.Unlock()
+	if r.own[c] == nil {
+		r.own[c] = make([]state, min(ownChunkLen, r.N-c*ownChunkLen))
+	}
+	return &r.own[c][int(id)%ownChunkLen]
 }
 
 // state is everything ingest writes: what a node has learnt from its
@@ -394,8 +406,8 @@ func (n *Node) forkWindow(dst, src *window) {
 }
 
 // leave takes the node out of its class onto its own copy of the class's
-// state, in its slot of the run's own-state slab, before the node ingests
-// anything but the list its class follows.
+// state (Run.ownState), before the node ingests anything but the list its
+// class follows.
 func (n *Node) leave() {
 	own := n.cfg.ownState(n.id)
 	n.fork(own, n.st)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 	"unsafe"
 
@@ -303,11 +304,12 @@ func TestConfigValidation(t *testing.T) {
 
 // TestNodeSize pins what a node costs, because at n = 10⁶ the nodes are
 // most of a run's memory: every node of a NewNodes run points at one shared
-// config, verifier and own-state slab, mines through the run's suite, and on
-// a 64-bit platform fits 64 bytes of the run's node slab. Its own state is
-// not part of it: the nodes of a passive run stay in their class to the end
-// and the run never allocates the slab, while a node handed a private inbox
-// leaves its class onto its slot of it. A private Config copy, a per-node
+// config, verifier and directory of own states, mines through the run's
+// suite, and on a 64-bit platform fits 64 bytes of the run's node slab. Its
+// own state is not part of it: the nodes of a passive run stay in their
+// class to the end and the run allocates no chunk of own states, while a
+// node handed a private inbox leaves its class onto its slot of its chunk
+// (TestLeaveAllocatesOneChunk). A private Config copy, a per-node
 // verifier or miner, an inline own state, or a set kept only to hold the
 // hit block each breaks the pin.
 func TestNodeSize(t *testing.T) {
@@ -339,12 +341,14 @@ func TestNodeSize(t *testing.T) {
 			t.Fatalf("node %d of a passive run left its class", i)
 		}
 	}
-	if passive[0].(*Node).cfg.own != nil {
-		t.Error("a passive run allocated the own-state slab")
+	for i, c := range passive[0].(*Node).cfg.own {
+		if c != nil {
+			t.Errorf("a passive run allocated chunk %d of the own states", i)
+		}
 	}
 	for i, nd := range run(true) {
-		if c := nd.(*Node); !onOwn(c) || len(c.cfg.own) != n {
-			t.Fatalf("node %d left its class but is not on its slot of the own-state slab", i)
+		if !onOwn(nd.(*Node)) {
+			t.Fatalf("node %d left its class but is not on its slot of the own states", i)
 		}
 	}
 
@@ -353,6 +357,45 @@ func TestNodeSize(t *testing.T) {
 	}
 	if got := unsafe.Sizeof(Node{}); got > 64 {
 		t.Errorf("core.Node is %d bytes, want at most 64", got)
+	}
+}
+
+// TestLeaveAllocatesOneChunk: the first node of an n = 10⁴ run to leave its
+// class allocates one chunk of own states, not a state for every node, so
+// a run in which a handful of nodes leave (one dropped link at n = 10⁶)
+// costs a handful of chunks.
+func TestLeaveAllocatesOneChunk(t *testing.T) {
+	const n = 10_000
+	cfg := idealConfig(n, 3000, 40, 1)
+	cfg.Intern = attest.NewInterner()
+	r, err := NewRun(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd, err := r.Node(n/2, types.One)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	nd.leave()
+	runtime.ReadMemStats(&after)
+	if !onOwn(nd) {
+		t.Fatal("the node left its class but is not on its own state")
+	}
+	chunk := ownChunkLen * unsafe.Sizeof(state{})
+	if got := after.TotalAlloc - before.TotalAlloc; got > uint64(chunk)+1024 {
+		t.Errorf("leaving allocated %d bytes, want one chunk of own states (%d bytes), not %d states of %d bytes",
+			got, chunk, n, unsafe.Sizeof(state{}))
+	}
+	// The last chunk holds only the ids past the last full one.
+	last, err := r.Node(n-1, types.One)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last.leave()
+	if got := len(r.own[len(r.own)-1]); got != n%ownChunkLen {
+		t.Errorf("the last chunk holds %d states, want the %d ids left over", got, n%ownChunkLen)
 	}
 }
 

@@ -39,36 +39,14 @@ type Real struct {
 	// are remembered in a side table keyed by proof digest so an adversary
 	// re-multicasting the same forgery costs one Ed25519 verification
 	// total, not one per simulated receiver per round.
+	//
+	// The positive cache keeps every entry: it holds one per valid (tag, id)
+	// ticket, so its size follows the committees, not n — the winners of
+	// each iteration's tags times the iterations run (DESIGN.md §9).
 	mu    sync.RWMutex
 	cache map[verifyKey]verifyEntry
 	bad   map[badProofKey]struct{}
-
-	// The positive cache is bounded by an iteration window: a full memo grows
-	// one entry — a 64-byte proof copy plus map overhead — per (tag, id) ever
-	// verified, which over a long real-crypto run at n = 10⁵–10⁶ re-creates
-	// the per-node memory wall the sparse engine exists to avoid. Eviction
-	// exploits the protocols' verification locality: traffic for iteration i
-	// is verified within a few iterations of i (core's lockstep window keeps
-	// two), so entries whose tag iteration has fallen more than leanWindow
-	// behind the highest iteration seen are dropped. Iteration-0 tags
-	// (Terminate, and any other iteration-free domain) recur for the whole
-	// execution and are never evicted.
-	//
-	// Eviction is bookkeeping, not semantics: the cache memoises a
-	// deterministic verification, so an evicted entry merely re-verifies on
-	// next sight, and answers are those of vrf.Verify at every worker count
-	// (TestRealVerifyAfterEviction).
-	maxIter uint32
-	byIter  map[uint32][]verifyKey // insertion log per iteration, iter ≠ 0
-	live    []uint32               // iterations with a byIter bucket (no map ranging)
 }
-
-// leanWindow is how many iterations behind the newest observed iteration a
-// cache entry survives. Core's lockstep window keeps two iterations of
-// attestation state; doubling that covers stragglers (certificates
-// re-verified one epoch late) with room to spare, while still bounding the
-// cache at O(window · traffic-per-iteration).
-const leanWindow = 4
 
 // badProofKey identifies a proof that failed verification for a (tag, id)
 // pair. Hashing only happens on this slow path — honest traffic never
@@ -102,49 +80,11 @@ func NewReal(pub *pki.Public, secrets []pki.Secret, prob ProbFunc) *Real {
 		miners: make([]realMiner, len(sks)),
 		cache:  make(map[verifyKey]verifyEntry),
 		bad:    make(map[badProofKey]struct{}),
-		byIter: make(map[uint32][]verifyKey),
 	}
 	for i := range r.miners {
 		r.miners[i] = realMiner{r: r, id: types.NodeID(i)}
 	}
 	return r
-}
-
-// CacheLen reports the current number of positive verify-cache entries;
-// telemetry for the tests that pin the cache's boundedness.
-func (r *Real) CacheLen() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.cache)
-}
-
-// noteInsertLocked logs a cache insertion and evicts buckets that have fallen
-// outside the iteration window. Caller holds r.mu.
-func (r *Real) noteInsertLocked(key verifyKey) {
-	iter := key.tag.iter
-	if iter == 0 {
-		return // iteration-free tags (Terminate) live forever
-	}
-	if _, ok := r.byIter[iter]; !ok {
-		r.live = append(r.live, iter)
-	}
-	r.byIter[iter] = append(r.byIter[iter], key)
-	if iter <= r.maxIter {
-		return
-	}
-	r.maxIter = iter
-	kept := r.live[:0]
-	for _, it := range r.live {
-		if it+leanWindow > r.maxIter {
-			kept = append(kept, it)
-			continue
-		}
-		for _, k := range r.byIter[it] {
-			delete(r.cache, k)
-		}
-		delete(r.byIter, it)
-	}
-	r.live = kept
 }
 
 type realMiner struct {
@@ -217,7 +157,6 @@ func (v realVerifier) Verify(tag Tag, id types.NodeID, proof []byte) bool {
 	v.r.mu.Lock()
 	if cur, exists := v.r.cache[key]; !exists || !cur.valid {
 		v.r.cache[key] = verifyEntry{proof: bytes.Clone(proof), valid: valid}
-		v.r.noteInsertLocked(key)
 	}
 	v.r.mu.Unlock()
 	return valid

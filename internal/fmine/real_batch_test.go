@@ -2,6 +2,7 @@ package fmine
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"ccba/internal/crypto/pki"
@@ -10,10 +11,9 @@ import (
 )
 
 // The batch mining entry point must be observationally equivalent to the
-// scalar path — identical proofs, identical success flags — and the
-// windowed verify cache must stay bounded while answering exactly as an
-// uncached vrf.Verify would, for genuine tickets, wrong-owner claims, and
-// forged bytes.
+// scalar path — identical proofs, identical success flags — and the verify
+// cache must answer exactly as an uncached vrf.Verify would, for genuine
+// tickets, wrong-owner claims, and forged bytes.
 
 const batchProb = 0.5
 
@@ -40,11 +40,12 @@ func TestRealMineBatchMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestRealVerifyAfterEviction pins the cache's eviction policy and its
-// invisibility. Entries older than the iteration window are dropped and
-// iteration-0 (Terminate) entries never are; a ticket presented again after
-// its iteration left the window — genuine, forged, or under the wrong owner —
-// is answered exactly as vrf.Verify answers it, uncached and then cached.
+// TestRealVerifyAfterEviction pins the verify cache's invisibility. It
+// keeps every valid ticket it has verified, and a ticket presented again
+// iterations later — genuine, forged, or under the wrong owner — is
+// answered exactly as vrf.Verify answers it, the first time and again once
+// the answer is cached or recorded as a forgery. (The cache once evicted
+// iterations that fell out of a window; these are the tickets it evicted.)
 func TestRealVerifyAfterEviction(t *testing.T) {
 	const n = 16
 	r, pub, ids := batchReal(n)
@@ -71,32 +72,23 @@ func TestRealVerifyAfterEviction(t *testing.T) {
 		perIter[iter] = proofs
 	}
 
-	// Bounded: at most the window's worth of per-iteration entries plus the
-	// immortal iteration-0 ones, every one of which is still cached.
-	termCached := 0
-	for i, ok := range termOks {
-		_, cached := r.cache[verifyKey{tag: termTag.key(), id: ids[i]}]
-		if cached != ok {
-			t.Fatalf("iter-0 id %d: cached %v after %d iterations, want %v (never evicted)", i, cached, iters, ok)
-		}
-		if ok {
-			termCached++
+	// Every valid ticket stays cached, iteration 0's and iteration 1's alike.
+	early := iterTag(1)
+	for i, id := range ids {
+		for _, c := range []struct {
+			tag   Tag
+			valid bool
+		}{{termTag, termOks[i]}, {early, perIter[1][i] != nil}} {
+			if _, cached := r.cache[verifyKey{tag: c.tag.key(), id: id}]; cached != c.valid {
+				t.Fatalf("iter %d id %d: cached %v after %d iterations, want %v", c.tag.Iter, id, cached, iters, c.valid)
+			}
 		}
 	}
-	if termCached == 0 {
+	if !slices.Contains(termOks, true) {
 		t.Fatal("no iteration-0 ticket won at p=0.5; corpus broken")
 	}
-	if got, max := r.CacheLen(), termCached+leanWindow*n; got > max {
-		t.Fatalf("cache has %d entries after %d iterations, want ≤ %d", got, iters, max)
-	}
-	early := iterTag(1)
-	for _, id := range ids {
-		if _, cached := r.cache[verifyKey{tag: early.key(), id: id}]; cached {
-			t.Fatalf("iteration-1 entry of id %d survived to iteration %d (window %d)", id, iters, leanWindow)
-		}
-	}
 
-	// Evicted tickets, their forgeries and wrong-owner claims answer as an
+	// Early tickets, their forgeries and wrong-owner claims answer as an
 	// uncached verification does, the first time and again once the answer
 	// is cached or recorded as a forgery.
 	var claimIDs []types.NodeID
@@ -116,15 +108,15 @@ func TestRealVerifyAfterEviction(t *testing.T) {
 		first := v.Verify(early, claimIDs[j], claimProofs[j])
 		again := v.Verify(early, claimIDs[j], claimProofs[j])
 		if first != want || again != want {
-			t.Fatalf("claim %d (id %d) after eviction: Verify %v, then %v; vrf.Verify says %v",
-				j, claimIDs[j], first, again, want)
+			t.Fatalf("claim %d (id %d) after %d iterations: Verify %v, then %v; vrf.Verify says %v",
+				j, claimIDs[j], iters, first, again, want)
 		}
 		if want {
 			valid++
 		}
 	}
 	if valid == 0 || valid == len(claimIDs) {
-		t.Fatalf("%d of %d post-eviction claims valid; the corpus needs both outcomes", valid, len(claimIDs))
+		t.Fatalf("%d of %d late claims valid; the corpus needs both outcomes", valid, len(claimIDs))
 	}
 	for i, ok := range termOks {
 		if got := v.Verify(termTag, ids[i], termProofs[i]); got != ok {

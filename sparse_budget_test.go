@@ -23,10 +23,10 @@ import (
 // attempt or per delivery fails it; its byte budget sits ~10 % above, so
 // an own state allocated per node (2.7 MB) fails it too, and its heap
 // budget ~5× above. Core-real measures ≈481k allocs / ≈32 MB cumulative
-// with the lean bounded verify cache (≈501k / ≈35 MB with a boxed miner
+// with the verify cache (≈501k / ≈35 MB with a boxed miner
 // per node and a 352-byte node), budgeted at ~2.2×: those fail on a
-// reintroduced O(n)-per-round buffer, per-node attestation copies, or an
-// unbounded crypto memo, not on runtime noise.
+// reintroduced O(n)-per-round buffer, per-node attestation copies, or a
+// crypto memo that grows with n, not on runtime noise.
 
 func sparse10kConfig() Config {
 	cfg := Config{Protocol: Core, N: 10_000, F: 3_000, Lambda: 40, Sparse: true}
@@ -97,9 +97,9 @@ func TestSparseHeapBudgetN10k(t *testing.T) {
 }
 
 // A real-crypto Sparse run must stay within the same order of memory as
-// the ideal one: Ed25519 costs CPU, and the lean bounded verify cache plus
-// proof-sized tickets may cost a few× the coin table, but nothing may
-// reintroduce an O(n·rounds) or unbounded-memo term. This is the budget
+// the ideal one: Ed25519 costs CPU, and the verify cache (one entry per
+// valid ticket) plus proof-sized tickets may cost a few× the coin table,
+// but nothing may reintroduce an O(n·rounds) or per-delivery memo term. This is the budget
 // that guards the E13 real-crypto sweep's feasibility at n ≥ 10⁵.
 func TestSparseRealBudgetN10k(t *testing.T) {
 	skipUnderRace(t)
