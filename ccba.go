@@ -179,15 +179,16 @@ type (
 	Tracer = obs.Tracer
 	// TraceEvent is one round-lifecycle event.
 	TraceEvent = obs.Event
-	// TraceRecorder is the ring-buffered in-memory Tracer; its WriteJSONL
-	// emits the canonical export cmd/tracediff aligns on.
+	// TraceRecorder is the in-memory Tracer, an append-only log with a
+	// ceiling; its WriteJSONL emits the canonical export cmd/tracediff
+	// aligns on, or refuses with obs.ErrTraceFull past the ceiling.
 	TraceRecorder = obs.Recorder
 	// InternStats is the attestation intern table's sharing telemetry.
 	InternStats = attest.InternStats
 )
 
-// NewTraceRecorder builds a ring-buffered trace recorder; capacity ≤ 0
-// selects the default (2²⁰ events).
+// NewTraceRecorder builds an empty trace recorder that keeps at most limit
+// events; limit ≤ 0 selects the default ceiling (2²² events).
 var NewTraceRecorder = obs.NewRecorder
 
 // Registry entry points, re-exported from internal/scenario.

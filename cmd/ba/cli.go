@@ -291,12 +291,12 @@ func writeJSON(w io.Writer, v any) error {
 	return err
 }
 
-// writeTrace exports a recorder's canonical JSONL to path. A recorder whose
-// ring overwrote events holds only the run's tail, so it writes nothing and
-// fails instead of leaving a file that looks like the whole trace.
+// writeTrace exports a recorder's canonical JSONL to path. A recorder past
+// its ceiling holds only the run's first events, so it refuses before the
+// file is created instead of leaving one that looks like the whole trace.
 func writeTrace(path string, rec *ccba.TraceRecorder) error {
-	if dropped := rec.Dropped(); dropped > 0 {
-		return fmt.Errorf("-trace %s: the run emitted %d events more than the recorder holds (%d), so its first rounds are lost; no trace written", path, dropped, rec.Len())
+	if err := rec.Err(); err != nil {
+		return fmt.Errorf("-trace %s: %w", path, err)
 	}
 	f, err := os.Create(path)
 	if err != nil {

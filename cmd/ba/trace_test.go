@@ -12,13 +12,14 @@ import (
 
 	"ccba"
 	"ccba/internal/cluster"
+	"ccba/internal/obs"
 	"ccba/internal/transport"
 )
 
-// TestTraceRefusesTruncation: a recorder too small for the run overwrites
-// the run's first events, so -trace fails with the dropped count on the
-// simulator and on a live run alike, and leaves no file behind; one large
-// enough writes every event.
+// TestTraceRefusesTruncation: a recorder too small for the run holds only
+// its first events, so -trace fails with obs.ErrTraceFull and the emitted
+// and held counts on the simulator and on a live run alike, and leaves no
+// file behind; one large enough writes every event.
 func TestTraceRefusesTruncation(t *testing.T) {
 	cfg := ccba.Config{Protocol: ccba.Core, N: 10, F: 3, Lambda: 6}
 	for _, tc := range []struct {
@@ -47,7 +48,7 @@ func TestTraceRefusesTruncation(t *testing.T) {
 			if err := run(full); err != nil {
 				t.Fatal(err)
 			}
-			events := full.Len()
+			events := len(full.Events())
 			path := filepath.Join(t.TempDir(), "t.jsonl")
 			if err := writeTrace(path, full); err != nil {
 				t.Fatalf("a recorder holding all %d events: %v", events, err)
@@ -63,8 +64,8 @@ func TestTraceRefusesTruncation(t *testing.T) {
 			}
 			path = filepath.Join(t.TempDir(), "t.jsonl")
 			err := writeTrace(path, small)
-			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("emitted %d events more than the recorder holds (%d)", events-k, k)) {
-				t.Fatalf("a %d-event recorder for a %d-event run: got %v, want the dropped count", k, events, err)
+			if !errors.Is(err, obs.ErrTraceFull) || !strings.Contains(err.Error(), fmt.Sprintf("emitted %d events and the recorder holds its first %d", events, k)) {
+				t.Fatalf("a %d-event recorder for a %d-event run: got %v, want ErrTraceFull with both counts", k, events, err)
 			}
 			if _, err := os.Stat(path); !errors.Is(err, fs.ErrNotExist) {
 				t.Fatalf("a truncated trace left a file behind: %v", err)

@@ -131,10 +131,10 @@ func TestScheduledDeliveryPreservesEncoding(t *testing.T) {
 			wantBytes += wire.Size(m)
 		}
 		// One multicast (counted once in multicast bytes) + two unicasts.
-		if res.Metrics.HonestMulticastBytes != wire.Size(sent[0]) {
+		if res.Metrics.HonestMulticastBytes != netsim.Count(wire.Size(sent[0])) {
 			t.Fatalf("multicast bytes %d, want %d", res.Metrics.HonestMulticastBytes, wire.Size(sent[0]))
 		}
-		if got := res.Metrics.HonestMessageBytes; got != n*wire.Size(sent[0])+wire.Size(sent[1])+wire.Size(sent[2]) {
+		if got := res.Metrics.HonestMessageBytes; got != netsim.Count(n*wire.Size(sent[0])+wire.Size(sent[1])+wire.Size(sent[2])) {
 			t.Fatalf("classical bytes %d for sends totalling %d", got, wantBytes)
 		}
 		// Node 1 received all three messages (in some schedule order); each

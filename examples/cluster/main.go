@@ -59,14 +59,14 @@ func main() {
 
 	// Per-node accounting comes free in a live run: each node tallies its
 	// own sends. Summed, the tallies equal the simulator's aggregate.
-	busiest, count := 0, 0
+	busiest := 0
 	for i, m := range live.PerNode {
-		if m.HonestMulticasts > count {
-			busiest, count = i, m.HonestMulticasts
+		if m.HonestMulticasts > live.PerNode[busiest].HonestMulticasts {
+			busiest = i
 		}
 	}
 	fmt.Printf("busiest node: %d with %d multicasts (committees stay small: λ=%d)\n\n",
-		busiest, count, cfg.Lambda)
+		busiest, live.PerNode[busiest].HonestMulticasts, cfg.Lambda)
 
 	// 2. The same protocol over real TCP sockets. The hybrid world's F_mine
 	// trusted party lives inside one process, so multi-process meshes use

@@ -123,7 +123,7 @@ func TestPreservesSublinearMulticast(t *testing.T) {
 	// multicasts + 1.
 	mk, cfg := coreBA(t, 200, 50, 24, 4)
 	res := runBB(t, 200, 50, 0, types.One, mk, cfg.Rounds()+1, nil)
-	if res.Metrics.HonestMulticasts > 40*cfg.Lambda {
+	if res.Metrics.HonestMulticasts > netsim.Count(40*cfg.Lambda) {
 		t.Fatalf("BB multicasts %d not sublinear-like", res.Metrics.HonestMulticasts)
 	}
 }

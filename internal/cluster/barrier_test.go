@@ -181,7 +181,7 @@ func TestDecodeOncePerMulticast(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The counts below assume every message sent was also delivered.
-		if want := chattyRounds * n; rep.Result.Metrics.HonestMulticasts != want {
+		if want := netsim.Count(chattyRounds * n); rep.Result.Metrics.HonestMulticasts != want {
 			t.Fatalf("%d multicasts, want %d", rep.Result.Metrics.HonestMulticasts, want)
 		}
 		if rep.Rounds != chattyRounds+1 {

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"ccba/internal/netsim"
 	"ccba/internal/obs"
@@ -16,31 +15,6 @@ import (
 
 // chaosBase is the n = 24 core config the plan tests start from.
 var chaosBase = scenario.Config{Protocol: scenario.Core, N: 24, F: 7, Lambda: 8, MaxIters: 12}
-
-// TestChaosOverTCPCluster drives a chaos schedule over real sockets: a
-// 4-node TCP mesh with Δ=2 delays and drops, whose per-link markers
-// interleave as the network pleases. The run must be the simulator's.
-func TestChaosOverTCPCluster(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	cfg := scenario.Config{Protocol: scenario.Core, N: 4, F: 1, Lambda: 3,
-		Net: scenario.NetChaos, Delta: 2, OmissionRate: 0.25, OmissionFaulty: 1}
-	cfg.Seed[0] = 7
-	netw, err := transport.NewTCPNetwork(ctx, transport.LoopbackAddrs(cfg.N), transport.TCPOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer netw.Close()
-	live, err := Run(ctx, cfg, netw, Options{RoundTimeout: 30 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim, err := scenario.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameResult(t, live, sim)
-}
 
 // TestChaosDelaysAreRounds: prepare keeps the config's one lowering — the
 // chaos Δ with its jitter spread, the partition at N/2 and the faulty mask,

@@ -230,7 +230,7 @@ func TestSurvivesAdaptiveVoteFlipper(t *testing.T) {
 func TestSubquadraticMulticastComplexity(t *testing.T) {
 	// The headline property (Theorem 2): the number of honest multicasts is
 	// governed by λ, not n. Quadrupling n must not materially change it.
-	countFor := func(n int) int {
+	countFor := func(n int) netsim.Count {
 		cfg := idealConfig(n, n/4, 30, 7)
 		inputs := constInputs(n, types.One)
 		res := run(t, cfg, inputs, nil)

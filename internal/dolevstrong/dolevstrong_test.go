@@ -120,10 +120,10 @@ func TestQuadraticCommunication(t *testing.T) {
 	// strong adaptivity.
 	cfg, secrets := setup(t, 10, 3)
 	res := run(t, cfg, types.One, secrets, nil)
-	if res.Metrics.HonestMulticasts < cfg.N {
+	if res.Metrics.HonestMulticasts < netsim.Count(cfg.N) {
 		t.Fatalf("multicasts = %d; every node should relay once", res.Metrics.HonestMulticasts)
 	}
-	if res.Metrics.HonestMessages < cfg.N*cfg.N {
+	if res.Metrics.HonestMessages < netsim.Count(cfg.N*cfg.N) {
 		t.Fatalf("classical messages = %d, want ≥ n²", res.Metrics.HonestMessages)
 	}
 }

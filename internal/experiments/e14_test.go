@@ -6,9 +6,9 @@ import (
 )
 
 // E14 at smoke scale: every setting must be safety-clean, every row — each
-// Δ, chan and TCP — must be bit-identical to the simulator (the exact-match
-// invariant the experiment exists to assert), and the plot bundle must
-// reference only data files it actually carries.
+// Δ, chan and TCP — must be bit-identical to the simulator (e14Trial fails
+// a run that diverges), and the plot bundle must reference only data files
+// it actually carries.
 func TestE14Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full live-vs-sim sweep")
@@ -23,9 +23,6 @@ func TestE14Shape(t *testing.T) {
 	for _, r := range res.Rows {
 		if r.SafetyViol != 0 {
 			t.Errorf("%s Δ=%d drop=%.2f: %d safety violations", r.Transport, r.Delta, r.DropRate, r.SafetyViol)
-		}
-		if r.ExactMatch != 1 {
-			t.Errorf("%s Δ=%d drop=%.2f: exact-match rate %.2f, want 1", r.Transport, r.Delta, r.DropRate, r.ExactMatch)
 		}
 	}
 	if len(res.Plots) != 1 {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"ccba/internal/harness"
-	"ccba/internal/netsim"
 	"ccba/internal/scenario"
 	"ccba/internal/table"
 	"ccba/internal/types"
@@ -112,14 +111,6 @@ func (v violations) String() string {
 		s += "T"
 	}
 	return s
-}
-
-func checkResult(res *netsim.Result, inputs []types.Bit) violations {
-	return violations{
-		consistency: netsim.CheckConsistency(res) != nil,
-		validity:    netsim.CheckAgreementValidity(res, inputs) != nil,
-		termination: netsim.CheckTermination(res) != nil,
-	}
 }
 
 // checkReport folds a scenario report's checker outcomes into the

@@ -40,13 +40,12 @@ func TestRealMineBatchMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestRealVerifyAfterEviction pins the verify cache's invisibility. It
+// TestRealVerifyCacheIsInvisible pins the verify cache's invisibility. It
 // keeps every valid ticket it has verified, and a ticket presented again
 // iterations later — genuine, forged, or under the wrong owner — is
 // answered exactly as vrf.Verify answers it, the first time and again once
-// the answer is cached or recorded as a forgery. (The cache once evicted
-// iterations that fell out of a window; these are the tickets it evicted.)
-func TestRealVerifyAfterEviction(t *testing.T) {
+// the answer is cached or recorded as a forgery.
+func TestRealVerifyCacheIsInvisible(t *testing.T) {
 	const n = 16
 	r, pub, ids := batchReal(n)
 	reference := func(tag Tag, id types.NodeID, proof []byte) bool {
@@ -54,7 +53,7 @@ func TestRealVerifyAfterEviction(t *testing.T) {
 		return ok && out.Below(batchProb)
 	}
 
-	termTag := Tag{Domain: "evict-test", Type: 9, Iter: 0, Bit: types.NoBit}
+	termTag := Tag{Domain: "cache-test", Type: 9, Iter: 0, Bit: types.NoBit}
 	termProofs, termOks := r.MineBatch(termTag, ids)
 	v := r.Verifier()
 	for i, id := range ids {
@@ -63,7 +62,7 @@ func TestRealVerifyAfterEviction(t *testing.T) {
 
 	const iters = 20
 	perIter := make(map[uint32][][]byte)
-	iterTag := func(iter uint32) Tag { return Tag{Domain: "evict-test", Type: 1, Iter: iter, Bit: types.One} }
+	iterTag := func(iter uint32) Tag { return Tag{Domain: "cache-test", Type: 1, Iter: iter, Bit: types.One} }
 	for iter := uint32(1); iter <= iters; iter++ {
 		proofs, _ := r.MineBatch(iterTag(iter), ids)
 		for i, id := range ids {

@@ -86,7 +86,7 @@ type Outcome struct {
 	SilentOutput types.Bit
 	// HonestMessages is the classical message count honest nodes sent under
 	// adversary A (the quantity Theorem 4 lower-bounds).
-	HonestMessages int
+	HonestMessages netsim.Count
 	// MessagesToV counts messages addressed to members of V under A.
 	MessagesToV int
 	// ValidityViolatedA reports whether adversary A already broke validity.

@@ -171,7 +171,7 @@ func TestRemoveForFiltersSharedMulticast(t *testing.T) {
 	if got := tags(sn[2].got); !equalU32(got, []uint32{11}) {
 		t.Fatalf("victim received %v, want [11] only", got)
 	}
-	wantSize := wire.Size(markMsg{})
+	wantSize := Count(wire.Size(markMsg{}))
 	if res.Metrics.HonestMulticasts != 2 || res.Metrics.HonestMulticastBytes != 2*wantSize {
 		t.Fatalf("metrics %+v: erased-for-one multicast must still be counted", res.Metrics)
 	}
@@ -231,7 +231,7 @@ func TestInjectedAndRemovedMetrics(t *testing.T) {
 	}
 	// Honest sends: node 1's removed multicast and node 2's multicast. The
 	// injection from corrupt node 0 must not be counted.
-	wantSize := wire.Size(markMsg{})
+	wantSize := Count(wire.Size(markMsg{}))
 	want := Metrics{
 		HonestMulticasts:     2,
 		HonestMulticastBytes: 2 * wantSize,

@@ -91,7 +91,7 @@ func TestEventRuntimeFloodAllModes(t *testing.T) {
 				t.Fatalf("mode %s: %v", mode, err)
 			}
 			// Each node multicasts exactly once: n multicasts, n² pairwise.
-			if res.Metrics.HonestMulticasts != n || res.Metrics.HonestMessages != n*n {
+			if res.Metrics.HonestMulticasts != Count(n) || res.Metrics.HonestMessages != Count(n*n) {
 				t.Fatalf("mode %s: metrics %+v, want %d multicasts / %d messages", mode, res.Metrics, n, n*n)
 			}
 		})

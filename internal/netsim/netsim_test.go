@@ -126,14 +126,14 @@ func TestMetricsAccounting(t *testing.T) {
 	}
 	res := rt.Run()
 	// Each node multicasts once in rounds 0 and 1 → 8 multicasts.
-	wantMulticasts := n * rounds
+	wantMulticasts := Count(n * rounds)
 	if res.Metrics.HonestMulticasts != wantMulticasts {
 		t.Fatalf("multicasts = %d, want %d", res.Metrics.HonestMulticasts, wantMulticasts)
 	}
 	if res.Metrics.HonestMessages != wantMulticasts*n {
 		t.Fatalf("classical messages = %d, want %d", res.Metrics.HonestMessages, wantMulticasts*n)
 	}
-	msgSize := wire.Size(pingMsg{})
+	msgSize := Count(wire.Size(pingMsg{}))
 	if res.Metrics.HonestMulticastBytes != wantMulticasts*msgSize {
 		t.Fatalf("multicast bytes = %d, want %d", res.Metrics.HonestMulticastBytes, wantMulticasts*msgSize)
 	}

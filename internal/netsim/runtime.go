@@ -668,12 +668,12 @@ func (rt *Runtime) collect(rounds int) *Result {
 type Metrics struct {
 	// HonestMulticasts and HonestMulticastBytes measure Definition 7
 	// (multicast complexity): sends by so-far-honest nodes to everyone.
-	HonestMulticasts     int
-	HonestMulticastBytes int
+	HonestMulticasts     Count
+	HonestMulticastBytes Count
 	// HonestMessages and HonestMessageBytes measure Definition 6 (classical
 	// complexity): a multicast counts as n pairwise messages.
-	HonestMessages     int
-	HonestMessageBytes int
+	HonestMessages     Count
+	HonestMessageBytes Count
 }
 
 // CountSend accounts one honest send of an encoded size in a network of n
@@ -685,12 +685,12 @@ type Metrics struct {
 func (m *Metrics) CountSend(to types.NodeID, n, size int) {
 	if to == types.Broadcast {
 		m.HonestMulticasts++
-		m.HonestMulticastBytes += size
-		m.HonestMessages += n
-		m.HonestMessageBytes += n * size
+		m.HonestMulticastBytes += Count(size)
+		m.HonestMessages += Count(n)
+		m.HonestMessageBytes += Count(n) * Count(size)
 	} else {
 		m.HonestMessages++
-		m.HonestMessageBytes += size
+		m.HonestMessageBytes += Count(size)
 	}
 }
 
@@ -714,8 +714,8 @@ func (m *Metrics) EncodeTo(w *wire.Writer) {
 }
 
 // DecodeFrom reads the counters written by EncodeTo; decoding errors
-// surface through r's sticky error. A counter above this platform's largest
-// int fails the reader instead of wrapping into a wrong total.
+// surface through r's sticky error. A counter above the largest int64
+// fails the reader instead of wrapping into a negative Count.
 func (m *Metrics) DecodeFrom(r *wire.Reader) {
 	m.HonestMulticasts = readCount(r)
 	m.HonestMulticastBytes = readCount(r)
@@ -723,8 +723,8 @@ func (m *Metrics) DecodeFrom(r *wire.Reader) {
 	m.HonestMessageBytes = readCount(r)
 }
 
-func readCount(r *wire.Reader) int {
+func readCount(r *wire.Reader) Count {
 	v := r.U64()
-	r.Expect(v <= math.MaxInt, "metrics counter exceeds the platform int")
-	return int(v)
+	r.Expect(v <= math.MaxInt64, "metrics counter exceeds int64")
+	return Count(v)
 }

@@ -97,7 +97,7 @@ func (f FaultKind) String() string {
 
 // Event is one trace record. It is a flat value — no pointers, no
 // allocation per emission — so tracing a million-node sparse round costs
-// only the ring-buffer writes. Field meaning per kind is documented on the
+// only the log's appends. Field meaning per kind is documented on the
 // EventKind constants.
 type Event struct {
 	Round int32

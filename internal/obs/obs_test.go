@@ -2,8 +2,10 @@ package obs
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -92,21 +94,42 @@ func TestRecorderLinesAreJSON(t *testing.T) {
 	}
 }
 
-func TestRecorderRingWraps(t *testing.T) {
+// TestRecorderRefusesPastCeiling: a recorder past its ceiling keeps only
+// counting, and both Err and WriteJSONL refuse with ErrTraceFull naming the
+// emitted and held counts; WriteJSONL writes no byte.
+func TestRecorderRefusesPastCeiling(t *testing.T) {
 	rec := NewRecorder(4)
 	s := NewSink(rec)
 	for r := 0; r < 6; r++ {
 		s.RoundStart(r, 0)
 	}
-	if rec.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", rec.Len())
+	var w strings.Builder
+	werr := rec.WriteJSONL(&w)
+	for _, err := range []error{rec.Err(), werr} {
+		if !errors.Is(err, ErrTraceFull) || !strings.Contains(err.Error(), "emitted 6 events and the recorder holds its first 4") {
+			t.Fatalf("got %v, want ErrTraceFull naming 6 emitted and 4 held", err)
+		}
 	}
-	if rec.Dropped() != 2 {
-		t.Fatalf("Dropped = %d, want 2", rec.Dropped())
+	if w.Len() != 0 {
+		t.Fatalf("a refused export wrote %d bytes", w.Len())
 	}
-	evs := rec.Events()
-	if evs[0].Round != 2 || evs[len(evs)-1].Round != 5 {
-		t.Fatalf("retained window = rounds %d..%d, want 2..5", evs[0].Round, evs[len(evs)-1].Round)
+	if evs := rec.Events(); len(evs) != 4 || evs[0].Round != 0 || evs[3].Round != 3 {
+		t.Fatalf("held %+v, want rounds 0..3", evs)
+	}
+}
+
+// TestRecorderAllocatesAsEventsArrive: a default recorder pays for the
+// events its run emits, not for its ceiling.
+func TestRecorderAllocatesAsEventsArrive(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rec := NewRecorder(0)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<10 {
+		t.Fatalf("NewRecorder(0) allocated %d B before its first event, want < 1 KiB", got)
+	}
+	if rec.Err() != nil || len(rec.Events()) != 0 {
+		t.Fatal("a fresh recorder is not empty")
 	}
 }
 

@@ -2,91 +2,86 @@ package obs
 
 import (
 	"bufio"
+	"errors"
+	"fmt"
 	"io"
 	"slices"
 	"strconv"
 	"sync"
 )
 
-// DefaultRecorderCap is the ring capacity NewRecorder(0) resolves to:
-// large enough to hold every event of the golden-trace configurations with
-// room to spare, small enough (24 bytes/event) to be a non-decision.
-const DefaultRecorderCap = 1 << 20
+// DefaultRecorderCap is the ceiling NewRecorder(0) resolves to: 2²² events,
+// about 100 MB at 24 bytes an event, paid only by a run that emits them.
+const DefaultRecorderCap = 1 << 22
 
-// Recorder is a mutex-guarded ring buffer of events — the Tracer the
-// command-line tools and tests plug in. When the ring wraps, the oldest
-// events are overwritten and counted in Dropped; a wrapped trace is no
-// longer a pure function of the seed from round zero (only the retained
-// window is), so capacity should exceed the expected event count wherever
-// the determinism contract matters.
+// ErrTraceFull refuses the export of a recorder past its ceiling: it holds
+// only the run's first events.
+var ErrTraceFull = errors.New("obs: the trace is past the recorder's ceiling")
+
+// Recorder is a mutex-guarded append-only log of events, the Tracer the
+// command-line tools and tests plug in. It allocates as events arrive and
+// keeps at most its ceiling; past it, it only counts, and Err and
+// WriteJSONL refuse with ErrTraceFull.
 type Recorder struct {
-	mu      sync.Mutex
-	buf     []Event
-	start   int // index of the oldest event once wrapped
-	full    bool
-	dropped uint64
+	mu    sync.Mutex
+	log   []Event
+	limit int
+	over  uint64 // events emitted past the ceiling
 }
 
-// NewRecorder builds a recorder with the given ring capacity
-// (DefaultRecorderCap when capacity <= 0).
-func NewRecorder(capacity int) *Recorder {
-	if capacity <= 0 {
-		capacity = DefaultRecorderCap
+// NewRecorder builds an empty recorder that keeps at most limit events
+// (DefaultRecorderCap when limit <= 0).
+func NewRecorder(limit int) *Recorder {
+	if limit <= 0 {
+		limit = DefaultRecorderCap
 	}
-	return &Recorder{buf: make([]Event, 0, capacity)}
+	return &Recorder{limit: limit}
 }
 
-// Emit appends one event, overwriting the oldest when the ring is full.
+// Emit appends one event, or only counts it once the log is at its ceiling.
 func (r *Recorder) Emit(e Event) {
 	r.mu.Lock()
-	if !r.full && len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, e)
+	if len(r.log) < r.limit {
+		r.log = append(r.log, e)
 	} else {
-		r.full = true
-		r.buf[r.start] = e
-		r.start++
-		if r.start == len(r.buf) {
-			r.start = 0
-		}
-		r.dropped++
+		r.over++
 	}
 	r.mu.Unlock()
 }
 
-// Len returns the number of retained events.
-func (r *Recorder) Len() int {
+// Err returns nil while the recorder holds every event its run emitted,
+// and ErrTraceFull, with the emitted and held counts, once it does not.
+func (r *Recorder) Err() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.buf)
+	if r.over == 0 {
+		return nil
+	}
+	return fmt.Errorf("%w: the run emitted %d events and the recorder holds its first %d, so no trace is written",
+		ErrTraceFull, uint64(len(r.log))+r.over, len(r.log))
 }
 
-// Dropped returns the number of events the ring overwrote.
-func (r *Recorder) Dropped() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
-}
-
-// Events returns the retained events in canonical (Round, Node, Kind, Seq)
-// order — the order WriteJSONL emits and cmd/tracediff aligns on. The
-// sort key extends to every field, so two recorders holding the same event
-// multiset always return identical slices regardless of how emissions from
-// concurrent shards or node goroutines interleaved.
+// Events sorts the log in place into canonical (Round, Node, Kind, Seq)
+// order — the order WriteJSONL emits and cmd/tracediff aligns on — and
+// returns it, read-only. The sort key extends to every field, so two
+// recorders holding the same event multiset return identical slices however
+// emissions from concurrent shards or node goroutines interleaved.
 func (r *Recorder) Events() []Event {
 	r.mu.Lock()
-	out := make([]Event, 0, len(r.buf))
-	out = append(out, r.buf[r.start:]...)
-	out = append(out, r.buf[:r.start]...)
-	r.mu.Unlock()
-	slices.SortFunc(out, compare)
-	return out
+	defer r.mu.Unlock()
+	slices.SortFunc(r.log, compare)
+	return slices.Clip(r.log)
 }
 
 // WriteJSONL writes the canonical JSONL export: one event per line, fields
 // hand-formatted in a fixed order, lines in canonical event order. Equal
 // seeds produce byte-identical output across the serial, parallel, sparse,
-// and live-cluster engines — the property TestEquivalenceMatrix pins.
+// and live-cluster engines — the property TestEquivalenceMatrix pins. A
+// recorder past its ceiling writes nothing and returns Err's refusal.
 func (r *Recorder) WriteJSONL(w io.Writer) error {
+	if err := r.Err(); err != nil {
+		return err
+	}
 	bw := bufio.NewWriter(w)
 	line := make([]byte, 0, 96)
 	for _, e := range r.Events() {

@@ -38,7 +38,7 @@ func (v countingVerifier) Verify(tag fmine.Tag, id types.NodeID, proof []byte) b
 // returns the Verify calls it made and its Definition 7 multicast count.
 // With keepAll each node is wrapped as the equivalence matrix's keep-all
 // column wraps it.
-func countVerifies(t *testing.T, screened, keepAll bool) (calls int64, multicasts int) {
+func countVerifies(t *testing.T, screened, keepAll bool) (calls int64, multicasts netsim.Count) {
 	t.Helper()
 	var seed [32]byte
 	seed[0] = 7
