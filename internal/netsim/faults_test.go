@@ -1,7 +1,9 @@
 package netsim
 
 import (
+	"errors"
 	"math/rand/v2"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -220,5 +222,394 @@ func TestFaultsPowerBoundary(t *testing.T) {
 	}
 	if valid < trials/3 || drops == 0 || holds == 0 {
 		t.Fatalf("%d of %d schedules valid, %d drops, %d delays past one round: the draw exercises too little", valid, trials, drops, holds)
+	}
+}
+
+// The tests below pin down how the Runtime delivers by its network model:
+// worst-case Δ-delay reaches the bound, jitter is deterministic per seed,
+// omission loses only the faulty senders' links, and the Uniform shortcut
+// changes no delivery. The tests above pin the model's own answers.
+
+// traceNode records every delivery with its arrival round and sends a fixed
+// script in round 0; it stays alive for `rounds` rounds so delayed messages
+// have a live recipient.
+type traceNode struct {
+	script []Send
+	rounds int
+	got    []arrival
+	halted bool
+}
+
+type arrival struct {
+	round int
+	from  types.NodeID
+	tag   uint32
+}
+
+func (n *traceNode) Step(round int, delivered []Delivered) []Send {
+	for _, d := range delivered {
+		n.got = append(n.got, arrival{round: round, from: d.From, tag: d.Msg.(markMsg).Tag})
+	}
+	if round >= n.rounds {
+		n.halted = true
+		return nil
+	}
+	if round == 0 {
+		return n.script
+	}
+	return nil
+}
+
+func (n *traceNode) Output() (types.Bit, bool) { return types.Zero, false }
+func (n *traceNode) Halted() bool              { return n.halted }
+
+// runTrace executes n trace nodes under a model and adversary for enough
+// rounds to flush any legal schedule.
+func runTrace(t *testing.T, n int, scripts map[int][]Send, net Faults, adv Adversary, f int) []*traceNode {
+	t.Helper()
+	rounds := max(net.Delta, 1) + 1
+	nodes := make([]Node, n)
+	tn := make([]*traceNode, n)
+	for i := range nodes {
+		tn[i] = &traceNode{script: scripts[i], rounds: rounds}
+		nodes[i] = tn[i]
+	}
+	rt, err := NewRuntime(Config{N: n, F: f, MaxRounds: rounds + 2, Net: net}, nodes, adv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Run()
+	return tn
+}
+
+// Worst-case scheduling holds every non-self link to the bound: recipients
+// see the message exactly at round Δ, the sender's own copy next round.
+func TestWorstCaseDelaysToBound(t *testing.T) {
+	const delta = 3
+	tn := runTrace(t, 3, map[int][]Send{
+		1: {Multicast(markMsg{Tag: 7})},
+	}, Faults{Delta: delta, Spread: SpreadHold}, nil, 1)
+	for i, node := range tn {
+		if len(node.got) != 1 {
+			t.Fatalf("node %d received %d messages, want 1", i, len(node.got))
+		}
+		want := delta
+		if i == 1 {
+			want = 1 // self-delivery is local, not a network link
+		}
+		if node.got[0].round != want {
+			t.Errorf("node %d received at round %d, want %d", i, node.got[0].round, want)
+		}
+	}
+}
+
+// Jitter schedules are a pure function of the seed: same seed, same
+// arrival trace; a different seed must produce a different schedule
+// somewhere across a fan of links.
+func TestJitterDeterministicPerSeed(t *testing.T) {
+	const n, delta = 8, 4
+	scripts := map[int][]Send{}
+	for i := 0; i < n; i++ {
+		scripts[i] = []Send{Multicast(markMsg{Tag: uint32(100 + i)})}
+	}
+	trace := func(seed [32]byte) []arrival {
+		tn := runTrace(t, n, scripts, Faults{Delta: delta, Spread: SpreadJitter, Key: FoldSeed(seed)}, nil, 1)
+		var all []arrival
+		for _, node := range tn {
+			all = append(all, node.got...)
+		}
+		return all
+	}
+	var s1, s2 [32]byte
+	s1[0], s2[0] = 1, 2
+	a, b := trace(s1), trace(s1)
+	if len(a) != n*n {
+		t.Fatalf("%d arrivals, want %d", len(a), n*n)
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("same seed diverged at %d: %+v vs %+v", i, a[i], b[i])
+		}
+	}
+	c := trace(s2)
+	same := true
+	for i := range a {
+		if a[i] != c[i] {
+			same = false
+			break
+		}
+	}
+	if same {
+		t.Fatal("different seeds produced the identical 64-link schedule")
+	}
+	for _, arr := range a {
+		if arr.round < 1 || arr.round > delta {
+			t.Fatalf("jitter delivered at round %d outside [1, %d]", arr.round, delta)
+		}
+	}
+}
+
+// Omission drops only links the power contract permits: the declared
+// faulty sender loses (all of) its links at rate 1, honest senders lose
+// nothing, and the faulty set is reported on the result without shrinking
+// the forever-honest set.
+func TestOmissionOnlyPermittedLinks(t *testing.T) {
+	var seed [32]byte
+	seed[3] = 9
+	net := Faults{Delta: 1, Key: FoldSeed(seed), Faulty: faultyMask(3, 1), Rate: 1}
+	tn := runTrace(t, 3, map[int][]Send{
+		0: {Multicast(markMsg{Tag: 20})},
+		1: {Multicast(markMsg{Tag: 21})},
+		2: {Unicast(0, markMsg{Tag: 22})},
+	}, net, nil, 1)
+	for i, node := range tn {
+		for _, a := range node.got {
+			if a.from == 1 && i != 1 {
+				t.Errorf("node %d received tag %d from the omission-faulty sender", i, a.tag)
+			}
+		}
+	}
+	// Faulty node 1 still hears everyone else (receive side is unaffected)
+	// and its own local copy.
+	if got := len(tn[1].got); got != 2 {
+		t.Errorf("faulty node received %d messages %v, want its own copy and node 0's", got, tn[1].got)
+	}
+	// Honest links all delivered.
+	if got := len(tn[0].got); got != 2 { // 20 (self) + 22
+		t.Errorf("node 0 received %d messages %v", got, tn[0].got)
+	}
+}
+
+// The omission fault set spends the corruption budget and must name real
+// nodes.
+func TestOmissionBudgetEnforced(t *testing.T) {
+	mk := func(n int) []Node {
+		nodes := make([]Node, n)
+		for i := range nodes {
+			nodes[i] = &traceNode{rounds: 1}
+		}
+		return nodes
+	}
+	var seed [32]byte
+	_, err := NewRuntime(Config{N: 4, F: 1, Net: Faults{Delta: 1, Key: FoldSeed(seed), Faulty: faultyMask(4, 0, 2), Rate: 0.5}}, mk(4), nil)
+	if !errors.Is(err, ErrBudget) {
+		t.Fatalf("2 faults on budget f=1 gave %v, want ErrBudget", err)
+	}
+	_, err = NewRuntime(Config{N: 4, F: 3, Net: Faults{Delta: 1, Key: FoldSeed(seed), Faulty: faultyMask(8, 7), Rate: 0.5}}, mk(4), nil)
+	if !errors.Is(err, ErrUnknownNode) {
+		t.Fatalf("out-of-range fault gave %v, want ErrUnknownNode", err)
+	}
+	_, err = NewRuntime(Config{N: 4, F: 1, Net: Faults{Delta: -1, Spread: SpreadHold}}, mk(4), nil)
+	if err == nil {
+		t.Fatal("Δ=-1 model accepted")
+	}
+}
+
+// budgetProbe corrupts nodes (in the given order, default 0..n−1) until the
+// runtime refuses, recording how far it got.
+type budgetProbe struct {
+	Passive
+	order     []types.NodeID
+	corrupted int
+	lastErr   error
+}
+
+func (a *budgetProbe) Power() Power { return PowerWeaklyAdaptive }
+func (a *budgetProbe) Round(ctx *Ctx) {
+	if ctx.Round() != 0 {
+		return
+	}
+	order := a.order
+	if order == nil {
+		for i := 0; i < ctx.N(); i++ {
+			order = append(order, types.NodeID(i))
+		}
+	}
+	for _, id := range order {
+		if _, err := ctx.Corrupt(id); err != nil {
+			a.lastErr = err
+			return
+		}
+		a.corrupted++
+	}
+}
+
+// Omission faults and adaptive corruptions share one budget: with F=3 and
+// two declared faulty senders, the adversary gets exactly one corruption
+// before ErrBudget — unless it corrupts a faulty node, which converts the
+// fault slot instead of spending a new one.
+func TestOmissionFaultsShareCorruptionBudget(t *testing.T) {
+	var seed [32]byte
+	run := func(adv *budgetProbe) {
+		nodes := make([]Node, 6)
+		for i := range nodes {
+			nodes[i] = &traceNode{rounds: 2}
+		}
+		rt, err := NewRuntime(Config{
+			N: 6, F: 3, MaxRounds: 4,
+			Net: Faults{Delta: 1, Key: FoldSeed(seed), Faulty: faultyMask(6, 4, 5), Rate: 0.5},
+		}, nodes, adv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt.Run()
+	}
+	adv := &budgetProbe{}
+	run(adv)
+	// Nodes 0..: one corruption fits (2 faults + 1 corrupt = F), the second
+	// must fail with the budget error.
+	if adv.corrupted != 1 {
+		t.Fatalf("corrupted %d honest nodes on f=3 with 2 omission faults, want 1 (err %v)", adv.corrupted, adv.lastErr)
+	}
+	if !errors.Is(adv.lastErr, ErrBudget) {
+		t.Fatalf("second corruption failed with %v, want ErrBudget", adv.lastErr)
+	}
+	// Corrupting a faulty node converts its fault slot instead of spending a
+	// new one: order 4, 5 (both faulty), then honest 0 — all three fit in
+	// F=3; a fourth corruption must not.
+	conv := &budgetProbe{order: []types.NodeID{4, 5, 0, 1}}
+	run(conv)
+	if conv.corrupted != 3 {
+		t.Fatalf("fault-slot conversion: corrupted %d, want 3 (err %v)", conv.corrupted, conv.lastErr)
+	}
+	if !errors.Is(conv.lastErr, ErrBudget) {
+		t.Fatalf("fourth corruption failed with %v, want ErrBudget", conv.lastErr)
+	}
+}
+
+// The per-link path must reproduce the uniform one exactly — arrivals with
+// their rounds, the adversary's view, the Result with its Metrics and the
+// trace, fault numbering included — under every model shape and under
+// adversaries that corrupt, Inject, Remove and RemoveFor, with chatNode's
+// self-links in every multicast. That equality is what lets the Runtime
+// skip n Decide calls for a sender the model declares Uniform; the
+// Runtime's perLink seam turns the shortcut off.
+func TestPerLinkPathMatchesUniform(t *testing.T) {
+	const n, rounds = 11, 5
+	var seed [32]byte
+	seed[0] = 11
+	key := FoldSeed(seed)
+	models := []struct {
+		name string
+		net  Faults
+	}{
+		{"delta-one", Faults{}},
+		{"hold-2", Faults{Delta: 2, Spread: SpreadHold}},
+		{"hold-3", Faults{Delta: 3, Spread: SpreadHold}},
+		{"omission-2", Faults{Delta: 2, Key: key, Faulty: faultyMask(n, 2, 7), Rate: 0.5}},
+		{"partition-3", Faults{Delta: 3, Cut: 5, CutFrom: 1, CutUntil: 3}},
+		{"chaos-3", Faults{Delta: 3, Spread: SpreadJitter, Key: key, Faulty: faultyMask(n, 2, 7), Rate: 0.4,
+			Cut: 5, CutFrom: 1, CutUntil: 3, Crash: 7, CrashFrom: 0, CrashUntil: 2}},
+		{"chaos-hold-2", Faults{Delta: 2, Spread: SpreadHold, Key: key, Faulty: faultyMask(n, 2, 7), Rate: 0.4,
+			Cut: 5, CutFrom: 2, CutUntil: 3, Crash: 7, CrashFrom: 1, CrashUntil: 3}},
+	}
+	advs := []struct {
+		name string
+		mk   func() Adversary
+	}{
+		{"passive", func() Adversary { return nil }},
+		{"shard-hopper", func() Adversary { return &shardHopper{victims: []types.NodeID{0, n - 1, 3}} }},
+		{"injecting", func() Adversary { return &injectingAdversary{} }},
+		{"remove-for", func() Adversary { return &removeForMulticastAdversary{victim: 4} }},
+	}
+	type outcome struct {
+		got    [][]arrival
+		log    []string
+		res    *Result
+		events []obs.Event
+	}
+	run := func(t *testing.T, net Faults, adv Adversary, perLink bool) outcome {
+		nodes := make([]Node, n)
+		cn := make([]*chatNode, n)
+		for i := range nodes {
+			cn[i] = &chatNode{id: i, n: n, rounds: rounds}
+			nodes[i] = cn[i]
+		}
+		rec := obs.NewRecorder(1 << 14)
+		rt, err := NewRuntime(Config{N: n, F: 5, MaxRounds: rounds + 4, Net: net, Tracer: rec}, nodes, adv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt.perLink = perLink
+		out := outcome{res: rt.Run(), events: rec.Events()}
+		for _, c := range cn {
+			out.got = append(out.got, c.got)
+		}
+		if h, ok := adv.(*shardHopper); ok {
+			out.log = h.log
+		}
+		return out
+	}
+	for _, m := range models {
+		for _, a := range advs {
+			t.Run(m.name+"/"+a.name, func(t *testing.T) {
+				uni, links := run(t, m.net, a.mk(), false), run(t, m.net, a.mk(), true)
+				if a.name != "passive" && uni.res.NumCorrupt() == 0 {
+					t.Fatalf("adversary corrupted nobody: %v", uni.log)
+				}
+				if !reflect.DeepEqual(uni.res, links.res) {
+					t.Errorf("result: uniform %+v, per-link %+v", uni.res, links.res)
+				}
+				if !reflect.DeepEqual(uni.log, links.log) {
+					t.Errorf("adversary saw\n%v\nunder the uniform path and\n%v\nper link", uni.log, links.log)
+				}
+				for i := range uni.got {
+					if !reflect.DeepEqual(uni.got[i], links.got[i]) {
+						t.Errorf("node %d: uniform arrivals %v, per-link %v", i, uni.got[i], links.got[i])
+					}
+				}
+				if !reflect.DeepEqual(uni.events, links.events) {
+					t.Errorf("traces diverge: %d uniform events, %d per-link", len(uni.events), len(links.events))
+				}
+			})
+		}
+	}
+}
+
+// Every Faults lowering TestScheduleGolden hashes keeps the Uniform
+// contract: wherever it answers ok, Decide gives that delay, and never
+// Drop, on every link out of the sender.
+func TestUniformAgreesWithDecide(t *testing.T) {
+	const n, rounds = 7, 40
+	for _, g := range scheduleGoldens {
+		oks := 0
+		for r := 0; r <= rounds; r++ {
+			for from := types.NodeID(0); from < n; from++ {
+				delay, ok := g.model.Uniform(r, from)
+				if !ok {
+					continue
+				}
+				oks++
+				for to := types.NodeID(0); to < n; to++ {
+					if to == from {
+						continue
+					}
+					if got, _ := g.model.Decide(r, from, to); got != delay {
+						t.Fatalf("%s: Uniform(%d, %d) = %d, but Decide(%d, %d, %d) = %d", g.name, r, from, delay, r, from, to, got)
+					}
+				}
+			}
+		}
+		t.Logf("%s: %d of %d (round, sender) pairs uniform", g.name, oks, (rounds+1)*n)
+	}
+}
+
+// Partition holds cross-cut links to Δ while it lasts and heals afterwards;
+// same-side links are never touched.
+func TestPartitionSchedulesCrossCutLinks(t *testing.T) {
+	const delta = 3
+	net := Faults{Delta: delta, Cut: 2, CutUntil: 1} // groups {0,1} | {2,3}, partitioned during round 0 only
+	// Round-0 sends: cross-cut ones land at Δ, same-side at 1.
+	tn := runTrace(t, 4, map[int][]Send{
+		0: {Multicast(markMsg{Tag: 30})},
+	}, net, nil, 1)
+	wantRounds := []int{1, 1, delta, delta}
+	for i, node := range tn {
+		if len(node.got) != 1 {
+			t.Fatalf("node %d received %d messages", i, len(node.got))
+		}
+		if node.got[0].round != wantRounds[i] {
+			t.Errorf("node %d received at round %d, want %d", i, node.got[0].round, wantRounds[i])
+		}
 	}
 }

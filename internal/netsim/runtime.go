@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"unsafe"
 
 	"ccba/internal/harness"
 	"ccba/internal/obs"
@@ -120,7 +121,15 @@ type Runtime struct {
 
 // shard is one worker's slice of a round: the nodes [lo, hi) it steps and
 // the private buffers their sends accumulate into, reused across rounds.
+// Shards sit side by side in Runtime.shards, so each is padded to a
+// multiple of 128 bytes: the adjacent-line prefetcher pulls 64-byte lines
+// in pairs, and no two workers' headers may share a pair.
 type shard struct {
+	shardHeader
+	_ [(128 - unsafe.Sizeof(shardHeader{})%128) % 128]byte
+}
+
+type shardHeader struct {
 	lo, hi  int
 	slab    []Envelope  // this round's sends, in (node id, send) order
 	merge   []Delivered // inbox scratch for a node that has extras
@@ -225,7 +234,7 @@ func carveShards(n, workers int) []shard {
 	workers = max(1, min(workers, n))
 	shards := make([]shard, workers)
 	for k := range shards {
-		shards[k] = shard{lo: k * n / workers, hi: (k + 1) * n / workers}
+		shards[k].lo, shards[k].hi = k*n/workers, (k+1)*n/workers
 	}
 	return shards
 }
@@ -386,7 +395,9 @@ func (rt *Runtime) stepRound(round int) (done bool) {
 // body: it writes only shard-k state and per-node state of the shard's own
 // nodes, reads only what the previous round's delivery left behind, and
 // steps nodes in id order — the invariants the deterministic merge rests
-// on.
+// on. The slab, inbox scratch, counts and done flag live in locals for the
+// whole loop, so a worker writes its shard's header once per round, not
+// once per node or send.
 //
 // Communication complexity is accounted here, at send time, for messages
 // sent by so-far-honest nodes (Definitions 6 and 7). That is the same rule
@@ -400,9 +411,7 @@ func (rt *Runtime) stepRound(round int) (done bool) {
 // depend on the worker count.
 func (rt *Runtime) stepShard(k int) {
 	sh := &rt.shards[k]
-	sh.slab = sh.slab[:0]
-	sh.metrics = Metrics{}
-	sh.done = true
+	slab, merge, m, done := sh.slab[:0], sh.merge, Metrics{}, true
 	n, round := rt.cfg.N, rt.curRound
 	for i := sh.lo; i < sh.hi; i++ {
 		id := types.NodeID(i)
@@ -415,18 +424,19 @@ func (rt *Runtime) stepShard(k int) {
 			decided = &rt.trDecided[i]
 		}
 		var halted bool
-		sh.slab, halted = StepNode(rt.tr, n, round, id, rt.nodes[i], rt.inbox(id, &sh.merge), &sh.metrics, decided, sh.slab)
-		sh.done = sh.done && halted
+		slab, halted = StepNode(rt.tr, n, round, id, rt.nodes[i], rt.inbox(id, &merge), &m, decided, slab)
+		done = done && halted
 	}
+	sh.slab, sh.merge, sh.metrics, sh.done = slab, merge, m, done
 }
 
 // StepNode is the one per-node round step, which the lockstep engine's
 // shards and every live node run. It traces node id's round start and
 // inbox, steps nd, then sizes, counts (Definitions 6–7, in a network of n)
 // and traces each send and appends it to out as an Envelope, and last
-// traces the node's decide and halt transitions. *decided deduplicates EvDecide to the transition round
-// and is read only when tr is enabled. It returns out and whether nd has
-// halted.
+// traces the node's decide and halt transitions. *decided deduplicates
+// EvDecide to the transition round and is read only when tr is enabled. It
+// returns out and whether nd has halted.
 func StepNode(tr obs.Sink, n, round int, id types.NodeID, nd Node, inbox []Delivered, m *Metrics, decided *bool, out []Envelope) ([]Envelope, bool) {
 	traced := tr.Enabled()
 	if traced {

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"ccba/internal/types"
 )
@@ -55,6 +56,15 @@ func TestSparseShardPartition(t *testing.T) {
 	}
 	if want := min(runtime.GOMAXPROCS(0), 1_000); len(rt.shards) != want {
 		t.Fatalf("NewRuntime carved %d shards at GOMAXPROCS=%d", len(rt.shards), runtime.GOMAXPROCS(0))
+	}
+}
+
+// TestShardSize pins the shard stride: the shards sit side by side in
+// Runtime.shards and two workers write them, so each must fill whole
+// 128-byte line pairs on every architecture, whatever its fields take.
+func TestShardSize(t *testing.T) {
+	if size := unsafe.Sizeof(shard{}); size%128 != 0 {
+		t.Fatalf("shard is %d bytes, not a multiple of 128", size)
 	}
 }
 
@@ -366,5 +376,40 @@ func TestEngineStateIsTrafficSized(t *testing.T) {
 		} else if small <= lockstep {
 			t.Errorf("%s allocated %d B at n=1000, no more than lockstep's %d B: the measurement misses the ring", tc.name, small, lockstep)
 		}
+	}
+}
+
+// nullStepNode multicasts the same message every round and never halts: the
+// per-node step with nothing of a protocol in it.
+type nullStepNode struct{ sends []Send }
+
+func (nd *nullStepNode) Step(int, []Delivered) []Send { return nd.sends }
+func (nd *nullStepNode) Output() (types.Bit, bool)    { return types.Zero, false }
+func (nd *nullStepNode) Halted() bool                 { return false }
+
+// BenchmarkStepRoundNull times whole rounds of n = 10⁴ null nodes, one
+// round per iteration, and reports wall time per node-step. Each node-step
+// appends to its worker's slab, counts a send and folds a done flag, so
+// workers that write a shared line show as a 2-worker time at or above the
+// 1-worker one.
+func BenchmarkStepRoundNull(b *testing.B) {
+	const n = 10_000
+	sends := []Send{Multicast(markMsg{Tag: 1})}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			nodes := make([]Node, n)
+			backing := make([]nullStepNode, n)
+			for i := range nodes {
+				backing[i].sends = sends
+				nodes[i] = &backing[i]
+			}
+			rt, err := newRuntime(Config{N: n, F: 1, MaxRounds: b.N}, nodes, nil, workers)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			rt.Run()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/node-step")
+		})
 	}
 }
